@@ -1,7 +1,7 @@
 """Simulated shared-nothing cluster (the paper's Spark/EC2 stand-in)."""
 
 from .cost import StageCost, broadcast_cost, task_durations
-from .events import EventLoop, WorkerPool
+from .events import EventLoop, SlotHeap
 from .simulator import (
     ClusterSimulator,
     SimulatedBatch,
@@ -14,9 +14,9 @@ __all__ = [
     "EventLoop",
     "SimulatedBatch",
     "SimulatedRun",
+    "SlotHeap",
     "StageCost",
     "StageRecovery",
-    "WorkerPool",
     "broadcast_cost",
     "task_durations",
 ]

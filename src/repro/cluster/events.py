@@ -53,7 +53,7 @@ class EventLoop:
         return len(self._queue)
 
 
-class WorkerPool:
+class SlotHeap:
     """Greedy earliest-available-worker task placement.
 
     Models a homogeneous executor pool: ``submit`` places a task of the

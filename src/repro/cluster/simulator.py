@@ -17,7 +17,7 @@ from ..config import ClusterConfig
 from ..faults import NULL_INJECTOR, FaultInjector, RetryPolicy
 from ..obs import NULL_TRACER, Tracer
 from .cost import broadcast_cost, task_durations
-from .events import EventLoop, WorkerPool
+from .events import EventLoop, SlotHeap
 
 
 @dataclass
@@ -117,7 +117,7 @@ class ClusterSimulator:
 
     def stage_seconds(self, rows: int, bootstrap: bool = True) -> float:
         """Makespan of one stage over the worker pool."""
-        pool = WorkerPool(self.config.num_workers)
+        pool = SlotHeap(self.config.num_workers)
         durations = task_durations(rows, self.config, bootstrap)
         durations, _ = self._recovered_durations(durations)
         return pool.submit_all(durations)
@@ -221,7 +221,7 @@ class ClusterSimulator:
             if not block_ids:
                 return
             block_id = block_ids[0]
-            pool = WorkerPool(self.config.num_workers)
+            pool = SlotHeap(self.config.num_workers)
             durations = task_durations(
                 rows_by_block[block_id], self.config, bootstrap
             )

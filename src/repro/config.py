@@ -11,6 +11,40 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 
+def _parse_spec(cls, spec: str, flag: str) -> dict:
+    """Kwargs for config dataclass ``cls`` from a ``key=value,...`` string.
+
+    Values are typed from the dataclass fields (bool/int/float, else
+    str; ``Optional[...]`` fields parse as their inner type).  Unknown
+    keys raise ValueError naming ``flag``, the CLI option the spec was
+    given to.
+    """
+    known = {f.name: str(f.type) for f in fields(cls)}
+    kwargs: dict = {}
+    for part in spec.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        key, sep, value = part.partition("=")
+        key = key.strip()
+        if not sep or key not in known:
+            raise ValueError(
+                f"unknown {flag} key {key!r}; valid keys: "
+                + ", ".join(sorted(known))
+            )
+        value = value.strip()
+        ftype = known[key]
+        if "bool" in ftype:
+            kwargs[key] = value.lower() in ("1", "true", "t", "yes")
+        elif "int" in ftype:
+            kwargs[key] = int(value)
+        elif "float" in ftype:
+            kwargs[key] = float(value)
+        else:
+            kwargs[key] = value
+    return kwargs
+
+
 @dataclass(frozen=True)
 class FaultsConfig:
     """Deterministic fault injection and recovery policy (``repro.faults``).
@@ -130,30 +164,7 @@ class FaultsConfig:
 
             FaultsConfig.parse("batch_failure_prob=0.3,max_retries=1")
         """
-        known = {f.name: f.type for f in fields(cls)}
-        kwargs: dict = {"enabled": True}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, value = part.partition("=")
-            key = key.strip()
-            if not sep or key not in known:
-                raise ValueError(
-                    f"unknown --faults key {key!r}; valid keys: "
-                    + ", ".join(sorted(known))
-                )
-            value = value.strip()
-            ftype = known[key]
-            if "bool" in str(ftype):
-                kwargs[key] = value.lower() in ("1", "true", "t", "yes")
-            elif "int" in str(ftype):
-                kwargs[key] = int(value)
-            elif "float" in str(ftype):
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
+        return cls(**{"enabled": True, **_parse_spec(cls, spec, "--faults")})
 
 
 @dataclass(frozen=True)
@@ -262,28 +273,7 @@ class ParallelConfig:
         spec = spec.strip()
         if spec.isdigit():
             return cls(workers=int(spec))
-        known = {f.name: f.type for f in fields(cls)}
-        kwargs: dict = {}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, value = part.partition("=")
-            key = key.strip()
-            if not sep or key not in known:
-                raise ValueError(
-                    f"unknown --workers key {key!r}; valid keys: "
-                    + ", ".join(sorted(known))
-                )
-            value = value.strip()
-            ftype = known[key]
-            if "bool" in str(ftype):
-                kwargs[key] = value.lower() in ("1", "true", "t", "yes")
-            elif "int" in str(ftype):
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
+        return cls(**_parse_spec(cls, spec, "--workers"))
 
 
 @dataclass(frozen=True)
@@ -380,30 +370,7 @@ class ServeConfig:
 
             ServeConfig.parse("port=9000,max_concurrent=8,scan_cache=0")
         """
-        known = {f.name: f.type for f in fields(cls)}
-        kwargs: dict = {}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, value = part.partition("=")
-            key = key.strip()
-            if not sep or key not in known:
-                raise ValueError(
-                    f"unknown --serve key {key!r}; valid keys: "
-                    + ", ".join(sorted(known))
-                )
-            value = value.strip()
-            ftype = known[key]
-            if "bool" in str(ftype):
-                kwargs[key] = value.lower() in ("1", "true", "t", "yes")
-            elif "int" in str(ftype):
-                kwargs[key] = int(value)
-            elif "float" in str(ftype):
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
+        return cls(**_parse_spec(cls, spec, "--serve"))
 
 
 @dataclass(frozen=True)
@@ -469,30 +436,7 @@ class StorageConfig:
     @classmethod
     def parse(cls, spec: str) -> "StorageConfig":
         """Build a config from a ``key=value,key=value`` CLI string."""
-        known = {f.name: f.type for f in fields(cls)}
-        kwargs: dict = {}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, value = part.partition("=")
-            key = key.strip()
-            if not sep or key not in known:
-                raise ValueError(
-                    f"unknown --storage key {key!r}; valid keys: "
-                    + ", ".join(sorted(known))
-                )
-            value = value.strip()
-            ftype = known[key]
-            if "bool" in str(ftype):
-                kwargs[key] = value.lower() in ("1", "true", "t", "yes")
-            elif "int" in str(ftype):
-                kwargs[key] = int(value)
-            elif "float" in str(ftype):
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
+        return cls(**_parse_spec(cls, spec, "--storage"))
 
 
 @dataclass(frozen=True)
@@ -580,30 +524,7 @@ class QaConfig:
     @classmethod
     def parse(cls, spec: str) -> "QaConfig":
         """Build a config from a ``key=value,key=value`` CLI string."""
-        known = {f.name: f.type for f in fields(cls)}
-        kwargs: dict = {}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, value = part.partition("=")
-            key = key.strip()
-            if not sep or key not in known:
-                raise ValueError(
-                    f"unknown --qa key {key!r}; valid keys: "
-                    + ", ".join(sorted(known))
-                )
-            value = value.strip()
-            ftype = known[key]
-            if "bool" in str(ftype):
-                kwargs[key] = value.lower() in ("1", "true", "t", "yes")
-            elif "int" in str(ftype):
-                kwargs[key] = int(value)
-            elif "float" in str(ftype):
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
+        return cls(**_parse_spec(cls, spec, "--qa"))
 
 
 @dataclass(frozen=True)

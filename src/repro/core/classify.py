@@ -30,6 +30,7 @@ from ..expr.expressions import (
     BinaryOp,
     BooleanOp,
     CaseWhen,
+    ColumnRef,
     Comparison,
     Environment,
     Expression,
@@ -39,15 +40,15 @@ from ..expr.expressions import (
     Negate,
     SubqueryRef,
 )
-from ..storage.table import Table
-from .uncertain import (
+from ..expr.tristate import (
     TRI_FALSE,
     TRI_TRUE,
     TRI_UNKNOWN,
-    KeyedSlotState,
-    ScalarSlotState,
-    SetSlotState,
+    tri_compare,
+    tri_not,
 )
+from ..storage.table import Table
+from .uncertain import KeyedSlotState, ScalarSlotState, SetSlotState
 
 # Monotone-increasing scalar functions through which intervals map
 # endpoint-to-endpoint.
@@ -58,13 +59,27 @@ _MONOTONE_FUNCTIONS = frozenset({"sqrt", "exp", "ln", "log", "log2", "log10"})
 class IntervalEnv:
     """Everything interval evaluation needs.
 
-    ``slots`` holds the current slot states; ``point`` is the matching
-    point environment (used verbatim for certain sub-expressions, which
-    collapse to degenerate intervals).
+    Intervals come from two sources: ``slots`` holds the current slot
+    states (variation ranges of the subqueries an expression consumes),
+    and ``columns`` maps interval-valued column names to per-row
+    ``(low, high)`` arrays (a set producer's aggregates under their
+    replica ranges, when its HAVING is classified per group).  ``point``
+    is the matching point environment, used verbatim for certain
+    sub-expressions, which collapse to degenerate intervals.
     """
 
     slots: Dict[int, object] = field(default_factory=dict)
     point: Environment = field(default_factory=Environment)
+    columns: Dict[str, Tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict
+    )
+
+    def is_certain(self, expr: Expression) -> bool:
+        """True when ``expr`` reads no uncertain value at all."""
+        if expr.subquery_slots():
+            return False
+        return not (self.columns
+                    and expr.references() & self.columns.keys())
 
 
 def _point(expr: Expression, table: Table, env: IntervalEnv) -> np.ndarray:
@@ -84,9 +99,12 @@ def interval_eval(expr: Expression, table: Table,
     interval propagation is not available, so classification errs toward
     "uncertain" — which is always safe, merely less efficient.
     """
-    if not expr.subquery_slots():
+    if env.is_certain(expr):
         point = _point(expr, table, env)
         return point, point.copy()
+
+    if isinstance(expr, ColumnRef):  # certain columns returned above
+        return env.columns[expr.name]
 
     if isinstance(expr, SubqueryRef):
         state = env.slots.get(expr.slot)
@@ -169,7 +187,7 @@ def interval_eval(expr: Expression, table: Table,
 def tri_eval(expr: Expression, table: Table, env: IntervalEnv) -> np.ndarray:
     """Three-valued truth of a predicate per row (TRI_* encoding)."""
     n = table.num_rows
-    if not expr.subquery_slots():
+    if env.is_certain(expr):
         point = np.broadcast_to(
             np.asarray(expr.evaluate(table, env.point), dtype=bool), (n,)
         )
@@ -178,12 +196,11 @@ def tri_eval(expr: Expression, table: Table, env: IntervalEnv) -> np.ndarray:
     if isinstance(expr, Comparison):
         a_lo, a_hi = interval_eval(expr.left, table, env)
         b_lo, b_hi = interval_eval(expr.right, table, env)
-        return _tri_compare(expr.op, a_lo, a_hi, b_lo, b_hi)
+        return tri_compare(expr.op, a_lo, a_hi, b_lo, b_hi)
 
     if isinstance(expr, BooleanOp):
         if expr.op == "NOT":
-            return (TRI_TRUE - tri_eval(expr.operands[0], table, env)
-                    + TRI_FALSE).astype(np.int8)
+            return tri_not(tri_eval(expr.operands[0], table, env))
         parts = [tri_eval(o, table, env) for o in expr.operands]
         out = parts[0]
         for part in parts[1:]:
@@ -206,9 +223,7 @@ def tri_eval(expr: Expression, table: Table, env: IntervalEnv) -> np.ndarray:
             )
         keys = np.asarray(expr.value.evaluate(table, env.point))
         tri = state.tri_for_keys(keys)
-        if expr.negated:
-            tri = (TRI_TRUE - tri + TRI_FALSE).astype(np.int8)
-        return tri
+        return tri_not(tri) if expr.negated else tri
 
     if isinstance(expr, InList):
         low, high = interval_eval(expr.value, table, env)
@@ -224,36 +239,6 @@ def tri_eval(expr: Expression, table: Table, env: IntervalEnv) -> np.ndarray:
 
     # Unknown predicate shape over uncertain inputs: conservative.
     return np.full(n, TRI_UNKNOWN, dtype=np.int8)
-
-
-def _tri_compare(op: str, a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
-    shape = np.broadcast(a_lo, b_lo).shape
-    out = np.full(shape, TRI_UNKNOWN, dtype=np.int8)
-    if op == "<":
-        out[a_hi < b_lo] = TRI_TRUE
-        out[a_lo >= b_hi] = TRI_FALSE
-    elif op == "<=":
-        out[a_hi <= b_lo] = TRI_TRUE
-        out[a_lo > b_hi] = TRI_FALSE
-    elif op == ">":
-        out[a_lo > b_hi] = TRI_TRUE
-        out[a_hi <= b_lo] = TRI_FALSE
-    elif op == ">=":
-        out[a_lo >= b_hi] = TRI_TRUE
-        out[a_hi < b_lo] = TRI_FALSE
-    elif op == "=":
-        disjoint = (a_hi < b_lo) | (b_hi < a_lo)
-        exact = (a_lo == a_hi) & (b_lo == b_hi) & (a_lo == b_lo)
-        out[disjoint] = TRI_FALSE
-        out[exact] = TRI_TRUE
-    elif op == "!=":
-        disjoint = (a_hi < b_lo) | (b_hi < a_lo)
-        exact = (a_lo == a_hi) & (b_lo == b_hi) & (a_lo == b_lo)
-        out[disjoint] = TRI_TRUE
-        out[exact] = TRI_FALSE
-    else:
-        raise ExecutionError(f"unknown comparison {op!r}")
-    return out
 
 
 def classify(predicates, table: Table, env: IntervalEnv) -> np.ndarray:

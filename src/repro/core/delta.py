@@ -15,8 +15,13 @@ a :class:`BlockRuntime` holding:
   no longer trustworthy and it *rebuilds* from the retained raw batches
   (the paper's failure-recovery path).
 
-Per batch the block touches ``O(|ΔD_i| + |U_{i-1}|)`` rows instead of
-``O(|D_i|)`` — the whole point of G-OLA.
+Per batch the block runs the paper's loop — check guards, run the
+certain pipeline, **classify** the new rows plus the cached ones
+(three-valued, :mod:`.classify`), **cache** the UNKNOWN rows, **fold**
+the TRUE ones, then **publish** a slot state or a snapshot — touching
+``O(|ΔD_i| + |U_{i-1}|)`` rows instead of ``O(|D_i|)``, the whole point
+of G-OLA.  Everything relational underneath (joins, group indices,
+sort order, window frames) is :mod:`repro.engine`'s.
 """
 
 from __future__ import annotations
@@ -43,16 +48,31 @@ from ..estimate.variation import (
 )
 from ..expr.expressions import (
     ColumnRef,
+    Comparison,
     Environment,
     Expression,
     InSubquery,
+    SubqueryRef,
     conjuncts,
     evaluate_mask,
+)
+from ..expr.tristate import (
+    FLIP_COMPARISON,
+    TRI_FALSE,
+    TRI_TRUE,
+    TRI_UNKNOWN,
+    tri_compare,
 )
 from ..obs import NULL_TRACER
 from ..parallel import SERIAL_EXECUTOR
 from ..plan.lineage_blocks import LineageBlock
-from ..engine.operators import window_order, windowed_values
+from ..engine.operators import (
+    build_join_index,
+    group_indices,
+    probe_join,
+    window_order,
+    windowed_values,
+)
 from ..plan.logical import (
     Aggregate,
     Filter,
@@ -73,14 +93,7 @@ from ..storage.colstore.prune import (
 from ..storage.table import Schema, Table
 from .classify import IntervalEnv, interval_eval, tri_eval
 from .lineage import lineage_columns
-from .uncertain import (
-    TRI_FALSE,
-    TRI_TRUE,
-    TRI_UNKNOWN,
-    KeyedSlotState,
-    ScalarSlotState,
-    SetSlotState,
-)
+from .uncertain import KeyedSlotState, ScalarSlotState, SetSlotState
 
 
 @dataclass
@@ -292,7 +305,7 @@ class _KeyedRangeGuard:
         self.highs = np.empty(0)
 
 
-_FLIP_OP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+_ORDERING_OPS = ("<", "<=", ">", ">=")
 
 
 class _DecisionGuard:
@@ -404,19 +417,13 @@ class _DecisionGuard:
             side = np.full(pseudo.num_rows, float(side))
         n = min(g, len(side))
         point = side[:n]
-        with np.errstate(invalid="ignore"):
-            if self.op == "<":
-                ok_true = self.max_true[:n] < point
-                ok_false = self.min_false[:n] >= point
-            elif self.op == "<=":
-                ok_true = self.max_true[:n] <= point
-                ok_false = self.min_false[:n] > point
-            elif self.op == ">":
-                ok_true = self.min_true[:n] > point
-                ok_false = self.max_false[:n] <= point
-            else:  # ">="
-                ok_true = self.min_true[:n] >= point
-                ok_false = self.max_false[:n] < point
+        # A group's TRUE-folds span [min_true, max_true]: all still hold
+        # iff that interval compares TRUE against the point; likewise
+        # the FALSE-folds.
+        ok_true = tri_compare(self.op, self.min_true[:n], self.max_true[:n],
+                              point, point) == TRI_TRUE
+        ok_false = tri_compare(self.op, self.min_false[:n],
+                               self.max_false[:n], point, point) == TRI_FALSE
         # Vacuous where no fold happened (extremes still at +-inf);
         # groups with no point value yet (NaN side) can have no folds.
         ok_true |= np.isneginf(self.max_true[:n]) \
@@ -441,14 +448,12 @@ def _analyze_guard(predicate: Expression):
     """
     if isinstance(predicate, InSubquery):
         return ("set", predicate)
-    from ..expr.expressions import Comparison as _Comparison, SubqueryRef
-
-    if isinstance(predicate, _Comparison) and predicate.op in _FLIP_OP:
+    if isinstance(predicate, Comparison) and predicate.op in _ORDERING_OPS:
         left_slots = predicate.left.subquery_slots()
         right_slots = predicate.right.subquery_slots()
         if left_slots and not right_slots:
             uncertain, certain = predicate.left, predicate.right
-            op = _FLIP_OP[predicate.op]
+            op = FLIP_COMPARISON[predicate.op]
         elif right_slots and not left_slots:
             uncertain, certain = predicate.right, predicate.left
             op = predicate.op
@@ -465,9 +470,7 @@ def _analyze_guard(predicate: Expression):
                 return ("fallback", predicate.subquery_slots())
             corr_name = None
         else:
-            from ..expr.expressions import ColumnRef as _ColumnRef
-
-            if not isinstance(ref.correlation, _ColumnRef):
+            if not isinstance(ref.correlation, ColumnRef):
                 return ("fallback", predicate.subquery_slots())
             corr_name = ref.correlation.name
             if uncertain.references() - {corr_name}:
@@ -480,8 +483,6 @@ def _analyze_guard(predicate: Expression):
 
 
 def _collect_refs(expr: Expression):
-    from ..expr.expressions import SubqueryRef
-
     out = []
     if isinstance(expr, SubqueryRef):
         out.append(expr)
@@ -532,24 +533,6 @@ class BlockBatchStats:
     @property
     def rows_processed(self) -> int:
         return self.candidates + self.rebuild_rows
-
-
-class _MatrixColumns:
-    """Adapter exposing (G, B) replica matrices as 'columns'.
-
-    Lets the ordinary expression evaluator compute projection expressions
-    over per-trial aggregate replicas: ``(G, 1)`` group keys broadcast
-    against ``(G, B)`` aggregate matrices.
-    """
-
-    def __init__(self, columns: Dict[str, np.ndarray], num_rows: int):
-        self._columns = columns
-        self.num_rows = num_rows
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in self._columns:
-            raise ExecutionError(f"unknown column {name!r} in replica eval")
-        return self._columns[name]
 
 
 class BlockRuntime:
@@ -689,6 +672,7 @@ class BlockRuntime:
         return table, pos
 
     def _join_step(self, step_id: int, join: Join, table: Table):
+        """One dimension join; the build side is indexed once per run."""
         right = self.dimension_tables.get(join.right.table_name)
         if right is None:
             raise ExecutionError(
@@ -696,37 +680,10 @@ class BlockRuntime:
             )
         index = self._join_indices.get(step_id)
         if index is None:
-            build_keys = _key_rows(right, [r for _, r in join.keys])
-            index = {}
-            for i, key in enumerate(build_keys):
-                if key in index:
-                    raise ExecutionError(
-                        f"duplicate dimension key {key!r} in "
-                        f"{join.right.table_name}"
-                    )
-                index[key] = i
-            self._join_indices[step_id] = index
-        probe = _key_rows(table, [l for l, _ in join.keys])
-        match = np.fromiter(
-            (index.get(k, -1) for k in probe), dtype=np.int64,
-            count=table.num_rows,
-        )
-        if join.how == "inner":
-            keep = match >= 0
-            table = table.take(keep)
-            right_idx = match[keep]
-        else:
-            keep = None
-            right_idx = np.clip(match, 0, None)
-        columns = {n: table.column(n) for n in table.schema.names}
-        cols = list(table.schema.columns)
-        right_key_names = {r for _, r in join.keys}
-        for col in right.schema:
-            if col.name in right_key_names:
-                continue
-            columns[col.name] = right.column(col.name)[right_idx]
-            cols.append(col)
-        return Table(Schema(cols), columns), keep
+            index = self._join_indices[step_id] = build_join_index(
+                right, [r for _, r in join.keys]
+            )
+        return probe_join(table, right, index, join.keys, join.how)
 
     # ------------------------------------------------------------------
     # Guards & failure handling
@@ -919,7 +876,7 @@ class BlockRuntime:
             # built when the executor shards.
             with tracer.span("phase:fold", block=self.block.block_id,
                              rows_in=incoming.size):
-                self._fold_delta(incoming, wsrc, pos)
+                self._fold(incoming, wsrc, pos)
             if tracer.metrics.enabled:
                 tracer.metrics.counter(
                     "delta.rows_folded"
@@ -978,7 +935,8 @@ class BlockRuntime:
                 cls_span.set("cache_retained", cache_retained)
         with tracer.span("phase:fold", block=self.block.block_id,
                          rows_in=folded_pass):
-            self._fold(candidates, pass_mask)
+            passing = candidates.take(pass_mask)
+            self._fold(passing, passing.weights)
         self.cache = candidates.take(unknown_mask)
         if tracer.metrics.enabled:
             tracer.metrics.counter("delta.rows_folded").inc(folded_pass)
@@ -1096,20 +1054,8 @@ class BlockRuntime:
         """
         agg = self.pipeline.aggregate
         n = table.num_rows
-        if agg.group_by:
-            if len(agg.group_by) == 1:
-                raw = np.asarray(agg.group_by[0][0].evaluate(table, penv))
-                keys = np.broadcast_to(raw, (n,)) if raw.ndim == 0 else raw
-            else:
-                parts = [
-                    np.asarray(e.evaluate(table, penv)) for e, _ in agg.group_by
-                ]
-                keys = np.empty(n, dtype=object)
-                keys[:] = list(zip(*[p.tolist() for p in parts]))
-            group_idx = self.group_index.encode(keys)
-        else:
-            self.group_index.encode(np.zeros(1, dtype=np.int64))
-            group_idx = np.zeros(n, dtype=np.int64)
+        group_idx, _ = group_indices(table, agg.group_by, penv,
+                                     self.group_index)
 
         values: Dict[str, np.ndarray] = {}
         for call in agg.aggregates:
@@ -1136,31 +1082,15 @@ class BlockRuntime:
             values=values,
         )
 
-    def _fold(self, rows: CachedRows, mask: Optional[np.ndarray]) -> None:
-        if mask is not None:
-            if not mask.any():
-                return
-            rows = rows.take(mask)
-        if rows.size == 0:
-            return
-        self.presence_counts = _bump_counts(
-            self.presence_counts, rows.group_idx
-        )
-        for alias, state in self.exact_states.items():
-            state.update(rows.group_idx, rows.values[alias])
-        self.executor.fold_boot_states(
-            self.boot_states, rows.group_idx, rows.values, rows.weights,
-            lazy=True,
-        )
+    def _fold(self, rows: CachedRows, weights,
+              row_idx: Optional[np.ndarray] = None) -> None:
+        """Fold deterministic-pass rows into the exact and trial states.
 
-    def _fold_delta(self, rows: CachedRows, wsrc,
-                    pos: Optional[np.ndarray]) -> None:
-        """Fold freshly-arrived rows whose weights are still lazy.
-
-        ``pos`` indexes the surviving rows into the batch's weight
-        matrix; the executor either shards weight generation across
-        workers or materializes the dense rows inline — bit-identical
-        either way.
+        ``weights`` is the rows' dense ``(m, B)`` matrix, or — for
+        freshly-arrived rows — the batch's lazy weight handle with
+        ``row_idx`` indexing the surviving rows into it; the executor
+        then either shards weight generation across workers or
+        materializes the dense rows inline, bit-identical either way.
         """
         if rows.size == 0:
             return
@@ -1170,8 +1100,8 @@ class BlockRuntime:
         for alias, state in self.exact_states.items():
             state.update(rows.group_idx, rows.values[alias])
         self.executor.fold_boot_states(
-            self.boot_states, rows.group_idx, rows.values, wsrc,
-            row_idx=pos, lazy=True,
+            self.boot_states, rows.group_idx, rows.values, weights,
+            row_idx=row_idx, lazy=True,
         )
 
     # ------------------------------------------------------------------
@@ -1288,31 +1218,17 @@ class BlockRuntime:
         estimates, replicas, present = self._temp_finalized(
             penv, slot_states, scale
         )
-        agg = self.pipeline.aggregate
-        project = self.pipeline.project
-        num_groups = max(self.group_index.num_groups, 1)
-
-        point_cols = {a: v for a, v in estimates.items()}
-        group_cols = self._group_key_columns(num_groups)
-        point_cols.update(group_cols)
-
-        matrix_cols: Dict[str, np.ndarray] = {
-            a: m for a, m in replicas.items()
-        }
-        matrix_cols.update(
-            {name: arr[:, None] for name, arr in group_cols.items()}
-        )
+        point_table, matrix_table = self._result_tables(estimates, replicas)
+        num_groups = point_table.num_rows
 
         if spec.kind in ("scalar", "keyed"):
             value_expr = self._project_expr(spec.value_column)
-            point_table = _ArrayTable(point_cols, num_groups)
             point_vals = np.asarray(
                 value_expr.evaluate(point_table, penv), dtype=np.float64
             )
             if point_vals.ndim == 0:
                 point_vals = np.full(num_groups, float(point_vals))
             replica_env = self._replica_env(penv, slot_states)
-            matrix_table = _MatrixColumns(matrix_cols, num_groups)
             replica_vals = np.asarray(
                 value_expr.evaluate(matrix_table, replica_env),
                 dtype=np.float64,
@@ -1344,8 +1260,10 @@ class BlockRuntime:
                 present=present,
             )
 
-        # kind == "set": membership determined by the block's HAVING.
-        having = agg.having
+        # kind == "set": membership determined by the block's HAVING,
+        # classified per group like any other predicate — its aggregates
+        # are interval-valued columns spanning their replica ranges.
+        having = self.pipeline.aggregate.having
         keys = np.array(self.group_index.keys(), dtype=object)
         present_keys = present[: len(keys)]
         if having is None:
@@ -1355,7 +1273,6 @@ class BlockRuntime:
                 for k, ok in zip(keys.tolist(), present_keys)
             }
         else:
-            point_table = _ArrayTable(point_cols, num_groups)
             point_mask = np.broadcast_to(
                 np.asarray(having.evaluate(point_table, penv), dtype=bool),
                 (num_groups,),
@@ -1363,18 +1280,13 @@ class BlockRuntime:
             point_members = set(
                 keys[point_mask[: len(keys)] & present_keys].tolist()
             )
-            lows_cols = {}
-            highs_cols = {}
-            for alias, matrix in replicas.items():
-                lo, hi = ranges_from_replica_matrix(
+            ienv = IntervalEnv(slots=slot_states, point=penv, columns={
+                alias: ranges_from_replica_matrix(
                     estimates[alias], matrix, self.config.epsilon_multiplier
                 )
-                lows_cols[alias] = lo
-                highs_cols[alias] = hi
-            tri = _tri_eval_with_column_intervals(
-                having, point_cols, lows_cols, highs_cols, num_groups,
-                slot_states, penv,
-            )
+                for alias, matrix in replicas.items()
+            })
+            tri = tri_eval(having, point_table, ienv)
             tri_status = {
                 k: (int(t) if ok else int(TRI_UNKNOWN))
                 for k, t, ok in zip(keys.tolist(), tri.tolist(), present_keys)
@@ -1395,12 +1307,8 @@ class BlockRuntime:
             penv, slot_states, scale
         )
         agg = self.pipeline.aggregate
-        num_groups = max(self.group_index.num_groups, 1)
-
-        group_cols = self._group_key_columns(num_groups)
-        point_cols = dict(estimates)
-        point_cols.update(group_cols)
-        point_table = _ArrayTable(point_cols, num_groups)
+        point_table, matrix_table = self._result_tables(estimates, replicas)
+        num_groups = point_table.num_rows
 
         # Grouped queries emit only groups with qualifying data; a global
         # aggregate always emits its single row (SQL semantics).
@@ -1418,12 +1326,6 @@ class BlockRuntime:
         out_columns: Dict[str, np.ndarray] = {}
         col_replicas: Dict[str, np.ndarray] = {}
         replica_env = self._replica_env(penv, slot_states)
-        matrix_cols = {a: m for a, m in replicas.items()}
-        matrix_cols.update(
-            {name: arr[:, None] for name, arr in group_cols.items()}
-        )
-        matrix_table = _MatrixColumns(matrix_cols, num_groups)
-
         exprs = (
             project.exprs if project is not None
             else [(ColumnRef(n), n) for n in agg.schema.names]
@@ -1433,17 +1335,13 @@ class BlockRuntime:
             if raw.ndim == 0:
                 raw = np.full(num_groups, raw[()])
             out_columns[name] = raw[keep]
-            refs = expr.references()
-            if refs & set(estimates):
-                try:
-                    matrix = np.asarray(
-                        expr.evaluate(matrix_table, replica_env),
-                        dtype=np.float64,
-                    )
-                    if matrix.ndim == 2:
-                        col_replicas[name] = matrix[keep]
-                except Exception:
-                    pass  # non-replicable projection: no error bars
+            if expr.references() & set(estimates):
+                matrix = np.asarray(
+                    expr.evaluate(matrix_table, replica_env),
+                    dtype=np.float64,
+                )
+                if matrix.ndim == 2:
+                    col_replicas[name] = matrix[keep]
 
         if self.pipeline.window is not None:
             out_columns, col_replicas = self._apply_window(
@@ -1451,7 +1349,9 @@ class BlockRuntime:
             )
         table = Table.from_columns(out_columns)
         if self.pipeline.sort is not None:
-            order = _sort_order(table, self.pipeline.sort)
+            sort_keys = self.pipeline.sort.keys
+            order = table.sort_order([k for k, _ in sort_keys],
+                                     [d for _, d in sort_keys])
             table = table.take(order)
             col_replicas = {k: v[order] for k, v in col_replicas.items()}
         if self.pipeline.limit is not None:
@@ -1483,6 +1383,24 @@ class BlockRuntime:
         return ordered, col_replicas
 
     # ------------------------------------------------------------------
+
+    def _result_tables(self, estimates: Dict[str, np.ndarray],
+                       replicas: Dict[str, np.ndarray]):
+        """The block's grouped result as expression-evaluable tables.
+
+        Returns ``(point_table, matrix_table)``: ``(G,)`` point columns,
+        and the ``(G, B)`` replica matrices next to ``(G, 1)`` group
+        keys, so one projection expression evaluates over either and
+        broadcasts trial-wise over the second.
+        """
+        num_groups = max(self.group_index.num_groups, 1)
+        group_cols = self._group_key_columns(num_groups)
+        matrix_cols = dict(replicas)
+        matrix_cols.update(
+            {name: arr[:, None] for name, arr in group_cols.items()}
+        )
+        return (_ArrayTable({**estimates, **group_cols}, num_groups),
+                _ArrayTable(matrix_cols, num_groups))
 
     def _group_key_columns(self, num_groups: int) -> Dict[str, np.ndarray]:
         agg = self.pipeline.aggregate
@@ -1530,7 +1448,11 @@ class BlockRuntime:
 
 
 class _ArrayTable:
-    """Minimal table adapter over plain 1-D arrays for point evaluation."""
+    """Minimal table adapter letting expressions evaluate over plain arrays.
+
+    Columns are ``(G,)`` point values, or ``(G, B)`` replica matrices
+    against ``(G, 1)`` group keys so per-trial arithmetic broadcasts.
+    """
 
     def __init__(self, columns: Dict[str, np.ndarray], num_rows: int):
         self._columns = columns
@@ -1540,23 +1462,6 @@ class _ArrayTable:
         if name not in self._columns:
             raise ExecutionError(f"unknown column {name!r}")
         return self._columns[name]
-
-
-def _key_rows(table: Table, names: Sequence[str]) -> List:
-    if len(names) == 1:
-        return table.column(names[0]).tolist()
-    return list(zip(*[table.column(n).tolist() for n in names]))
-
-
-def _sort_order(table: Table, sort: Sort) -> np.ndarray:
-    order = np.arange(table.num_rows)
-    for key, desc in reversed(sort.keys):
-        col = table.column(key)[order]
-        idx = np.argsort(col, kind="stable")
-        if desc:
-            idx = idx[::-1]
-        order = order[idx]
-    return order
 
 
 def _bump_counts(counts: np.ndarray, group_idx: np.ndarray) -> np.ndarray:
@@ -1580,96 +1485,3 @@ def _find_in_subqueries(expr: Expression) -> List[InSubquery]:
     for child in expr.children():
         out.extend(_find_in_subqueries(child))
     return out
-
-
-def _tri_eval_with_column_intervals(expr, point_cols, lows, highs,
-                                    num_groups, slot_states, penv):
-    """Three-valued evaluation where some columns are intervals.
-
-    A thin recursion mirroring :func:`repro.core.classify.tri_eval` but
-    sourcing per-column intervals from the block's replica ranges.
-    """
-    from ..expr.expressions import (
-        Between as _Between,
-        BooleanOp as _BooleanOp,
-        Comparison as _Comparison,
-    )
-    from .classify import IntervalEnv as _IEnv, _tri_compare
-
-    ienv = _IEnv(slots=slot_states, point=penv)
-    table = _ArrayTable(point_cols, num_groups)
-
-    def col_interval(e):
-        """Interval of an expression over interval-valued columns."""
-        from ..expr.expressions import (
-            BinaryOp as _BinaryOp,
-            ColumnRef as _ColumnRef,
-            Literal as _Literal,
-            Negate as _Negate,
-            SubqueryRef as _SubqueryRef,
-        )
-
-        if isinstance(e, _ColumnRef):
-            if e.name in lows:
-                return lows[e.name], highs[e.name]
-            v = np.asarray(point_cols[e.name], dtype=np.float64)
-            return v, v
-        if isinstance(e, _Literal):
-            v = np.full(num_groups, float(e.value))
-            return v, v
-        if isinstance(e, _SubqueryRef):
-            state = slot_states[e.slot]
-            if isinstance(state, ScalarSlotState):
-                return (np.full(num_groups, state.vrange.low),
-                        np.full(num_groups, state.vrange.high))
-            raise ExecutionError("keyed slots in HAVING are unsupported")
-        if isinstance(e, _Negate):
-            lo, hi = col_interval(e.operand)
-            return -hi, -lo
-        if isinstance(e, _BinaryOp):
-            a_lo, a_hi = col_interval(e.left)
-            b_lo, b_hi = col_interval(e.right)
-            if e.op == "+":
-                return a_lo + b_lo, a_hi + b_hi
-            if e.op == "-":
-                return a_lo - b_hi, a_hi - b_lo
-            if e.op == "*":
-                prods = np.stack([a_lo * b_lo, a_lo * b_hi,
-                                  a_hi * b_lo, a_hi * b_hi])
-                return prods.min(axis=0), prods.max(axis=0)
-            if e.op == "/":
-                crosses = (b_lo <= 0) & (b_hi >= 0)
-                sb_lo = np.where(crosses, 1.0, b_lo)
-                sb_hi = np.where(crosses, 1.0, b_hi)
-                qs = np.stack([a_lo / sb_lo, a_lo / sb_hi,
-                               a_hi / sb_lo, a_hi / sb_hi])
-                return (np.where(crosses, -np.inf, qs.min(axis=0)),
-                        np.where(crosses, np.inf, qs.max(axis=0)))
-        return (np.full(num_groups, -np.inf), np.full(num_groups, np.inf))
-
-    def tri(e):
-        if isinstance(e, _Comparison):
-            a_lo, a_hi = col_interval(e.left)
-            b_lo, b_hi = col_interval(e.right)
-            return _tri_compare(e.op, a_lo, a_hi, b_lo, b_hi)
-        if isinstance(e, _BooleanOp):
-            if e.op == "NOT":
-                return (TRI_TRUE - tri(e.operands[0]) + TRI_FALSE).astype(
-                    np.int8
-                )
-            parts = [tri(o) for o in e.operands]
-            out = parts[0]
-            for part in parts[1:]:
-                out = (np.minimum(out, part) if e.op == "AND"
-                       else np.maximum(out, part))
-            return out.astype(np.int8)
-        if isinstance(e, _Between):
-            return np.minimum(
-                tri(_Comparison("<=", e.low, e.value)),
-                tri(_Comparison("<=", e.value, e.high)),
-            ).astype(np.int8)
-        # Fallback: point evaluation decides, uncertainty ignored — make
-        # it conservative instead.
-        return np.full(num_groups, TRI_UNKNOWN, dtype=np.int8)
-
-    return tri(expr)

@@ -17,12 +17,7 @@ import numpy as np
 from ..engine.aggregates import GroupIndex
 from ..estimate.variation import VariationRange
 from ..expr.expressions import Environment
-
-# Three-valued logic encoding.  The ordering F < U < T makes Kleene AND a
-# min and Kleene OR a max.
-TRI_FALSE = np.int8(0)
-TRI_UNKNOWN = np.int8(1)
-TRI_TRUE = np.int8(2)
+from ..expr.tristate import TRI_FALSE, TRI_TRUE, TRI_UNKNOWN  # noqa: F401
 
 
 @dataclass

@@ -61,62 +61,79 @@ def run_project(node: Project, table: Table, env: Environment) -> Table:
     )
 
 
-def hash_join(left: Table, right: Table, keys: Sequence[Tuple[str, str]],
-              how: str = "inner", span=None) -> Table:
-    """Hash equi-join; right side is the build side (dimension table).
+def build_join_index(right: Table, key_names: Sequence[str]) -> Dict:
+    """Build side of the hash join: key tuple -> row of ``right``.
 
     Right-side rows must be unique per key combination (dimension
     semantics); duplicate build keys raise because fan-out joins would
     break the online multiplicity accounting.
-
-    ``span`` is an optional observability span
-    (:class:`repro.obs.Span`); when given, the match count is recorded.
     """
-    if how not in ("inner", "left"):
-        raise ExecutionError(f"unsupported join type {how!r}")
-    build_keys = _key_rows(right, [r for _, r in keys])
     index: Dict = {}
-    for i, key in enumerate(build_keys):
+    for i, key in enumerate(_key_rows(right, key_names)):
         if key in index:
             raise ExecutionError(
                 f"duplicate key {key!r} on join build side; dimension "
                 "tables must be unique per key"
             )
         index[key] = i
+    return index
+
+
+def probe_join(left: Table, right: Table, index: Dict,
+               keys: Sequence[Tuple[str, str]], how: str = "inner",
+               span=None) -> Tuple[Table, Optional[np.ndarray]]:
+    """Probe ``index`` with ``left``'s keys and gather ``right``'s columns.
+
+    Returns the joined table plus the boolean mask of ``left`` rows it
+    kept (None for a left join, which keeps every row and fills the
+    unmatched ones per :func:`_fill_value`).  The batch executor and the
+    online certain pipeline both join through here.
+
+    ``span`` is an optional observability span
+    (:class:`repro.obs.Span`); when given, the match count is recorded.
+    """
+    if how not in ("inner", "left"):
+        raise ExecutionError(f"unsupported join type {how!r}")
     probe_keys = _key_rows(left, [l for l, _ in keys])
     match = np.fromiter(
         (index.get(k, -1) for k in probe_keys), dtype=np.int64,
         count=left.num_rows,
     )
+    matched = match >= 0
     if span is not None:
-        span.set("matched", int((match >= 0).sum()))
+        span.set("matched", int(matched.sum()))
+    keep = None
     if how == "inner":
-        keep = match >= 0
-        left_out = left.take(keep)
-        right_idx = match[keep]
-    else:
-        left_out = left
-        right_idx = match  # -1 rows get fill values below
+        keep = matched
+        left = left.take(keep)
+        match = match[keep]
 
-    columns = {n: left_out.column(n) for n in left_out.schema.names}
-    cols = list(left_out.schema.columns)
+    columns = {n: left.column(n) for n in left.schema.names}
+    cols = list(left.schema.columns)
     right_key_names = {r for _, r in keys}
     for col in right.schema:
         if col.name in right_key_names:
             continue
         arr = right.column(col.name)
         if how == "left":
-            fill = _fill_value(col.ctype)
             gathered = np.where(
-                right_idx >= 0, arr[np.clip(right_idx, 0, None)], fill
+                matched, arr[np.clip(match, 0, None)],
+                _fill_value(col.ctype),
             )
             if col.ctype is ColumnType.STRING:
                 gathered = gathered.astype(object)
         else:
-            gathered = arr[right_idx]
+            gathered = arr[match]
         columns[col.name] = gathered
         cols.append(col)
-    return Table(Schema(cols), columns)
+    return Table(Schema(cols), columns), keep
+
+
+def hash_join(left: Table, right: Table, keys: Sequence[Tuple[str, str]],
+              how: str = "inner", span=None) -> Table:
+    """Hash equi-join; right side is the build side (dimension table)."""
+    index = build_join_index(right, [r for _, r in keys])
+    return probe_join(left, right, index, keys, how, span)[0]
 
 
 def _key_rows(table: Table, names: Sequence[str]) -> List:

@@ -19,7 +19,9 @@ GolaSession` into that shared service:
   behind ``GET /metrics`` (Prometheus text) and
   ``GET /queries/<id>/telemetry`` (NDJSON);
 * :class:`LoadGenerator` — a seeded Poisson open/closed-loop load
-  harness (``python -m repro loadgen``, ``benchmarks/bench_serve.py``).
+  harness (``python -m repro loadgen``).  The serve path's wall-clock
+  benchmark is the ledger's ``serve_mix`` workload
+  (``benchmarks/ledger/run.py``), which brings its own client.
 
 Every query's snapshot stream is bit-identical to running it alone — the
 scheduler multiplexes *scheduling*, never the per-query RNG streams or

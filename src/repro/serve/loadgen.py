@@ -17,7 +17,6 @@ latencies off each query's NDJSON snapshot stream.  Two modes:
 * **closed loop**: each client submits, streams to completion, thinks,
   repeats — the classic interactive-analyst model.
 
-``benchmarks/bench_serve.py`` builds on this for ``BENCH_serve.json``;
 ``python -m repro loadgen`` exposes it directly.
 """
 

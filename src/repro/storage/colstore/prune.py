@@ -16,16 +16,18 @@ Two consumers:
   resolve whole chunks of the tri-state classification against a
   row-constant slot interval without evaluating per-row intervals.
 
-This module deliberately avoids importing :mod:`repro.core` (which
-would cycle back through the controller into this package); it defines
-its own tri-state codes, pinned to ``repro.core.uncertain``'s by a
-unit test.
+Both reduce to one array call into :func:`repro.expr.tristate.tri_compare`
+over the per-chunk min/max arrays — the same comparison table the
+per-row classifier uses — with the NaN and all-null rules applied as
+masks.  (This module cannot import :mod:`repro.core`, which would cycle
+back through the controller into this package; the shared table lives
+in :mod:`repro.expr` for that reason.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -36,24 +38,42 @@ from ...expr.expressions import (
     conjuncts,
     evaluate_mask,
 )
-
-# Tri-state codes; must match repro.core.uncertain (asserted in tests).
-TRI_FALSE = np.int8(0)
-TRI_UNKNOWN = np.int8(1)
-TRI_TRUE = np.int8(2)
-
-_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
+from ...expr.tristate import (
+    FLIP_COMPARISON,
+    TRI_FALSE,
+    TRI_UNKNOWN,
+    tri_compare,
+)
 
 
 @dataclass
 class ColumnZones:
-    """Per-chunk statistics for one column of one partition."""
+    """Per-chunk statistics for one column of one partition.
+
+    ``lows``/``highs`` arrive as the footer's JSON lists (``None`` for
+    an all-null chunk) and are held as arrays in the column's own dtype
+    — int64 bounds stay exact — with ``all_null`` marking the chunks
+    whose placeholder bound means nothing.
+    """
 
     ctype: str                       # ColumnType value string
-    lows: List[object]               # per-chunk min (None = all-null)
-    highs: List[object]              # per-chunk max
+    lows: np.ndarray                 # per-chunk min, NaN excluded
+    highs: np.ndarray                # per-chunk max, NaN excluded
     nulls: np.ndarray                # per-chunk NaN count
     distinct: np.ndarray             # per-chunk distinct estimate
+    all_null: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        dtype = {"float64": np.float64, "string": object}.get(
+            self.ctype, np.int64
+        )
+
+        def as_array(bounds):
+            return np.array([0 if v is None else v for v in bounds],
+                            dtype=dtype)
+
+        self.all_null = np.array([v is None for v in self.lows], dtype=bool)
+        self.lows, self.highs = as_array(self.lows), as_array(self.highs)
 
 
 @dataclass
@@ -101,7 +121,7 @@ def _match_filter_conjunct(expr) -> Optional[Tuple[str, str, object]]:
     if isinstance(right, ColumnRef):
         const = _literal_value(left)
         if const is not None:
-            return right.name, _FLIP[expr.op], const
+            return right.name, FLIP_COMPARISON[expr.op], const
     return None
 
 
@@ -110,31 +130,6 @@ def _const_matches_type(const, ctype: str) -> bool:
         return isinstance(const, str)
     if ctype in ("int64", "float64", "bool"):
         return isinstance(const, (int, float, np.integer, np.floating))
-    return False
-
-
-def _chunk_false(op: str, lo, hi, nulls: int, const) -> bool:
-    """True when zone stats prove every row of the chunk fails ``op``.
-
-    ``lo``/``hi`` are the chunk min/max with NaN excluded; ``lo is
-    None`` means the chunk is all-null.  NaN rows evaluate ``False``
-    under every numpy comparison except ``!=``.
-    """
-    if op == "!=":
-        # NaN != const is True, so null-bearing chunks never prune.
-        return nulls == 0 and lo is not None and lo == hi == const
-    if lo is None:  # all-null: every comparison row is False
-        return True
-    if op == "<":
-        return lo >= const
-    if op == "<=":
-        return lo > const
-    if op == ">":
-        return hi <= const
-    if op == ">=":
-        return hi < const
-    if op == "=":
-        return const < lo or const > hi
     return False
 
 
@@ -152,12 +147,17 @@ def chunk_keep(predicate, zones: ZoneMapIndex) -> Optional[np.ndarray]:
         cz = zones.columns.get(name)
         if cz is None or not _const_matches_type(const, cz.ctype):
             continue
-        this = np.array([
-            not _chunk_false(op, cz.lows[c], cz.highs[c],
-                             int(cz.nulls[c]), const)
-            for c in range(zones.num_chunks)
-        ], dtype=bool)
-        keep = this if keep is None else (keep & this)
+        # A chunk is dead when every row fails ``col op const``: FALSE
+        # over the chunk's [min, max] speaks for its non-NaN rows, and
+        # NaN rows fail every comparison — except ``!=``, where they
+        # pass, so there only null-free chunks prune.
+        rejected = tri_compare(op, cz.lows, cz.highs, const, const) \
+            == TRI_FALSE
+        if op == "!=":
+            dead = rejected & (cz.nulls == 0)
+        else:
+            dead = rejected | cz.all_null
+        keep = ~dead if keep is None else (keep & ~dead)
     return keep
 
 
@@ -208,7 +208,7 @@ def match_uncertain_comparison(predicate):
     if left_slots == right_slots:
         return None
     if left_slots:
-        col_side, unc_side, op = right, left, _FLIP[predicate.op]
+        col_side, unc_side, op = right, left, FLIP_COMPARISON[predicate.op]
     else:
         col_side, unc_side, op = left, right, predicate.op
     if not isinstance(col_side, ColumnRef):
@@ -218,52 +218,15 @@ def match_uncertain_comparison(predicate):
     return col_side.name, op, unc_side
 
 
-def _tri_compare_interval(op: str, a_lo: float, a_hi: float,
-                          b_lo: float, b_hi: float) -> np.int8:
-    """Interval comparison with core.classify._tri_compare semantics.
-
-    ``[a_lo, a_hi]`` is the chunk's value interval, ``[b_lo, b_hi]``
-    the slot's variation range.  Because every row value ``v`` gives a
-    degenerate interval ``[v, v] ⊆ [a_lo, a_hi]`` and these decision
-    rules are monotone under interval containment, a TRUE/FALSE verdict
-    here implies the same verdict for every row of the chunk.
-    """
-    if op == "<":
-        if a_hi < b_lo:
-            return TRI_TRUE
-        if a_lo >= b_hi:
-            return TRI_FALSE
-    elif op == "<=":
-        if a_hi <= b_lo:
-            return TRI_TRUE
-        if a_lo > b_hi:
-            return TRI_FALSE
-    elif op == ">":
-        if a_lo > b_hi:
-            return TRI_TRUE
-        if a_hi <= b_lo:
-            return TRI_FALSE
-    elif op == ">=":
-        if a_lo >= b_hi:
-            return TRI_TRUE
-        if a_hi < b_lo:
-            return TRI_FALSE
-    elif op == "=":
-        if a_lo > b_hi or a_hi < b_lo:
-            return TRI_FALSE
-        if a_lo == a_hi == b_lo == b_hi:
-            return TRI_TRUE
-    elif op == "!=":
-        if a_lo > b_hi or a_hi < b_lo:
-            return TRI_TRUE
-        if a_lo == a_hi == b_lo == b_hi:
-            return TRI_FALSE
-    return TRI_UNKNOWN
-
-
 def chunk_decisions(zones: ZoneMapIndex, column: str, op: str,
                     lo: float, hi: float) -> Optional[np.ndarray]:
     """Per-chunk tri-state decisions for ``col op [lo, hi]``.
+
+    ``[lo, hi]`` is the slot's variation range.  Every row value ``v``
+    is the degenerate interval ``[v, v]`` inside its chunk's
+    ``[min, max]``, and :func:`tri_compare` is monotone under interval
+    containment, so a TRUE/FALSE verdict for the chunk is the verdict
+    per-row classification gives each of its rows.
 
     None when the column has no numeric zone maps.  Chunks containing
     NaN rows stay TRI_UNKNOWN (a NaN row is individually unknown to the
@@ -272,11 +235,6 @@ def chunk_decisions(zones: ZoneMapIndex, column: str, op: str,
     cz = zones.columns.get(column)
     if cz is None or cz.ctype not in ("int64", "float64"):
         return None
-    out = np.full(zones.num_chunks, TRI_UNKNOWN, dtype=np.int8)
-    for c in range(zones.num_chunks):
-        if int(cz.nulls[c]) or cz.lows[c] is None:
-            continue
-        out[c] = _tri_compare_interval(
-            op, float(cz.lows[c]), float(cz.highs[c]), lo, hi
-        )
+    out = tri_compare(op, cz.lows, cz.highs, lo, hi)
+    out[cz.nulls > 0] = TRI_UNKNOWN
     return out

@@ -333,10 +333,13 @@ class Table:
         }
         return Table(schema, columns)
 
-    def sort_by(self, keys: Sequence[str], descending: Sequence[bool] = ()) -> "Table":
-        """Stable multi-key sort.  ``descending[i]`` applies to ``keys[i]``."""
-        if not keys:
-            return self
+    def sort_order(self, keys: Sequence[str],
+                   descending: Sequence[bool] = ()) -> np.ndarray:
+        """The stable multi-key sort permutation :meth:`sort_by` applies.
+
+        ``descending[i]`` applies to ``keys[i]``.  Exposed so callers
+        carrying row-aligned side arrays can reorder them identically.
+        """
         desc = list(descending) + [False] * (len(keys) - len(descending))
         order = np.arange(self._num_rows)
         # np.lexsort sorts by the *last* key first, so iterate reversed.
@@ -346,7 +349,13 @@ class Table:
             if d:
                 idx = idx[::-1]
             order = order[idx]
-        return self.take(order)
+        return order
+
+    def sort_by(self, keys: Sequence[str], descending: Sequence[bool] = ()) -> "Table":
+        """Stable multi-key sort.  ``descending[i]`` applies to ``keys[i]``."""
+        if not keys:
+            return self
+        return self.take(self.sort_order(keys, descending))
 
     def __repr__(self) -> str:
         return f"Table({self._schema!r}, num_rows={self._num_rows})"

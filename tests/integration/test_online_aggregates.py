@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro import GolaConfig, GolaSession, Table
+from repro.config import ParallelConfig
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +155,58 @@ class TestEmptyBatchRegressions:
         last = s.sql(sql).run_to_completion()
         exact = s.execute_batch(sql)
         assert last.table.num_rows == exact.num_rows == 0
+
+
+class TestLeftJoinUnmatchedKeys:
+    """An unmatched LEFT JOIN row fills like the batch engine's.
+
+    The online pipeline once carried its own hash join, which handed
+    unmatched fact rows dimension row 0's values where the batch engine
+    fills NULLs (NaN for floats, 0 for ints), so every answer that read
+    a dimension column drifted from ``execute_batch``.  Half the fact
+    keys here have no dimension row.
+    """
+
+    JOIN = "FROM fact LEFT JOIN dim ON fact.k = dim.dk"
+    NESTED = "v > (SELECT AVG(v) FROM fact)"
+
+    @staticmethod
+    def _session(parallel):
+        rng = np.random.default_rng(5)
+        n = 4000
+        config = GolaConfig(num_batches=5, bootstrap_trials=12, seed=9)
+        if parallel is not None:
+            config = config.with_options(parallel=parallel)
+        s = GolaSession(config)
+        s.register_table("fact", Table.from_columns({
+            "k": rng.integers(0, 40, n).astype(np.int64),
+            "v": rng.normal(10.0, 3.0, n),
+        }))
+        s.register_table("dim", Table.from_columns({
+            "dk": np.arange(20, dtype=np.int64),
+            "w": np.linspace(5.0, 95.0, 20),
+            "q": np.arange(1, 21, dtype=np.int64),
+        }), streamed=False)
+        return s
+
+    @pytest.mark.parametrize("parallel", [
+        None, ParallelConfig(workers=2, backend="thread"),
+    ], ids=["serial", "thread2"])
+    @pytest.mark.parametrize("select,where", [
+        ("AVG(v) AS a", "w < 50"),
+        ("SUM(q) AS s, COUNT(*) AS c", None),
+        ("AVG(v) AS a, SUM(q) AS s", "w < 50 AND " + NESTED),
+        ("SUM(q) AS s, COUNT(*) AS c", NESTED),
+    ])
+    def test_final_snapshot_equals_batch(self, parallel, select, where):
+        s = self._session(parallel)
+        sql = f"SELECT {select} {self.JOIN}"
+        if where is not None:
+            sql += f" WHERE {where}"
+        last = s.sql(sql).run_to_completion()
+        exact = s.execute_batch(sql)
+        for name in exact.schema.names:
+            np.testing.assert_allclose(
+                last.table.column(name), exact.column(name), rtol=1e-9,
+                err_msg=f"{sql} [{name}]",
+            )

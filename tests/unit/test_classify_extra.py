@@ -116,3 +116,56 @@ class TestRewriteClassifySynergy:
         np.testing.assert_array_equal(
             tri_eval(raw, table, e), tri_eval(normalized, table, e)
         )
+
+
+class TestIntervalValuedColumns:
+    """A set producer's HAVING, classified per group by plain ``tri_eval``.
+
+    The producer's aggregates are interval-valued columns (their replica
+    ranges); group keys stay certain.  One row per producer group.
+    """
+
+    GROUPS = Table.from_columns({
+        "k": np.array([1, 2, 3, 4], dtype=np.int64),
+        "total": np.array([320.0, 265.0, 305.0, np.nan]),  # point values
+    })
+    TOTAL = (np.array([310.0, 250.0, 290.0, np.nan]),
+             np.array([330.0, 280.0, 320.0, np.nan]))
+
+    def test_q18_literal_threshold(self):
+        # Q18: ... GROUP BY l_orderkey HAVING SUM(l_quantity) > 300.
+        having = Comparison(">", ColumnRef("total"), Literal(300))
+        ienv = IntervalEnv(columns={"total": self.TOTAL})
+        tri = tri_eval(having, self.GROUPS, ienv)
+        # in for good / out for good / may still flip / no data yet
+        assert tri.tolist() == [TRI_TRUE, TRI_FALSE, TRI_UNKNOWN,
+                                TRI_UNKNOWN]
+
+    def test_q11_uncertain_threshold(self):
+        # Q11: ... HAVING SUM(value) > (SELECT SUM(value) * f ...): the
+        # threshold is itself a slot with a variation range.
+        having = Comparison(
+            ">", ColumnRef("total"),
+            BinaryOp("*", SubqueryRef(0), Literal(0.5)),
+        )
+        ienv = env(560.0, 600.0)  # threshold range [280, 300]
+        ienv.columns = {"total": self.TOTAL}
+        tri = tri_eval(having, self.GROUPS, ienv)
+        assert tri.tolist() == [TRI_TRUE, TRI_FALSE, TRI_UNKNOWN,
+                                TRI_UNKNOWN]
+
+    def test_certain_conjunct_on_the_group_key_decides(self):
+        having = BooleanOp("AND", [
+            Comparison("<=", ColumnRef("k"), Literal(2)),
+            Comparison(">", BinaryOp("-", ColumnRef("total"), Literal(10)),
+                       Literal(275)),
+        ])
+        ienv = IntervalEnv(columns={"total": self.TOTAL})
+        tri = tri_eval(having, self.GROUPS, ienv)
+        # k<=2 is exact; total-10 spans [300,320] / [240,270] / ...
+        assert tri.tolist() == [TRI_TRUE, TRI_FALSE, TRI_FALSE, TRI_FALSE]
+
+    def test_without_interval_columns_point_evaluation_is_unchanged(self):
+        having = Comparison(">", ColumnRef("total"), Literal(300))
+        tri = tri_eval(having, self.GROUPS, IntervalEnv())
+        assert tri.tolist() == [TRI_TRUE, TRI_FALSE, TRI_TRUE, TRI_FALSE]

@@ -6,7 +6,7 @@ from repro import ClusterConfig, FaultsConfig
 from repro.cluster import (
     ClusterSimulator,
     EventLoop,
-    WorkerPool,
+    SlotHeap,
     broadcast_cost,
     task_durations,
 )
@@ -78,26 +78,26 @@ class TestEventLoop:
             loop.schedule_at(0.5, lambda: None)
 
 
-class TestWorkerPool:
+class TestSlotHeap:
     def test_parallel_speedup(self):
-        serial = WorkerPool(1)
-        parallel = WorkerPool(4)
+        serial = SlotHeap(1)
+        parallel = SlotHeap(4)
         durations = [1.0] * 8
         assert serial.submit_all(durations) == pytest.approx(8.0)
         assert parallel.submit_all(durations) == pytest.approx(2.0)
 
     def test_longest_first_packing(self):
-        pool = WorkerPool(2)
+        pool = SlotHeap(2)
         makespan = pool.submit_all([3.0, 1.0, 1.0, 1.0])
         assert makespan == pytest.approx(3.0)
 
     def test_not_before(self):
-        pool = WorkerPool(1)
+        pool = SlotHeap(1)
         assert pool.submit(1.0, not_before=5.0) == pytest.approx(6.0)
 
     def test_needs_workers(self):
         with pytest.raises(ValueError):
-            WorkerPool(0)
+            SlotHeap(0)
 
     def test_heap_matches_linear_scan_placement(self):
         """The heap submit must reproduce the old O(W) min-scan exactly,
@@ -105,7 +105,7 @@ class TestWorkerPool:
         import itertools
 
         for durations in itertools.permutations([3.0, 1.0, 2.0, 1.0, 4.0]):
-            pool = WorkerPool(2)
+            pool = SlotHeap(2)
             free = [0.0, 0.0]  # the old linear-scan model
             for d in durations:
                 w = free.index(min(free))
@@ -114,13 +114,13 @@ class TestWorkerPool:
             assert pool.makespan == pytest.approx(max(free))
 
     def test_makespan_tracks_last_finish(self):
-        pool = WorkerPool(3)
+        pool = SlotHeap(3)
         pool.submit(5.0)
         pool.submit(1.0)
         assert pool.makespan == pytest.approx(5.0)
 
     def test_reset(self):
-        pool = WorkerPool(2)
+        pool = SlotHeap(2)
         pool.submit_all([1.0, 2.0, 3.0])
         pool.reset()
         assert pool.makespan == 0.0

@@ -81,8 +81,8 @@ class TestPartitionFile:
         zi = PartitionReader(path).zone_index()
         assert zi.num_chunks == 4
         cz = zi.columns["x"]
-        assert cz.lows == [0, 32, 64, 96]
-        assert cz.highs == [31, 63, 95, 99]
+        assert cz.lows.tolist() == [0, 32, 64, 96]
+        assert cz.highs.tolist() == [31, 63, 95, 99]
         assert cz.nulls.sum() == 0
 
     def test_truncated_file_raises(self, tmp_path):

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.uncertain import TRI_FALSE, TRI_TRUE, TRI_UNKNOWN
+from repro.core.classify import IntervalEnv, tri_eval
+from repro.core.uncertain import TRI_UNKNOWN, ScalarSlotState
+from repro.estimate.variation import VariationRange
 from repro.expr.expressions import (
     BinaryOp,
     BooleanOp,
@@ -11,19 +15,37 @@ from repro.expr.expressions import (
     Comparison,
     Environment,
     Literal,
+    SubqueryRef,
     evaluate_mask,
 )
 from repro.storage import Table
 from repro.storage.colstore import write_partition
-from repro.storage.colstore.format import PartitionReader
-from repro.storage.colstore import prune as prune_mod
+from repro.storage.colstore.format import PartitionReader, compute_zones
 from repro.storage.colstore.prune import (
+    ColumnZones,
+    ZoneMapIndex,
     chunk_decisions,
     chunk_keep,
     pruned_filter_mask,
 )
 
 OPS = ("<", "<=", ">", ">=", "=", "!=")
+
+
+def assert_decisions_sound(decisions, table, zones, column, op, lo, hi):
+    """No decided chunk contradicts per-row ``tri_eval`` of
+    ``column op <subquery#0>`` under the variation range ``[lo, hi]``."""
+    predicate = Comparison(op, ColumnRef(column), SubqueryRef(0))
+    state = ScalarSlotState(
+        slot=0, estimate=(lo + hi) / 2.0, replicas=np.array([lo, hi]),
+        vrange=VariationRange(lo, hi),
+    )
+    per_row = tri_eval(predicate, table, IntervalEnv(slots={0: state}))
+    size = zones.chunk_rows
+    for c in range(zones.num_chunks):
+        if decisions[c] != TRI_UNKNOWN:
+            rows = per_row[c * size:(c + 1) * size]
+            assert (rows == decisions[c]).all(), (column, op, lo, hi, c)
 
 
 def zones_for(table: Table, chunk_rows: int, tmp_path):
@@ -43,13 +65,6 @@ def table():
         "s": np.array([f"k{v}" for v in rng.integers(0, 5, 2000)],
                       dtype=object),
     })
-
-
-class TestTriConstants:
-    def test_match_core_uncertain(self):
-        assert prune_mod.TRI_FALSE == TRI_FALSE
-        assert prune_mod.TRI_UNKNOWN == TRI_UNKNOWN
-        assert prune_mod.TRI_TRUE == TRI_TRUE
 
 
 class TestCertainFilterPruning:
@@ -135,30 +150,11 @@ class TestCertainFilterPruning:
 class TestChunkTriDecisions:
     @pytest.mark.parametrize("op", OPS)
     def test_decisions_match_per_row_tri_eval(self, table, tmp_path, op):
-        from repro.core.classify import IntervalEnv, tri_eval
-        from repro.core.uncertain import ScalarSlotState
-        from repro.estimate.variation import VariationRange
-        from repro.expr.expressions import SubqueryRef
-
         zones = zones_for(table, 64, tmp_path)
         for lo, hi in ((25.0, 30.0), (49.9, 50.1), (-1e9, 1e9)):
             decisions = chunk_decisions(zones, "f", op, lo, hi)
             assert decisions is not None
-            # A slot-bearing predicate whose variation range is
-            # [lo, hi]: col op <subquery#0>.
-            predicate = Comparison(op, ColumnRef("f"), SubqueryRef(0))
-            state = ScalarSlotState(
-                slot=0, estimate=(lo + hi) / 2.0,
-                replicas=np.array([lo, hi]),
-                vrange=VariationRange(lo, hi),
-            )
-            env = IntervalEnv(slots={0: state})
-            per_row = tri_eval(predicate, table, env)
-            for c in range(zones.num_chunks):
-                if decisions[c] == TRI_UNKNOWN:
-                    continue
-                rows = per_row[c * 64:(c + 1) * 64]
-                assert (rows == decisions[c]).all(), (op, lo, hi, c)
+            assert_decisions_sound(decisions, table, zones, "f", op, lo, hi)
 
     def test_string_column_returns_none(self, table, tmp_path):
         zones = zones_for(table, 64, tmp_path)
@@ -166,9 +162,84 @@ class TestChunkTriDecisions:
         assert chunk_decisions(zones, "missing", "<", 0.0, 1.0) is None
 
 
+# Values collide often (so `=`/`!=` and lo == hi chunks occur), NaN is
+# common enough for NaN-bearing and — once sorted, or at chunk_rows=1 —
+# all-null chunks, and the int extremes sit where float64 rounds.
+_FLOATS = st.one_of(
+    st.sampled_from([np.nan, np.nan, -1.0, 0.0, 2.5, 50.0]),
+    st.floats(min_value=-100, max_value=100, allow_nan=False),
+)
+_INTS = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.sampled_from([2 ** 53, 2 ** 53 + 1, -(2 ** 62), 2 ** 62]),
+)
+_STRINGS = st.sampled_from(["", "a", "ab", "b", "k3", "zz"])
+_COLUMN_VALUES = {"f": _FLOATS, "i": _INTS, "s": _STRINGS}
+_CONSTS = {
+    "f": st.one_of(_FLOATS.filter(lambda v: v == v), st.integers(-5, 5)),
+    "i": st.one_of(_INTS, st.sampled_from([0.5, 2.0 ** 53, -3.0])),
+    "s": _STRINGS,
+}
+
+
+@st.composite
+def zone_case(draw):
+    n = draw(st.integers(min_value=1, max_value=120))
+    cols = {
+        "f": np.array(draw(st.lists(_FLOATS, min_size=n, max_size=n))),
+        "i": np.array(draw(st.lists(_INTS, min_size=n, max_size=n)),
+                      dtype=np.int64),
+        "s": np.array(draw(st.lists(_STRINGS, min_size=n, max_size=n)),
+                      dtype=object),
+    }
+    sort_by = draw(st.sampled_from([None, "f", "i", "s"]))
+    if sort_by is not None:  # clustered: prunable, NaNs gather at the end
+        order = np.argsort(cols[sort_by], kind="stable")
+        cols = {name: arr[order] for name, arr in cols.items()}
+    table = Table.from_columns(cols)
+    chunk_rows = draw(st.sampled_from([1, 4, 16]))
+    columns = {}
+    for name in table.schema.names:
+        ctype = table.schema.type_of(name)
+        stats = compute_zones(table.column(name), ctype, chunk_rows)
+        columns[name] = ColumnZones(
+            ctype=ctype.value,
+            lows=[z["lo"] for z in stats], highs=[z["hi"] for z in stats],
+            nulls=np.array([z["nulls"] for z in stats]),
+            distinct=np.array([z["distinct"] for z in stats]),
+        )
+    zones = ZoneMapIndex(chunk_rows=chunk_rows, num_rows=n, columns=columns)
+    column = draw(st.sampled_from(["f", "i", "s"]))
+    op = draw(st.sampled_from(OPS))
+    bounds = sorted(draw(st.tuples(_FLOATS, _FLOATS).filter(
+        lambda pair: pair[0] == pair[0] and pair[1] == pair[1])))
+    return table, zones, column, op, draw(_CONSTS[column]), bounds
+
+
+class TestZoneMapProperty:
+    @given(zone_case(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_chunk_verdicts_never_contradict_the_rows(self, case, flipped):
+        table, zones, column, op, const, (lo, hi) = case
+        sides = (ColumnRef(column), Literal(const))
+        predicate = Comparison(op, *(sides[::-1] if flipped else sides))
+        env = Environment()
+        mask, pruned = pruned_filter_mask(predicate, table, env, zones)
+        expected = np.asarray(evaluate_mask(predicate, table, env),
+                              dtype=bool)
+        np.testing.assert_array_equal(mask, expected)
+        assert 0 <= pruned <= zones.num_chunks
+
+        decisions = chunk_decisions(zones, column, op, lo, hi)
+        if column == "s":
+            assert decisions is None
+        else:
+            assert_decisions_sound(decisions, table, zones, column, op,
+                                   lo, hi)
+
+
 class TestUncertainMatching:
     def test_scalar_subquery_matches(self):
-        from repro.expr.expressions import SubqueryRef
         from repro.storage.colstore.prune import match_uncertain_comparison
 
         pred = Comparison(">", ColumnRef("x3"), SubqueryRef(0))
@@ -178,7 +249,6 @@ class TestUncertainMatching:
         assert match_uncertain_comparison(pred)[:2] == ("x3", "<")
 
     def test_correlated_subquery_rejected(self):
-        from repro.expr.expressions import SubqueryRef
         from repro.storage.colstore.prune import match_uncertain_comparison
 
         pred = Comparison(
@@ -188,7 +258,6 @@ class TestUncertainMatching:
         assert match_uncertain_comparison(pred) is None
 
     def test_non_column_side_rejected(self):
-        from repro.expr.expressions import SubqueryRef
         from repro.storage.colstore.prune import match_uncertain_comparison
 
         pred = Comparison(

@@ -21,25 +21,6 @@ class TestFaultsConfig:
         assert not faults.enabled
         assert faults.batch_failure_prob == 0.0
 
-    def test_parse_enables_and_sets_fields(self):
-        faults = FaultsConfig.parse(
-            "batch_failure_prob=0.3,max_retries=1,seed=7,speculate=false"
-        )
-        assert faults.enabled
-        assert faults.batch_failure_prob == 0.3
-        assert faults.max_retries == 1
-        assert faults.seed == 7
-        assert faults.speculate is False
-
-    def test_parse_empty_spec_is_enabled_defaults(self):
-        faults = FaultsConfig.parse("")
-        assert faults.enabled
-        assert faults.task_failure_prob == 0.0
-
-    def test_parse_unknown_key_raises(self):
-        with pytest.raises(ValueError, match="unknown"):
-            FaultsConfig.parse("no_such_knob=1")
-
     def test_validation(self):
         with pytest.raises(ValueError):
             FaultsConfig(task_failure_prob=1.5)

@@ -48,24 +48,7 @@ def scheduler(session):
     sched.close()
 
 
-class TestServeConfigParse:
-    def test_parse_spec(self):
-        serve = ServeConfig.parse(
-            "max_concurrent=8,queue_depth=32,port=9000,scan_cache=false,"
-            "default_deadline_s=1.5"
-        )
-        assert serve.max_concurrent == 8
-        assert serve.queue_depth == 32
-        assert serve.port == 9000
-        assert serve.scan_cache is False
-        assert serve.default_deadline_s == 1.5
-
-    def test_parse_rejects_unknown_and_invalid(self):
-        with pytest.raises(ValueError):
-            ServeConfig.parse("bogus=1")
-        with pytest.raises(ValueError):
-            ServeConfig.parse("max_concurrent=0")
-
+class TestServeConfig:
     def test_embedded_in_gola_config(self):
         config = GolaConfig(serve=ServeConfig(max_concurrent=2))
         assert config.serve.max_concurrent == 2
