@@ -127,6 +127,14 @@ class QueryController:
         #: neither produce nor consume each other's slots, so they can
         #: fold a batch concurrently (publish stays sequential).
         self._block_levels = _block_levels(self._online_blocks)
+        #: Streamed tables feeding a block with an uncertain predicate: its
+        #: cache keeps dense weight rows, so each batch's ``(n, B)``
+        #: rectangle of these tables is built whatever path folds it.
+        self._dense_tables = {
+            self.block_tables[block.block_id]
+            for block in self._online_blocks
+            if self.runtimes[block.block_id].pipeline.uncertain_predicates
+        }
         self.static_states: Dict[int, object] = {
             spec.slot: self._run_static(spec)
             for spec in self.meta_plan.static_specs
@@ -770,6 +778,11 @@ class QueryController:
                     retained[name].append(
                         (table_batches[name], weights[name])
                     )
+            if not self.parallel.enabled:
+                # Draw those rectangles up front, so that sibling blocks
+                # fold from them and do not stream a draw of their own.
+                for name in self._dense_tables:
+                    weights[name].dense()
             # Multiplicity over batches actually folded: k/i on the clean
             # path, k/folded after a skip (skip-and-reweight).  Every
             # streamed table is cut into the same k batches, so one scale

@@ -1171,44 +1171,32 @@ class BlockRuntime:
     def _trial_masks(self, slot_states, penv: Environment) -> np.ndarray:
         """Per-trial pass masks for the uncertain cache: ``(|U|, B)``.
 
-        Trial ``j`` binds every consumed scalar/keyed slot to its j-th
-        bootstrap replica and re-evaluates the uncertain predicates over
-        the cache — the per-trial analogue of the paper's "compute Q on
-        the simulated database".  Set-membership slots fall back to point
-        membership (per-trial membership would require re-running the
-        producer's HAVING per trial).
+        Column ``j`` is the uncertain predicates over the cache with
+        every consumed scalar/keyed slot at its j-th bootstrap replica —
+        the per-trial analogue of the paper's "compute Q on the simulated
+        database" — from one array evaluation per predicate: replicas
+        enter with the trial axis leading (``(B, 1)`` scalars, ``(B, |U|)``
+        keyed gathers), so they broadcast against the cache's ``(|U|,)``
+        columns and every certain sub-expression sees the arrays a point
+        evaluation sees.  Set-membership slots keep point membership
+        (per-trial membership would require re-running the producer's
+        HAVING per trial).
         """
-        m = self.cache.size
-        out = np.empty((m, self.trials), dtype=np.float64)
-        consumed = [
-            (slot, slot_states[slot]) for slot in sorted(self.block.consumes)
-        ]
-        keyed_keys = {
-            slot: state.index.keys()
-            for slot, state in consumed if isinstance(state, KeyedSlotState)
-        }
-        for j in range(self.trials):
-            env = Environment(functions=penv.functions)
-            for slot, state in consumed:
-                if isinstance(state, ScalarSlotState):
-                    env.scalars[slot] = float(state.replicas[j])
-                elif isinstance(state, KeyedSlotState):
-                    present = state._present()
-                    column = state.replicas[:, j]
-                    env.keyed[slot] = {
-                        key: value
-                        for key, value, ok in zip(
-                            keyed_keys[slot], column.tolist(), present
-                        )
-                        if ok
-                    }
-                else:
-                    env.key_sets[slot] = state.point_members
-            mask = np.ones(m, dtype=bool)
-            for predicate in self.pipeline.uncertain_predicates:
-                mask &= evaluate_mask(predicate, self.cache.table, env)
-            out[:, j] = mask
-        return out
+        env = Environment(key_sets=penv.key_sets, functions=penv.functions)
+        for slot in self.block.consumes:
+            state = slot_states[slot]
+            if isinstance(state, ScalarSlotState):
+                env.scalars[slot] = state.replicas[:, None]
+            elif isinstance(state, KeyedSlotState):
+                env.keyed[slot] = lambda keys, default, state=state: (
+                    state.values_for_keys(keys, state.replicas, default).T
+                )
+        out = np.ones((self.trials, self.cache.size), dtype=bool)
+        for predicate in self.pipeline.uncertain_predicates:
+            out &= np.asarray(
+                predicate.evaluate(self.cache.table, env), dtype=bool
+            )
+        return np.ascontiguousarray(out.T)  # row-major, like the weights
 
     def publish(self, penv: Environment, slot_states, scale: float):
         """Produce this block's slot state for downstream consumers."""
@@ -1473,7 +1461,7 @@ def _bump_counts(counts: np.ndarray, group_idx: np.ndarray) -> np.ndarray:
         counts = np.concatenate(
             [counts, np.zeros(need - len(counts), dtype=np.int64)]
         )
-    np.add.at(counts, group_idx, 1)
+    counts[:need] += np.bincount(group_idx, minlength=need)
     return counts
 
 

@@ -60,30 +60,37 @@ class KeyedSlotState:
         return self.present
 
     def bind_point(self, env: Environment) -> None:
-        present = self._present()
-        env.keyed[self.slot] = {
-            key: value
-            for key, value, ok in zip(
-                self.index.keys(), self.estimates.tolist(), present
-            )
-            if ok
-        }
+        env.keyed[self.slot] = lambda keys, default: self.values_for_keys(
+            keys, self.estimates, default
+        )
+
+    def values_for_keys(self, keys: np.ndarray, values: np.ndarray, default):
+        """Rows of a per-group array for an array of correlation keys.
+
+        ``values`` is ``(G,)`` or ``(G, W)``; the result has shape
+        ``keys.shape + values.shape[1:]``.  Keys the index has not seen
+        and keys with zero presence take ``default`` — the one lookup
+        behind point values, variation ranges and per-trial replicas.
+        """
+        keys = np.asarray(keys)
+        idx = self.index.encode(keys.reshape(-1), add_new=False)
+        known = idx >= 0
+        known[known] = self._present()[idx[known]]
+        out = np.full((len(idx),) + values.shape[1:], default,
+                      dtype=np.float64)
+        out[known] = values[idx[known]]
+        return out.reshape(keys.shape + values.shape[1:])
 
     def interval_for_keys(self, keys: np.ndarray):
         """Per-row (low, high) arrays for an array of correlation keys.
 
         Unknown or zero-presence keys are fully uncertain: (-inf, +inf).
         """
-        idx = self.index.encode(keys, add_new=False)
-        n = len(idx)
-        lows = np.full(n, -np.inf)
-        highs = np.full(n, np.inf)
-        present = self._present()
-        known = (idx >= 0) & np.where(idx >= 0, present[np.clip(idx, 0, None)],
-                                      False)
-        lows[known] = self.lows[idx[known]]
-        highs[known] = self.highs[idx[known]]
-        return lows, highs
+        bounds = self.values_for_keys(
+            keys, np.stack([self.lows, self.highs], axis=1),
+            (-np.inf, np.inf),
+        )
+        return bounds[..., 0], bounds[..., 1]
 
 
 @dataclass

@@ -519,9 +519,10 @@ class MinState(AggState):
     def _update(self, group_idx, values, weights):
         if self.width == 1:
             present = weights[:, 0] > 0
-            self._ufunc.at(
-                self.extreme[:, 0], group_idx[present], values[present]
-            )
+            with np.errstate(invalid="ignore"):  # a NaN argument propagates
+                self._ufunc.at(
+                    self.extreme[:, 0], group_idx[present], values[present]
+                )
             return
         # One flattened scatter over every present (row, trial) cell
         # instead of a python loop per trial.  min/max is order-free, so
@@ -532,7 +533,8 @@ class MinState(AggState):
         flat_idx = group_idx[rows] * self.width + cols
         flat = self.extreme.view()
         flat.shape = (-1,)  # raises (never copies) if non-contiguous
-        self._ufunc.at(flat, flat_idx, values[rows])
+        with np.errstate(invalid="ignore"):  # a NaN argument propagates
+            self._ufunc.at(flat, flat_idx, values[rows])
 
     def _merge(self, other):
         g = other.num_groups

@@ -97,12 +97,14 @@ class BatchWeights:
     """
 
     def __init__(self, trials: int, master_seed: int, label: str,
-                 batch_index: int, num_rows: int):
+                 batch_index: int, num_rows: int, drawn=None):
         self.trials = trials
         self.master_seed = master_seed
         self.label = label
         self.batch_index = batch_index
         self.num_rows = num_rows
+        #: Counter of columns generated (a spec-built handle has none).
+        self._drawn = drawn
         self._dense: Optional[np.ndarray] = None
         self._lock = threading.Lock()
 
@@ -121,6 +123,8 @@ class BatchWeights:
         return cls(**spec)
 
     def _fill(self, out: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        if self._drawn is not None:
+            self._drawn.inc(hi - lo)
         for j, trial in enumerate(range(lo, hi)):
             out[:, j] = poisson_trial_column(
                 self.master_seed, self.label, self.batch_index, trial,
@@ -261,14 +265,17 @@ class PoissonWeightSource:
         self._next_batch = batch_index + 1
         # Logical draws, counted at handle creation so the metric is
         # identical whether the matrix materializes densely, in shards,
-        # or not at all.
-        if self.tracer.metrics.enabled:
-            self.tracer.metrics.counter(
-                "bootstrap.weights_drawn"
-            ).inc(num_rows * self.trials)
+        # or not at all; ``columns_drawn`` counts what this process
+        # physically generates, so a rectangle drawn twice shows.
+        metrics, drawn = self.tracer.metrics, None
+        if metrics.enabled:
+            metrics.counter("bootstrap.weights_drawn").inc(
+                num_rows * self.trials
+            )
+            drawn = metrics.counter("bootstrap.columns_drawn")
         return BatchWeights(
             self.trials, self.master_seed, self.label, batch_index,
-            num_rows,
+            num_rows, drawn,
         )
 
     def weights_for(self, num_rows: int,

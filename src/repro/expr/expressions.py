@@ -32,7 +32,8 @@ class Environment:
         scalars: slot id -> current scalar value of an uncertain aggregate.
         keyed: slot id -> mapping of correlation-key value -> scalar, for
             correlated (group-keyed) subqueries such as TPC-H Q17's inner
-            per-partkey average.
+            per-partkey average; or a vectorized lookup
+            ``(keys, default) -> array`` doing the same for a key array.
         key_sets: slot id -> set of key values, for ``IN (subquery)``.
         functions: scalar function registry used by FunctionCall nodes.
     """
@@ -292,23 +293,26 @@ class CaseWhen(Expression):
         return tuple(out)
 
     def evaluate(self, table, env=EMPTY_ENV):
-        n = table.num_rows
-        result = None
-        assigned = np.zeros(n, dtype=bool)
-        default = (
+        default = np.asarray(
             self.otherwise.evaluate(table, env)
             if self.otherwise is not None
             else 0.0
         )
-        result = np.broadcast_to(np.asarray(default), (n,)).copy() \
-            if np.ndim(default) == 0 else np.asarray(default).copy()
+        branches = [
+            (np.asarray(cond.evaluate(table, env), dtype=bool),
+             np.asarray(value.evaluate(table, env)))
+            for cond, value in self.whens
+        ]
+        # One value per row, or per (trial, row) cell when a branch reads
+        # per-trial replicas of a subquery.
+        shape = np.broadcast_shapes(
+            default.shape, *[a.shape for pair in branches for a in pair]
+        ) or (table.num_rows,)
+        result = np.broadcast_to(default, shape).copy()
         # Apply branches last-to-first so earlier WHENs win, SQL-style.
-        for cond, value in reversed(self.whens):
-            mask = np.broadcast_to(
-                np.asarray(cond.evaluate(table, env), dtype=bool), (n,)
-            )
-            val = value.evaluate(table, env)
-            val_arr = np.broadcast_to(np.asarray(val), (n,))
+        for mask, val_arr in reversed(branches):
+            mask = np.broadcast_to(mask, shape)
+            val_arr = np.broadcast_to(val_arr, shape)
             if result.dtype != val_arr.dtype and result.dtype != object:
                 result = result.astype(np.result_type(result, val_arr))
             result[mask] = val_arr[mask]
@@ -415,10 +419,11 @@ class SubqueryRef(Expression):
                 f"no keyed values bound for subquery slot {self.slot}"
             )
         keys = np.asarray(self.correlation.evaluate(table, env))
+        if callable(mapping):
+            return mapping(keys, self.default)
         get = mapping.get
-        return np.array(
-            [get(k, self.default) for k in keys.tolist()], dtype=np.float64
-        )
+        flat = [get(k, self.default) for k in keys.ravel().tolist()]
+        return np.array(flat, dtype=np.float64).reshape(keys.shape)
 
     def sql(self) -> str:
         if self.correlation is None:
@@ -447,7 +452,8 @@ class InSubquery(Expression):
                 f"no key set bound for subquery slot {self.slot}"
             )
         keys = np.asarray(self.value.evaluate(table, env))
-        out = np.array([k in members for k in keys.tolist()], dtype=bool)
+        flat = [k in members for k in keys.ravel().tolist()]
+        out = np.array(flat, dtype=bool).reshape(keys.shape)
         return ~out if self.negated else out
 
     def sql(self) -> str:

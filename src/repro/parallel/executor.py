@@ -217,7 +217,12 @@ class ParallelExecutor:
                     run_fold_shard, payloads
                 )
             else:
-                results = [run_fold_shard(p) for p in payloads]
+                # Chunks are drawn on the live handle, one at a time.
+                results = [
+                    run_fold_shard({**p, "weights": weights.shard(
+                        p["lo"], p["hi"], row_idx)})
+                    for p in payloads
+                ]
         if tracer.metrics.enabled:
             tracer.metrics.counter("parallel.shard_tasks").inc(len(ranges))
             tracer.metrics.counter("parallel.sharded_cells").inc(n * trials)

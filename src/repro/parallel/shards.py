@@ -63,9 +63,10 @@ def run_fold_shard(payload: dict) -> List[Tuple[str, object]]:
     * ``group_idx`` — ``(n,)`` dense group indices (ndarray or
       shared-memory :class:`~repro.parallel.shm.ArraySpec`);
     * ``values`` — alias -> ``(n,)`` argument values (ndarray or spec);
-    * ``weight_spec`` — :meth:`BatchWeights.spec` dict to regenerate the
-      shard's columns locally, or None when ``weights`` ships dense;
-    * ``weights`` — the dense ``(n, hi-lo)`` slice (spec-less fallback);
+    * ``weights`` — the ``(n, hi-lo)`` slice, when the caller cut or
+      drew it (spec-less handles; the in-process streamed fold);
+    * ``weight_spec`` — otherwise, the :meth:`BatchWeights.spec` dict to
+      regenerate the shard's columns locally;
     * ``row_idx`` — surviving row positions into the batch's weight
       matrix (ndarray or spec), or None for all rows.
 
@@ -77,11 +78,10 @@ def run_fold_shard(payload: dict) -> List[Tuple[str, object]]:
     group_spec = payload["group_idx"]
     group_idx = resolve(group_spec)
     row_idx = resolve(payload.get("row_idx"))
-    spec = payload.get("weight_spec")
-    if spec is not None:
+    weights = payload.get("weights")
+    if weights is None:
+        spec = payload["weight_spec"]
         weights = BatchWeights.from_spec(spec).shard(lo, hi, row_idx)
-    else:
-        weights = payload["weights"]
     groups = cached_group_count(group_spec, group_idx)
     out = []
     for alias, state_cls in payload["aliases"]:

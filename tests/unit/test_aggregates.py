@@ -1,8 +1,11 @@
 """Unit tests for mergeable aggregate states."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from repro import GolaConfig, GolaSession, Table
 from repro.engine import UDAFRegistry, UDAFSpec, make_state
 from repro.engine.aggregates import (
     AggregateCall,
@@ -193,6 +196,57 @@ class TestTrialStates:
                      weights)
         out = state.finalize()[0]
         assert out[0] == 1.0 and out[1] == 5.0
+
+
+class TestMinMaxNaN:
+    """A NaN argument takes over its group's MIN and MAX (the scatter's
+    ``np.minimum``/``np.maximum`` propagate it), and does so silently."""
+
+    idx = np.array([0, 0, 1, 1])
+    vals = np.array([1.0, np.nan, 2.0, 3.0])
+
+    @pytest.mark.parametrize("cls, clean", [(MinState, 2.0),
+                                            (MaxState, 3.0)])
+    def test_states_propagate_without_warning(self, cls, clean):
+        weights = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 0.0],
+                            [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact = cls()
+            exact.update(self.idx, self.vals)
+            trial = cls(trials=3)
+            trial.update(self.idx, self.vals, weights)
+        np.testing.assert_array_equal(exact.finalize(), [np.nan, clean])
+        out = trial.finalize()
+        # Trial 0 saw the NaN row, trial 1 no row of group 0 at all,
+        # trial 2 only the clean one.
+        np.testing.assert_array_equal(out[0], [np.nan, cls._fill, 1.0])
+        np.testing.assert_array_equal(out[1], [clean, clean, 3.0])
+
+    def test_batch_and_online_engines_agree(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(10.0, 2.0, 600)
+        g = rng.integers(0, 3, 600).astype(np.int64)
+        x[np.flatnonzero(g == 1)[:3]] = np.nan
+        session = GolaSession(
+            GolaConfig(num_batches=3, bootstrap_trials=8, seed=1)
+        )
+        session.register_table("t", Table.from_columns({"g": g, "x": x}))
+        query = session.sql(
+            "SELECT g, MIN(x) AS lo, MAX(x) AS hi FROM t GROUP BY g "
+            "ORDER BY g"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact = session.execute_batch(query)
+            online = query.run_to_completion().table
+        for name in ("lo", "hi"):
+            assert np.isnan(exact.column(name)[1])
+            np.testing.assert_array_equal(
+                online.column(name), exact.column(name)
+            )
+        assert exact.column("lo")[0] == x[g == 0].min()
+        assert exact.column("hi")[2] == x[g == 2].max()
 
 
 class TestQuantile:

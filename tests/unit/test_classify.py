@@ -146,6 +146,38 @@ class TestIntervalEval:
         assert low[0] == -np.inf and high[0] == np.inf
 
 
+    def test_values_for_keys_is_the_one_lookup(self, table):
+        """Point values, ranges and replicas all map keys the same way:
+        unseen (3) and zero-presence (2) keys take the default."""
+        index = GroupIndex()
+        index.encode(np.array([1, 2]))
+        replicas = np.array([[4.0, 6.0, 5.0], [45.0, 55.0, 50.0]])
+        state = KeyedSlotState(
+            slot=0, index=index, estimates=np.array([5.0, 50.0]),
+            replicas=replicas, lows=np.array([4.0, 45.0]),
+            highs=np.array([6.0, 55.0]),
+            present=np.array([True, False]),
+        )
+        keys = table.column("k")  # [1, 1, 2, 3]
+        point = state.values_for_keys(keys, state.estimates, np.nan)
+        np.testing.assert_array_equal(point, [5.0, 5.0, np.nan, np.nan])
+        gathered = state.values_for_keys(keys, replicas, -1.0)
+        np.testing.assert_array_equal(
+            gathered, [replicas[0], replicas[0], [-1.0] * 3, [-1.0] * 3]
+        )
+        assert state.values_for_keys(
+            keys[:, None], state.estimates, 0.0).shape == (4, 1)
+        assert state.values_for_keys(
+            keys[:0], replicas, 0.0).shape == (0, 3)
+        # The point binding is that lookup, default included.
+        penv = Environment()
+        state.bind_point(penv)
+        ref = SubqueryRef(0, correlation=ColumnRef("k"), default=-7.0)
+        np.testing.assert_array_equal(
+            ref.evaluate(table, penv), [5.0, 5.0, -7.0, -7.0]
+        )
+
+
 class TestTriEval:
     def test_certain_predicate_is_definite(self, table):
         tri = tri_eval(

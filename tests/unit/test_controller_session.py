@@ -10,6 +10,8 @@ from repro import (
     Table,
     UnsupportedQueryError,
 )
+from repro.obs import MetricsRegistry, Tracer
+from repro.workloads import Q17_QUERY, generate_sessions, generate_tpch
 
 
 class TestSessionBasics:
@@ -254,3 +256,45 @@ class TestControllerValidation:
         assert last.estimate == pytest.approx(
             float(exact.column(exact.schema.names[0])[0]), rel=1e-6
         )
+
+
+class TestOneWeightDrawPerBatch:
+    """A serial run generates each batch's trial columns once.
+
+    Batches of 2,500 rows stay above ``min_shard_rows``, where the
+    inner block's streamed fold used to draw the columns a first time
+    and the outer block's uncertain cache a second.
+    """
+
+    TRIALS, BATCHES, ROWS = 16, 3, 7500
+
+    def drawn(self, table_name, table, sql):
+        tracer = Tracer(metrics=MetricsRegistry(enabled=True))
+        session = GolaSession(
+            GolaConfig(num_batches=self.BATCHES,
+                       bootstrap_trials=self.TRIALS, seed=5),
+            tracer=tracer,
+        )
+        session.register_table(table_name, table)
+        snapshots = list(session.sql(sql).run_online())
+        assert not any(s.rebuilds for s in snapshots)  # no replayed draws
+        counters = tracer.metrics.snapshot().counters
+        assert counters["bootstrap.weights_drawn"] == self.ROWS * self.TRIALS
+        return counters["bootstrap.columns_drawn"]
+
+    def test_scalar_subquery(self, sbi_sql):
+        table = generate_sessions(self.ROWS, seed=7)
+        assert self.drawn("sessions", table, sbi_sql) == \
+            self.TRIALS * self.BATCHES
+
+    def test_correlated_subquery(self):
+        table = generate_tpch(self.ROWS, seed=7)
+        assert self.drawn("tpch", table, Q17_QUERY) == \
+            self.TRIALS * self.BATCHES
+
+    def test_streamed_fold_without_uncertain_cache(self):
+        """No uncertain predicate: chunks stream, still counted once."""
+        table = generate_sessions(self.ROWS, seed=7)
+        sql = "SELECT AVG(play_time) FROM sessions"
+        assert self.drawn("sessions", table, sql) == \
+            self.TRIALS * self.BATCHES

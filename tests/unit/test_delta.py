@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro import GolaConfig
-from repro.core.delta import BlockRuntime, CachedRows, parse_block
+from repro.core.delta import (
+    BlockRuntime,
+    CachedRows,
+    _bump_counts,
+    parse_block,
+)
 from repro.core.uncertain import ScalarSlotState
 from repro.errors import RangeViolation, UnsupportedQueryError
 from repro.estimate import VariationRange
@@ -131,6 +136,26 @@ def drive(runtimes, blocks, query, fact, config, num_batches=4):
                 state.bind_point(penv)
         history.append((snapshot_stats, dict(slot_states), penv, scale))
     return history
+
+
+class TestBumpCounts:
+    def test_matches_unbuffered_scatter(self):
+        """Repeated indices count every occurrence; the array grows to
+        the largest index and keeps what it held."""
+        rng = np.random.default_rng(2)
+        counts = np.array([3, 0, 7], dtype=np.int64)
+        group_idx = rng.integers(0, 9, 200)
+        want = np.concatenate([counts, np.zeros(6, dtype=np.int64)])
+        np.add.at(want, group_idx, 1)
+        got = _bump_counts(counts, group_idx)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want[: group_idx.max() + 1])
+        # Indices below the current length leave the length alone.
+        before = got.copy()
+        again = _bump_counts(got, np.array([0, 0, 2]))
+        np.testing.assert_array_equal(again[:3] - before[:3], [2, 0, 1])
+        np.testing.assert_array_equal(again[3:], before[3:])
+        assert _bump_counts(again, np.empty(0, dtype=np.int64)) is again
 
 
 class TestBlockRuntimeMechanics:

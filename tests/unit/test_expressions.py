@@ -164,6 +164,17 @@ class TestFunctions:
         np.testing.assert_array_equal(out, [4.0, 3.0, 3.0, 4.0])
 
 
+class _Columns:
+    """Plain arrays of any shape behind the table interface."""
+
+    def __init__(self, columns):
+        self._columns = columns
+        self.num_rows = len(next(iter(columns.values())))
+
+    def column(self, name):
+        return self._columns[name]
+
+
 class TestSubqueryRefs:
     def test_scalar_lookup(self, table):
         env = Environment(scalars={0: 2.5})
@@ -186,6 +197,59 @@ class TestSubqueryRefs:
         negated = InSubquery(ColumnRef("s"), 2, negated=True)
         assert negated.evaluate(table, env).tolist() == \
             [False, True, False, True]
+
+    def test_keyed_lookup_keeps_key_shape(self):
+        """(n,) and (n, 1) key arrays give the same values, reshaped."""
+        keys = np.array(["x", "y", "x", "z"], dtype=object)
+        env = Environment(keyed={1: {"x": 10.0, "y": 20.0}})
+        ref = SubqueryRef(1, correlation=ColumnRef("s"), default=-1.0)
+        flat = ref.evaluate(_Columns({"s": keys}), env)
+        column = ref.evaluate(_Columns({"s": keys[:, None]}), env)
+        assert flat.shape == (4,) and column.shape == (4, 1)
+        np.testing.assert_array_equal(column[:, 0], flat)
+
+    def test_keyed_lookup_through_vectorized_binding(self):
+        """A callable binding receives the key array and the default."""
+        calls = []
+
+        def lookup(keys, default):
+            calls.append((keys.shape, default))
+            return np.where(keys == "x", 10.0, default)
+
+        ref = SubqueryRef(1, correlation=ColumnRef("s"), default=-1.0)
+        keys = np.array(["x", "y"], dtype=object)[:, None]
+        out = ref.evaluate(_Columns({"s": keys}), Environment(keyed={1: lookup}))
+        np.testing.assert_array_equal(out, [[10.0], [-1.0]])
+        assert calls == [((2, 1), -1.0)]
+
+    def test_in_subquery_keeps_key_shape(self):
+        keys = np.array([1, 2, 3, 2], dtype=np.int64)
+        env = Environment(key_sets={2: {2, 3}})
+        for negated in (False, True):
+            node = InSubquery(ColumnRef("k"), 2, negated=negated)
+            flat = node.evaluate(_Columns({"k": keys}), env)
+            column = node.evaluate(_Columns({"k": keys[:, None]}), env)
+            assert flat.shape == (4,) and column.shape == (4, 1)
+            np.testing.assert_array_equal(column[:, 0], flat)
+        assert flat.tolist() == [True, False, False, False]
+
+    def test_case_when_broadcasts_over_a_trial_axis(self):
+        """A branch reading (B, 1) replicas yields a (B, n) result whose
+        rows are the per-replica evaluations."""
+        a = np.array([1.0, 2.0, 3.0, 4.0])
+        expr = CaseWhen(
+            [(Comparison(">", ColumnRef("a"), SubqueryRef(0)), Literal(1.0))],
+            ColumnRef("a"),
+        )
+        replicas = np.array([0.5, 2.5, 9.0])
+        table = _Columns({"a": a})
+        out = expr.evaluate(table, Environment(scalars={0: replicas[:, None]}))
+        assert out.shape == (3, 4)
+        for j, value in enumerate(replicas):
+            np.testing.assert_array_equal(
+                out[j],
+                expr.evaluate(table, Environment(scalars={0: float(value)})),
+            )
 
     def test_subquery_slots_collected(self):
         expr = BooleanOp("AND", [
