@@ -4,8 +4,10 @@ Drives one online query end to end:
 
 * randomly partitions the streamed relation into ``k`` uniform
   mini-batches (via :class:`~repro.storage.partition.MiniBatchPartitioner`);
-* draws one shared Poisson bootstrap weight matrix per batch so every
-  lineage block sees consistent simulated databases per trial;
+* hands every lineage block the same Poisson bootstrap weights per
+  batch (read from the session's :class:`~repro.estimate.bootstrap.
+  WeightStore`, so they are drawn once per session), so every block
+  sees consistent simulated databases per trial;
 * evaluates *static* subqueries (those over non-streamed dimension
   tables) exactly once, publishing them as certain (degenerate-range)
   slot states;
@@ -30,7 +32,11 @@ from ..config import GolaConfig
 from ..engine.aggregates import GroupIndex, UDAFRegistry
 from ..engine.executor import BatchExecutor
 from ..errors import CheckpointError, ExecutionError, ShardLostError
-from ..estimate.bootstrap import PoissonWeightSource
+from ..estimate.bootstrap import (
+    PoissonWeightSource,
+    WeightStore,
+    stream_label,
+)
 from ..estimate.intervals import basic_intervals, relative_stdevs
 from ..estimate.variation import VariationRange
 from ..expr.expressions import Environment
@@ -76,7 +82,8 @@ class QueryController:
                  functions: FunctionRegistry = DEFAULT_FUNCTIONS,
                  tracer: Optional[Tracer] = None,
                  parallel: Optional[ParallelExecutor] = None,
-                 scan_cache=None):
+                 scan_cache=None,
+                 weight_store: Optional[WeightStore] = None):
         self.query = query
         self.config = config
         self.tables = {k.lower(): v for k, v in tables.items()}
@@ -119,6 +126,10 @@ class QueryController:
         #: set, mini-batch partitions come from (and are shared through)
         #: the cache instead of being sliced per run.
         self.scan_cache = scan_cache
+        #: Drawn weight rectangles: the session's, shared by its queries.
+        self.weight_store = (
+            weight_store if weight_store is not None else WeightStore()
+        )
         for runtime in self.runtimes.values():
             runtime.tracer = self.tracer
             runtime.executor = self.parallel
@@ -127,14 +138,6 @@ class QueryController:
         #: neither produce nor consume each other's slots, so they can
         #: fold a batch concurrently (publish stays sequential).
         self._block_levels = _block_levels(self._online_blocks)
-        #: Streamed tables feeding a block with an uncertain predicate: its
-        #: cache keeps dense weight rows, so each batch's ``(n, B)``
-        #: rectangle of these tables is built whatever path folds it.
-        self._dense_tables = {
-            self.block_tables[block.block_id]
-            for block in self._online_blocks
-            if self.runtimes[block.block_id].pipeline.uncertain_predicates
-        }
         self.static_states: Dict[int, object] = {
             spec.slot: self._run_static(spec)
             for spec in self.meta_plan.static_specs
@@ -251,11 +254,7 @@ class QueryController:
             batches[name], datasets[name] = self._make_batches(name)
         dataset = datasets[self.streamed_table]
         weight_sources = {
-            name: PoissonWeightSource(
-                self.config.bootstrap_trials, self.config.seed,
-                label=f"bootstrap:{name}", tracer=tracer,
-            )
-            for name in self.streamed_tables
+            name: self._weight_source(name) for name in self.streamed_tables
         }
         retained: Dict[str, List[Tuple[Table, np.ndarray]]] = {
             name: [] for name in self.streamed_tables
@@ -324,11 +323,7 @@ class QueryController:
                     # identical to the original run's (per-batch
                     # streams keyed by seed and batch size), so later
                     # guard-violation rebuilds stay bit-exact.
-                    replay = PoissonWeightSource(
-                        self.config.bootstrap_trials, self.config.seed,
-                        label=f"bootstrap:{self.streamed_table}",
-                        tracer=tracer,
-                    )
+                    replay = self._weight_source(self.streamed_table)
                     for bi in range(pck.batch_index):
                         bt = batches[self.streamed_table][bi]
                         retained[self.streamed_table].append(
@@ -363,6 +358,13 @@ class QueryController:
             "skipped": skipped, "lost_rows": lost_rows,
             "cursor": start_at, "span": qspan, "span_id": qspan_id,
         }
+
+    def _weight_source(self, name: str) -> PoissonWeightSource:
+        return PoissonWeightSource(
+            self.config.bootstrap_trials, self.config.seed,
+            label=stream_label(name), tracer=self.tracer,
+            store=self.weight_store,
+        )
 
     def _make_batches(self, name: str):
         """Mini-batch partitions (and the backing colstore dataset, if
@@ -778,11 +780,6 @@ class QueryController:
                     retained[name].append(
                         (table_batches[name], weights[name])
                     )
-            if not self.parallel.enabled:
-                # Draw those rectangles up front, so that sibling blocks
-                # fold from them and do not stream a draw of their own.
-                for name in self._dense_tables:
-                    weights[name].dense()
             # Multiplicity over batches actually folded: k/i on the clean
             # path, k/folded after a skip (skip-and-reweight).  Every
             # streamed table is cut into the same k batches, so one scale
@@ -845,12 +842,6 @@ class QueryController:
             bspan.set("rows_processed", total_rows)
             bspan.set("uncertain", total_uncertain)
             bspan.set("rebuilds", len(rebuilds))
-        # The snapshot above is the last consumer of this batch's dense
-        # weights; drop the cached matrices so the retained-batch lists
-        # hold spec-only handles.  A later guard rebuild regenerates
-        # identical columns from the stateless streams.
-        for handle in weights.values():
-            handle.release()
         elapsed = batch_timer.elapsed_s
         metrics = tracer.metrics
         if metrics.enabled:

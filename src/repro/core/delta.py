@@ -184,7 +184,7 @@ class CachedRows:
     """The uncertain set, with its lineage, weights and precomputations."""
 
     table: Table  # lineage columns needed to re-evaluate predicates
-    weights: np.ndarray  # (m, B)
+    weights: np.ndarray  # (m, B) uint8
     group_idx: np.ndarray  # (m,) dense indices into the block's GroupIndex
     values: Dict[str, np.ndarray]  # agg alias -> (m,) argument values
 
@@ -199,7 +199,7 @@ class CachedRows:
               trials: int) -> "CachedRows":
         return CachedRows(
             table=Table.empty(schema),
-            weights=np.empty((0, trials)),
+            weights=np.empty((0, trials), dtype=np.uint8),
             group_idx=np.empty(0, dtype=np.int64),
             values={a: np.empty(0) for a in aliases},
         )
@@ -790,12 +790,13 @@ class BlockRuntime:
                       ) -> BlockBatchStats:
         """Fold one mini-batch, reclassify the uncertain set, update guards.
 
-        ``weights`` is the batch's ``(n, B)`` Poisson matrix or a lazy
+        ``weights`` is the batch's ``(n, B)`` Poisson matrix or a
         :class:`~repro.estimate.bootstrap.BatchWeights` handle (the
-        controller passes handles so sharded folds never materialize the
-        dense matrix).  ``retained`` supplies the raw batches seen so far
-        (including the current one) for the rebuild path; None disables
-        recovery and a guard violation raises :class:`RangeViolation`.
+        controller passes handles, so pooled folds ship a spec and every
+        other read slices the session's stored rectangle).  ``retained``
+        supplies the raw batches seen so far (including the current one)
+        for the rebuild path; None disables recovery and a guard
+        violation raises :class:`RangeViolation`.
         """
         tracer = self.tracer
         wsrc = as_batch_weights(weights)
@@ -810,6 +811,7 @@ class BlockRuntime:
             self.reset()
             self.recompute_count += 1
             merged = Table.concat([t for t, _ in retained])
+            # uint8 rows read from the store; nothing is pinned.
             merged_w = np.concatenate(
                 [as_batch_weights(w).dense() for _, w in retained]
             )
@@ -870,10 +872,9 @@ class BlockRuntime:
         incoming = self._prepare_rows(piped, penv)
 
         if not self.pipeline.uncertain_predicates:
-            # No uncertain set: rows fold immediately, so the bootstrap
-            # update can stream lazily — trial shards regenerate their
-            # own weight columns and the dense (n, B) matrix is never
-            # built when the executor shards.
+            # No uncertain set: rows fold immediately, straight from the
+            # handle — pooled trial shards regenerate their own weight
+            # columns from its spec.
             with tracer.span("phase:fold", block=self.block.block_id,
                              rows_in=incoming.size):
                 self._fold(incoming, wsrc, pos)
@@ -888,9 +889,9 @@ class BlockRuntime:
                 rebuild_rows=0,
             )
 
-        # Uncertain path: cached rows carry their weight rows densely
+        # Uncertain path: cached rows carry their uint8 weight rows
         # (they may be re-folded under any future classification), so
-        # materialize the incoming rows' weights now.
+        # gather the incoming rows' weights now.
         incoming.weights = wsrc.rows(pos)
         cached_in = self.cache.size
         candidates = (
@@ -1087,10 +1088,10 @@ class BlockRuntime:
         """Fold deterministic-pass rows into the exact and trial states.
 
         ``weights`` is the rows' dense ``(m, B)`` matrix, or — for
-        freshly-arrived rows — the batch's lazy weight handle with
+        freshly-arrived rows — the batch's weight handle with
         ``row_idx`` indexing the surviving rows into it; the executor
-        then either shards weight generation across workers or
-        materializes the dense rows inline, bit-identical either way.
+        then either shards weight generation across workers or folds
+        the rows inline, bit-identical either way.
         """
         if rows.size == 0:
             return

@@ -25,6 +25,7 @@ from ..config import GolaConfig
 from ..engine.aggregates import UDAFRegistry, UDAFSpec
 from ..engine.executor import BatchExecutor
 from ..errors import QueryStopped
+from ..estimate.bootstrap import WeightStore, stream_label
 from ..expr.functions import FunctionRegistry
 from ..faults import FaultInjector, RowQuarantine, RunCheckpoint
 from ..obs import Tracer
@@ -159,6 +160,10 @@ class GolaSession:
     every controller and batch executor the session creates; when None,
     each run builds one from the config's ``trace``/``trace_path``/
     ``metrics`` knobs (a no-op tracer when those are off).
+
+    The session owns one :class:`~repro.estimate.bootstrap.WeightStore`:
+    a streamed table's bootstrap weights are drawn by its first query
+    and read by every later one (``trials`` bytes per streamed row).
     """
 
     def __init__(self, config: Optional[GolaConfig] = None,
@@ -169,6 +174,7 @@ class GolaSession:
         self.udafs = UDAFRegistry()
         self.tracer = tracer
         self.last_quarantine: Optional[RowQuarantine] = None
+        self.weight_store = WeightStore()
 
     # -- catalog ---------------------------------------------------------
 
@@ -182,6 +188,7 @@ class GolaSession:
         section 2's per-relation control).
         """
         self.catalog.register(name, table, streamed=streamed, replace=replace)
+        self._drop_weights(name)
 
     def register_colstore(self, name: str, dataset, streamed: bool = True,
                           replace: bool = False):
@@ -201,6 +208,7 @@ class GolaSession:
             dataset = open_dataset(dataset, mmap=self.config.storage.mmap)
         self.catalog.register(name, dataset, streamed=streamed,
                               replace=replace)
+        self._drop_weights(name)
         return dataset
 
     def load_csv(self, name: str, path, streamed: bool = True) -> Table:
@@ -276,6 +284,14 @@ class GolaSession:
 
     # -- internal ----------------------------------------------------------
 
+    def _drop_weights(self, name: str) -> None:
+        """A (re-)registered table starts without drawn weights."""
+        self.weight_store.drop(stream_label(name.lower()))
+        if self.tracer is not None and self.tracer.metrics.enabled:
+            self.tracer.metrics.gauge("bootstrap.store_bytes").set(
+                self.weight_store.nbytes
+            )
+
     def _tables(self) -> Dict[str, Table]:
         return {name: self.catalog.get(name) for name in self.catalog}
 
@@ -284,7 +300,8 @@ class GolaSession:
                          tracer: Optional[Tracer] = None) -> QueryController:
         """Build a controller; ``parallel``/``scan_cache``/``tracer``
         let the serving scheduler share one worker pool, one batch-scan
-        cache and one tracer across every concurrent query."""
+        cache and one tracer across every concurrent query (the weight
+        store is always the session's)."""
         streamed = {
             name: self.catalog.is_streamed(name) for name in self.catalog
         }
@@ -293,4 +310,5 @@ class GolaSession:
             udafs=self.udafs, functions=self.functions,
             tracer=tracer if tracer is not None else self.tracer,
             parallel=parallel, scan_cache=scan_cache,
+            weight_store=self.weight_store,
         )

@@ -70,8 +70,10 @@ class GroupIndex:
         #: Bumped whenever a new key is inserted; part of the encode memo
         #: token so cached encodings are dropped once the mapping grows.
         self._version = 0
-        self._memo_token_cache = None
-        self._memo_result: Optional[np.ndarray] = None
+        #: ``(token, result)`` of the last memoizable encode: one tuple,
+        #: written in one step, because consumer blocks encode against a
+        #: producer's index from several threads.
+        self._memo: Optional[tuple] = None
 
     @property
     def num_groups(self) -> int:
@@ -111,8 +113,9 @@ class GroupIndex:
         if keys.size == 0:
             return np.empty(0, dtype=np.int64)
         token = self._memo_token(keys, add_new)
-        if token is not None and token == self._memo_token_cache:
-            return self._memo_result.copy()
+        memo = self._memo
+        if token is not None and memo is not None and memo[0] == token:
+            return memo[1].copy()
         uniq, inverse = np.unique(keys, return_inverse=True)
         uniq_list = uniq.tolist()
         get = self._lookup.get
@@ -133,8 +136,7 @@ class GroupIndex:
                 token = self._memo_token(keys, add_new)
         result = mapped[inverse.reshape(keys.shape)]
         if token is not None:
-            self._memo_token_cache = token
-            self._memo_result = result.copy()
+            self._memo = (token, result.copy())
         return result
 
     def copy(self) -> "GroupIndex":
@@ -172,7 +174,12 @@ def _grouped_sum(group_idx: np.ndarray, weights: np.ndarray, groups: int,
 
 
 def _as_weight_matrix(weights, n: int, width: int) -> np.ndarray:
-    """Normalize ``weights`` to an ``(n, width)`` float64 matrix."""
+    """Normalize ``weights`` to an ``(n, width)`` float64 matrix.
+
+    The one place bootstrap weights widen: they are uint8 from the draw
+    to here (every small integer is exact in float64, so the kernels
+    see the operands a float64 draw would give them).
+    """
     if weights is None:
         return np.ones((n, width), dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)

@@ -22,12 +22,19 @@ bootstrap maintenance (``repro.parallel``) bit-identical to serial
 execution for any worker count.  It also makes the stream *stateless*:
 any batch/trial rectangle can be (re)generated on any process from the
 ``(master_seed, label)`` pair alone.
+
+Weights are ``uint8`` from draw to fold (Poisson(1) never exceeds 18
+here); :func:`repro.engine.aggregates._as_weight_matrix` is the one
+place they widen to float64, exactly.  A session's
+:class:`WeightStore` keeps each streamed table's rectangles once drawn,
+so every query, lineage block and rebuild of the session reads the
+same draw.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -58,15 +65,20 @@ def _poisson1_tables():
     k_high = np.searchsorted(
         cdf, (np.arange(buckets) + 1.0) / buckets - 1e-18, side="right"
     )
-    return cdf, k_low.astype(np.float64), k_low != k_high, buckets
+    return cdf, k_low.astype(np.uint8), k_low != k_high, buckets
 
 
 _P1_CDF, _P1_BUCKET_K, _P1_AMBIGUOUS, _P1_BUCKETS = _poisson1_tables()
 
 
+def stream_label(table: str) -> str:
+    """The weight-stream label of a streamed table."""
+    return f"bootstrap:{table}"
+
+
 def poisson_trial_column(master_seed: int, label: str, batch_index: int,
                          trial: int, num_rows: int) -> np.ndarray:
-    """The ``(num_rows,)`` Poisson(1) weight column of one trial.
+    """The ``(num_rows,)`` uint8 Poisson(1) weight column of one trial.
 
     Pure function of ``(master_seed, label, batch_index, trial)`` — the
     unit of work a bootstrap shard regenerates locally instead of having
@@ -85,28 +97,81 @@ def poisson_trial_column(master_seed: int, label: str, batch_index: int,
     return out
 
 
-class BatchWeights:
-    """Lazy handle on one batch's ``(num_rows, trials)`` weight matrix.
+class WeightStore:
+    """A session's drawn weight rectangles, shared by all its queries.
 
-    The dense matrix is only materialized on first :meth:`dense` /
-    :meth:`rows` access (and then cached); :meth:`shard` generates just
-    the trial columns ``[lo, hi)`` — column-identical to the dense
-    matrix — so trial-sharded workers never touch the full ``(n, B)``
-    rectangle.  The handle itself holds only primitives, so it is cheap
-    to pickle into retained-batch lists and run checkpoints.
+    One F-order ``uint8`` ``(num_rows, trials)`` rectangle per (weight
+    stream, batch), drawn on first use and read-only after.  A rectangle
+    is a pure function of its handle's spec, so a hit is exact whatever
+    query, lineage block or rebuild asks for it.  The bound: a stream
+    keeps only the latest ``(master_seed, trials)`` it served, and a
+    batch asked for at a new row count (another partitioning of the
+    table) restarts the stream's set — at most ``trials`` bytes per
+    streamed row.  Fills hold the lock: sibling blocks fan out on
+    threads.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: label -> ((master_seed, trials), {batch_index: rectangle})
+        self._sets: Dict[str, Tuple[tuple, Dict[int, np.ndarray]]] = {}
+        #: Bytes held, over every stream.
+        self.nbytes = 0
+
+    def rectangle(self, handle: "BatchWeights") -> np.ndarray:
+        """``handle``'s rectangle, drawn now if the store lacks it."""
+        key = (handle.master_seed, handle.trials)
+        with self._lock:
+            held = self._sets.get(handle.label)
+            rect = (held[1].get(handle.batch_index)
+                    if held is not None and held[0] == key else None)
+            if rect is not None and len(rect) == handle.num_rows:
+                return rect
+            if held is None or held[0] != key or rect is not None:
+                # A new (seed, trials), or another partitioning.
+                self._discard(handle.label)
+                held = self._sets[handle.label] = (key, {})
+            rect = handle.draw(0, handle.trials)
+            rect.flags.writeable = False
+            held[1][handle.batch_index] = rect
+            self.nbytes += rect.nbytes
+            if handle.metrics is not None:
+                handle.metrics.gauge("bootstrap.store_bytes").set(self.nbytes)
+            return rect
+
+    def drop(self, label: str) -> None:
+        """Forget one stream's rectangles (its table was replaced)."""
+        with self._lock:
+            self._discard(label)
+
+    def _discard(self, label: str) -> None:
+        held = self._sets.pop(label, None)
+        if held is not None:
+            self.nbytes -= sum(r.nbytes for r in held[1].values())
+
+
+class BatchWeights:
+    """Handle on one batch's ``(num_rows, trials)`` uint8 weight matrix.
+
+    A view: with a :class:`WeightStore`, :meth:`dense`, :meth:`rows` and
+    :meth:`shard` slice the store's rectangle.  A handle rebuilt from
+    its spec (a pool worker's) has no store, and :meth:`shard` draws
+    just the trial columns ``[lo, hi)`` — column-identical to the
+    rectangle.  The handle pickles to its spec, never to the store, so
+    it is cheap in retained-batch lists, checkpoints and shard payloads.
     """
 
     def __init__(self, trials: int, master_seed: int, label: str,
-                 batch_index: int, num_rows: int, drawn=None):
+                 batch_index: int, num_rows: int,
+                 store: Optional[WeightStore] = None, metrics=None):
         self.trials = trials
         self.master_seed = master_seed
         self.label = label
         self.batch_index = batch_index
         self.num_rows = num_rows
-        #: Counter of columns generated (a spec-built handle has none).
-        self._drawn = drawn
-        self._dense: Optional[np.ndarray] = None
-        self._lock = threading.Lock()
+        self.store = store
+        #: Registry counting columns drawn (a spec-built handle has none).
+        self.metrics = metrics
 
     def spec(self) -> dict:
         """Picklable recipe for regenerating shards on a worker."""
@@ -122,9 +187,12 @@ class BatchWeights:
     def from_spec(cls, spec: dict) -> "BatchWeights":
         return cls(**spec)
 
-    def _fill(self, out: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        if self._drawn is not None:
-            self._drawn.inc(hi - lo)
+    def draw(self, lo: int, hi: int) -> np.ndarray:
+        """Generate trial columns ``[lo, hi)``: F-order uint8, so each
+        column is drawn and folded sequentially in memory."""
+        if self.metrics is not None:
+            self.metrics.counter("bootstrap.columns_drawn").inc(hi - lo)
+        out = np.empty((self.num_rows, hi - lo), dtype=np.uint8, order="F")
         for j, trial in enumerate(range(lo, hi)):
             out[:, j] = poisson_trial_column(
                 self.master_seed, self.label, self.batch_index, trial,
@@ -133,35 +201,10 @@ class BatchWeights:
         return out
 
     def dense(self) -> np.ndarray:
-        """The full ``(num_rows, trials)`` matrix (materialized once).
-
-        Column-major (Fortran) order: the matrix is generated and
-        consumed one trial column at a time, so contiguous columns keep
-        both the fill and the per-column fold kernels sequential in
-        memory.
-        """
-        if self._dense is None:
-            with self._lock:
-                if self._dense is None:
-                    self._dense = self._fill(
-                        np.empty((self.num_rows, self.trials), order="F"),
-                        0, self.trials,
-                    )
-        return self._dense
-
-    def release(self) -> None:
-        """Drop the cached dense matrix.
-
-        Retained-batch lists hold weight handles for the lifetime of a
-        run; without this, every processed batch pins its ``(n, B)``
-        rectangle and the weights dwarf the data under memory budgets.
-        Safe at any time: the per-(batch, trial) streams are stateless,
-        so a later :meth:`dense`/:meth:`shard` call (a guard rebuild
-        replaying retained batches) regenerates bit-identical columns,
-        and arrays already handed out stay alive with their holders.
-        """
-        with self._lock:
-            self._dense = None
+        """The full ``(num_rows, trials)`` matrix (the store's, if any)."""
+        if self.store is None:
+            return self.draw(0, self.trials)
+        return self.store.rectangle(self)
 
     def rows(self, row_idx: Optional[np.ndarray]) -> np.ndarray:
         """Dense weight rows for ``row_idx`` (all rows when None)."""
@@ -171,17 +214,13 @@ class BatchWeights:
     def shard(self, lo: int, hi: int,
               row_idx: Optional[np.ndarray] = None) -> np.ndarray:
         """Columns ``[lo, hi)`` only — the worker-side generation path."""
-        if self._dense is not None:  # already paid for; reuse
-            block = self._dense[:, lo:hi]
-        else:
-            block = self._fill(
-                np.empty((self.num_rows, hi - lo), order="F"), lo, hi
-            )
+        block = (self.draw(lo, hi) if self.store is None
+                 else self.dense()[:, lo:hi])
         return block if row_idx is None else block[row_idx]
 
     def __getstate__(self):
-        # Drop the materialized matrix and the (unpicklable) lock: the
-        # handle regenerates identical weights wherever it lands.
+        # The spec alone: the handle regenerates identical weights
+        # wherever it lands, and the store never travels.
         return self.spec()
 
     def __setstate__(self, state):
@@ -198,7 +237,7 @@ class DenseBatchWeights:
     """
 
     def __init__(self, weights: np.ndarray):
-        self._weights = np.asarray(weights, dtype=np.float64)
+        self._weights = np.asarray(weights)
         self.trials = self._weights.shape[1]
         self.num_rows = self._weights.shape[0]
 
@@ -216,9 +255,6 @@ class DenseBatchWeights:
         block = self._weights[:, lo:hi]
         return block if row_idx is None else block[row_idx]
 
-    def release(self) -> None:
-        """No-op: a concrete matrix cannot be regenerated from a spec."""
-
 
 def as_batch_weights(weights):
     """Normalize an ``(n, B)`` array or handle to the handle interface."""
@@ -228,33 +264,35 @@ def as_batch_weights(weights):
 
 
 class PoissonWeightSource:
-    """Draws per-batch ``(n, B)`` Poisson(1) weight matrices.
+    """Hands out per-batch ``(n, B)`` Poisson(1) weight handles.
 
-    One source per query run.  Each batch/trial cell comes from its own
-    derived RNG stream (see module docstring), so the source is
-    reproducible from the master seed, resumable without carrying
-    generator state, and shardable along the trial axis with bit-identical
-    results.  Weight drawing is the per-batch fixed cost of bootstrap
-    error estimation, so dense draws record a ``phase:weights`` span when
-    tracing is enabled — the trial-state update cost downstream is
-    proportional to the same ``rows × trials`` volume.
+    One source per (query run, streamed table).  Each batch/trial cell
+    comes from its own derived RNG stream (see module docstring), so the
+    source is reproducible from the master seed, resumable without
+    carrying generator state, and shardable along the trial axis with
+    bit-identical results.  With a ``store`` its handles read the
+    session's drawn rectangles; without one every dense read draws.
+    Dense draws through :meth:`weights_for` record a ``phase:weights``
+    span when tracing is enabled.
     """
 
     def __init__(self, trials: int, master_seed: int,
                  label: str = "bootstrap",
-                 tracer: Optional[Tracer] = None):
+                 tracer: Optional[Tracer] = None,
+                 store: Optional[WeightStore] = None):
         if trials < 1:
             raise ValueError("trials must be >= 1")
         self.trials = trials
         self.master_seed = master_seed
         self.label = label
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.store = store
         #: Next batch index for callers drawing sequentially.
         self._next_batch = 0
 
     def batch_weights(self, num_rows: int,
                       batch_index: Optional[int] = None) -> BatchWeights:
-        """A lazy handle on one batch's weight matrix.
+        """A handle on one batch's weight matrix.
 
         ``batch_index`` defaults to (and always advances) the internal
         sequential counter, so plain per-batch iteration needs no
@@ -264,23 +302,23 @@ class PoissonWeightSource:
             batch_index = self._next_batch
         self._next_batch = batch_index + 1
         # Logical draws, counted at handle creation so the metric is
-        # identical whether the matrix materializes densely, in shards,
-        # or not at all; ``columns_drawn`` counts what this process
-        # physically generates, so a rectangle drawn twice shows.
-        metrics, drawn = self.tracer.metrics, None
+        # identical whether the matrix is read densely, in shards, from
+        # the store or not at all; ``columns_drawn`` counts what this
+        # process physically generates, so a rectangle drawn twice shows.
+        metrics = self.tracer.metrics
         if metrics.enabled:
             metrics.counter("bootstrap.weights_drawn").inc(
                 num_rows * self.trials
             )
-            drawn = metrics.counter("bootstrap.columns_drawn")
         return BatchWeights(
             self.trials, self.master_seed, self.label, batch_index,
-            num_rows, drawn,
+            num_rows, store=self.store,
+            metrics=metrics if metrics.enabled else None,
         )
 
     def weights_for(self, num_rows: int,
                     batch_index: Optional[int] = None) -> np.ndarray:
-        """An ``(num_rows, trials)`` float64 Poisson(1) weight matrix."""
+        """An ``(num_rows, trials)`` uint8 Poisson(1) weight matrix."""
         handle = self.batch_weights(num_rows, batch_index)
         with self.tracer.span("phase:weights", rows_in=num_rows,
                               trials=self.trials):

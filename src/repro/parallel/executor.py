@@ -158,24 +158,20 @@ class ParallelExecutor:
             if state.supports_column_merge and state.width > 1
         ]
         cfg = self.config
-        pooled = self.enabled and shardable and n >= cfg.min_shard_rows
-        # Serial runs stream trial-column chunks through the same
-        # fold-and-merge kernel when the weights are lazily generated:
-        # each chunk is drawn, folded while cache-hot and discarded, so
-        # the dense (n, B) rectangle is never materialized.  Chunk
-        # boundaries cannot change results — per-(group, trial) cells
-        # never span chunks (see shards.run_fold_shard).
-        streamed = (
-            not pooled and shardable and n >= cfg.min_shard_rows
-            and weights.spec() is not None
-            and getattr(weights, "_dense", None) is None
-        )
+        big = bool(shardable) and n >= cfg.min_shard_rows
+        pooled = self.enabled and big
+        # Inline folds of big batches stream trial-column chunks through
+        # the same fold-and-merge kernel: each uint8 chunk widens to
+        # float64 and folds while cache-hot, so no float64 (n, B)
+        # rectangle is ever built.  Chunk boundaries cannot change
+        # results — per-(group, trial) cells never span chunks (see
+        # shards.run_fold_shard).
         if not pooled:
             # Every inline path mutates states directly, so any deferred
             # merge for this states dict must land first (fold order is
             # accumulation order).
             self.drain(boot_states)
-        if not pooled and not streamed:
+        if not big:
             dense = weights.rows(row_idx)
             for alias, state in boot_states.items():
                 state.update(group_idx, values[alias], dense)
@@ -203,26 +199,25 @@ class ParallelExecutor:
         backend = cfg.backend if pooled else "stream"
         with tracer.span("parallel.shard", rows_in=n, trials=trials,
                          shards=len(ranges), backend=backend):
-            published, lease = None, None
             if pooled:
                 lease = self._publish_columns(group_idx, shard_values,
                                               row_idx)
-                published = lease.specs if lease is not None else None
-            payloads = make_shard_payloads(
-                shardable, group_idx, shard_values, weights, ranges,
-                row_idx=row_idx, published=published,
-            )
-            if pooled:
+                payloads = make_shard_payloads(
+                    shardable, group_idx, shard_values, weights, ranges,
+                    row_idx=row_idx,
+                    published=lease.specs if lease is not None else None,
+                )
                 handle = self._ensure_shard_pool().map_async(
                     run_fold_shard, payloads
                 )
             else:
-                # Chunks are drawn on the live handle, one at a time.
-                results = [
-                    run_fold_shard({**p, "weights": weights.shard(
-                        p["lo"], p["hi"], row_idx)})
-                    for p in payloads
-                ]
+                # Chunks are sliced from one read of the rectangle.
+                payloads = make_shard_payloads(
+                    shardable, group_idx, shard_values,
+                    as_batch_weights(weights.dense()), ranges,
+                    row_idx=row_idx,
+                )
+                results = [run_fold_shard(p) for p in payloads]
         if tracer.metrics.enabled:
             tracer.metrics.counter("parallel.shard_tasks").inc(len(ranges))
             tracer.metrics.counter("parallel.sharded_cells").inc(n * trials)

@@ -11,8 +11,8 @@ update for any shard count.
 
 Weights travel as a :class:`~repro.estimate.bootstrap.BatchWeights` spec
 (a few primitives) whenever possible: each worker regenerates exactly
-its own trial columns from the per-(batch, trial) RNG streams, so the
-dense ``(n, B)`` matrix is never materialized anywhere.
+its own uint8 trial columns from the per-(batch, trial) RNG streams, so
+no ``(n, B)`` matrix crosses the process boundary.
 
 Column data travels the same way: when the executor has published the
 batch into shared memory (``repro.parallel.shm``), ``group_idx`` /
@@ -63,8 +63,8 @@ def run_fold_shard(payload: dict) -> List[Tuple[str, object]]:
     * ``group_idx`` — ``(n,)`` dense group indices (ndarray or
       shared-memory :class:`~repro.parallel.shm.ArraySpec`);
     * ``values`` — alias -> ``(n,)`` argument values (ndarray or spec);
-    * ``weights`` — the ``(n, hi-lo)`` slice, when the caller cut or
-      drew it (spec-less handles; the in-process streamed fold);
+    * ``weights`` — the ``(n, hi-lo)`` slice, when the caller cut it
+      (spec-less handles, such as the in-process streamed fold's);
     * ``weight_spec`` — otherwise, the :meth:`BatchWeights.spec` dict to
       regenerate the shard's columns locally;
     * ``row_idx`` — surviving row positions into the batch's weight

@@ -16,7 +16,6 @@ import signal
 import subprocess
 import sys
 import time
-import urllib.error
 import urllib.request
 
 import pytest
@@ -30,6 +29,8 @@ from repro.serve import GolaServer, QueryScheduler
 from repro.serve.loadgen import LoadGenerator, LoadSpec
 from repro.serve.scheduler import FAILED
 from repro.workloads import SBI_QUERY, generate_sessions
+
+from ._http import http_error
 
 pytestmark = pytest.mark.smoke
 
@@ -142,14 +143,6 @@ def post_query(url, sql=SBI_QUERY, timeout=30.0):
         return resp.status, json.loads(resp.read())
 
 
-def expect_http_error(fn):
-    with pytest.raises(urllib.error.HTTPError) as err:
-        fn()
-    exc = err.value
-    body = json.loads(exc.read())
-    return exc.code, exc.headers, body
-
-
 class TestRetryAfter:
     def test_admission_rejection_carries_retry_after(self):
         config = GolaConfig(num_batches=10, bootstrap_trials=200, seed=9)
@@ -162,7 +155,7 @@ class TestRetryAfter:
         try:
             status, _ = post_query(server.url)
             assert status == 201
-            code, headers, body = expect_http_error(
+            code, headers, body = http_error(
                 lambda: post_query(server.url)
             )
             assert code == 429
@@ -181,7 +174,7 @@ class TestRetryAfter:
                             host="127.0.0.1", port=0).start()
         try:
             server.scheduler.begin_drain()
-            code, headers, body = expect_http_error(
+            code, headers, body = http_error(
                 lambda: post_query(server.url)
             )
             assert code == 503
@@ -241,7 +234,7 @@ class TestFailedQueryIsolation:
                     break
                 time.sleep(0.05)
             assert server.scheduler.get(qid).state == FAILED
-            code, headers, body = expect_http_error(
+            code, headers, body = http_error(
                 lambda: urllib.request.urlopen(
                     f"{server.url}/query/{qid}/snapshots", timeout=30.0
                 ).read()
@@ -291,3 +284,4 @@ class TestSigtermDrainUnderFaults:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10.0)
+            proc.stdout.close()

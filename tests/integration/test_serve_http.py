@@ -6,7 +6,6 @@ runs these; see docs/testing.md).
 
 import json
 import time
-import urllib.error
 import urllib.request
 
 import pytest
@@ -14,6 +13,8 @@ import pytest
 from repro import GolaConfig, GolaSession, ServeConfig
 from repro.serve import GolaServer, QueryScheduler
 from repro.workloads import SBI_QUERY, generate_sessions
+
+from ._http import http_error
 
 pytestmark = pytest.mark.smoke
 
@@ -129,29 +130,28 @@ class TestHTTPRoundTrip:
 
 class TestHTTPErrors:
     def test_unknown_id_404(self, server):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            get_json(server.url + "/query/q99/status")
-        assert err.value.code == 404
+        code, _, _ = http_error(get_json, server.url + "/query/q99/status")
+        assert code == 404
 
     def test_bad_sql_400(self, server):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            post_json(server.url + "/query", {"sql": "SELEKT nope"})
-        assert err.value.code == 400
-        assert json.loads(err.value.read())["error"] == "ParseError"
+        code, _, body = http_error(
+            post_json, server.url + "/query", {"sql": "SELEKT nope"}
+        )
+        assert code == 400
+        assert body["error"] == "ParseError"
 
     def test_missing_sql_and_bad_config_400(self, server):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            post_json(server.url + "/query", {})
-        assert err.value.code == 400
-        with pytest.raises(urllib.error.HTTPError) as err:
-            post_json(server.url + "/query",
-                      {"sql": SBI_QUERY, "config": {"bogus": 1}})
-        assert err.value.code == 400
+        code, _, _ = http_error(post_json, server.url + "/query", {})
+        assert code == 400
+        code, _, _ = http_error(
+            post_json, server.url + "/query",
+            {"sql": SBI_QUERY, "config": {"bogus": 1}},
+        )
+        assert code == 400
 
     def test_unknown_route_404(self, server):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            get_json(server.url + "/nope")
-        assert err.value.code == 404
+        code, _, _ = http_error(get_json, server.url + "/nope")
+        assert code == 404
 
     def test_malformed_json_body_400(self, server):
         request = urllib.request.Request(
@@ -159,10 +159,10 @@ class TestHTTPErrors:
             data=b'{"sql": "SELECT',
             headers={"Content-Type": "application/json"},
         )
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(request, timeout=30.0)
-        assert err.value.code == 400
-        body = json.loads(err.value.read())
+        code, _, body = http_error(
+            urllib.request.urlopen, request, timeout=30.0
+        )
+        assert code == 400
         assert body["error"] == "ValueError"
         assert "invalid JSON body" in body["message"]
 
@@ -172,15 +172,17 @@ class TestHTTPErrors:
             data=b'["not", "an", "object"]',
             headers={"Content-Type": "application/json"},
         )
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(request, timeout=30.0)
-        assert err.value.code == 400
+        code, _, _ = http_error(
+            urllib.request.urlopen, request, timeout=30.0
+        )
+        assert code == 400
 
     def test_unknown_id_snapshots_404(self, server):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            get_json(server.url + "/query/q99/snapshots")
-        assert err.value.code == 404
-        assert json.loads(err.value.read())["error"] == "NotFound"
+        code, _, body = http_error(
+            get_json, server.url + "/query/q99/snapshots"
+        )
+        assert code == 404
+        assert body["error"] == "NotFound"
 
     def test_delete_already_finished_409(self, server):
         code, submitted = post_json(server.url + "/query", {
@@ -198,10 +200,10 @@ class TestHTTPErrors:
         request = urllib.request.Request(
             f"{server.url}/query/{qid}", method="DELETE"
         )
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(request, timeout=30.0)
-        assert err.value.code == 409
-        body = json.loads(err.value.read())
+        code, _, body = http_error(
+            urllib.request.urlopen, request, timeout=30.0
+        )
+        assert code == 409
         assert body["error"] == "AlreadyFinished"
         assert body["state"] == "done"
 
@@ -215,10 +217,10 @@ class TestHTTPErrors:
         )
         with urllib.request.urlopen(request, timeout=30.0) as resp:
             assert json.loads(resp.read())["state"] == "cancelled"
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(request, timeout=30.0)
-        assert err.value.code == 409
-        body = json.loads(err.value.read())
+        code, _, body = http_error(
+            urllib.request.urlopen, request, timeout=30.0
+        )
+        assert code == 409
         assert body["error"] == "AlreadyFinished"
         assert body["state"] == "cancelled"
 
@@ -226,9 +228,10 @@ class TestHTTPErrors:
         request = urllib.request.Request(
             f"{server.url}/query/q99", method="DELETE"
         )
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(request, timeout=30.0)
-        assert err.value.code == 404
+        code, _, _ = http_error(
+            urllib.request.urlopen, request, timeout=30.0
+        )
+        assert code == 404
 
     def test_queue_full_429(self):
         server = make_server(
@@ -245,10 +248,8 @@ class TestHTTPErrors:
                     break
                 time.sleep(0.01)
             post_json(base + "/query", slow)  # fills the queue
-            with pytest.raises(urllib.error.HTTPError) as err:
-                post_json(base + "/query", slow)
-            assert err.value.code == 429
-            body = json.loads(err.value.read())
+            code, _, body = http_error(post_json, base + "/query", slow)
+            assert code == 429
             assert body["error"] == "AdmissionError"
         finally:
             server.shutdown()

@@ -13,7 +13,6 @@ import signal
 import subprocess
 import sys
 import time
-import urllib.error
 import urllib.request
 
 import pytest
@@ -22,6 +21,8 @@ from repro import GolaConfig, GolaSession, ServeConfig
 from repro.serve import GolaServer, QueryScheduler, parse_prometheus
 from repro.serve.loadgen import LoadGenerator, LoadSpec
 from repro.workloads import SBI_QUERY, generate_sessions
+
+from ._http import http_error
 
 pytestmark = pytest.mark.smoke
 
@@ -155,20 +156,21 @@ class TestConvergenceStream:
         assert aliased == telemetry
 
     def test_unknown_query_is_404(self, server):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            stream_ndjson(server.url + "/queries/nope/telemetry")
-        assert err.value.code == 404
+        code, _, _ = http_error(
+            stream_ndjson, server.url + "/queries/nope/telemetry"
+        )
+        assert code == 404
 
     def test_telemetry_disabled_is_404(self):
         srv = make_server(serve=ServeConfig(telemetry=False)).start()
         try:
             _, submitted = post_json(srv.url + "/query",
                                      {"sql": SBI_QUERY})
-            with pytest.raises(urllib.error.HTTPError) as err:
-                stream_ndjson(
-                    f"{srv.url}/queries/{submitted['id']}/telemetry"
-                )
-            assert err.value.code == 404
+            code, _, _ = http_error(
+                stream_ndjson,
+                f"{srv.url}/queries/{submitted['id']}/telemetry",
+            )
+            assert code == 404
         finally:
             srv.shutdown()
 
@@ -215,9 +217,10 @@ class TestGracefulShutdown:
         server.scheduler.begin_drain()
         code, health = get_json(server.url + "/healthz")
         assert health["state"] == "draining"
-        with pytest.raises(urllib.error.HTTPError) as err:
-            post_json(server.url + "/query", {"sql": SBI_QUERY})
-        assert err.value.code == 503
+        code, _, _ = http_error(
+            post_json, server.url + "/query", {"sql": SBI_QUERY}
+        )
+        assert code == 503
         # In-flight work still completes and streams to the end.
         records = stream_ndjson(server.url + submitted["snapshots_url"])
         assert records[-1]["type"] == "end"
@@ -247,6 +250,7 @@ class TestGracefulShutdown:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10.0)
+            proc.stdout.close()
 
 
 class TestLoadGeneratorHTTP:

@@ -11,7 +11,16 @@ from repro import (
     UnsupportedQueryError,
 )
 from repro.obs import MetricsRegistry, Tracer
-from repro.workloads import Q17_QUERY, generate_sessions, generate_tpch
+from repro.workloads import (
+    C3_QUERY,
+    Q11_QUERY,
+    Q17_QUERY,
+    Q20_QUERY,
+    SBI_QUERY,
+    generate_conviva,
+    generate_sessions,
+    generate_tpch,
+)
 
 
 class TestSessionBasics:
@@ -298,3 +307,60 @@ class TestOneWeightDrawPerBatch:
         sql = "SELECT AVG(play_time) FROM sessions"
         assert self.drawn("sessions", table, sql) == \
             self.TRIALS * self.BATCHES
+
+    def test_uncertain_having_draws_once(self):
+        """Q11: both blocks stream and its uncertain predicate sits in
+        HAVING; each block used to draw the rectangle itself."""
+        table = generate_tpch(self.ROWS, seed=7)
+        assert self.drawn("tpch", table, Q11_QUERY) == \
+            self.TRIALS * self.BATCHES
+
+
+MM1_QUERY = (
+    "SELECT content_id, MIN(buffer_time), MAX(play_time), COUNT(*) "
+    "FROM conviva "
+    "WHERE buffer_time > (SELECT AVG(buffer_time) FROM conviva) "
+    "GROUP BY content_id"
+)
+
+
+class TestOneWeightDrawPerSession:
+    """Queries run back to back in one session draw each streamed
+    table's columns once: the first query over a table draws them into
+    the session's weight store, every later query reads them."""
+
+    TRIALS, BATCHES, ROWS = 16, 3, 7500
+    QUERIES = (("SBI", SBI_QUERY), ("C3", C3_QUERY), ("MM1", MM1_QUERY),
+               ("Q17", Q17_QUERY), ("Q20", Q20_QUERY), ("Q11", Q11_QUERY))
+
+    def test_each_table_is_drawn_once(self):
+        tracer = Tracer(metrics=MetricsRegistry(enabled=True))
+        session = GolaSession(
+            GolaConfig(num_batches=self.BATCHES,
+                       bootstrap_trials=self.TRIALS, seed=5),
+            tracer=tracer,
+        )
+        session.register_table("sessions",
+                               generate_sessions(self.ROWS, seed=7))
+        session.register_table("conviva",
+                               generate_conviva(self.ROWS, seed=7))
+        session.register_table("tpch", generate_tpch(self.ROWS, seed=7))
+
+        def drawn():
+            return tracer.metrics.snapshot().counters.get(
+                "bootstrap.columns_drawn", 0)
+
+        def run_all():
+            per_query = {}
+            for name, sql in self.QUERIES:
+                before = drawn()
+                list(session.sql(sql).run_online())
+                per_query[name] = drawn() - before
+            return per_query
+
+        table = self.TRIALS * self.BATCHES
+        assert run_all() == {"SBI": table, "C3": table, "MM1": 0,
+                             "Q17": table, "Q20": 0, "Q11": 0}
+        assert drawn() == 3 * table
+        # A second run of any of them draws nothing.
+        assert run_all() == {name: 0 for name, _ in self.QUERIES}

@@ -7,6 +7,8 @@ bit-identical aggregate states.
 """
 
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from repro.estimate.bootstrap import (
     _P1_CDF,
     BatchWeights,
     PoissonWeightSource,
+    WeightStore,
     poisson_trial_column,
 )
 from repro.estimate.random_source import derive_rng
@@ -105,7 +108,8 @@ class TestPoissonTrialColumns:
             rng = derive_rng(2015, f"t:b0:t{trial}")
             u = rng.random(20_000)
             ref = np.searchsorted(_P1_CDF, u, side="right")
-            assert np.array_equal(col, ref.astype(np.float64))
+            assert col.dtype == np.uint8
+            assert np.array_equal(col, ref)
 
     def test_poisson_one_moments(self):
         cols = [poisson_trial_column(7, "m", b, t, 50_000)
@@ -115,18 +119,23 @@ class TestPoissonTrialColumns:
         assert draws.var() == pytest.approx(1.0, abs=0.02)
 
     def test_shard_is_column_slice_of_dense(self):
-        handle = BatchWeights(24, 11, "w", 3, 1000)
-        shard = handle.shard(5, 13)          # generated directly
-        dense = handle.dense()               # full matrix
+        spec_only = BatchWeights(24, 11, "w", 3, 1000)
+        shard = spec_only.shard(5, 13)       # generated directly
+        handle = BatchWeights(24, 11, "w", 3, 1000, store=WeightStore())
+        dense = handle.dense()               # the stored rectangle
+        assert dense.dtype == np.uint8 and dense.flags["F_CONTIGUOUS"]
         assert np.array_equal(shard, dense[:, 5:13])
-        # after dense() is paid for, shard() reuses it
+        # a store-backed handle slices the stored rectangle
         assert np.shares_memory(handle.shard(0, 4), dense)
+        assert handle.dense() is dense
 
     def test_pickle_roundtrip_regenerates_identically(self):
-        handle = BatchWeights(16, 3, "w", 7, 500)
+        handle = BatchWeights(16, 3, "w", 7, 500, store=WeightStore())
         dense = handle.dense()
-        clone = pickle.loads(pickle.dumps(handle))
-        assert clone._dense is None  # matrix never travels
+        payload = pickle.dumps(handle)
+        assert len(payload) < 1000  # the spec, never the store
+        clone = pickle.loads(payload)
+        assert clone.store is None
         assert np.array_equal(clone.dense(), dense)
 
     def test_columns_independent_of_batch_and_trial(self):
@@ -246,11 +255,48 @@ class TestGroupIndexIncremental:
         index = GroupIndex()
         keys = np.array([4, 4, 8, 15, 16, 23, 42])
         first = index.encode(keys)
-        memo = index._memo_result
+        memo = index._memo[1]
         assert memo is not None
         second = index.encode(keys)
         assert np.array_equal(first, second)
         assert second is not memo  # callers get a private copy
+
+    def test_memo_is_consistent_across_threads(self):
+        """Consumer blocks encode against one producer index from
+        several threads: while the memo alternates between their key
+        arrays, no thread gets another's result (fails often on the
+        two-attribute memo, whose token and result a switch can split).
+        """
+        rng = np.random.default_rng(8)
+        arrays = [rng.integers(0, 50, size=8) for _ in range(4)]
+        expected = []
+        for keys in arrays:
+            fresh = GroupIndex()
+            fresh.encode(np.arange(50))
+            expected.append(fresh.encode(keys, add_new=False))
+        index = GroupIndex()
+        index.encode(np.arange(50))
+        bad = []
+
+        def worker(k):
+            for _ in range(10_000):
+                got = index.encode(arrays[k], add_new=False)
+                if not np.array_equal(got, expected[k]):
+                    bad.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(len(arrays))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not bad
 
     def test_add_new_false_marks_unseen(self):
         index = GroupIndex()
@@ -298,7 +344,7 @@ class TestVectorizedFinalizers:
 
 
 def _fold_with(config, trials=16, batches=2, n=6000, groups=9,
-               lazy=False, tracer=None):
+               lazy=False, tracer=None, store=None):
     rng = np.random.default_rng(6)
     gi = rng.integers(0, groups, n)
     values = {
@@ -314,7 +360,8 @@ def _fold_with(config, trials=16, batches=2, n=6000, groups=9,
     else:
         del values["q"]
     executor = ParallelExecutor(config, tracer=tracer)
-    source = PoissonWeightSource(trials, 2015, label="unit")
+    source = PoissonWeightSource(trials, 2015, label="unit", tracer=tracer,
+                                 store=store)
     handles = []
     try:
         for _ in range(batches):
@@ -342,23 +389,39 @@ class TestParallelExecutor:
                 assert np.array_equal(ref[alias], out[alias]), \
                     (config, alias)
 
-    def test_serial_streaming_never_materializes_dense(self):
-        _, handles = _fold_with(ParallelConfig())
-        assert all(h._dense is None for h in handles)
+    def test_serial_fold_draws_each_column_once(self):
+        store = WeightStore()
+        tracer = Tracer(metrics=MetricsRegistry(enabled=True))
+        ref, _ = _fold_with(ParallelConfig(), tracer=tracer, store=store)
+        counters = tracer.metrics.snapshot().counters
+        assert counters["bootstrap.columns_drawn"] == 16 * 2
+        assert store.nbytes == 2 * 6000 * 16  # uint8 rectangles
+        # Folding the same batches again reads the store: no draw.
+        again = Tracer(metrics=MetricsRegistry(enabled=True))
+        out, _ = _fold_with(ParallelConfig(), tracer=again, store=store)
+        assert "bootstrap.columns_drawn" not in \
+            again.metrics.snapshot().counters
+        for alias in ref:
+            assert np.array_equal(ref[alias], out[alias])
 
-    def test_sharded_run_never_materializes_dense(self):
-        _, handles = _fold_with(
-            ParallelConfig(workers=2, backend="thread")
-        )
-        assert all(h._dense is None for h in handles)
+    def test_sharded_run_draws_on_workers_only(self):
+        store = WeightStore()
+        tracer = Tracer(metrics=MetricsRegistry(enabled=True))
+        _fold_with(ParallelConfig(workers=2, backend="thread"),
+                   tracer=tracer, store=store)
+        counters = tracer.metrics.snapshot().counters
+        assert counters["parallel.shard_tasks"] == 2 * 2
+        # Shards regenerate their columns from the spec, uncounted and
+        # unstored: the coordinator draws nothing.
+        assert "bootstrap.columns_drawn" not in counters
+        assert store.nbytes == 0
 
     def test_small_batches_skip_sharding(self):
         config = ParallelConfig(workers=4, min_shard_rows=10 ** 9)
         ref, _ = _fold_with(ParallelConfig(min_shard_rows=10 ** 9))
-        out, handles = _fold_with(config)
+        out, _ = _fold_with(config)
         for alias in ref:
             assert np.array_equal(ref[alias], out[alias])
-        assert all(h._dense is not None for h in handles)  # dense path
 
     def test_non_mergeable_state_takes_dense_path(self):
         ref, _ = _fold_with(ParallelConfig(), groups=1)
