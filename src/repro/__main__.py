@@ -356,8 +356,7 @@ def _convert(args) -> int:
         dataset = convert_table(
             table, args.out, num_batches=args.batches, seed=args.seed,
             shuffle=not args.no_shuffle, codec=args.codec,
-            chunk_rows=args.chunk_rows, quarantine=quarantine,
-            source=source,
+            quarantine=quarantine, source=source,
         )
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -717,8 +716,6 @@ def main(argv=None) -> int:
                          choices=("auto", "plain", "dict", "rle", "delta"),
                          help="column codec (auto picks the smallest "
                               "per column chunk)")
-    convert.add_argument("--chunk-rows", type=int, default=4096,
-                         help="rows per zone-map chunk")
     convert.add_argument("--error-budget", type=float, default=0.05,
                          help="malformed-row fraction tolerated before "
                               "the CSV load aborts")

@@ -205,21 +205,6 @@ class ParallelConfig:
         task_retries: How many failed pool attempts (crash, hang,
             corrupt result) one shard tolerates before it is quarantined
             and run serially on the coordinator.
-        shared_memory: Publish each folded batch's columns (group
-            indices, aggregate arguments, surviving-row indices) once
-            into ``multiprocessing.shared_memory`` and ship shard
-            payloads as tiny (segment, dtype, shape, offset) specs
-            instead of pickled arrays (``repro.parallel.shm``).  Only
-            affects the process backend; degrades automatically to
-            inline payloads where shared memory is unavailable.  Pure
-            transport — results are bit-identical either way.
-        pipeline: Overlap the coordinator's merge/publish work with the
-            workers' fold of the next dispatch: sharded folds return
-            immediately after dispatch and their partial states are
-            merged at the next synchronization point (publish, snapshot,
-            checkpoint) in dispatch order — which keeps float
-            accumulation order, and therefore every bit of output,
-            identical to the eager path.
         start_method: Process start method for pool workers: ``"auto"``
             (fork where available, else the platform default),
             ``"fork"``, ``"spawn"`` or ``"forkserver"``.  Spawn works
@@ -234,8 +219,6 @@ class ParallelConfig:
     supervise: bool = True
     task_deadline_s: float = 60.0
     task_retries: int = 2
-    shared_memory: bool = True
-    pipeline: bool = True
     start_method: str = "auto"
 
     def __post_init__(self) -> None:
@@ -377,28 +360,18 @@ class ServeConfig:
 class StorageConfig:
     """Knobs for the colstore storage tier (``repro.storage.colstore``).
 
-    All of these are throughput/memory knobs, never correctness knobs:
-    a catalog-registered colstore dataset produces snapshot streams
-    bit-identical to the in-memory table it was converted from, with
-    pruning on or off and at any worker count.  None of these fields
-    participate in checkpoint fingerprints.
+    A catalog-registered colstore dataset produces snapshot streams
+    bit-identical to the in-memory table it was converted from, memory
+    mapped or not and at any worker count; only projections change
+    where a stream starts.  None of these fields participate in
+    checkpoint fingerprints.  How a dataset is written (codec, chunk
+    size) is ``convert_table``'s business, not a run's.
 
     Attributes:
-        format: Substrate for converted datasets: ``"colstore"`` (the
-            partition-file format) is the only on-disk format today.
-        codec: Default column codec for ``repro convert``: ``"auto"``
-            (smallest encoding per column), ``"plain"``, ``"dict"``,
-            ``"rle"`` or ``"delta"``.
         mmap: Open partition files through ``np.memmap`` so column
             segments page in lazily and plain-coded numerics decode to
             zero-copy views (datasets larger than RAM stream
             batch-by-batch).  False reads files into heap buffers.
-        prune: Consult per-chunk zone maps in the filter operators and
-            the uncertain-set re-evaluation to skip predicate-disjoint
-            chunks (``colstore.chunks_pruned``).  Pruned and unpruned
-            runs are bit-identical; this only skips provably dead work.
-        chunk_rows: Zone-map granularity (rows per chunk) used when
-            writing partitions.
         projections: Persist per-lineage-block partial-aggregate fold
             states next to the dataset and warm-start recurring queries
             from them.  Off by default: a warm-started stream *starts*
@@ -411,25 +384,12 @@ class StorageConfig:
             have at least one snapshot to emit).
     """
 
-    format: str = "colstore"
-    codec: str = "auto"
     mmap: bool = True
-    prune: bool = True
-    chunk_rows: int = 4096
     projections: bool = False
     projection_dir: Optional[str] = None
     projection_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.format not in ("colstore",):
-            raise ValueError("format must be 'colstore'")
-        if self.codec not in ("auto", "plain", "dict", "rle", "delta"):
-            raise ValueError(
-                "codec must be one of 'auto', 'plain', 'dict', 'rle', "
-                "'delta'"
-            )
-        if self.chunk_rows < 16:
-            raise ValueError("chunk_rows must be >= 16")
         if self.projection_every < 1:
             raise ValueError("projection_every must be >= 1")
 
@@ -463,9 +423,8 @@ class QaConfig:
         include_serve: Also run every query through the concurrent
             serving scheduler (slower; on in the nightly sweep).
         include_colstore: Also run every query's streamed table through
-            a converted colstore dataset (zone-map pruning on) and
-            require the snapshot stream to be bit-identical to the
-            in-memory serial path.
+            a converted colstore dataset and require the snapshot
+            stream to be bit-identical to the in-memory serial path.
         shrink: Minimize failing queries and write reproducer artifacts.
         artifact_dir: Where failing-query reproducers are written.
         grammar: Query-generation profile: "default" for the classic

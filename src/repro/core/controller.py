@@ -372,16 +372,14 @@ class QueryController:
         into the same ``num_batches`` under the same seed, so batch ``i``
         is a consistent uniform slice across facts."""
         table = self.tables[name]
-        storage = self.config.storage
         dataset: Optional[ColstoreDataset] = (
             table if isinstance(table, ColstoreDataset) else None
         )
         if dataset is not None:
             if dataset.config_matches(self.config):
                 # Stream the stored partition files directly (decoded
-                # lazily, one batch per step); zone maps ride along on
-                # each batch only when pruning is enabled.
-                return dataset.batches(prune=storage.prune), dataset
+                # lazily, one batch per step).
+                return dataset.batches(), dataset
             # The stored partitioning does not match this run's
             # config: materialize (original row order) and re-slice
             # like any in-memory table.  No warm starts — the

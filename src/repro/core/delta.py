@@ -85,13 +85,8 @@ from ..plan.logical import (
     SubquerySpec,
     Window,
 )
-from ..storage.colstore.prune import (
-    chunk_decisions,
-    match_uncertain_comparison,
-    pruned_filter_mask,
-)
 from ..storage.table import Schema, Table
-from .classify import IntervalEnv, interval_eval, tri_eval
+from .classify import IntervalEnv, tri_eval
 from .lineage import lineage_columns
 from .uncertain import KeyedSlotState, ScalarSlotState, SetSlotState
 
@@ -640,29 +635,7 @@ class BlockRuntime:
             # reference (caught by the deep fuzz grammar's empty-group
             # bias).
             if kind == "filter":
-                zones = getattr(table, "_colstore_zones", None)
-                if zones is not None:
-                    # A colstore batch straight off the scan: consult
-                    # its zone maps so chunks the predicate can never
-                    # match are neither decoded into the mask pass nor
-                    # touched again.  The mask is identical to the
-                    # unpruned evaluation (row-local predicate), so
-                    # downstream folds are bit-exact.
-                    with self.tracer.span(
-                        "colstore.prune", block=self.block.block_id,
-                        rows_in=table.num_rows,
-                    ) as pspan:
-                        mask, pruned = pruned_filter_mask(
-                            step, table, penv, zones
-                        )
-                        if self.tracer.enabled:
-                            pspan.set("chunks_pruned", pruned)
-                    if pruned and self.tracer.metrics.enabled:
-                        self.tracer.metrics.counter(
-                            "colstore.chunks_pruned"
-                        ).inc(pruned)
-                else:
-                    mask = evaluate_mask(step, table, penv)
+                mask = evaluate_mask(step, table, penv)
                 table = table.take(mask)
                 pos = np.nonzero(mask)[0] if pos is None else pos[mask]
             else:
@@ -902,16 +875,8 @@ class BlockRuntime:
         with tracer.span("phase:classify", block=self.block.block_id,
                          rows_in=candidates.size, cached_in=cached_in,
                          incoming=incoming.size) as cls_span:
-            zones = getattr(batch, "_colstore_zones", None)
-            if zones is not None and (
-                    pos is not None or zones.num_rows != incoming.size):
-                # Certain steps dropped/reordered rows: the incoming
-                # slice of `candidates` no longer lines up with the
-                # stored chunks, so zone maps cannot speak for it.
-                zones = None
             p_tris = [
-                self._tri_eval_pruned(predicate, candidates, cached_in,
-                                      zones, ienv)
+                tri_eval(predicate, candidates.table, ienv)
                 for predicate in self.pipeline.uncertain_predicates
             ]
             tri = p_tris[0].copy()
@@ -953,54 +918,6 @@ class BlockRuntime:
             uncertain_size=self.cache.size,
             rebuilt=False, rebuild_rows=0,
         )
-
-    def _tri_eval_pruned(self, predicate: Expression,
-                         candidates: CachedRows, cached_in: int,
-                         zones, ienv: IntervalEnv) -> np.ndarray:
-        """Tri-state classification, skipping chunks zone maps decide.
-
-        For a simple ``column <op> uncertain`` predicate, a chunk whose
-        zone interval is entirely on one side of the uncertain value's
-        current variation range classifies every row in it identically
-        — and to exactly the value per-row :func:`tri_eval` would
-        produce (the chunk interval contains each row's degenerate
-        interval, and ``_tri_compare`` is monotone under interval
-        containment).  Those rows are filled wholesale; only cached
-        rows and rows of undecided chunks are evaluated per row, so
-        the resulting classification — and every fold, guard
-        commitment and uncertain-set decision downstream — is
-        bit-identical to the unpruned path.
-        """
-        table = candidates.table
-        if zones is None:
-            return tri_eval(predicate, table, ienv)
-        matched = match_uncertain_comparison(predicate)
-        if matched is None:
-            return tri_eval(predicate, table, ienv)
-        col, op, unc_side = matched
-        lo, hi = interval_eval(unc_side, _ArrayTable({}, 1), ienv)
-        lo = np.asarray(lo, dtype=np.float64).reshape(-1)
-        hi = np.asarray(hi, dtype=np.float64).reshape(-1)
-        decisions = chunk_decisions(zones, col, op,
-                                    float(lo[0]), float(hi[0]))
-        if decisions is None or bool((decisions == TRI_UNKNOWN).all()):
-            return tri_eval(predicate, table, ienv)
-        n_in = zones.num_rows
-        row_dec = np.repeat(decisions, zones.chunk_rows)[:n_in]
-        undecided = np.flatnonzero(row_dec == TRI_UNKNOWN)
-        idx = np.concatenate([
-            np.arange(cached_in, dtype=np.int64),
-            cached_in + undecided.astype(np.int64),
-        ])
-        out = np.empty(cached_in + n_in, dtype=np.int8)
-        out[cached_in:] = row_dec
-        if len(idx):
-            out[idx] = tri_eval(predicate, table.take(idx), ienv)
-        if self.tracer.metrics.enabled:
-            self.tracer.metrics.counter(
-                "colstore.chunks_tri_decided"
-            ).inc(int((decisions != TRI_UNKNOWN).sum()))
-        return out
 
     def _commit_guards(self, candidates: CachedRows, p_tris, tri_final,
                        slot_states, ienv: IntervalEnv) -> None:

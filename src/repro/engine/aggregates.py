@@ -116,8 +116,11 @@ class GroupIndex:
         memo = self._memo
         if token is not None and memo is not None and memo[0] == token:
             return memo[1].copy()
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        uniq_list = uniq.tolist()
+        if keys.dtype == object:
+            uniq_list, inverse = _unique_objects(keys)
+        else:
+            uniq, inverse = np.unique(keys, return_inverse=True)
+            uniq_list = uniq.tolist()
         get = self._lookup.get
         mapped = np.fromiter(
             (get(key, -1) for key in uniq_list),
@@ -145,6 +148,34 @@ class GroupIndex:
         out._keys = list(self._keys)
         out._version = self._version
         return out
+
+
+def _null_first(key):
+    """Sort key placing NULL (None) before every value, inside composite
+    (tuple) keys too, so None is never compared with a value."""
+    if isinstance(key, tuple):
+        return tuple(_null_first(part) for part in key)
+    return (key is not None, key)
+
+
+def _unique_objects(keys: np.ndarray):
+    """``np.unique(keys, return_inverse=True)`` for object keys that may
+    hold NULL (a ``LEFT JOIN``'s unmatched dimension columns).
+
+    NULL forms one group of its own, ordered first; keys without NULL
+    take numpy's path and encode exactly as before.
+    """
+    try:
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        return uniq.tolist(), inverse
+    except TypeError:  # None met a value in numpy's sort
+        pass
+    flat = keys.ravel().tolist()
+    uniq_list = sorted(set(flat), key=_null_first)
+    position = {key: i for i, key in enumerate(uniq_list)}
+    inverse = np.fromiter((position[key] for key in flat),
+                          count=len(flat), dtype=np.int64)
+    return uniq_list, inverse
 
 
 GLOBAL_GROUP = None  # sentinel meaning "no GROUP BY": a single implicit group

@@ -25,22 +25,9 @@ from .aggregates import (
 
 
 def run_filter(node: Filter, table: Table, env: Environment) -> Table:
-    """Apply a Filter node's predicate as a boolean mask.
-
-    A table decoded straight from a colstore partition carries its
-    per-chunk zone maps; chunks the predicate can never match are then
-    skipped wholesale.  The resulting mask is identical to the plain
-    evaluation (predicates are row-local), so this is purely a scan
-    optimization.
-    """
+    """Apply a Filter node's predicate as a boolean mask."""
     if table.num_rows == 0:
         return table
-    zones = getattr(table, "_colstore_zones", None)
-    if zones is not None:
-        from ..storage.colstore.prune import pruned_filter_mask
-
-        mask, _ = pruned_filter_mask(node.predicate, table, env, zones)
-        return table.take(mask)
     return table.take(evaluate_mask(node.predicate, table, env))
 
 

@@ -4,8 +4,8 @@ The one place the ``x θ y`` rules over value intervals are written down
 (paper section 3.2: a comparison is decided exactly when the operands'
 variation ranges cannot overlap the wrong way).  Every consumer feeds it
 intervals from a different source: per-row slot ranges
-(:mod:`repro.core.classify`), folded extremes (:mod:`repro.core.delta`)
-and per-chunk zone-map min/max (:mod:`repro.storage.colstore.prune`).
+(:mod:`repro.core.classify`) and folded extremes
+(:mod:`repro.core.delta`).
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ def tri_compare(op: str, a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
     TRUE where the comparison holds for every pair of values drawn from
     the two intervals, FALSE where it fails for every pair, UNKNOWN
     otherwise.  The rules are monotone under interval containment: a
-    verdict for ``[a_lo, a_hi]`` holds for every sub-interval, which is
-    what lets one chunk-level call speak for each row of the chunk.  A
-    NaN endpoint compares false everywhere and so stays UNKNOWN.
+    verdict for ``[a_lo, a_hi]`` holds for every sub-interval.  A NaN
+    endpoint compares false everywhere and so stays UNKNOWN.
     """
     out = np.full(np.broadcast(a_lo, b_lo).shape, TRI_UNKNOWN,
                   dtype=np.int8)

@@ -141,10 +141,10 @@ class ParallelExecutor:
         rest (reservoir quantiles, UDAFs) take the dense path.  Both
         paths produce bit-identical states.
 
-        With ``lazy=True`` (and ``config.pipeline`` on) a pooled fold
-        returns right after its shards are dispatched; the caller must
-        :meth:`drain` before reading ``boot_states`` (the block runtime
-        drains at publish/snapshot/checkpoint/reset).  Dispatching the
+        With ``lazy=True`` a pooled fold returns right after its shards
+        are dispatched; the caller must :meth:`drain` before reading
+        ``boot_states`` (the block runtime drains at
+        publish/snapshot/checkpoint/reset).  Dispatching the
         next fold for the same states dict first merges the previous
         one, so deferred merges always land in dispatch order and the
         result stays bit-identical to the eager path.
@@ -233,7 +233,7 @@ class ParallelExecutor:
             # Pipeline step: the new dispatch is already running while
             # the previous batch's partial states merge here.
             self._merge_pending(previous)
-        if not (lazy and cfg.pipeline):
+        if not lazy:
             self.drain(boot_states)
 
     def _publish_columns(self, group_idx, shard_values, row_idx):
@@ -243,8 +243,7 @@ class ParallelExecutor:
         space already — and silently skipped where shared memory is
         unavailable (the registry degrades itself after one warning).
         """
-        cfg = self.config
-        if not cfg.shared_memory or cfg.backend != "process":
+        if self.config.backend != "process":
             return None
         if self._shm is None:
             self._shm = ShmRegistry(metrics=self.tracer.metrics)

@@ -11,9 +11,9 @@ five) execution paths that must agree —
   (optional; one shared scheduler is reused across queries),
 
 * ``colstore`` — G-OLA online streaming a converted on-disk colstore
-  dataset, zone-map pruning on (optional); beyond the final-table
-  compare, its whole snapshot stream must be *bit-identical* to the
-  in-memory serial stream,
+  dataset (optional); beyond the final-table compare, its whole
+  snapshot stream must be *bit-identical* to the in-memory serial
+  stream,
 
 compares every path's final table against ``batch`` with the
 float-tolerant structural comparator, and produces one JSON-ready report
@@ -260,11 +260,11 @@ class DifferentialRunner:
 
         Runs the query twice in the given session — once over the
         in-memory tables, once with every streamed table replaced by
-        its converted dataset (mmap decode, zone-map pruning on) — and
-        requires the two snapshot *streams* to be bit-identical, not
-        merely tolerance-close: conversion, memory-mapped decoding and
-        chunk pruning are storage concerns that must not perturb a
-        single user-visible byte.  The final table then also enters
+        its converted dataset (mmap decode) — and requires the two
+        snapshot *streams* to be bit-identical, not merely
+        tolerance-close: conversion and memory-mapped decoding are
+        storage concerns that must not perturb a single user-visible
+        byte.  The final table then also enters
         the ordinary cross-path comparison.
         """
         import tempfile

@@ -237,7 +237,12 @@ def random_fact2_spec(rng: np.random.Generator, fact: TableSpec,
 
 def random_dim_spec(rng: np.random.Generator, fact: TableSpec,
                     name: str = "dim", seed: int = 1) -> TableSpec:
-    """A dimension table joinable on the fact's first key column."""
+    """A dimension table joinable on the fact's first key column.
+
+    Its ids cover all but a seeded top slice (one key up to a quarter)
+    of the key's domain, so a ``LEFT JOIN`` always meets fact rows with
+    no dimension row and NULL-fills them.
+    """
     key = next(c for c in fact.columns if c.kind == "key")
     cols = [
         ColumnSpec(f"{name}_id", "id"),
@@ -246,5 +251,6 @@ def random_dim_spec(rng: np.random.Generator, fact: TableSpec,
         ColumnSpec(f"{name}_weight", "float",
                    scale=float(rng.uniform(0.5, 2.0))),
     ]
-    return TableSpec(name=name, rows=key.card, seed=seed,
-                     columns=tuple(cols), streamed=False)
+    unmatched = int(rng.integers(1, max(1, key.card // 4) + 1))
+    return TableSpec(name=name, rows=max(1, key.card - unmatched),
+                     seed=seed, columns=tuple(cols), streamed=False)

@@ -9,22 +9,12 @@ from .partition import (
     shuffle_table,
 )
 from .table import Column, ColumnType, Schema, Table
-
-# colstore is exposed lazily: its pruning module needs repro.expr,
-# which itself imports .table from this package — an eager import here
-# would cycle whenever repro.expr is what triggered this package.
-_COLSTORE_EXPORTS = frozenset(
-    {"ColstoreDataset", "ProjectionStore", "convert_table", "open_dataset"}
+from .colstore import (
+    ColstoreDataset,
+    ProjectionStore,
+    convert_table,
+    open_dataset,
 )
-
-
-def __getattr__(name):
-    if name in _COLSTORE_EXPORTS:
-        from . import colstore
-
-        return getattr(colstore, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "Catalog",

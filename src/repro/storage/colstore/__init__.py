@@ -1,10 +1,10 @@
 """Compressed, memory-mapped columnar partition storage.
 
 One ``.gcp`` file per shuffled mini-batch (64-byte-aligned column
-segments behind a JSON footer), per-chunk zone maps consulted by the
-filter and uncertain-set pruning hooks, and partial-aggregate
-projections that let recurring queries warm-start from persisted fold
-state.  See ``docs/storage.md`` for the format and semantics.
+segments behind a JSON footer that also records per-chunk zone-map
+statistics for ``repro inspect``), and partial-aggregate projections
+that let recurring queries warm-start from persisted fold state.  See
+``docs/storage.md`` for the format and semantics.
 """
 
 from .codecs import CODECS, EncodedColumn, decode_column, encode_column
@@ -21,34 +21,20 @@ from .format import (
     write_partition,
 )
 from .projections import ProjectionStore, projection_key
-from .prune import (
-    ColumnZones,
-    ZoneMapIndex,
-    chunk_decisions,
-    chunk_keep,
-    match_uncertain_comparison,
-    pruned_filter_mask,
-)
 
 __all__ = [
     "CODECS",
     "ColstoreDataset",
-    "ColumnZones",
     "DEFAULT_CHUNK_ROWS",
     "EncodedColumn",
     "PartitionReader",
     "ProjectionStore",
-    "ZoneMapIndex",
-    "chunk_decisions",
-    "chunk_keep",
     "compute_zones",
     "convert_table",
     "decode_column",
     "encode_column",
     "is_dataset_dir",
-    "match_uncertain_comparison",
     "open_dataset",
     "projection_key",
-    "pruned_filter_mask",
     "write_partition",
 ]

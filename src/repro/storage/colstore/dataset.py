@@ -63,7 +63,6 @@ def _quarantine_records(quarantine: Optional[RowQuarantine]):
 def convert_table(table: Table, out_dir, num_batches: int,
                   seed: int = 0, shuffle: bool = True,
                   codec: str = "auto",
-                  chunk_rows: int = DEFAULT_CHUNK_ROWS,
                   quarantine: Optional[RowQuarantine] = None,
                   source: Optional[str] = None) -> "ColstoreDataset":
     """Write ``table`` as a colstore dataset directory.
@@ -88,7 +87,7 @@ def convert_table(table: Table, out_dir, num_batches: int,
     for index, batch in enumerate(partitioner.iter_batches(table)):
         name = f"part-{index:05d}{PARTITION_SUFFIX}"
         path = os.path.join(out_dir, name)
-        write_partition(path, batch, codec=codec, chunk_rows=chunk_rows)
+        write_partition(path, batch, codec=codec)
         sha = _file_sha256(path)
         fingerprint.update(sha.encode())
         partitions.append({
@@ -105,7 +104,7 @@ def convert_table(table: Table, out_dir, num_batches: int,
         "seed": seed,
         "shuffle": shuffle,
         "codec": codec,
-        "chunk_rows": chunk_rows,
+        "chunk_rows": DEFAULT_CHUNK_ROWS,
         "schema": [[c.name, c.ctype.value] for c in table.schema],
         "partitions": partitions,
         "fingerprint": fingerprint.hexdigest()[:32],
@@ -128,9 +127,8 @@ class _LazyBatchSeq:
     bounded by one batch plus whatever the run itself keeps.
     """
 
-    def __init__(self, dataset: "ColstoreDataset", prune: bool):
+    def __init__(self, dataset: "ColstoreDataset"):
         self._dataset = dataset
-        self._prune = prune
 
     def __len__(self) -> int:
         return self._dataset.num_batches
@@ -140,7 +138,7 @@ class _LazyBatchSeq:
             return [self[i] for i in range(*index.indices(len(self)))]
         if index < 0:
             index += len(self)
-        return self._dataset.batch(index, with_zones=self._prune)
+        return self._dataset.batch(index)
 
     def __iter__(self):
         for i in range(len(self)):
@@ -264,13 +262,13 @@ class ColstoreDataset:
             )
         return self._readers[index]
 
-    def batch(self, index: int, with_zones: bool = True) -> Table:
-        """Decode mini-batch ``index`` (zone maps attached by default)."""
-        return self.reader(index).read_table(with_zones=with_zones)
+    def batch(self, index: int) -> Table:
+        """Decode mini-batch ``index``."""
+        return self.reader(index).read_table()
 
-    def batches(self, prune: bool = True) -> _LazyBatchSeq:
+    def batches(self) -> _LazyBatchSeq:
         """A lazy, indexable sequence of all mini-batches."""
-        return _LazyBatchSeq(self, prune)
+        return _LazyBatchSeq(self)
 
     def to_table(self) -> Table:
         """Materialize the dataset in its *original* row order.
@@ -279,8 +277,7 @@ class ColstoreDataset:
         manifest seed, never stored) so batch execution over the
         materialized table matches the pre-conversion source exactly.
         """
-        batches = [self.batch(i, with_zones=False)
-                   for i in range(self.num_batches)]
+        batches = [self.batch(i) for i in range(self.num_batches)]
         rng = np.random.default_rng(self.seed)
         if self.shuffle:
             shuffled = Table.concat(batches) if batches else \

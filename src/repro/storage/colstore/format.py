@@ -12,8 +12,8 @@ Every segment starts on a 64-byte boundary so a ``np.memmap`` view of
 the file yields cache-line-aligned, dtype-safe zero-copy column arrays
 for ``plain``-coded numeric columns.  Per-chunk zone maps (min/max,
 null count, distinct estimate) are computed at encode time and stored
-in the footer; readers expose them as a :class:`ZoneMapIndex` without
-touching the column payloads.
+in the footer as statistics ``repro inspect`` reports; no read path
+consults them (see ``docs/storage.md``).
 """
 
 from __future__ import annotations
@@ -21,21 +21,20 @@ from __future__ import annotations
 import json
 import os
 import struct
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from ...errors import StorageError
 from ..table import Column, ColumnType, Schema, Table
 from .codecs import decode_column, encode_column
-from .prune import ColumnZones, ZoneMapIndex
 
 MAGIC = b"GOLACOL1"
 ALIGN = 64
 FORMAT_VERSION = 1
 _TRAILER = struct.Struct("<Q")
 
-#: Default rows per zone-map chunk (also the pruning granularity).
+#: Rows per zone-map chunk.
 DEFAULT_CHUNK_ROWS = 4096
 
 
@@ -181,10 +180,6 @@ class PartitionReader:
     def num_rows(self) -> int:
         return int(self.footer["num_rows"])
 
-    @property
-    def chunk_rows(self) -> int:
-        return int(self.footer["chunk_rows"])
-
     def _buffer(self) -> np.ndarray:
         if self._buf is None:
             if self.mmap:
@@ -207,30 +202,8 @@ class PartitionReader:
             for col in self.footer["columns"]
         ))
 
-    def zone_index(self) -> ZoneMapIndex:
-        columns: Dict[str, ColumnZones] = {}
-        for col in self.footer["columns"]:
-            zones = col["zones"]
-            columns[col["name"]] = ColumnZones(
-                ctype=col["type"],
-                lows=[z["lo"] for z in zones],
-                highs=[z["hi"] for z in zones],
-                nulls=np.array([z["nulls"] for z in zones], dtype=np.int64),
-                distinct=np.array([z["distinct"] for z in zones],
-                                  dtype=np.int64),
-            )
-        return ZoneMapIndex(chunk_rows=self.chunk_rows,
-                            num_rows=self.num_rows, columns=columns)
-
-    def read_table(self, with_zones: bool = True) -> Table:
-        """Decode the whole partition into a :class:`Table`.
-
-        With ``with_zones`` the zone-map index rides along as a
-        ``_colstore_zones`` attribute, which the filter/classification
-        pruning hooks look for.  ``take``/``slice``/``concat`` produce
-        fresh tables without the attribute, so stale chunk alignment
-        can never leak past the first row-reordering operation.
-        """
+    def read_table(self) -> Table:
+        """Decode the whole partition into a :class:`Table`."""
         arrays = {}
         for col in self.footer["columns"]:
             ctype = ColumnType(col["type"])
@@ -238,7 +211,4 @@ class PartitionReader:
             arrays[col["name"]] = decode_column(
                 col["codec"], segments, col["meta"], ctype, self.num_rows
             )
-        table = Table(self.schema(), arrays)
-        if with_zones:
-            table._colstore_zones = self.zone_index()
-        return table
+        return Table(self.schema(), arrays)

@@ -1,10 +1,10 @@
 """Colstore acceptance: converted datasets are invisible in the answers.
 
 For every paper query the snapshot stream from a converted on-disk
-dataset must be **bit-identical** to the in-memory path — with pruning
-on and off, serially and on a 4-worker pool.  Pruning-on equality is
-the load-bearing check: zone maps may only skip work, never change a
-mask, a weight draw or an estimate.
+dataset must be **bit-identical** to the in-memory path, serially and
+on a 4-worker pool, with the footer zone maps as written and stripped
+(``prune``/``noprune``, see ``_zones``): decoding a stored partition
+may never change a mask, a weight draw or an estimate.
 """
 
 import dataclasses
@@ -17,6 +17,8 @@ from repro.config import ParallelConfig
 from repro.faults.chaos import snapshot_fingerprint
 from repro.storage.colstore import convert_table, open_dataset
 from repro import workloads
+
+from ._zones import strip_zone_maps
 
 ROWS = 6000
 BATCHES = 5
@@ -50,13 +52,21 @@ def datasets(tmp_path_factory):
     return out
 
 
-def _config(prune: bool, workers: int) -> GolaConfig:
+@pytest.fixture(scope="module")
+def stripped(datasets, tmp_path_factory):
+    """Each dataset's copy with no zone maps in its footers."""
+    root = tmp_path_factory.mktemp("colstore-identity-noprune")
+    return {name: strip_zone_maps(path, root / name)
+            for name, (_, path) in datasets.items()}
+
+
+def _config(workers: int) -> GolaConfig:
     parallel = (ParallelConfig(workers=workers, backend="thread",
                                min_shard_rows=64)
                 if workers > 1 else ParallelConfig())
     return GolaConfig(
         num_batches=BATCHES, seed=SEED, bootstrap_trials=24,
-        parallel=parallel, storage=StorageConfig(prune=prune),
+        parallel=parallel,
     )
 
 
@@ -70,28 +80,31 @@ def _stream_fp(config, table_name, source, sql, colstore: bool):
 
 
 @pytest.mark.parametrize("name", sorted(QUERY_CASES))
-@pytest.mark.parametrize("prune", [True, False],
+@pytest.mark.parametrize("zone_maps", [True, False],
                          ids=["prune", "noprune"])
 @pytest.mark.parametrize("workers", [1, 4], ids=["serial", "pool4"])
-def test_snapshot_stream_bit_identity(datasets, name, prune, workers):
+def test_snapshot_stream_bit_identity(datasets, stripped, name, zone_maps,
+                                      workers):
     table_name, _, sql = QUERY_CASES[name]
     table, path = datasets[table_name]
-    config = _config(prune, workers)
+    if not zone_maps:
+        path = stripped[table_name]
+    config = _config(workers)
     mem_fp = _stream_fp(config, table_name, table, sql, colstore=False)
     cs_fp = _stream_fp(config, table_name, path, sql, colstore=True)
     assert cs_fp == mem_fp, (
         f"{name}: colstore stream diverged from in-memory "
-        f"(prune={prune}, workers={workers})"
+        f"(zone_maps={zone_maps}, workers={workers})"
     )
 
 
 def test_mmap_and_eager_reads_agree(datasets):
     table_name, _, sql = QUERY_CASES["sbi"]
     _, path = datasets[table_name]
-    config = _config(True, 1)
+    config = _config(1)
     fp_mmap = _stream_fp(config, table_name, path, sql, colstore=True)
     eager = dataclasses.replace(
-        config, storage=StorageConfig(prune=True, mmap=False)
+        config, storage=StorageConfig(mmap=False)
     )
     fp_eager = _stream_fp(eager, table_name, path, sql, colstore=True)
     assert fp_mmap == fp_eager
@@ -101,7 +114,7 @@ def test_batch_engine_matches_source_table(datasets):
     """to_table() inverts the stored permutation: batch results match."""
     table_name, _, sql = QUERY_CASES["c3"]
     table, path = datasets[table_name]
-    config = _config(True, 1)
+    config = _config(1)
 
     mem = GolaSession(config)
     mem.register_table(table_name, table)
@@ -123,7 +136,7 @@ def test_mismatched_config_falls_back_to_repartition(datasets):
     """A dataset stored under other knobs still answers correctly."""
     table_name, _, sql = QUERY_CASES["sbi"]
     table, path = datasets[table_name]
-    config = dataclasses.replace(_config(True, 1), num_batches=4)
+    config = dataclasses.replace(_config(1), num_batches=4)
     mem_fp = _stream_fp(config, table_name, table, sql, colstore=False)
     cs_fp = _stream_fp(config, table_name, path, sql, colstore=True)
     assert cs_fp == mem_fp

@@ -4,7 +4,8 @@ Every new construct — window functions, DISTINCT aggregates, quantile
 CIs, multi-fact joins, NaN-heavy columns — runs the same identity
 matrix the colstore PR established for the paper queries: the snapshot
 stream from converted on-disk datasets must be **bit-identical** to the
-in-memory path (pruning on and off, serially and on a 4-worker pool),
+in-memory path (footer zone maps as written and stripped —
+``prune``/``noprune``, see ``_zones`` — serially and on a 4-worker pool),
 and the serve scheduler's finished-run table must agree with a plain
 serial run.  Multi-fact queries convert *both* streamed facts.
 """
@@ -12,11 +13,13 @@ serial run.  Multi-fact queries convert *both* streamed facts.
 import numpy as np
 import pytest
 
-from repro import GolaConfig, GolaSession, StorageConfig
+from repro import GolaConfig, GolaSession
 from repro.config import ParallelConfig
 from repro.faults.chaos import snapshot_fingerprint
 from repro.storage.colstore import convert_table
 from repro.workloads.taxi import QUERIES, generate_taxi
+
+from ._zones import strip_zone_maps
 
 ROWS = 4000  # <= quantile reservoir capacity: every path sees all rows
 BATCHES = 4
@@ -57,13 +60,21 @@ def datasets(taxi, tmp_path_factory):
     return out
 
 
-def _config(prune: bool, workers: int) -> GolaConfig:
+@pytest.fixture(scope="module")
+def stripped(datasets, tmp_path_factory):
+    """Both converted facts copied with no zone maps in their footers."""
+    root = tmp_path_factory.mktemp("deep-identity-noprune")
+    return {name: strip_zone_maps(path, root / name)
+            for name, path in datasets.items()}
+
+
+def _config(workers: int) -> GolaConfig:
     parallel = (ParallelConfig(workers=workers, backend="thread",
                                min_shard_rows=64)
                 if workers > 1 else ParallelConfig())
     return GolaConfig(
         num_batches=BATCHES, seed=SEED, bootstrap_trials=16,
-        parallel=parallel, storage=StorageConfig(prune=prune),
+        parallel=parallel,
     )
 
 
@@ -80,20 +91,21 @@ def _session(taxi, config, datasets=None) -> GolaSession:
 
 
 @pytest.mark.parametrize("name", sorted(QUERY_CASES))
-@pytest.mark.parametrize("prune", [True, False],
+@pytest.mark.parametrize("zone_maps", [True, False],
                          ids=["prune", "noprune"])
 @pytest.mark.parametrize("workers", [1, 4], ids=["serial", "pool4"])
-def test_snapshot_stream_bit_identity(taxi, datasets, name, prune,
-                                      workers):
+def test_snapshot_stream_bit_identity(taxi, datasets, stripped, name,
+                                      zone_maps, workers):
     sql = QUERY_CASES[name]
-    config = _config(prune, workers)
+    config = _config(workers)
     mem = _session(taxi, config)
     mem_fp = snapshot_fingerprint(mem.sql(sql).run_online())
-    cs = _session(taxi, config, datasets=datasets)
+    cs = _session(taxi, config,
+                  datasets=datasets if zone_maps else stripped)
     cs_fp = snapshot_fingerprint(cs.sql(sql).run_online())
     assert cs_fp == mem_fp, (
         f"{name}: colstore stream diverged from in-memory "
-        f"(prune={prune}, workers={workers})"
+        f"(zone_maps={zone_maps}, workers={workers})"
     )
 
 
@@ -114,8 +126,8 @@ def _assert_tables_close(a, b):
 @pytest.mark.parametrize("name", sorted(QUERY_CASES))
 def test_parallel_pool_matches_serial(taxi, name):
     sql = QUERY_CASES[name]
-    serial = _session(taxi, _config(True, 1))
-    pooled = _session(taxi, _config(True, 4))
+    serial = _session(taxi, _config(1))
+    pooled = _session(taxi, _config(4))
     _assert_tables_close(
         serial.sql(sql).run_to_completion().table,
         pooled.sql(sql).run_to_completion().table,
@@ -127,10 +139,10 @@ def test_serve_final_table_matches_serial(taxi, name):
     from repro.serve import QueryScheduler
 
     sql = QUERY_CASES[name]
-    serial = _session(taxi, _config(True, 1))
+    serial = _session(taxi, _config(1))
     expected = serial.sql(sql).run_to_completion().table
 
-    served = _session(taxi, _config(True, 1))
+    served = _session(taxi, _config(1))
     scheduler = QueryScheduler(served)
     try:
         run = scheduler.submit(sql, config=served.config)

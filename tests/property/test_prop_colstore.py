@@ -1,13 +1,8 @@
-"""Property-based tests for colstore codecs and zone-map pruning.
+"""Property-based tests for the colstore codecs.
 
-Two invariants carry the whole subsystem:
-
-* every codec round-trips **bit-exactly** (NaN payloads, signed zeros
-  and empty arrays included) — the storage layer may never be a source
-  of numeric drift;
-* ``pruned_filter_mask`` equals ``evaluate_mask`` for any data layout,
-  chunk size and comparison — pruning is an optimization, never an
-  answer change.
+Every codec round-trips **bit-exactly** (NaN payloads, signed zeros and
+empty arrays included) — the storage layer may never be a source of
+numeric drift.
 """
 
 import json
@@ -17,24 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.expr.expressions import (
-    ColumnRef,
-    Comparison,
-    Environment,
-    Literal,
-    evaluate_mask,
-)
-from repro.storage import Table
 from repro.storage.colstore.codecs import (
     CODECS,
     decode_column,
     encode_column,
-)
-from repro.storage.colstore.format import compute_zones
-from repro.storage.colstore.prune import (
-    ColumnZones,
-    ZoneMapIndex,
-    pruned_filter_mask,
 )
 from repro.storage.table import ColumnType
 
@@ -112,55 +93,3 @@ def test_bool_round_trip(arr, codec):
 def test_string_round_trip(arr, codec):
     assert_bit_equal(arr, roundtrip(arr, ColumnType.STRING, codec))
 
-
-# ---------------------------------------------------------------------------
-# Pruning never changes a filter's row mask.
-# ---------------------------------------------------------------------------
-
-prune_values = arrays(
-    np.float64, st.integers(min_value=1, max_value=400),
-    elements=st.one_of(
-        st.floats(min_value=-100, max_value=100, allow_nan=False),
-        st.just(np.nan),
-    ),
-)
-
-
-@st.composite
-def prune_case(draw):
-    values = draw(prune_values)
-    if draw(st.booleans()):
-        values = np.sort(values)  # clustered → prunable
-    chunk_rows = draw(st.sampled_from([1, 7, 32, 64]))
-    op = draw(st.sampled_from(["<", "<=", ">", ">=", "=", "!="]))
-    const = draw(st.one_of(
-        st.floats(min_value=-120, max_value=120, allow_nan=False),
-        st.sampled_from([0.0, 50.0, -50.0]),
-    ))
-    return values, chunk_rows, op, const
-
-
-@given(prune_case())
-@settings(max_examples=120, deadline=None)
-def test_pruned_mask_equals_evaluate_mask(case):
-    values, chunk_rows, op, const = case
-    table = Table.from_columns({"v": values})
-    zone_dicts = compute_zones(values, ColumnType.FLOAT64, chunk_rows)
-    zones = ZoneMapIndex(
-        chunk_rows=chunk_rows, num_rows=len(values),
-        columns={"v": ColumnZones(
-            ctype="float64",
-            lows=[z["lo"] for z in zone_dicts],
-            highs=[z["hi"] for z in zone_dicts],
-            nulls=np.array([z["nulls"] for z in zone_dicts]),
-            distinct=np.array([z["distinct"] for z in zone_dicts]),
-        )},
-    )
-    predicate = Comparison(op, ColumnRef("v"), Literal(const))
-    env = Environment()
-    mask, pruned = pruned_filter_mask(predicate, table, env, zones)
-    expected = np.asarray(evaluate_mask(predicate, table, env),
-                          dtype=bool)
-    np.testing.assert_array_equal(mask, expected)
-    # a pruned chunk must have contributed no True rows
-    assert 0 <= pruned <= zones.num_chunks

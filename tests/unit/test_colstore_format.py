@@ -78,12 +78,14 @@ class TestPartitionFile:
         })
         path = tmp_path / "p.gcp"
         write_partition(path, table, chunk_rows=32)
-        zi = PartitionReader(path).zone_index()
-        assert zi.num_chunks == 4
-        cz = zi.columns["x"]
-        assert cz.lows.tolist() == [0, 32, 64, 96]
-        assert cz.highs.tolist() == [31, 63, 95, 99]
-        assert cz.nulls.sum() == 0
+        footer = PartitionReader(path).footer
+        assert footer["chunk_rows"] == 32
+        (column,) = footer["columns"]
+        zones = column["zones"]
+        assert [z["lo"] for z in zones] == [0, 32, 64, 96]
+        assert [z["hi"] for z in zones] == [31, 63, 95, 99]
+        assert [z["nulls"] for z in zones] == [0, 0, 0, 0]
+        assert [z["distinct"] for z in zones] == [32, 32, 32, 4]
 
     def test_truncated_file_raises(self, tmp_path):
         path = tmp_path / "p.gcp"
@@ -165,31 +167,10 @@ class TestDataset:
         ) and (tmp_path / "ds"))
         expected = MiniBatchPartitioner(3, seed=11,
                                         shuffle=True).partition(table)
-        got = ds.batches(prune=False)
+        got = ds.batches()
         assert len(got) == len(expected)
         for e, g in zip(expected, got):
             assert_tables_equal(e, g)
-
-    def test_batches_carry_zones_only_when_pruning(self, tmp_path):
-        ds = open_dataset(convert_table(
-            sample_table(600), tmp_path / "ds", num_batches=2, seed=1,
-            shuffle=False,
-        ) and (tmp_path / "ds"))
-        assert getattr(ds.batches(prune=True)[0],
-                       "_colstore_zones", None) is not None
-        assert getattr(ds.batches(prune=False)[0],
-                       "_colstore_zones", None) is None
-
-    def test_zones_dropped_by_row_reordering_ops(self, tmp_path):
-        ds = open_dataset(convert_table(
-            sample_table(600), tmp_path / "ds", num_batches=2, seed=1,
-            shuffle=False,
-        ) and (tmp_path / "ds"))
-        batch = ds.batches(prune=True)[0]
-        taken = batch.take(np.arange(batch.num_rows) % 2 == 0)
-        assert getattr(taken, "_colstore_zones", None) is None
-        merged = Table.concat([batch, ds.batches(prune=True)[1]])
-        assert getattr(merged, "_colstore_zones", None) is None
 
     def test_quarantine_round_trip(self, tmp_path):
         table = sample_table(400)

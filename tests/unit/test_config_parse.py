@@ -18,17 +18,17 @@ ROUND_TRIPS = [
      {"enabled": True, "batch_failure_prob": 0.3, "max_retries": 1,
       "seed": 7, "speculate": False, "checkpoint_path": "/tmp/ck"}),
     (ParallelConfig, "--workers",
-     "workers=1,task_deadline_s=2.5,backend=thread,pipeline=0",
+     "workers=1,task_deadline_s=2.5,backend=thread,supervise=0",
      {"workers": 1, "task_deadline_s": 2.5, "backend": "thread",
-      "pipeline": False}),
+      "supervise": False}),
     (ServeConfig, "--serve",
      "max_concurrent=8,queue_depth=32,port=9000,scan_cache=false,"
      "default_deadline_s=1.5,host=0.0.0.0",
      {"max_concurrent": 8, "queue_depth": 32, "port": 9000,
       "scan_cache": False, "default_deadline_s": 1.5, "host": "0.0.0.0"}),
     (StorageConfig, "--storage",
-     " chunk_rows = 64 , codec=rle,projections=yes,projection_dir=p ",
-     {"chunk_rows": 64, "codec": "rle", "projections": True,
+     " projection_every = 3 , mmap=no,projections=yes,projection_dir=p ",
+     {"projection_every": 3, "mmap": False, "projections": True,
       "projection_dir": "p"}),
     (QaConfig, "--qa",
      "queries=7,rtol=1e-3,include_serve=true,grammar=deep",

@@ -464,9 +464,8 @@ class TestParallelExecutor:
 
 
 class TestZeroCopyPipeline:
-    """Shared-memory publish + pipelined lazy folds (ISSUE 8) stay
-    bit-identical to the classic eager inline-payload path, for every
-    combination of the transport knobs and start methods."""
+    """Shared-memory publish + pipelined lazy folds stay bit-identical
+    to the eager inline-payload path, on every start method."""
 
     def test_process_shm_pipeline_identical_to_serial(self):
         ref, _ = _fold_with(ParallelConfig())
@@ -476,18 +475,20 @@ class TestZeroCopyPipeline:
         for alias in ref:
             assert np.array_equal(ref[alias], out[alias]), alias
 
-    def test_transport_knobs_off_identical(self):
+    def test_eager_and_inline_payload_folds_identical(self, monkeypatch):
         ref, _ = _fold_with(ParallelConfig())
-        for config in (
-            ParallelConfig(workers=2, backend="process",
-                           shared_memory=False),
-            ParallelConfig(workers=2, backend="process",
-                           pipeline=False),
-        ):
-            out, _ = _fold_with(config, lazy=True)
+        config = ParallelConfig(workers=2, backend="process")
+        eager, _ = _fold_with(config, lazy=False)
+        # A host without shared memory: every registry starts degraded,
+        # so shard payloads carry their arrays inline.
+        monkeypatch.setattr("repro.parallel.shm.HAVE_SHM", False)
+        tracer = Tracer(metrics=MetricsRegistry(enabled=True))
+        inline, _ = _fold_with(config, lazy=True, tracer=tracer)
+        counters = tracer.metrics.snapshot().counters
+        assert "parallel.shm_segments_created" not in counters
+        for out in (eager, inline):
             for alias in ref:
-                assert np.array_equal(ref[alias], out[alias]), \
-                    (config, alias)
+                assert np.array_equal(ref[alias], out[alias]), alias
 
     @pytest.mark.slow
     def test_spawn_start_method_identical(self):
