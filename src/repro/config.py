@@ -265,8 +265,8 @@ class ServeConfig:
 
     The scheduler cooperatively interleaves mini-batch steps of many
     concurrent online queries on one scheduler thread, sharing one
-    ``repro.parallel`` worker pool and (optionally) one batch-scan
-    cache.  Because every query keeps its own RNG streams and block
+    ``repro.parallel`` worker pool and the session's batch store.
+    Because every query keeps its own RNG streams and block
     state, any interleaving produces snapshot streams bit-identical to
     running the same queries serially.
 
@@ -297,10 +297,6 @@ class ServeConfig:
             (counted, never blocking the scheduler).  Replay-from-start
             subscriptions are never lossy — the full per-query history
             is kept for the query's lifetime.
-        scan_cache: Share per-mini-batch row partitions between
-            concurrent queries over the same table (same ``num_batches``
-            / ``seed`` / ``shuffle``) instead of re-slicing per query.
-        scan_cache_entries: Maximum distinct partition lists kept (LRU).
         telemetry: Record serve-layer telemetry (SLO quantile
             histograms, sliding-window rates, per-query convergence
             streams; served at ``/metrics`` and
@@ -321,8 +317,6 @@ class ServeConfig:
     default_deadline_s: float = 0.0
     max_steps_per_turn: int = 1
     snapshot_queue: int = 256
-    scan_cache: bool = True
-    scan_cache_entries: int = 8
     telemetry: bool = True
     drain_timeout_s: float = 10.0
 
@@ -339,8 +333,6 @@ class ServeConfig:
             raise ValueError("max_steps_per_turn must be >= 1")
         if self.snapshot_queue < 1:
             raise ValueError("snapshot_queue must be >= 1")
-        if self.scan_cache_entries < 1:
-            raise ValueError("scan_cache_entries must be >= 1")
         if self.drain_timeout_s < 0:
             raise ValueError("drain_timeout_s must be >= 0")
 
@@ -351,7 +343,7 @@ class ServeConfig:
         An empty spec yields the defaults; unknown keys raise
         ValueError.  Example::
 
-            ServeConfig.parse("port=9000,max_concurrent=8,scan_cache=0")
+            ServeConfig.parse("port=9000,max_concurrent=8,telemetry=0")
         """
         return cls(**_parse_spec(cls, spec, "--serve"))
 

@@ -2,12 +2,11 @@
 
 Drives one online query end to end:
 
-* randomly partitions the streamed relation into ``k`` uniform
-  mini-batches (via :class:`~repro.storage.partition.MiniBatchPartitioner`);
-* hands every lineage block the same Poisson bootstrap weights per
-  batch (read from the session's :class:`~repro.estimate.bootstrap.
-  WeightStore`, so they are drawn once per session), so every block
-  sees consistent simulated databases per trial;
+* reads the streamed relation's ``k`` uniform random mini-batches and
+  their Poisson bootstrap weights from the session's
+  :class:`~repro.core.store.BatchStore` (cut and drawn once per
+  session), so every lineage block sees consistent simulated databases
+  per trial;
 * evaluates *static* subqueries (those over non-streamed dimension
   tables) exactly once, publishing them as certain (degenerate-range)
   slot states;
@@ -32,11 +31,7 @@ from ..config import GolaConfig
 from ..engine.aggregates import GroupIndex, UDAFRegistry
 from ..engine.executor import BatchExecutor
 from ..errors import CheckpointError, ExecutionError, ShardLostError
-from ..estimate.bootstrap import (
-    PoissonWeightSource,
-    WeightStore,
-    stream_label,
-)
+from ..estimate.bootstrap import PoissonWeightSource, stream_label
 from ..estimate.intervals import basic_intervals, relative_stdevs
 from ..estimate.variation import VariationRange
 from ..expr.expressions import Environment
@@ -53,10 +48,10 @@ from ..parallel import ParallelExecutor
 from ..plan.logical import Query
 from ..storage.colstore.dataset import ColstoreDataset
 from ..storage.colstore.projections import ProjectionStore
-from ..storage.partition import MiniBatchPartitioner
 from ..storage.table import Table
 from .meta_plan import compile_meta_plan
 from .result import ColumnErrors, OnlineSnapshot
+from .store import BatchStore
 from .uncertain import (
     TRI_FALSE,
     TRI_TRUE,
@@ -82,8 +77,7 @@ class QueryController:
                  functions: FunctionRegistry = DEFAULT_FUNCTIONS,
                  tracer: Optional[Tracer] = None,
                  parallel: Optional[ParallelExecutor] = None,
-                 scan_cache=None,
-                 weight_store: Optional[WeightStore] = None):
+                 batch_store: Optional[BatchStore] = None):
         self.query = query
         self.config = config
         self.tables = {k.lower(): v for k, v in tables.items()}
@@ -122,13 +116,10 @@ class QueryController:
                 config, tracer=self.tracer, injector=self.injector
             )
         )
-        #: Optional shared :class:`~repro.serve.BatchScanCache`; when
-        #: set, mini-batch partitions come from (and are shared through)
-        #: the cache instead of being sliced per run.
-        self.scan_cache = scan_cache
-        #: Drawn weight rectangles: the session's, shared by its queries.
-        self.weight_store = (
-            weight_store if weight_store is not None else WeightStore()
+        #: Partitions and weight rectangles: the session's, shared by
+        #: its queries.
+        self.batch_store = (
+            batch_store if batch_store is not None else BatchStore()
         )
         for runtime in self.runtimes.values():
             runtime.tracer = self.tracer
@@ -248,11 +239,20 @@ class QueryController:
         self._stopped = False
         tracer = self.tracer
         storage = self.config.storage
-        batches: Dict[str, List[Table]] = {}
-        datasets: Dict[str, Optional[ColstoreDataset]] = {}
-        for name in self.streamed_tables:
-            batches[name], datasets[name] = self._make_batches(name)
-        dataset = datasets[self.streamed_table]
+        # Every streamed table is cut into the same ``num_batches`` under
+        # the same seed, so batch ``i`` is a consistent uniform slice
+        # across facts.
+        batches = {
+            name: self.batch_store.partitions(
+                name, self.tables[name], self.config, tracer.metrics)
+            for name in self.streamed_tables
+        }
+        # Warm starts need the stored batch layout; a mismatched dataset
+        # was re-cut from memory.
+        dataset = self.tables[self.streamed_table]
+        if not (isinstance(dataset, ColstoreDataset)
+                and dataset.config_matches(self.config)):
+            dataset = None
         weight_sources = {
             name: self._weight_source(name) for name in self.streamed_tables
         }
@@ -363,41 +363,8 @@ class QueryController:
         return PoissonWeightSource(
             self.config.bootstrap_trials, self.config.seed,
             label=stream_label(name), tracer=self.tracer,
-            store=self.weight_store,
+            store=self.batch_store,
         )
-
-    def _make_batches(self, name: str):
-        """Mini-batch partitions (and the backing colstore dataset, if
-        any) for one streamed relation.  Every streamed table is cut
-        into the same ``num_batches`` under the same seed, so batch ``i``
-        is a consistent uniform slice across facts."""
-        table = self.tables[name]
-        dataset: Optional[ColstoreDataset] = (
-            table if isinstance(table, ColstoreDataset) else None
-        )
-        if dataset is not None:
-            if dataset.config_matches(self.config):
-                # Stream the stored partition files directly (decoded
-                # lazily, one batch per step).
-                return dataset.batches(), dataset
-            # The stored partitioning does not match this run's
-            # config: materialize (original row order) and re-slice
-            # like any in-memory table.  No warm starts — the
-            # stored batch layout is not what this run folds.
-            partitioner = MiniBatchPartitioner(
-                self.config.num_batches, seed=self.config.seed,
-                shuffle=self.config.shuffle,
-            )
-            return partitioner.partition(table.to_table()), None
-        if self.scan_cache is not None:
-            return self.scan_cache.partitions(
-                name, table, self.config
-            ), None
-        partitioner = MiniBatchPartitioner(
-            self.config.num_batches, seed=self.config.seed,
-            shuffle=self.config.shuffle,
-        )
-        return partitioner.partition(table), None
 
     def _restore_weights(self, weight_sources: Dict[str, PoissonWeightSource],
                          state) -> None:

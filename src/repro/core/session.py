@@ -25,7 +25,6 @@ from ..config import GolaConfig
 from ..engine.aggregates import UDAFRegistry, UDAFSpec
 from ..engine.executor import BatchExecutor
 from ..errors import QueryStopped
-from ..estimate.bootstrap import WeightStore, stream_label
 from ..expr.functions import FunctionRegistry
 from ..faults import FaultInjector, RowQuarantine, RunCheckpoint
 from ..obs import Tracer
@@ -38,6 +37,7 @@ from ..storage.io import read_csv
 from ..storage.table import Table
 from .controller import QueryController
 from .result import OnlineSnapshot
+from .store import BatchStore
 
 
 class OnlineQuery:
@@ -161,9 +161,10 @@ class GolaSession:
     each run builds one from the config's ``trace``/``trace_path``/
     ``metrics`` knobs (a no-op tracer when those are off).
 
-    The session owns one :class:`~repro.estimate.bootstrap.WeightStore`:
-    a streamed table's bootstrap weights are drawn by its first query
-    and read by every later one (``trials`` bytes per streamed row).
+    The session owns one :class:`~repro.core.store.BatchStore`: a
+    streamed table is partitioned and its bootstrap weights are drawn by
+    its first query, and every later one reads them (one partitioned
+    copy plus ``trials`` bytes per streamed row).
     """
 
     def __init__(self, config: Optional[GolaConfig] = None,
@@ -174,7 +175,7 @@ class GolaSession:
         self.udafs = UDAFRegistry()
         self.tracer = tracer
         self.last_quarantine: Optional[RowQuarantine] = None
-        self.weight_store = WeightStore()
+        self.batch_store = BatchStore()
 
     # -- catalog ---------------------------------------------------------
 
@@ -188,7 +189,7 @@ class GolaSession:
         section 2's per-relation control).
         """
         self.catalog.register(name, table, streamed=streamed, replace=replace)
-        self._drop_weights(name)
+        self._drop_batches(name)
 
     def register_colstore(self, name: str, dataset, streamed: bool = True,
                           replace: bool = False):
@@ -208,7 +209,7 @@ class GolaSession:
             dataset = open_dataset(dataset, mmap=self.config.storage.mmap)
         self.catalog.register(name, dataset, streamed=streamed,
                               replace=replace)
-        self._drop_weights(name)
+        self._drop_batches(name)
         return dataset
 
     def load_csv(self, name: str, path, streamed: bool = True) -> Table:
@@ -284,24 +285,22 @@ class GolaSession:
 
     # -- internal ----------------------------------------------------------
 
-    def _drop_weights(self, name: str) -> None:
-        """A (re-)registered table starts without drawn weights."""
-        self.weight_store.drop(stream_label(name.lower()))
-        if self.tracer is not None and self.tracer.metrics.enabled:
-            self.tracer.metrics.gauge("bootstrap.store_bytes").set(
-                self.weight_store.nbytes
-            )
+    def _drop_batches(self, name: str) -> None:
+        """A (re-)registered table starts without partitions or weights."""
+        self.batch_store.drop(
+            name.lower(),
+            self.tracer.metrics if self.tracer is not None else None,
+        )
 
     def _tables(self) -> Dict[str, Table]:
         return {name: self.catalog.get(name) for name in self.catalog}
 
     def _make_controller(self, query: Query, config: GolaConfig,
-                         parallel=None, scan_cache=None,
+                         parallel=None,
                          tracer: Optional[Tracer] = None) -> QueryController:
-        """Build a controller; ``parallel``/``scan_cache``/``tracer``
-        let the serving scheduler share one worker pool, one batch-scan
-        cache and one tracer across every concurrent query (the weight
-        store is always the session's)."""
+        """Build a controller; ``parallel``/``tracer`` let the serving
+        scheduler share one worker pool and one tracer across every
+        concurrent query (the batch store is always the session's)."""
         streamed = {
             name: self.catalog.is_streamed(name) for name in self.catalog
         }
@@ -309,6 +308,5 @@ class GolaSession:
             query, self._tables(), streamed, config,
             udafs=self.udafs, functions=self.functions,
             tracer=tracer if tracer is not None else self.tracer,
-            parallel=parallel, scan_cache=scan_cache,
-            weight_store=self.weight_store,
+            parallel=parallel, batch_store=self.batch_store,
         )

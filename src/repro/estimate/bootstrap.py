@@ -26,21 +26,23 @@ any batch/trial rectangle can be (re)generated on any process from the
 Weights are ``uint8`` from draw to fold (Poisson(1) never exceeds 18
 here); :func:`repro.engine.aggregates._as_weight_matrix` is the one
 place they widen to float64, exactly.  A session's
-:class:`WeightStore` keeps each streamed table's rectangles once drawn,
-so every query, lineage block and rebuild of the session reads the
-same draw.
+:class:`~repro.core.store.BatchStore` keeps each streamed table's
+rectangles once drawn, so every query, lineage block and rebuild of the
+session reads the same draw.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from ..errors import CheckpointError
 from ..obs import NULL_TRACER, Tracer
 from .random_source import derive_rng
+
+if TYPE_CHECKING:
+    from ..core.store import BatchStore
 
 
 def _poisson1_tables():
@@ -97,64 +99,12 @@ def poisson_trial_column(master_seed: int, label: str, batch_index: int,
     return out
 
 
-class WeightStore:
-    """A session's drawn weight rectangles, shared by all its queries.
-
-    One F-order ``uint8`` ``(num_rows, trials)`` rectangle per (weight
-    stream, batch), drawn on first use and read-only after.  A rectangle
-    is a pure function of its handle's spec, so a hit is exact whatever
-    query, lineage block or rebuild asks for it.  The bound: a stream
-    keeps only the latest ``(master_seed, trials)`` it served, and a
-    batch asked for at a new row count (another partitioning of the
-    table) restarts the stream's set — at most ``trials`` bytes per
-    streamed row.  Fills hold the lock: sibling blocks fan out on
-    threads.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        #: label -> ((master_seed, trials), {batch_index: rectangle})
-        self._sets: Dict[str, Tuple[tuple, Dict[int, np.ndarray]]] = {}
-        #: Bytes held, over every stream.
-        self.nbytes = 0
-
-    def rectangle(self, handle: "BatchWeights") -> np.ndarray:
-        """``handle``'s rectangle, drawn now if the store lacks it."""
-        key = (handle.master_seed, handle.trials)
-        with self._lock:
-            held = self._sets.get(handle.label)
-            rect = (held[1].get(handle.batch_index)
-                    if held is not None and held[0] == key else None)
-            if rect is not None and len(rect) == handle.num_rows:
-                return rect
-            if held is None or held[0] != key or rect is not None:
-                # A new (seed, trials), or another partitioning.
-                self._discard(handle.label)
-                held = self._sets[handle.label] = (key, {})
-            rect = handle.draw(0, handle.trials)
-            rect.flags.writeable = False
-            held[1][handle.batch_index] = rect
-            self.nbytes += rect.nbytes
-            if handle.metrics is not None:
-                handle.metrics.gauge("bootstrap.store_bytes").set(self.nbytes)
-            return rect
-
-    def drop(self, label: str) -> None:
-        """Forget one stream's rectangles (its table was replaced)."""
-        with self._lock:
-            self._discard(label)
-
-    def _discard(self, label: str) -> None:
-        held = self._sets.pop(label, None)
-        if held is not None:
-            self.nbytes -= sum(r.nbytes for r in held[1].values())
-
-
 class BatchWeights:
     """Handle on one batch's ``(num_rows, trials)`` uint8 weight matrix.
 
-    A view: with a :class:`WeightStore`, :meth:`dense`, :meth:`rows` and
-    :meth:`shard` slice the store's rectangle.  A handle rebuilt from
+    A view: with a :class:`~repro.core.store.BatchStore`,
+    :meth:`dense`, :meth:`rows` and :meth:`shard` slice the store's
+    rectangle.  A handle rebuilt from
     its spec (a pool worker's) has no store, and :meth:`shard` draws
     just the trial columns ``[lo, hi)`` — column-identical to the
     rectangle.  The handle pickles to its spec, never to the store, so
@@ -163,7 +113,7 @@ class BatchWeights:
 
     def __init__(self, trials: int, master_seed: int, label: str,
                  batch_index: int, num_rows: int,
-                 store: Optional[WeightStore] = None, metrics=None):
+                 store: Optional["BatchStore"] = None, metrics=None):
         self.trials = trials
         self.master_seed = master_seed
         self.label = label
@@ -279,7 +229,7 @@ class PoissonWeightSource:
     def __init__(self, trials: int, master_seed: int,
                  label: str = "bootstrap",
                  tracer: Optional[Tracer] = None,
-                 store: Optional[WeightStore] = None):
+                 store: Optional["BatchStore"] = None):
         if trials < 1:
             raise ValueError("trials must be >= 1")
         self.trials = trials

@@ -121,13 +121,15 @@ def render_dashboard(health: dict, queries: List[dict],
         + f"  queued={scheduler.get('queued', 0)}"
         + f"  completed={scheduler.get('completed', 0)}"
     )
-    cache = scheduler.get("scan_cache")
-    if cache:
-        hits, misses = cache.get("hits", 0), cache.get("misses", 0)
+    store = scheduler.get("store")
+    if store:
+        hits, misses = store.get("hits", 0), store.get("misses", 0)
         total = hits + misses
         ratio = hits / total if total else 0.0
         lines.append(
-            f"  scan cache: {hits}/{total} hits ({ratio:.0%})"
+            f"  batch store: {store.get('entries', 0)} tables, "
+            f"{hits}/{total} hits ({ratio:.0%}), "
+            f"{store.get('bytes', 0) / 2 ** 20:.1f} MiB"
         )
     lines.append("")
     lines.append("latency (cumulative):")

@@ -49,6 +49,7 @@ bit-identical arrays — so every path stays bit-identical to serial.
 from __future__ import annotations
 
 import logging
+import os
 import secrets
 import threading
 import weakref
@@ -67,6 +68,20 @@ try:  # pragma: no cover - import guard for exotic builds
 except ImportError:  # pragma: no cover
     _shared_memory = None
     HAVE_SHM = False
+
+# Hold the resource tracker's lock across every fork.  A pool worker
+# forked from a supervisor thread while the coordinator thread sits in
+# ``SharedMemory()`` -> ``register`` would otherwise inherit the lock
+# held and block on its first attach until the round deadline kills it.
+try:
+    from multiprocessing.resource_tracker import _resource_tracker
+
+    _tracker_lock = _resource_tracker._lock
+    os.register_at_fork(before=_tracker_lock.acquire,
+                        after_in_parent=_tracker_lock.release,
+                        after_in_child=_tracker_lock.release)
+except (ImportError, AttributeError):  # pragma: no cover - no fork/tracker
+    pass
 
 #: Segment offsets are aligned so every published array starts on a
 #: cache-line boundary (also satisfies any dtype's alignment).

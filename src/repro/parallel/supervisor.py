@@ -26,6 +26,9 @@ a recovery ladder:
    rejected and the shard re-run instead of being silently folded into
    the estimate.
 
+Every rung taken logs one WARNING on the ``repro.parallel`` logger
+beside the counter it bumps.
+
 Fault injection (``parallel.worker_kill`` / ``parallel.worker_hang`` /
 ``parallel.result_corrupt``) rides along inside the dispatched payloads:
 the coordinator draws a deterministic per-task fault plan from the
@@ -36,6 +39,7 @@ array — so recovery is exercised end to end, not simulated.
 
 from __future__ import annotations
 
+import logging
 import os
 import signal
 import threading
@@ -52,6 +56,8 @@ from ..faults import NULL_INJECTOR, RetryPolicy
 from ..obs import NULL_TRACER
 from .pool import WorkerPool
 from .shm import resolve
+
+logger = logging.getLogger("repro.parallel")
 
 #: Worker-side stand-in for a result too mangled to poison in place.
 CORRUPT_SENTINEL = "__repro-corrupted-result__"
@@ -227,6 +233,8 @@ class SupervisedPool:
         if pool is not None:
             pool.abandon()
         self.restarts += 1
+        logger.warning("worker pool restarted after %s (restart %d)",
+                       why, self.restarts)
         if self.tracer.metrics.enabled:
             self.tracer.metrics.counter("parallel.restarts").inc()
         if self.tracer.enabled:
@@ -378,6 +386,8 @@ class SupervisedPool:
             # serial fallback stays correct) and rebuild.
             for t in pending:
                 attempts[t] += 1
+            logger.warning("worker lost before submit; re-dispatching %d "
+                           "task(s)", len(pending))
             if metrics.enabled:
                 metrics.counter("parallel.worker_lost").inc()
                 metrics.counter("parallel.redispatched").inc(len(pending))
@@ -412,6 +422,8 @@ class SupervisedPool:
                         continue
                     attempts[t] += 1
                     failed.append(t)
+                    logger.warning("task %d result rejected (%s); "
+                                   "re-dispatching", t, error)
                     if metrics.enabled:
                         metrics.counter("parallel.corrupt_results").inc()
                     if tracer.enabled:
@@ -426,6 +438,8 @@ class SupervisedPool:
                 else:
                     attempts[t] += 1
                     failed.append(t)
+                    logger.warning("task %d failed (%s: %s); re-dispatching",
+                                   t, type(exc).__name__, exc)
                     if metrics.enabled:
                         metrics.counter("parallel.task_failures").inc()
                     if tracer.enabled:
@@ -449,6 +463,8 @@ class SupervisedPool:
             for t in lost:
                 attempts[t] += 1
                 failed.append(t)
+            logger.warning("worker lost mid-round; re-dispatching %d "
+                           "task(s)", len(lost))
             if metrics.enabled:
                 metrics.counter("parallel.worker_lost").inc()
                 metrics.counter("parallel.redispatched").inc(len(lost))
@@ -462,6 +478,8 @@ class SupervisedPool:
             for t in lost:
                 attempts[t] += 1
                 failed.append(t)
+            logger.warning("%d task(s) outlived the %.3g s round deadline; "
+                           "re-dispatching", len(lost), deadline)
             if metrics.enabled:
                 metrics.counter("parallel.task_timeouts").inc(len(lost))
                 metrics.counter("parallel.redispatched").inc(len(lost))
@@ -480,6 +498,8 @@ class SupervisedPool:
         result; only a task whose computation itself fails is abandoned.
         """
         tracer = self.tracer
+        logger.warning("task %d quarantined after %d pool failures; "
+                       "running it serially", index, failures)
         if tracer.metrics.enabled:
             tracer.metrics.counter("parallel.quarantined").inc()
             tracer.metrics.counter("parallel.serial_fallbacks").inc()

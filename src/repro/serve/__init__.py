@@ -1,4 +1,4 @@
-"""Concurrent multi-query serving: scheduler, scan cache, HTTP streaming.
+"""Concurrent multi-query serving: scheduler, HTTP streaming, telemetry.
 
 The paper's system serves *interactive analysis*: many analysts pointing
 dashboards at one engine, each expecting their estimate to refine every
@@ -8,8 +8,8 @@ GolaSession` into that shared service:
 * :class:`QueryScheduler` — admits, prioritizes (deficit round-robin)
   and cooperatively interleaves mini-batch steps across concurrent
   online queries, with deadlines, pause/resume, cancellation and
-  quarantine-on-crash; all queries share one worker pool and one
-  :class:`BatchScanCache`;
+  quarantine-on-crash; all queries share one worker pool and the
+  session's :class:`~repro.core.store.BatchStore`;
 * :class:`SnapshotStream` / :func:`encode_snapshot` — per-query
   replayable pub/sub snapshot records with non-blocking backpressure;
 * :class:`GolaServer` — a stdlib HTTP/JSON front end streaming NDJSON
@@ -28,7 +28,6 @@ scheduler multiplexes *scheduling*, never the per-query RNG streams or
 block state.
 """
 
-from .cache import BatchScanCache, table_bytes
 from .loadgen import LoadGenerator, LoadSpec
 from .scheduler import (
     CANCELLED,
@@ -57,7 +56,6 @@ from .telemetry import (
 )
 
 __all__ = [
-    "BatchScanCache",
     "DrainingError",
     "EPSILONS",
     "GolaServer",
@@ -74,7 +72,6 @@ __all__ = [
     "parse_prometheus",
     "relative_half_width",
     "render_prometheus",
-    "table_bytes",
     "QUEUED",
     "RUNNING",
     "PAUSED",

@@ -40,7 +40,7 @@ from ..core.session import GolaSession, OnlineQuery
 from ..errors import AdmissionError, InjectedFault, ReproError
 from ..faults import FaultInjector, RetryPolicy
 from ..obs import MetricsRegistry, Tracer, tracer_from_config
-from .cache import BatchScanCache, table_bytes
+from ..storage.table import table_bytes
 from .stream import SnapshotStream, encode_snapshot
 from .telemetry import ServeTelemetry
 
@@ -160,8 +160,9 @@ class QueryScheduler:
     """Admits, prioritizes and cooperatively steps concurrent queries.
 
     All queries share one :class:`~repro.parallel.ParallelExecutor`
-    worker pool, one :class:`BatchScanCache` (same-table queries reuse
-    mini-batch partitions) and one tracer/metrics registry; each keeps
+    worker pool, the session's :class:`~repro.core.store.BatchStore`
+    (same-table queries reuse mini-batch partitions and weights) and one
+    tracer/metrics registry; each keeps
     its own controller, RNG streams and snapshot stream, which is what
     makes concurrent output bit-identical to serial runs.
     """
@@ -186,11 +187,6 @@ class QueryScheduler:
             self.tracer = built
         self.parallel = ParallelExecutor.from_config(
             session.config, tracer=self.tracer
-        )
-        self.scan_cache = (
-            BatchScanCache(self.serve.scan_cache_entries,
-                           metrics=self.tracer.metrics)
-            if self.serve.scan_cache else None
         )
         #: Draws ``serve.submit`` faults; per-query ``scheduler.step``
         #: faults come from each query's own injector stream.
@@ -270,8 +266,7 @@ class QueryScheduler:
                 "draining": self._draining,
                 "shutdown": self._shutdown,
             }
-        if self.scan_cache is not None:
-            info["scan_cache"] = self.scan_cache.stats
+        info["store"] = self.session.batch_store.stats
         return info
 
     def retry_after_hint(self) -> int:
@@ -311,8 +306,6 @@ class QueryScheduler:
                                           reason="scheduler shutdown")
             self._queue.clear()
         self.parallel.close()
-        if self.scan_cache is not None:
-            self.scan_cache.invalidate()
 
     def __enter__(self) -> "QueryScheduler":
         return self.start()
@@ -543,7 +536,7 @@ class QueryScheduler:
                 try:
                     run.controller = self.session._make_controller(
                         run.online.query, run.config,
-                        parallel=self.parallel, scan_cache=self.scan_cache,
+                        parallel=self.parallel,
                         tracer=self.tracer,
                     )
                 except ReproError as exc:

@@ -345,7 +345,14 @@ class Table:
         # np.lexsort sorts by the *last* key first, so iterate reversed.
         for key, d in reversed(list(zip(keys, desc))):
             col = self._columns[key][order]
-            idx = np.argsort(col, kind="stable")
+            try:
+                idx = np.argsort(col, kind="stable")
+            except TypeError:
+                # NULL (a LEFT JOIN's unmatched string) met a value:
+                # NULL sorts first, as it groups first.
+                idx = np.array(sorted(
+                    range(len(col)), key=lambda i: (col[i] is not None, col[i])
+                ), dtype=np.intp)
             if d:
                 idx = idx[::-1]
             order = order[idx]
@@ -375,3 +382,26 @@ class Table:
         if self._num_rows > n:
             lines.append(f"... ({self._num_rows} rows)")
         return "\n".join(lines)
+
+
+def table_bytes(table: Table) -> int:
+    """Estimated resident bytes of a table's column arrays.
+
+    Colstore datasets (registered in place of a table) expose an
+    ``estimated_bytes`` of their *logical* decoded size — the admission
+    bound is deliberately conservative, since the scheduler cannot know
+    how much of a memory-mapped dataset a query will fault in.
+    """
+    est = getattr(table, "estimated_bytes", None)
+    if est is not None:
+        return int(est)
+    total = 0
+    for name in table.schema.names:
+        arr = table.column(name)
+        total += int(arr.nbytes)
+        if arr.dtype == object:
+            # nbytes counts only the pointers; approximate the payload.
+            total += sum(len(str(v)) for v in arr[:256]) * max(
+                len(arr) // 256, 1
+            )
+    return total

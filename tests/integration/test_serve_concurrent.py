@@ -111,7 +111,7 @@ class TestEightConcurrentQueries:
                 assert history[-1]["state"] == DONE
             # Same-table queries shared mini-batch partitions: only one
             # miss per distinct streamed table.
-            stats = sched.scan_cache.stats
+            stats = session.batch_store.stats
             assert stats["misses"] == 3
             assert stats["hits"] == len(WORKLOAD) - 3
             counters = sched.metrics_snapshot().counters

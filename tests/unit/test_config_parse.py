@@ -22,10 +22,10 @@ ROUND_TRIPS = [
      {"workers": 1, "task_deadline_s": 2.5, "backend": "thread",
       "supervise": False}),
     (ServeConfig, "--serve",
-     "max_concurrent=8,queue_depth=32,port=9000,scan_cache=false,"
+     "max_concurrent=8,queue_depth=32,port=9000,telemetry=false,"
      "default_deadline_s=1.5,host=0.0.0.0",
      {"max_concurrent": 8, "queue_depth": 32, "port": 9000,
-      "scan_cache": False, "default_deadline_s": 1.5, "host": "0.0.0.0"}),
+      "telemetry": False, "default_deadline_s": 1.5, "host": "0.0.0.0"}),
     (StorageConfig, "--storage",
      " projection_every = 3 , mmap=no,projections=yes,projection_dir=p ",
      {"projection_every": 3, "mmap": False, "projections": True,
@@ -78,3 +78,9 @@ def test_empty_spec_elsewhere_is_the_defaults():
 def test_parsed_values_still_pass_validation():
     with pytest.raises(ValueError, match="max_concurrent"):
         ServeConfig.parse("max_concurrent=0")
+
+
+def test_deleted_scan_cache_knob_is_an_unknown_key():
+    # Partitions are shared through the session's batch store, always.
+    with pytest.raises(ValueError, match="unknown --serve key 'scan_cache'"):
+        ServeConfig.parse("scan_cache=0")

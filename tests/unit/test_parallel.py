@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.config import GolaConfig, ParallelConfig
+from repro.core.store import BatchStore
 from repro.engine.aggregates import (
     AvgState,
     CountState,
@@ -31,7 +32,6 @@ from repro.estimate.bootstrap import (
     _P1_CDF,
     BatchWeights,
     PoissonWeightSource,
-    WeightStore,
     poisson_trial_column,
 )
 from repro.estimate.random_source import derive_rng
@@ -121,7 +121,7 @@ class TestPoissonTrialColumns:
     def test_shard_is_column_slice_of_dense(self):
         spec_only = BatchWeights(24, 11, "w", 3, 1000)
         shard = spec_only.shard(5, 13)       # generated directly
-        handle = BatchWeights(24, 11, "w", 3, 1000, store=WeightStore())
+        handle = BatchWeights(24, 11, "w", 3, 1000, store=BatchStore())
         dense = handle.dense()               # the stored rectangle
         assert dense.dtype == np.uint8 and dense.flags["F_CONTIGUOUS"]
         assert np.array_equal(shard, dense[:, 5:13])
@@ -130,7 +130,7 @@ class TestPoissonTrialColumns:
         assert handle.dense() is dense
 
     def test_pickle_roundtrip_regenerates_identically(self):
-        handle = BatchWeights(16, 3, "w", 7, 500, store=WeightStore())
+        handle = BatchWeights(16, 3, "w", 7, 500, store=BatchStore())
         dense = handle.dense()
         payload = pickle.dumps(handle)
         assert len(payload) < 1000  # the spec, never the store
@@ -390,7 +390,7 @@ class TestParallelExecutor:
                     (config, alias)
 
     def test_serial_fold_draws_each_column_once(self):
-        store = WeightStore()
+        store = BatchStore()
         tracer = Tracer(metrics=MetricsRegistry(enabled=True))
         ref, _ = _fold_with(ParallelConfig(), tracer=tracer, store=store)
         counters = tracer.metrics.snapshot().counters
@@ -405,7 +405,7 @@ class TestParallelExecutor:
             assert np.array_equal(ref[alias], out[alias])
 
     def test_sharded_run_draws_on_workers_only(self):
-        store = WeightStore()
+        store = BatchStore()
         tracer = Tracer(metrics=MetricsRegistry(enabled=True))
         _fold_with(ParallelConfig(workers=2, backend="thread"),
                    tracer=tracer, store=store)

@@ -72,8 +72,10 @@ class TestCompletion:
         b = scheduler.submit("SELECT AVG(buffer_time) FROM sessions")
         assert scheduler.wait(timeout=30.0)
         assert a.state == DONE and b.state == DONE
-        stats = scheduler.scan_cache.stats
+        stats = scheduler.session.batch_store.stats
         assert stats["misses"] == 1 and stats["hits"] >= 1
+        assert stats["entries"] == 1
+        assert scheduler.stats()["store"] == stats
 
     def test_target_rsd_stops_early(self, scheduler, sbi_sql):
         run = scheduler.submit(sbi_sql, target_rsd=10.0)  # trivially met

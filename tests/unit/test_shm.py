@@ -6,7 +6,11 @@ zero-copy views, and the refcount/close protocol guarantees no segment
 ever outlives its run — whatever the failure path.
 """
 
+import multiprocessing
+import os
 import pickle
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -190,3 +194,34 @@ class TestGroupCountMemo:
         assert cached_group_count(None, arr) == 6
         assert cached_group_count(None, arr[:1]) == 3
         assert cached_group_count(None, np.empty(0, dtype=np.int64)) == 0
+
+
+def _exit_with_tracker_lock_state():
+    from multiprocessing.resource_tracker import _resource_tracker
+    os._exit(0 if _resource_tracker._lock.acquire(timeout=5.0) else 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"),
+                    reason="no fork")
+def test_fork_never_inherits_the_tracker_lock_held():
+    """A worker forked while another thread registers a segment must
+    start with the resource tracker's lock free, or its first attach
+    blocks until the supervisor's deadline kills it."""
+    from multiprocessing.resource_tracker import _resource_tracker
+
+    held = threading.Event()
+
+    def register_slowly():
+        with _resource_tracker._lock:
+            held.set()
+            time.sleep(0.2)
+
+    holder = threading.Thread(target=register_slowly)
+    holder.start()
+    held.wait()
+    child = multiprocessing.get_context("fork").Process(
+        target=_exit_with_tracker_lock_state)
+    child.start()
+    child.join(timeout=30.0)
+    holder.join()
+    assert child.exitcode == 0

@@ -7,6 +7,8 @@ fingerprints, and the seeded full-jitter retry pauses everything backs
 off with.
 """
 
+import os
+import signal
 import time
 
 import numpy as np
@@ -34,6 +36,15 @@ def square(x):
 def poison_three(x):
     if x == 3:
         raise ValueError("task 3 is unrunnable")
+    return x * x
+
+
+def kill_once(task):
+    """Square ``x``; task 2 SIGKILLs its worker the first time."""
+    x, marker = task
+    if x == 2 and not os.path.exists(marker):
+        open(marker, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
     return x * x
 
 
@@ -73,6 +84,23 @@ class TestCrashRecovery:
         assert counters["parallel.restarts"] == pool.restarts
         assert counters["parallel.worker_lost"] >= 1
         assert counters["parallel.redispatched"] >= 1
+
+    def test_sigkill_recovery_logs_one_warning_per_rung(self, tmp_path,
+                                                         caplog):
+        marker = str(tmp_path / "killed")
+        tasks = [(x, marker) for x in range(4)]
+        with caplog.at_level("WARNING", logger="repro.parallel"):
+            with SupervisedPool(2, "process", deadline_s=30.0,
+                                retries=2) as pool:
+                assert pool.map(kill_once, tasks) == [0, 1, 4, 9]
+                assert pool.restarts == 1
+        records = [rec for rec in caplog.records
+                   if rec.name == "repro.parallel"]
+        assert [rec.levelname for rec in records] == ["WARNING"] * 2
+        lost, restarted = (rec.getMessage() for rec in records)
+        assert lost.startswith("worker lost")
+        assert restarted.startswith("worker pool restarted after worker "
+                                    "death")
 
     def test_thread_backend_kills_become_retried_failures(self):
         tracer = metrics_tracer()

@@ -147,6 +147,18 @@ class TestTableOps:
         assert out.column("grp").tolist() == ["a", "a", "a", "b", "b", "c"]
         assert out.column("x").tolist()[:3] == [5.0, 3.0, 1.0]
 
+    def test_sort_null_strings_first(self):
+        # A LEFT JOIN's unmatched string keys are None beside values.
+        t = Table.from_columns({
+            "s": np.array(["b", None, "a", None], dtype=object),
+            "i": np.arange(4),
+        })
+        out = t.sort_by(["s", "i"])
+        assert out.column("s").tolist() == [None, None, "a", "b"]
+        assert out.column("i").tolist() == [1, 3, 2, 0]
+        assert t.sort_by(["s"], [True]).column("s").tolist() == \
+            ["b", "a", None, None]
+
     def test_row_and_iter_rows(self, small_table):
         assert small_table.row(0) == (1, "a", 1.0, True)
         assert len(list(small_table.iter_rows())) == 6

@@ -243,7 +243,8 @@ class TestTopDashboard:
                 "ok": True, "state": "serving", "uptime_s": 12.0,
                 "scheduler": {
                     "running": 1, "queued": 2, "completed": 3,
-                    "scan_cache": {"hits": 4, "misses": 1},
+                    "store": {"entries": 1, "hits": 4, "misses": 1,
+                              "bytes": 3 * 2 ** 20},
                 },
             },
             queries=[{
@@ -254,7 +255,7 @@ class TestTopDashboard:
         )
         assert "state=serving" in frame
         assert "running=1" in frame and "completed=3" in frame
-        assert "scan cache: 4/5 hits" in frame
+        assert "batch store: 1 tables, 4/5 hits (80%), 3.0 MiB" in frame
         assert "first answer" in frame and "n=3" in frame
         assert "last 10s" in frame
         assert "q1" in frame and "2/10" in frame

@@ -1,32 +1,28 @@
-"""The session's weight store: uint8 weights drawn once, read by all.
+"""Stored uint8 weights: drawn once, read by all, equal to a fresh draw.
 
 Weights are a pure function of ``(seed, label, batch, trial, rows)``,
 so a store hit must be indistinguishable from a fresh draw: the stored
-uint8 columns widen to the parent's float64 draw bit for bit, a
-query's stream does not depend on what ran before it in the session,
-and the store holds one weight set per table, observable on
-``bootstrap.store_bytes``.
+uint8 columns widen to the float64 draw they replaced bit for bit, and
+a query's stream does not depend on what ran before it in the session.
+The store's bound is tested in ``test_batch_store.py``.
 """
 
 import dataclasses
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
-import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro import GolaConfig, GolaSession
 from repro.core.delta import BlockRuntime
+from repro.core.store import BatchStore
 from repro.engine.aggregates import SumState, _as_weight_matrix
 from repro.estimate.bootstrap import (
     _P1_AMBIGUOUS,
     _P1_BUCKETS,
     _P1_CDF,
     BatchWeights,
-    WeightStore,
 )
 from repro.estimate.random_source import derive_rng
 from repro.faults.chaos import snapshot_fingerprint
@@ -108,7 +104,7 @@ class TestStoredColumnsMatchTheOracle:
     def test_stored_uint8_widens_to_the_float64_draw(self, seed, label,
                                                      batch, trial, n):
         handle = BatchWeights(trial + 1, seed, label, batch, n,
-                              store=WeightStore())
+                              store=BatchStore())
         stored = handle.dense()
         assert stored.dtype == np.uint8
         widened = stored[:, trial].astype(np.float64)
@@ -173,83 +169,6 @@ class TestSessionOrder:
         assert after == alone
         assert tracer.metrics.snapshot().counters[
             "bootstrap.columns_drawn"] == drawn  # read from the store
-
-
-class TestStoreBound:
-    def test_gauge_holds_the_latest_weight_set_per_table(self):
-        tracer = Tracer(metrics=MetricsRegistry(enabled=True))
-        session = _session(tracer)
-
-        def gauge():
-            return tracer.metrics.snapshot().gauges["bootstrap.store_bytes"]
-
-        sbi = session.sql(SBI_QUERY)
-        for seed, trials in ((5, 16), (6, 16), (6, 24), (7, 12)):
-            sbi.run_to_completion(_config(seed=seed,
-                                          bootstrap_trials=trials))
-        assert gauge() == ROWS * 12 == session.weight_store.nbytes
-        session.sql("SELECT AVG(play_time) FROM conviva") \
-            .run_to_completion()
-        assert gauge() == ROWS * 12 + ROWS * 16
-
-        session.register_table("sessions", generate_sessions(ROWS, seed=8),
-                               replace=True)
-        assert gauge() == ROWS * 16 == session.weight_store.nbytes
-        session.register_table("conviva", generate_conviva(ROWS, seed=8),
-                               replace=True)
-        assert gauge() == 0
-
-    def test_stored_rectangles_are_read_only(self):
-        store = WeightStore()
-        rect = BatchWeights(4, 1, "w", 0, 100, store=store).dense()
-        assert not rect.flags.writeable
-        assert rect.flags["F_CONTIGUOUS"] and rect.shape == (100, 4)
-        with pytest.raises(ValueError):
-            rect[0, 0] = 3
-
-    def test_concurrent_readers_draw_each_rectangle_once(self):
-        """Sibling blocks read one batch's rectangle from several
-        threads: exactly one of them draws it, all get the same one."""
-        store = WeightStore()
-        tracer = Tracer(metrics=MetricsRegistry(enabled=True))
-        batches, trials, rows = 6, 8, 3000
-        got = [[] for _ in range(batches)]
-        start = threading.Barrier(4)
-
-        def reader():
-            start.wait()
-            for step in range(3 * batches):
-                b = step % batches
-                handle = BatchWeights(trials, 4, "w", b, rows, store=store,
-                                      metrics=tracer.metrics)
-                got[b].append(handle.dense())
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=reader) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        counters = tracer.metrics.snapshot().counters
-        assert counters["bootstrap.columns_drawn"] == batches * trials
-        assert store.nbytes == batches * trials * rows
-        for b, rects in enumerate(got):
-            assert all(r is rects[0] for r in rects)
-            assert np.array_equal(
-                rects[0], BatchWeights(trials, 4, "w", b, rows).dense())
-
-    def test_another_partitioning_restarts_the_set(self):
-        store = WeightStore()
-        BatchWeights(4, 1, "w", 0, 100, store=store).dense()
-        BatchWeights(4, 1, "w", 1, 100, store=store).dense()
-        assert store.nbytes == 800
-        BatchWeights(4, 1, "w", 0, 150, store=store).dense()
-        assert store.nbytes == 600
 
 
 class TestRebuildMemory:
