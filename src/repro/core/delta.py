@@ -765,11 +765,11 @@ class BlockRuntime:
 
         ``weights`` is the batch's ``(n, B)`` Poisson matrix or a
         :class:`~repro.estimate.bootstrap.BatchWeights` handle (the
-        controller passes handles, so pooled folds ship a spec and every
-        other read slices the session's stored rectangle).  ``retained``
-        supplies the raw batches seen so far (including the current one)
-        for the rebuild path; None disables recovery and a guard
-        violation raises :class:`RangeViolation`.
+        controller passes handles, so every read — pooled folds' through
+        the fold's shared-memory segment — is of the session's stored
+        rectangle).  ``retained`` supplies the raw batches seen so far
+        (including the current one) for the rebuild path; None disables
+        recovery and a guard violation raises :class:`RangeViolation`.
         """
         tracer = self.tracer
         wsrc = as_batch_weights(weights)
@@ -846,8 +846,8 @@ class BlockRuntime:
 
         if not self.pipeline.uncertain_predicates:
             # No uncertain set: rows fold immediately, straight from the
-            # handle — pooled trial shards regenerate their own weight
-            # columns from its spec.
+            # handle — pooled trial shards read its stored rectangle from
+            # the fold's shared-memory segment.
             with tracer.span("phase:fold", block=self.block.block_id,
                              rows_in=incoming.size):
                 self._fold(incoming, wsrc, pos)

@@ -113,7 +113,7 @@ class BatchStore:
             rect = entry.rects.get(handle.batch_index)
             if rect is not None and len(rect) == handle.num_rows:
                 return rect
-            rect = handle.draw(0, handle.trials)
+            rect = handle.draw()
             rect.flags.writeable = False
             # A stored rectangle of another length belongs to another
             # partitioning still running (a concurrent query with other

@@ -15,20 +15,19 @@ Two flavours:
   resampling of a concrete sample, used by tests to check the poissonized
   estimates and by the closed-form comparisons.
 
-Weight streams are derived **per (batch, trial)** from the master seed:
-trial ``t`` of batch ``i`` always draws the same column no matter how
-the trial axis is sharded across workers, which is what makes parallel
-bootstrap maintenance (``repro.parallel``) bit-identical to serial
-execution for any worker count.  It also makes the stream *stateless*:
-any batch/trial rectangle can be (re)generated on any process from the
-``(master_seed, label)`` pair alone.
+Weight streams are derived **per (batch, trial)** from the master seed,
+so the stream is *stateless*: any batch's rectangle can be redrawn from
+the ``(master_seed, label)`` pair alone (a resumed checkpoint's handles
+do exactly that).
 
 Weights are ``uint8`` from draw to fold (Poisson(1) never exceeds 18
 here); :func:`repro.engine.aggregates._as_weight_matrix` is the one
 place they widen to float64, exactly.  A session's
 :class:`~repro.core.store.BatchStore` keeps each streamed table's
 rectangles once drawn, so every query, lineage block and rebuild of the
-session reads the same draw.
+session reads the same draw — pool workers included, which read it
+from the fold's shared-memory segment (``repro.parallel``) and never
+draw a column.
 """
 
 from __future__ import annotations
@@ -82,11 +81,11 @@ def poisson_trial_column(master_seed: int, label: str, batch_index: int,
                          trial: int, num_rows: int) -> np.ndarray:
     """The ``(num_rows,)`` uint8 Poisson(1) weight column of one trial.
 
-    Pure function of ``(master_seed, label, batch_index, trial)`` — the
-    unit of work a bootstrap shard regenerates locally instead of having
-    the dense matrix shipped to it.  The draw is one uniform per row
-    pushed through the exact Poisson(1) inverse CDF (bucket-table fast
-    path, ~3x faster than ``Generator.poisson``).
+    Pure function of ``(master_seed, label, batch_index, trial)``, so a
+    column never depends on which other trials are drawn with it.  The
+    draw is one uniform per row pushed through the exact Poisson(1)
+    inverse CDF (bucket-table fast path, ~3x faster than
+    ``Generator.poisson``).
     """
     rng = derive_rng(master_seed, f"{label}:b{batch_index}:t{trial}")
     u = rng.random(num_rows)
@@ -102,13 +101,10 @@ def poisson_trial_column(master_seed: int, label: str, batch_index: int,
 class BatchWeights:
     """Handle on one batch's ``(num_rows, trials)`` uint8 weight matrix.
 
-    A view: with a :class:`~repro.core.store.BatchStore`,
-    :meth:`dense`, :meth:`rows` and :meth:`shard` slice the store's
-    rectangle.  A handle rebuilt from
-    its spec (a pool worker's) has no store, and :meth:`shard` draws
-    just the trial columns ``[lo, hi)`` — column-identical to the
-    rectangle.  The handle pickles to its spec, never to the store, so
-    it is cheap in retained-batch lists, checkpoints and shard payloads.
+    A view: with a :class:`~repro.core.store.BatchStore`, :meth:`dense`
+    and :meth:`rows` read the store's rectangle; without one every dense
+    read draws.  The handle pickles to its spec, never to the store, so
+    it is cheap in retained-batch lists and checkpoints.
     """
 
     def __init__(self, trials: int, master_seed: int, label: str,
@@ -120,11 +116,12 @@ class BatchWeights:
         self.batch_index = batch_index
         self.num_rows = num_rows
         self.store = store
-        #: Registry counting columns drawn (a spec-built handle has none).
+        #: Registry counting columns drawn (an unpickled handle has none).
         self.metrics = metrics
 
     def spec(self) -> dict:
-        """Picklable recipe for regenerating shards on a worker."""
+        """Picklable recipe for redrawing the rectangle (pickling and
+        checkpoints)."""
         return {
             "trials": self.trials,
             "master_seed": self.master_seed,
@@ -133,18 +130,15 @@ class BatchWeights:
             "num_rows": self.num_rows,
         }
 
-    @classmethod
-    def from_spec(cls, spec: dict) -> "BatchWeights":
-        return cls(**spec)
-
-    def draw(self, lo: int, hi: int) -> np.ndarray:
-        """Generate trial columns ``[lo, hi)``: F-order uint8, so each
-        column is drawn and folded sequentially in memory."""
+    def draw(self) -> np.ndarray:
+        """Generate the rectangle: F-order uint8, so each column is drawn
+        and folded sequentially in memory."""
         if self.metrics is not None:
-            self.metrics.counter("bootstrap.columns_drawn").inc(hi - lo)
-        out = np.empty((self.num_rows, hi - lo), dtype=np.uint8, order="F")
-        for j, trial in enumerate(range(lo, hi)):
-            out[:, j] = poisson_trial_column(
+            self.metrics.counter("bootstrap.columns_drawn").inc(self.trials)
+        out = np.empty((self.num_rows, self.trials), dtype=np.uint8,
+                       order="F")
+        for trial in range(self.trials):
+            out[:, trial] = poisson_trial_column(
                 self.master_seed, self.label, self.batch_index, trial,
                 self.num_rows,
             )
@@ -153,7 +147,7 @@ class BatchWeights:
     def dense(self) -> np.ndarray:
         """The full ``(num_rows, trials)`` matrix (the store's, if any)."""
         if self.store is None:
-            return self.draw(0, self.trials)
+            return self.draw()
         return self.store.rectangle(self)
 
     def rows(self, row_idx: Optional[np.ndarray]) -> np.ndarray:
@@ -161,16 +155,9 @@ class BatchWeights:
         dense = self.dense()
         return dense if row_idx is None else dense[row_idx]
 
-    def shard(self, lo: int, hi: int,
-              row_idx: Optional[np.ndarray] = None) -> np.ndarray:
-        """Columns ``[lo, hi)`` only — the worker-side generation path."""
-        block = (self.draw(lo, hi) if self.store is None
-                 else self.dense()[:, lo:hi])
-        return block if row_idx is None else block[row_idx]
-
     def __getstate__(self):
-        # The spec alone: the handle regenerates identical weights
-        # wherever it lands, and the store never travels.
+        # The spec alone: the handle redraws identical weights wherever
+        # it lands, and the store never travels.
         return self.spec()
 
     def __setstate__(self, state):
@@ -182,8 +169,7 @@ class DenseBatchWeights:
 
     Used where weights already exist as an array (direct
     :meth:`~repro.core.delta.BlockRuntime.process_batch` callers, rebuild
-    paths over concatenated retained batches).  ``spec()`` returns None:
-    shards must be sliced from the dense matrix, not regenerated.
+    paths over concatenated retained batches).
     """
 
     def __init__(self, weights: np.ndarray):
@@ -191,24 +177,16 @@ class DenseBatchWeights:
         self.trials = self._weights.shape[1]
         self.num_rows = self._weights.shape[0]
 
-    def spec(self) -> Optional[dict]:
-        return None
-
     def dense(self) -> np.ndarray:
         return self._weights
 
     def rows(self, row_idx: Optional[np.ndarray]) -> np.ndarray:
         return self._weights if row_idx is None else self._weights[row_idx]
 
-    def shard(self, lo: int, hi: int,
-              row_idx: Optional[np.ndarray] = None) -> np.ndarray:
-        block = self._weights[:, lo:hi]
-        return block if row_idx is None else block[row_idx]
-
 
 def as_batch_weights(weights):
     """Normalize an ``(n, B)`` array or handle to the handle interface."""
-    if hasattr(weights, "shard") and hasattr(weights, "rows"):
+    if hasattr(weights, "rows"):
         return weights
     return DenseBatchWeights(weights)
 
@@ -253,8 +231,9 @@ class PoissonWeightSource:
         self._next_batch = batch_index + 1
         # Logical draws, counted at handle creation so the metric is
         # identical whether the matrix is read densely, in shards, from
-        # the store or not at all; ``columns_drawn`` counts what this
-        # process physically generates, so a rectangle drawn twice shows.
+        # the store or not at all; ``columns_drawn`` counts what is
+        # physically generated, in any process (pool workers read the
+        # coordinator's draw), so a rectangle drawn twice shows.
         metrics = self.tracer.metrics
         if metrics.enabled:
             metrics.counter("bootstrap.weights_drawn").inc(

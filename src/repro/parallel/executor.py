@@ -16,12 +16,13 @@ the disabled :data:`SERIAL_EXECUTOR`).  It owns two pools:
 Two transport/scheduling optimizations ride on top (both default-on,
 both pure transport — outputs never change):
 
-* **Zero-copy publishing** — each folded batch's columns are written
-  once into a shared-memory segment (``repro.parallel.shm``) and every
-  shard payload carries only specs; the executor holds the segment's
-  lease until the batch's shards have merged, then releases it (the
-  registry unlinks at refcount zero, and ``close()`` force-unlinks on
-  teardown so no run can leak ``/dev/shm`` segments).
+* **Zero-copy publishing** — each folded batch's columns and its
+  stored uint8 weight rectangle are written once into a shared-memory
+  segment (``repro.parallel.shm``) and every shard payload carries only
+  specs, so no worker draws a weight column; the executor holds the
+  segment's lease until the batch's shards have merged, then releases
+  it (the registry unlinks at refcount zero, and ``close()``
+  force-unlinks on teardown so no run can leak ``/dev/shm`` segments).
 * **Pipelined folds** — with ``lazy=True`` a sharded fold returns right
   after dispatch and is merged at the next drain point (the caller's
   publish/snapshot/checkpoint), so the coordinator's single-threaded
@@ -31,9 +32,9 @@ both pure transport — outputs never change):
   identical to the eager path.
 
 Everything here is a pure throughput optimization: outputs are
-bit-identical for any worker count because weight columns come from
-per-(batch, trial) RNG streams and per-cell accumulation order is fixed
-by ``_grouped_sum`` (see ``repro.parallel.shards``).
+bit-identical for any worker count because every shard reads its
+columns of the one stored weight rectangle and per-cell accumulation
+order is fixed by ``_grouped_sum`` (see ``repro.parallel.shards``).
 """
 
 from __future__ import annotations
@@ -197,26 +198,25 @@ class ParallelExecutor:
         tracer = self.tracer
         shard_values = {alias: values[alias] for alias, _ in shardable}
         backend = cfg.backend if pooled else "stream"
+        # One read of the stored rectangle: pooled shards reach it
+        # through the batch's segment (or an inline slice), stream
+        # chunks slice it.
+        rect = weights.dense()
         with tracer.span("parallel.shard", rows_in=n, trials=trials,
                          shards=len(ranges), backend=backend):
+            lease = (self._publish_columns(group_idx, shard_values,
+                                           row_idx, rect)
+                     if pooled else None)
+            payloads = make_shard_payloads(
+                shardable, group_idx, shard_values, rect, ranges,
+                row_idx=row_idx,
+                published=lease.specs if lease is not None else None,
+            )
             if pooled:
-                lease = self._publish_columns(group_idx, shard_values,
-                                              row_idx)
-                payloads = make_shard_payloads(
-                    shardable, group_idx, shard_values, weights, ranges,
-                    row_idx=row_idx,
-                    published=lease.specs if lease is not None else None,
-                )
                 handle = self._ensure_shard_pool().map_async(
                     run_fold_shard, payloads
                 )
             else:
-                # Chunks are sliced from one read of the rectangle.
-                payloads = make_shard_payloads(
-                    shardable, group_idx, shard_values,
-                    as_batch_weights(weights.dense()), ranges,
-                    row_idx=row_idx,
-                )
                 results = [run_fold_shard(p) for p in payloads]
         if tracer.metrics.enabled:
             tracer.metrics.counter("parallel.shard_tasks").inc(len(ranges))
@@ -236,12 +236,16 @@ class ParallelExecutor:
         if not lazy:
             self.drain(boot_states)
 
-    def _publish_columns(self, group_idx, shard_values, row_idx):
-        """Publish one batch's columns to shared memory (None = inline).
+    def _publish_columns(self, group_idx, shard_values, row_idx, rect):
+        """Publish one batch's columns and weights to shared memory
+        (None = inline).
 
-        Only worth it for process pools — threads share the address
-        space already — and silently skipped where shared memory is
-        unavailable (the registry degrades itself after one warning).
+        The weights go in as ``rect.T``: the store's F-order ``(n, B)``
+        rectangle is a C-contiguous ``(B, n)``, copied once into the
+        segment with no transpose.  Only worth it for process pools —
+        threads share the address space already — and silently skipped
+        where shared memory is unavailable (the registry degrades itself
+        after one warning).
         """
         if self.config.backend != "process":
             return None
@@ -249,11 +253,11 @@ class ParallelExecutor:
             self._shm = ShmRegistry(metrics=self.tracer.metrics)
         if not self._shm.available:
             return None
-        arrays = {"group_idx": np.ascontiguousarray(group_idx)}
+        arrays = {"group_idx": group_idx, "weights_t": rect.T}
         for alias, arr in shard_values.items():
-            arrays[f"value:{alias}"] = np.ascontiguousarray(arr)
+            arrays[f"value:{alias}"] = arr
         if row_idx is not None:
-            arrays["row_idx"] = np.ascontiguousarray(row_idx)
+            arrays["row_idx"] = row_idx
         return self._shm.publish(arrays)
 
     def _merge_pending(self, pending: _PendingFold) -> None:
@@ -324,10 +328,11 @@ class ParallelExecutor:
     def _ensure_shard_pool(self):
         """The shard pool — supervised unless configured off.
 
-        Shard tasks are stateless per-(batch, trial) specs, exactly the
-        contract :class:`SupervisedPool` needs for bit-identical
-        re-dispatch; the serial backend runs inline and needs none of
-        it, so it keeps the plain pool.
+        Shard tasks are stateless — their specs resolve to the same
+        segment bytes on every attempt while the batch's lease is held —
+        exactly the contract :class:`SupervisedPool` needs for
+        bit-identical re-dispatch; the serial backend runs inline and
+        needs none of it, so it keeps the plain pool.
         """
         if self._shard_pool is None:
             cfg = self.config

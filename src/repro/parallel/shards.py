@@ -9,17 +9,14 @@ axis splits cleanly: worker ``w`` builds fresh shard states of width
 them back with ``merge_columns`` — bit-identical to the full-width
 update for any shard count.
 
-Weights travel as a :class:`~repro.estimate.bootstrap.BatchWeights` spec
-(a few primitives) whenever possible: each worker regenerates exactly
-its own uint8 trial columns from the per-(batch, trial) RNG streams, so
-no ``(n, B)`` matrix crosses the process boundary.
-
-Column data travels the same way: when the executor has published the
-batch into shared memory (``repro.parallel.shm``), ``group_idx`` /
-``values`` / ``row_idx`` arrive as :class:`~repro.parallel.shm.ArraySpec`
-descriptors and the worker resolves them to zero-copy read-only views —
-a whole shard payload is then a few hundred bytes regardless of batch
-size, which is also what makes the ``spawn`` start method viable.
+Weights are the session's stored uint8 rectangle, drawn once in the
+coordinator; no worker draws a column.  When the executor has published
+the batch into shared memory (``repro.parallel.shm``), ``group_idx`` /
+``values`` / ``row_idx`` and the rectangle's ``(B, n)`` transpose arrive
+as :class:`~repro.parallel.shm.ArraySpec` descriptors and the worker
+resolves them to zero-copy read-only views — a whole shard payload is
+then a few hundred bytes regardless of batch size, which is also what
+makes the ``spawn`` start method viable.
 """
 
 from __future__ import annotations
@@ -28,8 +25,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..estimate.bootstrap import BatchWeights
-from .shm import cached_group_count, resolve
+from .shm import ArraySpec, cached_group_count, resolve
 
 
 def shard_ranges(trials: int, shards: int) -> List[Tuple[int, int]]:
@@ -63,10 +59,8 @@ def run_fold_shard(payload: dict) -> List[Tuple[str, object]]:
     * ``group_idx`` — ``(n,)`` dense group indices (ndarray or
       shared-memory :class:`~repro.parallel.shm.ArraySpec`);
     * ``values`` — alias -> ``(n,)`` argument values (ndarray or spec);
-    * ``weights`` — the ``(n, hi-lo)`` slice, when the caller cut it
-      (spec-less handles, such as the in-process streamed fold's);
-    * ``weight_spec`` — otherwise, the :meth:`BatchWeights.spec` dict to
-      regenerate the shard's columns locally;
+    * ``weights`` — the spec of the batch's published ``(B, n)`` weight
+      transpose, or else the rectangle's ``(n, hi-lo)`` column slice;
     * ``row_idx`` — surviving row positions into the batch's weight
       matrix (ndarray or spec), or None for all rows.
 
@@ -78,10 +72,11 @@ def run_fold_shard(payload: dict) -> List[Tuple[str, object]]:
     group_spec = payload["group_idx"]
     group_idx = resolve(group_spec)
     row_idx = resolve(payload.get("row_idx"))
-    weights = payload.get("weights")
-    if weights is None:
-        spec = payload["weight_spec"]
-        weights = BatchWeights.from_spec(spec).shard(lo, hi, row_idx)
+    weights = payload["weights"]
+    if isinstance(weights, ArraySpec):
+        weights = resolve(weights)[lo:hi].T
+    if row_idx is not None:
+        weights = weights[row_idx]
     groups = cached_group_count(group_spec, group_idx)
     out = []
     for alias, state_cls in payload["aliases"]:
@@ -93,44 +88,40 @@ def run_fold_shard(payload: dict) -> List[Tuple[str, object]]:
 
 
 def make_shard_payloads(
-    aliases, group_idx: np.ndarray, values: dict, weights,
+    aliases, group_idx: np.ndarray, values: dict, weights: np.ndarray,
     ranges: List[Tuple[int, int]],
     row_idx: Optional[np.ndarray] = None,
     published: Optional[dict] = None,
 ) -> List[dict]:
     """One :func:`run_fold_shard` payload per trial range.
 
-    ``weights`` is a batch-weight handle; when it carries a regeneration
-    spec only the spec crosses the process boundary, otherwise the dense
-    column slice for each range is cut here.
+    ``weights`` is the batch's ``(n, B)`` weight rectangle over the
+    original rows; each payload carries its ``[lo, hi)`` column slice.
 
     ``published`` optionally maps payload keys (``"group_idx"``,
-    ``"row_idx"``, ``"value:<alias>"``) to shared-memory specs from one
-    :meth:`~repro.parallel.shm.ShmRegistry.publish` call; specs replace
-    the arrays inside every payload (the batch is published once and
-    referenced by all shards), while coordinator-side dense-weight
-    slicing keeps using the raw ``row_idx``.
+    ``"row_idx"``, ``"value:<alias>"``, ``"weights_t"``) to shared-memory
+    specs from one :meth:`~repro.parallel.shm.ShmRegistry.publish` call;
+    specs replace the arrays inside every payload (the batch is
+    published once and referenced by all shards).
     """
-    spec = weights.spec()
     published = published or {}
+    pub_weights = published.get("weights_t")
     pub_group = published.get("group_idx", group_idx)
     pub_row = published.get("row_idx", row_idx)
     pub_values = {
         alias: published.get(f"value:{alias}", arr)
         for alias, arr in values.items()
     }
-    payloads = []
-    for lo, hi in ranges:
-        payload = {
+    return [
+        {
             "aliases": list(aliases),
             "lo": lo,
             "hi": hi,
             "group_idx": pub_group,
             "values": pub_values,
             "row_idx": pub_row,
-            "weight_spec": spec,
+            "weights": (weights[:, lo:hi] if pub_weights is None
+                        else pub_weights),
         }
-        if spec is None:
-            payload["weights"] = weights.shard(lo, hi, row_idx)
-        payloads.append(payload)
-    return payloads
+        for lo, hi in ranges
+    ]

@@ -13,8 +13,9 @@ a recovery ladder:
    reaps SIGSTOPed workers) and rebuilt.
 2. **Crash detection** — ``BrokenProcessPool``/worker death breaks only
    the round: the pool is rebuilt and *only the lost tasks* are
-   re-dispatched.  Shard payloads are stateless per-(batch, trial)
-   specs, so re-execution is bit-identical.
+   re-dispatched.  Shard payloads are stateless specs into a segment
+   the batch's lease keeps live (weights included), so re-execution is
+   bit-identical.
 3. **Poison quarantine** — a task that fails ``retries`` pool attempts
    (crash, hang, or corrupt result) is quarantined and run serially on
    the coordinator, outside the pool.  Only if that *also* fails is the

@@ -4,7 +4,9 @@ ISSUE 8's lifecycle contract, probed by segment name (the registry
 records every name it ever created, and :func:`segment_exists` asks the
 OS): segments are unlinked after a normal drain+release, after a
 mid-run cancel with folds still pending, after a session run stops
-early, and after SIGKILL-induced supervised-pool rebuilds.
+early, and after SIGKILL-induced supervised-pool rebuilds — whose
+re-dispatched and quarantined shards read the batch's weights from the
+segment its lease still holds.
 """
 
 import numpy as np
@@ -12,10 +14,13 @@ import pytest
 
 from repro import FaultsConfig, GolaConfig, GolaSession
 from repro.config import ParallelConfig
+from repro.core.store import BatchStore
 from repro.engine.aggregates import AvgState, SumState
 from repro.estimate.bootstrap import PoissonWeightSource
 from repro.faults import FaultInjector
+from repro.obs import MetricsRegistry, Tracer
 from repro.parallel import HAVE_SHM, ParallelExecutor, segment_exists
+from repro.parallel.shm import attached_segments, detach_all
 from repro.workloads import SBI_QUERY, generate_sessions
 
 pytestmark = pytest.mark.skipif(
@@ -25,12 +30,14 @@ pytestmark = pytest.mark.skipif(
 CONFIG = ParallelConfig(workers=2, backend="process", min_shard_rows=1)
 
 
-def _fold_batches(executor, batches=3, n=4000, trials=12, lazy=True):
+def _fold_batches(executor, batches=3, n=4000, trials=12, lazy=True,
+                  store=None, tracer=None):
     rng = np.random.default_rng(8)
     gi = rng.integers(0, 7, n)
     values = {"s": rng.normal(size=n), "a": rng.normal(size=n)}
     states = {"s": SumState(trials), "a": AvgState(trials)}
-    source = PoissonWeightSource(trials, 99, label="shm-life")
+    source = PoissonWeightSource(trials, 99, label="shm-life",
+                                 tracer=tracer, store=store)
     for _ in range(batches):
         executor.fold_boot_states(states, gi, values,
                                   source.batch_weights(n), lazy=lazy)
@@ -113,6 +120,44 @@ class TestSegmentsNeverLeak:
             executor.close()
         assert restarts >= 1, "chaos never killed a worker"
         assert created
+        assert not any(segment_exists(n) for n in created)
+        ref = _serial_reference()
+        for alias in ref:
+            assert np.array_equal(ref[alias], out[alias]), alias
+
+    def test_recovery_reads_weights_from_the_held_segment(self):
+        # Every pool attempt of every shard SIGKILLs its worker: each
+        # shard is re-dispatched once, then quarantined to the serial
+        # fallback, which resolves the specs in the coordinator.  Both
+        # read the stored weight rectangle from the segment the batch's
+        # lease still holds; nothing draws it again.
+        injector = FaultInjector(
+            FaultsConfig(enabled=True, seed=11, worker_kill_prob=1.0,
+                         max_retries=1),
+            master_seed=11,
+        )
+        tracer = Tracer(metrics=MetricsRegistry(enabled=True))
+        executor = ParallelExecutor(
+            ParallelConfig(workers=2, backend="process", min_shard_rows=1,
+                           task_deadline_s=30.0, task_retries=1),
+            tracer=tracer, injector=injector,
+        )
+        try:
+            states = _fold_batches(executor, store=BatchStore(),
+                                   tracer=tracer)
+            executor.drain()
+            created = list(executor.shm_registry.created)
+            attached = attached_segments()
+            out = {k: s.finalize() for k, s in states.items()}
+        finally:
+            executor.close()
+            detach_all()
+        counters = tracer.metrics.snapshot().counters
+        assert counters["parallel.redispatched"] >= 3 * 2
+        assert counters["parallel.serial_fallbacks"] == 3 * 2
+        assert counters["bootstrap.columns_drawn"] == 3 * 12
+        # The fallback attached every batch's segment in this process.
+        assert len(created) == 3 and set(created) <= set(attached)
         assert not any(segment_exists(n) for n in created)
         ref = _serial_reference()
         for alias in ref:

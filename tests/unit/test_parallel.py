@@ -119,14 +119,19 @@ class TestPoissonTrialColumns:
         assert draws.var() == pytest.approx(1.0, abs=0.02)
 
     def test_shard_is_column_slice_of_dense(self):
-        spec_only = BatchWeights(24, 11, "w", 3, 1000)
-        shard = spec_only.shard(5, 13)       # generated directly
         handle = BatchWeights(24, 11, "w", 3, 1000, store=BatchStore())
         dense = handle.dense()               # the stored rectangle
         assert dense.dtype == np.uint8 and dense.flags["F_CONTIGUOUS"]
-        assert np.array_equal(shard, dense[:, 5:13])
-        # a store-backed handle slices the stored rectangle
-        assert np.shares_memory(handle.shard(0, 4), dense)
+        # A trial shard's columns are those trials' own streams.
+        for trial in range(5, 13):
+            assert np.array_equal(
+                dense[:, trial],
+                poisson_trial_column(11, "w", 3, trial, 1000),
+            )
+        # A storeless handle draws the same rectangle; a stored one
+        # reads it again.
+        assert np.array_equal(BatchWeights(24, 11, "w", 3, 1000).dense(),
+                              dense)
         assert handle.dense() is dense
 
     def test_pickle_roundtrip_regenerates_identically(self):
@@ -404,17 +409,21 @@ class TestParallelExecutor:
         for alias in ref:
             assert np.array_equal(ref[alias], out[alias])
 
-    def test_sharded_run_draws_on_workers_only(self):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_pooled_run_draws_each_column_once(self, backend):
         store = BatchStore()
-        tracer = Tracer(metrics=MetricsRegistry(enabled=True))
-        _fold_with(ParallelConfig(workers=2, backend="thread"),
-                   tracer=tracer, store=store)
-        counters = tracer.metrics.snapshot().counters
-        assert counters["parallel.shard_tasks"] == 2 * 2
-        # Shards regenerate their columns from the spec, uncounted and
-        # unstored: the coordinator draws nothing.
-        assert "bootstrap.columns_drawn" not in counters
-        assert store.nbytes == 0
+        config = ParallelConfig(workers=2, backend=backend)
+        drawn = []
+        for _ in range(2):
+            tracer = Tracer(metrics=MetricsRegistry(enabled=True))
+            _fold_with(config, tracer=tracer, store=store)
+            counters = tracer.metrics.snapshot().counters
+            assert counters["parallel.shard_tasks"] == 2 * 2
+            drawn.append(counters.get("bootstrap.columns_drawn", 0))
+        # The coordinator draws each rectangle once into the store and
+        # the shards read it: no worker has a way to draw a column.
+        assert drawn == [16 * 2, 0]
+        assert store.nbytes == 2 * 6000 * 16
 
     def test_small_batches_skip_sharding(self):
         config = ParallelConfig(workers=4, min_shard_rows=10 ** 9)
@@ -450,17 +459,43 @@ class TestParallelExecutor:
             executor.close()
         assert results == [i * i for i in range(7)]
 
-    def test_shard_payload_carries_spec_not_matrix(self):
-        handle = BatchWeights(8, 1, "p", 0, 64)
-        gi = np.zeros(64, dtype=np.int64)
-        payloads = make_shard_payloads(
-            [("x", SumState)], gi, {"x": np.ones(64)}, handle,
-            shard_ranges(8, 2),
+    @pytest.mark.parametrize("shm", [True, False], ids=["shm", "inline"])
+    def test_shard_payloads_carry_the_stored_rectangle(self, monkeypatch,
+                                                       shm):
+        if shm and not HAVE_SHM:
+            pytest.skip("no shared memory")
+        ref, _ = _fold_with(ParallelConfig())
+        if not shm:
+            monkeypatch.setattr("repro.parallel.shm.HAVE_SHM", False)
+        sent = []
+
+        def recording(*args, **kwargs):
+            payloads = make_shard_payloads(*args, **kwargs)
+            sent.extend(payloads)
+            return payloads
+
+        monkeypatch.setattr("repro.parallel.executor.make_shard_payloads",
+                            recording)
+        store = BatchStore()
+        out, handles = _fold_with(
+            ParallelConfig(workers=2, backend="process"), store=store
         )
-        assert all("weights" not in p for p in payloads)
-        assert all(p["weight_spec"] == handle.spec() for p in payloads)
-        (alias, state), = run_fold_shard(payloads[1])
-        assert alias == "x" and state.width == 4
+        for alias in ref:
+            assert np.array_equal(ref[alias], out[alias]), alias
+        assert len(sent) == 2 * 2
+        assert not any("weight_spec" in p for p in sent)
+        for p, handle in zip(sent, [h for h in handles for _ in (0, 1)]):
+            rect = handle.dense()
+            if shm:
+                # The whole (B, n) transpose, published once per batch.
+                assert isinstance(p["weights"], ArraySpec)
+                assert p["weights"].shape == (16, 6000)
+                assert np.dtype(p["weights"].dtype) == np.uint8
+            else:
+                assert p["weights"].dtype == np.uint8
+                assert np.shares_memory(p["weights"], rect)
+                assert np.array_equal(p["weights"],
+                                      rect[:, p["lo"]:p["hi"]])
 
 
 class TestZeroCopyPipeline:
@@ -517,24 +552,32 @@ class TestZeroCopyPipeline:
     def test_published_payloads_carry_specs(self):
         from repro.parallel.shm import ShmRegistry, detach_all
 
-        handle = BatchWeights(8, 1, "p", 0, 64)
-        gi = np.zeros(64, dtype=np.int64)
-        vals = {"x": np.ones(64)}
+        rect = BatchWeights(8, 1, "p", 0, 64).dense()
+        row_idx = np.arange(0, 64, 3)        # the surviving rows
+        gi = np.zeros(len(row_idx), dtype=np.int64)
+        vals = {"x": np.arange(len(row_idx), dtype=np.float64)}
+        args = ([("x", SumState)], gi, vals, rect, shard_ranges(8, 2))
         try:
             with ShmRegistry() as registry:
                 lease = registry.publish(
-                    {"group_idx": gi, "value:x": vals["x"]}
+                    {"group_idx": gi, "value:x": vals["x"],
+                     "row_idx": row_idx, "weights_t": rect.T}
                 )
                 payloads = make_shard_payloads(
-                    [("x", SumState)], gi, vals, handle,
-                    shard_ranges(8, 2), published=lease.specs,
+                    *args, row_idx=row_idx, published=lease.specs,
                 )
-                assert all(isinstance(p["group_idx"], ArraySpec)
-                           for p in payloads)
+                for key in ("group_idx", "row_idx", "weights"):
+                    assert all(isinstance(p[key], ArraySpec)
+                               for p in payloads)
                 assert all(isinstance(p["values"]["x"], ArraySpec)
                            for p in payloads)
-                (alias, state), = run_fold_shard(payloads[0])
-                assert alias == "x" and state.width == 4
+                inline = make_shard_payloads(*args, row_idx=row_idx)
+                for pub, raw in zip(payloads, inline):
+                    (alias, state), = run_fold_shard(pub)
+                    (_, expect), = run_fold_shard(raw)
+                    assert alias == "x" and state.width == 4
+                    assert np.array_equal(state.finalize(),
+                                          expect.finalize())
                 lease.release()
         finally:
             detach_all()

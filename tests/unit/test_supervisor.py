@@ -182,7 +182,6 @@ def _fold_payload(n=12, width=4):
         "group_idx": rng.integers(0, 3, size=n),
         "values": {"s": rng.normal(size=n), "a": rng.normal(size=n)},
         "row_idx": None,
-        "weight_spec": None,
         "weights": rng.poisson(1.0, size=(n, width)).astype(np.float64),
     }
 
