@@ -19,7 +19,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..config import GolaConfig
-from ..engine.aggregates import GroupIndex
+from ..engine.aggregates import GroupIndex, argument_values
 from ..errors import UnsupportedQueryError
 from ..estimate.closed_form import z_value
 from ..expr.expressions import Environment, evaluate_mask
@@ -121,12 +121,10 @@ class ClassicalOLA:
                     values = (
                         np.ones(piped.num_rows)
                         if call.arg is None
-                        else np.asarray(
-                            call.arg.evaluate(piped, env), dtype=np.float64
+                        else argument_values(
+                            call, call.arg.evaluate(piped, env), piped.num_rows
                         )
                     )
-                    if values.ndim == 0:
-                        values = np.full(piped.num_rows, float(values))
                     np.add.at(n_arr, group_idx, 1.0)
                     np.add.at(s_arr, group_idx, values)
                     np.add.at(ss_arr, group_idx, values ** 2)

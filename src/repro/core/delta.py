@@ -37,6 +37,7 @@ from ..engine.aggregates import (
     AggState,
     GroupIndex,
     UDAFRegistry,
+    argument_values,
     make_state,
 )
 from ..errors import ExecutionError, RangeViolation, UnsupportedQueryError
@@ -67,6 +68,7 @@ from ..obs import NULL_TRACER
 from ..parallel import SERIAL_EXECUTOR
 from ..plan.lineage_blocks import LineageBlock
 from ..engine.operators import (
+    JoinIndex,
     build_join_index,
     group_indices,
     probe_join,
@@ -543,7 +545,7 @@ class BlockRuntime:
         self.udafs = udafs
         self.pipeline = parse_block(block.plan)
         self.dimension_tables = dimension_tables
-        self._join_indices: Dict[int, Dict] = {}
+        self._join_indices: Dict[int, JoinIndex] = {}
 
         agg = self.pipeline.aggregate
         self.group_index = GroupIndex()
@@ -980,10 +982,8 @@ class BlockRuntime:
             if call.arg is None:
                 values[call.alias] = np.ones(n)
             else:
-                raw = np.asarray(call.arg.evaluate(table, penv),
-                                 dtype=np.float64)
-                values[call.alias] = (
-                    np.broadcast_to(raw, (n,)).copy() if raw.ndim == 0 else raw
+                values[call.alias] = argument_values(
+                    call, call.arg.evaluate(table, penv), n
                 )
 
         lineage = (

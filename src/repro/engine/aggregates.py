@@ -225,6 +225,22 @@ def _as_weight_matrix(weights, n: int, width: int) -> np.ndarray:
     return w
 
 
+def _numeric(values, what: str) -> np.ndarray:
+    """``values`` as float64, or ExecutionError naming ``what``."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ExecutionError(
+            f"{what}: argument is not numeric ({exc})"
+        ) from None
+
+
+def argument_values(call: AggregateCall, raw, n: int) -> np.ndarray:
+    """``call``'s evaluated argument as ``(n,)`` float64 values."""
+    values = _numeric(raw, call.sql())
+    return np.broadcast_to(values, (n,)).copy() if values.ndim == 0 else values
+
+
 class AggState:
     """Base class for mergeable aggregate states.
 
@@ -294,7 +310,7 @@ class AggState:
             int(group_idx.max()) + 1 if groups is None else groups
         )
         if values is not None:
-            values = np.asarray(values, dtype=np.float64)
+            values = _numeric(values, type(self).__name__)
             if len(values) != n:
                 raise ExecutionError(
                     f"values length {len(values)} != group_idx length {n}"
@@ -716,6 +732,14 @@ class DistinctState(AggState):
 
     Values are keyed by their float64 bit pattern (NaNs canonicalized
     first) so dedup is exact and identical however the rows are batched.
+    A batch's pairs encode without a Python object per row: the value
+    bits are ranked (``np.unique``), and ``group * n_values + rank`` is
+    one int64 whose ascending order is the ``(group, bits)`` tuple order,
+    because ranks are dense and below ``n_values``.  Only the batch's
+    distinct pairs reach ``pairs`` (still keyed by those tuples), so new
+    pairs get their dense ids in the same order a per-row tuple encode
+    gives them.  ``pair_group``/``pair_bits`` hold each pair's two halves
+    for ``_finalize``.
     """
 
     def __init__(self, trials=None, mode: str = "count"):
@@ -729,18 +753,32 @@ class DistinctState(AggState):
         # sees only Poisson weights, but both the Good-Toulmin singleton
         # set and the replica recentering need the true counts.
         self.raw = np.zeros(0)
+        self.pair_group = np.zeros(0, dtype=np.int64)
+        self.pair_bits = np.zeros(0, dtype=np.int64)
 
     def _alloc(self, groups):
         pass  # num_groups sizes the output; pair storage grows in _update
 
+    _PAIR_ARRAYS = ("wsum", "raw", "pair_group", "pair_bits")
+
     def _ensure_pairs(self, count: int) -> None:
-        if count > len(self.wsum):
-            grown = np.zeros((count, self.width))
-            grown[: len(self.wsum)] = self.wsum
-            self.wsum = grown
-            raw = np.zeros(count)
-            raw[: len(self.raw)] = self.raw
-            self.raw = raw
+        have = len(self.raw)
+        if count > have:
+            for name in self._PAIR_ARRAYS:
+                arr = getattr(self, name)
+                grown = np.zeros((count,) + arr.shape[1:], dtype=arr.dtype)
+                grown[:have] = arr
+                setattr(self, name, grown)
+
+    def _encode_pairs(self, group, bits) -> np.ndarray:
+        """Dense pair ids of distinct ``(group, bits)`` pairs, recorded."""
+        keys = np.empty(len(group), dtype=object)
+        keys[:] = list(zip(group.tolist(), bits.tolist()))
+        ids = self.pairs.encode(keys)
+        self._ensure_pairs(self.pairs.num_groups)
+        self.pair_group[ids] = group
+        self.pair_bits[ids] = bits
+        return ids
 
     @staticmethod
     def _value_bits(values: np.ndarray) -> np.ndarray:
@@ -753,12 +791,14 @@ class DistinctState(AggState):
     def _update(self, group_idx, values, weights):
         if values is None:
             raise ExecutionError("DISTINCT aggregates require an argument")
-        n = len(group_idx)
-        bits = self._value_bits(values)
-        keys = np.empty(n, dtype=object)
-        keys[:] = list(zip(group_idx.tolist(), bits.tolist()))
-        pair_idx = self.pairs.encode(keys)
-        self._ensure_pairs(self.pairs.num_groups)
+        uniq_bits, rank = np.unique(self._value_bits(values),
+                                    return_inverse=True)
+        nvalues = len(uniq_bits)
+        packed, inverse = np.unique(group_idx * nvalues + rank,
+                                    return_inverse=True)
+        ids = self._encode_pairs(packed // nvalues,
+                                 uniq_bits[packed % nvalues])
+        pair_idx = ids[inverse]
         self.wsum += _grouped_sum(pair_idx, weights, len(self.wsum))
         self.raw += np.bincount(pair_idx, minlength=len(self.raw))
 
@@ -766,10 +806,8 @@ class DistinctState(AggState):
         count = other.pairs.num_groups
         if count == 0:
             return
-        keys = np.empty(count, dtype=object)
-        keys[:] = other.pairs.keys()
-        idx = self.pairs.encode(keys)
-        self._ensure_pairs(self.pairs.num_groups)
+        idx = self._encode_pairs(other.pair_group[:count],
+                                 other.pair_bits[:count])
         np.add.at(self.wsum, idx, other.wsum[:count])
         np.add.at(self.raw, idx, other.raw[:count])
 
@@ -781,10 +819,7 @@ class DistinctState(AggState):
         npairs = self.pairs.num_groups
         if npairs == 0:
             return out
-        pair_keys = self.pairs.keys()
-        group_of = np.fromiter(
-            (k[0] for k in pair_keys), dtype=np.int64, count=npairs
-        )
+        group_of = self.pair_group[:npairs]
         present = (self.wsum[:npairs] > 0).astype(np.float64)
         # Per-pair mass decomposes into "seen" presence plus Good-Toulmin
         # singleton/doubleton terms (combined per group further down).
@@ -867,9 +902,7 @@ class DistinctState(AggState):
             counts = counts + u_count
         if self.mode == "count":
             return counts
-        vals = np.fromiter(
-            (k[1] for k in pair_keys), dtype=np.int64, count=npairs
-        ).view(np.float64)
+        vals = self.pair_bits[:npairs].view(np.float64)
         sums = _group(vals[:, None] * base, guard=base)
         if u_count is not None:
             # Value-weighted GT for SUM: the k-ton pairs' own values
@@ -890,8 +923,8 @@ class DistinctState(AggState):
         out = DistinctState(self.trials, mode=self.mode)
         out.num_groups = self.num_groups
         out.pairs = self.pairs.copy()
-        out.wsum = self.wsum.copy()
-        out.raw = self.raw.copy()
+        for name in self._PAIR_ARRAYS:
+            setattr(out, name, getattr(self, name).copy())
         return out
 
 

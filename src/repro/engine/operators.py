@@ -9,7 +9,7 @@ filters with uncertain/deterministic classification).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from ..storage.table import ColumnType, Schema, Table
 from .aggregates import (
     GroupIndex,
     UDAFRegistry,
+    argument_values,
     make_state,
 )
 
@@ -48,25 +49,36 @@ def run_project(node: Project, table: Table, env: Environment) -> Table:
     )
 
 
-def build_join_index(right: Table, key_names: Sequence[str]) -> Dict:
-    """Build side of the hash join: key tuple -> row of ``right``.
+class JoinIndex(NamedTuple):
+    """Build side of the hash join: the build keys' encoder plus
+    ``rows[dense key id] -> build row``, whose extra last entry is -1 so
+    an unmatched probe (id -1) gathers -1."""
+
+    keys: GroupIndex
+    rows: np.ndarray
+
+
+def build_join_index(right: Table, key_names: Sequence[str]) -> JoinIndex:
+    """Index ``right``'s key columns for :func:`probe_join`.
 
     Right-side rows must be unique per key combination (dimension
     semantics); duplicate build keys raise because fan-out joins would
     break the online multiplicity accounting.
     """
-    index: Dict = {}
-    for i, key in enumerate(_key_rows(right, key_names)):
-        if key in index:
-            raise ExecutionError(
-                f"duplicate key {key!r} on join build side; dimension "
-                "tables must be unique per key"
-            )
-        index[key] = i
-    return index
+    keys = GroupIndex()
+    ids = keys.encode(_composite_keys([right.column(n) for n in key_names]))
+    if keys.num_groups < len(ids):
+        dup = keys.key_at(np.bincount(ids).argmax())
+        raise ExecutionError(
+            f"duplicate key {dup!r} on join build side; dimension "
+            "tables must be unique per key"
+        )
+    rows = np.full(len(ids) + 1, -1, dtype=np.int64)
+    rows[ids] = np.arange(len(ids))
+    return JoinIndex(keys, rows)
 
 
-def probe_join(left: Table, right: Table, index: Dict,
+def probe_join(left: Table, right: Table, index: JoinIndex,
                keys: Sequence[Tuple[str, str]], how: str = "inner",
                span=None) -> Tuple[Table, Optional[np.ndarray]]:
     """Probe ``index`` with ``left``'s keys and gather ``right``'s columns.
@@ -74,18 +86,18 @@ def probe_join(left: Table, right: Table, index: Dict,
     Returns the joined table plus the boolean mask of ``left`` rows it
     kept (None for a left join, which keeps every row and fills the
     unmatched ones per :func:`_fill_value`).  The batch executor and the
-    online certain pipeline both join through here.
+    online certain pipeline both join through here.  Probe keys match
+    build keys under Python equality (``5.0`` finds ``5``), and only the
+    batch's distinct probe keys reach the encoder's dict.
 
     ``span`` is an optional observability span
     (:class:`repro.obs.Span`); when given, the match count is recorded.
     """
     if how not in ("inner", "left"):
         raise ExecutionError(f"unsupported join type {how!r}")
-    probe_keys = _key_rows(left, [l for l, _ in keys])
-    match = np.fromiter(
-        (index.get(k, -1) for k in probe_keys), dtype=np.int64,
-        count=left.num_rows,
-    )
+    match = index.rows[index.keys.encode(
+        _composite_keys([left.column(l) for l, _ in keys]), add_new=False
+    )]
     matched = match >= 0
     if span is not None:
         span.set("matched", int(matched.sum()))
@@ -103,15 +115,9 @@ def probe_join(left: Table, right: Table, index: Dict,
             continue
         arr = right.column(col.name)
         if how == "left":
-            gathered = np.where(
-                matched, arr[np.clip(match, 0, None)],
-                _fill_value(col.ctype),
-            )
-            if col.ctype is ColumnType.STRING:
-                gathered = gathered.astype(object)
-        else:
-            gathered = arr[match]
-        columns[col.name] = gathered
+            # An unmatched row's -1 gathers the appended fill value.
+            arr = np.append(arr, _fill_value(col.ctype))
+        columns[col.name] = arr[match]
         cols.append(col)
     return Table(Schema(cols), columns), keep
 
@@ -123,11 +129,14 @@ def hash_join(left: Table, right: Table, keys: Sequence[Tuple[str, str]],
     return probe_join(left, right, index, keys, how, span)[0]
 
 
-def _key_rows(table: Table, names: Sequence[str]) -> List:
-    if len(names) == 1:
-        return table.column(names[0]).tolist()
-    arrays = [table.column(n) for n in names]
-    return list(zip(*[a.tolist() for a in arrays]))
+def _composite_keys(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """One key per row: the single key column itself, or per-row tuples
+    of several (the only per-row objects a multi-column key needs)."""
+    if len(parts) == 1:
+        return parts[0]
+    combined = np.empty(len(parts[0]), dtype=object)
+    combined[:] = list(zip(*[p.tolist() for p in parts]))
+    return combined
 
 
 def _fill_value(ctype: ColumnType):
@@ -155,19 +164,13 @@ def group_indices(table: Table, group_by: Sequence[Tuple[Expression, str]],
     if not group_by:
         index.encode(np.zeros(1, dtype=np.int64))  # ensure group 0 exists
         return np.zeros(n, dtype=np.int64), index
-    if len(group_by) == 1:
-        raw = np.asarray(group_by[0][0].evaluate(table, env))
-        keys = np.broadcast_to(raw, (n,)) if raw.ndim == 0 else raw
-        return index.encode(keys), index
     parts = []
     for expr, _ in group_by:
         raw = np.asarray(expr.evaluate(table, env))
         parts.append(
             np.broadcast_to(raw, (n,)) if raw.ndim == 0 else raw
         )
-    combined = np.empty(n, dtype=object)
-    combined[:] = list(zip(*[p.tolist() for p in parts]))
-    return index.encode(combined), index
+    return index.encode(_composite_keys(parts)), index
 
 
 def run_aggregate(node: Aggregate, table: Table, env: Environment,
@@ -197,10 +200,8 @@ def run_aggregate(node: Aggregate, table: Table, env: Environment,
         if table.num_rows:
             values = None
             if call.arg is not None:
-                raw = np.asarray(call.arg.evaluate(table, env))
-                values = (
-                    np.broadcast_to(raw, (table.num_rows,)).astype(np.float64)
-                    if raw.ndim == 0 else raw.astype(np.float64)
+                values = argument_values(
+                    call, call.arg.evaluate(table, env), table.num_rows
                 )
             state.update(group_idx, values)
         finalized = state.finalize(scale)

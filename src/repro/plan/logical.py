@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 
 from ..engine.aggregates import AggregateCall
-from ..errors import PlanError
+from ..errors import PlanError, UnsupportedQueryError
 from ..expr.expressions import ColumnRef, Expression
 from ..storage.table import Column, ColumnType, Schema
 
@@ -169,6 +169,14 @@ class Aggregate(LogicalPlan):
         self.group_by = list(group_by)
         self.aggregates = list(aggregates)
         self.having = having
+        for call in self.aggregates:
+            if (isinstance(call.arg, ColumnRef)
+                    and _expr_type(call.arg, input_plan.schema)
+                    is ColumnType.STRING):
+                raise UnsupportedQueryError(
+                    f"{call.sql()}: aggregates over STRING column "
+                    f"{call.arg.name!r} are not supported"
+                )
         cols = [Column(name, _expr_type(e, input_plan.schema))
                 for e, name in self.group_by]
         cols.extend(Column(a.alias, ColumnType.FLOAT64) for a in self.aggregates)

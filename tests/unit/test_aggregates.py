@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import GolaConfig, GolaSession, Table
 from repro.engine import UDAFRegistry, UDAFSpec, make_state
@@ -19,6 +21,7 @@ from repro.engine.aggregates import (
     StdevState,
     SumState,
     VarState,
+    _grouped_sum,
 )
 from repro.errors import ExecutionError, PlanError
 
@@ -394,6 +397,84 @@ class TestDistinct:
     def test_empty_grouped_input_has_no_rows(self):
         # Regression twin of the QuantileState case above.
         assert len(DistinctState().finalize()) == 0
+
+
+class TupleEncodeDistinct(DistinctState):
+    """Reference: DistinctState as it encoded pairs before int64 keys,
+    one Python ``(group, bits)`` tuple per row."""
+
+    def _update(self, group_idx, values, weights):
+        if values is None:
+            raise ExecutionError("DISTINCT aggregates require an argument")
+        n = len(group_idx)
+        bits = self._value_bits(values)
+        keys = np.empty(n, dtype=object)
+        keys[:] = list(zip(group_idx.tolist(), bits.tolist()))
+        pair_idx = self.pairs.encode(keys)
+        self._ensure_pairs(self.pairs.num_groups)
+        self.wsum += _grouped_sum(pair_idx, weights, len(self.wsum))
+        self.raw += np.bincount(pair_idx, minlength=len(self.raw))
+
+    def _finalize(self, scale):
+        # The tuple encode read each pair's halves off its key.
+        keys = self.pairs.keys()
+        self.pair_group = np.array([k[0] for k in keys], dtype=np.int64)
+        self.pair_bits = np.array([k[1] for k in keys], dtype=np.int64)
+        return super()._finalize(scale)
+
+
+_SPECIAL_VALUES = [
+    0.0, -0.0, 1.0, -1.0, -7.25, np.inf, -np.inf, np.nan,
+    # A second NaN payload: canonicalised to the same pair as np.nan.
+    float(np.array([0x7FF0000000000001], dtype=np.int64).view(np.float64)[0]),
+]
+_values = st.one_of(
+    st.sampled_from(_SPECIAL_VALUES),
+    st.integers(-3, 3).map(float),  # small pool: pairs overlap
+    st.floats(width=64),
+)
+_batch = st.lists(st.tuples(st.integers(0, 3), _values), max_size=40)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestDistinctEncodeOracle:
+    """The int64 pair encode assigns every pair the id the per-row tuple
+    encode gave it, so every sum sees the same operands in order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(batches=st.lists(_batch, min_size=1, max_size=4),
+           trials=st.sampled_from([None, 7]),
+           mode=st.sampled_from(["count", "sum", "avg"]),
+           seed=st.integers(0, 2 ** 16),
+           scale=st.sampled_from([1.0, 2.5]))
+    def test_matches_tuple_encode(self, batches, trials, mode, seed, scale):
+        rng = np.random.default_rng(seed)
+        ref = TupleEncodeDistinct(trials, mode=mode)
+        new = DistinctState(trials, mode=mode)
+        for rows in batches:
+            group_idx = np.array([g for g, _ in rows], dtype=np.int64)
+            values = np.array([v for _, v in rows], dtype=np.float64)
+            weights = (None if trials is None else
+                       rng.poisson(1.0, (len(rows), trials)).astype(np.uint8))
+            ref.update(group_idx, values, weights)
+            new.update(group_idx, values, weights)
+            assert new.pairs.keys() == ref.pairs.keys()
+            assert _same_bits(new.wsum, ref.wsum)
+            assert _same_bits(new.raw, ref.raw)
+        keys = ref.pairs.keys()
+        npairs = len(keys)
+        assert new.pair_group[:npairs].tolist() == [k[0] for k in keys]
+        assert new.pair_bits[:npairs].tolist() == [k[1] for k in keys]
+        # inf - inf and huge values overflowing in the SUM/AVG
+        # extrapolation warn in both.
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = ref.finalize(scale)
+            assert _same_bits(new.finalize(scale), expected)
+            assert _same_bits(new.copy().finalize(scale), expected)
 
 
 class TestFactoryAndUdaf:

@@ -15,7 +15,7 @@ from repro import (
     Table,
     UnsupportedQueryError,
 )
-from repro.errors import BindError, ParseError
+from repro.errors import BindError, ExecutionError, ParseError
 
 
 @pytest.fixture
@@ -124,3 +124,42 @@ class TestParseRejections:
     def test_malformed_sql(self, session, sql):
         with pytest.raises(ParseError):
             session.sql(sql)
+
+
+class TestStringAggregateArguments:
+    """An aggregate over text fails with a typed error in both engines,
+    never with numpy's bare ``ValueError`` from the float cast."""
+
+    JOIN = "FROM trips t JOIN zones z ON t.zone_id = z.zone_id"
+
+    @pytest.fixture
+    def taxi_session(self):
+        from repro.workloads.taxi import register_taxi
+
+        s = GolaSession(GolaConfig(num_batches=3, bootstrap_trials=8))
+        register_taxi(s, 600, seed=1)
+        return s
+
+    @pytest.mark.parametrize("agg", [
+        "COUNT(z.borough)", "COUNT(DISTINCT z.borough)", "SUM(z.borough)",
+    ])
+    def test_bare_string_column_rejected_before_running(self, taxi_session,
+                                                        agg):
+        sql = f"SELECT {agg} {self.JOIN}"
+        with pytest.raises(UnsupportedQueryError, match="borough"):
+            taxi_session.sql(sql)
+        with pytest.raises(UnsupportedQueryError, match="borough"):
+            taxi_session.execute_batch(sql)
+
+    @pytest.mark.parametrize("agg", [
+        "SUM('abc')",
+        "AVG(CASE WHEN fare > 10 THEN z.borough ELSE z.borough END)",
+    ])
+    def test_string_expression_fails_with_execution_error(self, taxi_session,
+                                                          agg):
+        query = taxi_session.sql(f"SELECT {agg} {self.JOIN}")
+        func = agg.split("(")[0].lower()
+        with pytest.raises(ExecutionError, match=rf"{func}\(.*not numeric"):
+            taxi_session.execute_batch(query)
+        with pytest.raises(ExecutionError, match=rf"{func}\(.*not numeric"):
+            list(query.run_online())
