@@ -22,6 +22,7 @@ and quantiles invariant.
 from __future__ import annotations
 
 import hashlib
+from copy import deepcopy
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -185,17 +186,46 @@ def _grouped_sum(group_idx: np.ndarray, weights: np.ndarray, groups: int,
                  values: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-(group, column) sums of ``values * weights`` rows: the batch delta.
 
-    One ``bincount`` per trial column; the optional ``values`` vector is
-    multiplied in per column so no ``(n, width)`` contribution matrix is
-    ever materialized.  ``bincount`` accumulates every cell's
-    contributions in row order, so the result is bit-identical however
-    the columns are chunked or sharded across workers — the property the
-    parallel bootstrap path relies on.
+    Every cell is the float64 sum of its contributions added in row
+    order from +0.0 — what one ``bincount`` per trial column gives — so
+    the result is bit-identical however the columns are chunked or
+    sharded across workers, the property the parallel bootstrap path
+    relies on.  The reduction is picked from what is exact by
+    construction:
+
+    * integer weights with no ``values`` into one group (COUNT, the
+      counts of AVG/VAR/DISTINCT) are an int64 column sum — integers add
+      exactly in any order, and every cell fits float64 exactly;
+    * other one-group sums of width >= 2 are one ``np.add.reduce`` over
+      the rows of a C-order float64 product: reducing the non-contiguous
+      axis adds row by row across all columns, each cell still in row
+      order from +0.0, as ``width`` independent chains instead of one
+      ``bincount`` accumulator (a NaN cell is redone by ``bincount``:
+      which of two NaNs an add keeps is up to the loop);
+    * everything else takes the per-column ``bincount``.  Width 1 must:
+      reducing along the contiguous axis switches numpy to pairwise
+      summation, which reorders the adds.
     """
     n, width = weights.shape
     out = np.zeros((groups, width))
     if n == 0 or groups == 0 or width == 0:
         return out
+    if groups == 1:
+        if values is None and weights.dtype.kind in "ui":
+            # An F-order copy sums column by column; a C-order uint8
+            # array (a row gather) sums into int64 several times slower.
+            out[0] = np.asfortranarray(weights).sum(axis=0, dtype=np.int64)
+            return out
+        if width > 1:
+            contrib = (np.ascontiguousarray(weights, dtype=np.float64)
+                       if values is None
+                       else np.multiply(values[:, None], weights, order="C"))
+            np.add.reduce(contrib, axis=0, initial=0.0, out=out[0])
+            # Two NaNs meeting in a cell keep whichever operand the add
+            # loop favours, which need not be bincount's: redo NaN cells.
+            for c in np.flatnonzero(np.isnan(out[0])).tolist():
+                out[0, c] = np.bincount(group_idx, weights=contrib[:, c])[0]
+            return out
     for c in range(width):
         col = weights[:, c]
         contrib = col if values is None else values * col
@@ -205,19 +235,23 @@ def _grouped_sum(group_idx: np.ndarray, weights: np.ndarray, groups: int,
 
 
 def _as_weight_matrix(weights, n: int, width: int) -> np.ndarray:
-    """Normalize ``weights`` to an ``(n, width)`` float64 matrix.
+    """Normalize ``weights`` to an ``(n, width)`` matrix.
 
-    The one place bootstrap weights widen: they are uint8 from the draw
-    to here (every small integer is exact in float64, so the kernels
-    see the operands a float64 draw would give them).
+    A 2-D uint8 rectangle (the session's stored bootstrap weights) comes
+    back as it is: the kernels take uint8 directly, counts sum as
+    integers and every other use promotes each small integer to float64
+    exactly (see ``_grouped_sum``).  Anything else becomes float64.
     """
     if weights is None:
         return np.ones((n, width), dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
+    w = np.asarray(weights)
     if w.ndim == 1:
+        w = w.astype(np.float64, copy=False)
         if len(w) != n:
             raise ExecutionError(f"weights length {len(w)} != rows {n}")
         return np.repeat(w[:, None], width, axis=1) if width > 1 else w[:, None]
+    if w.dtype != np.uint8:
+        w = w.astype(np.float64, copy=False)
     if w.shape != (n, width):
         raise ExecutionError(
             f"weight matrix shape {w.shape} != ({n}, {width})"
@@ -626,6 +660,10 @@ class QuantileState(AggState):
     evaluated per group segment.  The reservoir is a uniform sample of
     everything seen (uniform within every group too), so the estimate
     converges like any other running aggregate.
+
+    Reservoir weights keep the dtype they arrive in — the stored uint8
+    rectangle's rows for trial states — so a full reservoir holds
+    ``capacity * trials`` bytes of them.
     """
 
     def __init__(self, trials=None, q: float = 0.5, capacity: int = 4096,
@@ -638,36 +676,38 @@ class QuantileState(AggState):
         self.seen = 0
         self.values = np.empty(0)
         self.group_of = np.empty(0, dtype=np.int64)
-        self.weights = np.empty((0, self.width))
+        # uint8 promotes to whatever arrives (float64 ones when exact).
+        self.weights = np.empty((0, self.width), dtype=np.uint8)
         self._rng = np.random.default_rng(seed)
 
     def _alloc(self, groups):
         pass  # rows carry their own group index; no per-group storage
 
     def _update(self, group_idx, values, weights):
-        self.values = np.concatenate([self.values, values])
-        self.group_of = np.concatenate([self.group_of, group_idx])
-        self.weights = np.concatenate([self.weights, weights])
-        self.seen += len(values)
-        self._shrink()
-
-    def _shrink(self):
-        if len(self.values) <= self.capacity:
-            return
-        keep = self._rng.choice(
-            len(self.values), size=self.capacity, replace=False
-        )
-        keep.sort()
-        self.values = self.values[keep]
-        self.group_of = self.group_of[keep]
-        self.weights = self.weights[keep]
+        self._absorb(values, group_idx, weights, len(values))
 
     def _merge(self, other):
-        self.values = np.concatenate([self.values, other.values])
-        self.group_of = np.concatenate([self.group_of, other.group_of])
-        self.weights = np.concatenate([self.weights, other.weights])
-        self.seen += other.seen
-        self._shrink()
+        self._absorb(other.values, other.group_of, other.weights, other.seen)
+
+    def _absorb(self, values, group_of, weights, seen):
+        """Append rows, then subsample to ``capacity`` uniformly.
+
+        The kept positions index the old reservoir followed by the new
+        rows; they are gathered from each side directly, so the whole
+        concatenation is never built.
+        """
+        self.seen += seen
+        have = len(self.values)
+        total = have + len(values)
+        old, new = slice(None), slice(None)
+        if total > self.capacity:
+            keep = self._rng.choice(total, size=self.capacity, replace=False)
+            keep.sort()
+            split = int(np.searchsorted(keep, have))
+            old, new = keep[:split], keep[split:] - have
+        self.values = np.concatenate([self.values[old], values[new]])
+        self.group_of = np.concatenate([self.group_of[old], group_of[new]])
+        self.weights = np.concatenate([self.weights[old], weights[new]])
 
     def _finalize(self, scale):
         # Exactly num_groups rows: a grouped aggregate over empty input
@@ -676,18 +716,27 @@ class QuantileState(AggState):
         out = np.zeros((self.num_groups, self.width))
         if len(self.values) == 0:
             return out
-        for g in np.unique(self.group_of):
-            mask = self.group_of == g
-            order = np.argsort(self.values[mask], kind="stable")
-            vals = self.values[mask][order]
-            w = self.weights[mask][order]
-            cum = np.cumsum(w, axis=0)
+        # One stable sort by (group, value) leaves each group's rows a
+        # contiguous segment in value order, ties in reservoir order.
+        order = np.lexsort((self.values, self.group_of))
+        vals = self.values[order]
+        groups = self.group_of[order]
+        weights = self.weights[order]
+        # uint8 running sums are exact in int32 below 2**31 // 255 rows,
+        # and half float64's bytes (the running sums are most of the
+        # cost); float weights keep float64 sums in the same order.
+        acc = (np.int32 if weights.dtype == np.uint8
+               and len(weights) < 2 ** 31 // 255 else np.float64)
+        starts = np.flatnonzero(np.diff(groups, prepend=-1))
+        ends = np.append(starts[1:], len(groups))
+        for g, lo, hi in zip(groups[starts].tolist(), starts.tolist(),
+                             ends.tolist()):
+            cum = np.cumsum(weights[lo:hi], axis=0, dtype=acc)
             total = cum[-1]
             # Batched left-searchsorted of each column's target into its
             # own cumulative column: entries strictly below the target.
-            targets = self.q * total
-            pos = np.count_nonzero(cum < targets[None, :], axis=0)
-            est = vals[np.minimum(pos, len(vals) - 1)]
+            pos = np.count_nonzero(cum < self.q * total, axis=0)
+            est = vals[lo + np.minimum(pos, hi - lo - 1)]
             out[g] = np.where(total > 0, est, 0.0)
         return out
 
@@ -698,7 +747,9 @@ class QuantileState(AggState):
         out.values = self.values.copy()
         out.group_of = self.group_of.copy()
         out.weights = self.weights.copy()
-        out._rng = np.random.default_rng(self._rng.integers(2 ** 63))
+        # A clone of the generator: copying must not advance the
+        # source's subsampling stream.
+        out._rng = deepcopy(self._rng)
         return out
 
 

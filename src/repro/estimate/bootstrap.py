@@ -21,8 +21,10 @@ the ``(master_seed, label)`` pair alone (a resumed checkpoint's handles
 do exactly that).
 
 Weights are ``uint8`` from draw to fold (Poisson(1) never exceeds 18
-here); :func:`repro.engine.aggregates._as_weight_matrix` is the one
-place they widen to float64, exactly.  A session's
+here) and stay uint8 into the fold kernels
+(:func:`repro.engine.aggregates._grouped_sum`): counts are integer
+sums, one-group sums are one row-order reduction, and every other use
+promotes each weight to the float64 it equals exactly.  A session's
 :class:`~repro.core.store.BatchStore` keeps each streamed table's
 rectangles once drawn, so every query, lineage block and rebuild of the
 session reads the same draw — pool workers included, which read it

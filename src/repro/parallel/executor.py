@@ -61,8 +61,8 @@ logger = logging.getLogger("repro.parallel")
 
 
 #: Trial columns folded per inline chunk on the streamed serial path:
-#: small enough that a chunk's weights stay cache-resident, large enough
-#: that per-chunk state setup is noise.
+#: small enough that a chunk's float64 value product stays
+#: cache-resident, large enough that per-chunk state setup is noise.
 STREAM_CHUNK_COLS = 8
 
 
@@ -162,11 +162,11 @@ class ParallelExecutor:
         big = bool(shardable) and n >= cfg.min_shard_rows
         pooled = self.enabled and big
         # Inline folds of big batches stream trial-column chunks through
-        # the same fold-and-merge kernel: each uint8 chunk widens to
-        # float64 and folds while cache-hot, so no float64 (n, B)
-        # rectangle is ever built.  Chunk boundaries cannot change
-        # results — per-(group, trial) cells never span chunks (see
-        # shards.run_fold_shard).
+        # the same fold-and-merge kernel: each uint8 chunk folds while
+        # its (n, STREAM_CHUNK_COLS) float64 value product is cache-hot,
+        # so no float64 (n, B) rectangle is ever built.  Chunk
+        # boundaries cannot change results — per-(group, trial) cells
+        # never span chunks (see shards.run_fold_shard).
         if not pooled:
             # Every inline path mutates states directly, so any deferred
             # merge for this states dict must land first (fold order is

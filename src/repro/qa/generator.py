@@ -34,7 +34,9 @@ import numpy as np
 from ..storage.table import Table
 from .tables import GROUPABLE_KINDS, NUMERIC_KINDS, TableSpec
 
-AGG_FUNCS = ("SUM", "AVG", "MIN", "MAX", "COUNT")
+#: VAR/STDEV fold ``weights * deviation ** 2``, the one non-integral
+#: weight matrix any fold kernel sees.
+AGG_FUNCS = ("SUM", "AVG", "MIN", "MAX", "COUNT", "VAR", "STDEV")
 
 #: Aggregate functions that accept DISTINCT in the supported dialect.
 DISTINCT_FUNCS = ("COUNT", "SUM", "AVG")

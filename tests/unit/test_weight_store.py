@@ -2,8 +2,10 @@
 
 Weights are a pure function of ``(seed, label, batch, trial, rows)``,
 so a store hit must be indistinguishable from a fresh draw: the stored
-uint8 columns widen to the float64 draw they replaced bit for bit, and
-a query's stream does not depend on what ran before it in the session.
+uint8 columns widen to the float64 draw they replaced bit for bit,
+folding them as uint8 leaves every state byte-equal to folding that
+widening, and a query's stream does not depend on what ran before it in
+the session.
 The store's bound is tested in ``test_batch_store.py``.
 """
 
@@ -11,13 +13,23 @@ import dataclasses
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro import GolaConfig, GolaSession
 from repro.core.delta import BlockRuntime
 from repro.core.store import BatchStore
-from repro.engine.aggregates import SumState, _as_weight_matrix
+from repro.engine.aggregates import (
+    AvgState,
+    CountState,
+    DistinctState,
+    MinState,
+    QuantileState,
+    SumState,
+    VarState,
+    _as_weight_matrix,
+)
 from repro.estimate.bootstrap import (
     _P1_AMBIGUOUS,
     _P1_BUCKETS,
@@ -112,26 +124,51 @@ class TestStoredColumnsMatchTheOracle:
         assert widened.tobytes() == oracle.tobytes()
 
 
-class TestWideningPoint:
-    def test_largest_weight_widens_exactly(self):
+def _assert_states_equal(narrow, wide):
+    """Byte-equal states and answers; only a reservoir's weights differ,
+    and those in dtype alone (uint8 against float64)."""
+    assert narrow.finalize(1.5).tobytes() == wide.finalize(1.5).tobytes()
+    for name, arr in vars(narrow).items():
+        if not isinstance(arr, np.ndarray):
+            continue
+        other = vars(wide)[name]
+        if name == "weights":
+            assert arr.dtype == np.uint8 and other.dtype == np.float64
+            assert np.array_equal(arr, other)
+        else:
+            assert arr.dtype == other.dtype
+            assert arr.tobytes() == other.tobytes(), name
+
+
+class TestUint8Rectangle:
+    STATES = [
+        SumState, CountState, AvgState, VarState, MinState,
+        lambda trials: DistinctState(trials, mode="sum"),
+        lambda trials: QuantileState(trials, q=0.3, capacity=8, seed=4),
+    ]
+
+    @pytest.mark.parametrize("groups", [1, 3])
+    @pytest.mark.parametrize("make", STATES, ids=[
+        "sum", "count", "avg", "var", "min", "distinct", "quantile"])
+    def test_uint8_folds_like_its_float64_widening(self, make, groups):
         largest = len(_P1_CDF) - 1  # u just below 1 maps here
         assert largest == int(np.searchsorted(
             _P1_CDF, np.nextafter(1.0, 0.0), side="right"))
         assert largest <= np.iinfo(np.uint8).max
-        weights = np.zeros((6, 4), dtype=np.uint8, order="F")
+        weights = np.zeros((12, 4), dtype=np.uint8, order="F")
         weights[::2] = largest
         weights[1, 3] = 1
-        wide = _as_weight_matrix(weights, 6, 4)
-        assert wide.dtype == np.float64 and wide.flags["F_CONTIGUOUS"]
-        assert np.array_equal(wide, weights.astype(np.float64))
-        assert wide.max() == float(largest)
+        weights[3] = [2, 0, 5, 1]
+        assert _as_weight_matrix(weights, 12, 4) is weights  # no copy
 
-        values = np.linspace(-1.0, 1.0, 6)
-        groups = np.array([0, 1, 0, 1, 2, 2])
-        narrow, reference = SumState(4), SumState(4)
-        narrow.update(groups, values, weights)
-        reference.update(groups, values, weights.astype(np.float64))
-        assert narrow.finalize().tobytes() == reference.finalize().tobytes()
+        values = np.linspace(-1.0, 1.0, 12)
+        group_idx = np.arange(12) % groups
+        narrow, wide = make(4), make(4)
+        for rows in (slice(0, 7), slice(7, 12)):
+            narrow.update(group_idx[rows], values[rows], weights[rows])
+            wide.update(group_idx[rows], values[rows],
+                        weights[rows].astype(np.float64))
+        _assert_states_equal(narrow, wide)
 
 
 ROWS = 6000
