@@ -182,9 +182,23 @@ def _unique_objects(keys: np.ndarray):
 GLOBAL_GROUP = None  # sentinel meaning "no GROUP BY": a single implicit group
 
 
+#: Cells of the float64 ``(rows, width)`` transients a fold kernel holds
+#: at once (2 MB).  Folds bigger than this — a guard rebuild replays
+#: every retained row — walk the weight rectangle in row blocks.
+_BLOCK_CELLS = 1 << 18
+
+
 def _grouped_sum(group_idx: np.ndarray, weights: np.ndarray, groups: int,
-                 values: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-(group, column) sums of ``values * weights`` rows: the batch delta.
+                 values: Optional[np.ndarray] = None,
+                 center: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-(group, column) sums of each row's contribution: the batch delta.
+
+    A row adds ``weights`` to its group's cells, times ``values`` when
+    given; with a ``(groups, width)`` ``center`` as well it adds
+    ``weights * (values - center[group]) ** 2`` (VAR's squared
+    deviations from the batch means).  Contributions are made a column
+    or a row block at a time, so no float64 ``(n, width)`` rectangle
+    over ``_BLOCK_CELLS`` is ever built.
 
     Every cell is the float64 sum of its contributions added in row
     order from +0.0 — what one ``bincount`` per trial column gives — so
@@ -196,12 +210,14 @@ def _grouped_sum(group_idx: np.ndarray, weights: np.ndarray, groups: int,
     * integer weights with no ``values`` into one group (COUNT, the
       counts of AVG/VAR/DISTINCT) are an int64 column sum — integers add
       exactly in any order, and every cell fits float64 exactly;
-    * other one-group sums of width >= 2 are one ``np.add.reduce`` over
-      the rows of a C-order float64 product: reducing the non-contiguous
-      axis adds row by row across all columns, each cell still in row
-      order from +0.0, as ``width`` independent chains instead of one
-      ``bincount`` accumulator (a NaN cell is redone by ``bincount``:
-      which of two NaNs an add keeps is up to the loop);
+    * other one-group sums of width >= 2 are ``np.add.reduce`` over the
+      rows of C-order float64 blocks: reducing the non-contiguous axis
+      adds row by row across all columns, each cell still in row order
+      from +0.0, as ``width`` independent chains instead of one
+      ``bincount`` accumulator.  Each block's first row carries the
+      running sums, so blocks continue one chain (a NaN cell is redone
+      by ``bincount``: which of two NaNs an add keeps is up to the
+      loop);
     * everything else takes the per-column ``bincount``.  Width 1 must:
       reducing along the contiguous axis switches numpy to pairwise
       summation, which reorders the adds.
@@ -210,6 +226,15 @@ def _grouped_sum(group_idx: np.ndarray, weights: np.ndarray, groups: int,
     out = np.zeros((groups, width))
     if n == 0 or groups == 0 or width == 0:
         return out
+
+    def column(c):
+        w = weights[:, c]
+        if values is None:
+            return w
+        if center is None:
+            return values * w
+        return w * (values - center[group_idx, c]) ** 2
+
     if groups == 1:
         if values is None and weights.dtype.kind in "ui":
             # An F-order copy sums column by column; a C-order uint8
@@ -217,19 +242,28 @@ def _grouped_sum(group_idx: np.ndarray, weights: np.ndarray, groups: int,
             out[0] = np.asfortranarray(weights).sum(axis=0, dtype=np.int64)
             return out
         if width > 1:
-            contrib = (np.ascontiguousarray(weights, dtype=np.float64)
-                       if values is None
-                       else np.multiply(values[:, None], weights, order="C"))
-            np.add.reduce(contrib, axis=0, initial=0.0, out=out[0])
+            step = max(1, _BLOCK_CELLS // width)
+            block = np.empty((min(n, step) + 1, width))
+            for lo in range(0, n, step):
+                rows = slice(lo, min(n, lo + step))
+                part = block[: rows.stop - lo + 1]
+                part[0] = out[0]
+                w = weights[rows]
+                if values is None:
+                    part[1:] = w
+                elif center is None:
+                    np.multiply(values[rows, None], w, out=part[1:])
+                else:
+                    np.multiply(w, (values[rows, None] - center[0]) ** 2,
+                                out=part[1:])
+                np.add.reduce(part, axis=0, out=out[0])
             # Two NaNs meeting in a cell keep whichever operand the add
             # loop favours, which need not be bincount's: redo NaN cells.
             for c in np.flatnonzero(np.isnan(out[0])).tolist():
-                out[0, c] = np.bincount(group_idx, weights=contrib[:, c])[0]
+                out[0, c] = np.bincount(group_idx, weights=column(c))[0]
             return out
     for c in range(width):
-        col = weights[:, c]
-        contrib = col if values is None else values * col
-        out[:, c] = np.bincount(group_idx, weights=contrib,
+        out[:, c] = np.bincount(group_idx, weights=column(c),
                                 minlength=groups)
     return out
 
@@ -536,13 +570,17 @@ class VarState(AggState):
             setattr(self, name, grown)
 
     def _update(self, group_idx, values, weights):
-        groups = self.num_groups
+        # Combine groups [0, batch max] only, the rows a shard state of
+        # this batch holds: a full-width update then leaves every cell as
+        # the pooled path's column merge does (combining no rows still
+        # turns a +-inf mean into NaN, through inf * 0).
+        groups = int(group_idx.max()) + 1
         bw = _grouped_sum(group_idx, weights, groups)
         bwv = _grouped_sum(group_idx, weights, groups, values=values)
         bmean = np.zeros((groups, self.width))
         np.divide(bwv, bw, out=bmean, where=bw > 0)
-        deviation = values[:, None] - bmean[group_idx]
-        bm2 = _grouped_sum(group_idx, weights * deviation ** 2, groups)
+        bm2 = _grouped_sum(group_idx, weights, groups, values=values,
+                           center=bmean)
         self._combine(bw, bmean, bm2)
 
     def _combine(self, bw, bmean, bm2, cols=slice(None)):
@@ -589,7 +627,23 @@ class StdevState(VarState):
 
 
 class MinState(AggState):
-    """MIN.  Weights only matter as presence (weight 0 = absent)."""
+    """MIN.  Weights only matter as presence (weight 0 = absent).
+
+    A trial batch is folded in one pass over the whole ``(n, B)``
+    rectangle: rows are put in group order by one stable ``argsort``,
+    absent cells are masked to the fill (+inf for MIN, -inf for MAX),
+    one ``reduceat`` gives every ``(group, trial)`` cell's batch extreme,
+    and one elementwise ``minimum``/``maximum`` merges it into the live
+    state — the step ``_merge_columns`` makes for shards.  The result
+    equals the per-cell ``ufunc.at`` scatter in row order bit for bit:
+    between equal values (+0.0 and -0.0) both keep the later operand,
+    however the sequence is grouped, and a masked fill is never kept
+    over a present value it does not equal.  Which of two NaN payloads
+    a reduction keeps is up to numpy's loop, so a cell whose batch
+    extreme is NaN is redone by the scatter.  Folds over
+    ``_BLOCK_CELLS`` go one row block after another, which is the
+    scatter's order too.  Width 1 keeps the scatter.
+    """
 
     supports_column_merge = True
     _fill = np.inf
@@ -612,17 +666,41 @@ class MinState(AggState):
                     self.extreme[:, 0], group_idx[present], values[present]
                 )
             return
-        # One flattened scatter over every present (row, trial) cell
-        # instead of a python loop per trial.  min/max is order-free, so
-        # this matches any per-trial or sharded evaluation exactly.
-        rows, cols = np.nonzero(weights > 0)
-        if rows.size == 0:
+        step = max(1, _BLOCK_CELLS // self.width)
+        for lo in range(0, len(group_idx), step):
+            rows = slice(lo, lo + step)
+            self._fold_rows(group_idx[rows], values[rows], weights[rows])
+
+    def _fold_rows(self, group_idx, values, weights):
+        order = np.argsort(group_idx, kind="stable")
+        ordered = group_idx[order]
+        values = values[order]
+        present = weights[order] > 0
+        starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+        groups = ordered[starts]
+        live = self.extreme[groups]
+        with np.errstate(invalid="ignore"):  # a NaN argument propagates
+            batch = self._ufunc.reduceat(
+                np.where(present, values[:, None], self._fill), starts,
+                axis=0,
+            )
+            merged = self._ufunc(live, batch)
+        redo = np.isnan(batch)
+        if not redo.any():
+            self.extreme[groups] = merged
             return
-        flat_idx = group_idx[rows] * self.width + cols
+        # NaN cells restart from their live value and scatter their
+        # present rows in row order.
+        merged[redo] = live[redo]
+        self.extreme[groups] = merged
+        segment = np.repeat(np.arange(len(starts)),
+                            np.diff(np.append(starts, len(ordered))))
+        rows, cols = np.nonzero(present & redo[segment])
         flat = self.extreme.view()
         flat.shape = (-1,)  # raises (never copies) if non-contiguous
-        with np.errstate(invalid="ignore"):  # a NaN argument propagates
-            self._ufunc.at(flat, flat_idx, values[rows])
+        with np.errstate(invalid="ignore"):
+            self._ufunc.at(flat, ordered[rows] * self.width + cols,
+                           values[rows])
 
     def _merge(self, other):
         g = other.num_groups

@@ -31,10 +31,19 @@ both pure transport — outputs never change):
   not associative, so that order is exactly what keeps every bit
   identical to the eager path.
 
+Without a pool (and for batches under ``min_shard_rows``) a fold is
+inline: each state takes the batch's whole stored weight rectangle in
+one ``update``, with no shard tasks and no merge.
+
 Everything here is a pure throughput optimization: outputs are
 bit-identical for any worker count because every shard reads its
 columns of the one stored weight rectangle and per-cell accumulation
-order is fixed by ``_grouped_sum`` (see ``repro.parallel.shards``).
+order is fixed by ``_grouped_sum`` (see ``repro.parallel.shards``) —
+a full-width update and a column-merged set of shards fold the same
+cells in the same order.  The one thing column widths can pick is
+which NaN payload a sum cell keeps when a live NaN meets a batch NaN
+of another payload: numpy's add keeps one or the other depending on
+where in its loop the cell falls.
 """
 
 from __future__ import annotations
@@ -58,12 +67,6 @@ from .shm import ShmRegistry
 from .supervisor import SupervisedPool, validate_fold_shard
 
 logger = logging.getLogger("repro.parallel")
-
-
-#: Trial columns folded per inline chunk on the streamed serial path:
-#: small enough that a chunk's float64 value product stays
-#: cache-resident, large enough that per-chunk state setup is noise.
-STREAM_CHUNK_COLS = 8
 
 
 class _PendingFold:
@@ -137,10 +140,12 @@ class ParallelExecutor:
 
         ``weights`` is an ``(n, B)`` array or a batch-weight handle over
         the *original* batch rows; ``row_idx`` selects the rows that
-        survived the certain pipeline (None = all).  Column-mergeable
-        states are sharded along the trial axis across the pool; the
-        rest (reservoir quantiles, UDAFs) take the dense path.  Both
-        paths produce bit-identical states.
+        survived the certain pipeline (None = all).  Without a pool, or
+        below ``min_shard_rows``, every state takes the whole stored
+        rectangle in one ``update``.  On a pool, column-mergeable states
+        are sharded along the trial axis and merged back column-wise;
+        the rest (reservoir quantiles, UDAFs) take the inline path.
+        Both paths produce bit-identical states.
 
         With ``lazy=True`` a pooled fold returns right after its shards
         are dispatched; the caller must :meth:`drain` before reading
@@ -159,20 +164,11 @@ class ParallelExecutor:
             if state.supports_column_merge and state.width > 1
         ]
         cfg = self.config
-        big = bool(shardable) and n >= cfg.min_shard_rows
-        pooled = self.enabled and big
-        # Inline folds of big batches stream trial-column chunks through
-        # the same fold-and-merge kernel: each uint8 chunk folds while
-        # its (n, STREAM_CHUNK_COLS) float64 value product is cache-hot,
-        # so no float64 (n, B) rectangle is ever built.  Chunk
-        # boundaries cannot change results — per-(group, trial) cells
-        # never span chunks (see shards.run_fold_shard).
-        if not pooled:
-            # Every inline path mutates states directly, so any deferred
-            # merge for this states dict must land first (fold order is
-            # accumulation order).
+        if not (self.enabled and shardable and n >= cfg.min_shard_rows):
+            # Inline: every state takes the whole stored rectangle in one
+            # update.  Any deferred merge for this states dict must land
+            # first (fold order is accumulation order).
             self.drain(boot_states)
-        if not big:
             dense = weights.rows(row_idx)
             for alias, state in boot_states.items():
                 state.update(group_idx, values[alias], dense)
@@ -188,43 +184,27 @@ class ParallelExecutor:
                 boot_states[alias].update(group_idx, values[alias], dense)
 
         trials = boot_states[shardable[0][0]].width
-        if pooled:
-            ranges = shard_ranges(trials, cfg.workers)
-        else:
-            ranges = [
-                (lo, min(trials, lo + STREAM_CHUNK_COLS))
-                for lo in range(0, trials, STREAM_CHUNK_COLS)
-            ]
+        ranges = shard_ranges(trials, cfg.workers)
         tracer = self.tracer
         shard_values = {alias: values[alias] for alias, _ in shardable}
-        backend = cfg.backend if pooled else "stream"
-        # One read of the stored rectangle: pooled shards reach it
-        # through the batch's segment (or an inline slice), stream
-        # chunks slice it.
+        # One read of the stored rectangle: shards reach it through the
+        # batch's segment, or an inline slice.
         rect = weights.dense()
         with tracer.span("parallel.shard", rows_in=n, trials=trials,
-                         shards=len(ranges), backend=backend):
-            lease = (self._publish_columns(group_idx, shard_values,
-                                           row_idx, rect)
-                     if pooled else None)
+                         shards=len(ranges), backend=cfg.backend):
+            lease = self._publish_columns(group_idx, shard_values,
+                                          row_idx, rect)
             payloads = make_shard_payloads(
                 shardable, group_idx, shard_values, rect, ranges,
                 row_idx=row_idx,
                 published=lease.specs if lease is not None else None,
             )
-            if pooled:
-                handle = self._ensure_shard_pool().map_async(
-                    run_fold_shard, payloads
-                )
-            else:
-                results = [run_fold_shard(p) for p in payloads]
+            handle = self._ensure_shard_pool().map_async(
+                run_fold_shard, payloads
+            )
         if tracer.metrics.enabled:
             tracer.metrics.counter("parallel.shard_tasks").inc(len(ranges))
             tracer.metrics.counter("parallel.sharded_cells").inc(n * trials)
-        if not pooled:
-            with tracer.span("parallel.merge", shards=len(results)):
-                _merge_shards(boot_states, ranges, results)
-            return
         pending = _PendingFold(boot_states, ranges, handle, lease)
         with self._pending_lock:
             previous = self._pending.pop(id(boot_states), None)

@@ -9,11 +9,13 @@ slice of it, a row gather (C-order), and VAR's float64 products.
 """
 
 from typing import Optional
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.engine import aggregates
 from repro.engine.aggregates import _grouped_sum
 
 
@@ -43,9 +45,12 @@ def _reference(group_idx: np.ndarray, weights: np.ndarray, groups: int,
     return out
 
 
-def _assert_bits_equal(group_idx, weights, groups, values=None):
+def _assert_bits_equal(group_idx, weights, groups, values=None,
+                       block_cells=None):
     with np.errstate(invalid="ignore"):  # inf * 0 is NaN on both sides
-        got = _grouped_sum(group_idx, weights, groups, values=values)
+        with mock.patch.object(aggregates, "_BLOCK_CELLS",
+                               block_cells or aggregates._BLOCK_CELLS):
+            got = _grouped_sum(group_idx, weights, groups, values=values)
         # The old kernel saw weights widened to float64 (exact for uint8).
         want = _reference(group_idx, weights.astype(np.float64), groups,
                           values=values)
@@ -71,7 +76,7 @@ LAYOUTS = ["F", "C", "slice", "gather", "float"]
 # NaN (row 0) then -inf * 0, a NaN with the sign bit set (row 1): the
 # sum must keep the first NaN's bits, as bincount does.
 @example(seed=0, n=2, width=100, groups=1, layout="F", with_values=True,
-         specials=True, negative_zero_column=False)
+         specials=True, negative_zero_column=False, block_cells=None)
 @given(
     seed=st.integers(0, 2 ** 32 - 1),
     n=st.integers(0, 3000),
@@ -81,10 +86,12 @@ LAYOUTS = ["F", "C", "slice", "gather", "float"]
     with_values=st.booleans(),
     specials=st.booleans(),
     negative_zero_column=st.booleans(),
+    # Row blocks of one row, of a few rows, and the default.
+    block_cells=st.sampled_from([None, 1, 50, 1000]),
 )
 def test_matches_per_column_bincount(seed, n, width, groups, layout,
                                      with_values, specials,
-                                     negative_zero_column):
+                                     negative_zero_column, block_cells):
     rng = np.random.default_rng(seed)
     group_idx = rng.integers(0, groups, n)
     if layout == "float":
@@ -113,7 +120,38 @@ def test_matches_per_column_bincount(seed, n, width, groups, layout,
             values = -np.abs(_values(rng, n, specials=False))
             weights = weights.copy()
             weights[:, 0] = 0
-    _assert_bits_equal(group_idx, weights, groups, values=values)
+    _assert_bits_equal(group_idx, weights, groups, values=values,
+                       block_cells=block_cells)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    n=st.integers(1, 2000),
+    width=st.sampled_from([1, 2, 8, 100]),
+    groups=st.sampled_from([1, 3]),
+    block_cells=st.sampled_from([None, 1, 50]),
+)
+def test_squared_deviations_match_the_materialized_product(
+        seed, n, width, groups, block_cells):
+    """VAR's ``center`` form equals summing the whole float64
+    ``weights * (values - center[group]) ** 2`` rectangle, the product
+    VarState used to build before folding it."""
+    rng = np.random.default_rng(seed)
+    group_idx = rng.integers(0, groups, n)
+    values = _values(rng, n, specials=True)
+    center = rng.normal(0, 1e3, (groups, width))
+    center[0, 0] = np.nan
+    weights = np.asfortranarray(
+        rng.poisson(1.0, (n, width)).astype(np.uint8))
+    with np.errstate(invalid="ignore", over="ignore"):
+        with mock.patch.object(aggregates, "_BLOCK_CELLS",
+                               block_cells or aggregates._BLOCK_CELLS):
+            got = _grouped_sum(group_idx, weights, groups, values=values,
+                               center=center)
+        product = weights * (values[:, None] - center[group_idx]) ** 2
+        want = _reference(group_idx, product, groups)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_one_group_sums_never_reduce_along_the_contiguous_axis():

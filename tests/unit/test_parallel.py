@@ -1,9 +1,9 @@
 """Unit coverage for ``repro.parallel`` and the vectorized fold kernels.
 
 The contract under test throughout: for a fixed master seed, every way
-of evaluating a batch's bootstrap update — dense, streamed in column
-chunks, or sharded across any worker count and backend — produces
-bit-identical aggregate states.
+of evaluating a batch's bootstrap update — one full-width update, or
+sharded across any worker count and backend — produces bit-identical
+aggregate states.
 """
 
 import pickle
@@ -12,6 +12,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.config import GolaConfig, ParallelConfig
 from repro.core.store import BatchStore
@@ -215,6 +217,66 @@ class TestColumnMerge:
             merged.merge_columns(shard, lo)
 
         assert np.array_equal(full.finalize(1.5), merged.finalize(1.5))
+
+    @settings(max_examples=40, deadline=None)
+    # A group the batch does not reach holds a -inf mean: VAR must not
+    # combine it with an empty batch (inf * 0 is NaN).
+    @example(seed=315, groups=40, specials="all")
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           groups=st.sampled_from([1, 3, 40]),
+           specials=st.sampled_from(["none", "one-nan", "all"]))
+    def test_full_width_fold_matches_eight_column_chunks(self, seed, groups,
+                                                         specials):
+        """An inline fold takes the whole stored rectangle in one update;
+        folding it as fresh 8-column states merged back column-wise (how
+        serial folds ran before, and how pool shards still run) must
+        leave every state array the same bit for bit, over batches whose
+        groups are a subset of the live state's.
+
+        One exception, shared by every chunked path: when a live NaN
+        cell meets a batch NaN of another payload (``np.nan`` against
+        the sign-bit NaN of ``inf * 0`` or ``inf - inf``), which payload
+        an elementwise add keeps depends on numpy's loop (vector body or
+        tail), so the chunk widths can pick it.  With ``"all"`` specials
+        cells are only required to be NaN in the same places.
+        """
+        rng = np.random.default_rng(seed)
+        trials = 100
+        pool = {"none": [0.0, -0.0], "one-nan": [0.0, -0.0, np.nan],
+                "all": [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf]}
+        for state_cls in MERGEABLE:
+            full, chunked = state_cls(trials), state_cls(trials)
+            for batch in range(3):
+                n = int(rng.integers(1, 400))
+                # Batch 1 folds into group 0 only: the live state then has
+                # more groups than the batch reaches.
+                gi = (np.zeros(n, dtype=np.int64) if batch == 1
+                      else rng.integers(0, groups, n))
+                vals = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, n)
+                pick = rng.integers(0, n, max(1, n // 8))
+                vals[pick] = rng.choice(pool[specials], len(pick))
+                rect = np.asfortranarray(
+                    rng.poisson(1.0, (n, trials)).astype(np.uint8))
+                with np.errstate(invalid="ignore", over="ignore"):
+                    full.update(gi, vals, rect)
+                    for lo in range(0, trials, 8):
+                        hi = min(trials, lo + 8)
+                        shard = state_cls(hi - lo)
+                        shard.update(gi, vals, rect[:, lo:hi])
+                        chunked.merge_columns(shard, lo)
+            assert full.num_groups == chunked.num_groups
+            for name, arr in vars(full).items():
+                if not isinstance(arr, np.ndarray):
+                    continue
+                other = vars(chunked)[name]
+                nan = np.isnan(arr)
+                assert np.array_equal(nan, np.isnan(other)), name
+                if specials == "all":
+                    arr, other = arr[~nan], other[~nan]
+                assert np.array_equal(
+                    np.ascontiguousarray(arr).view(np.int64),
+                    np.ascontiguousarray(other).view(np.int64),
+                ), (state_cls.__name__, name)
 
     def test_quantile_rejects_column_merge(self):
         state = QuantileState(8, q=0.5)
