@@ -24,7 +24,7 @@ Quickstart::
 """
 
 from .config import ClusterConfig, FaultsConfig, GolaConfig, QaConfig, \
-    ServeConfig, StorageConfig
+    ServeConfig
 from .core.result import OnlineSnapshot
 from .core.session import GolaSession, OnlineQuery
 from .errors import (
@@ -73,7 +73,6 @@ __all__ = [
     "Schema",
     "ServeConfig",
     "SchemaError",
-    "StorageConfig",
     "StorageError",
     "Table",
     "UnsupportedQueryError",

@@ -379,7 +379,7 @@ def _inspect(args) -> int:
     import json
 
     from .errors import ReproError
-    from .storage.colstore import ProjectionStore, open_dataset
+    from .storage.colstore import open_dataset
 
     try:
         dataset = open_dataset(args.dataset)
@@ -409,7 +409,6 @@ def _inspect(args) -> int:
                         else min(entry["lo"], z["lo"])
                     entry["hi"] = z["hi"] if entry["hi"] is None \
                         else max(entry["hi"], z["hi"])
-    projections = ProjectionStore(dataset.projection_dir).entries()
     quarantine = manifest.get("quarantine")
     report = {
         "path": dataset.path,
@@ -427,7 +426,6 @@ def _inspect(args) -> int:
         "zones": zone_summary,
         "partitions": partitions,
         "quarantine": quarantine,
-        "projections": projections,
     }
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -465,15 +463,6 @@ def _inspect(args) -> int:
             print(f"    ... and {len(rows) - 10} more")
     else:
         print("  quarantined rows: none")
-    if projections:
-        print(f"  projections: {len(projections)}")
-        for entry in projections[:10]:
-            print(f"    {entry['state_file']}: "
-                  f"batch {entry['batch_index']}, "
-                  f"query {entry['query_fp'][:12]}..., "
-                  f"{entry['state_bytes']:,} bytes")
-    else:
-        print("  projections: none")
     return 0
 
 
@@ -724,7 +713,7 @@ def main(argv=None) -> int:
     inspect_p = sub.add_parser(
         "inspect",
         help="report a colstore dataset's layout: partitions, codecs, "
-             "zone maps, quarantined rows, projections",
+             "zone maps, quarantined rows",
     )
     inspect_p.add_argument("dataset", help="dataset directory")
     inspect_p.add_argument("--json", action="store_true",

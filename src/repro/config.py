@@ -187,8 +187,6 @@ class ParallelConfig:
             ``"thread"`` for a thread pool (no pickling; numpy releases
             the GIL in the hot kernels), or ``"serial"`` to run shard
             tasks inline while keeping the shard/merge code path.
-        block_fanout: Also fan independent lineage blocks (same
-            dependency level of the meta-plan) out across a thread pool.
         min_shard_rows: Batches smaller than this skip sharding — the
             per-task overhead would exceed the kernel time.
         supervise: Run shard tasks under the supervised execution layer
@@ -214,7 +212,6 @@ class ParallelConfig:
 
     workers: int = 0
     backend: str = "process"
-    block_fanout: bool = True
     min_shard_rows: int = 2048
     supervise: bool = True
     task_deadline_s: float = 60.0
@@ -346,49 +343,6 @@ class ServeConfig:
             ServeConfig.parse("port=9000,max_concurrent=8,telemetry=0")
         """
         return cls(**_parse_spec(cls, spec, "--serve"))
-
-
-@dataclass(frozen=True)
-class StorageConfig:
-    """Knobs for the colstore storage tier (``repro.storage.colstore``).
-
-    A catalog-registered colstore dataset produces snapshot streams
-    bit-identical to the in-memory table it was converted from, memory
-    mapped or not and at any worker count; only projections change
-    where a stream starts.  None of these fields participate in
-    checkpoint fingerprints.  How a dataset is written (codec, chunk
-    size) is ``convert_table``'s business, not a run's.
-
-    Attributes:
-        mmap: Open partition files through ``np.memmap`` so column
-            segments page in lazily and plain-coded numerics decode to
-            zero-copy views (datasets larger than RAM stream
-            batch-by-batch).  False reads files into heap buffers.
-        projections: Persist per-lineage-block partial-aggregate fold
-            states next to the dataset and warm-start recurring queries
-            from them.  Off by default: a warm-started stream *starts*
-            at a later batch, so it is deliberately not part of the
-            bit-identity contract.
-        projection_dir: Where projections live (None = the dataset's
-            ``_projections`` subdirectory).
-        projection_every: Save a projection every N folded batches
-            (the final batch never saves — a warm start must still
-            have at least one snapshot to emit).
-    """
-
-    mmap: bool = True
-    projections: bool = False
-    projection_dir: Optional[str] = None
-    projection_every: int = 1
-
-    def __post_init__(self) -> None:
-        if self.projection_every < 1:
-            raise ValueError("projection_every must be >= 1")
-
-    @classmethod
-    def parse(cls, spec: str) -> "StorageConfig":
-        """Build a config from a ``key=value,key=value`` CLI string."""
-        return cls(**_parse_spec(cls, spec, "--storage"))
 
 
 @dataclass(frozen=True)
@@ -539,10 +493,6 @@ class GolaConfig:
         qa: QA-harness configuration (see :class:`QaConfig`): the
             differential query fuzzer and the CI-calibration sweep.
             Inert during normal execution.
-        storage: Colstore storage-tier configuration (see
-            :class:`StorageConfig`).  Only consulted when a colstore
-            dataset is registered in the catalog; pure in-memory runs
-            never read it.
     """
 
     num_batches: int = 10
@@ -562,7 +512,6 @@ class GolaConfig:
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
     serve: ServeConfig = field(default_factory=ServeConfig)
     qa: QaConfig = field(default_factory=QaConfig)
-    storage: StorageConfig = field(default_factory=StorageConfig)
 
     def __post_init__(self) -> None:
         if self.num_batches < 1:
@@ -598,14 +547,9 @@ class ClusterConfig:
     task_overhead_s: float = 0.020
     per_tuple_cost_s: float = 2.0e-7
     batch_overhead_s: float = 0.100
-    shuffle_cost_per_tuple_s: float = 1.0e-7
     broadcast_cost_s: float = 0.010
     bootstrap_overhead_factor: float = 0.60
     rows_per_task: int = 2_000_000
-    #: Re-evaluating a cached uncertain tuple only re-applies its
-    #: predicates over in-memory lineage columns — far cheaper than
-    #: ingesting a fresh tuple (scan, decode, full pipeline).
-    cached_row_cost_factor: float = 0.25
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:

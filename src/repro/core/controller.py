@@ -19,7 +19,6 @@ Drives one online query end to end:
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from contextlib import nullcontext
 from pathlib import Path
@@ -47,7 +46,6 @@ from ..obs import Timer, Tracer, tracer_from_config
 from ..parallel import ParallelExecutor
 from ..plan.logical import Query
 from ..storage.colstore.dataset import ColstoreDataset
-from ..storage.colstore.projections import ProjectionStore
 from ..storage.table import Table
 from .meta_plan import compile_meta_plan
 from .result import ColumnErrors, OnlineSnapshot
@@ -137,7 +135,6 @@ class QueryController:
         self._retry_policy = RetryPolicy.from_faults(config.faults)
         self._run_state: Optional[dict] = None
         self._exec: Optional[dict] = None
-        self._projection_ctx: Optional[dict] = None
         self._stopped = False
 
     # ------------------------------------------------------------------
@@ -238,7 +235,6 @@ class QueryController:
             self.finish()
         self._stopped = False
         tracer = self.tracer
-        storage = self.config.storage
         # Every streamed table is cut into the same ``num_batches`` under
         # the same seed, so batch ``i`` is a consistent uniform slice
         # across facts.
@@ -247,14 +243,13 @@ class QueryController:
                 name, self.tables[name], self.config, tracer.metrics)
             for name in self.streamed_tables
         }
-        # Warm starts need the stored batch layout; a mismatched dataset
-        # was re-cut from memory.
-        dataset = self.tables[self.streamed_table]
-        if not (isinstance(dataset, ColstoreDataset)
-                and dataset.config_matches(self.config)):
-            dataset = None
         weight_sources = {
-            name: self._weight_source(name) for name in self.streamed_tables
+            name: PoissonWeightSource(
+                self.config.bootstrap_trials, self.config.seed,
+                label=stream_label(name), tracer=tracer,
+                store=self.batch_store,
+            )
+            for name in self.streamed_tables
         }
         retained: Dict[str, List[Tuple[Table, np.ndarray]]] = {
             name: [] for name in self.streamed_tables
@@ -282,61 +277,6 @@ class QueryController:
             if tracer.enabled:
                 tracer.event("checkpoint.resumed",
                              batch_index=ck.batch_index, folded=folded)
-        self._projection_ctx = None
-        # Projection warm-starts cover the common single-fact case; a
-        # multi-fact run's fold state spans several weight streams and is
-        # simply recomputed from scratch.
-        if (dataset is not None and storage.projections
-                and resume_from is None
-                and len(self.streamed_tables) == 1):
-            store = ProjectionStore(
-                Path(storage.projection_dir) if storage.projection_dir
-                else dataset.projection_dir
-            )
-            digests = self._block_digests()
-            self._projection_ctx = {
-                "store": store, "table_fp": dataset.fingerprint,
-                "digests": digests,
-            }
-            pck = store.load(
-                dataset.fingerprint, query_fingerprint(self.query),
-                config_fingerprint(self.config), block_digests=digests,
-            )
-            if pck is not None:
-                try:
-                    pck.verify(self.query, self.config)
-                except CheckpointError:
-                    pck = None
-            if (pck is not None and not pck.skipped_batches
-                    and pck.batch_index < k):
-                self._restore_weights(weight_sources, pck.weights_rng_state)
-                self.injector.restore(pck.injector_state)
-                for block_id, state in pck.copy_block_states().items():
-                    self.runtimes[block_id].restore_checkpoint(state)
-                folded = pck.folded_count
-                lost_rows = pck.lost_rows
-                start_at = pck.batch_index + 1
-                if self.config.retain_batches:
-                    # Projections persist no raw batches; rebuild the
-                    # retained list by replaying a fresh weight stream
-                    # over the already-folded prefix.  The draws are
-                    # identical to the original run's (per-batch
-                    # streams keyed by seed and batch size), so later
-                    # guard-violation rebuilds stay bit-exact.
-                    replay = self._weight_source(self.streamed_table)
-                    for bi in range(pck.batch_index):
-                        bt = batches[self.streamed_table][bi]
-                        retained[self.streamed_table].append(
-                            (bt, replay.batch_weights(bt.num_rows))
-                        )
-                if tracer.enabled:
-                    tracer.event("colstore.projection_warm",
-                                 batch_index=pck.batch_index,
-                                 folded=folded)
-                if tracer.metrics.enabled:
-                    tracer.metrics.counter(
-                        "colstore.projection_warm_starts"
-                    ).inc()
         # The query span stays open across steps, so its elapsed time
         # includes consumer think time between snapshots; per-batch work
         # is what the child batch spans measure.  It is entered here and
@@ -359,19 +299,12 @@ class QueryController:
             "cursor": start_at, "span": qspan, "span_id": qspan_id,
         }
 
-    def _weight_source(self, name: str) -> PoissonWeightSource:
-        return PoissonWeightSource(
-            self.config.bootstrap_trials, self.config.seed,
-            label=stream_label(name), tracer=self.tracer,
-            store=self.batch_store,
-        )
-
     def _restore_weights(self, weight_sources: Dict[str, PoissonWeightSource],
                          state) -> None:
         """Restore per-table weight streams from a checkpoint.
 
         Accepts both the current per-table mapping and the legacy flat
-        single-stream state (pre-multi-fact checkpoints/projections).
+        single-stream state (pre-multi-fact checkpoints).
         """
         if set(state) == set(weight_sources) and all(
             isinstance(v, dict) for v in state.values()
@@ -490,19 +423,6 @@ class QueryController:
                 "weight_sources": ex["weight_sources"],
                 "retained": ex["retained"],
             }
-            pj = self._projection_ctx
-            if (pj is not None and not ex["skipped"] and i < ex["k"]
-                    and i % self.config.storage.projection_every == 0):
-                # Partial-aggregate projection: the fold state after
-                # batch i, minus the retained raw batches (rebuilt at
-                # warm start by replaying the stateless weight streams).
-                pck = self.checkpoint()
-                pck.retained = []
-                pj["store"].save(pck, pj["table_fp"],
-                                 block_digests=pj["digests"])
-                if tracer.enabled:
-                    tracer.event("colstore.projection_saved",
-                                 batch_index=i)
             if (faults.checkpoint_every
                     and faults.checkpoint_path is not None
                     and i % faults.checkpoint_every == 0):
@@ -596,22 +516,6 @@ class QueryController:
         )
 
     # ------------------------------------------------------------------
-
-    def _block_digests(self) -> Dict[str, str]:
-        """Stable per-lineage-block plan digests.
-
-        Projections are keyed by these in addition to the query and
-        config fingerprints, so any change to how a block's plan prints
-        (operator reordering, rewrite-rule changes across versions)
-        invalidates persisted fold state instead of resuming into an
-        incompatible shape.
-        """
-        return {
-            block.block_id: hashlib.sha256(
-                block.plan.describe().encode()
-            ).hexdigest()[:16]
-            for block in self._online_blocks
-        }
 
     def _publish_chain(self, slot_states: Dict[int, object],
                        penv: Environment, scale: float):

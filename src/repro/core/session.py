@@ -198,7 +198,7 @@ class GolaSession:
         ``dataset`` is a dataset directory path or an already-opened
         :class:`~repro.storage.colstore.ColstoreDataset`.  A streamed
         registration keeps the partition files on disk and decodes them
-        one mini-batch per step (memory-mapped by default), so datasets
+        one mini-batch per step (memory-mapped), so datasets
         larger than RAM stream through online queries; a dimension
         (``streamed=False``) registration is materialized in full when a
         query first needs it.  Returns the dataset.
@@ -206,7 +206,7 @@ class GolaSession:
         from ..storage.colstore import ColstoreDataset, open_dataset
 
         if not isinstance(dataset, ColstoreDataset):
-            dataset = open_dataset(dataset, mmap=self.config.storage.mmap)
+            dataset = open_dataset(dataset)
         self.catalog.register(name, dataset, streamed=streamed,
                               replace=replace)
         self._drop_batches(name)

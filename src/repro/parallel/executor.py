@@ -288,10 +288,7 @@ class ParallelExecutor:
         already carry its tracing scope (see the controller).
         """
         thunks = list(thunks)
-        if (
-            not self.enabled or not self.config.block_fanout
-            or len(thunks) <= 1
-        ):
+        if not self.enabled or len(thunks) <= 1:
             return [thunk() for thunk in thunks]
         if self._block_pool is None:
             self._block_pool = WorkerPool(

@@ -56,6 +56,11 @@ EXPIRED = "expired"
 #: States a query never leaves.
 TERMINAL_STATES = frozenset({DONE, CANCELLED, FAILED, EXPIRED})
 
+#: Finished queries kept readable (status, stream replay, telemetry);
+#: older ones are forgotten in finish order, so a long-lived server's
+#: registries hold every live query plus at most this many finished.
+MAX_FINISHED_QUERIES = 64
+
 
 class DrainingError(AdmissionError):
     """Submission refused because the scheduler is draining for shutdown.
@@ -208,6 +213,8 @@ class QueryScheduler:
         self._thread: Optional[threading.Thread] = None
         self._shutdown = False
         self._draining = False
+        self._completed = 0
+        #: Ids of the retained finished queries, oldest finish first.
         self.completed_order: List[str] = []
 
     # -- lifecycle -------------------------------------------------------
@@ -261,7 +268,7 @@ class QueryScheduler:
                 "queries": len(self._queries),
                 "running": len(self._running),
                 "queued": len(self._queue),
-                "completed": len(self.completed_order),
+                "completed": self._completed,
                 "by_state": by_state,
                 "draining": self._draining,
                 "shutdown": self._shutdown,
@@ -412,7 +419,9 @@ class QueryScheduler:
 
     def queries(self) -> List[dict]:
         """Status summaries of every known query, in submission order."""
-        return [run.status() for run in self._queries.values()]
+        with self._cond:
+            runs = list(self._queries.values())
+        return [run.status() for run in runs]
 
     def subscribe(self, qid: str) -> Iterator[dict]:
         """Iterate a query's snapshot records from the start, then live."""
@@ -688,7 +697,12 @@ class QueryScheduler:
                 pass
         run.stream.close(final=run._end_record())
         self.completed_order.append(run.id)
+        self._completed += 1
         self.telemetry.on_finalized(run)
+        if len(self.completed_order) > MAX_FINISHED_QUERIES:
+            evicted = self.completed_order.pop(0)
+            del self._queries[evicted]
+            self.telemetry.forget(evicted)
         metrics = self.tracer.metrics
         if metrics.enabled:
             metrics.counter(f"scheduler.{state}").inc()

@@ -225,6 +225,10 @@ class ServeTelemetry:
                 run.finished_at - run.started_at
             )
 
+    def forget(self, qid: str) -> None:
+        """Drop a finished query's telemetry (the scheduler evicted it)."""
+        self._queries.pop(qid, None)
+
     # -- reading ---------------------------------------------------------
 
     def get(self, qid: str) -> QueryTelemetry:

@@ -11,7 +11,6 @@ from .partition import (
 from .table import Column, ColumnType, Schema, Table
 from .colstore import (
     ColstoreDataset,
-    ProjectionStore,
     convert_table,
     open_dataset,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "Column",
     "ColumnType",
     "MiniBatchPartitioner",
-    "ProjectionStore",
     "Schema",
     "Table",
     "batch_sizes",

@@ -2,9 +2,8 @@
 
 One ``.gcp`` file per shuffled mini-batch (64-byte-aligned column
 segments behind a JSON footer that also records per-chunk zone-map
-statistics for ``repro inspect``), and partial-aggregate projections
-that let recurring queries warm-start from persisted fold state.  See
-``docs/storage.md`` for the format and semantics.
+statistics for ``repro inspect``).  See ``docs/storage.md`` for the
+format and semantics.
 """
 
 from .codecs import CODECS, EncodedColumn, decode_column, encode_column
@@ -20,7 +19,6 @@ from .format import (
     compute_zones,
     write_partition,
 )
-from .projections import ProjectionStore, projection_key
 
 __all__ = [
     "CODECS",
@@ -28,13 +26,11 @@ __all__ = [
     "DEFAULT_CHUNK_ROWS",
     "EncodedColumn",
     "PartitionReader",
-    "ProjectionStore",
     "compute_zones",
     "convert_table",
     "decode_column",
     "encode_column",
     "is_dataset_dir",
     "open_dataset",
-    "projection_key",
     "write_partition",
 ]

@@ -134,10 +134,6 @@ class _LazyBatchSeq:
         return self._dataset.num_batches
 
     def __getitem__(self, index: int) -> Table:
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        if index < 0:
-            index += len(self)
         return self._dataset.batch(index)
 
     def __iter__(self):
@@ -153,9 +149,8 @@ class ColstoreDataset:
     for streaming runs and ``to_table()`` for batch execution.
     """
 
-    def __init__(self, path, mmap: bool = True):
+    def __init__(self, path):
         self.path = os.fspath(path)
-        self.mmap = mmap
         manifest_path = os.path.join(self.path, MANIFEST_NAME)
         try:
             with open(manifest_path, "r", encoding="utf-8") as fh:
@@ -225,10 +220,6 @@ class ColstoreDataset:
         row = sum(_ROW_BYTES.get(c.ctype.value, 8) for c in self.schema)
         return self.num_rows * max(row, 1)
 
-    @property
-    def projection_dir(self) -> str:
-        return os.path.join(self.path, "_projections")
-
     def config_matches(self, config) -> bool:
         """True when ``config`` partitions exactly like the stored files."""
         return (config.num_batches == self.num_batches
@@ -258,8 +249,7 @@ class ColstoreDataset:
         if self._readers[index] is None:
             entry = self.manifest["partitions"][index]
             self._readers[index] = PartitionReader(
-                os.path.join(self.path, entry["file"]), mmap=self.mmap
-            )
+                os.path.join(self.path, entry["file"]))
         return self._readers[index]
 
     def batch(self, index: int) -> Table:
@@ -291,9 +281,9 @@ class ColstoreDataset:
         return Table.concat([t for t in slots if t is not None])
 
 
-def open_dataset(path, mmap: bool = True) -> ColstoreDataset:
+def open_dataset(path) -> ColstoreDataset:
     """Open a colstore dataset directory."""
-    return ColstoreDataset(path, mmap=mmap)
+    return ColstoreDataset(path)
 
 
 def is_dataset_dir(path) -> bool:

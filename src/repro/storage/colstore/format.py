@@ -136,17 +136,16 @@ def write_partition(path, table: Table, codec: str = "auto",
 
 
 class PartitionReader:
-    """Read one partition file, optionally through ``np.memmap``.
+    """Read one partition file through ``np.memmap``.
 
-    With ``mmap=True`` the file bytes are paged in lazily by the OS and
-    ``plain``-coded numeric columns decode to zero-copy (read-only)
-    views into the mapping, so a partition never has to fit in the
-    process heap at once.
+    The file bytes are paged in lazily by the OS and ``plain``-coded
+    numeric columns decode to zero-copy (read-only) views into the
+    mapping, so a partition never has to fit in the process heap at
+    once.
     """
 
-    def __init__(self, path, mmap: bool = True):
+    def __init__(self, path):
         self.path = os.fspath(path)
-        self.mmap = mmap
         size = os.path.getsize(self.path)
         tail_len = _TRAILER.size + len(MAGIC)
         if size < len(MAGIC) + tail_len:
@@ -180,20 +179,13 @@ class PartitionReader:
     def num_rows(self) -> int:
         return int(self.footer["num_rows"])
 
-    def _buffer(self) -> np.ndarray:
-        if self._buf is None:
-            if self.mmap:
-                self._buf = np.memmap(self.path, dtype=np.uint8, mode="r")
-            else:
-                self._buf = np.fromfile(self.path, dtype=np.uint8)
-        return self._buf
-
     def _segment(self, desc: dict) -> np.ndarray:
-        buf = self._buffer()
+        if self._buf is None:
+            self._buf = np.memmap(self.path, dtype=np.uint8, mode="r")
         off, nbytes = int(desc["offset"]), int(desc["nbytes"])
-        if off + nbytes > len(buf):
+        if off + nbytes > len(self._buf):
             raise StorageError(f"{self.path}: segment past end of file")
-        raw = buf[off:off + nbytes]
+        raw = self._buf[off:off + nbytes]
         return raw.view(np.dtype(desc["dtype"]))[: int(desc["count"])]
 
     def schema(self) -> Schema:

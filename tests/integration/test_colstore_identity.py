@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import GolaConfig, GolaSession, StorageConfig
+from repro import GolaConfig, GolaSession
 from repro.config import ParallelConfig
 from repro.faults.chaos import snapshot_fingerprint
 from repro.storage.colstore import convert_table, open_dataset
@@ -96,18 +96,6 @@ def test_snapshot_stream_bit_identity(datasets, stripped, name, zone_maps,
         f"{name}: colstore stream diverged from in-memory "
         f"(zone_maps={zone_maps}, workers={workers})"
     )
-
-
-def test_mmap_and_eager_reads_agree(datasets):
-    table_name, _, sql = QUERY_CASES["sbi"]
-    _, path = datasets[table_name]
-    config = _config(1)
-    fp_mmap = _stream_fp(config, table_name, path, sql, colstore=True)
-    eager = dataclasses.replace(
-        config, storage=StorageConfig(mmap=False)
-    )
-    fp_eager = _stream_fp(eager, table_name, path, sql, colstore=True)
-    assert fp_mmap == fp_eager
 
 
 def test_batch_engine_matches_source_table(datasets):

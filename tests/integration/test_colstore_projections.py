@@ -1,29 +1,32 @@
-"""Partial-aggregate projections: warm-started recurring queries.
+"""Warm starts over a shuffled colstore dataset.
 
-The acceptance property: a repeated serve query over a converted
-dataset resumes from the persisted per-block partial aggregates and
-reaches its first ±5% snapshot in **fewer batches** than the cold run —
-while the stream it emits stays a bit-identical suffix of the cold
-stream (warm-starting changes latency, never answers).
+The persisted partial aggregates of a run are a ``RunCheckpoint``: a
+cold run auto-checkpoints every two batches (``FaultsConfig``'s
+``checkpoint_every``/``checkpoint_path``) and a fresh session over the
+same dataset resumes from one with ``run_online(resume_from=...)``.
+Warm-starting changes latency, never answers: the resumed stream is a
+bit-identical suffix of the cold stream and ends on the in-memory
+table's final answer.
+
+``test_fault_tolerance.py::TestCheckpointResume`` pins the same two
+properties for the sessions workload over an unshuffled conversion;
+these tests cover a dataset converted with ``shuffle=True`` and a
+high-dispersion ``AVG``.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
 
-from repro import GolaConfig, GolaSession, StorageConfig
+from repro import FaultsConfig, GolaConfig, GolaSession
+from repro.faults import RunCheckpoint
 from repro.faults.chaos import snapshot_fingerprint
-from repro.serve import QueryScheduler
 from repro.storage.colstore import convert_table
-from repro.storage.colstore.projections import ProjectionStore
 from repro.storage.table import Table
 
 ROWS = 40_000
 BATCHES = 10
 SEED = 2015
-# High dispersion relative to the mean so the ±5% CI target is crossed
-# mid-run rather than at the first snapshot.
+RESUME_AFTER = 4
 SQL = "SELECT AVG(y) FROM fact"
 
 
@@ -35,106 +38,51 @@ def make_table():
     })
 
 
-@pytest.fixture
-def dataset(tmp_path):
-    path = tmp_path / "ds"
-    convert_table(make_table(), path, num_batches=BATCHES, seed=SEED,
+def make_config() -> GolaConfig:
+    return GolaConfig(num_batches=BATCHES, seed=SEED, bootstrap_trials=32)
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """The cold colstore stream and the stream resumed after batch 4."""
+    tmp_path = tmp_path_factory.mktemp("warm")
+    dataset = tmp_path / "ds"
+    convert_table(make_table(), dataset, num_batches=BATCHES, seed=SEED,
                   shuffle=True)
-    return path
+    path = tmp_path / "auto.ck"
+    checkpointing = make_config().with_options(faults=FaultsConfig(
+        checkpoint_every=2, checkpoint_path=str(path)))
 
+    def colstore_session():
+        session = GolaSession(checkpointing)
+        session.register_colstore("fact", dataset)
+        return session
 
-def projected_config(**storage_kwargs) -> GolaConfig:
-    storage = StorageConfig(projections=True, projection_every=2,
-                            **storage_kwargs)
-    return GolaConfig(num_batches=BATCHES, seed=SEED,
-                      bootstrap_trials=32, storage=storage)
+    cold = []
+    saved = None
+    for snapshot in colstore_session().sql(SQL).run_online():
+        cold.append(snapshot)
+        if snapshot.batch_index == RESUME_AFTER:
+            saved = RunCheckpoint.load(path)
+    assert len(cold) == BATCHES
+    assert saved is not None and saved.batch_index == RESUME_AFTER
 
-
-def run_stream(config, dataset, sql=SQL):
-    session = GolaSession(config)
-    session.register_colstore("fact", dataset)
-    return list(session.sql(sql).run_online())
+    warm = list(colstore_session().sql(SQL).run_online(resume_from=saved))
+    return cold, warm
 
 
 class TestControllerWarmStart:
-    def test_warm_run_is_bitwise_suffix_of_cold(self, dataset):
-        config = projected_config()
-        cold = run_stream(config, dataset)
-        assert len(cold) == BATCHES
-        warm = run_stream(config, dataset)
-        assert 0 < len(warm) < len(cold)
+    def test_warm_run_is_bitwise_suffix_of_cold(self, runs):
+        cold, warm = runs
+        assert [s.batch_index for s in warm] == \
+            list(range(RESUME_AFTER + 1, BATCHES + 1))
         assert snapshot_fingerprint(warm) == \
-            snapshot_fingerprint(cold[-len(warm):])
+            snapshot_fingerprint(cold[RESUME_AFTER:])
 
-    def test_final_answer_matches_in_memory(self, dataset):
-        config = projected_config()
-        run_stream(config, dataset)  # populate the store
-        warm = run_stream(config, dataset)
-        mem = GolaSession(
-            GolaConfig(num_batches=BATCHES, seed=SEED,
-                       bootstrap_trials=32)
-        )
-        mem.register_table("fact", make_table())
-        mem_snaps = list(mem.sql(SQL).run_online())
-        assert snapshot_fingerprint([warm[-1]]) == \
-            snapshot_fingerprint([mem_snaps[-1]])
-
-    def test_different_query_is_not_warm_started(self, dataset):
-        config = projected_config()
-        run_stream(config, dataset)
-        other = run_stream(config, dataset,
-                           sql="SELECT g, AVG(y) FROM fact GROUP BY g")
-        assert len(other) == BATCHES  # cold: full stream
-
-    def test_different_config_is_not_warm_started(self, dataset):
-        run_stream(projected_config(), dataset)
-        changed = dataclasses.replace(projected_config(),
-                                      bootstrap_trials=16)
-        assert len(run_stream(changed, dataset)) == BATCHES
-
-    def test_projection_files_live_next_to_partitions(self, dataset):
-        config = projected_config()
-        run_stream(config, dataset)
-        store = ProjectionStore(dataset / "_projections")
-        entries = store.entries()
-        assert entries, "expected persisted projections"
-        # projection_every=2 over 10 batches: saved at 0,2,4,6,8
-        assert max(e["batch_index"] for e in entries) == 8
-        for entry in entries:
-            assert (dataset / "_projections" /
-                    entry["state_file"]).exists()
-
-
-class TestServeWarmStart:
-    def test_repeated_query_converges_in_fewer_batches(self, dataset):
-        session = GolaSession(projected_config())
-        session.register_colstore("fact", dataset)
-        scheduler = QueryScheduler(session)
-        try:
-            cold = scheduler.submit(SQL)
-            scheduler.wait(cold.id, timeout=120.0)
-            warm = scheduler.submit(SQL)
-            scheduler.wait(warm.id, timeout=120.0)
-
-            def batches_to_target(qid, eps=0.05):
-                history = scheduler.telemetry.get(qid).stream.history
-                seen = 0
-                for record in history:
-                    if record.get("type") != "convergence":
-                        continue
-                    seen += 1
-                    rel = record.get("rel_width")
-                    if rel is not None and rel <= eps:
-                        return seen
-                return None
-
-            cold_n = batches_to_target(cold.id)
-            warm_n = batches_to_target(warm.id)
-            assert cold_n is not None and cold_n > 1, (
-                "cold run should cross the ±5% target mid-run; got "
-                f"{cold_n}"
-            )
-            assert warm_n is not None
-            assert warm_n < cold_n
-        finally:
-            scheduler.close()
+    def test_final_answer_matches_in_memory(self, runs):
+        _, warm = runs
+        memory = GolaSession(make_config())
+        memory.register_table("fact", make_table())
+        final = list(memory.sql(SQL).run_online())[-1]
+        assert snapshot_fingerprint(warm[-1:]) == \
+            snapshot_fingerprint([final])

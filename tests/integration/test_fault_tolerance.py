@@ -218,6 +218,53 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError, match="query"):
             list(wrong.run_online(resume_from=ck))
 
+    def test_colstore_resume_is_bitwise_suffix(self, tmp_path):
+        """Warm start from persisted fold state over a colstore dataset.
+
+        A cold run auto-checkpoints every two batches; a fresh session
+        over the same dataset resumes from the batch-4 checkpoint and
+        emits exactly the cold stream's remaining snapshots, ending on
+        the in-memory table's final answer.  At ε = 0 this run rebuilds
+        at batch 8, so the resumed run re-folds the retained batches the
+        checkpoint carried.
+        """
+        from repro.faults.chaos import snapshot_fingerprint
+        from repro.storage.colstore import convert_table
+
+        table = generate_sessions(3000, seed=7)
+        dataset = tmp_path / "ds"
+        convert_table(table, dataset, num_batches=10, seed=31)
+        path = tmp_path / "auto.ck"
+        config = GolaConfig(num_batches=10, bootstrap_trials=24, seed=31,
+                            epsilon_multiplier=0.0)
+        checkpointing = config.with_options(faults=FaultsConfig(
+            checkpoint_every=2, checkpoint_path=str(path)))
+
+        def colstore_session():
+            session = GolaSession(checkpointing)
+            session.register_colstore("sessions", dataset)
+            return session
+
+        cold = []
+        for snapshot in colstore_session().sql(SBI_QUERY).run_online():
+            cold.append(snapshot)
+            if snapshot.batch_index == 4:
+                saved = RunCheckpoint.load(path)
+        assert len(cold) == 10 and saved.batch_index == 4
+
+        warm = list(
+            colstore_session().sql(SBI_QUERY).run_online(resume_from=saved)
+        )
+        assert [s.batch_index for s in warm] == list(range(5, 11))
+        assert any(s.rebuilds for s in warm)
+        assert snapshot_fingerprint(warm) == snapshot_fingerprint(cold[4:])
+
+        memory = GolaSession(config)
+        memory.register_table("sessions", table)
+        final = list(memory.sql(SBI_QUERY).run_online())[-1]
+        assert snapshot_fingerprint(warm[-1:]) == \
+            snapshot_fingerprint([final])
+
     def test_checkpoint_before_any_batch_raises(self):
         session = make_session()
         query = session.sql(SBI_QUERY)

@@ -184,6 +184,25 @@ class TestHTTPErrors:
         assert code == 404
         assert body["error"] == "NotFound"
 
+    def test_evicted_finished_query_404(self, server, monkeypatch):
+        from repro.serve import scheduler as scheduler_module
+
+        monkeypatch.setattr(scheduler_module, "MAX_FINISHED_QUERIES", 2)
+        ids = []
+        for _ in range(3):
+            _, submitted = post_json(server.url + "/query", {
+                "sql": "SELECT AVG(play_time) FROM sessions",
+                "config": {"num_batches": 2},
+            })
+            ids.append(submitted["id"])
+            assert server.scheduler.wait(ids[-1], timeout=30.0)
+        code, _, body = http_error(
+            get_json, server.url + f"/query/{ids[0]}/status"
+        )
+        assert code == 404 and body["error"] == "NotFound"
+        code, status = get_json(server.url + f"/query/{ids[-1]}/status")
+        assert code == 200 and status["state"] == "done"
+
     def test_delete_already_finished_409(self, server):
         code, submitted = post_json(server.url + "/query", {
             "sql": "SELECT AVG(play_time) FROM sessions",

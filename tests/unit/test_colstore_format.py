@@ -50,9 +50,7 @@ class TestPartitionFile:
         table = sample_table()
         path = tmp_path / "p.gcp"
         write_partition(path, table, codec=codec, chunk_rows=128)
-        for mmap in (True, False):
-            out = PartitionReader(path, mmap=mmap).read_table()
-            assert_tables_equal(table, out)
+        assert_tables_equal(table, PartitionReader(path).read_table())
 
     def test_segments_are_64_byte_aligned(self, tmp_path):
         path = tmp_path / "p.gcp"
@@ -110,7 +108,7 @@ class TestPartitionFile:
         })
         path = tmp_path / "p.gcp"
         write_partition(path, table, codec="plain")
-        out = PartitionReader(path, mmap=True).read_table()
+        out = PartitionReader(path).read_table()
         arr = out.column("i")
         assert not arr.flags.writeable
         with pytest.raises((ValueError, RuntimeError)):

@@ -1,13 +1,19 @@
-"""The one ``key=value`` spec parser behind every ``XConfig.parse``."""
+"""The one ``key=value`` spec parser behind every ``XConfig.parse``,
+and a guard that every config field is read by the package."""
+
+import ast
+import dataclasses
+import inspect
+from pathlib import Path
 
 import pytest
 
+import repro.config
 from repro.config import (
     FaultsConfig,
     ParallelConfig,
     QaConfig,
     ServeConfig,
-    StorageConfig,
 )
 
 # (class, its CLI flag, spec, the fields the spec must set)
@@ -26,10 +32,6 @@ ROUND_TRIPS = [
      "default_deadline_s=1.5,host=0.0.0.0",
      {"max_concurrent": 8, "queue_depth": 32, "port": 9000,
       "telemetry": False, "default_deadline_s": 1.5, "host": "0.0.0.0"}),
-    (StorageConfig, "--storage",
-     " projection_every = 3 , mmap=no,projections=yes,projection_dir=p ",
-     {"projection_every": 3, "mmap": False, "projections": True,
-      "projection_dir": "p"}),
     (QaConfig, "--qa",
      "queries=7,rtol=1e-3,include_serve=true,grammar=deep",
      {"queries": 7, "rtol": 1e-3, "include_serve": True,
@@ -71,7 +73,7 @@ def test_empty_faults_spec_is_the_enabled_default_profile():
 
 
 def test_empty_spec_elsewhere_is_the_defaults():
-    for cls in (ParallelConfig, ServeConfig, StorageConfig, QaConfig):
+    for cls in (ParallelConfig, ServeConfig, QaConfig):
         assert cls.parse("") == cls()
 
 
@@ -84,3 +86,41 @@ def test_deleted_scan_cache_knob_is_an_unknown_key():
     # Partitions are shared through the session's batch store, always.
     with pytest.raises(ValueError, match="unknown --serve key 'scan_cache'"):
         ServeConfig.parse("scan_cache=0")
+
+
+def _names_read_outside_config():
+    """Attribute names loaded, and ``getattr`` string names, in
+    ``src/repro/**/*.py`` except ``config.py`` itself."""
+    root = Path(repro.__file__).parent
+    names = set()
+    for path in root.rglob("*.py"):
+        if path == root / "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)
+                  and isinstance(node.args[1].value, str)):
+                names.add(node.args[1].value)
+    return names
+
+
+def test_every_config_field_is_read_somewhere():
+    # A field nothing outside config.py reads is a knob that does nothing.
+    read = _names_read_outside_config()
+    config_classes = [
+        cls for _, cls in inspect.getmembers(repro.config, inspect.isclass)
+        if dataclasses.is_dataclass(cls)
+        and cls.__module__ == repro.config.__name__
+    ]
+    assert config_classes
+    unread = sorted(
+        f"{cls.__name__}.{f.name}"
+        for cls in config_classes for f in dataclasses.fields(cls)
+        if f.name not in read
+    )
+    assert unread == []

@@ -6,6 +6,8 @@ fast; the heavy 8-query bit-identity acceptance run lives in
 """
 
 import dataclasses
+import sys
+import threading
 import time
 
 import pytest
@@ -28,6 +30,7 @@ from repro.serve import (
     RUNNING,
     QueryScheduler,
 )
+from repro.serve.scheduler import MAX_FINISHED_QUERIES
 
 from .test_step_api import fingerprint
 
@@ -226,6 +229,82 @@ class TestControl:
             assert sched.completed_order == [high.id, low.id]
         finally:
             sched.close()
+
+
+class TestFinishedQueryEviction:
+    def test_registries_keep_live_and_newest_finished(self, scheduler,
+                                                      session, sbi_sql):
+        long = dataclasses.replace(session.config, num_batches=1000)
+        live = scheduler.submit(sbi_sql, config=long)
+        assert wait_for(lambda: live.state == RUNNING)
+        scheduler.pause(live.id)
+        assert live.state == PAUSED
+        finished = []
+        for _ in range(MAX_FINISHED_QUERIES + 5):
+            run = scheduler.submit("SELECT COUNT(*) FROM sessions")
+            assert scheduler.wait(run.id, timeout=30.0)
+            finished.append(run)
+            assert len(scheduler.queries()) <= MAX_FINISHED_QUERIES + 1
+            assert len(scheduler.telemetry._queries) <= \
+                MAX_FINISHED_QUERIES + 1
+        assert scheduler.stats()["completed"] == len(finished)
+        oldest, newest = finished[0], finished[-1]
+        with pytest.raises(KeyError):
+            scheduler.status(oldest.id)
+        with pytest.raises(KeyError):
+            scheduler.telemetry.get(oldest.id)
+        assert scheduler.status(newest.id)["state"] == DONE
+        assert scheduler.telemetry.get(newest.id) is not None
+        records = list(scheduler.subscribe(newest.id))
+        assert records[-1]["type"] == "end"
+        # The paused query outlives every eviction.
+        assert scheduler.status(live.id)["state"] == PAUSED
+        scheduler.cancel(live.id)
+
+    def test_eviction_under_concurrent_submit_and_list(
+            self, scheduler, monkeypatch):
+        from repro.serve import scheduler as scheduler_module
+
+        monkeypatch.setattr(scheduler_module, "MAX_FINISHED_QUERIES", 3)
+        clients, per_client = 6, 8
+        live_cap = scheduler.serve.max_concurrent + scheduler.serve.queue_depth
+        errors, stop = [], threading.Event()
+
+        def client():
+            try:
+                for _ in range(per_client):
+                    run = scheduler.submit("SELECT COUNT(*) FROM sessions")
+                    assert run.done_event.wait(30.0)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        def lister():
+            try:
+                while not stop.is_set():
+                    assert len(scheduler.queries()) <= 3 + live_cap
+                    scheduler.stats()
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client)
+                       for _ in range(clients)]
+            reader = threading.Thread(target=lister)
+            for thread in threads + [reader]:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+            stop.set()
+            reader.join(10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads + [reader])
+        assert errors == []
+        assert scheduler.stats()["completed"] == clients * per_client
+        assert len(scheduler.queries()) == 3
+        assert len(scheduler.telemetry._queries) == 3
 
 
 class TestQuarantine:
