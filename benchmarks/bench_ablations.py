@@ -1,106 +1,12 @@
-"""Ablations of the design choices DESIGN.md marks with ♦.
-
-* trial-aware uncertain-set evaluation (CI fidelity vs cost);
-* poissonized vs classical multinomial bootstrap (replica agreement);
-* decision-extreme guards vs the naive range-intersection fallback
-  (rebuild counts — measured by forcing the fallback analysis off);
-* cached-row cost-model sensitivity (does the Fig 3(b) conclusion
-  survive charging cached rows at full price?).
+"""Ablation of a design choice DESIGN.md marks with ♦: cached-row
+cost-model sensitivity (does the Fig 3(b) conclusion survive charging
+cached rows at full price?).
 """
 
-import numpy as np
-import pytest
-
 from common import ALL_QUERIES, run_cdm_rows, run_gola, simulate_latency
-from repro import GolaConfig, GolaSession
-from repro.estimate import multinomial_bootstrap, poissonized_bootstrap
-from repro.workloads import SBI_QUERY, generate_sessions
+from repro import GolaConfig
 
 CONFIG = GolaConfig(num_batches=10, bootstrap_trials=40, seed=2015)
-
-
-# ----------------------------------------------------------------------
-# Trial-aware uncertain evaluation
-# ----------------------------------------------------------------------
-
-def run_sbi(trial_aware, n=8000, batches=8):
-    session = GolaSession(
-        GolaConfig(num_batches=batches, bootstrap_trials=60, seed=5,
-                   trial_aware_uncertain=trial_aware)
-    )
-    session.register_table("sessions", generate_sessions(n, seed=9))
-    query = session.sql(SBI_QUERY)
-    snaps = list(query.run_online())
-    exact = session.execute_batch(query)
-    return snaps, float(exact.column(exact.schema.names[0])[0])
-
-
-@pytest.fixture(scope="module")
-def trial_aware_runs():
-    return run_sbi(True), run_sbi(False)
-
-
-def test_trial_aware_benchmark(benchmark):
-    snaps, _ = benchmark.pedantic(run_sbi, args=(True,),
-                                  rounds=1, iterations=1)
-    assert snaps
-
-
-class TestTrialAwareAblation:
-    def test_estimates_identical(self, trial_aware_runs):
-        (on, _), (off, _) = trial_aware_runs
-        for a, b in zip(on, off):
-            assert a.estimate == pytest.approx(b.estimate, rel=1e-12)
-
-    def test_intervals_change(self, trial_aware_runs):
-        (on, _), (off, _) = trial_aware_runs
-        assert any(
-            abs(a.interval.width - b.interval.width) > 1e-12
-            for a, b in zip(on[:-1], off[:-1])
-        )
-
-    def test_both_cover_truth_mostly(self, trial_aware_runs):
-        for snaps, truth in trial_aware_runs:
-            hits = sum(
-                1 for s in snaps[:-1] if s.interval.contains(truth)
-            )
-            assert hits >= len(snaps) - 2
-
-
-# ----------------------------------------------------------------------
-# Poissonized vs multinomial bootstrap
-# ----------------------------------------------------------------------
-
-class TestBootstrapFlavours:
-    def test_replica_distributions_agree(self):
-        rng = np.random.default_rng(0)
-        values = rng.exponential(3.0, 3000)
-
-        def weighted_mean(v, w):
-            total = np.sum(w)
-            return float(np.sum(v * w) / total) if total else 0.0
-
-        poisson = poissonized_bootstrap(values, weighted_mean, 400, seed=1)
-        multi = multinomial_bootstrap(values, np.mean, 400, seed=2)
-        assert poisson.mean() == pytest.approx(multi.mean(), rel=0.01)
-        assert poisson.std() == pytest.approx(multi.std(), rel=0.2)
-
-    def test_poissonized_is_the_cheaper_online_choice(self, benchmark):
-        """Per-batch poissonized maintenance is one vectorized update."""
-        from repro.engine.aggregates import AvgState
-
-        rng = np.random.default_rng(1)
-        values = rng.normal(size=50_000)
-        weights = rng.poisson(1.0, (50_000, 40)).astype(float)
-        groups = np.zeros(50_000, dtype=np.int64)
-
-        def fold():
-            state = AvgState(trials=40)
-            state.update(groups, values, weights)
-            return state.finalize()
-
-        out = benchmark(fold)
-        assert out.shape == (1, 40)
 
 
 # ----------------------------------------------------------------------

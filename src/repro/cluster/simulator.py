@@ -19,6 +19,10 @@ from ..obs import NULL_TRACER, Tracer
 from .cost import broadcast_cost, task_durations
 from .events import EventLoop, SlotHeap
 
+#: A simulated task attempt is declared failed/straggling once it runs
+#: this many times its nominal duration.
+TASK_TIMEOUT_FACTOR = 3.0
+
 
 @dataclass
 class StageRecovery:
@@ -132,7 +136,7 @@ class ClusterSimulator:
         The execution model per task attempt:
 
         * a *failed* attempt hangs and is detected at its timeout
-          (``task_timeout_factor`` × nominal duration); after an
+          (:data:`TASK_TIMEOUT_FACTOR` × nominal duration); after an
           exponential-backoff pause the task is retried, up to
           ``max_retries`` times — beyond that the task (and hence the
           stage) fails permanently;
@@ -157,7 +161,7 @@ class ClusterSimulator:
         effective: List[float] = []
         tracer = self.tracer
         for i, nominal in enumerate(durations):
-            timeout = faults.task_timeout_factor * nominal
+            timeout = TASK_TIMEOUT_FACTOR * nominal
             spent = 0.0
             fails = int(failures[i])
             attempts = min(fails, policy.max_retries + 1)

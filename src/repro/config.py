@@ -64,8 +64,6 @@ class FaultsConfig:
         straggler_prob: Probability that a simulated task runs at
             ``straggler_factor`` × its nominal duration.
         straggler_factor: Slowdown multiplier for straggler tasks.
-        task_timeout_factor: A task attempt is declared failed/straggling
-            when it exceeds ``factor`` × its nominal duration.
         batch_failure_prob: Per-attempt probability that loading a
             mini-batch fails in the controller.  Failures within
             ``max_retries`` are retried; beyond that the batch is dropped
@@ -112,7 +110,6 @@ class FaultsConfig:
     task_failure_prob: float = 0.0
     straggler_prob: float = 0.0
     straggler_factor: float = 8.0
-    task_timeout_factor: float = 3.0
     batch_failure_prob: float = 0.0
     row_corruption_prob: float = 0.0
     worker_kill_prob: float = 0.0
@@ -140,8 +137,6 @@ class FaultsConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.straggler_factor < 1.0:
             raise ValueError("straggler_factor must be >= 1")
-        if self.task_timeout_factor < 1.0:
-            raise ValueError("task_timeout_factor must be >= 1")
         if self.worker_hang_s < 0.0:
             raise ValueError("worker_hang_s must be >= 0")
         if self.max_retries < 0:
@@ -184,18 +179,16 @@ class ParallelConfig:
             the full shard/merge machinery on a single worker (useful for
             testing the parallel path deterministically).
         backend: ``"process"`` (default) for a fork-based process pool,
-            ``"thread"`` for a thread pool (no pickling; numpy releases
-            the GIL in the hot kernels), or ``"serial"`` to run shard
-            tasks inline while keeping the shard/merge code path.
-        min_shard_rows: Batches smaller than this skip sharding — the
-            per-task overhead would exceed the kernel time.
-        supervise: Run shard tasks under the supervised execution layer
+            or ``"thread"`` for a thread pool (no pickling; numpy
+            releases the GIL in the hot kernels).  Either way shard
+            tasks run under the supervised execution layer
             (``repro.parallel.supervisor``): per-task deadlines, broken
             pool detection and rebuild, lost-shard re-dispatch, poison
-            quarantine and merge-time integrity checks.  Because shard
-            payloads are stateless per-(batch, trial) specs, every
-            recovery re-execution is bit-identical, so supervision never
-            changes results.
+            quarantine and merge-time integrity checks.  Shard payloads
+            are stateless per-(batch, trial) specs, so every recovery
+            re-execution is bit-identical.
+        min_shard_rows: Batches smaller than this skip sharding — the
+            per-task overhead would exceed the kernel time.
         task_deadline_s: A shard task still running this many seconds
             after dispatch is declared hung; the pool is abandoned
             (workers killed) and the task re-dispatched.  0 disables
@@ -213,7 +206,6 @@ class ParallelConfig:
     workers: int = 0
     backend: str = "process"
     min_shard_rows: int = 2048
-    supervise: bool = True
     task_deadline_s: float = 60.0
     task_retries: int = 2
     start_method: str = "auto"
@@ -221,10 +213,8 @@ class ParallelConfig:
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
-        if self.backend not in ("process", "thread", "serial"):
-            raise ValueError(
-                "backend must be one of 'process', 'thread', 'serial'"
-            )
+        if self.backend not in ("process", "thread"):
+            raise ValueError("backend must be one of 'process', 'thread'")
         if self.min_shard_rows < 0:
             raise ValueError("min_shard_rows must be >= 0")
         if self.task_deadline_s < 0:
@@ -274,12 +264,6 @@ class ServeConfig:
             admitted queries wait in the submission queue.
         queue_depth: Maximum queries waiting for a run slot; beyond
             this, submissions are rejected (HTTP 429 / AdmissionError).
-        memory_budget_mb: Soft budget for the mini-batch memory of the
-            queries running concurrently (estimated from their streamed
-            tables).  A query whose admission would exceed it stays
-            queued until slots free up; 0 disables the budget.  A query
-            that exceeds the whole budget on its own is still admitted
-            when nothing else runs (no livelock).
         default_deadline_s: Deadline applied to queries submitted
             without one: a query still refining this many seconds after
             it starts is finalized with its latest snapshot (state
@@ -289,11 +273,6 @@ class ServeConfig:
             grants each query ``priority`` step credits per cycle, so
             with the default of 1 every runnable query advances exactly
             one batch per cycle regardless of priority backlog.
-        snapshot_queue: Per-subscriber buffer of undelivered snapshot
-            records; a slower consumer has its oldest records dropped
-            (counted, never blocking the scheduler).  Replay-from-start
-            subscriptions are never lossy — the full per-query history
-            is kept for the query's lifetime.
         telemetry: Record serve-layer telemetry (SLO quantile
             histograms, sliding-window rates, per-query convergence
             streams; served at ``/metrics`` and
@@ -310,10 +289,8 @@ class ServeConfig:
     port: int = 8000
     max_concurrent: int = 4
     queue_depth: int = 16
-    memory_budget_mb: float = 0.0
     default_deadline_s: float = 0.0
     max_steps_per_turn: int = 1
-    snapshot_queue: int = 256
     telemetry: bool = True
     drain_timeout_s: float = 10.0
 
@@ -322,14 +299,10 @@ class ServeConfig:
             raise ValueError("max_concurrent must be >= 1")
         if self.queue_depth < 0:
             raise ValueError("queue_depth must be >= 0")
-        if self.memory_budget_mb < 0:
-            raise ValueError("memory_budget_mb must be >= 0")
         if self.default_deadline_s < 0:
             raise ValueError("default_deadline_s must be >= 0")
         if self.max_steps_per_turn < 1:
             raise ValueError("max_steps_per_turn must be >= 1")
-        if self.snapshot_queue < 1:
-            raise ValueError("snapshot_queue must be >= 1")
         if self.drain_timeout_s < 0:
             raise ValueError("drain_timeout_s must be >= 0")
 
@@ -457,14 +430,6 @@ class GolaConfig:
         retain_batches: Keep raw mini-batches after folding so the
             controller can recompute state when a variation range fails.
             Disabling this trades failure recovery for memory.
-        max_quantile_sample: Reservoir size for mergeable quantile states.
-        trial_aware_uncertain: Evaluate the (small) uncertain set under
-            each bootstrap trial's own inner-aggregate replicas when
-            computing error bars, instead of sharing the point-estimate
-            classification across trials.  More faithful to the paper's
-            "recompute the query per trial" bootstrap — the intervals then
-            include inner-selection uncertainty — at ``O(B · |U|)`` extra
-            work per snapshot.
         trace: Enable structured tracing (``repro.obs``) with an
             in-memory aggregating sink: hierarchical spans per batch,
             block and phase, rendered by the console frontends.  Off by
@@ -502,8 +467,6 @@ class GolaConfig:
     seed: int = 2015
     shuffle: bool = True
     retain_batches: bool = True
-    max_quantile_sample: int = 4096
-    trial_aware_uncertain: bool = True
     trace: bool = False
     trace_path: Optional[str] = None
     trace_rotate_mb: float = 0.0
@@ -522,8 +485,6 @@ class GolaConfig:
             raise ValueError("confidence must be in (0, 1)")
         if self.epsilon_multiplier < 0.0:
             raise ValueError("epsilon_multiplier must be >= 0")
-        if self.max_quantile_sample < 16:
-            raise ValueError("max_quantile_sample must be >= 16")
         if self.trace_rotate_mb < 0:
             raise ValueError("trace_rotate_mb must be >= 0")
 

@@ -123,10 +123,6 @@ class QueryController:
             runtime.tracer = self.tracer
             runtime.executor = self.parallel
         self._online_blocks = self.meta_plan.online_blocks
-        #: Blocks grouped by dependency level: blocks in one level
-        #: neither produce nor consume each other's slots, so they can
-        #: fold a batch concurrently (publish stays sequential).
-        self._block_levels = _block_levels(self._online_blocks)
         self.static_states: Dict[int, object] = {
             spec.slot: self._run_static(spec)
             for spec in self.meta_plan.static_specs
@@ -593,26 +589,17 @@ class QueryController:
 
     def _process_block(self, block, i: int, batch: Table, weights,
                        slot_states: Dict[int, object], penv: Environment,
-                       retained, parent_id: Optional[int]):
-        """Fold one batch into one block (possibly on a worker thread).
-
-        Only this block's own runtime state is mutated; ``slot_states``,
-        ``penv`` and ``retained`` are read-only here, which is what makes
-        same-level fan-out safe.  Spans are re-parented under the batch
-        span so concurrent block traces nest correctly.
-        """
-        tracer = self.tracer
-        with tracer.scoped_parent(parent_id):
-            with tracer.span("block", block=block.block_id) as bl:
-                stats = self.runtimes[block.block_id].process_batch(
-                    i, batch, weights, slot_states, penv,
-                    retained=retained,
-                )
-                bl.set("rows_in", stats.rows_in)
-                bl.set("rows_processed", stats.rows_processed)
-                bl.set("uncertain", stats.uncertain_size)
-                if stats.rebuilt:
-                    bl.set("rebuilt", True)
+                       retained):
+        """Fold one batch into one block; only its runtime mutates."""
+        with self.tracer.span("block", block=block.block_id) as bl:
+            stats = self.runtimes[block.block_id].process_batch(
+                i, batch, weights, slot_states, penv, retained=retained,
+            )
+            bl.set("rows_in", stats.rows_in)
+            bl.set("rows_processed", stats.rows_processed)
+            bl.set("uncertain", stats.uncertain_size)
+            if stats.rebuilt:
+                bl.set("rebuilt", True)
         return stats, bl.elapsed_s
 
     def _run_batch(self, i: int, table_batches: Dict[str, Table],
@@ -664,40 +651,33 @@ class QueryController:
             uncertain_sizes: Dict[str, int] = {}
             rebuilds: List[str] = []
             retain = self.config.retain_batches
-            parent_id = getattr(bspan, "span_id", None)
 
-            # Blocks within one level are independent (they only consume
-            # slots published by earlier levels), so the level can fan
-            # out across threads.  Publishing stays sequential, in block
-            # order, so the environment each later level sees is exactly
-            # what the serial loop would have produced.
-            for level in self._block_levels:
-                results = self.parallel.map_block_tasks([
-                    (lambda b=block, t=self.block_tables[block.block_id]:
-                        self._process_block(
-                            b, i, table_batches[t], weights[t],
-                            slot_states, penv,
-                            retained[t] if retain else None, parent_id))
-                    for block in level
-                ])
-                for block, (stats, elapsed_s) in zip(level, results):
-                    if phases is not None:
-                        phases["fold"] += elapsed_s
-                    rows_processed[block.block_id] = stats.rows_processed
-                    uncertain_sizes[block.block_id] = stats.uncertain_size
-                    if stats.rebuilt:
-                        rebuilds.append(block.block_id)
-                for block in level:
-                    if block.produces is None:
-                        continue
-                    runtime = self.runtimes[block.block_id]
-                    with tracer.span("phase:publish",
-                                     block=block.block_id) as pub:
-                        state = runtime.publish(penv, slot_states, scale)
-                    if phases is not None:
-                        phases["publish"] += pub.elapsed_s
-                    slot_states[block.produces] = state
-                    state.bind_point(penv)
+            # Topological order: each block folds the batch against the
+            # slots its producers have already published this batch.
+            for block in self._online_blocks:
+                table = self.block_tables[block.block_id]
+                stats, elapsed_s = self._process_block(
+                    block, i, table_batches[table], weights[table],
+                    slot_states, penv,
+                    retained[table] if retain else None,
+                )
+                if phases is not None:
+                    phases["fold"] += elapsed_s
+                rows_processed[block.block_id] = stats.rows_processed
+                uncertain_sizes[block.block_id] = stats.uncertain_size
+                if stats.rebuilt:
+                    rebuilds.append(block.block_id)
+                if block.produces is None:
+                    continue
+                with tracer.span("phase:publish",
+                                 block=block.block_id) as pub:
+                    state = self.runtimes[block.block_id].publish(
+                        penv, slot_states, scale
+                    )
+                if phases is not None:
+                    phases["publish"] += pub.elapsed_s
+                slot_states[block.produces] = state
+                state.bind_point(penv)
 
             with tracer.span("phase:snapshot") as snap_span:
                 out_table, col_replicas = self.main_runtime.snapshot_output(
@@ -730,28 +710,3 @@ class QueryController:
             lost_rows=lost_rows,
         )
 
-
-def _block_levels(blocks) -> List[List]:
-    """Group topologically ordered lineage blocks into dependency levels.
-
-    A block lands one level below the deepest producer it consumes from;
-    blocks that only consume static slots (produced by no online block)
-    land at level 0.  Blocks sharing a level neither produce nor consume
-    each other's slots, so one batch can be folded into all of them
-    concurrently.  Within a level the original block order is kept, which
-    keeps sequential publishing (and thus the output) identical to the
-    plain topological loop.
-    """
-    placed: Dict[int, int] = {}
-    levels: List[List] = []
-    for block in blocks:
-        level = 0
-        for slot in block.consumes:
-            if slot in placed:
-                level = max(level, placed[slot] + 1)
-        if level == len(levels):
-            levels.append([])
-        levels[level].append(block)
-        if block.produces is not None:
-            placed[block.produces] = level
-    return levels

@@ -587,14 +587,11 @@ class BlockRuntime:
         for i, call in enumerate(agg.aggregates):
             seed = self.config.seed + i
             self.exact_states[call.alias] = make_state(
-                call, trials=None, udafs=self.udafs,
-                quantile_capacity=self.config.max_quantile_sample, seed=seed,
+                call, trials=None, udafs=self.udafs, seed=seed,
             )
             try:
                 self.boot_states[call.alias] = make_state(
-                    call, trials=self.trials, udafs=self.udafs,
-                    quantile_capacity=self.config.max_quantile_sample,
-                    seed=seed,
+                    call, trials=self.trials, udafs=self.udafs, seed=seed,
                 )
             except ExecutionError as exc:
                 raise UnsupportedQueryError(
@@ -1053,12 +1050,9 @@ class BlockRuntime:
             counts = counts[:num_groups] if len(counts) > num_groups else counts
         present = counts > 0
 
-        trial_masks = None
-        if (
-            passing is not None
-            and self.config.trial_aware_uncertain
-            and self.pipeline.uncertain_predicates
-        ):
+        if passing is not None:
+            # The cache only fills on the uncertain path, so uncertain
+            # predicates exist whenever some cached row passes.
             trial_masks = self._trial_masks(slot_states, penv)
 
         estimates: Dict[str, np.ndarray] = {}
@@ -1070,16 +1064,12 @@ class BlockRuntime:
                 exact = exact.copy()
                 exact.update(passing.group_idx, passing.values[alias])
                 boot = boot.copy()
-                if trial_masks is not None:
-                    # Each trial folds the cache rows IT would keep,
-                    # under its own inner-aggregate replicas.
-                    boot.update(
-                        self.cache.group_idx, self.cache.values[alias],
-                        self.cache.weights * trial_masks,
-                    )
-                else:
-                    boot.update(passing.group_idx, passing.values[alias],
-                                passing.weights)
+                # Each trial folds the cache rows IT would keep, under
+                # its own inner-aggregate replicas.
+                boot.update(
+                    self.cache.group_idx, self.cache.values[alias],
+                    self.cache.weights * trial_masks,
+                )
             exact.ensure_groups(num_groups)
             boot.ensure_groups(num_groups)
             estimates[alias] = exact.finalize(scale)

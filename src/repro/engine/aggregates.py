@@ -72,8 +72,8 @@ class GroupIndex:
         #: token so cached encodings are dropped once the mapping grows.
         self._version = 0
         #: ``(token, result)`` of the last memoizable encode: one tuple,
-        #: written in one step, because consumer blocks encode against a
-        #: producer's index from several threads.
+        #: written in one step, so a reader on another thread never sees
+        #: a token paired with another encode's result.
         self._memo: Optional[tuple] = None
 
     @property
@@ -186,6 +186,9 @@ GLOBAL_GROUP = None  # sentinel meaning "no GROUP BY": a single implicit group
 #: at once (2 MB).  Folds bigger than this — a guard rebuild replays
 #: every retained row — walk the weight rectangle in row blocks.
 _BLOCK_CELLS = 1 << 18
+
+#: Reservoir size (rows per group) of a mergeable quantile state.
+QUANTILE_CAPACITY = 4096
 
 
 def _grouped_sum(group_idx: np.ndarray, weights: np.ndarray, groups: int,
@@ -744,8 +747,8 @@ class QuantileState(AggState):
     ``capacity * trials`` bytes of them.
     """
 
-    def __init__(self, trials=None, q: float = 0.5, capacity: int = 4096,
-                 seed: int = 0):
+    def __init__(self, trials=None, q: float = 0.5,
+                 capacity: int = QUANTILE_CAPACITY, seed: int = 0):
         super().__init__(trials)
         if not 0.0 <= q <= 1.0:
             raise ExecutionError(f"quantile fraction {q} outside [0, 1]")
@@ -1150,7 +1153,6 @@ def is_aggregate_name(name: str, udafs: Optional[UDAFRegistry] = None) -> bool:
 
 def make_state(call: AggregateCall, trials: Optional[int] = None,
                udafs: Optional[UDAFRegistry] = None,
-               quantile_capacity: int = 4096,
                seed: int = 0) -> AggState:
     """Create a fresh mergeable state for ``call``."""
     key = call.func
@@ -1165,9 +1167,9 @@ def make_state(call: AggregateCall, trials: Optional[int] = None,
         return _BUILTIN_AGGREGATES[key](trials)
     if key == "quantile":
         q = call.param if call.param is not None else 0.5
-        return QuantileState(trials, q=q, capacity=quantile_capacity, seed=seed)
+        return QuantileState(trials, q=q, seed=seed)
     if key == "median":
-        return QuantileState(trials, q=0.5, capacity=quantile_capacity, seed=seed)
+        return QuantileState(trials, q=0.5, seed=seed)
     if udafs is not None and key in udafs:
         return UDAFState(udafs.get(key), trials)
     raise PlanError(f"unknown aggregate function {call.func!r}")

@@ -176,7 +176,6 @@ def group_indices(table: Table, group_by: Sequence[Tuple[Expression, str]],
 def run_aggregate(node: Aggregate, table: Table, env: Environment,
                   scale: float = 1.0,
                   udafs: Optional[UDAFRegistry] = None,
-                  quantile_capacity: int = 4096,
                   seed: int = 0, span=None) -> Table:
     """Exact one-shot aggregation (the batch path).
 
@@ -194,8 +193,7 @@ def run_aggregate(node: Aggregate, table: Table, env: Environment,
 
     agg_columns: Dict[str, np.ndarray] = {}
     for call in node.aggregates:
-        state = make_state(call, trials=None, udafs=udafs,
-                           quantile_capacity=quantile_capacity, seed=seed)
+        state = make_state(call, trials=None, udafs=udafs, seed=seed)
         state.ensure_groups(num_groups)
         if table.num_rows:
             values = None

@@ -1,10 +1,6 @@
 """Error estimation: bootstrap, closed forms, intervals, variation ranges."""
 
-from .bootstrap import (
-    PoissonWeightSource,
-    multinomial_bootstrap,
-    poissonized_bootstrap,
-)
+from .bootstrap import PoissonWeightSource
 from .closed_form import (
     count_interval,
     mean_interval,
@@ -38,11 +34,9 @@ __all__ = [
     "derive_rng",
     "derive_seed",
     "mean_interval",
-    "multinomial_bootstrap",
     "normal_quantile",
     "percentile_interval",
     "percentile_intervals",
-    "poissonized_bootstrap",
     "range_from_replicas",
     "ranges_from_replica_matrix",
     "relative_stdev",

@@ -1,19 +1,13 @@
 """Bootstrap error estimation.
 
-Two flavours:
-
-* **Poissonized bootstrap** (the default, inherited from BlinkDB): each of
-  the ``B`` trials assigns every incoming tuple an i.i.d. Poisson(1)
-  weight.  Because Poisson weights are assigned *once at arrival* and
-  folded into per-trial mergeable aggregate states, maintaining all ``B``
-  replicas across mini-batches costs ``O(B · |ΔD|)`` vectorized work per
-  batch — no data is ever revisited.  The weights for a batch are drawn
-  once and shared by every lineage block, so each trial ``j`` sees one
-  consistent simulated database ``D_{i,j}`` across nested subqueries.
-
-* **Multinomial (classical) bootstrap** for validation: explicit
-  resampling of a concrete sample, used by tests to check the poissonized
-  estimates and by the closed-form comparisons.
+The **Poissonized bootstrap** (inherited from BlinkDB): each of the
+``B`` trials assigns every incoming tuple an i.i.d. Poisson(1) weight.
+Because Poisson weights are assigned *once at arrival* and folded into
+per-trial mergeable aggregate states, maintaining all ``B`` replicas
+across mini-batches costs ``O(B · |ΔD|)`` vectorized work per batch — no
+data is ever revisited.  The weights for a batch are drawn once and
+shared by every lineage block, so each trial ``j`` sees one consistent
+simulated database ``D_{i,j}`` across nested subqueries.
 
 Weight streams are derived **per (batch, trial)** from the master seed,
 so the stream is *stateless*: any batch's rectangle can be redrawn from
@@ -34,7 +28,7 @@ draw a column.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -272,46 +266,3 @@ class PoissonWeightSource:
             )
         self._next_batch = int(state["next_batch"])
 
-
-def multinomial_bootstrap(
-    values: np.ndarray,
-    statistic: Callable[[np.ndarray], float],
-    trials: int,
-    seed: int = 0,
-) -> np.ndarray:
-    """Classical bootstrap replicas of ``statistic`` over ``values``.
-
-    Each trial resamples ``len(values)`` entries i.i.d. with replacement
-    and evaluates the statistic — the textbook Monte-Carlo procedure of
-    paper section 2.2.  Quadratic-ish in practice; for validation only.
-    """
-    values = np.asarray(values)
-    rng = np.random.default_rng(seed)
-    n = len(values)
-    out = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
-        sample = values[rng.integers(0, n, size=n)]
-        out[t] = statistic(sample)
-    return out
-
-
-def poissonized_bootstrap(
-    values: np.ndarray,
-    weighted_statistic: Callable[[np.ndarray, np.ndarray], float],
-    trials: int,
-    seed: int = 0,
-) -> np.ndarray:
-    """Poissonized bootstrap replicas over a concrete value vector.
-
-    ``weighted_statistic(values, weights)`` receives one Poisson(1)
-    weight per value.  This is the one-shot analogue of what the online
-    engine maintains incrementally; tests use it to validate that both
-    paths agree in distribution.
-    """
-    values = np.asarray(values)
-    rng = np.random.default_rng(seed)
-    out = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
-        weights = rng.poisson(1.0, size=len(values)).astype(np.float64)
-        out[t] = weighted_statistic(values, weights)
-    return out

@@ -47,8 +47,7 @@ def config_fingerprint(config) -> str:
     relevant = (
         config.num_batches, config.bootstrap_trials,
         config.epsilon_multiplier, config.confidence, config.seed,
-        config.shuffle, config.retain_batches, config.max_quantile_sample,
-        config.trial_aware_uncertain,
+        config.shuffle, config.retain_batches,
         config.faults.enabled, config.faults.seed,
         config.faults.batch_failure_prob, config.faults.max_retries,
     )

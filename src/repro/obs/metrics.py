@@ -20,8 +20,9 @@ from .live import LogBuckets
 class Counter:
     """A monotonically increasing count (rows folded, rebuilds, ...).
 
-    Increments are serialized behind a lock so concurrent worker threads
-    (block fan-out in ``repro.parallel``) never lose updates.
+    Increments are serialized behind a lock so concurrent threads (the
+    supervisor's background thread, serve request handlers) never lose
+    updates.
     """
 
     __slots__ = ("value", "_lock")

@@ -136,11 +136,11 @@ class Tracer:
     with; when False, :meth:`span` returns a shared no-op and
     :meth:`event` returns immediately.
 
-    Thread-aware: the open-span stack is thread-local (each worker
-    thread nests its own spans), while id allocation and sink emission
-    are serialized behind one lock so concurrent spans interleave
-    safely in the event stream.  Worker threads parent their spans
-    under a coordinator span via :meth:`scoped_parent`.
+    Thread-aware: the open-span stack is thread-local (each thread
+    nests its own spans), while id allocation and sink emission are
+    serialized behind one lock so concurrent spans interleave safely in
+    the event stream.  :meth:`scoped_parent` parents a run of spans
+    under a span opened earlier.
     """
 
     def __init__(self, sink: Optional[TraceSink] = None,
@@ -176,9 +176,9 @@ class Tracer:
     def scoped_parent(self, parent_id: Optional[int]):
         """Run this thread's spans as children of ``parent_id``.
 
-        Used when work is fanned out to worker threads: each worker
-        enters the scope so its spans nest under the coordinator's span
-        instead of floating at top level.
+        Each controller step enters its query span's scope, so a
+        scheduler interleaving many queries on one thread nests every
+        query's spans under that query's own span.
         """
         stack = self._stack
         saved = list(stack)

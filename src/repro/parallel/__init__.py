@@ -1,9 +1,8 @@
 """Parallel bootstrap & delta maintenance (``repro.parallel``).
 
-A persistent process/thread worker pool that shards each mini-batch's
-bootstrap trial columns across workers and fans independent lineage
-blocks out across threads, merging partial aggregate states on the
-coordinator.  Batch columns are published once into shared-memory
+A persistent, supervised process/thread worker pool that shards each
+mini-batch's bootstrap trial columns across workers and merges the
+partial aggregate states on the coordinator.  Batch columns are published once into shared-memory
 segments (``repro.parallel.shm``) so shard payloads are spec-sized and
 workers read zero-copy; sharded folds can be pipelined (dispatch batch
 *i+1* while batch *i* merges/publishes).  Bit-identical to serial

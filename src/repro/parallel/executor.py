@@ -1,17 +1,13 @@
-"""The coordinator side of parallel bootstrap & block execution.
+"""The coordinator side of parallel bootstrap folds.
 
 :class:`ParallelExecutor` is injected into every
 :class:`~repro.core.delta.BlockRuntime` by the controller (the default is
-the disabled :data:`SERIAL_EXECUTOR`).  It owns two pools:
-
-* a **shard pool** (process/thread/serial per
-  :class:`~repro.config.ParallelConfig`) that fans a batch's bootstrap
-  trial columns out as independent shard tasks and merges the returned
-  partial states column-wise — PF-OLA's partial-state parallelism applied
-  to the trial axis;
-* a **block pool** (always threads — block runtimes are stateful and must
-  mutate in place) that runs independent lineage blocks of one
-  dependency level concurrently.
+the disabled :data:`SERIAL_EXECUTOR`).  It owns one supervised **shard
+pool** (process or thread per :class:`~repro.config.ParallelConfig`)
+that fans a batch's bootstrap trial columns out as independent shard
+tasks and merges the returned partial states column-wise — PF-OLA's
+partial-state parallelism applied to the trial axis.  Lineage blocks
+themselves fold one at a time on the calling thread.
 
 Two transport/scheduling optimizations ride on top (both default-on,
 both pure transport — outputs never change):
@@ -52,7 +48,7 @@ import logging
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,7 +57,6 @@ from ..engine.aggregates import AggState
 from ..estimate.bootstrap import as_batch_weights
 from ..faults import FaultInjector, NULL_INJECTOR, RetryPolicy
 from ..obs import NULL_TRACER
-from .pool import WorkerPool
 from .shards import make_shard_payloads, run_fold_shard, shard_ranges
 from .shm import ShmRegistry
 from .supervisor import SupervisedPool, validate_fold_shard
@@ -89,7 +84,7 @@ class _PendingFold:
 
 
 class ParallelExecutor:
-    """Shards bootstrap folds and fans out block tasks."""
+    """Shards bootstrap folds across a supervised worker pool."""
 
     def __init__(self, config: Optional[ParallelConfig] = None,
                  tracer=None, injector: Optional[FaultInjector] = None):
@@ -98,8 +93,7 @@ class ParallelExecutor:
         #: Fault source for the supervised shard pool (worker kill/hang/
         #: corrupt plans); disabled by default.
         self.injector = injector if injector is not None else NULL_INJECTOR
-        self._shard_pool = None
-        self._block_pool: Optional[WorkerPool] = None
+        self._shard_pool: Optional[SupervisedPool] = None
         self._shm: Optional[ShmRegistry] = None
         #: id(states dict) -> _PendingFold, in dispatch order.  At most
         #: one entry per states dict: dispatching the next fold first
@@ -116,8 +110,8 @@ class ParallelExecutor:
         :class:`~repro.config.ParallelConfig` directly).
 
         Given a full ``GolaConfig`` and no explicit ``injector``, an
-        injector is derived from its faults section so supervised pools
-        inject the run's configured worker faults.
+        injector is derived from its faults section so the shard pool
+        injects the run's configured worker faults.
         """
         parallel = getattr(config, "parallel", config)
         if injector is None and hasattr(config, "faults"):
@@ -203,6 +197,7 @@ class ParallelExecutor:
                 run_fold_shard, payloads
             )
         if tracer.metrics.enabled:
+            tracer.metrics.counter("parallel.sharded_folds").inc()
             tracer.metrics.counter("parallel.shard_tasks").inc(len(ranges))
             tracer.metrics.counter("parallel.sharded_cells").inc(n * trials)
         pending = _PendingFold(boot_states, ranges, handle, lease)
@@ -277,58 +272,27 @@ class ParallelExecutor:
         for pending in items:
             self._merge_pending(pending)
 
-    # -- block fan-out ---------------------------------------------------
-
-    def map_block_tasks(self, thunks: Sequence[Callable[[], object]],
-                        ) -> List:
-        """Run independent block tasks, in order, possibly concurrently.
-
-        Block runtimes mutate their own state in place, so fan-out is
-        thread-based regardless of the shard backend; each thunk must
-        already carry its tracing scope (see the controller).
-        """
-        thunks = list(thunks)
-        if not self.enabled or len(thunks) <= 1:
-            return [thunk() for thunk in thunks]
-        if self._block_pool is None:
-            self._block_pool = WorkerPool(
-                min(self.config.workers, len(thunks)), backend="thread"
-            )
-        if self.tracer.metrics.enabled:
-            self.tracer.metrics.counter(
-                "parallel.block_tasks"
-            ).inc(len(thunks))
-        return self._block_pool.map(_call, thunks)
-
     # -- lifecycle -------------------------------------------------------
 
-    def _ensure_shard_pool(self):
-        """The shard pool — supervised unless configured off.
+    def _ensure_shard_pool(self) -> SupervisedPool:
+        """The shard pool, started on first use.
 
         Shard tasks are stateless — their specs resolve to the same
         segment bytes on every attempt while the batch's lease is held —
         exactly the contract :class:`SupervisedPool` needs for
-        bit-identical re-dispatch; the serial backend runs inline and
-        needs none of it, so it keeps the plain pool.
+        bit-identical re-dispatch.
         """
         if self._shard_pool is None:
             cfg = self.config
-            if cfg.supervise and cfg.backend != "serial":
-                self._shard_pool = SupervisedPool(
-                    cfg.workers, backend=cfg.backend,
-                    deadline_s=cfg.task_deadline_s,
-                    retries=cfg.task_retries,
-                    injector=self.injector, tracer=self.tracer,
-                    validate=validate_fold_shard,
-                    backoff=RetryPolicy.from_faults(self.injector.config),
-                    start_method=cfg.start_method,
-                )
-            else:
-                self._shard_pool = WorkerPool(
-                    cfg.workers, backend=cfg.backend,
-                    metrics=self.tracer.metrics,
-                    start_method=cfg.start_method,
-                )
+            self._shard_pool = SupervisedPool(
+                cfg.workers, backend=cfg.backend,
+                deadline_s=cfg.task_deadline_s,
+                retries=cfg.task_retries,
+                injector=self.injector, tracer=self.tracer,
+                validate=validate_fold_shard,
+                backoff=RetryPolicy.from_faults(self.injector.config),
+                start_method=cfg.start_method,
+            )
         return self._shard_pool
 
     @property
@@ -346,12 +310,12 @@ class ParallelExecutor:
         return pool.worker_pids() if pool is not None else []
 
     def close(self) -> None:
-        """Drain, unlink shared memory, release pools (idempotent).
+        """Drain, unlink shared memory, release the pool (idempotent).
 
         A failed leftover merge is logged and dropped — the states are
         being discarded anyway — because cleanup must be guaranteed:
         after ``close()`` no shared-memory segment of this executor
-        exists, whatever the pools were doing.
+        exists, whatever the pool was doing.
         """
         try:
             self.drain()
@@ -365,19 +329,12 @@ class ParallelExecutor:
         if self._shard_pool is not None:
             self._shard_pool.close()
             self._shard_pool = None
-        if self._block_pool is not None:
-            self._block_pool.close()
-            self._block_pool = None
 
     def __enter__(self) -> "ParallelExecutor":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _call(thunk: Callable[[], object]):
-    return thunk()
 
 
 def _merge_shards(boot_states: Dict[str, AggState],

@@ -1,6 +1,6 @@
 """Worker pools behind one tiny ordered-``map`` interface.
 
-Three interchangeable backends:
+Two interchangeable backends:
 
 * ``process`` — a :class:`concurrent.futures.ProcessPoolExecutor`.  The
   start method defaults to ``fork`` where available (cheap worker
@@ -14,11 +14,9 @@ Three interchangeable backends:
   so per-process caches (attached shared-memory segments, GroupIndex
   digest memos) stay warm across batches and queries.
 * ``thread`` — a :class:`concurrent.futures.ThreadPoolExecutor`; no
-  pickling, relies on numpy releasing the GIL in the hot kernels.
-* ``serial`` — runs tasks inline.  Same code path, zero concurrency;
-  exists so the shard/merge machinery can be exercised deterministically
-  in tests and as the graceful fallback when process pools are
-  unavailable (restricted environments).
+  pickling, relies on numpy releasing the GIL in the hot kernels.  A
+  process pool that cannot start (restricted environments) degrades to
+  threads with a warning.
 
 Pools are created lazily on first use and must be released with
 :meth:`WorkerPool.close` (the controller does this when a run finishes).
@@ -44,7 +42,7 @@ class WorkerPool:
                  metrics=None, start_method: str = "auto"):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if backend not in ("process", "thread", "serial"):
+        if backend not in ("process", "thread"):
             raise ValueError(f"unknown pool backend {backend!r}")
         if start_method not in ("auto", "fork", "spawn", "forkserver"):
             raise ValueError(f"unknown start method {start_method!r}")
@@ -59,9 +57,7 @@ class WorkerPool:
         self.metrics = metrics
         self._executor: Optional[Executor] = None
 
-    def _ensure_executor(self) -> Optional[Executor]:
-        if self.backend == "serial":
-            return None
+    def _ensure_executor(self) -> Executor:
         if self._executor is None:
             if self.backend == "thread":
                 self._executor = ThreadPoolExecutor(
@@ -101,12 +97,12 @@ class WorkerPool:
                     )
         return self._executor
 
-    def executor(self) -> Optional[Executor]:
-        """The live executor (created on demand; None for serial)."""
+    def executor(self) -> Executor:
+        """The live executor (created on demand)."""
         return self._ensure_executor()
 
     def worker_pids(self) -> List[int]:
-        """PIDs of the live process-pool workers ([] for thread/serial).
+        """PIDs of the live process-pool workers ([] for threads).
 
         Reaches into :class:`ProcessPoolExecutor` internals — there is
         no public enumeration — so it degrades to [] if the attribute
@@ -125,31 +121,11 @@ class WorkerPool:
         tasks = list(tasks)
         if not tasks:
             return []
-        if self.backend == "serial" or len(tasks) == 1:
-            return [fn(task) for task in tasks]
+        if len(tasks) == 1:
+            return [fn(tasks[0])]
         executor = self._ensure_executor()
-        if executor is None:  # serial after degradation
-            return [fn(task) for task in tasks]
         futures = [executor.submit(fn, task) for task in tasks]
         return [f.result() for f in futures]
-
-    def map_async(self, fn: Callable, tasks: Sequence) -> "MapHandle":
-        """Dispatch now, gather later: the pipelining primitive.
-
-        Tasks are submitted before this returns, so workers compute
-        while the caller does other coordinator work; ``.result()``
-        blocks for the ordered results.  Serial (or degraded-to-serial)
-        backends run inline here — there is nothing to overlap with.
-        """
-        tasks = list(tasks)
-        if not tasks or self.backend == "serial":
-            return MapHandle(results=[fn(task) for task in tasks])
-        executor = self._ensure_executor()
-        if executor is None:  # serial after degradation
-            return MapHandle(results=[fn(task) for task in tasks])
-        return MapHandle(
-            futures=[executor.submit(fn, task) for task in tasks]
-        )
 
     def close(self) -> None:
         """Shut the underlying executor down (idempotent)."""
@@ -175,10 +151,7 @@ class WorkerPool:
                 proc.kill()
             except (OSError, AttributeError, ValueError):
                 pass  # already dead / already reaped
-        try:
-            executor.shutdown(wait=False, cancel_futures=True)
-        except TypeError:  # Python < 3.9: no cancel_futures
-            executor.shutdown(wait=False)
+        executor.shutdown(wait=False, cancel_futures=True)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -186,29 +159,3 @@ class WorkerPool:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-class MapHandle:
-    """Deferred ordered results of one :meth:`WorkerPool.map_async`.
-
-    Either pre-computed ``results`` (inline/serial dispatch) or a list
-    of futures still executing.  ``result()`` is idempotent and raises
-    the first task's exception, matching ``WorkerPool.map`` semantics.
-    """
-
-    __slots__ = ("_results", "_futures")
-
-    def __init__(self, results: Optional[List] = None,
-                 futures: Optional[List] = None):
-        self._results = results
-        self._futures = futures
-
-    def result(self) -> List:
-        if self._results is None:
-            self._results = [f.result() for f in self._futures]
-            self._futures = None
-        return self._results
-
-    def done(self) -> bool:
-        return self._results is not None or all(
-            f.done() for f in self._futures
-        )

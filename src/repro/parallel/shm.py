@@ -149,7 +149,8 @@ class ShmLease:
 class ShmRegistry:
     """Coordinator-side segment registry: create, refcount, unlink.
 
-    Thread-safe (the executor publishes from block fan-out threads).
+    Thread-safe: publish, release and the ``weakref.finalize`` backstop
+    may run on different threads.
     ``close()`` unlinks every live segment regardless of refcounts —
     it is the teardown/crash backstop, and a ``weakref.finalize`` calls
     it if the registry is garbage-collected while segments live.

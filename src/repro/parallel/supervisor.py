@@ -182,7 +182,7 @@ class SupervisedPool:
     """Crash/hang/corruption-supervised ordered ``map`` over a pool.
 
     Drop-in for :class:`WorkerPool` where tasks are **stateless and
-    re-executable** (the shard path; *not* the in-place block fan-out).
+    re-executable** (the shard path).
     Bit-identity is preserved through every recovery action because a
     re-dispatched or quarantined task recomputes exactly the same
     deterministic function of its payload.
@@ -195,10 +195,8 @@ class SupervisedPool:
                                              Optional[str]]] = None,
                  backoff: Optional[RetryPolicy] = None,
                  start_method: str = "auto"):
-        if backend == "serial":
-            raise ValueError(
-                "serial tasks run inline; there is nothing to supervise"
-            )
+        if backend not in ("process", "thread"):
+            raise ValueError(f"unknown pool backend {backend!r}")
         self.workers = workers
         self.backend = backend
         self.start_method = start_method

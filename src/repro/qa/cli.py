@@ -54,7 +54,8 @@ def run_fuzz(qa: QaConfig, out: Optional[str] = None,
     a fresh seeded sweep.  Exit code 0 means every generated query agreed
     across all paths (agreed rejections included); 1 means at least one
     divergence (reproducer artifacts are written), 2 means the harness
-    itself is unhealthy.
+    itself is unhealthy: the comparator failed its self-test, or the
+    sweep's parallel path sharded no fold.
     """
     tracer = _make_tracer()
 
@@ -128,6 +129,8 @@ def run_fuzz(qa: QaConfig, out: Optional[str] = None,
                        f"({len(report.divergences)} problem(s))")
             elif (i + 1) % 10 == 0:
                 _print(f"  {i + 1}/{qa.queries} queries checked")
+    # Read before shrinking: the shrinker re-runs cases.
+    sharded_folds = runner.sharded_folds
 
     artifacts: List[str] = []
     if divergent and qa.shrink:
@@ -150,6 +153,7 @@ def run_fuzz(qa: QaConfig, out: Optional[str] = None,
         "ok": len(reports) - len(divergent) - rejected,
         "agreed_rejections": rejected,
         "divergences": len(divergent),
+        "sharded_folds": sharded_folds,
         "paths": paths.split("/"),
         "elapsed_s": round(elapsed, 3),
         "rtol": qa.rtol,
@@ -169,8 +173,13 @@ def run_fuzz(qa: QaConfig, out: Optional[str] = None,
         _print(f"report written to {out}")
     _print(
         f"fuzz: {summary['ok']} agreed, {rejected} agreed-rejected, "
-        f"{len(divergent)} diverged in {elapsed:.1f}s"
+        f"{len(divergent)} diverged, {sharded_folds} folds sharded "
+        f"in {elapsed:.1f}s"
     )
+    if not sharded_folds:
+        _print("FATAL: the parallel path sharded no fold; the worker "
+               "pool went unfuzzed")
+        return 2
     return 1 if divergent else 0
 
 

@@ -6,7 +6,8 @@ five) execution paths that must agree —
 * ``batch`` — the exact batch engine (ground truth),
 * ``cdm`` — classical delta maintenance's final prefix answer,
 * ``serial`` — G-OLA online, final-batch snapshot, serial execution,
-* ``parallel`` — G-OLA online under a worker pool (thread backend),
+* ``parallel`` — G-OLA online on a process pool that shards every
+  fold,
 * ``serve`` — the concurrent scheduler's finished-run snapshot
   (optional; one shared scheduler is reused across queries),
 
@@ -40,7 +41,7 @@ import numpy as np
 from ..baselines.cdm import ClassicalDeltaMaintenance
 from ..config import GolaConfig, ParallelConfig
 from ..core.session import GolaSession
-from ..obs import Tracer
+from ..obs import MetricsRegistry, Tracer
 from ..storage.table import Table
 from .compare import compare_tables
 from .generator import QuerySpec
@@ -180,6 +181,9 @@ class DifferentialRunner:
         self.include_serve = include_serve
         self.include_colstore = include_colstore
         self.tracer = tracer if tracer is not None else Tracer()
+        #: Folds the ``parallel`` path sent to the pool, over every case
+        #: run so far: a sweep that shards none has not fuzzed the pool.
+        self.sharded_folds = 0
         self._table_cache: Dict[TableSpec, Table] = {}
         # Converted-dataset cache for the colstore path: one temp dir
         # per (table, partitioning) combination, kept for the runner's
@@ -249,11 +253,18 @@ class DifferentialRunner:
         return session.sql(sql).run_to_completion().table
 
     def _parallel(self, session: GolaSession, sql: str) -> Table:
+        """Serial's run on a process pool with ``min_shard_rows=1``, so
+        every fold of a column-mergeable state goes through shared-memory
+        publish, shard dispatch and the column merge."""
         config = session.config.with_options(
-            parallel=ParallelConfig(workers=self.workers,
-                                    backend="thread")
+            parallel=ParallelConfig(workers=self.workers, min_shard_rows=1)
         )
-        return session.sql(sql).run_to_completion(config).table
+        tracer = Tracer(metrics=MetricsRegistry(enabled=True))
+        session.tracer = tracer
+        table = session.sql(sql).run_to_completion(config).table
+        counters = tracer.metrics.snapshot().counters
+        self.sharded_folds += counters.get("parallel.sharded_folds", 0)
+        return table
 
     def _colstore(self, session: GolaSession, sql: str) -> Table:
         """Serial stream over converted on-disk colstore datasets.

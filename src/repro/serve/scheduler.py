@@ -21,7 +21,7 @@ query:
   ``scheduler.step`` fault past its retry budget) is *quarantined*:
   finalized with its error and released, while every other query keeps
   refining;
-* **control** — admission (slots, queue depth, memory budget),
+* **control** — admission (slots, queue depth),
   per-query deadlines, pause/resume and cancellation are all decided at
   step boundaries, where no partial batch state can be corrupted.
 """
@@ -40,7 +40,6 @@ from ..core.session import GolaSession, OnlineQuery
 from ..errors import AdmissionError, InjectedFault, ReproError
 from ..faults import FaultInjector, RetryPolicy
 from ..obs import MetricsRegistry, Tracer, tracer_from_config
-from ..storage.table import table_bytes
 from .stream import SnapshotStream, encode_snapshot
 from .telemetry import ServeTelemetry
 
@@ -98,7 +97,6 @@ class ScheduledQuery:
         self.batches_done = 0
         self.snapshots: List[OnlineSnapshot] = []
         self.last_snapshot: Optional[OnlineSnapshot] = None
-        self.est_bytes = 0
         self.submitted_ts = time.time()
         self.submitted_at = time.monotonic()
         self.started_at: Optional[float] = None
@@ -203,7 +201,6 @@ class QueryScheduler:
         #: per-query convergence streams); purely observational.
         self.telemetry = ServeTelemetry(
             self.tracer.metrics, enabled=self.serve.telemetry,
-            stream_depth=self.serve.snapshot_queue,
         )
         self._cond = threading.Condition()
         self._queries: Dict[str, ScheduledQuery] = {}
@@ -393,7 +390,7 @@ class QueryScheduler:
             run = ScheduledQuery(
                 qid, online, online.sql or online.plan_description,
                 run_config, priority, float(deadline_s or 0.0),
-                target_rsd, SnapshotStream(self.serve.snapshot_queue),
+                target_rsd, SnapshotStream(),
             )
             self._queries[qid] = run
             self._queue.append(run)
@@ -532,40 +529,20 @@ class QueryScheduler:
         return max(0.01, soonest)
 
     def _promote_locked(self) -> None:
-        """Move queued queries into run slots, FIFO, budget permitting."""
+        """Move queued queries into run slots, FIFO."""
         serve = self.serve
         metrics = self.tracer.metrics
         while self._queue and len(self._running) < serve.max_concurrent:
-            run = self._queue[0]
+            run = self._queue.popleft()
             if run.cancel_requested:
-                self._queue.popleft()
                 self._finalize_locked(run, CANCELLED)
                 continue
-            if run.controller is None:
-                try:
-                    run.controller = self.session._make_controller(
-                        run.online.query, run.config,
-                        parallel=self.parallel,
-                        tracer=self.tracer,
-                    )
-                except ReproError as exc:
-                    self._queue.popleft()
-                    run.error = str(exc)
-                    self._finalize_locked(run, FAILED)
-                    continue
-                streamed = run.controller.streamed_table
-                run.est_bytes = table_bytes(
-                    run.controller.tables[streamed]
-                ) * (2 if run.config.retain_batches else 1)
-            if serve.memory_budget_mb > 0.0 and self._running:
-                used = sum(r.est_bytes for r in self._running)
-                budget = serve.memory_budget_mb * 1024 * 1024
-                if used + run.est_bytes > budget:
-                    # Head-of-line blocking is deliberate: FIFO admission
-                    # under a memory budget, no starvation of big queries.
-                    break
-            self._queue.popleft()
             try:
+                run.controller = self.session._make_controller(
+                    run.online.query, run.config,
+                    parallel=self.parallel,
+                    tracer=self.tracer,
+                )
                 run.controller.begin()
             except ReproError as exc:
                 run.error = str(exc)

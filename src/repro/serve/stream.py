@@ -81,12 +81,19 @@ def encode_snapshot(query_id: str, snapshot: OnlineSnapshot) -> dict:
     return record
 
 
+#: Per-subscriber buffer of undelivered snapshot records: a slower
+#: consumer has its oldest records dropped (counted, never blocking the
+#: scheduler).  Replay-from-start subscriptions are never lossy — the
+#: full per-query history is kept for the query's lifetime.
+SNAPSHOT_QUEUE = 256
+
+
 class SnapshotStream:
     """Replayable pub/sub channel for one query's snapshot records."""
 
     _DONE = object()
 
-    def __init__(self, maxsize: int = 256):
+    def __init__(self, maxsize: int = SNAPSHOT_QUEUE):
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize

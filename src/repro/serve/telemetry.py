@@ -80,12 +80,11 @@ def _finite(value: float) -> Optional[float]:
 class QueryTelemetry:
     """One query's convergence telemetry: stream + derived metrics."""
 
-    def __init__(self, query_id: str, stream_depth: int = 256,
-                 clock=time.monotonic):
+    def __init__(self, query_id: str, clock=time.monotonic):
         self.query_id = query_id
         self._clock = clock
         self.created_at = clock()
-        self.stream = SnapshotStream(stream_depth)
+        self.stream = SnapshotStream()
         self.first_answer_s: Optional[float] = None
         #: ε -> wallclock seconds (since submission) when the relative
         #: CI half-width first reached ±ε.
@@ -162,10 +161,9 @@ class ServeTelemetry:
     """
 
     def __init__(self, metrics: MetricsRegistry, enabled: bool = True,
-                 stream_depth: int = 256, clock=time.monotonic):
+                 clock=time.monotonic):
         self.metrics = metrics
         self.enabled = enabled
-        self.stream_depth = stream_depth
         self._clock = clock
         self.windows: Dict[str, WindowedHistogram] = {
             "first_answer_seconds": WindowedHistogram(clock=clock),
@@ -179,9 +177,7 @@ class ServeTelemetry:
     def on_submitted(self, run) -> None:
         if not self.enabled:
             return
-        self._queries[run.id] = QueryTelemetry(
-            run.id, stream_depth=self.stream_depth, clock=self._clock
-        )
+        self._queries[run.id] = QueryTelemetry(run.id, clock=self._clock)
 
     def on_admitted(self, run) -> None:
         if not self.enabled:

@@ -28,10 +28,19 @@ TRIALS = 24
 SESSIONS = generate_sessions(ROWS, seed=13)
 TPCH = generate_tpch(ROWS, seed=13)
 
+#: Two subqueries that consume no online slot: two lineage blocks on
+#: one dependency level, folded and published one after the other.
+TWO_SUBQUERIES = """
+SELECT AVG(play_time)
+FROM Sessions
+WHERE buffer_time > (SELECT AVG(buffer_time) FROM Sessions)
+  AND play_time < (SELECT AVG(play_time) FROM Sessions)
+"""
+
 #: Every mode must reproduce the serial stream bit for bit.
 MODES = [
     ParallelConfig(),
-    ParallelConfig(workers=1, backend="serial"),
+    ParallelConfig(workers=1, backend="process"),
     ParallelConfig(workers=2, backend="thread"),
     ParallelConfig(workers=4, backend="process"),
 ]
@@ -82,6 +91,24 @@ class TestBitIdenticalAcrossWorkerCounts:
             run_query(SBI_QUERY, "sessions", SESSIONS, mode)
         )
         assert parallel == serial
+
+    def test_independent_subqueries_match_serial(self):
+        session = GolaSession(GolaConfig(num_batches=BATCHES))
+        session.register_table("sessions", SESSIONS)
+        query = session.sql(TWO_SUBQUERIES)
+        blocks = session._make_controller(
+            query.query, session.config
+        ).meta_plan.online_blocks
+        assert [sorted(b.consumes) for b in blocks] == [[], [], [0, 1]]
+
+        serial = fingerprint(
+            run_query(TWO_SUBQUERIES, "sessions", SESSIONS, MODES[0])
+        )
+        assert any(dict(s[3])["main"] for s in serial)  # |U| > 0
+        for mode in MODES[1:3]:
+            assert fingerprint(run_query(
+                TWO_SUBQUERIES, "sessions", SESSIONS, mode
+            )) == serial, mode
 
     def test_nested_tpch_query_matches_serial(self):
         serial = fingerprint(

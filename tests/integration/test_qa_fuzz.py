@@ -95,6 +95,29 @@ class TestInjectedBug:
         assert body["queries"] == 6 and body["divergences"] == 0
 
 
+class TestHarnessHealth:
+    def test_parallel_path_shards_folds(self, tmp_path):
+        """The parallel path must reach the pool, or the sweep only
+        re-runs the serial path under another name."""
+        qa = QaConfig(queries=3, seed=2, rows=512, num_batches=3,
+                      bootstrap_trials=8,
+                      artifact_dir=str(tmp_path / "artifacts"))
+        out = tmp_path / "report.json"
+        assert run_fuzz(qa, out=str(out)) == 0
+        assert json.loads(out.read_text())["sharded_folds"] > 0
+
+    def test_sweep_that_shards_nothing_exits_2(self, tmp_path,
+                                               monkeypatch):
+        monkeypatch.setattr(DifferentialRunner, "_parallel",
+                            DifferentialRunner._serial)
+        qa = QaConfig(queries=2, seed=2, rows=512, num_batches=3,
+                      bootstrap_trials=8,
+                      artifact_dir=str(tmp_path / "artifacts"))
+        out = tmp_path / "report.json"
+        assert run_fuzz(qa, out=str(out)) == 2
+        assert json.loads(out.read_text())["sharded_folds"] == 0
+
+
 class TestShrinkerAndReproducers:
     def _first_divergent(self, runner, cases):
         for case in cases:

@@ -24,9 +24,9 @@ ROUND_TRIPS = [
      {"enabled": True, "batch_failure_prob": 0.3, "max_retries": 1,
       "seed": 7, "speculate": False, "checkpoint_path": "/tmp/ck"}),
     (ParallelConfig, "--workers",
-     "workers=1,task_deadline_s=2.5,backend=thread,supervise=0",
+     "workers=1,task_deadline_s=2.5,backend=thread,start_method=spawn",
      {"workers": 1, "task_deadline_s": 2.5, "backend": "thread",
-      "supervise": False}),
+      "start_method": "spawn"}),
     (ServeConfig, "--serve",
      "max_concurrent=8,queue_depth=32,port=9000,telemetry=false,"
      "default_deadline_s=1.5,host=0.0.0.0",
@@ -86,6 +86,14 @@ def test_deleted_scan_cache_knob_is_an_unknown_key():
     # Partitions are shared through the session's batch store, always.
     with pytest.raises(ValueError, match="unknown --serve key 'scan_cache'"):
         ServeConfig.parse("scan_cache=0")
+
+
+def test_deleted_parallel_modes_are_rejected():
+    # Every shard pool is a supervised process or thread pool.
+    with pytest.raises(ValueError, match="backend must be one of"):
+        ParallelConfig.parse("backend=serial")
+    with pytest.raises(ValueError, match="unknown --workers key 'supervise'"):
+        ParallelConfig.parse("supervise=0")
 
 
 def _names_read_outside_config():

@@ -11,11 +11,9 @@ from repro.estimate import (
     derive_rng,
     derive_seed,
     mean_interval,
-    multinomial_bootstrap,
     normal_quantile,
     percentile_interval,
     percentile_intervals,
-    poissonized_bootstrap,
     range_from_replicas,
     ranges_from_replica_matrix,
     relative_stdev,
@@ -62,21 +60,14 @@ class TestPoissonWeights:
 
 
 class TestBootstrapAgreement:
-    def test_multinomial_vs_poissonized_mean_std(self):
-        rng = np.random.default_rng(3)
-        values = rng.exponential(5, 2000)
-        multi = multinomial_bootstrap(values, np.mean, 300, seed=1)
-        def weighted_mean(v, w):
-            return float(np.sum(v * w) / max(np.sum(w), 1.0))
-        poisson = poissonized_bootstrap(values, weighted_mean, 300, seed=2)
-        # Same sampling distribution up to Monte-Carlo noise.
-        assert multi.std() == pytest.approx(poisson.std(), rel=0.25)
-        assert multi.mean() == pytest.approx(poisson.mean(), rel=0.02)
-
     def test_bootstrap_std_matches_clt(self):
         rng = np.random.default_rng(4)
         values = rng.normal(10, 2, 5000)
-        reps = multinomial_bootstrap(values, np.mean, 200, seed=5)
+        # The engine's Poisson(1) weights: one weighted mean per trial.
+        weights = PoissonWeightSource(200, master_seed=5).weights_for(
+            len(values)
+        ).astype(np.float64)
+        reps = values @ weights / weights.sum(axis=0)
         clt_se = values.std(ddof=1) / np.sqrt(len(values))
         assert reps.std() == pytest.approx(clt_se, rel=0.3)
 

@@ -29,7 +29,7 @@ class TestGolaConfig:
             {"confidence": 0.0},
             {"confidence": 1.0},
             {"epsilon_multiplier": -0.1},
-            {"max_quantile_sample": 2},
+            {"trace_rotate_mb": -1.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):

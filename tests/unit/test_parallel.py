@@ -76,7 +76,7 @@ class TestShardRanges:
 
 
 class TestWorkerPool:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_map_preserves_task_order(self, backend):
         with WorkerPool(3, backend=backend) as pool:
             assert pool.map(abs, [-3, 1, -4, -1, 5]) == [3, 1, 4, 1, 5]
@@ -101,6 +101,8 @@ class TestWorkerPool:
             WorkerPool(0)
         with pytest.raises(ValueError):
             WorkerPool(2, backend="greenlet")
+        with pytest.raises(ValueError):
+            WorkerPool(2, backend="serial")
 
 
 class TestPoissonTrialColumns:
@@ -446,7 +448,7 @@ class TestParallelExecutor:
     def test_all_backends_and_worker_counts_identical(self):
         ref, _ = _fold_with(ParallelConfig())
         for config in (
-            ParallelConfig(workers=1, backend="serial"),
+            ParallelConfig(workers=1, backend="process"),
             ParallelConfig(workers=2, backend="thread"),
             ParallelConfig(workers=4, backend="thread"),
             ParallelConfig(workers=3, backend="process"),
@@ -504,22 +506,12 @@ class TestParallelExecutor:
 
     def test_from_gola_config(self):
         config = GolaConfig(
-            parallel=ParallelConfig(workers=2, backend="serial")
+            parallel=ParallelConfig(workers=2, backend="thread")
         )
         executor = ParallelExecutor.from_config(config)
         assert executor.config.workers == 2
         assert executor.enabled
         assert not SERIAL_EXECUTOR.enabled
-
-    def test_map_block_tasks_orders_results(self):
-        executor = ParallelExecutor(ParallelConfig(workers=3))
-        try:
-            results = executor.map_block_tasks(
-                [lambda i=i: i * i for i in range(7)]
-            )
-        finally:
-            executor.close()
-        assert results == [i * i for i in range(7)]
 
     @pytest.mark.parametrize("shm", [True, False], ids=["shm", "inline"])
     def test_shard_payloads_carry_the_stored_rectangle(self, monkeypatch,
@@ -650,31 +642,3 @@ class TestZeroCopyPipeline:
         with pytest.raises(ValueError):
             WorkerPool(2, start_method="gevent")
 
-
-class TestBlockLevels:
-    def test_levels_respect_slot_dependencies(self):
-        from types import SimpleNamespace
-
-        from repro.core.controller import _block_levels
-
-        blocks = [
-            SimpleNamespace(block_id=0, consumes=(), produces=1),
-            SimpleNamespace(block_id=1, consumes=(), produces=2),
-            SimpleNamespace(block_id=2, consumes=(1, 2), produces=3),
-            SimpleNamespace(block_id=3, consumes=(), produces=None),
-            SimpleNamespace(block_id=4, consumes=(3,), produces=None),
-        ]
-        levels = _block_levels(blocks)
-        ids = [[b.block_id for b in level] for level in levels]
-        assert ids == [[0, 1, 3], [2], [4]]
-
-    def test_independent_blocks_share_one_level(self):
-        from types import SimpleNamespace
-
-        from repro.core.controller import _block_levels
-
-        blocks = [
-            SimpleNamespace(block_id=i, consumes=(), produces=None)
-            for i in range(4)
-        ]
-        assert len(_block_levels(blocks)) == 1

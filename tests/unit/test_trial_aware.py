@@ -1,9 +1,8 @@
 """Unit tests for per-trial evaluation of the uncertain set.
 
-With ``trial_aware_uncertain`` each bootstrap trial folds the uncertain
-tuples IT would keep under its own inner-aggregate replica — capturing
-inner-selection uncertainty in the error bars, like the paper's
-per-trial query recomputation.
+Each bootstrap trial folds the uncertain tuples IT would keep under its
+own inner-aggregate replica — capturing inner-selection uncertainty in
+the error bars, like the paper's per-trial query recomputation.
 """
 
 import dataclasses
@@ -29,10 +28,9 @@ KEYED = (
 )
 
 
-def run(sql, trial_aware, n=4000, seed=3, batches=5):
+def run(sql, n=4000, seed=3, batches=5):
     session = GolaSession(
-        GolaConfig(num_batches=batches, bootstrap_trials=40, seed=seed,
-                   trial_aware_uncertain=trial_aware)
+        GolaConfig(num_batches=batches, bootstrap_trials=40, seed=seed)
     )
     table = generate_sessions(n, seed=11)
     # Coarsen session_id into a reusable group key for the keyed query.
@@ -47,34 +45,19 @@ def run(sql, trial_aware, n=4000, seed=3, batches=5):
 
 
 class TestTrialAware:
-    def test_point_estimates_unchanged(self):
-        """Trial-aware evaluation only affects error bars, not answers."""
-        on, _ = run(SBI, trial_aware=True)
-        off, _ = run(SBI, trial_aware=False)
-        for a, b in zip(on, off):
-            assert a.estimate == pytest.approx(b.estimate, rel=1e-12)
-
     def test_final_still_exact(self):
-        snaps, truth = run(SBI, trial_aware=True)
+        snaps, truth = run(SBI)
         assert snaps[-1].estimate == pytest.approx(truth, rel=1e-9)
 
-    def test_intervals_differ_from_shared_mask(self):
-        """The per-trial masks must actually change the replicas."""
-        on, _ = run(SBI, trial_aware=True)
-        off, _ = run(SBI, trial_aware=False)
-        widths_on = [s.interval.width for s in on[:-1]]
-        widths_off = [s.interval.width for s in off[:-1]]
-        assert widths_on != widths_off
-
     def test_keyed_query_supported(self):
-        snaps, truth = run(KEYED, trial_aware=True)
+        snaps, truth = run(KEYED)
         assert snaps[-1].estimate == pytest.approx(truth, rel=1e-9)
         assert snaps[0].interval.width > 0
 
     def test_coverage_not_degraded(self):
         hits = total = 0
         for seed in range(5):
-            snaps, truth = run(SBI, trial_aware=True, seed=seed)
+            snaps, truth = run(SBI, seed=seed)
             for snap in snaps[:-1]:
                 total += 1
                 hits += snap.interval.contains(truth)
@@ -83,8 +66,7 @@ class TestTrialAware:
     def test_membership_query_falls_back_to_point(self):
         """Set slots use point membership per trial (documented)."""
         session = GolaSession(
-            GolaConfig(num_batches=4, bootstrap_trials=16, seed=5,
-                       trial_aware_uncertain=True)
+            GolaConfig(num_batches=4, bootstrap_trials=16, seed=5)
         )
         rng = np.random.default_rng(0)
         n = 2000
