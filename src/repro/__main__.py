@@ -770,8 +770,8 @@ def main(argv=None) -> int:
     calibrate.add_argument(
         "--queries", default=None, metavar="NAMES",
         help="comma-separated workload queries (default: all of "
-             "sbi,c3,q17,q20,t_roll,t_dist,t_p95; the t_* names are "
-             "the deep-surface taxi queries)",
+             "sbi,c3,q17,q20,t_roll,t_dist,t_p95,t_tip; the t_* names "
+             "are the deep-surface taxi queries)",
     )
     calibrate.add_argument("--runs", type=int, default=None,
                            help="runs (seeds) per query")

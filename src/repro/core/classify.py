@@ -184,6 +184,22 @@ def interval_eval(expr: Expression, table: Table,
     return np.full(n, -np.inf), np.full(n, np.inf)
 
 
+def _comparison_side(expr: Expression, table: Table, env: IntervalEnv,
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """One comparison operand's interval, ready for ``tri_compare``.
+
+    A certain NaN is a NULL, which decides the comparison.  A NaN
+    endpoint of an uncertain operand (a slot with no value yet, or
+    ``0 * inf`` in interval arithmetic) is an unknown value instead, so
+    it widens to the infinity on its side and the row stays UNKNOWN.
+    """
+    low, high = interval_eval(expr, table, env)
+    if env.is_certain(expr):
+        return low, high
+    return (np.where(np.isnan(low), -np.inf, low),
+            np.where(np.isnan(high), np.inf, high))
+
+
 def tri_eval(expr: Expression, table: Table, env: IntervalEnv) -> np.ndarray:
     """Three-valued truth of a predicate per row (TRI_* encoding)."""
     n = table.num_rows
@@ -194,8 +210,8 @@ def tri_eval(expr: Expression, table: Table, env: IntervalEnv) -> np.ndarray:
         return np.where(point, TRI_TRUE, TRI_FALSE).astype(np.int8)
 
     if isinstance(expr, Comparison):
-        a_lo, a_hi = interval_eval(expr.left, table, env)
-        b_lo, b_hi = interval_eval(expr.right, table, env)
+        a_lo, a_hi = _comparison_side(expr.left, table, env)
+        b_lo, b_hi = _comparison_side(expr.right, table, env)
         return tri_compare(expr.op, a_lo, a_hi, b_lo, b_hi)
 
     if isinstance(expr, BooleanOp):

@@ -6,7 +6,8 @@ Drives one online query end to end:
   their Poisson bootstrap weights from the session's
   :class:`~repro.core.store.BatchStore` (cut and drawn once per
   session), so every lineage block sees consistent simulated databases
-  per trial;
+  per trial — weights only for relations some bootstrap block folds
+  (closed-form blocks read none);
 * evaluates *static* subqueries (those over non-streamed dimension
   tables) exactly once, publishing them as certain (degenerate-range)
   slot states;
@@ -31,7 +32,9 @@ from ..engine.aggregates import GroupIndex, UDAFRegistry
 from ..engine.executor import BatchExecutor
 from ..errors import CheckpointError, ExecutionError, ShardLostError
 from ..estimate.bootstrap import PoissonWeightSource, stream_label
-from ..estimate.intervals import basic_intervals, relative_stdevs
+from ..estimate.closed_form import normal_intervals
+from ..estimate.intervals import basic_intervals, relative_sds, \
+    relative_stdevs
 from ..estimate.variation import VariationRange
 from ..expr.expressions import Environment
 from ..expr.functions import DEFAULT_FUNCTIONS, FunctionRegistry
@@ -245,7 +248,7 @@ class QueryController:
                 label=stream_label(name), tracer=tracer,
                 store=self.batch_store,
             )
-            for name in self.streamed_tables
+            for name in self.meta_plan.replica_tables
         }
         retained: Dict[str, List[Tuple[Table, np.ndarray]]] = {
             name: [] for name in self.streamed_tables
@@ -527,25 +530,28 @@ class QueryController:
         return self.main_runtime.snapshot_output(penv, slot_states, scale)
 
     def _column_errors(self, out_table: Table,
-                       col_replicas: Dict[str, np.ndarray],
+                       col_errors: Dict[str, np.ndarray],
                        ) -> Dict[str, ColumnErrors]:
         errors: Dict[str, ColumnErrors] = {}
-        for name, matrix in col_replicas.items():
-            # Basic (reverse-percentile) bootstrap: reflecting the replica
-            # quantiles around the estimate keeps coverage nominal even
-            # for nested-aggregate queries whose per-replica thresholds
-            # bias the replica distribution (measured by `repro fuzz`'s
-            # sibling, `repro calibrate`).
-            lows, highs = basic_intervals(
-                out_table.column(name).astype(np.float64), matrix,
-                self.config.confidence,
-            )
-            errors[name] = ColumnErrors(
-                lows=lows, highs=highs,
-                rel_stdev=relative_stdevs(
-                    out_table.column(name).astype(np.float64), matrix,
-                ),
-            )
+        confidence = self.config.confidence
+        for name, err in col_errors.items():
+            estimates = out_table.column(name).astype(np.float64)
+            if err.ndim == 1:
+                # A closed-form block's variances: est ± z·sd.
+                sd = np.sqrt(err)
+                lows, highs = normal_intervals(estimates, sd, confidence)
+                rel_stdev = relative_sds(estimates, sd)
+            else:
+                # Basic (reverse-percentile) bootstrap: reflecting the
+                # replica quantiles around the estimate keeps coverage
+                # nominal even for nested-aggregate queries whose
+                # per-replica thresholds bias the replica distribution
+                # (measured by `repro fuzz`'s sibling, `repro
+                # calibrate`).
+                lows, highs = basic_intervals(estimates, err, confidence)
+                rel_stdev = relative_stdevs(estimates, err)
+            errors[name] = ColumnErrors(lows=lows, highs=highs,
+                                        rel_stdev=rel_stdev)
         return errors
 
     def _skip_batch(self, i: int, batch_rows: int, k: int, folded: int,
@@ -569,10 +575,10 @@ class QueryController:
             penv = Environment(functions=self.functions)
             for state in slot_states.values():
                 state.bind_point(penv)
-            out_table, col_replicas = self._publish_chain(
+            out_table, col_errors = self._publish_chain(
                 slot_states, penv, scale
             )
-            errors = self._column_errors(out_table, col_replicas)
+            errors = self._column_errors(out_table, col_errors)
             bspan.set("rows_processed", 0)
         metrics = tracer.metrics
         if metrics.enabled:
@@ -625,10 +631,11 @@ class QueryController:
         with tracer.span("batch", batch_index=i,
                          rows_in=batch.num_rows) as bspan, \
                 Timer() as batch_timer:
+            # None for a relation no bootstrap block folds.
             weights = {
-                name: weight_sources[name].batch_weights(
+                name: (weight_sources[name].batch_weights(
                     table_batches[name].num_rows
-                )
+                ) if name in weight_sources else None)
                 for name in self.streamed_tables
             }
             if self.config.retain_batches:
@@ -680,10 +687,10 @@ class QueryController:
                 state.bind_point(penv)
 
             with tracer.span("phase:snapshot") as snap_span:
-                out_table, col_replicas = self.main_runtime.snapshot_output(
+                out_table, col_errors = self.main_runtime.snapshot_output(
                     penv, slot_states, scale
                 )
-                errors = self._column_errors(out_table, col_replicas)
+                errors = self._column_errors(out_table, col_errors)
             if phases is not None:
                 phases["snapshot"] += snap_span.elapsed_s
             total_rows = sum(rows_processed.values())

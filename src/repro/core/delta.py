@@ -6,6 +6,8 @@ a :class:`BlockRuntime` holding:
 * **folded state** — mergeable aggregate states (exact + one per
   bootstrap trial) containing every tuple whose predicate decisions are
   deterministic under the variation ranges in force when it was folded;
+  a closed-form block (see :mod:`.meta_plan`) folds exact width-1
+  moment states instead of trial states and never reads a weight;
 * **the uncertain set** — cached tuples whose decisions may still flip,
   stored with exactly the lineage the block needs (predicate columns,
   group indices, aggregate argument values, bootstrap weight rows);
@@ -27,7 +29,7 @@ sort order, window frames) is :mod:`repro.engine`'s.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -36,12 +38,16 @@ from ..config import GolaConfig
 from ..engine.aggregates import (
     AggState,
     GroupIndex,
+    SumState,
     UDAFRegistry,
+    VarState,
     argument_values,
     make_state,
 )
 from ..errors import ExecutionError, RangeViolation, UnsupportedQueryError
 from ..estimate.bootstrap import as_batch_weights
+from ..estimate.closed_form import count_variance, mean_variance, \
+    sum_variance
 from ..estimate.variation import (
     VariationRange,
     range_from_replicas,
@@ -372,11 +378,15 @@ class _DecisionGuard:
             )
             idx = state.index.encode(keys, add_new=False)
             self._grow(len(state.estimates))
+        # A NaN certain side is a NULL, decided whatever the uncertain
+        # side does: it constrains nothing, and must not poison the
+        # extremes (a NaN maximum would pass every later check).
+        known = (idx >= 0) & ~np.isnan(c_vals)
         for mask, maxes, mins in (
             (true_mask, self.max_true, self.min_true),
             (false_mask, self.max_false, self.min_false),
         ):
-            use = mask & (idx >= 0)
+            use = mask & known
             if use.any():
                 np.maximum.at(maxes, idx[use], c_vals[use])
                 np.minimum.at(mins, idx[use], c_vals[use])
@@ -537,8 +547,13 @@ class BlockRuntime:
 
     def __init__(self, block: LineageBlock, spec: Optional[SubquerySpec],
                  config: GolaConfig, dimension_tables: Dict[str, Table],
-                 udafs: Optional[UDAFRegistry] = None):
+                 udafs: Optional[UDAFRegistry] = None,
+                 closed_form: Optional[Dict[str, Tuple[str, float]]] = None):
         self.block = block
+        #: Output column -> ``(alias, c)`` for a closed-form block (see
+        #: :func:`~repro.core.meta_plan.closed_form_plan`); None keeps
+        #: bootstrap replicas.
+        self.closed_form = closed_form
         self.spec = spec
         self.config = config
         self.trials = config.bootstrap_trials
@@ -551,6 +566,9 @@ class BlockRuntime:
         self.group_index = GroupIndex()
         self.exact_states: Dict[str, AggState] = {}
         self.boot_states: Dict[str, AggState] = {}
+        #: Closed-form blocks only: alias -> exact moment state (Σx² for
+        #: SUM, (n, mean, M2) for AVG; COUNT's n is its exact state).
+        self.moment_states: Dict[str, AggState] = {}
         #: Folded qualifying rows per group — distinguishes "no data yet"
         #: groups (whose values are undefined) from genuine zeros.
         self.presence_counts = np.empty(0, dtype=np.int64)
@@ -584,11 +602,17 @@ class BlockRuntime:
         agg = self.pipeline.aggregate
         self.exact_states = {}
         self.boot_states = {}
+        self.moment_states = {}
         for i, call in enumerate(agg.aggregates):
             seed = self.config.seed + i
             self.exact_states[call.alias] = make_state(
                 call, trials=None, udafs=self.udafs, seed=seed,
             )
+            if self.closed_form is not None:
+                moment = _MOMENT_STATES.get(call.func)
+                if moment is not None:
+                    self.moment_states[call.alias] = moment()
+                continue
             try:
                 self.boot_states[call.alias] = make_state(
                     call, trials=self.trials, udafs=self.udafs, seed=seed,
@@ -704,7 +728,8 @@ class BlockRuntime:
     #: caches (join indices) and construction-time structure (pipeline,
     #: dimension tables, tracer) are rebuilt/re-injected on resume.
     _CHECKPOINT_FIELDS = (
-        "exact_states", "boot_states", "presence_counts", "group_index",
+        "exact_states", "boot_states", "moment_states", "presence_counts",
+        "group_index",
         "cache", "pred_guards", "guards", "stats_history",
         "recompute_count", "_cache_schema_ready",
     )
@@ -771,7 +796,8 @@ class BlockRuntime:
         recovery and a guard violation raises :class:`RangeViolation`.
         """
         tracer = self.tracer
-        wsrc = as_batch_weights(weights)
+        # A closed-form block is handed no weights and reads none.
+        wsrc = None if weights is None else as_batch_weights(weights)
         ienv = IntervalEnv(slots=slot_states, point=penv)
         with tracer.span("phase:guards", block=self.block.block_id) as gs:
             violation = self.guard_violation(slot_states, ienv)
@@ -1014,6 +1040,12 @@ class BlockRuntime:
         )
         for alias, state in self.exact_states.items():
             state.update(rows.group_idx, rows.values[alias])
+        if self.closed_form is not None:
+            for alias, state in self.moment_states.items():
+                values = rows.values[alias]
+                state.update(rows.group_idx, values * values
+                             if isinstance(state, SumState) else values)
+            return
         self.executor.fold_boot_states(
             self.boot_states, rows.group_idx, rows.values, weights,
             row_idx=row_idx, lazy=True,
@@ -1027,9 +1059,10 @@ class BlockRuntime:
         """Finalize folded + currently-passing-uncertain into estimates.
 
         Returns ``(estimates, replicas, present)`` where estimates maps
-        alias -> (G,), replicas maps alias -> (G, B), and present is the
-        (G,) boolean mask of groups with at least one qualifying row
-        under the current point values.
+        alias -> (G,), replicas maps alias -> (G, B) — for a closed-form
+        block, alias -> the (G,) variance of its estimate instead — and
+        present is the (G,) boolean mask of groups with at least one
+        qualifying row under the current point values.
         """
         # Pipeline barrier: deferred sharded folds must land before the
         # bootstrap states are finalized (publish and snapshots both
@@ -1050,12 +1083,20 @@ class BlockRuntime:
             counts = counts[:num_groups] if len(counts) > num_groups else counts
         present = counts > 0
 
+        if self.closed_form is not None:
+            # No uncertain predicate, so no cache: the folds are all.
+            estimates: Dict[str, np.ndarray] = {}
+            for alias, exact in self.exact_states.items():
+                exact.ensure_groups(num_groups)
+                estimates[alias] = exact.finalize(scale)
+            return estimates, self._variances(num_groups, scale), present
+
         if passing is not None:
             # The cache only fills on the uncertain path, so uncertain
             # predicates exist whenever some cached row passes.
             trial_masks = self._trial_masks(slot_states, penv)
 
-        estimates: Dict[str, np.ndarray] = {}
+        estimates = {}
         replicas: Dict[str, np.ndarray] = {}
         for alias in self.exact_states:
             exact = self.exact_states[alias]
@@ -1075,6 +1116,25 @@ class BlockRuntime:
             estimates[alias] = exact.finalize(scale)
             replicas[alias] = boot.finalize(scale)
         return estimates, replicas, present
+
+    def _variances(self, num_groups: int, scale: float,
+                   ) -> Dict[str, np.ndarray]:
+        """A closed-form block's per-alias ``(G,)`` estimate variances:
+        what its Poisson(1) bootstrap replicas' variance would be in
+        expectation (see :mod:`repro.estimate.closed_form`)."""
+        out: Dict[str, np.ndarray] = {}
+        for alias, exact in self.exact_states.items():
+            moment = self.moment_states.get(alias)
+            if moment is None:  # COUNT: n is the exact count
+                out[alias] = count_variance(exact.finalize(), scale)
+                continue
+            moment.ensure_groups(num_groups)
+            if isinstance(moment, SumState):
+                out[alias] = sum_variance(moment.finalize(), scale)
+            else:
+                out[alias] = mean_variance(moment.m2[:, 0],
+                                           moment.wcount[:, 0])
+        return out
 
     def _trial_masks(self, slot_states, penv: Environment) -> np.ndarray:
         """Per-trial pass masks for the uncertain cache: ``(|U|, B)``.
@@ -1195,15 +1255,19 @@ class BlockRuntime:
     def snapshot_output(self, penv: Environment, slot_states, scale: float):
         """The main block's current result table plus per-column error data.
 
-        Returns ``(table, column_replicas)`` where ``column_replicas`` maps
-        numeric output columns to their ``(rows, B)`` replica matrices
-        (aligned with the returned table's rows).
+        Returns ``(table, column_errors)`` where ``column_errors`` maps
+        numeric output columns to their ``(rows, B)`` replica matrices,
+        or — from a closed-form block — their ``(rows,)`` estimate
+        variances (aligned with the returned table's rows).
         """
         estimates, replicas, present = self._temp_finalized(
             penv, slot_states, scale
         )
+        closed = self.closed_form is not None
         agg = self.pipeline.aggregate
-        point_table, matrix_table = self._result_tables(estimates, replicas)
+        point_table, matrix_table = self._result_tables(
+            estimates, {} if closed else replicas
+        )
         num_groups = point_table.num_rows
 
         # Grouped queries emit only groups with qualifying data; a global
@@ -1220,7 +1284,7 @@ class BlockRuntime:
 
         project = self.pipeline.project
         out_columns: Dict[str, np.ndarray] = {}
-        col_replicas: Dict[str, np.ndarray] = {}
+        col_errors: Dict[str, np.ndarray] = {}
         replica_env = self._replica_env(penv, slot_states)
         exprs = (
             project.exprs if project is not None
@@ -1231,17 +1295,20 @@ class BlockRuntime:
             if raw.ndim == 0:
                 raw = np.full(num_groups, raw[()])
             out_columns[name] = raw[keep]
-            if expr.references() & set(estimates):
+            if closed and name in self.closed_form:
+                alias, coef = self.closed_form[name]
+                col_errors[name] = (coef * coef * replicas[alias])[keep]
+            elif not closed and expr.references() & set(estimates):
                 matrix = np.asarray(
                     expr.evaluate(matrix_table, replica_env),
                     dtype=np.float64,
                 )
                 if matrix.ndim == 2:
-                    col_replicas[name] = matrix[keep]
+                    col_errors[name] = matrix[keep]
 
         if self.pipeline.window is not None:
-            out_columns, col_replicas = self._apply_window(
-                out_columns, col_replicas
+            out_columns, col_errors = self._apply_window(
+                out_columns, col_errors
             )
         table = Table.from_columns(out_columns)
         if self.pipeline.sort is not None:
@@ -1249,34 +1316,45 @@ class BlockRuntime:
             order = table.sort_order([k for k, _ in sort_keys],
                                      [d for _, d in sort_keys])
             table = table.take(order)
-            col_replicas = {k: v[order] for k, v in col_replicas.items()}
+            col_errors = {k: v[order] for k, v in col_errors.items()}
         if self.pipeline.limit is not None:
             n = min(self.pipeline.limit.n, table.num_rows)
             table = table.slice(0, n)
-            col_replicas = {k: v[:n] for k, v in col_replicas.items()}
-        return table, col_replicas
+            col_errors = {k: v[:n] for k, v in col_errors.items()}
+        return table, col_errors
 
     def _apply_window(self, out_columns: Dict[str, np.ndarray],
-                      col_replicas: Dict[str, np.ndarray]):
+                      col_errors: Dict[str, np.ndarray]):
         """Evaluate the block's window calls over the snapshot rows.
 
         The total order comes from the *point* columns (the ORDER BY
         column plus group-key tiebreaks are exact values, identical
         across execution paths); the rolling transform is linear, so the
         same permutation applied per replica column yields each window
-        column's bootstrap replicas.
+        column's bootstrap replicas.  Closed-form variances go through
+        the same frames with squared coefficients: output rows are
+        disjoint groups, independent under Poisson weights, so a SUM
+        frame's variance is the sum of its rows' and an AVG frame's that
+        sum over ``m²``.
         """
         window = self.pipeline.window
         for call in window.calls:
             order = window_order(out_columns, call, window.tiebreak)
             arg = out_columns[call.arg] if call.arg is not None else None
             out_columns[call.alias] = windowed_values(call, arg, order)
-            if call.arg is not None and call.arg in col_replicas:
-                col_replicas[call.alias] = windowed_values(
-                    call, col_replicas[call.arg], order
-                )
+            err = col_errors.get(call.arg)
+            if err is not None and err.ndim == 2:
+                col_errors[call.alias] = windowed_values(call, err, order)
+            elif err is not None:
+                var = windowed_values(replace(call, func="sum"), err, order)
+                if call.func == "avg":
+                    frames = windowed_values(
+                        replace(call, func="count", arg=None), None, order
+                    )
+                    var = var / (frames * frames)
+                col_errors[call.alias] = var
         ordered = {n: out_columns[n] for n in window.output_order}
-        return ordered, col_replicas
+        return ordered, col_errors
 
     # ------------------------------------------------------------------
 
@@ -1358,6 +1436,12 @@ class _ArrayTable:
         if name not in self._columns:
             raise ExecutionError(f"unknown column {name!r}")
         return self._columns[name]
+
+
+#: A closed-form block's moment state per aggregate: SUM folds squares
+#: into a SumState; AVG folds its values into a VarState (Chan's
+#: (n, mean, M2)); COUNT needs none.
+_MOMENT_STATES = {"sum": SumState, "avg": VarState, "mean": VarState}
 
 
 def _bump_counts(counts: np.ndarray, group_idx: np.ndarray) -> np.ndarray:

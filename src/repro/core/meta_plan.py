@@ -15,21 +15,115 @@ Concretely, a :class:`MetaPlan` is:
   (folded aggregates, uncertain caches, guards);
 * the set of *static* subqueries (blocks scanning only non-streamed
   dimension tables), which the controller evaluates exactly once and
-  publishes as certain slot states.
+  publishes as certain slot states;
+* per online block, how its error bars are computed.  Bootstrap
+  replicas do two jobs: the variation ranges that uncertain predicates
+  and guards read, and the final error bars.  A block whose replicas
+  would do only the second — it produces and consumes no slot — and
+  whose outputs are SUM/COUNT/AVG under constant affine maps and linear
+  windows takes *closed-form* errors instead (:func:`closed_form_plan`):
+  it folds exact moments, never reads a weight, and reports the
+  variance its replicas would have had in expectation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..config import GolaConfig
 from ..engine.aggregates import UDAFRegistry
 from ..errors import UnsupportedQueryError
+from ..expr.expressions import BinaryOp, ColumnRef, Expression, Literal, \
+    Negate
 from ..plan.lineage_blocks import LineageBlock, lineage_blocks
 from ..plan.logical import Query, SubquerySpec
 from ..storage.table import Table
-from .delta import BlockRuntime, parse_block
+from .delta import BlockPipeline, BlockRuntime, parse_block
+
+#: Aggregates whose bootstrap error bar has a closed form.
+CLOSED_FORM_AGGREGATES = frozenset({"sum", "count", "avg", "mean"})
+#: Window functions that are linear in their argument column.
+LINEAR_WINDOWS = frozenset({"count", "sum", "avg"})
+
+
+def _constant(expr: Expression) -> Optional[float]:
+    """A numeric literal's value, else None."""
+    if isinstance(expr, Literal) and isinstance(expr.value, (int, float)) \
+            and not isinstance(expr.value, bool):
+        return float(expr.value)
+    return None
+
+
+def _affine_term(expr: Expression, aliases) -> Optional[Tuple[str, float]]:
+    """``(alias, c)`` when ``expr`` is ``c · alias + d`` for constants
+    ``c``, ``d`` (built from ``a``, ``-a``, ``c·a``, ``a/c``, ``a ± c``);
+    None otherwise."""
+    if isinstance(expr, ColumnRef):
+        return (expr.name, 1.0) if expr.name in aliases else None
+    if isinstance(expr, Negate):
+        term = _affine_term(expr.operand, aliases)
+        return None if term is None else (term[0], -term[1])
+    if not isinstance(expr, BinaryOp):
+        return None
+    left, right = _constant(expr.left), _constant(expr.right)
+    if right is not None and expr.op in ("+", "-", "*", "/"):
+        term = _affine_term(expr.left, aliases)
+        if term is None or expr.op in ("+", "-"):
+            return term
+        if expr.op == "*":
+            return term[0], term[1] * right
+        # x / 0 evaluates to 0.0 (see ``_safe_divide``).
+        return term[0], (term[1] / right if right != 0.0 else 0.0)
+    if left is not None and expr.op in ("+", "-", "*"):
+        term = _affine_term(expr.right, aliases)
+        if term is None:
+            return None
+        factor = {"+": 1.0, "-": -1.0, "*": left}[expr.op]
+        return term[0], term[1] * factor
+    return None
+
+
+def closed_form_plan(block: LineageBlock, pipeline: BlockPipeline,
+                     ) -> Tuple[Optional[Dict[str, Tuple[str, float]]], str]:
+    """Whether a block's error bars can skip the bootstrap, from lineage.
+
+    Returns ``(columns, "")`` for a closed-form block, where ``columns``
+    maps each output column that reads an aggregate to ``(alias, c)``:
+    the column is ``c · alias + d``, so its variance is ``c²`` times the
+    aggregate's.  Otherwise ``(None, reason)`` with the first rule that
+    failed; the block keeps its replicas.
+    """
+    if block.produces is not None:
+        return None, f"produces slot #{block.produces}"
+    if block.consumes:
+        return None, "consumes " + ", ".join(
+            f"#{s}" for s in sorted(block.consumes))
+    agg = pipeline.aggregate
+    for call in agg.aggregates:
+        if call.distinct:
+            return None, f"{call.sql()} is DISTINCT"
+        if call.func not in CLOSED_FORM_AGGREGATES:
+            return None, f"{call.func.upper()} has no closed form"
+    aliases = {call.alias for call in agg.aggregates}
+    exprs = (
+        pipeline.project.exprs if pipeline.project is not None
+        else [(ColumnRef(name), name) for name in agg.schema.names]
+    )
+    columns: Dict[str, Tuple[str, float]] = {}
+    for expr, name in exprs:
+        if not expr.references() & aliases:
+            continue
+        term = _affine_term(expr, aliases)
+        if term is None:
+            return None, (f"column {name!r} is not one aggregate under a "
+                          "constant affine map")
+        columns[name] = term
+    if pipeline.window is not None:
+        for call in pipeline.window.calls:
+            if call.func not in LINEAR_WINDOWS:
+                return None, f"window {call.func.upper()} is not linear"
+    return columns, ""
 
 
 @dataclass
@@ -51,6 +145,18 @@ class MetaPlan:
     runtimes: Dict[str, BlockRuntime]
     #: Subqueries over non-streamed tables, evaluated once, exactly.
     static_specs: List[SubquerySpec]
+    #: block_id -> why the block keeps bootstrap replicas ("" for a
+    #: closed-form block).
+    replica_reasons: Dict[str, str]
+
+    @property
+    def replica_tables(self) -> List[str]:
+        """Streamed relations some bootstrap block folds weights from;
+        the others never draw a weight."""
+        folded = {self.block_tables[block_id]
+                  for block_id, reason in self.replica_reasons.items()
+                  if reason}
+        return [name for name in self.streamed_tables if name in folded]
 
     @property
     def main_runtime(self) -> BlockRuntime:
@@ -70,6 +176,11 @@ class MetaPlan:
             lines.append(
                 f"{block.block_id}: streams {table!r}, "
                 f"consumes {consumes}, {uncertain} uncertain predicate(s)"
+            )
+            reason = self.replica_reasons[block.block_id]
+            lines.append(
+                f"  errors: bootstrap B={runtime.trials} ({reason})"
+                if reason else "  errors: closed-form"
             )
         for spec in self.static_specs:
             lines.append(
@@ -102,13 +213,15 @@ def compile_meta_plan(query: Query, tables: Dict[str, Table],
     static_specs: List[SubquerySpec] = []
     streamed_tables: List[str] = [streamed_table]
     block_tables: Dict[str, str] = {}
+    replica_reasons: Dict[str, str] = {}
 
     for block in lineage_blocks(query):
         spec = (
             query.subqueries.get(block.produces)
             if block.produces is not None else None
         )
-        scan_name = parse_block(block.plan).scan.table_name
+        pipeline = parse_block(block.plan)
+        scan_name = pipeline.scan.table_name
         if scan_name != streamed_table:
             if block.produces is None:
                 raise UnsupportedQueryError(
@@ -129,8 +242,12 @@ def compile_meta_plan(query: Query, tables: Dict[str, Table],
         block_tables[block.block_id] = scan_name
         if scan_name not in streamed_tables:
             streamed_tables.append(scan_name)
+        columns, replica_reasons[block.block_id] = closed_form_plan(
+            block, pipeline
+        )
         runtimes[block.block_id] = BlockRuntime(
-            block, spec, config, dimension_tables, udafs
+            block, spec, config, dimension_tables, udafs,
+            closed_form=columns,
         )
 
     return MetaPlan(
@@ -141,4 +258,5 @@ def compile_meta_plan(query: Query, tables: Dict[str, Table],
         online_blocks=online_blocks,
         runtimes=runtimes,
         static_specs=static_specs,
+        replica_reasons=replica_reasons,
     )

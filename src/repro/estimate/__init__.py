@@ -2,10 +2,11 @@
 
 from .bootstrap import PoissonWeightSource
 from .closed_form import (
-    count_interval,
-    mean_interval,
+    count_variance,
+    mean_variance,
+    normal_intervals,
     normal_quantile,
-    sum_interval,
+    sum_variance,
     z_value,
 )
 from .intervals import (
@@ -14,6 +15,7 @@ from .intervals import (
     basic_intervals,
     percentile_interval,
     percentile_intervals,
+    relative_sds,
     relative_stdev,
     relative_stdevs,
 )
@@ -30,17 +32,19 @@ __all__ = [
     "VariationRange",
     "basic_interval",
     "basic_intervals",
-    "count_interval",
+    "count_variance",
     "derive_rng",
     "derive_seed",
-    "mean_interval",
+    "mean_variance",
+    "normal_intervals",
     "normal_quantile",
     "percentile_interval",
     "percentile_intervals",
     "range_from_replicas",
     "ranges_from_replica_matrix",
+    "relative_sds",
     "relative_stdev",
     "relative_stdevs",
-    "sum_interval",
+    "sum_variance",
     "z_value",
 ]

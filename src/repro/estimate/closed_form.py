@@ -1,19 +1,28 @@
-"""Closed-form (CLT) error estimators for simple aggregates.
+"""Closed-form (CLT) error bars for SUM, COUNT and AVG.
 
 The paper contrasts bootstrap against Central-Limit-Theorem estimators:
 closed forms only exist for simple SPJA aggregates, which is exactly why
-pre-G-OLA systems struggled to predict sample sizes for nested queries.
-These are used by the classical-OLA baseline and by tests that check the
-bootstrap against known ground truth.
+G-OLA needs the bootstrap for nested queries.  Where a lineage block's
+replicas would feed nothing but its own error bars and every output is
+a SUM, COUNT or AVG (``repro.core.meta_plan`` decides), the engine folds
+exact moments instead and reads the variance the Poisson(1) bootstrap's
+replicas would have in expectation:
+
+* SUM: ``scale² · Σx²`` (each weight has variance 1);
+* COUNT: ``scale² · n``;
+* AVG: ``M2 / n²`` (the ratio estimator's delta-method variance, with
+  ``M2 = Σ(x - mean)²``).
+
+Intervals are ``estimate ± z · sd``.  ``z_value`` also serves the
+classical-OLA baseline.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
 import numpy as np
-
-from .intervals import ConfidenceInterval
 
 # Normal quantiles for common confidence levels; scipy-free inverse CDF
 # below handles the rest.
@@ -63,37 +72,27 @@ def z_value(confidence: float) -> float:
     return normal_quantile(0.5 + confidence / 2.0)
 
 
-def mean_interval(sample: np.ndarray,
-                  confidence: float = 0.95) -> ConfidenceInterval:
-    """CLT interval for a population mean from a uniform sample."""
-    sample = np.asarray(sample, dtype=np.float64)
-    n = len(sample)
-    if n < 2:
-        value = float(sample[0]) if n else float("nan")
-        return ConfidenceInterval(value, value, confidence)
-    est = float(sample.mean())
-    se = float(sample.std(ddof=1)) / math.sqrt(n)
+def sum_variance(sum_sq: np.ndarray, scale: float) -> np.ndarray:
+    """Replica variance of a SUM estimate from its rows' ``Σx²``."""
+    return scale * scale * np.asarray(sum_sq, dtype=np.float64)
+
+
+def count_variance(count: np.ndarray, scale: float) -> np.ndarray:
+    """Replica variance of a COUNT estimate from its row count."""
+    return scale * scale * np.asarray(count, dtype=np.float64)
+
+
+def mean_variance(m2: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Replica variance of an AVG estimate: ``M2 / n²`` (0 with no rows)."""
+    count = np.asarray(count, dtype=np.float64)
+    out = np.zeros(np.shape(m2))
+    np.divide(m2, count * count, out=out, where=count > 0)
+    return out
+
+
+def normal_intervals(estimates: np.ndarray, sd: np.ndarray,
+                     confidence: float = 0.95
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``estimate ± z · sd`` bounds."""
     z = z_value(confidence)
-    return ConfidenceInterval(est - z * se, est + z * se, confidence)
-
-
-def sum_interval(sample: np.ndarray, population_size: int,
-                 confidence: float = 0.95) -> ConfidenceInterval:
-    """CLT interval for a population sum (sample scaled by ``N/n``)."""
-    sample = np.asarray(sample, dtype=np.float64)
-    n = len(sample)
-    if n < 2:
-        est = float(sample.sum()) * (population_size / max(n, 1))
-        return ConfidenceInterval(est, est, confidence)
-    scale = population_size / n
-    est = float(sample.sum()) * scale
-    se = population_size * float(sample.std(ddof=1)) / math.sqrt(n)
-    z = z_value(confidence)
-    return ConfidenceInterval(est - z * se, est + z * se, confidence)
-
-
-def count_interval(sample_mask: np.ndarray, population_size: int,
-                   confidence: float = 0.95) -> ConfidenceInterval:
-    """CLT interval for a population count of a boolean predicate."""
-    mask = np.asarray(sample_mask, dtype=np.float64)
-    return sum_interval(mask, population_size, confidence)
+    return estimates - z * sd, estimates + z * sd

@@ -108,9 +108,15 @@ def relative_stdev(estimate: float, replicas: np.ndarray) -> float:
 def relative_stdevs(estimates: np.ndarray,
                     replica_matrix: np.ndarray) -> np.ndarray:
     """Row-wise relative standard deviations for grouped results."""
-    estimates = np.asarray(estimates, dtype=np.float64)
     with np.errstate(invalid="ignore"):
         sd = np.std(np.asarray(replica_matrix, dtype=np.float64), axis=1)
+    return relative_sds(estimates, sd)
+
+
+def relative_sds(estimates: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """Row-wise ``sd / |estimate|``: ``inf`` where the estimate is zero
+    but ``sd`` is not, 0.0 where both are."""
+    estimates = np.asarray(estimates, dtype=np.float64)
     out = np.full(len(estimates), np.inf)
     nonzero = estimates != 0
     out[nonzero] = sd[nonzero] / np.abs(estimates[nonzero])

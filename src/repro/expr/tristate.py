@@ -35,11 +35,17 @@ def tri_compare(op: str, a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
     TRUE where the comparison holds for every pair of values drawn from
     the two intervals, FALSE where it fails for every pair, UNKNOWN
     otherwise.  The rules are monotone under interval containment: a
-    verdict for ``[a_lo, a_hi]`` holds for every sub-interval.  A NaN
-    endpoint compares false everywhere and so stays UNKNOWN.
+    verdict for ``[a_lo, a_hi]`` holds for every sub-interval.
+
+    A side whose endpoints are both NaN is a NULL: it decides the
+    comparison whatever the other side's range, the way point
+    evaluation does — FALSE for ``< <= > >= =``, TRUE for ``!=``.  Any
+    other NaN endpoint compares false everywhere and so stays UNKNOWN;
+    callers widen an *uncertain* side's NaN endpoints to infinities
+    first, because a NaN there is an unknown value, not a NULL.
     """
-    out = np.full(np.broadcast(a_lo, b_lo).shape, TRI_UNKNOWN,
-                  dtype=np.int8)
+    a_lo, a_hi, b_lo, b_hi = np.broadcast_arrays(a_lo, a_hi, b_lo, b_hi)
+    out = np.full(a_lo.shape, TRI_UNKNOWN, dtype=np.int8)
     if op == "<":
         out[a_hi < b_lo] = TRI_TRUE
         out[a_lo >= b_hi] = TRI_FALSE
@@ -59,4 +65,8 @@ def tri_compare(op: str, a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
         out[exact] = TRI_TRUE if op == "=" else TRI_FALSE
     else:
         raise ExecutionError(f"unknown comparison {op!r}")
+    # ``x != x`` is the NaN test that also takes object (string) arrays.
+    null = ((a_lo != a_lo) & (a_hi != a_hi)) | ((b_lo != b_lo)
+                                                & (b_hi != b_hi))
+    out[null] = TRI_TRUE if op == "!=" else TRI_FALSE
     return out

@@ -158,6 +158,13 @@ def _workloads() -> Dict[str, CalibrationQuery]:
         ),
         "t_dist": _taxi_query("t_dist", TAXI["T4"]),
         "t_p95": _taxi_query("t_p95", TAXI["T6"]),
+        # A flat heavy-tailed cell: one vendor's mean tip (tips scale
+        # with lognormal fares), where a closed-form CLT interval is
+        # most likely to under-cover.  T1 and T9 both take closed-form
+        # errors, so t_roll and t_tip gate them.
+        "t_tip": _taxi_query(
+            "t_tip", TAXI["T9"], target=("mean_tip", "vendor_id", 1.0),
+        ),
     }
 
 
@@ -165,8 +172,9 @@ def calibration_queries() -> Dict[str, CalibrationQuery]:
     """All calibration workload queries by short name.
 
     ``sbi``/``c3``/``q17``/``q20`` are the paper's scalar workloads;
-    ``t_roll``/``t_dist``/``t_p95`` cover the deep query surface
-    (window, DISTINCT, quantile-over-join) on the taxi dataset.
+    ``t_roll``/``t_dist``/``t_p95``/``t_tip`` cover the deep query
+    surface (window, DISTINCT, quantile-over-join, a flat heavy-tailed
+    mean) on the taxi dataset.
     """
     return _workloads()
 

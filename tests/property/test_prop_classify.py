@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core import IntervalEnv, ScalarSlotState, TRI_FALSE, TRI_TRUE
+from repro.core import (
+    IntervalEnv,
+    ScalarSlotState,
+    TRI_FALSE,
+    TRI_TRUE,
+    TRI_UNKNOWN,
+)
 from repro.core.classify import tri_eval
 from repro.estimate import VariationRange
 from repro.expr.expressions import (
@@ -121,3 +127,48 @@ def test_degenerate_range_never_unknown(values):
     point = predicate.evaluate(table, env.point)
     np.testing.assert_array_equal(tri == TRI_TRUE, point)
     np.testing.assert_array_equal(tri == TRI_FALSE, ~np.asarray(point))
+
+
+@given(scenario(), st.lists(st.booleans(), min_size=1, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_null_rows_are_decided_as_point_evaluation_decides(data, nulls):
+    """A NaN certain side (a NULL) is decided for every range: FALSE for
+    ``< <= > >= =``, TRUE for ``!=`` — exactly what every probe says."""
+    values, low, high, probes, op = data
+    values = values.copy()
+    mask = np.resize(np.asarray(nulls), len(values))
+    values[mask] = np.nan
+    table = Table.from_columns({"x": values})
+    state = ScalarSlotState(
+        slot=0, estimate=(low + high) / 2,
+        replicas=np.array([low, high]),
+        vrange=VariationRange(low, high),
+    )
+    env = IntervalEnv(slots={0: state},
+                      point=Environment(scalars={0: state.estimate}))
+    predicate = Comparison(op, ColumnRef("x"), SubqueryRef(0))
+    tri = tri_eval(predicate, table, env)
+    assert (tri[mask] != TRI_UNKNOWN).all()
+    for probe in probes:
+        point = np.asarray(
+            predicate.evaluate(table, Environment(scalars={0: probe})),
+            dtype=bool,
+        )
+        np.testing.assert_array_equal(tri[mask] == TRI_TRUE, point[mask])
+
+
+@given(column, st.sampled_from(OPS))
+@settings(max_examples=60, deadline=None)
+def test_uncertain_nan_is_unknown_not_null(values, op):
+    """A slot with no value yet is not a NULL: it may still take any
+    value, so no finite row is decided against it."""
+    table = Table.from_columns({"x": values})
+    state = ScalarSlotState(
+        slot=0, estimate=float("nan"), replicas=np.full(2, np.nan),
+        vrange=VariationRange(float("nan"), float("nan")),
+    )
+    env = IntervalEnv(slots={0: state},
+                      point=Environment(scalars={0: state.estimate}))
+    tri = tri_eval(Comparison(op, ColumnRef("x"), SubqueryRef(0)),
+                   table, env)
+    assert (tri == TRI_UNKNOWN).all()

@@ -302,9 +302,12 @@ class TestOneWeightDrawPerBatch:
             self.TRIALS * self.BATCHES
 
     def test_streamed_fold_without_uncertain_cache(self):
-        """No uncertain predicate: chunks stream, still counted once."""
+        """No uncertain predicate: chunks stream, still counted once.
+
+        STDEV keeps bootstrap replicas; a flat AVG would draw nothing.
+        """
         table = generate_sessions(self.ROWS, seed=7)
-        sql = "SELECT AVG(play_time) FROM sessions"
+        sql = "SELECT STDEV(play_time) FROM sessions"
         assert self.drawn("sessions", table, sql) == \
             self.TRIALS * self.BATCHES
 

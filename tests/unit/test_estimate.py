@@ -7,18 +7,20 @@ from repro.estimate import (
     ConfidenceInterval,
     PoissonWeightSource,
     VariationRange,
-    count_interval,
+    count_variance,
     derive_rng,
     derive_seed,
-    mean_interval,
+    mean_variance,
+    normal_intervals,
     normal_quantile,
     percentile_interval,
     percentile_intervals,
     range_from_replicas,
     ranges_from_replica_matrix,
+    relative_sds,
     relative_stdev,
     relative_stdevs,
-    sum_interval,
+    sum_variance,
     z_value,
 )
 
@@ -118,20 +120,33 @@ class TestClosedForm:
         hits = 0
         for trial in range(200):
             sample = rng.normal(50, 10, 400)
-            if mean_interval(sample, 0.95).contains(50.0):
+            m2 = ((sample - sample.mean()) ** 2).sum()
+            sd = np.sqrt(mean_variance(np.array([m2]), np.array([400.0])))
+            lo, hi = normal_intervals(np.array([sample.mean()]), sd, 0.95)
+            if lo[0] <= 50.0 <= hi[0]:
                 hits += 1
         assert 0.90 <= hits / 200 <= 0.99
 
     def test_sum_interval_scales(self):
-        sample = np.ones(100)
-        ci = sum_interval(sample, population_size=1000)
-        assert ci.low == pytest.approx(1000.0) and ci.width == \
-            pytest.approx(0.0)
+        # 100 rows of 1.0 seen at scale 10: sd = 10 * sqrt(100).
+        var = sum_variance(np.array([100.0, 0.0]), 10.0)
+        np.testing.assert_array_equal(var, [10_000.0, 0.0])
+        lo, hi = normal_intervals(np.array([1000.0, 0.0]), np.sqrt(var))
+        assert lo[0] == pytest.approx(1000.0 - 1.959964 * 100.0, rel=1e-6)
+        assert (lo[1], hi[1]) == (0.0, 0.0)
 
     def test_count_interval(self):
-        mask = np.array([1, 0, 1, 0] * 50)
-        ci = count_interval(mask, population_size=2000)
-        assert ci.contains(1000.0)
+        var = count_variance(np.array([100.0, 0.0]), 20.0)
+        np.testing.assert_array_equal(var, [40_000.0, 0.0])
+        np.testing.assert_array_equal(
+            mean_variance(np.array([8.0, 3.0]), np.array([2.0, 0.0])),
+            [2.0, 0.0],
+        )
+        np.testing.assert_array_equal(
+            relative_sds(np.array([2000.0, 0.0, 0.0]),
+                         np.array([200.0, 1.0, 0.0])),
+            [0.1, np.inf, 0.0],
+        )
 
     def test_quantile_domain(self):
         with pytest.raises(ValueError):

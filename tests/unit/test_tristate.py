@@ -60,10 +60,24 @@ def test_flipped_operands_give_the_same_verdict(op):
 
 @pytest.mark.parametrize("op", OPS)
 def test_nan_endpoint_is_never_decided(op):
-    nan = np.array([np.nan, 1.0, np.nan])
-    ones = np.array([np.nan, np.nan, 1.0])
-    assert (tri_compare(op, nan, ones, 0.0, 2.0) == TRI_UNKNOWN).all()
-    assert (tri_compare(op, 0.0, 2.0, nan, ones) == TRI_UNKNOWN).all()
+    # One NaN endpoint: half an interval is not a NULL.
+    lows = np.array([1.0, np.nan])
+    highs = np.array([np.nan, 1.0])
+    assert (tri_compare(op, lows, highs, 0.0, 2.0) == TRI_UNKNOWN).all()
+    assert (tri_compare(op, 0.0, 2.0, lows, highs) == TRI_UNKNOWN).all()
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_null_side_is_decided_like_point_evaluation(op):
+    # Both endpoints NaN is a NULL: the comparison fails (``!=`` holds)
+    # whatever the other side's range, as a point comparison would.
+    nan = np.full(4, np.nan)
+    lows = np.array([-np.inf, 0.0, 3.0, np.nan])
+    highs = np.array([np.inf, 2.0, 3.0, np.nan])
+    expected = TRI_TRUE if op == "!=" else TRI_FALSE
+    assert (tri_compare(op, nan, nan, lows, highs) == expected).all()
+    assert (tri_compare(op, lows, highs, nan, nan) == expected).all()
+    assert bool(POINT[op](np.nan, 1.0)) == (expected == TRI_TRUE)
 
 
 def test_not_equal_rules():

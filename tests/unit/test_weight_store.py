@@ -194,11 +194,12 @@ class TestSessionOrder:
         session = _session(tracer)
         query = session.sql(SBI_QUERY)
         # The same table under another seed, then another B, then the
-        # same weights through another query: the store holds each in
-        # turn, and the last one is a hit for the query under test.
+        # same weights through another query (VAR keeps replicas; a
+        # flat AVG draws none): the store holds each in turn, and the
+        # last one is a hit for the query under test.
         list(query.run_online(_config(seed=6)))
         list(query.run_online(_config(bootstrap_trials=24)))
-        list(session.sql("SELECT AVG(play_time) FROM sessions")
+        list(session.sql("SELECT VAR(play_time) FROM sessions")
              .run_online())
         drawn = tracer.metrics.snapshot().counters[
             "bootstrap.columns_drawn"]
