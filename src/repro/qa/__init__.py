@@ -15,6 +15,8 @@ process instead of per-test assertions.
   reproducer artifacts (``python -m repro fuzz --replay``).
 * :mod:`repro.qa.calibrate` — empirical bootstrap-CI coverage versus an
   exact binomial acceptance band around nominal confidence.
+* :mod:`repro.qa.identity` — the bundled queries' stream fingerprints,
+  recorded in and checked against ``tests/fingerprints.json``.
 
 CLI: ``python -m repro fuzz`` and ``python -m repro calibrate``.
 """

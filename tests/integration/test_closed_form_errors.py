@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import GolaConfig, GolaSession
-from repro.config import ParallelConfig
+from repro.config import FaultsConfig, ParallelConfig
 from repro.core.delta import BlockRuntime
 from repro.core.meta_plan import compile_meta_plan
 from repro.expr.expressions import Environment
@@ -138,6 +138,29 @@ def test_resumed_run_matches_uninterrupted(taxi_session_factory):
     fresh, _ = taxi_session_factory()
     rest = list(fresh.sql(TAXI["T2"]).run_online(resume_from=checkpoint))
     assert snapshot_fingerprint(head + rest) == want
+
+
+def test_skipped_batches_reweight_closed_form_errors(taxi_session_factory):
+    """``_skip_batch`` snapshots the moment states as they stand."""
+    faults = FaultsConfig(enabled=True, seed=21, batch_failure_prob=0.35,
+                          max_retries=0)
+    session, _ = taxi_session_factory(faults=faults)
+    snaps = list(session.sql(TAXI["T9"]).run_online())
+    skipped = [s for s in snaps if s.batch_index in
+               (snaps[-1].skipped_batches or ())]
+    assert skipped, "the fault profile should drop a batch"
+    for snap in snaps:
+        est = snap.table.column("mean_tip")
+        err = snap.errors["mean_tip"]
+        assert np.all(err.lows < est) and np.all(est < err.highs)
+        np.testing.assert_allclose(est - err.lows, err.highs - est)
+    # A skipped batch folds nothing: its bars equal the batch before.
+    for snap in skipped:
+        if snap.batch_index == 1:
+            continue
+        before = snaps[snap.batch_index - 2]
+        np.testing.assert_array_equal(snap.errors["mean_tip"].lows,
+                                      before.errors["mean_tip"].lows)
 
 
 def test_pool_stream_matches_serial(taxi_session_factory):
