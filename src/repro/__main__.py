@@ -542,7 +542,7 @@ def main(argv=None) -> int:
     )
     workers_help = (
         "parallel execution: a worker count ('4') or 'key=value,...' "
-        "over ParallelConfig fields, e.g. 'workers=4,backend=thread'; "
+        "over ParallelConfig fields, e.g. 'workers=4,min_shard_rows=512'; "
         "results are bit-identical to the serial default"
     )
 

@@ -174,14 +174,11 @@ class ParallelConfig:
     a run checkpointed at one worker count may resume at another.
 
     Attributes:
-        workers: Number of pool workers.  0 (default) disables the pool
-            entirely and runs the classic serial path; 1 still exercises
-            the full shard/merge machinery on a single worker (useful for
-            testing the parallel path deterministically).
-        backend: ``"process"`` (default) for a fork-based process pool,
-            or ``"thread"`` for a thread pool (no pickling; numpy
-            releases the GIL in the hot kernels).  Either way shard
-            tasks run under the supervised execution layer
+        workers: Number of worker processes.  0 (default) disables the
+            pool entirely and runs the classic serial path; 1 still
+            exercises the full shard/merge machinery on a single worker
+            (useful for testing the parallel path deterministically).
+            Shard tasks run under the supervised execution layer
             (``repro.parallel.supervisor``): per-task deadlines, broken
             pool detection and rebuild, lost-shard re-dispatch, poison
             quarantine and merge-time integrity checks.  Shard payloads
@@ -196,36 +193,22 @@ class ParallelConfig:
         task_retries: How many failed pool attempts (crash, hang,
             corrupt result) one shard tolerates before it is quarantined
             and run serially on the coordinator.
-        start_method: Process start method for pool workers: ``"auto"``
-            (fork where available, else the platform default),
-            ``"fork"``, ``"spawn"`` or ``"forkserver"``.  Spawn works
-            because task functions are module-level and payloads are
-            spec-sized; fork stays the default for its startup cost.
     """
 
     workers: int = 0
-    backend: str = "process"
     min_shard_rows: int = 2048
     task_deadline_s: float = 60.0
     task_retries: int = 2
-    start_method: str = "auto"
 
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
-        if self.backend not in ("process", "thread"):
-            raise ValueError("backend must be one of 'process', 'thread'")
         if self.min_shard_rows < 0:
             raise ValueError("min_shard_rows must be >= 0")
         if self.task_deadline_s < 0:
             raise ValueError("task_deadline_s must be >= 0")
         if self.task_retries < 0:
             raise ValueError("task_retries must be >= 0")
-        if self.start_method not in ("auto", "fork", "spawn", "forkserver"):
-            raise ValueError(
-                "start_method must be one of 'auto', 'fork', 'spawn', "
-                "'forkserver'"
-            )
 
     @property
     def enabled(self) -> bool:
@@ -238,7 +221,7 @@ class ParallelConfig:
         A bare integer is shorthand for ``workers=N``.  Example::
 
             ParallelConfig.parse("4")
-            ParallelConfig.parse("workers=4,backend=thread")
+            ParallelConfig.parse("workers=4,min_shard_rows=512")
         """
         spec = spec.strip()
         if spec.isdigit():

@@ -20,7 +20,6 @@ Drives one online query end to end:
 
 from __future__ import annotations
 
-import logging
 from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
@@ -60,9 +59,6 @@ from .uncertain import (
     ScalarSlotState,
     SetSlotState,
 )
-
-logger = logging.getLogger("repro.core")
-
 
 #: Shared no-op scope used when tracing is disabled (nullcontext is
 #: stateless, so one instance is safely re-entered).
@@ -450,20 +446,9 @@ class QueryController:
         if self._owns_parallel:
             # Pools restart lazily, so closing here keeps the controller
             # reusable while releasing workers between runs.  close()
-            # also settles pipelined folds and unlinks every
-            # shared-memory segment this run published.
+            # also unlinks every shared-memory segment this run
+            # published.
             self.parallel.close()
-        else:
-            # A shared executor (serve scheduler) outlives this query:
-            # settle any fold still in flight so its shared-memory
-            # lease is released now, not at scheduler shutdown.
-            try:
-                self.parallel.drain()
-            except Exception:
-                logger.warning(
-                    "pending sharded folds abandoned at finish",
-                    exc_info=True,
-                )
 
     def release(self) -> None:
         """Finish the run and drop its mini-batch memory.

@@ -740,7 +740,6 @@ class BlockRuntime:
         The copy is detached from the live run: checkpointing between
         batches and continuing does not alias any mutable state.
         """
-        self.executor.drain(self.boot_states)
         return copy.deepcopy(
             {name: getattr(self, name) for name in self._CHECKPOINT_FIELDS}
         )
@@ -751,17 +750,12 @@ class BlockRuntime:
         The incoming dict is deep-copied again so one checkpoint can
         seed several resumed runs.
         """
-        # Settle any in-flight fold against the outgoing states before
-        # they are replaced; a merge deferred past this point would
-        # target a dict nothing reads anymore.
-        self.executor.drain(self.boot_states)
         state = copy.deepcopy(state)
         for name in self._CHECKPOINT_FIELDS:
             setattr(self, name, state[name])
 
     def reset(self) -> None:
         """Drop all folded state (the rebuild entry point)."""
-        self.executor.drain(self.boot_states)
         self._init_states()
         self.presence_counts = np.empty(0, dtype=np.int64)
         self.group_index = GroupIndex()
@@ -1048,7 +1042,7 @@ class BlockRuntime:
             return
         self.executor.fold_boot_states(
             self.boot_states, rows.group_idx, rows.values, weights,
-            row_idx=row_idx, lazy=True,
+            row_idx=row_idx,
         )
 
     # ------------------------------------------------------------------
@@ -1064,10 +1058,6 @@ class BlockRuntime:
         present is the (G,) boolean mask of groups with at least one
         qualifying row under the current point values.
         """
-        # Pipeline barrier: deferred sharded folds must land before the
-        # bootstrap states are finalized (publish and snapshots both
-        # come through here).
-        self.executor.drain(self.boot_states)
         num_groups = max(self.group_index.num_groups, 1)
         passing = None
         if self.cache.size:

@@ -52,7 +52,6 @@ class ChaosSpec:
     seed: int = 2015
     queries: Tuple[str, ...] = WORKLOAD_QUERIES
     workers: int = 4
-    backend: str = "process"
     #: In-band seeded fault mix (drawn per shard attempt).
     kill_prob: float = 0.12
     hang_prob: float = 0.08
@@ -65,7 +64,7 @@ class ChaosSpec:
     #: to exercise the pool, not to win the overhead trade-off.
     min_shard_rows: int = 128
     #: External killer: real SIGKILL/SIGSTOP against live worker PIDs
-    #: from a seeded thread (process backend only).
+    #: from a seeded thread.
     external_killer: bool = True
     killer_interval_s: float = 0.25
     killer_suspend_prob: float = 0.5
@@ -265,7 +264,7 @@ class ChaosRunner:
             result_corrupt_prob=spec.corrupt_prob,
         )
         parallel = ParallelConfig(
-            workers=spec.workers, backend=spec.backend,
+            workers=spec.workers,
             task_deadline_s=spec.task_deadline_s,
             task_retries=spec.task_retries,
             min_shard_rows=spec.min_shard_rows,
@@ -273,7 +272,7 @@ class ChaosRunner:
         tracer = Tracer(metrics=MetricsRegistry(enabled=True))
         query = self._session(name, faults, parallel, tracer=tracer)
         killer = None
-        if spec.external_killer and spec.backend == "process":
+        if spec.external_killer:
             # The controller (and with it the supervised pool) exists
             # only once run_online is entered; resolve PIDs late.
             killer = _ExternalKiller(

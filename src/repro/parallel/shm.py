@@ -13,7 +13,7 @@ Lifecycle is the hard part, so it is owned in one place:
 
 * **Coordinator** — :class:`ShmRegistry` creates segments and hands out
   :class:`ShmLease` handles.  A lease covers one published batch; the
-  executor holds it until every shard of that batch has merged (or
+  executor holds it until every shard of that batch has returned (or
   failed for good), then :meth:`ShmLease.release` decrements the
   segment's refcount and the registry ``close()``\\ s and ``unlink()``\\ s
   it at zero.  :meth:`ShmRegistry.close` force-unlinks everything still
@@ -42,7 +42,7 @@ Crash safety: a SIGKILLed worker's mappings are reclaimed by the
 kernel; the coordinator-side refcount never depended on the worker, so
 the supervisor's rebuild path re-dispatches lost shards against the
 still-live segment and the lease is released exactly once, after the
-merge.  Nothing in this module affects results — specs resolve to
+shards return.  Nothing in this module affects results — specs resolve to
 bit-identical arrays — so every path stays bit-identical to serial.
 """
 
@@ -55,24 +55,17 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
+from multiprocessing.shared_memory import SharedMemory
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 logger = logging.getLogger("repro.parallel")
 
-try:  # pragma: no cover - import guard for exotic builds
-    from multiprocessing import shared_memory as _shared_memory
-
-    HAVE_SHM = True
-except ImportError:  # pragma: no cover
-    _shared_memory = None
-    HAVE_SHM = False
-
 # Hold the resource tracker's lock across every fork.  A pool worker
-# forked from a supervisor thread while the coordinator thread sits in
-# ``SharedMemory()`` -> ``register`` would otherwise inherit the lock
-# held and block on its first attach until the round deadline kills it.
+# forked while another thread sits in ``SharedMemory()`` -> ``register``
+# would otherwise inherit the lock held and block on its first attach
+# until the round deadline kills it.
 try:
     from multiprocessing.resource_tracker import _resource_tracker
 
@@ -163,7 +156,7 @@ class ShmRegistry:
         self._segments: Dict[str, List] = {}
         #: Every name this registry ever created (leak probing in tests).
         self.created: List[str] = []
-        self._unavailable = not HAVE_SHM
+        self._unavailable = False
         self._finalizer = weakref.finalize(
             self, _close_segments, self._segments, self._lock
         )
@@ -192,7 +185,7 @@ class ShmRegistry:
         if offset == 0:
             return None
         try:
-            segment = _shared_memory.SharedMemory(
+            segment = SharedMemory(
                 create=True, size=offset,
                 name=f"repro-{secrets.token_hex(8)}",
             )
@@ -298,14 +291,12 @@ def _attach_segment(name: str):
     a set-add no-op; see the module docstring for why workers must not
     unregister.)
     """
-    if not HAVE_SHM:  # pragma: no cover - guarded by the coordinator
-        raise RuntimeError("shared memory is unavailable in this build")
     with _attach_lock:
         segment = _attach_cache.get(name)
         if segment is not None:
             _attach_cache.move_to_end(name)
             return segment
-        segment = _shared_memory.SharedMemory(name=name)
+        segment = SharedMemory(name=name)
         _attach_cache[name] = segment
         while len(_attach_cache) > _ATTACH_CACHE_CAP:
             _, old = _attach_cache.popitem(last=False)
@@ -380,10 +371,8 @@ def segment_exists(name: str) -> bool:
     Used by the lifecycle tests to assert no ``/dev/shm`` leaks after
     release / cancel / SIGKILL-induced pool rebuilds.
     """
-    if not HAVE_SHM:
-        return False
     try:
-        probe = _shared_memory.SharedMemory(name=name)
+        probe = SharedMemory(name=name)
     except FileNotFoundError:
         return False
     probe.close()

@@ -1,12 +1,13 @@
-"""Supervised execution over :class:`~repro.parallel.pool.WorkerPool`.
+"""The shard pool: persistent worker processes under supervision.
 
-The plain pool calls ``future.result()`` with no timeout and no crash
-handling: one SIGKILLed worker poisons every pending future with
-``BrokenProcessPool``, and one hung worker blocks the coordinator
-forever.  G-OLA's contract is the opposite — a long-running approximate
-query keeps making progress and keeps its error guarantees no matter
-what the substrate does — so :class:`SupervisedPool` wraps the pool in
-a recovery ladder:
+A plain :class:`~concurrent.futures.ProcessPoolExecutor` gives no
+timeout and no crash handling: one SIGKILLed worker poisons every
+pending future with ``BrokenProcessPool``, and one hung worker blocks
+the coordinator forever.  G-OLA's contract is the opposite — a
+long-running approximate query keeps making progress and keeps its
+error guarantees no matter what the substrate does — so
+:class:`SupervisedPool` runs its executor under a recovery ladder, on
+the calling thread:
 
 1. **Deadlines** — a dispatch round that outlives its task deadline is
    declared hung; the pool is abandoned (workers killed — SIGKILL also
@@ -30,6 +31,15 @@ a recovery ladder:
 Every rung taken logs one WARNING on the ``repro.parallel`` logger
 beside the counter it bumps.
 
+Workers are **persistent**: the executor starts on first use (``fork``
+where the platform has it — cheap start, no import replay — else the
+platform default) and lives until :meth:`SupervisedPool.close`, so
+per-process caches (attached shared-memory segments, group-count memos)
+stay warm across batches and queries.  A host that cannot start a
+process pool at all (``OSError`` from the executor, e.g. a sandbox
+without semaphores) leaves the pool degraded: :meth:`SupervisedPool.start`
+returns False and the caller folds inline.
+
 Fault injection (``parallel.worker_kill`` / ``parallel.worker_hang`` /
 ``parallel.result_corrupt``) rides along inside the dispatched payloads:
 the coordinator draws a deterministic per-task fault plan from the
@@ -41,21 +51,21 @@ array — so recovery is exercised end to end, not simulated.
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import os
 import signal
-import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, \
+    ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from math import ceil
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..errors import ExecutionError, ShardLostError
+from ..errors import ShardLostError
 from ..faults import NULL_INJECTOR, RetryPolicy
 from ..obs import NULL_TRACER
-from .pool import WorkerPool
 from .shm import resolve
 
 logger = logging.getLogger("repro.parallel")
@@ -69,11 +79,6 @@ CORRUPT_SENTINEL = "__repro-corrupted-result__"
 _HEARTBEAT_S = 1.0
 
 
-class WorkerKilledError(ExecutionError):
-    """Injected worker death on a backend where SIGKILL is unavailable
-    (thread pools share the coordinator process)."""
-
-
 def _supervised_call(payload):
     """Worker-side wrapper: execute one task under its fault directive.
 
@@ -81,20 +86,16 @@ def _supervised_call(payload):
     was drawn by the coordinator from the seeded injector, so two runs
     with the same fault config misbehave identically:
 
-    * ``kill="sigkill"`` — SIGKILL our own process (process pools);
-    * ``kill="raise"`` — raise :class:`WorkerKilledError` (thread pools);
+    * ``kill`` — SIGKILL our own process;
     * ``hang_s > 0`` — oversleep before running the task;
     * ``corrupt`` — run the task, then poison the result in flight.
 
-    Module-level (not a closure) so process pools can pickle it.
+    Module-level (not a closure) so the pool can pickle it.
     """
     fn, task, directive = payload
     if directive:
-        kill = directive.get("kill")
-        if kill == "sigkill":
+        if directive.get("kill"):
             os.kill(os.getpid(), signal.SIGKILL)
-        elif kill == "raise":
-            raise WorkerKilledError("injected worker death")
         hang_s = directive.get("hang_s", 0.0)
         if hang_s > 0.0:
             time.sleep(hang_s)
@@ -178,28 +179,35 @@ def _default_validate(payload, result) -> Optional[str]:
     return None
 
 
-class SupervisedPool:
-    """Crash/hang/corruption-supervised ordered ``map`` over a pool.
+def _mp_context():
+    """``fork`` where the platform has it, else the platform default."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # platform without fork
+        return multiprocessing.get_context()
 
-    Drop-in for :class:`WorkerPool` where tasks are **stateless and
-    re-executable** (the shard path).
-    Bit-identity is preserved through every recovery action because a
-    re-dispatched or quarantined task recomputes exactly the same
-    deterministic function of its payload.
+
+class SupervisedPool:
+    """Crash/hang/corruption-supervised ordered ``map`` over ``workers``
+    persistent worker processes.
+
+    Tasks must be **stateless and re-executable** (the shard path), task
+    functions module-level and payloads picklable.  Bit-identity is
+    preserved through every recovery action because a re-dispatched or
+    quarantined task recomputes exactly the same deterministic function
+    of its payload.
     """
 
-    def __init__(self, workers: int, backend: str = "process", *,
+    def __init__(self, workers: int, *,
                  deadline_s: float = 60.0, retries: int = 2,
                  injector=None, tracer=None,
                  validate: Optional[Callable[[object, object],
                                              Optional[str]]] = None,
-                 backoff: Optional[RetryPolicy] = None,
-                 start_method: str = "auto"):
-        if backend not in ("process", "thread"):
-            raise ValueError(f"unknown pool backend {backend!r}")
+                 backoff: Optional[RetryPolicy] = None):
+        if workers < 1:
+            raise ValueError("workers must be >= 1; a serial fold needs "
+                             "no pool")
         self.workers = workers
-        self.backend = backend
-        self.start_method = start_method
         self.deadline_s = deadline_s
         self.retries = retries
         self.injector = injector if injector is not None else NULL_INJECTOR
@@ -212,25 +220,58 @@ class SupervisedPool:
         self._jitter = self.backoff.jitter_rng(
             getattr(self.injector, "seed", 0), "parallel.supervisor"
         )
-        self._pool: Optional[WorkerPool] = None
+        self._executor: Optional[ProcessPoolExecutor] = None
+        #: Set once this host refused to start a process pool; the pool
+        #: then never tries again and :meth:`start` answers False.
+        self._degraded = False
         self.restarts = 0
 
     # -- pool lifecycle --------------------------------------------------
 
-    def _ensure_pool(self) -> WorkerPool:
-        if self._pool is None:
-            self._pool = WorkerPool(
-                self.workers, backend=self.backend,
-                metrics=self.tracer.metrics,
-                start_method=self.start_method,
-            )
-        return self._pool
+    def start(self) -> bool:
+        """Start the executor if it is not running; False if it cannot.
+
+        A host that cannot run a process pool gets one WARNING and one
+        ``parallel.degraded`` bump, never a silent fallback: the caller
+        folds inline instead, which changes the run's speed and fault
+        isolation but not one bit of its output.
+        """
+        if self._executor is None and not self._degraded:
+            try:
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.workers, mp_context=_mp_context()
+                )
+            except OSError as exc:
+                logger.warning(
+                    "process pool unavailable (%s: %s); folding inline",
+                    type(exc).__name__, exc,
+                )
+                if self.tracer.metrics.enabled:
+                    self.tracer.metrics.counter("parallel.degraded").inc()
+                self._degraded = True
+        return self._executor is not None
+
+    def _abandon(self) -> None:
+        """Tear the executor down without waiting: SIGKILL its workers.
+
+        ``shutdown(wait=True)`` would block forever behind a hung
+        worker; SIGKILL also reaps SIGSTOPed (suspended) workers.  The
+        next :meth:`start` builds a fresh executor.
+        """
+        executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        for proc in list((getattr(executor, "_processes", None)
+                          or {}).values()):
+            try:
+                proc.kill()
+            except (OSError, AttributeError, ValueError):
+                pass  # already dead / already reaped
+        executor.shutdown(wait=False, cancel_futures=True)
 
     def _rebuild_pool(self, why: str) -> None:
-        """Abandon the current pool (killing its workers) and count it."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.abandon()
+        """Abandon the current executor (killing its workers), count it."""
+        self._abandon()
         self.restarts += 1
         logger.warning("worker pool restarted after %s (restart %d)",
                        why, self.restarts)
@@ -241,14 +282,24 @@ class SupervisedPool:
                               restarts=self.restarts)
 
     def worker_pids(self) -> List[int]:
-        """Live worker PIDs (chaos harness targets; [] for threads)."""
-        pool = self._pool
-        return pool.worker_pids() if pool is not None else []
+        """PIDs of the live workers ([] before the first start).
+
+        Reaches into :class:`ProcessPoolExecutor` internals — there is
+        no public enumeration — so it degrades to [] if the attribute
+        ever moves.  The chaos harness picks SIGKILL victims from it.
+        """
+        procs = getattr(self._executor, "_processes", None)
+        if not procs:
+            return []
+        return [pid for pid, proc in list(procs.items())
+                if proc.is_alive()]
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """Shut the executor down (idempotent; the pool restarts on the
+        next :meth:`map`)."""
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
 
     def __enter__(self) -> "SupervisedPool":
         return self
@@ -269,51 +320,12 @@ class SupervisedPool:
             return []
         plans = self.injector.worker_faults(n)
         hang_s = getattr(self.injector.config, "worker_hang_s", 0.0)
-        return self._map_with_plans(fn, tasks, plans, hang_s)
-
-    def map_async(self, fn: Callable, tasks: Sequence
-                  ) -> "SupervisedMapHandle":
-        """Dispatch now, supervise in the background, gather later.
-
-        The fault plans are drawn here, on the **caller** thread, so
-        deferring the gather never reorders the injector's RNG draws —
-        pipelined and eager runs misbehave (and therefore recover)
-        identically.  The recovery ladder itself (heartbeats, rebuilds,
-        re-dispatch, quarantine) runs on a daemon thread; ``.result()``
-        re-raises :class:`ShardLostError` from the caller's context.
-        """
-        tasks = list(tasks)
-        handle = SupervisedMapHandle()
-        if not tasks:
-            handle._finish(results=[])
-            return handle
-        plans = self.injector.worker_faults(len(tasks))
-        hang_s = getattr(self.injector.config, "worker_hang_s", 0.0)
-
-        def _supervise() -> None:
-            try:
-                handle._finish(
-                    results=self._map_with_plans(fn, tasks, plans, hang_s)
-                )
-            except BaseException as exc:  # noqa: BLE001 - relayed
-                handle._finish(exc=exc)
-
-        threading.Thread(
-            target=_supervise, name="repro-supervise", daemon=True
-        ).start()
-        return handle
-
-    def _map_with_plans(self, fn: Callable, tasks: List, plans,
-                        hang_s: float) -> List:
-        """The recovery-ladder loop shared by :meth:`map`/:meth:`map_async`."""
-        n = len(tasks)
         results: List = [None] * n
         settled = [False] * n
         attempts = [0] * n
         pending = list(range(n))
         round_no = 0
-        with self.tracer.span("parallel.supervise", tasks=n,
-                              backend=self.backend):
+        with self.tracer.span("parallel.supervise", tasks=n):
             while pending:
                 if round_no > 0:
                     time.sleep(self.backoff.jittered_delay(
@@ -337,9 +349,7 @@ class SupervisedPool:
         """The injected misbehavior for this (task, attempt), if any."""
         directive = {}
         if attempt < plans["kill"][task]:
-            directive["kill"] = (
-                "sigkill" if self.backend == "process" else "raise"
-            )
+            directive["kill"] = True
         elif attempt < plans["hang"][task]:
             directive["hang_s"] = hang_s
         if attempt < plans["corrupt"][task]:
@@ -370,7 +380,14 @@ class SupervisedPool:
         """
         tracer = self.tracer
         metrics = tracer.metrics
-        executor = self._ensure_pool().executor()
+        if not self.start():
+            # No pool to dispatch to (the host stopped letting one
+            # start): every pending task fails the round, so the ladder
+            # ends in the serial fallback.
+            for t in pending:
+                attempts[t] += 1
+            return list(pending)
+        executor = self._executor
         futures = {}
         try:
             for t in pending:
@@ -523,28 +540,3 @@ class SupervisedPool:
             )
         return result
 
-
-class SupervisedMapHandle:
-    """Deferred results of one :meth:`SupervisedPool.map_async`."""
-
-    __slots__ = ("_done", "_results", "_exc")
-
-    def __init__(self):
-        self._done = threading.Event()
-        self._results: Optional[List] = None
-        self._exc: Optional[BaseException] = None
-
-    def _finish(self, results: Optional[List] = None,
-                exc: Optional[BaseException] = None) -> None:
-        self._results = results
-        self._exc = exc
-        self._done.set()
-
-    def result(self) -> List:
-        self._done.wait()
-        if self._exc is not None:
-            raise self._exc
-        return self._results
-
-    def done(self) -> bool:
-        return self._done.is_set()

@@ -1,8 +1,8 @@
 """Stream fingerprints of the bundled queries, checked into the repo.
 
 Every bundled query runs online over a small seeded dataset in each
-execution mode (serial, and a one-worker process pool) and from each
-store (in-memory tables, and colstore datasets converted from them).
+execution mode (serial, and one- and two-worker process pools) and from
+each store (in-memory tables, and colstore datasets converted from them).
 Each stream is hashed three ways — point columns, error bounds, and
 uncertain-set sizes plus rebuilds — and once more whole with the
 benchmark ledger's ``snapshot_digest`` definition (copied here, so the
@@ -41,10 +41,12 @@ ROWS = 4000
 BATCHES = 4
 TRIALS = 16
 SEED = 2015
-#: Small enough that a one-worker pool shards every batch.
+#: Small enough that a pool shards every batch of a query that folds
+#: bootstrap states at all.
 MIN_SHARD_ROWS = 256
 
-MODES = ("serial", "process1")
+#: mode -> worker processes (0 = serial).
+MODES = {"serial": 0, "process1": 1, "process2": 2}
 STORES = ("memory", "colstore")
 
 
@@ -171,11 +173,8 @@ def all_stream_ids() -> List[str]:
 
 
 def _config(mode: str) -> GolaConfig:
-    parallel = (
-        ParallelConfig(workers=1, backend="process",
-                       min_shard_rows=MIN_SHARD_ROWS)
-        if mode == "process1" else ParallelConfig()
-    )
+    parallel = ParallelConfig(workers=MODES[mode],
+                              min_shard_rows=MIN_SHARD_ROWS)
     return GolaConfig(num_batches=BATCHES, bootstrap_trials=TRIALS,
                       seed=SEED, parallel=parallel)
 

@@ -117,7 +117,7 @@ class TestShardLossDegradation:
                                generate_sessions(4_000, seed=42))
         online = session.sql(SBI_QUERY)
         lossy = _LossyExecutor(
-            ParallelConfig(workers=2, backend="thread", min_shard_rows=1)
+            ParallelConfig(workers=2, min_shard_rows=1)
         )
         controller = session._make_controller(online.query, config,
                                               parallel=lossy)

@@ -167,7 +167,7 @@ def test_pool_stream_matches_serial(taxi_session_factory):
     serial, _ = taxi_session_factory()
     want = snapshot_fingerprint(serial.sql(TAXI["T1"]).run_online())
     pooled, _ = taxi_session_factory(parallel=ParallelConfig(
-        workers=1, backend="process", min_shard_rows=64))
+        workers=1, min_shard_rows=64))
     assert snapshot_fingerprint(pooled.sql(TAXI["T1"]).run_online()) == want
 
 

@@ -15,7 +15,7 @@ import pytest
 from repro import GolaConfig, GolaSession
 from repro.config import ParallelConfig
 from repro.faults.chaos import snapshot_fingerprint
-from repro.storage.colstore import convert_table, open_dataset
+from repro.storage.colstore import convert_table
 from repro import workloads
 
 from ._zones import strip_zone_maps
@@ -61,8 +61,7 @@ def stripped(datasets, tmp_path_factory):
 
 
 def _config(workers: int) -> GolaConfig:
-    parallel = (ParallelConfig(workers=workers, backend="thread",
-                               min_shard_rows=64)
+    parallel = (ParallelConfig(workers=workers, min_shard_rows=64)
                 if workers > 1 else ParallelConfig())
     return GolaConfig(
         num_batches=BATCHES, seed=SEED, bootstrap_trials=24,

@@ -69,8 +69,7 @@ def stripped(datasets, tmp_path_factory):
 
 
 def _config(workers: int) -> GolaConfig:
-    parallel = (ParallelConfig(workers=workers, backend="thread",
-                               min_shard_rows=64)
+    parallel = (ParallelConfig(workers=workers, min_shard_rows=64)
                 if workers > 1 else ParallelConfig())
     return GolaConfig(
         num_batches=BATCHES, seed=SEED, bootstrap_trials=16,

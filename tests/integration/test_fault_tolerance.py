@@ -363,7 +363,7 @@ class TestResumeParallelFaultComposition:
             make_session(faults=SKIPPY).sql(SBI_QUERY).run_online()
         )
 
-        pool = ParallelConfig(workers=2, backend="thread")
+        pool = ParallelConfig(workers=2)
         session = make_session(faults=SKIPPY, parallel=pool)
         query = session.sql(SBI_QUERY)
         it = query.run_online()

@@ -192,8 +192,8 @@ class TestLeftJoinUnmatchedKeys:
         return s
 
     @pytest.mark.parametrize("parallel", [
-        None, ParallelConfig(workers=2, backend="thread"),
-    ], ids=["serial", "thread2"])
+        None, ParallelConfig(workers=2),
+    ], ids=["serial", "pool2"])
     @pytest.mark.parametrize("select,tail", [
         ("AVG(v) AS a", "WHERE w < 50"),
         ("SUM(q) AS s, COUNT(*) AS c", ""),

@@ -2,7 +2,7 @@
 
 The contract of ``repro.parallel`` (ISSUE 3): estimates, confidence
 intervals, uncertain-set sizes and trace accounting are **bit-identical**
-across serial execution and every worker count/backend, because trial
+across serial execution and every worker count, because trial
 shards draw from per-(batch, trial) RNG streams and merge into disjoint
 state columns.  Also pins composition with the fault-injection
 subsystem: checkpoints taken at one worker count resume at another, and
@@ -40,9 +40,9 @@ WHERE buffer_time > (SELECT AVG(buffer_time) FROM Sessions)
 #: Every mode must reproduce the serial stream bit for bit.
 MODES = [
     ParallelConfig(),
-    ParallelConfig(workers=1, backend="process"),
-    ParallelConfig(workers=2, backend="thread"),
-    ParallelConfig(workers=4, backend="process"),
+    ParallelConfig(workers=1),
+    ParallelConfig(workers=2),
+    ParallelConfig(workers=4),
 ]
 
 
@@ -81,7 +81,7 @@ def run_query(sql, table_name, table, parallel, faults=None, tracer=None,
 
 class TestBitIdenticalAcrossWorkerCounts:
     @pytest.mark.parametrize("mode", MODES[1:], ids=lambda m: (
-        f"w{m.workers}-{m.backend}"
+        f"w{m.workers}"
     ))
     def test_sbi_stream_matches_serial(self, mode):
         serial = fingerprint(
@@ -116,7 +116,7 @@ class TestBitIdenticalAcrossWorkerCounts:
         )
         parallel = fingerprint(run_query(
             TPCH_QUERIES["Q17"], "tpch", TPCH,
-            ParallelConfig(workers=4, backend="thread"),
+            ParallelConfig(workers=4),
         ))
         assert parallel == serial
 
@@ -176,7 +176,7 @@ class TestCheckpointAcrossWorkerCounts:
         full, _ = self._stream(MODES[0])
         prefix, ck = self._stream(MODES[0], stop_after=3)
         rest, _ = self._stream(
-            ParallelConfig(workers=4, backend="thread"), resume_from=ck
+            ParallelConfig(workers=4), resume_from=ck
         )
         assert prefix + rest == full
 
@@ -195,7 +195,7 @@ class TestFaultComposition:
         ))
         pooled = fingerprint(run_query(
             SBI_QUERY, "sessions", SESSIONS,
-            ParallelConfig(workers=2, backend="thread"),
+            ParallelConfig(workers=2),
             faults=self.SKIPPY,
         ))
         assert pooled == serial

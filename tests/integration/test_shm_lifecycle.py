@@ -2,11 +2,11 @@
 
 ISSUE 8's lifecycle contract, probed by segment name (the registry
 records every name it ever created, and :func:`segment_exists` asks the
-OS): segments are unlinked after a normal drain+release, after a
-mid-run cancel with folds still pending, after a session run stops
-early, and after SIGKILL-induced supervised-pool rebuilds — whose
-re-dispatched and quarantined shards read the batch's weights from the
-segment its lease still holds.
+OS): every fold releases its batch's segment before it returns — also
+when a shard is lost for good — and segments are unlinked after a
+session run stops early and after SIGKILL-induced supervised-pool
+rebuilds, whose re-dispatched and quarantined shards read the batch's
+weights from the segment its lease still holds.
 """
 
 import numpy as np
@@ -16,22 +16,19 @@ from repro import FaultsConfig, GolaConfig, GolaSession
 from repro.config import ParallelConfig
 from repro.core.store import BatchStore
 from repro.engine.aggregates import AvgState, SumState
+from repro.errors import ShardLostError
 from repro.estimate.bootstrap import PoissonWeightSource
 from repro.faults import FaultInjector
 from repro.obs import MetricsRegistry, Tracer
-from repro.parallel import HAVE_SHM, ParallelExecutor, segment_exists
+from repro.parallel import ParallelExecutor, segment_exists
 from repro.parallel.shm import attached_segments, detach_all
 from repro.workloads import SBI_QUERY, generate_sessions
 
-pytestmark = pytest.mark.skipif(
-    not HAVE_SHM, reason="multiprocessing.shared_memory unavailable"
-)
-
-CONFIG = ParallelConfig(workers=2, backend="process", min_shard_rows=1)
+CONFIG = ParallelConfig(workers=2, min_shard_rows=1)
 
 
-def _fold_batches(executor, batches=3, n=4000, trials=12, lazy=True,
-                  store=None, tracer=None):
+def _fold_batches(executor, batches=3, n=4000, trials=12, store=None,
+                  tracer=None):
     rng = np.random.default_rng(8)
     gi = rng.integers(0, 7, n)
     values = {"s": rng.normal(size=n), "a": rng.normal(size=n)}
@@ -40,17 +37,21 @@ def _fold_batches(executor, batches=3, n=4000, trials=12, lazy=True,
                                  tracer=tracer, store=store)
     for _ in range(batches):
         executor.fold_boot_states(states, gi, values,
-                                  source.batch_weights(n), lazy=lazy)
+                                  source.batch_weights(n))
     return states
 
 
 def _serial_reference(**kw):
     executor = ParallelExecutor(ParallelConfig())
     try:
-        states = _fold_batches(executor, lazy=False, **kw)
+        states = _fold_batches(executor, **kw)
     finally:
         executor.close()
     return {k: s.finalize() for k, s in states.items()}
+
+
+def _unrunnable_shard(payload):
+    raise RuntimeError("this shard cannot be folded anywhere")
 
 
 class TestSegmentsNeverLeak:
@@ -58,7 +59,6 @@ class TestSegmentsNeverLeak:
         executor = ParallelExecutor(CONFIG)
         try:
             _fold_batches(executor)
-            executor.drain()
             registry = executor.shm_registry
             assert registry is not None and registry.created
             assert registry.live_segments() == []
@@ -66,16 +66,44 @@ class TestSegmentsNeverLeak:
         finally:
             executor.close()
 
-    def test_unlinked_after_midrun_cancel(self):
-        # close() with a lazy fold still pending = the cancel path: the
-        # pending lease must be released and every segment unlinked.
+    def test_lease_released_when_each_fold_returns(self, monkeypatch):
+        # No fold outlives its call, so no lease does either: through a
+        # whole session run the registry is empty right after every
+        # fold_boot_states returns.
+        fold = ParallelExecutor.fold_boot_states
+        live = []
+
+        def recording(executor, *args, **kwargs):
+            fold(executor, *args, **kwargs)
+            registry = executor.shm_registry
+            if registry is not None:
+                live.append(registry.live_segments())
+
+        monkeypatch.setattr(ParallelExecutor, "fold_boot_states", recording)
+        session = GolaSession(
+            GolaConfig(num_batches=4, bootstrap_trials=16, seed=3,
+                       parallel=CONFIG)
+        )
+        session.register_table("sessions", generate_sessions(4000, seed=5))
+        list(session.sql(SBI_QUERY).run_online())
+        assert live and all(segments == [] for segments in live)
+        monkeypatch.setattr(ParallelExecutor, "fold_boot_states", fold)
+
+        # A shard that raises in the pool and again in the quarantine
+        # fallback is lost for good; its batch's segment is unlinked by
+        # the time ShardLostError reaches the caller.
+        monkeypatch.setattr("repro.parallel.executor.run_fold_shard",
+                            _unrunnable_shard)
         executor = ParallelExecutor(CONFIG)
-        _fold_batches(executor)  # last fold still holds its lease
-        registry = executor.shm_registry
-        created = list(registry.created)
-        assert created and registry.live_segments()
-        executor.close()
-        assert not any(segment_exists(n) for n in created)
+        try:
+            with pytest.raises(ShardLostError):
+                _fold_batches(executor, batches=1)
+            registry = executor.shm_registry
+            assert len(registry.created) == 1
+            assert registry.live_segments() == []
+            assert not segment_exists(registry.created[0])
+        finally:
+            executor.close()
 
     def test_unlinked_after_session_stops_early(self):
         session = GolaSession(
@@ -105,13 +133,12 @@ class TestSegmentsNeverLeak:
             master_seed=11,
         )
         executor = ParallelExecutor(
-            ParallelConfig(workers=2, backend="process",
-                           min_shard_rows=1, task_deadline_s=30.0),
+            ParallelConfig(workers=2, min_shard_rows=1,
+                           task_deadline_s=30.0),
             injector=injector,
         )
         try:
             states = _fold_batches(executor)
-            executor.drain()
             registry = executor.shm_registry
             created = list(registry.created)
             restarts = executor._shard_pool.restarts
@@ -138,14 +165,13 @@ class TestSegmentsNeverLeak:
         )
         tracer = Tracer(metrics=MetricsRegistry(enabled=True))
         executor = ParallelExecutor(
-            ParallelConfig(workers=2, backend="process", min_shard_rows=1,
+            ParallelConfig(workers=2, min_shard_rows=1,
                            task_deadline_s=30.0, task_retries=1),
             tracer=tracer, injector=injector,
         )
         try:
             states = _fold_batches(executor, store=BatchStore(),
                                    tracer=tracer)
-            executor.drain()
             created = list(executor.shm_registry.created)
             attached = attached_segments()
             out = {k: s.finalize() for k, s in states.items()}

@@ -24,9 +24,9 @@ ROUND_TRIPS = [
      {"enabled": True, "batch_failure_prob": 0.3, "max_retries": 1,
       "seed": 7, "speculate": False, "checkpoint_path": "/tmp/ck"}),
     (ParallelConfig, "--workers",
-     "workers=1,task_deadline_s=2.5,backend=thread,start_method=spawn",
-     {"workers": 1, "task_deadline_s": 2.5, "backend": "thread",
-      "start_method": "spawn"}),
+     "workers=1,task_deadline_s=2.5,min_shard_rows=64,task_retries=3",
+     {"workers": 1, "task_deadline_s": 2.5, "min_shard_rows": 64,
+      "task_retries": 3}),
     (ServeConfig, "--serve",
      "max_concurrent=8,queue_depth=32,port=9000,telemetry=false,"
      "default_deadline_s=1.5,host=0.0.0.0",
@@ -89,9 +89,9 @@ def test_deleted_scan_cache_knob_is_an_unknown_key():
 
 
 def test_deleted_parallel_modes_are_rejected():
-    # Every shard pool is a supervised process or thread pool.
-    with pytest.raises(ValueError, match="backend must be one of"):
-        ParallelConfig.parse("backend=serial")
+    # Every shard pool is a supervised process pool.
+    with pytest.raises(ValueError, match="unknown --workers key 'backend'"):
+        ParallelConfig.parse("backend=thread")
     with pytest.raises(ValueError, match="unknown --workers key 'supervise'"):
         ParallelConfig.parse("supervise=0")
 

@@ -2,8 +2,8 @@
 
 The contract under test throughout: for a fixed master seed, every way
 of evaluating a batch's bootstrap update — one full-width update, or
-sharded across any worker count and backend — produces bit-identical
-aggregate states.
+sharded across any worker count — produces bit-identical aggregate
+states.
 """
 
 import pickle
@@ -39,15 +39,19 @@ from repro.estimate.bootstrap import (
 from repro.estimate.random_source import derive_rng
 from repro.obs import MetricsRegistry, Tracer
 from repro.parallel import (
-    HAVE_SHM,
     SERIAL_EXECUTOR,
     ArraySpec,
     ParallelExecutor,
-    WorkerPool,
+    SupervisedPool,
     make_shard_payloads,
     run_fold_shard,
     shard_ranges,
 )
+
+
+def _no_shared_memory(*args, **kwargs):
+    """A host without shared memory: every segment creation fails."""
+    raise OSError("no /dev/shm on this host")
 
 
 class TestShardRanges:
@@ -76,33 +80,34 @@ class TestShardRanges:
 
 
 class TestWorkerPool:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_map_preserves_task_order(self, backend):
-        with WorkerPool(3, backend=backend) as pool:
+    """The supervised process pool's own lifecycle."""
+
+    def test_map_preserves_task_order(self):
+        with SupervisedPool(3) as pool:
             assert pool.map(abs, [-3, 1, -4, -1, 5]) == [3, 1, 4, 1, 5]
 
     def test_empty_and_single_task(self):
-        pool = WorkerPool(2, backend="thread")
+        pool = SupervisedPool(2)
         assert pool.map(abs, []) == []
         assert pool.map(abs, [-7]) == [7]
         pool.close()
 
     def test_close_is_idempotent(self):
-        pool = WorkerPool(2, backend="thread")
+        pool = SupervisedPool(2)
         pool.map(abs, [-1, -2])
+        assert pool.worker_pids()
         pool.close()
         pool.close()
+        assert pool.worker_pids() == []
         # pools restart lazily after close
         assert pool.map(abs, [-5, 6]) == [5, 6]
         pool.close()
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            WorkerPool(0)
+            SupervisedPool(0)
         with pytest.raises(ValueError):
-            WorkerPool(2, backend="greenlet")
-        with pytest.raises(ValueError):
-            WorkerPool(2, backend="serial")
+            SupervisedPool(-2)
 
 
 class TestPoissonTrialColumns:
@@ -413,7 +418,7 @@ class TestVectorizedFinalizers:
 
 
 def _fold_with(config, trials=16, batches=2, n=6000, groups=9,
-               lazy=False, tracer=None, store=None):
+               tracer=None, store=None):
     rng = np.random.default_rng(6)
     gi = rng.integers(0, groups, n)
     values = {
@@ -436,9 +441,7 @@ def _fold_with(config, trials=16, batches=2, n=6000, groups=9,
         for _ in range(batches):
             handle = source.batch_weights(n)
             handles.append(handle)
-            executor.fold_boot_states(states, gi, values, handle,
-                                      lazy=lazy)
-        executor.drain()
+            executor.fold_boot_states(states, gi, values, handle)
     finally:
         executor.close()
     return {k: s.finalize() for k, s in states.items()}, handles
@@ -448,10 +451,10 @@ class TestParallelExecutor:
     def test_all_backends_and_worker_counts_identical(self):
         ref, _ = _fold_with(ParallelConfig())
         for config in (
-            ParallelConfig(workers=1, backend="process"),
-            ParallelConfig(workers=2, backend="thread"),
-            ParallelConfig(workers=4, backend="thread"),
-            ParallelConfig(workers=3, backend="process"),
+            ParallelConfig(workers=1),
+            ParallelConfig(workers=2),
+            ParallelConfig(workers=4),
+            ParallelConfig(workers=3),
         ):
             out, _ = _fold_with(config)
             for alias in ref:
@@ -473,10 +476,9 @@ class TestParallelExecutor:
         for alias in ref:
             assert np.array_equal(ref[alias], out[alias])
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_pooled_run_draws_each_column_once(self, backend):
+    def test_pooled_run_draws_each_column_once(self):
         store = BatchStore()
-        config = ParallelConfig(workers=2, backend=backend)
+        config = ParallelConfig(workers=2)
         drawn = []
         for _ in range(2):
             tracer = Tracer(metrics=MetricsRegistry(enabled=True))
@@ -498,16 +500,12 @@ class TestParallelExecutor:
 
     def test_non_mergeable_state_takes_dense_path(self):
         ref, _ = _fold_with(ParallelConfig(), groups=1)
-        out, _ = _fold_with(
-            ParallelConfig(workers=2, backend="thread"), groups=1
-        )
+        out, _ = _fold_with(ParallelConfig(workers=2), groups=1)
         for alias in ref:
             assert np.array_equal(ref[alias], out[alias]), alias
 
     def test_from_gola_config(self):
-        config = GolaConfig(
-            parallel=ParallelConfig(workers=2, backend="thread")
-        )
+        config = GolaConfig(parallel=ParallelConfig(workers=2))
         executor = ParallelExecutor.from_config(config)
         assert executor.config.workers == 2
         assert executor.enabled
@@ -516,11 +514,10 @@ class TestParallelExecutor:
     @pytest.mark.parametrize("shm", [True, False], ids=["shm", "inline"])
     def test_shard_payloads_carry_the_stored_rectangle(self, monkeypatch,
                                                        shm):
-        if shm and not HAVE_SHM:
-            pytest.skip("no shared memory")
         ref, _ = _fold_with(ParallelConfig())
         if not shm:
-            monkeypatch.setattr("repro.parallel.shm.HAVE_SHM", False)
+            monkeypatch.setattr("repro.parallel.shm.SharedMemory",
+                                _no_shared_memory)
         sent = []
 
         def recording(*args, **kwargs):
@@ -531,9 +528,7 @@ class TestParallelExecutor:
         monkeypatch.setattr("repro.parallel.executor.make_shard_payloads",
                             recording)
         store = BatchStore()
-        out, handles = _fold_with(
-            ParallelConfig(workers=2, backend="process"), store=store
-        )
+        out, handles = _fold_with(ParallelConfig(workers=2), store=store)
         for alias in ref:
             assert np.array_equal(ref[alias], out[alias]), alias
         assert len(sent) == 2 * 2
@@ -553,56 +548,56 @@ class TestParallelExecutor:
 
 
 class TestZeroCopyPipeline:
-    """Shared-memory publish + pipelined lazy folds stay bit-identical
-    to the eager inline-payload path, on every start method."""
+    """Shared-memory publish stays bit-identical to the inline-payload
+    path and to the serial fold, on fork and spawn alike."""
 
     def test_process_shm_pipeline_identical_to_serial(self):
         ref, _ = _fold_with(ParallelConfig())
-        out, _ = _fold_with(
-            ParallelConfig(workers=2, backend="process"), lazy=True
-        )
+        out, _ = _fold_with(ParallelConfig(workers=2))
         for alias in ref:
             assert np.array_equal(ref[alias], out[alias]), alias
 
     def test_eager_and_inline_payload_folds_identical(self, monkeypatch):
         ref, _ = _fold_with(ParallelConfig())
-        config = ParallelConfig(workers=2, backend="process")
-        eager, _ = _fold_with(config, lazy=False)
-        # A host without shared memory: every registry starts degraded,
-        # so shard payloads carry their arrays inline.
-        monkeypatch.setattr("repro.parallel.shm.HAVE_SHM", False)
+        config = ParallelConfig(workers=2)
+        published, _ = _fold_with(config)
+        # A host without shared memory: the registry's first publish
+        # fails and degrades it, so shard payloads carry their arrays
+        # inline.
+        monkeypatch.setattr("repro.parallel.shm.SharedMemory",
+                            _no_shared_memory)
         tracer = Tracer(metrics=MetricsRegistry(enabled=True))
-        inline, _ = _fold_with(config, lazy=True, tracer=tracer)
+        inline, _ = _fold_with(config, tracer=tracer)
         counters = tracer.metrics.snapshot().counters
         assert "parallel.shm_segments_created" not in counters
-        for out in (eager, inline):
+        assert counters["parallel.shard_tasks"] == 2 * 2
+        for out in (published, inline):
             for alias in ref:
                 assert np.array_equal(ref[alias], out[alias]), alias
 
     @pytest.mark.slow
-    def test_spawn_start_method_identical(self):
-        # spawn re-imports workers from scratch: only module-level task
+    def test_spawn_start_method_identical(self, monkeypatch):
+        # spawn (the platform default where fork does not exist)
+        # re-imports workers from scratch: only module-level task
         # functions and spec-sized payloads survive the trip.
+        import multiprocessing
+
+        monkeypatch.setattr("repro.parallel.supervisor._mp_context",
+                            lambda: multiprocessing.get_context("spawn"))
         ref, _ = _fold_with(ParallelConfig())
-        out, _ = _fold_with(
-            ParallelConfig(workers=2, backend="process",
-                           start_method="spawn"),
-            lazy=True,
-        )
+        out, _ = _fold_with(ParallelConfig(workers=2))
         for alias in ref:
             assert np.array_equal(ref[alias], out[alias]), alias
 
-    @pytest.mark.skipif(not HAVE_SHM, reason="no shared memory")
     def test_shm_and_pipeline_counters(self):
         tracer = Tracer(metrics=MetricsRegistry(enabled=True))
-        _fold_with(ParallelConfig(workers=2, backend="process"),
-                   lazy=True, tracer=tracer)
+        _fold_with(ParallelConfig(workers=2), tracer=tracer)
         counters = tracer.metrics.snapshot().counters
         assert counters["parallel.shm_segments_created"] == 2
         assert counters["parallel.shm_bytes"] > 0
-        assert counters["parallel.pipeline_overlap_s"] > 0
+        # Every pooled fold merges before it returns: nothing overlaps.
+        assert "parallel.pipeline_overlap_s" not in counters
 
-    @pytest.mark.skipif(not HAVE_SHM, reason="no shared memory")
     def test_published_payloads_carry_specs(self):
         from repro.parallel.shm import ShmRegistry, detach_all
 
@@ -637,8 +632,9 @@ class TestZeroCopyPipeline:
             detach_all()
 
     def test_invalid_start_method_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelConfig(start_method="greenlet")
-        with pytest.raises(ValueError):
-            WorkerPool(2, start_method="gevent")
+        # The start method is not a knob: fork where it exists, else the
+        # platform default.
+        with pytest.raises(ValueError,
+                           match="unknown --workers key 'start_method'"):
+            ParallelConfig.parse("start_method=spawn")
 

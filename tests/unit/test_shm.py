@@ -17,18 +17,12 @@ import pytest
 
 from repro.parallel.shm import (
     _ALIGN,
-    HAVE_SHM,
-    ArraySpec,
     ShmRegistry,
     attached_segments,
     cached_group_count,
     detach_all,
     resolve,
     segment_exists,
-)
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_SHM, reason="multiprocessing.shared_memory unavailable"
 )
 
 
@@ -158,11 +152,10 @@ class TestLifecycle:
 
         registry = ShmRegistry()
 
-        class Exploding:
-            def SharedMemory(self, *a, **k):
-                raise OSError("no /dev/shm")
+        def exploding(*args, **kwargs):
+            raise OSError("no /dev/shm")
 
-        monkeypatch.setattr(shm_mod, "_shared_memory", Exploding())
+        monkeypatch.setattr(shm_mod, "SharedMemory", exploding)
         assert registry.publish({"x": np.ones(8)}) is None
         monkeypatch.undo()
         # degradation sticks even once shared memory "works" again:

@@ -14,15 +14,16 @@ import time
 import numpy as np
 import pytest
 
-from repro.config import FaultsConfig
+from repro.config import FaultsConfig, ParallelConfig
 from repro.engine.aggregates import AvgState, SumState
 from repro.errors import ShardLostError
+from repro.estimate.bootstrap import PoissonWeightSource
 from repro.faults import FaultInjector, RetryPolicy
 from repro.obs import MetricsRegistry, Tracer
 from repro.parallel import (
     CORRUPT_SENTINEL,
+    ParallelExecutor,
     SupervisedPool,
-    WorkerPool,
     run_fold_shard,
     validate_fold_shard,
 )
@@ -58,25 +59,26 @@ def metrics_tracer():
 
 
 class TestSupervisedMap:
-    @pytest.mark.parametrize("backend", ["process", "thread"])
-    def test_clean_map_is_ordered(self, backend):
-        with SupervisedPool(2, backend, deadline_s=30.0) as pool:
+    def test_clean_map_is_ordered(self):
+        with SupervisedPool(2, deadline_s=30.0) as pool:
             assert pool.map(square, range(7)) == [x * x for x in range(7)]
 
     def test_empty_map(self):
-        with SupervisedPool(2, "thread") as pool:
+        with SupervisedPool(2) as pool:
             assert pool.map(square, []) == []
+            assert pool.worker_pids() == []  # nothing started
 
     def test_serial_backend_is_rejected(self):
+        # A serial fold is ParallelConfig(workers=0): it needs no pool.
         with pytest.raises(ValueError, match="serial"):
-            SupervisedPool(1, "serial")
+            SupervisedPool(0)
 
 
 class TestCrashRecovery:
     def test_process_worker_kills_are_survived(self):
         tracer = metrics_tracer()
         inj = injector(worker_kill_prob=0.4)
-        with SupervisedPool(2, "process", deadline_s=30.0, retries=2,
+        with SupervisedPool(2, deadline_s=30.0, retries=2,
                             injector=inj, tracer=tracer) as pool:
             assert pool.map(square, range(8)) == [x * x for x in range(8)]
             assert pool.restarts >= 1
@@ -90,8 +92,7 @@ class TestCrashRecovery:
         marker = str(tmp_path / "killed")
         tasks = [(x, marker) for x in range(4)]
         with caplog.at_level("WARNING", logger="repro.parallel"):
-            with SupervisedPool(2, "process", deadline_s=30.0,
-                                retries=2) as pool:
+            with SupervisedPool(2, deadline_s=30.0, retries=2) as pool:
                 assert pool.map(kill_once, tasks) == [0, 1, 4, 9]
                 assert pool.restarts == 1
         records = [rec for rec in caplog.records
@@ -101,18 +102,6 @@ class TestCrashRecovery:
         assert lost.startswith("worker lost")
         assert restarted.startswith("worker pool restarted after worker "
                                     "death")
-
-    def test_thread_backend_kills_become_retried_failures(self):
-        tracer = metrics_tracer()
-        inj = injector(worker_kill_prob=0.4)
-        with SupervisedPool(2, "thread", deadline_s=30.0, retries=4,
-                            injector=inj, tracer=tracer) as pool:
-            assert pool.map(square, range(8)) == [x * x for x in range(8)]
-            # Threads cannot be SIGKILLed; injected deaths surface as
-            # per-task failures, never as pool breakage.
-            assert pool.restarts == 0
-        counters = tracer.metrics.snapshot().counters
-        assert counters["parallel.task_failures"] >= 1
 
     def test_fault_plans_are_deterministic(self):
         plans = [injector(worker_kill_prob=0.3, worker_hang_prob=0.2,
@@ -131,7 +120,7 @@ class TestHangDeadline:
         not by the hang."""
         inj = injector(worker_hang_prob=0.9, worker_hang_s=30.0)
         start = time.monotonic()
-        with SupervisedPool(2, "process", deadline_s=0.5, retries=2,
+        with SupervisedPool(2, deadline_s=0.5, retries=2,
                             injector=inj) as pool:
             results = pool.map(square, range(4))
         elapsed = time.monotonic() - start
@@ -142,7 +131,7 @@ class TestHangDeadline:
         tracer = metrics_tracer()
         inj = injector(worker_hang_prob=1.0, worker_hang_s=30.0,
                        max_retries=0)
-        with SupervisedPool(2, "process", deadline_s=0.3, retries=0,
+        with SupervisedPool(2, deadline_s=0.3, retries=0,
                             injector=inj, tracer=tracer) as pool:
             assert pool.map(square, [1, 2]) == [1, 4]
             assert pool.restarts >= 1
@@ -157,7 +146,7 @@ class TestQuarantine:
         through the coordinator-side serial fallback."""
         tracer = metrics_tracer()
         inj = injector(worker_kill_prob=1.0, max_retries=1)
-        with SupervisedPool(2, "thread", deadline_s=30.0, retries=1,
+        with SupervisedPool(2, deadline_s=30.0, retries=1,
                             injector=inj, tracer=tracer) as pool:
             assert pool.map(square, range(4)) == [x * x for x in range(4)]
         counters = tracer.metrics.snapshot().counters
@@ -165,12 +154,17 @@ class TestQuarantine:
         assert counters["parallel.serial_fallbacks"] >= 1
 
     def test_unrunnable_task_raises_shard_lost(self):
-        with SupervisedPool(2, "thread", deadline_s=30.0,
-                            retries=1) as pool:
+        tracer = metrics_tracer()
+        with SupervisedPool(2, deadline_s=30.0, retries=1,
+                            tracer=tracer) as pool:
             with pytest.raises(ShardLostError) as err:
                 pool.map(poison_three, range(5))
         assert err.value.task_index == 3
         assert "serial fallback" in str(err.value)
+        # The per-task-exception rung: task 3 raised in a worker and was
+        # retried before it was quarantined.
+        counters = tracer.metrics.snapshot().counters
+        assert counters["parallel.task_failures"] >= 1
 
 
 def _fold_payload(n=12, width=4):
@@ -219,7 +213,7 @@ class TestResultIntegrity:
         inj = injector(result_corrupt_prob=0.5)
         payloads = [_fold_payload() for _ in range(6)]
         expected = [run_fold_shard(p) for p in payloads]
-        with SupervisedPool(2, "thread", deadline_s=30.0, retries=4,
+        with SupervisedPool(2, deadline_s=30.0, retries=4,
                             injector=inj, tracer=tracer,
                             validate=validate_fold_shard) as pool:
             results = pool.map(run_fold_shard, payloads)
@@ -256,22 +250,49 @@ class TestSeededJitter:
         assert len({tuple(s) for s in streams}) == len(streams)
 
 
+def _fold_four_batches(config, tracer=None):
+    n, trials = 3000, 8
+    rng = np.random.default_rng(4)
+    gi = rng.integers(0, 5, n)
+    values = {"s": rng.normal(size=n), "a": rng.normal(size=n)}
+    states = {"s": SumState(trials), "a": AvgState(trials)}
+    source = PoissonWeightSource(trials, 23, label="degrade")
+    with ParallelExecutor(config, tracer=tracer) as executor:
+        for _ in range(4):
+            executor.fold_boot_states(states, gi, values,
+                                      source.batch_weights(n))
+    return {alias: state.finalize() for alias, state in states.items()}
+
+
 class TestPoolDegradation:
     def test_forced_degradation_warns_and_counts(self, monkeypatch,
                                                  caplog):
-        """Process-pool-unavailable fallback must be loud: a warning and
-        a ``parallel.degraded`` bump, never a silent backend swap."""
-        import repro.parallel.pool as pool_mod
+        """A host that cannot start a process pool folds inline, bit
+        for bit the serial fold, and says so once: one warning and one
+        ``parallel.degraded`` bump for the whole run."""
+        import repro.parallel.supervisor as supervisor_mod
 
         def unavailable(*args, **kwargs):
             raise PermissionError("fork blocked by sandbox")
 
-        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", unavailable)
-        metrics = MetricsRegistry(enabled=True)
+        ref = _fold_four_batches(ParallelConfig())
+        monkeypatch.setattr(supervisor_mod, "ProcessPoolExecutor",
+                            unavailable)
+        tracer = metrics_tracer()
         with caplog.at_level("WARNING", logger="repro.parallel"):
-            pool = WorkerPool(2, backend="process", metrics=metrics)
+            out = _fold_four_batches(
+                ParallelConfig(workers=2, min_shard_rows=1), tracer=tracer
+            )
+        for alias in ref:
+            assert np.array_equal(ref[alias], out[alias]), alias
+        records = [rec for rec in caplog.records
+                   if rec.name == "repro.parallel"]
+        assert len(records) == 1
+        assert "folding inline" in records[0].getMessage()
+        counters = tracer.metrics.snapshot().counters
+        assert counters["parallel.degraded"] == 1
+        assert "parallel.sharded_folds" not in counters
+        # A map on such a host still answers, through the serial
+        # fallback of the recovery ladder.
+        with SupervisedPool(2, retries=0) as pool:
             assert pool.map(square, [1, 2, 3]) == [1, 4, 9]
-        assert pool.backend == "thread"
-        assert any("degrading" in rec.message for rec in caplog.records)
-        assert metrics.snapshot().counters["parallel.degraded"] == 1
-        pool.close()
