@@ -6,8 +6,7 @@ mini-batch execution and uncertain/deterministic delta maintenance.  This
 package implements the full system in pure Python/numpy: the SQL front
 end, a vectorized relational engine, poissonized-bootstrap error
 estimation, the G-OLA execution model itself, the classical baselines it
-is evaluated against, a discrete-event cluster simulator for the paper's
-latency figures, and the paper's workloads.
+is evaluated against, and the paper's workloads.
 
 Quickstart::
 
@@ -23,8 +22,7 @@ Quickstart::
         print(snapshot.describe())
 """
 
-from .config import ClusterConfig, FaultsConfig, GolaConfig, QaConfig, \
-    ServeConfig
+from .config import FaultsConfig, GolaConfig, QaConfig, ServeConfig
 from .core.result import OnlineSnapshot
 from .core.session import GolaSession, OnlineQuery
 from .errors import (
@@ -53,7 +51,6 @@ __all__ = [
     "BindError",
     "CatalogError",
     "CheckpointError",
-    "ClusterConfig",
     "Column",
     "ColumnType",
     "ExecutionError",

@@ -2,8 +2,8 @@
 
 The comparator marked by the vertical bar in the paper's Figure 3(a): a
 query engine that only answers after processing the entire dataset.  Thin
-wrapper over the exact executor that also reports the row-volume metric
-the cluster simulator converts to latency.
+wrapper over the exact executor that also reports the rows it read and
+its wall seconds.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ work for every block consuming a changed value; across ``k`` batches,
 ``O(k²·n)`` total — versus G-OLA's ``O(|ΔD_i| + |U_{i-1}|)`` per batch.
 
 This baseline actually executes that recomputation (using the exact
-engine over the growing prefix) and reports per-batch row volumes so the
-cluster simulator can reproduce the paper's time-ratio curve.
+engine over the growing prefix) and reports per-batch row volumes and
+wall seconds, the numerator of the paper's time-ratio curve.
 """
 
 from __future__ import annotations

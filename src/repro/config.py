@@ -59,11 +59,6 @@ class FaultsConfig:
     Attributes:
         enabled: Master switch; when False no RNG stream is ever drawn.
         seed: Seed for the injection streams (None = the master seed).
-        task_failure_prob: Per-attempt probability that a simulated
-            cluster task fails (detected at its timeout, then retried).
-        straggler_prob: Probability that a simulated task runs at
-            ``straggler_factor`` × its nominal duration.
-        straggler_factor: Slowdown multiplier for straggler tasks.
         batch_failure_prob: Per-attempt probability that loading a
             mini-batch fails in the controller.  Failures within
             ``max_retries`` are retried; beyond that the batch is dropped
@@ -92,12 +87,10 @@ class FaultsConfig:
             step of an online query crashes (``scheduler.step``).
             Failures within ``max_retries`` are retried; beyond that the
             query is quarantined while other queries keep refining.
-        max_retries: Bounded retry budget for tasks and batch loads.
+        max_retries: Bounded retry budget for batch loads, submissions
+            and scheduler steps.
         retry_backoff_s: Base delay before the first retry.
         retry_backoff_factor: Exponential backoff multiplier per retry.
-        speculate: Launch a speculative copy of a straggler task once it
-            exceeds its timeout; the task finishes at whichever copy
-            completes first (simulated-latency model only).
         row_error_budget: Maximum tolerated fraction of quarantined rows
             per loaded file before the load is aborted with SchemaError.
         checkpoint_every: Auto-checkpoint the online run every N batches
@@ -107,9 +100,6 @@ class FaultsConfig:
 
     enabled: bool = False
     seed: Optional[int] = None
-    task_failure_prob: float = 0.0
-    straggler_prob: float = 0.0
-    straggler_factor: float = 8.0
     batch_failure_prob: float = 0.0
     row_corruption_prob: float = 0.0
     worker_kill_prob: float = 0.0
@@ -121,22 +111,18 @@ class FaultsConfig:
     max_retries: int = 3
     retry_backoff_s: float = 0.05
     retry_backoff_factor: float = 2.0
-    speculate: bool = True
     row_error_budget: float = 0.05
     checkpoint_every: int = 0
     checkpoint_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        for name in ("task_failure_prob", "straggler_prob",
-                     "batch_failure_prob", "row_corruption_prob",
+        for name in ("batch_failure_prob", "row_corruption_prob",
                      "worker_kill_prob", "worker_hang_prob",
                      "result_corrupt_prob",
                      "submit_failure_prob", "step_failure_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.straggler_factor < 1.0:
-            raise ValueError("straggler_factor must be >= 1")
         if self.worker_hang_s < 0.0:
             raise ValueError("worker_hang_s must be >= 0")
         if self.max_retries < 0:
@@ -188,8 +174,9 @@ class ParallelConfig:
             per-task overhead would exceed the kernel time.
         task_deadline_s: A shard task still running this many seconds
             after dispatch is declared hung; the pool is abandoned
-            (workers killed) and the task re-dispatched.  0 disables
-            hang detection.
+            (workers killed) and the task re-dispatched.  Closing the
+            pool waits as long for the workers to exit, then kills
+            them.  0 disables both bounds.
         task_retries: How many failed pool attempts (crash, hang,
             corrupt result) one shard tolerates before it is quarantined
             and run serially on the coordinator.
@@ -474,29 +461,3 @@ class GolaConfig:
     def with_options(self, **kwargs) -> "GolaConfig":
         """Return a copy of this config with the given fields replaced."""
         return replace(self, **kwargs)
-
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    """Parameters of the simulated cluster (see ``repro.cluster``).
-
-    The defaults are calibrated so that the *shape* of the paper's latency
-    figures is reproduced at laptop scale: a fixed per-task scheduling
-    overhead, linear per-tuple operator costs, a per-batch driver overhead
-    (result collection, plotting), and a multiplicative overhead for
-    bootstrap error estimation (the paper reports ~60% overall).
-    """
-
-    num_workers: int = 8
-    task_overhead_s: float = 0.020
-    per_tuple_cost_s: float = 2.0e-7
-    batch_overhead_s: float = 0.100
-    broadcast_cost_s: float = 0.010
-    bootstrap_overhead_factor: float = 0.60
-    rows_per_task: int = 2_000_000
-
-    def __post_init__(self) -> None:
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if self.rows_per_task < 1:
-            raise ValueError("rows_per_task must be >= 1")

@@ -526,7 +526,7 @@ class _SetGuard:
 
 @dataclass
 class BlockBatchStats:
-    """Per-batch accounting the benchmarks and the simulator consume."""
+    """Per-batch accounting the benchmarks consume."""
 
     batch_index: int
     rows_in: int

@@ -3,7 +3,7 @@
 One :class:`OnlineSnapshot` is produced per mini-batch: the current
 approximate answer, bootstrap error bars per numeric output column, and
 the delta-maintenance accounting (uncertain-set sizes, rows touched,
-rebuilds) that the benchmarks and the cluster simulator consume.
+rebuilds) that the benchmarks consume.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Fault injection, retry/speculation, and graceful degradation.
+"""Fault injection, bounded retry, and graceful degradation.
 
 The paper's prototype runs on a 100-node Spark/EC2 cluster where task
 failures, stragglers and lost partitions are routine; an online system
@@ -6,19 +6,20 @@ that aborts on the first hiccup never reaches its final batch.  This
 package makes misbehavior a *first-class, deterministic* input:
 
 * :class:`FaultInjector` — seeded per-fault-point RNG streams inject
-  task failures, stragglers, batch-load errors and malformed rows at
-  named fault points registered throughout the stack
-  (:func:`register_fault_point` / :func:`fault_points`);
+  batch-load errors, malformed rows, worker kills, hangs and corrupted
+  results, and serving failures at named fault points registered
+  throughout the stack (:func:`register_fault_point` /
+  :func:`fault_points`);
 * :class:`RetryPolicy` — the shared bounded-retry/exponential-backoff
-  policy (cluster tasks, controller batch loads);
+  policy (controller batch loads, the supervised worker pool);
 * :class:`RowQuarantine` — collect malformed input rows up to an error
   budget instead of aborting the load;
 * :class:`RunCheckpoint` — checkpoint/resume of online-run state
   (folded batches, uncertain-set caches, RNG streams).
 
-Recovery semantics live in the layers themselves: the cluster simulator
-re-executes failed/straggling tasks (latency curves include recovery
-cost), and the controller degrades gracefully — a permanently failed
+Recovery semantics live in the layers themselves: the supervised pool
+re-dispatches lost or hung shards, and the controller degrades
+gracefully — a permanently failed
 mini-batch is dropped and multiplicities/CIs are re-derived from the
 batches actually folded (sound because batches are uniform random,
 hence exchangeable), with snapshots flagged ``degraded``.

@@ -1,8 +1,8 @@
 """Seeded, deterministic fault injection.
 
 The injector is the single source of "what goes wrong" for the whole
-stack.  Components declare *named fault points* (``cluster.task``,
-``controller.batch_load``, ``storage.row``, ...) in a process-wide
+stack.  Components declare *named fault points*
+(``controller.batch_load``, ``storage.row``, ...) in a process-wide
 registry; at runtime each point draws from its own RNG stream derived
 from the fault seed through the point's name, so
 
@@ -27,7 +27,7 @@ from ..estimate.random_source import derive_rng
 from ..obs import NULL_TRACER, Tracer
 
 #: The fault kinds a point may declare.
-FAULT_KINDS = ("task", "straggler", "batch", "row", "serve", "worker")
+FAULT_KINDS = ("batch", "row", "serve", "worker")
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,6 @@ def fault_points() -> Dict[str, FaultPoint]:
 
 
 # The built-in fault points, one per layer the subsystem cuts across.
-register_fault_point(
-    "cluster.task", "task",
-    "a simulated cluster task fails and is retried with backoff",
-)
-register_fault_point(
-    "cluster.straggler", "straggler",
-    "a simulated cluster task runs straggler_factor x slower",
-)
 register_fault_point(
     "controller.batch_load", "batch",
     "loading a mini-batch fails; retried, then skipped-and-reweighted",
@@ -159,24 +151,6 @@ class FaultInjector:
         return rng.geometric(1.0 - prob, size=size).astype(np.int64) - 1
 
     # -- decision API ----------------------------------------------------
-
-    def task_failures(self, point: str, num_tasks: int) -> np.ndarray:
-        """Failed attempts per task before it would succeed (0 = clean)."""
-        if not self.enabled or self.config.task_failure_prob <= 0.0 \
-                or num_tasks <= 0:
-            return np.zeros(max(num_tasks, 0), dtype=np.int64)
-        return self._failures(
-            self._rng(point), self.config.task_failure_prob, num_tasks
-        )
-
-    def straggler_factors(self, point: str, num_tasks: int) -> np.ndarray:
-        """Per-task slowdown factors (1.0 = nominal speed)."""
-        if not self.enabled or self.config.straggler_prob <= 0.0 \
-                or num_tasks <= 0:
-            return np.ones(max(num_tasks, 0))
-        rng = self._rng(point)
-        slow = rng.random(num_tasks) < self.config.straggler_prob
-        return np.where(slow, self.config.straggler_factor, 1.0)
 
     def worker_faults(self, num_tasks: int) -> Dict[str, np.ndarray]:
         """Per-task worker-fault plans for one supervised ``map``.

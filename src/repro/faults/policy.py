@@ -1,9 +1,9 @@
 """Recovery policies: bounded retry with exponential backoff + jitter.
 
-One policy object is shared by every layer that retries — the cluster
-simulator's task re-execution, the controller's mini-batch reloads, the
-supervised worker pool and the load generator's resubmissions — so "how
-patient is the system" is a single configuration surface.
+One policy object is shared by every layer that retries — the
+controller's mini-batch reloads, the supervised worker pool and the
+load generator's resubmissions — so "how patient is the system" is a
+single configuration surface.
 
 :meth:`RetryPolicy.delay` is the deterministic exponential *cap*;
 :meth:`RetryPolicy.jittered_delay` draws seeded **full jitter**
@@ -28,8 +28,7 @@ class RetryPolicy:
     (0-based): ``backoff_s * backoff_factor ** attempt``.  An operation
     that fails more than ``max_retries`` times is permanently failed and
     handed to the caller's degradation path (skip-and-reweight for
-    batches, stage failure for simulated tasks, poison quarantine for
-    supervised shards).
+    batches, poison quarantine for supervised shards).
     """
 
     max_retries: int = 3

@@ -2,7 +2,7 @@
 
 The registry mirrors the mergeable-aggregate discipline of the engine
 itself: every instrument folds into a plain-data snapshot, and snapshots
-from independent runs (or simulated workers) merge associatively — the
+from independent runs (or pool workers) merge associatively — the
 property PF-OLA identifies as the precondition for cheap runtime
 introspection in a parallel OLA framework.
 """

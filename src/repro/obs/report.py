@@ -4,11 +4,9 @@
 :class:`~repro.obs.sinks.JsonlSink` wrote and prints:
 
 * a per-phase profile (span name, count, total/mean/max seconds, and
-  summed row attributes) for wall-clock spans,
+  summed row attributes),
 * a per-operator profile (``op:*`` spans with rows-in/rows-out), and
-* the same tables for simulated-clock spans, when the cluster simulator
-  contributed events — directly comparable because both clocks share
-  one span vocabulary.
+* the batch totals, recovery events and event counts.
 """
 
 from __future__ import annotations
@@ -33,19 +31,18 @@ def load_events(path: str) -> List[dict]:
 
 @dataclass
 class ProfileReport:
-    """Aggregated view of one trace: spans by clock, events, batches."""
+    """Aggregated view of one trace: spans, events, batches."""
 
-    #: clock name -> span name -> aggregate stats.
-    spans: Dict[str, Dict[str, SpanStats]] = field(default_factory=dict)
+    #: span name -> aggregate stats.
+    spans: Dict[str, SpanStats] = field(default_factory=dict)
     #: point-event name -> occurrence count.
     events: Dict[str, int] = field(default_factory=dict)
     #: per-batch accounting pulled from ``batch`` span attributes,
     #: in batch order: [{"batch_index": ..., "rows_processed": ...}].
     batches: List[dict] = field(default_factory=list)
 
-    def span_stats(self, name: str,
-                   clock: str = "wall") -> Optional[SpanStats]:
-        return self.spans.get(clock, {}).get(name)
+    def span_stats(self, name: str) -> Optional[SpanStats]:
+        return self.spans.get(name)
 
 
 def build_profile(records: List[dict]) -> ProfileReport:
@@ -54,11 +51,9 @@ def build_profile(records: List[dict]) -> ProfileReport:
     for record in records:
         kind = record.get("type")
         if kind == "span":
-            clock = record.get("clock", "wall")
-            by_name = report.spans.setdefault(clock, {})
-            stats = by_name.get(record["name"])
+            stats = report.spans.get(record["name"])
             if stats is None:
-                stats = by_name[record["name"]] = SpanStats()
+                stats = report.spans[record["name"]] = SpanStats()
             stats.observe(record.get("elapsed_s", 0.0),
                           record.get("attrs"))
             if record["name"] == "batch":
@@ -137,12 +132,8 @@ def _render_operator_table(ops: Dict[str, SpanStats],
 
 #: Recovery-event names in display order, with console labels.
 _RECOVERY_LABELS = (
-    ("fault.task_retry", "task retries"),
-    ("fault.task_failed", "permanent task failures"),
-    ("fault.speculation", "speculative re-executions"),
     ("fault.batch_retry", "batch-load retries"),
     ("fault.batch_skipped", "batches skipped (reweighted)"),
-    ("fault.batch_failed", "simulated batch failures"),
     ("fault.row_quarantined", "rows quarantined"),
     ("checkpoint.saved", "checkpoints saved"),
     ("checkpoint.resumed", "runs resumed"),
@@ -153,16 +144,15 @@ def render_recovery(report: ProfileReport) -> Optional[str]:
     """The recovery section, or None when the run had no faults.
 
     Summarizes every ``fault.*``/``checkpoint.*`` event the fault
-    subsystem emitted, plus batch spans flagged skipped/failed, so a
-    degraded run is visible from its trace alone.
+    subsystem emitted, plus batch spans flagged skipped, so a degraded
+    run is visible from its trace alone.
     """
     recovery = {
         name: count for name, count in report.events.items()
         if name.startswith("fault.") or name.startswith("checkpoint.")
     }
     skipped = sum(1 for b in report.batches if b.get("skipped"))
-    failed = sum(1 for b in report.batches if b.get("failed"))
-    if not recovery and not skipped and not failed:
+    if not recovery and not skipped:
         return None
     lines = ["== recovery =="]
     known = set()
@@ -173,29 +163,24 @@ def render_recovery(report: ProfileReport) -> Optional[str]:
     for name in sorted(recovery):
         if name not in known:
             lines.append(f"{name:<30} {recovery[name]:>7}")
-    if skipped or failed:
-        lines.append(
-            f"{'degraded batch spans':<30} {skipped + failed:>7}"
-        )
+    if skipped:
+        lines.append(f"{'degraded batch spans':<30} {skipped:>7}")
     return "\n".join(lines)
 
 
 def render_profile(report: ProfileReport) -> str:
     """The full multi-section profile ``python -m repro report`` prints."""
     sections = []
-    for clock in sorted(report.spans):
-        by_name = report.spans[clock]
-        ops = {n: s for n, s in by_name.items() if n.startswith("op:")}
+    if report.spans:
+        ops = {n: s for n, s in report.spans.items() if n.startswith("op:")}
         others = {
-            n: s for n, s in by_name.items() if not n.startswith("op:")
+            n: s for n, s in report.spans.items() if not n.startswith("op:")
         }
-        title = ("per-phase profile"
-                 if clock == "wall" else f"{clock}-clock profile")
-        sections.append(f"== {title} ==")
+        sections.append("== per-phase profile ==")
         sections.append(render_span_table(others))
         if ops:
             sections.append("")
-            sections.append(f"== per-operator profile ({clock} clock) ==")
+            sections.append("== per-operator profile ==")
             sections.append(_render_operator_table(ops))
         sections.append("")
     if report.batches:

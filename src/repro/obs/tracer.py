@@ -105,7 +105,6 @@ class Span:
             "parent": self.parent_id,
             "ts": round(self.start_ts, 9),
             "elapsed_s": self.elapsed_s,
-            "clock": "wall",
             "attrs": self.attrs,
         })
 
@@ -206,28 +205,6 @@ class Tracer:
             "name": name,
             "parent": stack[-1] if stack else None,
             "ts": round(time.perf_counter() - self.origin, 9),
-            "attrs": attrs,
-        })
-
-    def record_span(self, name: str, elapsed_s: float,
-                    clock: str = "wall", **attrs) -> None:
-        """Record a span whose duration was measured externally.
-
-        The cluster simulator uses ``clock="simulated"`` so simulated
-        per-batch/per-stage profiles land in the same event stream as
-        real ones and the report can compare them side by side.
-        """
-        if not self.enabled:
-            return
-        stack = self._stack
-        self._emit({
-            "type": "span",
-            "name": name,
-            "id": self._alloc_id(),
-            "parent": stack[-1] if stack else None,
-            "ts": round(time.perf_counter() - self.origin, 9),
-            "elapsed_s": float(elapsed_s),
-            "clock": clock,
             "attrs": attrs,
         })
 

@@ -45,7 +45,7 @@ Fault injection (``parallel.worker_kill`` / ``parallel.worker_hang`` /
 the coordinator draws a deterministic per-task fault plan from the
 seeded injector, and the *worker side* executes it — a real
 ``os.kill(os.getpid(), SIGKILL)``, a real oversleep, a real poisoned
-array — so recovery is exercised end to end, not simulated.
+array — so recovery is exercised end to end against real failures.
 """
 
 from __future__ import annotations
@@ -187,6 +187,22 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
+def _workers(executor) -> list:
+    """The executor's worker processes.  Reaches into
+    :class:`ProcessPoolExecutor` internals, as there is no public
+    enumeration; [] if the attribute ever moves."""
+    return list((getattr(executor, "_processes", None) or {}).values())
+
+
+def _kill_workers(procs) -> None:
+    """SIGKILL each process; this also reaps SIGSTOPped ones."""
+    for proc in procs:
+        try:
+            proc.kill()
+        except (OSError, AttributeError, ValueError):
+            pass  # already dead / already reaped
+
+
 class SupervisedPool:
     """Crash/hang/corruption-supervised ordered ``map`` over ``workers``
     persistent worker processes.
@@ -261,12 +277,7 @@ class SupervisedPool:
         executor, self._executor = self._executor, None
         if executor is None:
             return
-        for proc in list((getattr(executor, "_processes", None)
-                          or {}).values()):
-            try:
-                proc.kill()
-            except (OSError, AttributeError, ValueError):
-                pass  # already dead / already reaped
+        _kill_workers(_workers(executor))
         executor.shutdown(wait=False, cancel_futures=True)
 
     def _rebuild_pool(self, why: str) -> None:
@@ -295,11 +306,38 @@ class SupervisedPool:
                 if proc.is_alive()]
 
     def close(self) -> None:
-        """Shut the executor down (idempotent; the pool restarts on the
-        next :meth:`map`)."""
+        """Shut the executor down within one task deadline (idempotent;
+        the pool restarts on the next :meth:`map`).
+
+        ``shutdown(wait=True)`` joins every worker, and a SIGSTOPped
+        one never exits.  So the workers get ``deadline_s`` to exit
+        (no bound when it is 0, as for :meth:`map`); any still running
+        then are SIGKILLed as :meth:`_abandon` does, and each kill
+        bumps ``parallel.close_kills``.  A healthy pool closes as fast
+        as a plain shutdown: the wait is one join, never a sleep.
+        """
         executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
+        if executor is None:
+            return
+        # The manager thread exits once it has joined every worker, so
+        # joining it with a timeout is shutdown(wait=True) with a bound.
+        manager = getattr(executor, "_executor_manager_thread", None)
+        procs = _workers(executor)
+        executor.shutdown(wait=False)
+        if manager is None:
+            return
+        manager.join(self.deadline_s if self.deadline_s > 0 else None)
+        if not manager.is_alive():
+            return
+        stuck = [proc for proc in procs if proc.is_alive()]
+        if not stuck:
+            return
+        _kill_workers(stuck)
+        logger.warning("%d worker(s) still running %.3g s after close; "
+                       "killed", len(stuck), self.deadline_s)
+        if self.tracer.metrics.enabled:
+            self.tracer.metrics.counter("parallel.close_kills").inc(
+                len(stuck))
 
     def __enter__(self) -> "SupervisedPool":
         return self

@@ -23,9 +23,9 @@ class TestFaultsConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FaultsConfig(task_failure_prob=1.5)
+            FaultsConfig(row_corruption_prob=1.5)
         with pytest.raises(ValueError):
-            FaultsConfig(straggler_factor=0.5)
+            FaultsConfig(worker_hang_s=-1.0)
         with pytest.raises(ValueError):
             FaultsConfig(max_retries=-1)
 
@@ -33,17 +33,17 @@ class TestFaultsConfig:
 class TestFaultPointRegistry:
     def test_builtin_points_registered(self):
         points = fault_points()
-        assert {"cluster.task", "cluster.straggler",
-                "controller.batch_load", "storage.row"} <= set(points)
+        assert {"parallel.worker_kill", "controller.batch_load",
+                "storage.row"} <= set(points)
 
     def test_registration_idempotent(self):
-        a = register_fault_point("cluster.task", "task")
-        b = register_fault_point("cluster.task", "task")
+        a = register_fault_point("storage.row", "row")
+        b = register_fault_point("storage.row", "row")
         assert a is b
 
     def test_kind_conflict_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_fault_point("cluster.task", "row")
+            register_fault_point("storage.row", "worker")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
@@ -51,17 +51,16 @@ class TestFaultPointRegistry:
 
     def test_unregistered_point_refused(self):
         injector = FaultInjector(FaultsConfig(enabled=True,
-                                              task_failure_prob=0.5))
+                                              row_corruption_prob=0.5))
         with pytest.raises(ValueError, match="unregistered"):
-            injector.task_failures("not.registered", 3)
+            injector.corrupted_rows("not.registered", 3)
 
 
 class TestFaultInjector:
     def test_disabled_injector_never_faults(self):
         assert not NULL_INJECTOR.enabled
-        assert NULL_INJECTOR.task_failures("cluster.task", 100).sum() == 0
-        assert (NULL_INJECTOR.straggler_factors(
-            "cluster.straggler", 10) == 1.0).all()
+        assert not any(plan.any() for plan in
+                       NULL_INJECTOR.worker_faults(100).values())
         assert NULL_INJECTOR.batch_load_failures(
             "controller.batch_load") == 0
         assert not NULL_INJECTOR.corrupted_rows("storage.row", 50).any()
@@ -69,30 +68,30 @@ class TestFaultInjector:
         assert NULL_INJECTOR.state_dict() == {}
 
     def test_same_seed_same_faults(self):
-        config = FaultsConfig(enabled=True, seed=11, task_failure_prob=0.3,
-                              straggler_prob=0.2)
+        config = FaultsConfig(enabled=True, seed=11, worker_kill_prob=0.3,
+                              row_corruption_prob=0.2)
         a, b = FaultInjector(config), FaultInjector(config)
-        assert (a.task_failures("cluster.task", 200)
-                == b.task_failures("cluster.task", 200)).all()
-        assert (a.straggler_factors("cluster.straggler", 200)
-                == b.straggler_factors("cluster.straggler", 200)).all()
+        assert (a.worker_faults(200)["kill"]
+                == b.worker_faults(200)["kill"]).all()
+        assert (a.corrupted_rows("storage.row", 200)
+                == b.corrupted_rows("storage.row", 200)).all()
 
     def test_streams_independent_per_point(self):
         """Draws at one point must not perturb another point's stream."""
-        config = FaultsConfig(enabled=True, seed=11, task_failure_prob=0.3,
+        config = FaultsConfig(enabled=True, seed=11, worker_kill_prob=0.3,
                               row_corruption_prob=0.2)
         a, b = FaultInjector(config), FaultInjector(config)
         # b draws heavily from an unrelated point first.
         b.corrupted_rows("storage.row", 10_000)
-        assert (a.task_failures("cluster.task", 100)
-                == b.task_failures("cluster.task", 100)).all()
+        assert (a.worker_faults(100)["kill"]
+                == b.worker_faults(100)["kill"]).all()
 
     def test_master_seed_used_when_unset(self):
-        config = FaultsConfig(enabled=True, task_failure_prob=0.5)
+        config = FaultsConfig(enabled=True, row_corruption_prob=0.5)
         a = FaultInjector(config, master_seed=1)
         b = FaultInjector(config, master_seed=2)
-        assert (a.task_failures("cluster.task", 500)
-                != b.task_failures("cluster.task", 500)).any()
+        assert (a.corrupted_rows("storage.row", 500)
+                != b.corrupted_rows("storage.row", 500)).any()
 
     def test_certain_failure_exceeds_retry_budget(self):
         config = FaultsConfig(enabled=True, batch_failure_prob=1.0,
@@ -102,14 +101,14 @@ class TestFaultInjector:
         assert fails > config.max_retries
 
     def test_state_roundtrip_resumes_stream(self):
-        config = FaultsConfig(enabled=True, seed=5, task_failure_prob=0.4)
+        config = FaultsConfig(enabled=True, seed=5, worker_kill_prob=0.4)
         a = FaultInjector(config)
-        a.task_failures("cluster.task", 50)
+        a.worker_faults(50)
         state = a.state_dict()
-        expected = a.task_failures("cluster.task", 50)
+        expected = a.worker_faults(50)["kill"]
         b = FaultInjector(config)
         b.restore(state)
-        assert (b.task_failures("cluster.task", 50) == expected).all()
+        assert (b.worker_faults(50)["kill"] == expected).all()
 
 
 class TestRetryPolicy:

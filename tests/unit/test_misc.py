@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from repro import ClusterConfig, GolaConfig, RangeViolation, ReproError
+from repro import GolaConfig, RangeViolation, ReproError
 from repro.core.result import ColumnErrors, OnlineSnapshot
 from repro.errors import ParseError
 from repro.frontends import (
@@ -41,12 +41,6 @@ class TestGolaConfig:
         tweaked = base.with_options(num_batches=42)
         assert tweaked.num_batches == 42 and tweaked.seed == 1
         assert base.num_batches != 42  # frozen original untouched
-
-    def test_cluster_config_validation(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(num_workers=0)
-        with pytest.raises(ValueError):
-            ClusterConfig(rows_per_task=0)
 
 
 class TestErrors:

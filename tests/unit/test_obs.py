@@ -64,16 +64,6 @@ class TestTracer:
         tracer.event("never")
         assert not tracer.metrics.enabled
 
-    def test_record_span_simulated_clock(self):
-        sink = ListSink()
-        tracer = Tracer(sink)
-        tracer.record_span("batch", 12.5, clock="simulated",
-                           batch_index=3, rows_in=100)
-        [record] = sink.records
-        assert record["clock"] == "simulated"
-        assert record["elapsed_s"] == 12.5
-        assert record["attrs"]["batch_index"] == 3
-
     def test_default_tracer_install(self):
         assert get_tracer() is NULL_TRACER
         custom = Tracer(AggregatingSink())
@@ -216,22 +206,17 @@ class TestReport:
                                  rows_processed=60, rebuilds=i - 1):
                     with tracer.span("op:Scan", rows_in=50, rows_out=50):
                         pass
-        tracer.record_span("batch", 30.0, clock="simulated",
-                           batch_index=1, rows_in=50)
         tracer.event("guard_violation")
         tracer.close()
 
         report = build_profile(load_events(str(path)))
         assert report.span_stats("batch").count == 2
-        assert report.span_stats("batch", clock="simulated").total_s == 30.0
         assert report.span_stats("missing") is None
-        # Wall and simulated batch spans both land in `batches`, ordered.
-        assert [b["batch_index"] for b in report.batches] == [1, 1, 2]
+        assert [b["batch_index"] for b in report.batches] == [1, 2]
         assert report.events == {"guard_violation": 1}
 
         text = render_profile(report)
         assert "per-phase profile" in text
-        assert "simulated-clock profile" in text
         assert "per-operator profile" in text
         assert "op:Scan" in text
         assert "guard_violation=1" in text

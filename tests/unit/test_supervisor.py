@@ -9,6 +9,7 @@ off with.
 
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -138,6 +139,45 @@ class TestHangDeadline:
         counters = tracer.metrics.snapshot().counters
         assert counters["parallel.task_timeouts"] >= 1
         assert counters["parallel.quarantined"] >= 1
+
+    def test_close_kills_a_stopped_worker_within_the_deadline(self):
+        """An idle worker SIGSTOPped after its last task never exits, so
+        an unbounded shutdown would join it forever; close() must give
+        up after one task deadline and SIGKILL it."""
+        tracer = metrics_tracer()
+        pool = SupervisedPool(2, deadline_s=0.5, tracer=tracer)
+        assert pool.map(square, range(4)) == [x * x for x in range(4)]
+        pids = pool.worker_pids()
+        os.kill(pids[0], signal.SIGSTOP)
+        closer = threading.Thread(target=pool.close, daemon=True)
+        start = time.monotonic()
+        try:
+            closer.start()
+            closer.join(timeout=10.0)
+            elapsed = time.monotonic() - start
+            assert not closer.is_alive(), "close() hung on a stopped worker"
+        finally:
+            for pid in pids:  # unblock a close() that did hang
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            closer.join(timeout=10.0)
+        assert elapsed < 5.0, f"close() took {elapsed:.1f}s"
+        # The stopped worker may hold the call queue's read lock, which
+        # keeps its sibling from ever reading its exit sentinel.
+        counters = tracer.metrics.snapshot().counters
+        assert 1 <= counters["parallel.close_kills"] <= len(pids)
+
+    def test_clean_close_kills_nothing(self):
+        tracer = metrics_tracer()
+        pool = SupervisedPool(2, deadline_s=5.0, tracer=tracer)
+        assert pool.map(square, range(4)) == [x * x for x in range(4)]
+        start = time.monotonic()
+        pool.close()
+        assert time.monotonic() - start < 5.0
+        assert "parallel.close_kills" not in \
+            tracer.metrics.snapshot().counters
 
 
 class TestQuarantine:
