@@ -20,7 +20,7 @@ asserting it:
 
 The streaming claim covers the steady-state fold path, not guard
 recomputation: a rebuild *by contract* re-ingests the concatenated
-retained prefix with its dense weight matrix, which no fixed budget can
+prefix of batches seen with its dense weight matrix, which no fixed budget can
 absorb.  G-OLA's answer to that is the ε knob (``epsilon_multiplier``):
 wider variation ranges trade a slightly larger uncertain set for a
 lower recomputation probability.  With only ``TRIALS = 8`` bootstrap

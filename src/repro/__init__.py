@@ -35,7 +35,6 @@ from .errors import (
     ParseError,
     PlanError,
     QueryStopped,
-    RangeViolation,
     ReproError,
     SchemaError,
     StorageError,
@@ -64,7 +63,6 @@ __all__ = [
     "PlanError",
     "QaConfig",
     "QueryStopped",
-    "RangeViolation",
     "ReproError",
     "RunCheckpoint",
     "Schema",

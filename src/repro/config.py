@@ -397,9 +397,6 @@ class GolaConfig:
             (the paper's pre-processing for data whose physical order is
             correlated with query attributes).  Partition-wise randomness
             alone corresponds to ``shuffle=False``.
-        retain_batches: Keep raw mini-batches after folding so the
-            controller can recompute state when a variation range fails.
-            Disabling this trades failure recovery for memory.
         trace: Enable structured tracing (``repro.obs``) with an
             in-memory aggregating sink: hierarchical spans per batch,
             block and phase, rendered by the console frontends.  Off by
@@ -436,7 +433,6 @@ class GolaConfig:
     confidence: float = 0.95
     seed: int = 2015
     shuffle: bool = True
-    retain_batches: bool = True
     trace: bool = False
     trace_path: Optional[str] = None
     trace_rotate_mb: float = 0.0

@@ -30,7 +30,8 @@ from ..config import GolaConfig
 from ..engine.aggregates import GroupIndex, UDAFRegistry
 from ..engine.executor import BatchExecutor
 from ..errors import CheckpointError, ExecutionError, ShardLostError
-from ..estimate.bootstrap import PoissonWeightSource, stream_label
+from ..estimate.bootstrap import BatchWeights, PoissonWeightSource, \
+    stream_label
 from ..estimate.closed_form import normal_intervals
 from ..estimate.intervals import basic_intervals, relative_sds, \
     relative_stdevs
@@ -198,10 +199,10 @@ class QueryController:
         batch instead of from scratch.
 
         When the iteration ends — completion, :meth:`stop`, or the
-        generator being closed — the run's mini-batch memory (retained
-        batches, block caches, checkpoint state) is released, so a
-        finished query never pins it for the session's lifetime.  Take
-        checkpoints *during* the run.
+        generator being closed — the run's memory (block states and
+        caches, checkpoint state) is released, so a finished query never
+        pins it for the session's lifetime.  Take checkpoints *during*
+        the run.
         """
         self.begin(resume_from=resume_from)
         try:
@@ -246,9 +247,6 @@ class QueryController:
             )
             for name in self.meta_plan.replica_tables
         }
-        retained: Dict[str, List[Tuple[Table, np.ndarray]]] = {
-            name: [] for name in self.streamed_tables
-        }
         k = self.config.num_batches
         folded = 0
         skipped: List[int] = []
@@ -260,11 +258,9 @@ class QueryController:
                 else RunCheckpoint.load(resume_from)
             )
             ck.verify(self.query, self.config)
-            self._restore_weights(weight_sources, ck.weights_rng_state)
             self.injector.restore(ck.injector_state)
             for block_id, state in ck.copy_block_states().items():
                 self.runtimes[block_id].restore_checkpoint(state)
-            retained = self._restore_retained(ck.retained)
             folded = ck.folded_count
             skipped = list(ck.skipped_batches)
             lost_rows = ck.lost_rows
@@ -289,37 +285,10 @@ class QueryController:
                 stack.pop()
         self._exec = {
             "batches": batches, "weight_sources": weight_sources,
-            "retained": retained, "k": k, "folded": folded,
+            "k": k, "folded": folded,
             "skipped": skipped, "lost_rows": lost_rows,
             "cursor": start_at, "span": qspan, "span_id": qspan_id,
         }
-
-    def _restore_weights(self, weight_sources: Dict[str, PoissonWeightSource],
-                         state) -> None:
-        """Restore per-table weight streams from a checkpoint.
-
-        Accepts both the current per-table mapping and the legacy flat
-        single-stream state (pre-multi-fact checkpoints).
-        """
-        if set(state) == set(weight_sources) and all(
-            isinstance(v, dict) for v in state.values()
-        ):
-            for name, source in weight_sources.items():
-                source.restore_state(state[name])
-        else:
-            weight_sources[self.streamed_table].restore_state(state)
-
-    def _restore_retained(self, retained):
-        """Per-table retained batches from a checkpoint (legacy lists
-        belong to the primary streamed table)."""
-        if isinstance(retained, dict):
-            return {
-                name: list(retained.get(name, ()))
-                for name in self.streamed_tables
-            }
-        out = {name: [] for name in self.streamed_tables}
-        out[self.streamed_table] = list(retained)
-        return out
 
     @property
     def is_done(self) -> bool:
@@ -379,9 +348,8 @@ class QueryController:
                 ex["folded"] += 1
                 try:
                     snapshot = self._run_batch(
-                        i, table_batches, ex["weight_sources"],
-                        ex["retained"], ex["k"], ex["folded"],
-                        ex["skipped"], ex["lost_rows"],
+                        i, table_batches, ex["weight_sources"], ex["k"],
+                        ex["folded"], ex["skipped"], ex["lost_rows"],
                     )
                 except ShardLostError as exc:
                     # The supervised pool exhausted its whole recovery
@@ -391,17 +359,11 @@ class QueryController:
                     # folded, never abort the run.  Blocks that folded
                     # the batch before the loss keep their contribution
                     # — a slight approximation on an already-degraded
-                    # (flagged) estimate.
+                    # (flagged) estimate.  Later rebuilds skip the batch
+                    # like a failed load (:meth:`_seen`).
                     ex["folded"] -= 1
                     ex["skipped"].append(i)
                     ex["lost_rows"] += batch_rows
-                    for name, batch in table_batches.items():
-                        kept = ex["retained"][name]
-                        if kept and kept[-1][0] is batch:
-                            # Keep retained batches consistent with the
-                            # skip: a dropped batch must not resurface in
-                            # later uncertain-set rebuilds.
-                            kept.pop()
                     if tracer.enabled:
                         tracer.event("fault.shard_lost", batch_index=i,
                                      error=str(exc))
@@ -415,8 +377,6 @@ class QueryController:
                 "batch_index": i, "folded": ex["folded"],
                 "skipped": list(ex["skipped"]),
                 "lost_rows": ex["lost_rows"],
-                "weight_sources": ex["weight_sources"],
-                "retained": ex["retained"],
             }
             if (faults.checkpoint_every
                     and faults.checkpoint_path is not None
@@ -453,11 +413,10 @@ class QueryController:
     def release(self) -> None:
         """Finish the run and drop its mini-batch memory.
 
-        Clears the retained raw batches, the checkpointable run state
-        and every block runtime's folded state and uncertain-row cache,
-        so a stopped or completed query stops pinning memory.  The
-        controller stays reusable — the next :meth:`begin` (or
-        :meth:`run`) starts from scratch.
+        Clears the checkpointable run state and every block runtime's
+        folded state and uncertain-row cache, so a stopped or completed
+        query stops pinning memory.  The controller stays reusable — the
+        next :meth:`begin` (or :meth:`run`) starts from scratch.
         """
         self.finish()
         self._run_state = None
@@ -484,18 +443,10 @@ class QueryController:
             folded_count=state["folded"],
             skipped_batches=list(state["skipped"]),
             lost_rows=state["lost_rows"],
-            weights_rng_state={
-                name: source.state_dict()
-                for name, source in state["weight_sources"].items()
-            },
             injector_state=self.injector.state_dict(),
             block_states={
                 block_id: runtime.state_checkpoint()
                 for block_id, runtime in self.runtimes.items()
-            },
-            retained={
-                name: list(kept)
-                for name, kept in state["retained"].items()
             },
         )
 
@@ -578,13 +529,37 @@ class QueryController:
             lost_rows=lost_rows,
         )
 
-    def _process_block(self, block, i: int, batch: Table, weights,
-                       slot_states: Dict[int, object], penv: Environment,
-                       retained):
+    def _seen(self, name: str, i: int) -> List[Tuple[Table, BatchWeights]]:
+        """Table ``name``'s batches ``1..i`` less the skipped ones, each
+        with a fresh weight handle at its own batch index: what a guard
+        rebuild re-folds.
+
+        Read from the run's own partition list, never the store's
+        current entry, which a concurrent query with other partition
+        knobs may have replaced.  The handles are not counted as draws:
+        each batch was counted when it was first folded.
+        """
+        ex = self._exec
+        batches = ex["batches"][name]
+        source = ex["weight_sources"].get(name)
+        skipped = set(ex["skipped"])
+        seen = []
+        for j in range(1, i + 1):
+            if j in skipped:
+                continue
+            batch = batches[j - 1]
+            seen.append((batch, None if source is None
+                         else source.handle(j - 1, batch.num_rows)))
+        return seen
+
+    def _process_block(self, block, i: int, table: str, batch: Table,
+                       weights, slot_states: Dict[int, object],
+                       penv: Environment):
         """Fold one batch into one block; only its runtime mutates."""
         with self.tracer.span("block", block=block.block_id) as bl:
             stats = self.runtimes[block.block_id].process_batch(
-                i, batch, weights, slot_states, penv, retained=retained,
+                i, batch, weights, slot_states, penv,
+                lambda: self._seen(table, i),
             )
             bl.set("rows_in", stats.rows_in)
             bl.set("rows_processed", stats.rows_processed)
@@ -595,7 +570,6 @@ class QueryController:
 
     def _run_batch(self, i: int, table_batches: Dict[str, Table],
                    weight_sources: Dict[str, PoissonWeightSource],
-                   retained: Dict[str, List[Tuple[Table, np.ndarray]]],
                    k: int, folded: int, skipped: List[int],
                    lost_rows: int) -> OnlineSnapshot:
         """Fold one mini-batch into every block and snapshot the result.
@@ -616,18 +590,14 @@ class QueryController:
         with tracer.span("batch", batch_index=i,
                          rows_in=batch.num_rows) as bspan, \
                 Timer() as batch_timer:
-            # None for a relation no bootstrap block folds.
+            # None for a relation no bootstrap block folds.  Batch ``i``
+            # reads weights at index ``i - 1`` whatever was skipped.
             weights = {
                 name: (weight_sources[name].batch_weights(
-                    table_batches[name].num_rows
+                    table_batches[name].num_rows, i - 1
                 ) if name in weight_sources else None)
                 for name in self.streamed_tables
             }
-            if self.config.retain_batches:
-                for name in self.streamed_tables:
-                    retained[name].append(
-                        (table_batches[name], weights[name])
-                    )
             # Multiplicity over batches actually folded: k/i on the clean
             # path, k/folded after a skip (skip-and-reweight).  Every
             # streamed table is cut into the same k batches, so one scale
@@ -642,16 +612,14 @@ class QueryController:
             rows_processed: Dict[str, int] = {}
             uncertain_sizes: Dict[str, int] = {}
             rebuilds: List[str] = []
-            retain = self.config.retain_batches
 
             # Topological order: each block folds the batch against the
             # slots its producers have already published this batch.
             for block in self._online_blocks:
                 table = self.block_tables[block.block_id]
                 stats, elapsed_s = self._process_block(
-                    block, i, table_batches[table], weights[table],
+                    block, i, table, table_batches[table], weights[table],
                     slot_states, penv,
-                    retained[table] if retain else None,
                 )
                 if phases is not None:
                     phases["fold"] += elapsed_s

@@ -14,8 +14,9 @@ a :class:`BlockRuntime` holding:
 * **guards** — the intersection of every variation range under which this
   block ever folded a decision; if a consumed slot's running value or any
   bootstrap replica escapes its guard, the block's folded decisions are
-  no longer trustworthy and it *rebuilds* from the retained raw batches
-  (the paper's failure-recovery path).
+  no longer trustworthy and it *rebuilds* from the batches seen so far,
+  re-read from the session's batch store (the paper's failure-recovery
+  path).
 
 Per batch the block runs the paper's loop — check guards, run the
 certain pipeline, **classify** the new rows plus the cached ones
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from ..engine.aggregates import (
     argument_values,
     make_state,
 )
-from ..errors import ExecutionError, RangeViolation, UnsupportedQueryError
+from ..errors import ExecutionError, UnsupportedQueryError
 from ..estimate.bootstrap import as_batch_weights
 from ..estimate.closed_form import count_variance, mean_variance, \
     sum_variance
@@ -777,7 +778,7 @@ class BlockRuntime:
                       weights,
                       slot_states: Dict[int, object],
                       penv: Environment,
-                      retained: Optional[Sequence[Tuple[Table, np.ndarray]]] = None,
+                      seen: Callable[[], Sequence[Tuple[Table, object]]],
                       ) -> BlockBatchStats:
         """Fold one mini-batch, reclassify the uncertain set, update guards.
 
@@ -785,9 +786,9 @@ class BlockRuntime:
         :class:`~repro.estimate.bootstrap.BatchWeights` handle (the
         controller passes handles, so every read — pooled folds' through
         the fold's shared-memory segment — is of the session's stored
-        rectangle).  ``retained`` supplies the raw batches seen so far
-        (including the current one) for the rebuild path; None disables
-        recovery and a guard violation raises :class:`RangeViolation`.
+        rectangle).  ``seen()`` returns the ``(batch, weights)`` pairs of
+        every batch folded so far, the current one included: the rebuild
+        path re-folds them, and nothing else calls it.
         """
         tracer = self.tracer
         # A closed-form block is handed no weights and reads none.
@@ -798,14 +799,13 @@ class BlockRuntime:
             if violation is not None:
                 gs.set("violation", violation)
         if violation is not None:
-            if retained is None:
-                self._raise_violation(slot_states)
             self.reset()
             self.recompute_count += 1
-            merged = Table.concat([t for t, _ in retained])
+            pairs = seen()
+            merged = Table.concat([t for t, _ in pairs])
             # uint8 rows read from the store; nothing is pinned.
             merged_w = np.concatenate(
-                [as_batch_weights(w).dense() for _, w in retained]
+                [as_batch_weights(w).dense() for _, w in pairs]
             )
             rebuild_rows = merged.num_rows
             with tracer.span("phase:rebuild", block=self.block.block_id,
@@ -838,22 +838,6 @@ class BlockRuntime:
             ).observe(stats.uncertain_size)
         self.stats_history.append(stats)
         return stats
-
-    def _raise_violation(self, slot_states) -> None:
-        for slot in self.block.consumes:
-            guard = self.guards.get(slot)
-            state = slot_states[slot]
-            if guard is None:
-                continue
-            if isinstance(state, ScalarSlotState) and not guard.check(state):
-                rng = guard.range
-                raise RangeViolation(
-                    f"slot#{slot}", state.estimate, rng.low, rng.high
-                )
-        raise RangeViolation(
-            f"block {self.block.block_id}", float("nan"), float("nan"),
-            float("nan"),
-        )
 
     def _ingest(self, batch_index: int, batch: Table, wsrc,
                 slot_states: Dict[int, object],

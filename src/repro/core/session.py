@@ -90,8 +90,8 @@ class OnlineQuery:
         run from its last checkpointed batch instead of from scratch.
         """
         if self._controller is not None:
-            # A superseded run must not keep pinning retained batches
-            # and block caches for the session's lifetime.
+            # A superseded run must not keep pinning its block states
+            # and caches for the session's lifetime.
             self._controller.release()
         self._controller = self.session._make_controller(
             self.query, config or self.session.config
@@ -101,9 +101,9 @@ class OnlineQuery:
     def stop(self) -> None:
         """Stop the online run after the batch currently in flight.
 
-        The run's iterator then ends, releasing its mini-batch memory
-        (retained batches, block caches, checkpoint state) — a stopped
-        query does not pin memory for the session's lifetime.
+        The run's iterator then ends, releasing its memory (block
+        states and caches, checkpoint state) — a stopped query does not
+        pin memory for the session's lifetime.
         """
         if self._controller is None:
             raise QueryStopped("query is not running")

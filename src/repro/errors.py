@@ -81,25 +81,6 @@ class StorageError(ReproError):
     """
 
 
-class RangeViolation(ReproError):
-    """A running value or bootstrap replica escaped its variation range.
-
-    The query controller catches this internally and schedules a
-    recomputation of the affected delta state (paper section 3.2); it only
-    propagates to callers if recovery itself fails.
-    """
-
-    def __init__(self, slot: str, value: float, low: float, high: float):
-        self.slot = slot
-        self.value = value
-        self.low = low
-        self.high = high
-        super().__init__(
-            f"uncertain value {slot!r} = {value:.6g} escaped its variation "
-            f"range [{low:.6g}, {high:.6g}]"
-        )
-
-
 class QueryStopped(ReproError):
     """The user stopped an online query before all batches were processed."""
 

@@ -11,8 +11,8 @@ simulated database ``D_{i,j}`` across nested subqueries.
 
 Weight streams are derived **per (batch, trial)** from the master seed,
 so the stream is *stateless*: any batch's rectangle can be redrawn from
-the ``(master_seed, label)`` pair alone (a resumed checkpoint's handles
-do exactly that).
+the ``(master_seed, label)`` pair and its batch index alone (a guard
+rebuild and a resumed run read each batch's weights by index).
 
 Weights are ``uint8`` from draw to fold (Poisson(1) never exceeds 18
 here) and stay uint8 into the fold kernels
@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..errors import CheckpointError
 from ..obs import NULL_TRACER, Tracer
 from .random_source import derive_rng
 
@@ -100,7 +99,7 @@ class BatchWeights:
     A view: with a :class:`~repro.core.store.BatchStore`, :meth:`dense`
     and :meth:`rows` read the store's rectangle; without one every dense
     read draws.  The handle pickles to its spec, never to the store, so
-    it is cheap in retained-batch lists and checkpoints.
+    it is cheap to ship.
     """
 
     def __init__(self, trials: int, master_seed: int, label: str,
@@ -164,8 +163,8 @@ class DenseBatchWeights:
     """Adapter giving a concrete ``(n, B)`` matrix the handle interface.
 
     Used where weights already exist as an array (direct
-    :meth:`~repro.core.delta.BlockRuntime.process_batch` callers, rebuild
-    paths over concatenated retained batches).
+    :meth:`~repro.core.delta.BlockRuntime.process_batch` callers, the
+    rebuild path's concatenated rectangle).
     """
 
     def __init__(self, weights: np.ndarray):
@@ -235,6 +234,13 @@ class PoissonWeightSource:
             metrics.counter("bootstrap.weights_drawn").inc(
                 num_rows * self.trials
             )
+        return self.handle(batch_index, num_rows)
+
+    def handle(self, batch_index: int, num_rows: int) -> BatchWeights:
+        """A handle on batch ``batch_index``'s weights, not counted as a
+        draw and leaving the cursor alone (a rebuild re-reads batches
+        :meth:`batch_weights` already handed out)."""
+        metrics = self.tracer.metrics
         return BatchWeights(
             self.trials, self.master_seed, self.label, batch_index,
             num_rows, store=self.store,
@@ -248,21 +254,3 @@ class PoissonWeightSource:
         with self.tracer.span("phase:weights", rows_in=num_rows,
                               trials=self.trials):
             return handle.dense()
-
-    def state_dict(self) -> dict:
-        """The source's resumable state (run checkpointing).
-
-        The per-(batch, trial) streams are stateless; only the sequential
-        batch cursor needs to survive a resume.
-        """
-        return {"scheme": "poisson-per-trial", "next_batch": self._next_batch}
-
-    def restore_state(self, state: dict) -> None:
-        """Restore a state captured by :meth:`state_dict`."""
-        if "next_batch" not in state:
-            raise CheckpointError(
-                "incompatible bootstrap weight-stream state (checkpoint "
-                "from an older sequential-stream build)"
-            )
-        self._next_batch = int(state["next_batch"])
-

@@ -9,11 +9,13 @@ online run from the last completed mini-batch instead of from scratch:
 * per-block delta state — folded aggregate states, the uncertain-set
   cache, guards and the group index (deep-copied so the live run can
   keep mutating);
-* RNG state — the Poisson weight stream and the fault injector's
-  per-point streams, so a resumed run draws exactly what the
-  uninterrupted run would have;
-* retained raw batches, when ``retain_batches`` is on, so guard-violation
-  rebuilds still work after a resume.
+* the fault injector's per-point RNG streams, so a resumed run fails
+  exactly where the uninterrupted run would have.
+
+Nothing per batch is saved, so a checkpoint's size follows the block
+states, not the rows read.  A resumed run re-reads its batches from the
+session's batch store and each batch's Poisson weights by batch index
+(the streams are stateless), which is all a guard rebuild needs.
 
 Checkpoints are fingerprinted against the query plan and the
 statistically relevant config knobs; restoring against a different query
@@ -28,13 +30,13 @@ from __future__ import annotations
 import copy
 import hashlib
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Union
 
 from ..errors import CheckpointError
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def config_fingerprint(config) -> str:
@@ -47,7 +49,7 @@ def config_fingerprint(config) -> str:
     relevant = (
         config.num_batches, config.bootstrap_trials,
         config.epsilon_multiplier, config.confidence, config.seed,
-        config.shuffle, config.retain_batches,
+        config.shuffle,
         config.faults.enabled, config.faults.seed,
         config.faults.batch_failure_prob, config.faults.max_retries,
     )
@@ -69,10 +71,8 @@ class RunCheckpoint:
     folded_count: int
     skipped_batches: List[int]
     lost_rows: int
-    weights_rng_state: dict
     injector_state: Dict[str, dict]
     block_states: Dict[str, dict]
-    retained: List = field(default_factory=list)
     version: int = CHECKPOINT_VERSION
 
     def verify(self, query, config) -> None:

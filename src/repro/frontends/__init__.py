@@ -1,6 +1,5 @@
 """Front-ends: terminal progress consoles and dashboards."""
 
-from .html_report import render_html_report, write_html_report
 from .console import (
     ProgressConsole,
     error_bar,
@@ -16,9 +15,7 @@ __all__ = [
     "error_bar",
     "progress_bar",
     "render_history",
-    "render_html_report",
     "render_snapshot",
     "render_table",
     "sparkline",
-    "write_html_report",
 ]

@@ -356,7 +356,7 @@ class DifferentialRunner:
 
         with self.tracer.span("qa.query", sql=sql.replace("\n", " ")):
             for name, fn in paths:
-                # A fresh session per path: no shared state (retained
+                # A fresh session per path: no shared state (stored
                 # batches, block caches) can mask a path's own bug.
                 session = self._session_for(case)
                 outcome = self._run_path(

@@ -123,8 +123,9 @@ class _LazyBatchSeq:
     """Sequence view over a dataset's batches, decoded on access.
 
     The controller indexes batches one at a time (``batches[i - 1]``
-    per step), so no decoded batch is retained here — memory stays
-    bounded by one batch plus whatever the run itself keeps.
+    per step, and ``1..i`` again for a guard rebuild), so no decoded
+    batch is kept here or by the run — memory stays bounded by one
+    batch, or one rebuild's prefix.
     """
 
     def __init__(self, dataset: "ColstoreDataset"):

@@ -57,10 +57,13 @@ def _errors_after(sql, fact, batches, trials=4000):
 
     weights = PoissonWeightSource(trials, config.seed)
     parts = MiniBatchPartitioner(BATCHES, seed=config.seed).partition(fact)
+    seen = []
     for i, batch in enumerate(parts[:batches], start=1):
         w = weights.weights_for(batch.num_rows)
-        closed.process_batch(i, batch, None, {}, Environment())
-        boot.process_batch(i, batch, w, {}, Environment())
+        seen.append((batch, w))
+        closed.process_batch(i, batch, None, {}, Environment(),
+                             lambda: seen)
+        boot.process_batch(i, batch, w, {}, Environment(), lambda: seen)
     scale = BATCHES / batches
     table, variances = closed.snapshot_output(Environment(), {}, scale)
     boot_table, replicas = boot.snapshot_output(Environment(), {}, scale)

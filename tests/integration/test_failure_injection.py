@@ -68,18 +68,46 @@ class TestEpsilonTradeoff:
         assert saw_rebuild
 
 
-class TestRetentionDisabled:
-    def test_violation_without_retention_raises(self):
-        from repro.errors import RangeViolation
+class TestRebuildSkipsDroppedBatches:
+    def test_rebuild_refolds_only_folded_batches(self):
+        """A rebuild re-reads batches ``1..i`` less every skipped one.
 
-        # Same configuration as test_tiny_epsilon_forces_rebuilds (which
-        # is known to violate at least once) but with retention off: the
-        # controller cannot recover and must surface the violation.
-        session = GolaSession(
-            GolaConfig(num_batches=30, bootstrap_trials=24, seed=31,
-                       epsilon_multiplier=0.0, retain_batches=False)
+        ε = 0 rebuilds at batches 4 and 9.  Batch 1 loses a shard past
+        every recovery rung and batch 6 fails to load, so the rebuild
+        at batch 9 follows both kinds of skip.
+        """
+        from repro.config import FaultsConfig, ParallelConfig
+        from repro.storage import MiniBatchPartitioner
+        from .test_chaos import _LossyExecutor
+
+        table = generate_sessions(3000, seed=7)
+        config = GolaConfig(
+            num_batches=30, bootstrap_trials=24, seed=31,
+            epsilon_multiplier=0.0, metrics=True,
+            faults=FaultsConfig(enabled=True, seed=10,
+                                batch_failure_prob=0.05, max_retries=0),
         )
-        session.register_table("sessions", generate_sessions(3000, seed=7))
-        query = session.sql(SBI_QUERY)
-        with pytest.raises(RangeViolation):
-            list(query.run_online())
+        session = GolaSession(config)
+        session.register_table("sessions", table)
+        lossy = _LossyExecutor(ParallelConfig())
+        controller = session._make_controller(
+            session.sql(SBI_QUERY).query, config, parallel=lossy)
+        snapshots = list(controller.run())
+        counters = controller.tracer.metrics.snapshot().counters
+        assert lossy.losses == 1 and counters["faults.shards_lost"] == 1
+        assert snapshots[-1].skipped_batches[:2] == [1, 6]
+
+        rows = [b.num_rows for b in MiniBatchPartitioner(
+            30, seed=31).partition(table)]
+        expected = 0
+        for snap in snapshots:
+            if not snap.rebuilds:
+                continue
+            skipped = set(snap.skipped_batches or ())
+            folded_rows = sum(rows[j - 1]
+                              for j in range(1, snap.batch_index + 1)
+                              if j not in skipped)
+            expected += len(snap.rebuilds) * folded_rows
+        rebuilt_at = [s.batch_index for s in snapshots if s.rebuilds]
+        assert rebuilt_at[-1] > 6
+        assert counters["delta.rebuild_rows"] == expected

@@ -18,6 +18,7 @@ import pytest
 
 from repro import FaultsConfig, GolaConfig, GolaSession
 from repro.faults import RunCheckpoint
+from repro.faults.chaos import snapshot_fingerprint
 from repro.errors import CheckpointError
 from repro.obs import JsonlSink, MetricsRegistry, Tracer, load_events
 from repro.workloads.sessions import SBI_QUERY, generate_sessions
@@ -225,10 +226,9 @@ class TestCheckpointResume:
         over the same dataset resumes from the batch-4 checkpoint and
         emits exactly the cold stream's remaining snapshots, ending on
         the in-memory table's final answer.  At ε = 0 this run rebuilds
-        at batch 8, so the resumed run re-folds the retained batches the
-        checkpoint carried.
+        at batch 8, so the resumed run decodes the batches it re-folds
+        from the dataset (the checkpoint carries none).
         """
-        from repro.faults.chaos import snapshot_fingerprint
         from repro.storage.colstore import convert_table
 
         table = generate_sessions(3000, seed=7)
@@ -264,6 +264,47 @@ class TestCheckpointResume:
         final = list(memory.sql(SBI_QUERY).run_online())[-1]
         assert snapshot_fingerprint(warm[-1:]) == \
             snapshot_fingerprint([final])
+
+    def test_checkpoint_size_does_not_grow_with_rows_read(self):
+        """A checkpoint holds progress, block states and the injector's
+        streams, never a batch: at 20k rows the one taken after batch 5
+        pickles smaller than one mini-batch."""
+        import pickle
+
+        from repro.storage import MiniBatchPartitioner
+        from repro.storage.table import table_bytes
+
+        table = generate_sessions(20_000, seed=7)
+        session = GolaSession(GolaConfig(num_batches=10,
+                                         bootstrap_trials=40, seed=7))
+        session.register_table("sessions", table)
+        query = session.sql(SBI_QUERY)
+        it = query.run_online()
+        for _ in range(5):
+            next(it)
+        size = len(pickle.dumps(query.checkpoint(),
+                                protocol=pickle.HIGHEST_PROTOCOL))
+        it.close()
+        batch = MiniBatchPartitioner(10, seed=7).partition(table)[4]
+        assert size < table_bytes(batch)
+
+    def test_version_one_checkpoint_is_refused(self, tmp_path):
+        """Version 1 also pickled the weight cursor and every batch
+        read; such a file no longer resumes."""
+        session = make_session()
+        query = session.sql(SBI_QUERY)
+        it = query.run_online()
+        next(it)
+        ck = query.checkpoint()
+        it.close()
+        ck.version = 1
+        ck.weights_rng_state = {"sessions": {"next_batch": 1}}
+        ck.retained = {"sessions": []}
+        path = tmp_path / "v1.ck"
+        ck.save(path)
+        with pytest.raises(CheckpointError, match="version 1"):
+            list(make_session().sql(SBI_QUERY).run_online(
+                resume_from=str(path)))
 
     def test_checkpoint_before_any_batch_raises(self):
         session = make_session()
@@ -336,30 +377,11 @@ class TestResumeParallelFaultComposition:
     uninterrupted serial run under the same faults.
     """
 
-    @staticmethod
-    def _fingerprint(snapshots):
-        out = []
-        for s in snapshots:
-            out.append((
-                s.batch_index,
-                tuple(s.table.column(c).tobytes()
-                      for c in s.table.schema.names),
-                tuple(sorted(
-                    (name, err.lows.tobytes(), err.highs.tobytes())
-                    for name, err in s.errors.items()
-                )),
-                tuple(sorted(s.uncertain_sizes.items())),
-                tuple(s.rebuilds),
-                s.degraded,
-                tuple(s.skipped_batches or ()),
-            ))
-        return out
-
     @pytest.mark.parametrize("stop_after", [2, 5])
     def test_resume_parallel_faulty_matches_serial(self, stop_after):
         from repro.config import ParallelConfig
 
-        full = self._fingerprint(
+        full = snapshot_fingerprint(
             make_session(faults=SKIPPY).sql(SBI_QUERY).run_online()
         )
 
@@ -378,4 +400,4 @@ class TestResumeParallelFaultComposition:
 
         assert [s.batch_index for s in rest] == \
             list(range(stop_after + 1, 11))
-        assert self._fingerprint(prefix + rest) == full
+        assert snapshot_fingerprint(prefix + rest) == full

@@ -13,6 +13,7 @@ import pytest
 
 from repro import FaultsConfig, GolaConfig, GolaSession
 from repro.config import ParallelConfig
+from repro.faults.chaos import snapshot_fingerprint
 from repro.obs import AggregatingSink, MetricsRegistry, Tracer
 from repro.workloads import (
     SBI_QUERY,
@@ -46,27 +47,6 @@ MODES = [
 ]
 
 
-def fingerprint(snapshots):
-    """Everything user-visible in a snapshot stream, bitwise."""
-    out = []
-    for s in snapshots:
-        out.append((
-            s.batch_index,
-            tuple(s.table.column(c).tobytes()
-                  for c in s.table.schema.names),
-            tuple(sorted(
-                (name, err.lows.tobytes(), err.highs.tobytes())
-                for name, err in s.errors.items()
-            )),
-            tuple(sorted(s.uncertain_sizes.items())),
-            tuple(sorted(s.rows_processed.items())),
-            tuple(s.rebuilds),
-            s.degraded,
-            tuple(s.skipped_batches or ()),
-        ))
-    return out
-
-
 def run_query(sql, table_name, table, parallel, faults=None, tracer=None,
               batches=BATCHES, trials=TRIALS):
     session = GolaSession(
@@ -84,10 +64,10 @@ class TestBitIdenticalAcrossWorkerCounts:
         f"w{m.workers}"
     ))
     def test_sbi_stream_matches_serial(self, mode):
-        serial = fingerprint(
+        serial = snapshot_fingerprint(
             run_query(SBI_QUERY, "sessions", SESSIONS, MODES[0])
         )
-        parallel = fingerprint(
+        parallel = snapshot_fingerprint(
             run_query(SBI_QUERY, "sessions", SESSIONS, mode)
         )
         assert parallel == serial
@@ -101,20 +81,21 @@ class TestBitIdenticalAcrossWorkerCounts:
         ).meta_plan.online_blocks
         assert [sorted(b.consumes) for b in blocks] == [[], [], [0, 1]]
 
-        serial = fingerprint(
+        serial = list(
             run_query(TWO_SUBQUERIES, "sessions", SESSIONS, MODES[0])
         )
-        assert any(dict(s[3])["main"] for s in serial)  # |U| > 0
+        assert any(s.uncertain_sizes["main"] for s in serial)  # |U| > 0
+        serial = snapshot_fingerprint(serial)
         for mode in MODES[1:3]:
-            assert fingerprint(run_query(
+            assert snapshot_fingerprint(run_query(
                 TWO_SUBQUERIES, "sessions", SESSIONS, mode
             )) == serial, mode
 
     def test_nested_tpch_query_matches_serial(self):
-        serial = fingerprint(
+        serial = snapshot_fingerprint(
             run_query(TPCH_QUERIES["Q17"], "tpch", TPCH, MODES[0])
         )
-        parallel = fingerprint(run_query(
+        parallel = snapshot_fingerprint(run_query(
             TPCH_QUERIES["Q17"], "tpch", TPCH,
             ParallelConfig(workers=4),
         ))
@@ -162,13 +143,13 @@ class TestCheckpointAcrossWorkerCounts:
         it = query.run_online(resume_from=resume_from) \
             if resume_from is not None else query.run_online()
         if stop_after is None:
-            return fingerprint(it), None
+            return list(it), None
         prefix = []
         for _ in range(stop_after):
             prefix.append(next(it))
         ck = query.checkpoint()
         it.close()
-        return fingerprint(prefix), ck
+        return prefix, ck
 
     def test_resume_at_different_worker_count(self):
         """A run checkpointed serial resumes under a pool (and vice
@@ -178,11 +159,13 @@ class TestCheckpointAcrossWorkerCounts:
         rest, _ = self._stream(
             ParallelConfig(workers=4), resume_from=ck
         )
-        assert prefix + rest == full
+        assert snapshot_fingerprint(prefix + rest) == \
+            snapshot_fingerprint(full)
 
         prefix, ck = self._stream(MODES[2], stop_after=5)
         rest, _ = self._stream(MODES[0], resume_from=ck)
-        assert prefix + rest == full
+        assert snapshot_fingerprint(prefix + rest) == \
+            snapshot_fingerprint(full)
 
 
 class TestFaultComposition:
@@ -190,16 +173,16 @@ class TestFaultComposition:
                           max_retries=0)
 
     def test_degraded_run_identical_under_pool(self):
-        serial = fingerprint(run_query(
+        serial = list(run_query(
             SBI_QUERY, "sessions", SESSIONS, MODES[0], faults=self.SKIPPY
         ))
-        pooled = fingerprint(run_query(
+        pooled = snapshot_fingerprint(run_query(
             SBI_QUERY, "sessions", SESSIONS,
             ParallelConfig(workers=2),
             faults=self.SKIPPY,
         ))
-        assert pooled == serial
-        assert any(s[6] for s in serial)  # the run really degraded
+        assert pooled == snapshot_fingerprint(serial)
+        assert any(s.degraded for s in serial)  # the run really degraded
 
     def test_faulty_checkpoint_resume_across_worker_counts(self):
         helper = TestCheckpointAcrossWorkerCounts()
@@ -208,4 +191,5 @@ class TestFaultComposition:
                                     faults=self.SKIPPY)
         rest, _ = helper._stream(MODES[2], resume_from=ck,
                                  faults=self.SKIPPY)
-        assert prefix + rest == full
+        assert snapshot_fingerprint(prefix + rest) == \
+            snapshot_fingerprint(full)

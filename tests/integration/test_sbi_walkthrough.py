@@ -41,7 +41,7 @@ def setup():
 def run_batches(table, blocks, runtimes, config, batch_bounds):
     """Drive the exact batch split of the paper's figure."""
     rng = np.random.default_rng(99)
-    retained = []
+    seen = []
     outputs = []
     k = len(batch_bounds)
     for i, (lo, hi) in enumerate(batch_bounds, start=1):
@@ -49,13 +49,13 @@ def run_batches(table, blocks, runtimes, config, batch_bounds):
         weights = rng.poisson(
             1.0, (batch.num_rows, config.bootstrap_trials)
         ).astype(float)
-        retained.append((batch, weights))
+        seen.append((batch, weights))
         penv = Environment()
         slot_states = {}
         for block in blocks:
             runtime = runtimes[block.block_id]
             stats = runtime.process_batch(
-                i, batch, weights, slot_states, penv, retained=retained
+                i, batch, weights, slot_states, penv, lambda: seen
             )
             if block.produces is not None:
                 state = runtime.publish(penv, slot_states, k / i)
@@ -97,7 +97,7 @@ class TestWalkthrough:
         weights = np.ones((3, config.bootstrap_trials))
         stats = main.process_batch(
             1, batch, weights, {0: state}, penv,
-            retained=[(batch, weights)],
+            lambda: [(batch, weights)],
         )
         cached = main.cache.table.column("buffer_time").tolist()
         assert cached == [36.0]  # exactly t1 is uncertain

@@ -16,6 +16,7 @@ import pytest
 pytestmark = pytest.mark.slow  # 8-way concurrency soak; see docs/testing.md
 
 from repro import FaultsConfig, GolaConfig, GolaSession, ServeConfig
+from repro.faults.chaos import snapshot_fingerprint
 from repro.serve import CANCELLED, DONE, EXPIRED, FAILED, QueryScheduler
 from repro.workloads import (
     CONVIVA_QUERIES,
@@ -55,43 +56,14 @@ def make_session(config=CONFIG):
     return session
 
 
-def column_bytes(table, name):
-    """Column payload bytes; object columns (strings) by value, not
-    by pointer (``tobytes`` on an object array serializes addresses)."""
-    arr = table.column(name)
-    if arr.dtype == object:
-        return repr(arr.tolist()).encode()
-    return arr.tobytes()
-
-
-def fingerprint(snapshots):
-    """Everything user-visible in a snapshot stream, bitwise."""
-    out = []
-    for s in snapshots:
-        out.append((
-            s.batch_index,
-            tuple(column_bytes(s.table, c)
-                  for c in s.table.schema.names),
-            tuple(sorted(
-                (name, err.lows.tobytes(), err.highs.tobytes())
-                for name, err in s.errors.items()
-            )),
-            tuple(sorted(s.uncertain_sizes.items())),
-            tuple(sorted(s.rows_processed.items())),
-            tuple(s.rebuilds),
-            s.degraded,
-            tuple(s.skipped_batches or ()),
-        ))
-    return out
-
-
 @pytest.fixture(scope="module")
 def serial_fingerprints():
     """Each workload query run alone, in a fresh session."""
     baselines = {}
     for name, sql in WORKLOAD:
         session = make_session()
-        baselines[name] = fingerprint(session.sql(sql).run_online())
+        baselines[name] = snapshot_fingerprint(
+            session.sql(sql).run_online())
     return baselines
 
 
@@ -103,7 +75,7 @@ class TestEightConcurrentQueries:
             assert sched.wait(timeout=300.0), "workload did not finish"
             for name, run in runs.items():
                 assert run.state == DONE, (name, run.state, run.error)
-                assert fingerprint(run.snapshots) == \
+                assert snapshot_fingerprint(run.snapshots) == \
                     serial_fingerprints[name], name
                 # The stream saw every batch plus the end record.
                 history = run.stream.history
@@ -141,7 +113,7 @@ class TestEightConcurrentQueries:
                 if name == "Q17":
                     continue
                 assert run.state == DONE, (name, run.state, run.error)
-                assert fingerprint(run.snapshots) == \
+                assert snapshot_fingerprint(run.snapshots) == \
                     serial_fingerprints[name], name
             counters = sched.metrics_snapshot().counters
             assert counters["scheduler.quarantined"] == 1
@@ -173,5 +145,5 @@ class TestEightConcurrentQueries:
             assert expiring.batches_done < 400
             for name, run in survivors.items():
                 assert run.state == DONE, (name, run.state, run.error)
-                assert fingerprint(run.snapshots) == \
+                assert snapshot_fingerprint(run.snapshots) == \
                     serial_fingerprints[name], name

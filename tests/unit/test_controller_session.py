@@ -251,21 +251,6 @@ class TestControllerValidation:
             s == 0 for s in last.uncertain_sizes.values()
         )
 
-    def test_retain_batches_disabled_still_runs_clean_queries(
-        self, sessions_table
-    ):
-        session = GolaSession(
-            GolaConfig(num_batches=3, bootstrap_trials=8, seed=2,
-                       retain_batches=False)
-        )
-        session.register_table("sessions", sessions_table)
-        query = session.sql("SELECT SUM(play_time) FROM sessions")
-        last = query.run_to_completion()
-        exact = session.execute_batch(query)
-        assert last.estimate == pytest.approx(
-            float(exact.column(exact.schema.names[0])[0]), rel=1e-6
-        )
-
 
 class TestOneWeightDrawPerBatch:
     """A serial run generates each batch's trial columns once.

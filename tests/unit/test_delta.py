@@ -11,7 +11,7 @@ from repro.core.delta import (
     parse_block,
 )
 from repro.core.uncertain import ScalarSlotState
-from repro.errors import RangeViolation, UnsupportedQueryError
+from repro.errors import UnsupportedQueryError
 from repro.estimate import VariationRange
 from repro.expr.expressions import Environment
 from repro.plan import bind_statement, lineage_blocks
@@ -115,11 +115,11 @@ def drive(runtimes, blocks, query, fact, config, num_batches=4):
 
     partitioner = MiniBatchPartitioner(num_batches, seed=config.seed)
     weights_src = PoissonWeightSource(config.bootstrap_trials, config.seed)
-    retained = []
+    seen = []
     history = []
     for i, batch in enumerate(partitioner.partition(fact), start=1):
         weights = weights_src.weights_for(batch.num_rows)
-        retained.append((batch, weights))
+        seen.append((batch, weights))
         scale = num_batches / i
         penv = Environment()
         slot_states = {}
@@ -127,7 +127,7 @@ def drive(runtimes, blocks, query, fact, config, num_batches=4):
         for block in blocks:
             runtime = runtimes[block.block_id]
             stats = runtime.process_batch(
-                i, batch, weights, slot_states, penv, retained=retained
+                i, batch, weights, slot_states, penv, lambda: seen
             )
             snapshot_stats[block.block_id] = stats
             if block.produces is not None:
@@ -207,28 +207,6 @@ class TestBlockRuntimeMechanics:
         assert state.vrange.contains_all(state.replicas)
         assert state.estimate == pytest.approx(fact["x"].mean(), rel=1e-9)
 
-    def test_guard_violation_without_retained_raises(self, fact):
-        query, blocks, runtimes, config = build_runtime(
-            "SELECT AVG(y) FROM fact WHERE x > (SELECT AVG(x) FROM fact)",
-            fact,
-        )
-        main = runtimes["main"]
-        # Manually poison the guard, then feed a state far outside it.
-        from repro.core.delta import _ScalarGuard
-
-        guard = _ScalarGuard()
-        guard.range = VariationRange(0.0, 1.0)
-        main.guards[0] = guard
-        bad_state = ScalarSlotState(
-            slot=0, estimate=100.0, replicas=np.array([99.0, 101.0]),
-            vrange=VariationRange(99.0, 101.0),
-        )
-        with pytest.raises(RangeViolation):
-            main.process_batch(
-                1, fact, np.ones((fact.num_rows, config.bootstrap_trials)),
-                {0: bad_state}, Environment(), retained=None,
-            )
-
     def test_guard_violation_with_retained_rebuilds(self, fact):
         query, blocks, runtimes, config = build_runtime(
             "SELECT AVG(y) FROM fact WHERE x > (SELECT AVG(x) FROM fact)",
@@ -247,7 +225,7 @@ class TestBlockRuntimeMechanics:
         weights = np.ones((fact.num_rows, config.bootstrap_trials))
         stats = main.process_batch(
             1, fact, weights, {0: state}, Environment(),
-            retained=[(fact, weights)],
+            lambda: [(fact, weights)],
         )
         assert stats.rebuilt and stats.rebuild_rows == fact.num_rows
         assert main.recompute_count == 1

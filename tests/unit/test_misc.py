@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from repro import GolaConfig, RangeViolation, ReproError
+from repro import GolaConfig, ReproError
 from repro.core.result import ColumnErrors, OnlineSnapshot
 from repro.errors import ParseError
 from repro.frontends import (
@@ -46,11 +46,6 @@ class TestGolaConfig:
 class TestErrors:
     def test_hierarchy(self):
         assert issubclass(ParseError, ReproError)
-        assert issubclass(RangeViolation, ReproError)
-
-    def test_range_violation_message(self):
-        err = RangeViolation("slot#0", 5.0, 1.0, 2.0)
-        assert "slot#0" in str(err) and "escaped" in str(err)
 
     def test_parse_error_position(self):
         err = ParseError("bad", position=4, text="ab\ncd")

@@ -21,6 +21,7 @@ from repro import (
     ParseError,
     ServeConfig,
 )
+from repro.faults.chaos import snapshot_fingerprint
 from repro.serve import (
     CANCELLED,
     DONE,
@@ -31,8 +32,6 @@ from repro.serve import (
     QueryScheduler,
 )
 from repro.serve.scheduler import MAX_FINISHED_QUERIES
-
-from .test_step_api import fingerprint
 
 
 def wait_for(predicate, timeout=10.0, interval=0.005):
@@ -59,11 +58,12 @@ class TestServeConfig:
 
 class TestCompletion:
     def test_single_query_matches_serial(self, scheduler, session, sbi_sql):
-        serial = fingerprint(session.sql(sbi_sql).run_online())
+        serial = list(session.sql(sbi_sql).run_online())
         run = scheduler.submit(sbi_sql)
         assert scheduler.wait(run.id, timeout=30.0)
         assert run.state == DONE
-        assert fingerprint(run.snapshots) == serial
+        assert snapshot_fingerprint(run.snapshots) == \
+            snapshot_fingerprint(serial)
         # The stream carries one record per batch plus the end record.
         history = run.stream.history
         assert len(history) == len(serial) + 1
@@ -315,7 +315,7 @@ class TestQuarantine:
             faults=FaultsConfig(enabled=True, step_failure_prob=1.0,
                                 max_retries=0),
         )
-        serial = fingerprint(session.sql(sbi_sql).run_online())
+        serial = snapshot_fingerprint(session.sql(sbi_sql).run_online())
         sched = QueryScheduler(session)
         try:
             bad = sched.submit(sbi_sql, config=faulty)
@@ -326,7 +326,7 @@ class TestQuarantine:
             assert bad.snapshots == []
             # The healthy query is untouched — still serial-identical.
             assert good.state == DONE
-            assert fingerprint(good.snapshots) == serial
+            assert snapshot_fingerprint(good.snapshots) == serial
             counters = sched.metrics_snapshot().counters
             assert counters["scheduler.quarantined"] == 1
             assert counters["scheduler.failed"] == 1

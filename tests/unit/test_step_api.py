@@ -4,32 +4,14 @@
 / ``release()`` — the surface the serving scheduler interleaves.  These
 tests pin (a) bit-identity between the generator and a manual step loop,
 (b) the lifecycle errors, and (c) that finished/stopped runs release
-their mini-batch memory (retained batches, uncertain caches, run state)
+their memory (block states, uncertain caches, run state)
 instead of pinning it for the session's lifetime.
 """
 
 import pytest
 
 from repro import CheckpointError, ExecutionError
-
-
-def fingerprint(snapshots):
-    """Everything user-visible in a snapshot stream, bitwise."""
-    out = []
-    for s in snapshots:
-        out.append((
-            s.batch_index,
-            tuple(s.table.column(c).tobytes()
-                  for c in s.table.schema.names),
-            tuple(sorted(
-                (name, err.lows.tobytes(), err.highs.tobytes())
-                for name, err in s.errors.items()
-            )),
-            tuple(sorted(s.uncertain_sizes.items())),
-            tuple(s.rebuilds),
-            s.degraded,
-        ))
-    return out
+from repro.faults.chaos import snapshot_fingerprint
 
 
 def make_controller(session, sql):
@@ -39,7 +21,7 @@ def make_controller(session, sql):
 
 class TestStepMatchesGenerator:
     def test_manual_step_loop_is_bit_identical(self, session, sbi_sql):
-        serial = fingerprint(session.sql(sbi_sql).run_online())
+        serial = snapshot_fingerprint(session.sql(sbi_sql).run_online())
 
         controller = make_controller(session, sbi_sql)
         controller.begin()
@@ -49,7 +31,7 @@ class TestStepMatchesGenerator:
             assert snapshot is not None
             stepped.append(snapshot)
         controller.release()
-        assert fingerprint(stepped) == serial
+        assert snapshot_fingerprint(stepped) == serial
 
     def test_step_past_done_returns_none(self, session, sbi_sql):
         controller = make_controller(session, sbi_sql)
@@ -63,8 +45,8 @@ class TestStepMatchesGenerator:
     def test_interleaving_two_controllers_is_bit_identical(
             self, session, sessions_table, sbi_sql):
         other_sql = "SELECT SUM(play_time) FROM sessions"
-        serial_a = fingerprint(session.sql(sbi_sql).run_online())
-        serial_b = fingerprint(session.sql(other_sql).run_online())
+        serial_a = snapshot_fingerprint(session.sql(sbi_sql).run_online())
+        serial_b = snapshot_fingerprint(session.sql(other_sql).run_online())
 
         a = make_controller(session, sbi_sql)
         b = make_controller(session, other_sql)
@@ -81,8 +63,8 @@ class TestStepMatchesGenerator:
                 got_b.append(snap)
         a.release()
         b.release()
-        assert fingerprint(got_a) == serial_a
-        assert fingerprint(got_b) == serial_b
+        assert snapshot_fingerprint(got_a) == serial_a
+        assert snapshot_fingerprint(got_b) == serial_b
 
 
 class TestLifecycle:
@@ -174,5 +156,6 @@ class TestMemoryRelease:
         resumed = list(
             session.sql(sbi_sql).run_online(resume_from=ck)
         )
-        full = fingerprint(session.sql(sbi_sql).run_online())
-        assert fingerprint(resumed) == full[1:]
+        full = list(session.sql(sbi_sql).run_online())
+        assert snapshot_fingerprint(resumed) == \
+            snapshot_fingerprint(full[1:])
