@@ -31,7 +31,6 @@ from .errors import (
     CatalogError,
     CheckpointError,
     ExecutionError,
-    InjectedFault,
     ParseError,
     PlanError,
     QueryStopped,
@@ -56,7 +55,6 @@ __all__ = [
     "FaultsConfig",
     "GolaConfig",
     "GolaSession",
-    "InjectedFault",
     "OnlineQuery",
     "OnlineSnapshot",
     "ParseError",

@@ -285,44 +285,6 @@ def _submit(args) -> int:
     return 0
 
 
-def _top(args) -> int:
-    from .frontends.top import run_top
-
-    base = args.url or f"http://{args.host}:{args.port}"
-    return run_top(base.rstrip("/"), interval_s=args.interval,
-                   once=args.once)
-
-
-def _loadgen(args) -> int:
-    import json
-
-    from .serve.loadgen import LoadGenerator, LoadSpec
-
-    base = args.url or f"http://{args.host}:{args.port}"
-    spec = LoadSpec(
-        rate_qps=args.rate,
-        clients=args.clients,
-        queries=args.queries,
-        seed=args.seed,
-        open_loop=not args.closed_loop,
-        think_s=args.think,
-        abandon_prob=args.abandon_prob,
-        abandon_after_s=args.abandon_after,
-        target_rel_width=args.target_rel_width,
-        num_batches=args.batches,
-        timeout_s=args.timeout,
-    )
-    report = LoadGenerator(spec).run(base.rstrip("/"))
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.json}", file=sys.stderr)
-    print(text)
-    failed = report["errors"] > 0 or report["completed"] == 0
-    return 1 if failed else 0
-
-
 def _convert(args) -> int:
     from .faults.quarantine import RowQuarantine
     from .errors import ReproError
@@ -630,55 +592,6 @@ def main(argv=None) -> int:
     submit.add_argument("--timeout", type=float, default=600.0,
                         help="stream read timeout in seconds")
     submit.set_defaults(fn=_submit)
-
-    top = sub.add_parser(
-        "top", help="live terminal dashboard over a running server"
-    )
-    top.add_argument("--url", default=None,
-                     help="server base URL (overrides --host/--port)")
-    top.add_argument("--host", default="127.0.0.1")
-    top.add_argument("--port", type=int, default=8000)
-    top.add_argument("--interval", type=float, default=2.0,
-                     help="refresh interval in seconds")
-    top.add_argument("--once", action="store_true",
-                     help="print one frame and exit")
-    top.set_defaults(fn=_top)
-
-    loadgen = sub.add_parser(
-        "loadgen",
-        help="seeded Poisson load against a running server, with a "
-             "latency/throughput report",
-    )
-    loadgen.add_argument("--url", default=None,
-                         help="server base URL (overrides --host/--port)")
-    loadgen.add_argument("--host", default="127.0.0.1")
-    loadgen.add_argument("--port", type=int, default=8000)
-    loadgen.add_argument("--rate", type=float, default=4.0,
-                         help="mean Poisson arrival rate (queries/s)")
-    loadgen.add_argument("--clients", type=int, default=4,
-                         help="concurrent client threads")
-    loadgen.add_argument("--queries", type=int, default=24,
-                         help="total queries to submit")
-    loadgen.add_argument("--seed", type=int, default=2015)
-    loadgen.add_argument("--closed-loop", action="store_true",
-                         help="closed loop with think times instead of "
-                              "scheduled Poisson arrivals")
-    loadgen.add_argument("--think", type=float, default=0.1,
-                         help="mean think time (closed loop)")
-    loadgen.add_argument("--abandon-prob", type=float, default=0.0,
-                         help="per-query abandonment probability")
-    loadgen.add_argument("--abandon-after", type=float, default=2.0,
-                         help="patience before an abandoner cancels")
-    loadgen.add_argument("--target-rel-width", type=float, default=0.01,
-                         help="convergence target: CI half-width / "
-                              "|estimate|")
-    loadgen.add_argument("--batches", type=int, default=0,
-                         help="per-query num_batches override (0 = "
-                              "server default)")
-    loadgen.add_argument("--timeout", type=float, default=120.0)
-    loadgen.add_argument("--json", default=None, metavar="PATH",
-                         help="also write the report JSON here")
-    loadgen.set_defaults(fn=_loadgen)
 
     convert = sub.add_parser(
         "convert",

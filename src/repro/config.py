@@ -79,16 +79,7 @@ class FaultsConfig:
             partial aggregate state comes back corrupted
             (``parallel.result_corrupt``); the merge-time integrity
             check rejects it and the shard is re-executed.
-        submit_failure_prob: Per-attempt probability that admitting a
-            query to the serving scheduler fails (``serve.submit``).
-            Failures within ``max_retries`` are retried transparently;
-            beyond that the submission is rejected with InjectedFault.
-        step_failure_prob: Per-attempt probability that one scheduler
-            step of an online query crashes (``scheduler.step``).
-            Failures within ``max_retries`` are retried; beyond that the
-            query is quarantined while other queries keep refining.
-        max_retries: Bounded retry budget for batch loads, submissions
-            and scheduler steps.
+        max_retries: Bounded retry budget for batch loads.
         retry_backoff_s: Base delay before the first retry.
         retry_backoff_factor: Exponential backoff multiplier per retry.
         row_error_budget: Maximum tolerated fraction of quarantined rows
@@ -106,8 +97,6 @@ class FaultsConfig:
     worker_hang_prob: float = 0.0
     worker_hang_s: float = 30.0
     result_corrupt_prob: float = 0.0
-    submit_failure_prob: float = 0.0
-    step_failure_prob: float = 0.0
     max_retries: int = 3
     retry_backoff_s: float = 0.05
     retry_backoff_factor: float = 2.0
@@ -118,8 +107,7 @@ class FaultsConfig:
     def __post_init__(self) -> None:
         for name in ("batch_failure_prob", "row_corruption_prob",
                      "worker_kill_prob", "worker_hang_prob",
-                     "result_corrupt_prob",
-                     "submit_failure_prob", "step_failure_prob"):
+                     "result_corrupt_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
@@ -243,12 +231,6 @@ class ServeConfig:
             grants each query ``priority`` step credits per cycle, so
             with the default of 1 every runnable query advances exactly
             one batch per cycle regardless of priority backlog.
-        telemetry: Record serve-layer telemetry (SLO quantile
-            histograms, sliding-window rates, per-query convergence
-            streams; served at ``/metrics`` and
-            ``/queries/<id>/telemetry``).  Telemetry never changes query
-            results — disabling it only darkens the observability
-            surface.
         drain_timeout_s: On graceful shutdown (SIGTERM), how long to
             wait for in-flight queries to finish refining before they
             are cancelled with their latest snapshot.  0 cancels
@@ -261,7 +243,6 @@ class ServeConfig:
     queue_depth: int = 16
     default_deadline_s: float = 0.0
     max_steps_per_turn: int = 1
-    telemetry: bool = True
     drain_timeout_s: float = 10.0
 
     def __post_init__(self) -> None:
@@ -283,7 +264,7 @@ class ServeConfig:
         An empty spec yields the defaults; unknown keys raise
         ValueError.  Example::
 
-            ServeConfig.parse("port=9000,max_concurrent=8,telemetry=0")
+            ServeConfig.parse("port=9000,max_concurrent=8")
         """
         return cls(**_parse_spec(cls, spec, "--serve"))
 

@@ -85,19 +85,6 @@ class QueryStopped(ReproError):
     """The user stopped an online query before all batches were processed."""
 
 
-class InjectedFault(ReproError):
-    """A deterministic fault injected by :mod:`repro.faults`.
-
-    Raised only where a fault exhausts its recovery budget and no
-    graceful-degradation path exists; recoverable injections surface as
-    trace events and degraded snapshots instead.
-    """
-
-    def __init__(self, point: str, message: str):
-        self.point = point
-        super().__init__(f"[{point}] {message}")
-
-
 class CheckpointError(ReproError):
     """A run checkpoint cannot be restored (wrong query, config, or file)."""
 

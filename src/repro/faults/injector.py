@@ -27,7 +27,7 @@ from ..estimate.random_source import derive_rng
 from ..obs import NULL_TRACER, Tracer
 
 #: The fault kinds a point may declare.
-FAULT_KINDS = ("batch", "row", "serve", "worker")
+FAULT_KINDS = ("batch", "row", "worker")
 
 
 @dataclass(frozen=True)
@@ -93,14 +93,6 @@ register_fault_point(
     "parallel.result_corrupt", "worker",
     "a worker's partial aggregate state is corrupted in flight; the "
     "merge-time integrity check rejects it and the shard re-runs",
-)
-register_fault_point(
-    "serve.submit", "serve",
-    "admitting a query to the scheduler fails; retried, then rejected",
-)
-register_fault_point(
-    "scheduler.step", "serve",
-    "one scheduler step of a query crashes; retried, then quarantined",
 )
 
 
@@ -186,22 +178,6 @@ class FaultInjector:
             return 0
         return int(self._failures(
             self._rng(point), self.config.batch_failure_prob, 1
-        )[0])
-
-    def submit_failures(self, point: str = "serve.submit") -> int:
-        """Failed attempts before a query submission would be admitted."""
-        if not self.enabled or self.config.submit_failure_prob <= 0.0:
-            return 0
-        return int(self._failures(
-            self._rng(point), self.config.submit_failure_prob, 1
-        )[0])
-
-    def step_failures(self, point: str = "scheduler.step") -> int:
-        """Failed attempts before one scheduler step would succeed."""
-        if not self.enabled or self.config.step_failure_prob <= 0.0:
-            return 0
-        return int(self._failures(
-            self._rng(point), self.config.step_failure_prob, 1
         )[0])
 
     def corrupted_rows(self, point: str, num_rows: int) -> np.ndarray:

@@ -1,9 +1,8 @@
 """Recovery policies: bounded retry with exponential backoff + jitter.
 
 One policy object is shared by every layer that retries — the
-controller's mini-batch reloads, the supervised worker pool and the
-load generator's resubmissions — so "how patient is the system" is a
-single configuration surface.
+controller's mini-batch reloads and the supervised worker pool — so
+"how patient is the system" is a single configuration surface.
 
 :meth:`RetryPolicy.delay` is the deterministic exponential *cap*;
 :meth:`RetryPolicy.jittered_delay` draws seeded **full jitter**
@@ -52,10 +51,9 @@ class RetryPolicy:
     def jitter_rng(self, seed: int, actor: str) -> random.Random:
         """A per-actor jitter stream: same (seed, actor) → same sleeps.
 
-        Distinct actors (``"loadgen:c3"``, ``"supervisor:shard"``,
-        ``"scheduler:q7"``) draw from decorrelated streams, which is the
-        whole point — concurrent retriers spread out instead of waking
-        in lockstep.
+        Distinct actors (``"parallel.supervisor"``, ...) draw from
+        decorrelated streams, which is the whole point — concurrent
+        retriers spread out instead of waking in lockstep.
         """
         return random.Random(f"{seed}:{actor}:retry-jitter")
 

@@ -1,4 +1,4 @@
-"""Front-ends: terminal progress consoles and dashboards."""
+"""Front-ends: terminal progress consoles."""
 
 from .console import (
     ProgressConsole,

@@ -18,9 +18,8 @@ engine component one cheap, injectable instrumentation surface:
 * :func:`load_events` / :func:`render_profile` — turn a JSONL event log
   back into per-phase / per-operator profile tables;
 * :mod:`repro.obs.live` — bounded log-bucketed quantile histograms
-  (:class:`LogBuckets`) and sliding-window aggregations
-  (:class:`SlidingWindow`, :class:`WindowedHistogram`) backing the
-  serve layer's live ``/metrics`` surface.
+  (:class:`LogBuckets`), the store behind every registry histogram and
+  the serve layer's ``/metrics`` buckets.
 
 A process-wide default tracer exists (:func:`get_tracer` /
 :func:`set_tracer`) but every consumer also accepts an explicit
@@ -31,12 +30,8 @@ from .live import (
     BUCKETS_PER_OCTAVE,
     GROWTH,
     LogBuckets,
-    SlidingWindow,
-    WindowedHistogram,
-    WindowSnapshot,
     bucket_key,
     bucket_upper_edge,
-    quantile_from_cumulative,
 )
 from .metrics import (
     Counter,
@@ -79,20 +74,16 @@ __all__ = [
     "NULL_TRACER",
     "NullSink",
     "ProfileReport",
-    "SlidingWindow",
     "Span",
     "TeeSink",
     "Timer",
     "TraceSink",
     "Tracer",
-    "WindowSnapshot",
-    "WindowedHistogram",
     "bucket_key",
     "bucket_upper_edge",
     "build_profile",
     "get_tracer",
     "load_events",
-    "quantile_from_cumulative",
     "render_profile",
     "render_recovery",
     "set_tracer",

@@ -1,23 +1,13 @@
-"""Live telemetry primitives: log-bucketed histograms, sliding windows.
+"""Log-bucketed histograms: the store behind every metrics histogram.
 
-Serving an *interactive* system means answering distribution questions
-about itself while it runs: "what is p99 first-answer latency right
-now?", "how fast are snapshots flowing in the last minute?".  Both the
-paper's evaluation and PF-OLA's parallel-OLA framing treat the estimator
-as a continuously observable actor — this module gives the serve layer
-the data structures for that:
-
-* :class:`LogBuckets` — an HDR-style log-bucketed value histogram:
-  bounded memory (bucket count is bounded by the float64 exponent range
-  times the per-octave resolution, independent of observation count),
-  quantile estimates accurate to one bucket (~9% relative), and
-  associative/commutative merges — the same mergeable-snapshot
-  discipline as :class:`~repro.obs.metrics.MetricsSnapshot`, so
-  histograms from worker processes combine exactly.
-* :class:`SlidingWindow` — a ring of time slots each holding one
-  :class:`LogBuckets` plus count/sum, so "p95 over the last 10s/1m/5m"
-  and event rates come from merging the live slots at read time; old
-  slots expire in O(1) without rescanning history.
+:class:`LogBuckets` is an HDR-style log-bucketed value histogram:
+bounded memory (bucket count is bounded by the float64 exponent range
+times the per-octave resolution, independent of observation count),
+quantile estimates accurate to one bucket (~9% relative), and
+associative/commutative merges — the same mergeable-snapshot discipline
+as :class:`~repro.obs.metrics.MetricsSnapshot`, so histograms from
+worker processes combine exactly.  ``GET /metrics`` exports the buckets
+cumulatively, so a scraper derives windowed rates and quantiles itself.
 
 Everything here is plain Python over dicts — no numpy in the hot path —
 because observations arrive one at a time from scheduler threads.
@@ -26,10 +16,7 @@ because observations arrive one at a time from scheduler threads.
 from __future__ import annotations
 
 import math
-import threading
-import time
-from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 #: Buckets per power of two; 8 gives a bucket width (growth factor) of
 #: ``2**(1/8) ~ 1.09``, i.e. quantiles accurate to ~9% relative error.
@@ -74,10 +61,10 @@ def bucket_upper_edge(sign: int, index: int) -> float:
 class LogBuckets:
     """Sparse log-bucketed histogram of float observations.
 
-    Not thread-safe on its own — owners (``obs.Histogram``, the sliding
-    windows) serialize access behind their locks.  NaN observations are
-    ignored (they have no place on the value axis); +/-inf land in the
-    extreme buckets.
+    Not thread-safe on its own — its owner (``obs.Histogram``)
+    serializes access behind its lock.  NaN observations are ignored
+    (they have no place on the value axis); +/-inf land in the extreme
+    buckets.
     """
 
     __slots__ = ("zero", "pos", "neg", "count")
@@ -198,150 +185,3 @@ class LogBuckets:
         out.pos = {int(k): int(v) for k, v in state.get("pos", {}).items()}
         out.neg = {int(k): int(v) for k, v in state.get("neg", {}).items()}
         return out
-
-
-def quantile_from_cumulative(pairs: Sequence[Tuple[float, float]],
-                             q: float) -> float:
-    """Quantile estimate from (upper edge, cumulative count) pairs.
-
-    The read-side twin of :meth:`LogBuckets.quantile` for consumers that
-    only see exported cumulative buckets (``repro top`` re-deriving p99
-    from a Prometheus scrape).  Pairs must be ascending in both fields;
-    an ``inf`` edge (the ``+Inf`` bucket) falls back to the previous
-    finite edge so the estimate stays usable.
-    """
-    if not pairs:
-        return float("nan")
-    total = pairs[-1][1]
-    if total <= 0:
-        return float("nan")
-    rank = math.floor(q * (total - 1))
-    previous = pairs[0][0]
-    for edge, running in pairs:
-        if running > rank:
-            return previous if math.isinf(edge) else edge
-        if not math.isinf(edge):
-            previous = edge
-    return previous
-
-
-class _Slot:
-    """One time slot of a sliding window."""
-
-    __slots__ = ("slot_id", "count", "total", "buckets")
-
-    def __init__(self, slot_id: int):
-        self.slot_id = slot_id
-        self.count = 0
-        self.total = 0.0
-        self.buckets = LogBuckets()
-
-
-class WindowSnapshot:
-    """Merged view of a sliding window's live slots at one moment."""
-
-    __slots__ = ("window_s", "count", "total", "buckets")
-
-    def __init__(self, window_s: float, count: int, total: float,
-                 buckets: LogBuckets):
-        self.window_s = window_s
-        self.count = count
-        self.total = total
-        self.buckets = buckets
-
-    @property
-    def rate(self) -> float:
-        """Observations per second over the window."""
-        return self.count / self.window_s if self.window_s > 0 else 0.0
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else float("nan")
-
-    def quantile(self, q: float) -> float:
-        return self.buckets.quantile(q)
-
-
-class SlidingWindow:
-    """Fixed-horizon sliding aggregation over a ring of time slots.
-
-    ``window_s`` seconds are covered by ``slots`` equal sub-slots; an
-    observation lands in the current slot, and reads merge every slot
-    younger than the horizon.  Expiry is O(1) per expired slot (popped
-    off the ring) — no per-observation timestamps are kept, so memory is
-    ``slots`` buckets regardless of traffic.  Thread-safe.
-    """
-
-    def __init__(self, window_s: float, slots: int = 12,
-                 clock=time.monotonic):
-        if window_s <= 0:
-            raise ValueError("window_s must be > 0")
-        if slots < 1:
-            raise ValueError("slots must be >= 1")
-        self.window_s = float(window_s)
-        self.slots = slots
-        self._slot_w = self.window_s / slots
-        self._clock = clock
-        self._ring: Deque[_Slot] = deque()
-        self._lock = threading.Lock()
-
-    def _prune(self, current_id: int) -> None:
-        horizon = current_id - self.slots
-        while self._ring and self._ring[0].slot_id <= horizon:
-            self._ring.popleft()
-
-    def observe(self, value: float, now: Optional[float] = None) -> None:
-        if now is None:
-            now = self._clock()
-        slot_id = int(now // self._slot_w)
-        with self._lock:
-            if not self._ring or self._ring[-1].slot_id != slot_id:
-                self._ring.append(_Slot(slot_id))
-                self._prune(slot_id)
-            slot = self._ring[-1]
-            slot.count += 1
-            slot.total += float(value)
-            slot.buckets.observe(float(value))
-
-    def snapshot(self, now: Optional[float] = None) -> WindowSnapshot:
-        if now is None:
-            now = self._clock()
-        current_id = int(now // self._slot_w)
-        merged = LogBuckets()
-        count = 0
-        total = 0.0
-        with self._lock:
-            self._prune(current_id)
-            for slot in self._ring:
-                count += slot.count
-                total += slot.total
-                merged.merge_from(slot.buckets)
-        return WindowSnapshot(self.window_s, count, total, merged)
-
-
-#: The live-view horizons every windowed instrument carries.
-WINDOW_SPANS: Tuple[Tuple[str, float], ...] = (
-    ("10s", 10.0), ("1m", 60.0), ("5m", 300.0),
-)
-
-
-class WindowedHistogram:
-    """One value stream observed into all standard window horizons."""
-
-    def __init__(self, spans: Tuple[Tuple[str, float], ...] = WINDOW_SPANS,
-                 clock=time.monotonic):
-        self.windows: Dict[str, SlidingWindow] = {
-            label: SlidingWindow(seconds, clock=clock)
-            for label, seconds in spans
-        }
-
-    def observe(self, value: float, now: Optional[float] = None) -> None:
-        for window in self.windows.values():
-            window.observe(value, now=now)
-
-    def snapshots(self, now: Optional[float] = None
-                  ) -> Dict[str, WindowSnapshot]:
-        return {
-            label: window.snapshot(now=now)
-            for label, window in self.windows.items()
-        }

@@ -1,4 +1,4 @@
-"""Concurrent multi-query serving: scheduler, HTTP streaming, telemetry.
+"""Concurrent multi-query serving: scheduler, HTTP streaming, metrics.
 
 The paper's system serves *interactive analysis*: many analysts pointing
 dashboards at one engine, each expecting their estimate to refine every
@@ -13,22 +13,19 @@ GolaSession` into that shared service:
 * :class:`SnapshotStream` / :func:`encode_snapshot` — per-query
   replayable pub/sub snapshot records with non-blocking backpressure;
 * :class:`GolaServer` — a stdlib HTTP/JSON front end streaming NDJSON
-  (``python -m repro serve``), with graceful SIGTERM drain;
-* :class:`ServeTelemetry` / :class:`QueryTelemetry` — live SLO
-  histograms, sliding-window rates and per-query convergence streams
-  behind ``GET /metrics`` (Prometheus text) and
-  ``GET /queries/<id>/telemetry`` (NDJSON);
-* :class:`LoadGenerator` — a seeded Poisson open/closed-loop load
-  harness (``python -m repro loadgen``).  The serve path's wall-clock
-  benchmark is the ledger's ``serve_mix`` workload
-  (``benchmarks/ledger/run.py``), which brings its own client.
+  (``python -m repro serve``), with graceful SIGTERM drain; the shared
+  metrics registry, including the scheduler's queue-wait, step,
+  first-answer and convergence histograms, is served at ``GET /metrics``
+  (Prometheus text, :func:`render_prometheus`) and ``GET /metrics.json``.
+
+The serve path's wall-clock benchmark is the ledger's ``serve_mix``
+workload (``benchmarks/ledger/run.py``), which brings its own client.
 
 Every query's snapshot stream is bit-identical to running it alone — the
 scheduler multiplexes *scheduling*, never the per-query RNG streams or
 block state.
 """
 
-from .loadgen import LoadGenerator, LoadSpec
 from .scheduler import (
     CANCELLED,
     DONE,
@@ -45,31 +42,19 @@ from .scheduler import (
 from .server import GolaServer
 from .stream import SnapshotStream, encode_snapshot
 from .telemetry import (
-    EPSILONS,
     PROMETHEUS_CONTENT_TYPE,
-    PrometheusFamily,
-    QueryTelemetry,
-    ServeTelemetry,
-    parse_prometheus,
     relative_half_width,
     render_prometheus,
 )
 
 __all__ = [
     "DrainingError",
-    "EPSILONS",
     "GolaServer",
-    "LoadGenerator",
-    "LoadSpec",
     "PROMETHEUS_CONTENT_TYPE",
-    "PrometheusFamily",
     "QueryScheduler",
-    "QueryTelemetry",
     "ScheduledQuery",
-    "ServeTelemetry",
     "SnapshotStream",
     "encode_snapshot",
-    "parse_prometheus",
     "relative_half_width",
     "render_prometheus",
     "QUEUED",

@@ -17,8 +17,7 @@ query:
   state, and its step sequence is exactly what a serial run would
   execute, so every query's snapshot stream is bit-identical to running
   it alone (the property the acceptance tests pin);
-* **isolation** — a query that crashes mid-step (or hits an injected
-  ``scheduler.step`` fault past its retry budget) is *quarantined*:
+* **isolation** — a query that crashes mid-step is *quarantined*:
   finalized with its error and released, while every other query keeps
   refining;
 * **control** — admission (slots, queue depth),
@@ -37,11 +36,10 @@ from typing import Dict, Iterator, List, Optional, Union
 from ..config import GolaConfig, ServeConfig
 from ..core.result import OnlineSnapshot
 from ..core.session import GolaSession, OnlineQuery
-from ..errors import AdmissionError, InjectedFault, ReproError
-from ..faults import FaultInjector, RetryPolicy
+from ..errors import AdmissionError
 from ..obs import MetricsRegistry, Tracer, tracer_from_config
 from .stream import SnapshotStream, encode_snapshot
-from .telemetry import ServeTelemetry
+from .telemetry import relative_half_width
 
 #: Lifecycle states of a scheduled query.
 QUEUED = "queued"
@@ -55,10 +53,14 @@ EXPIRED = "expired"
 #: States a query never leaves.
 TERMINAL_STATES = frozenset({DONE, CANCELLED, FAILED, EXPIRED})
 
-#: Finished queries kept readable (status, stream replay, telemetry);
-#: older ones are forgotten in finish order, so a long-lived server's
-#: registries hold every live query plus at most this many finished.
+#: Finished queries kept readable (status, stream replay); older ones
+#: are forgotten in finish order, so a long-lived server's registry
+#: holds every live query plus at most this many finished.
 MAX_FINISHED_QUERIES = 64
+
+#: Relative CI half-width at which a query's answer counts as converged
+#: (``serve.convergence_seconds`` records submission to ±1 %).
+CONVERGED_REL_WIDTH = 0.01
 
 
 class DrainingError(AdmissionError):
@@ -89,7 +91,6 @@ class ScheduledQuery:
         self.stream = stream
         self.state = QUEUED
         self.controller = None
-        self.retry = RetryPolicy.from_faults(config.faults)
         self.deficit = 0.0
         self.cancel_requested = False
         self.error: Optional[str] = None
@@ -101,6 +102,10 @@ class ScheduledQuery:
         self.submitted_at = time.monotonic()
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
+        #: Seconds from submission to the first snapshot, and to the
+        #: first snapshot within ±``CONVERGED_REL_WIDTH``.
+        self.first_answer_s: Optional[float] = None
+        self.converged_s: Optional[float] = None
         self.done_event = threading.Event()
 
     @property
@@ -190,17 +195,6 @@ class QueryScheduler:
             self.tracer = built
         self.parallel = ParallelExecutor.from_config(
             session.config, tracer=self.tracer
-        )
-        #: Draws ``serve.submit`` faults; per-query ``scheduler.step``
-        #: faults come from each query's own injector stream.
-        self.injector = FaultInjector.from_config(
-            session.config, tracer=self.tracer
-        )
-        self._submit_retry = RetryPolicy.from_faults(session.config.faults)
-        #: Serve-layer telemetry hub (SLO histograms, sliding windows,
-        #: per-query convergence streams); purely observational.
-        self.telemetry = ServeTelemetry(
-            self.tracer.metrics, enabled=self.serve.telemetry,
         )
         self._cond = threading.Condition()
         self._queries: Dict[str, ScheduledQuery] = {}
@@ -330,8 +324,8 @@ class QueryScheduler:
             sql: SQL text (parsed/bound against the session catalog) or
                 an already-bound :class:`OnlineQuery`.
             config: Per-query run configuration; defaults to the
-                session's.  Its ``faults`` govern this query's injected
-                ``scheduler.step`` crashes.
+                session's.  Its ``faults`` govern the faults injected
+                into this query's run.
             priority: Deficit round-robin weight: a priority-2 query is
                 granted twice the step credits per scheduling cycle of a
                 priority-1 query (capped by ``max_steps_per_turn``).
@@ -344,23 +338,11 @@ class QueryScheduler:
 
         Raises:
             AdmissionError: queue full or scheduler shut down.
-            InjectedFault: a ``serve.submit`` fault exhausted retries.
             ParseError/BindError/...: the SQL is invalid.
         """
         if priority < 1:
             raise ValueError("priority must be >= 1")
         metrics = self.tracer.metrics
-        failures = self.injector.submit_failures("serve.submit")
-        if failures:
-            if self._submit_retry.gives_up_after(failures):
-                if metrics.enabled:
-                    metrics.counter("serve.submit_failures").inc()
-                raise InjectedFault(
-                    "serve.submit",
-                    f"submission failed after {failures} attempts",
-                )
-            if metrics.enabled:
-                metrics.counter("serve.submit_retries").inc(failures)
         online = (
             sql if isinstance(sql, OnlineQuery) else self.session.sql(sql)
         )
@@ -394,7 +376,6 @@ class QueryScheduler:
             )
             self._queries[qid] = run
             self._queue.append(run)
-            self.telemetry.on_submitted(run)
             if metrics.enabled:
                 metrics.counter("serve.submitted").inc()
                 metrics.gauge("scheduler.queue_depth").set(len(self._queue))
@@ -423,15 +404,6 @@ class QueryScheduler:
     def subscribe(self, qid: str) -> Iterator[dict]:
         """Iterate a query's snapshot records from the start, then live."""
         return self.get(qid).stream.subscribe()
-
-    def subscribe_telemetry(self, qid: str) -> Iterator[dict]:
-        """Iterate a query's convergence-telemetry records.
-
-        KeyError for unknown ids, and also when telemetry is disabled
-        (no convergence stream exists for any query then).
-        """
-        self.get(qid)  # unknown id -> KeyError with the usual message
-        return self.telemetry.subscription(qid)
 
     def cancel(self, qid: str, wait_s: float = 5.0) -> dict:
         """Request cancellation; returns the (usually final) status.
@@ -544,15 +516,17 @@ class QueryScheduler:
                     tracer=self.tracer,
                 )
                 run.controller.begin()
-            except ReproError as exc:
-                run.error = str(exc)
+            except Exception as exc:  # any bad query fails alone
+                run.error = f"{type(exc).__name__}: {exc}"
                 self._finalize_locked(run, FAILED)
                 continue
             run.state = RUNNING
             run.started_at = time.monotonic()
             self._running.append(run)
-            self.telemetry.on_admitted(run)
             if metrics.enabled:
+                metrics.histogram("serve.queue_wait_seconds").observe(
+                    run.started_at - run.submitted_at
+                )
                 metrics.counter("scheduler.admitted").inc()
                 metrics.gauge("scheduler.running").set(len(self._running))
                 metrics.gauge("scheduler.queue_depth").set(len(self._queue))
@@ -586,20 +560,6 @@ class QueryScheduler:
         tracer = self.tracer
         metrics = tracer.metrics
         controller = run.controller
-        failures = run.controller.injector.step_failures("scheduler.step")
-        if failures:
-            if run.retry.gives_up_after(failures):
-                self._quarantine(run, InjectedFault(
-                    "scheduler.step",
-                    f"step crashed {failures} times "
-                    f"(retry budget {run.retry.max_retries})",
-                ))
-                return False
-            if metrics.enabled:
-                metrics.counter("scheduler.step_retries").inc(failures)
-            if tracer.enabled:
-                tracer.event("fault.step_retry", query=run.id,
-                             attempts=failures)
         step_started = time.perf_counter()
         try:
             with tracer.span("scheduler.step", query=run.id,
@@ -623,8 +583,8 @@ class QueryScheduler:
         run.snapshots.append(snapshot)
         run.last_snapshot = snapshot
         run.stream.publish(encode_snapshot(run.id, snapshot))
-        self.telemetry.on_snapshot(run, snapshot, step_s)
         if metrics.enabled:
+            self._observe_answer(run, snapshot, step_s)
             metrics.counter("serve.snapshots").inc()
         reached_target = False
         if run.target_rsd is not None:
@@ -644,6 +604,24 @@ class QueryScheduler:
                     )
             return False
         return True
+
+    def _observe_answer(self, run: ScheduledQuery,
+                        snapshot: OnlineSnapshot, step_s: float) -> None:
+        """Record first-answer, convergence and step latencies."""
+        metrics = self.tracer.metrics
+        since_submit = time.monotonic() - run.submitted_at
+        if run.first_answer_s is None:
+            run.first_answer_s = since_submit
+            metrics.histogram("serve.first_answer_seconds").observe(
+                since_submit
+            )
+        if (run.converged_s is None
+                and relative_half_width(snapshot) <= CONVERGED_REL_WIDTH):
+            run.converged_s = since_submit
+            metrics.histogram("serve.convergence_seconds").observe(
+                since_submit
+            )
+        metrics.histogram("serve.step_seconds").observe(step_s)
 
     def _quarantine(self, run: ScheduledQuery, exc: Exception) -> None:
         """Isolate a crashed query; every other query keeps refining."""
@@ -675,11 +653,8 @@ class QueryScheduler:
         run.stream.close(final=run._end_record())
         self.completed_order.append(run.id)
         self._completed += 1
-        self.telemetry.on_finalized(run)
         if len(self.completed_order) > MAX_FINISHED_QUERIES:
-            evicted = self.completed_order.pop(0)
-            del self._queries[evicted]
-            self.telemetry.forget(evicted)
+            del self._queries[self.completed_order.pop(0)]
         metrics = self.tracer.metrics
         if metrics.enabled:
             metrics.counter(f"scheduler.{state}").inc()

@@ -13,13 +13,10 @@ client can submit G-OLA queries and watch their estimates refine live:
 * ``DELETE /query/<id>`` — cancel.
 * ``GET /queries`` — every known query's status.
 * ``GET /metrics`` — the shared metrics registry in Prometheus text
-  exposition format (counters, gauges, log-bucket histograms, sliding
-  10s/1m/5m window statistics).
+  exposition format (counters, gauges, cumulative log-bucket
+  histograms; a scraper derives windowed rates and quantiles).
 * ``GET /metrics.json`` — the same registry as JSON (counters/gauges
   plus per-histogram summaries), for ad-hoc scripting.
-* ``GET /queries/<id>/telemetry`` (alias ``/query/<id>/telemetry``) —
-  the query's convergence telemetry as NDJSON: one CI-width-vs-wallclock
-  record per snapshot, closed by a summary with time-to-±ε.
 * ``GET /healthz`` — liveness plus scheduler stats (state ``serving``
   or ``draining``, uptime, query counts, cache stats).
 
@@ -32,10 +29,9 @@ scheduler's progress.
 
 Error mapping: bad SQL/parameters → 400, unknown id → 404, DELETE of an
 already-terminal query → 409, admission refused → 429, draining /
-injected ``serve.submit`` fault / snapshots of a quarantined (failed)
-query → 503.  Backpressure responses (429 and the retryable 503s) carry
-a ``Retry-After`` header derived from queue depth and drain state
-(:meth:`QueryScheduler.retry_after_hint`); ``repro loadgen`` honors it.
+snapshots of a quarantined (failed) query → 503.  Backpressure responses
+(429 and the draining 503) carry a ``Retry-After`` header derived from
+queue depth and drain state (:meth:`QueryScheduler.retry_after_hint`).
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ from ..config import FaultsConfig, GolaConfig, ServeConfig
 from ..errors import (
     AdmissionError,
     BindError,
-    InjectedFault,
     ParseError,
     PlanError,
     ReproError,
@@ -60,14 +55,42 @@ from ..errors import (
 from .scheduler import FAILED, DrainingError, QueryScheduler
 from .telemetry import PROMETHEUS_CONTENT_TYPE, render_prometheus
 
-_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(GolaConfig)}
-_FAULT_FIELDS = {f.name: f.type for f in dataclasses.fields(FaultsConfig)}
+_CONFIG_FIELDS = {
+    f.name: str(f.type) for f in dataclasses.fields(GolaConfig)
+}
+_FAULT_FIELDS = {
+    f.name: str(f.type) for f in dataclasses.fields(FaultsConfig)
+}
 
 
 def _finite_or_none(value: float) -> Optional[float]:
     value = float(value)
     if value != value or value in (float("inf"), float("-inf")):
         return None
+    return value
+
+
+def _typed(kind: str, name: str, ftype: str, value):
+    """A JSON request value checked against its field's declared type.
+
+    A bool is not an int; an int is a valid float (and becomes one).
+    Raises ValueError (HTTP 400) on a mismatch, so a mistyped value never
+    reaches the scheduler thread.
+    """
+    if "bool" in ftype:
+        ok = isinstance(value, bool)
+    elif "int" in ftype:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif "float" in ftype:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        value = float(value) if ok else value
+    else:
+        ok = isinstance(value, str)
+    if not ok:
+        raise ValueError(
+            f"{kind} field {name!r} must be {ftype}, "
+            f"not {type(value).__name__}"
+        )
     return value
 
 
@@ -79,17 +102,14 @@ def _apply_overrides(config: GolaConfig, overrides: dict,
         if name not in _CONFIG_FIELDS or name in ("faults", "serve",
                                                   "parallel", "qa"):
             raise ValueError(f"unknown config field {name!r}")
-        if not isinstance(value, (int, float, bool, str)):
-            raise ValueError(f"config field {name!r} must be scalar")
-        changes[name] = value
+        changes[name] = _typed("config", name, _CONFIG_FIELDS[name], value)
     if faults:
         fchanges = {}
         for name, value in faults.items():
             if name not in _FAULT_FIELDS:
                 raise ValueError(f"unknown faults field {name!r}")
-            if not isinstance(value, (int, float, bool)):
-                raise ValueError(f"faults field {name!r} must be scalar")
-            fchanges[name] = value
+            fchanges[name] = _typed("faults", name, _FAULT_FIELDS[name],
+                                    value)
         changes["faults"] = dataclasses.replace(config.faults, **fchanges)
     if not changes:
         return config
@@ -145,11 +165,6 @@ class _Handler(BaseHTTPRequestHandler):
                 429, exc,
                 retry_after=self.server.scheduler.retry_after_hint(),
             )
-        elif isinstance(exc, InjectedFault):
-            self._send_error_json(
-                503, exc,
-                retry_after=self.server.scheduler.retry_after_hint(),
-            )
         elif isinstance(exc, ReproError):
             self._send_error_json(500, exc)
         else:
@@ -174,12 +189,17 @@ class _Handler(BaseHTTPRequestHandler):
                 scheduler.session.config,
                 body.get("config") or {}, body.get("faults"),
             )
+            limits = {
+                key: _typed("request", key, "float", body[key])
+                for key in ("deadline_s", "target_rsd")
+                if body.get(key) is not None
+            }
             run = scheduler.submit(
                 str(body["sql"]),
                 config=config,
-                priority=int(body.get("priority", 1)),
-                deadline_s=body.get("deadline_s"),
-                target_rsd=body.get("target_rsd"),
+                priority=_typed("request", "priority", "int",
+                                body.get("priority", 1)),
+                **limits,
             )
         except Exception as exc:  # mapped to an HTTP status above
             self._fail(exc)
@@ -236,13 +256,6 @@ class _Handler(BaseHTTPRequestHandler):
                     })
                 else:
                     self._stream_ndjson(scheduler.subscribe(qid))
-            elif path.startswith("/query/") and path.endswith("/telemetry"):
-                qid = path[len("/query/"):-len("/telemetry")]
-                self._stream_ndjson(scheduler.subscribe_telemetry(qid))
-            elif (path.startswith("/queries/")
-                    and path.endswith("/telemetry")):
-                qid = path[len("/queries/"):-len("/telemetry")]
-                self._stream_ndjson(scheduler.subscribe_telemetry(qid))
             else:
                 self._send_json(404, {"error": "NotFound", "message": path})
         except Exception as exc:
@@ -261,10 +274,7 @@ class _Handler(BaseHTTPRequestHandler):
         return body
 
     def _send_prometheus(self, scheduler: QueryScheduler) -> None:
-        text = render_prometheus(
-            scheduler.metrics_snapshot(),
-            extra_samples=scheduler.telemetry.window_samples(),
-        )
+        text = render_prometheus(scheduler.metrics_snapshot())
         body = text.encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", PROMETHEUS_CONTENT_TYPE)

@@ -4,9 +4,9 @@ The serving tentpole's contract (ISSUE 4): running the paper's workload
 queries *concurrently* under the deficit round-robin scheduler yields,
 for every query, a snapshot stream **bit-identical** to running that
 query alone — multiplexing schedules, never results.  Also exercised
-here: cancellation and deadline control paths under concurrency, and an
-injected per-query ``scheduler.step`` fault that quarantines exactly one
-query while the other seven keep refining to completion.
+here: cancellation and deadline control paths under concurrency, and a query
+whose UDF crashes mid-step: it is quarantined alone while the other
+seven keep refining to completion.
 """
 
 import dataclasses
@@ -15,7 +15,7 @@ import pytest
 
 pytestmark = pytest.mark.slow  # 8-way concurrency soak; see docs/testing.md
 
-from repro import FaultsConfig, GolaConfig, GolaSession, ServeConfig
+from repro import GolaConfig, GolaSession, ServeConfig
 from repro.faults.chaos import snapshot_fingerprint
 from repro.serve import CANCELLED, DONE, EXPIRED, FAILED, QueryScheduler
 from repro.workloads import (
@@ -92,21 +92,25 @@ class TestEightConcurrentQueries:
                 len(WORKLOAD) * CONFIG.num_batches
 
     def test_fault_quarantines_one_of_eight(self, serial_fingerprints):
-        """One faulty query fails alone; the other 7 refine unperturbed."""
-        faulty_config = dataclasses.replace(
-            CONFIG,
-            faults=FaultsConfig(enabled=True, step_failure_prob=1.0,
-                                max_retries=0),
+        """One crashing query fails alone; the other 7 refine unperturbed."""
+
+        def crash(values):
+            raise RuntimeError("udf crashed")
+
+        faulty_sql = TPCH_QUERIES["Q17"].replace(
+            "SUM(l_extendedprice)", "SUM(crash(l_extendedprice))"
         )
         session = make_session()
+        session.register_udf("crash", crash)
         with QueryScheduler(session, serve=SERVE) as sched:
             runs = {}
             for name, sql in WORKLOAD:
-                config = faulty_config if name == "Q17" else None
-                runs[name] = sched.submit(sql, config=config)
+                runs[name] = sched.submit(
+                    faulty_sql if name == "Q17" else sql
+                )
             assert sched.wait(timeout=300.0)
             assert runs["Q17"].state == FAILED
-            assert "scheduler.step" in runs["Q17"].error
+            assert runs["Q17"].error == "RuntimeError: udf crashed"
             assert runs["Q17"].snapshots == []
             assert runs["Q17"].stream.history[-1]["state"] == FAILED
             for name, run in runs.items():

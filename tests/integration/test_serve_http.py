@@ -149,6 +149,29 @@ class TestHTTPErrors:
         )
         assert code == 400
 
+    def test_mistyped_overrides_400_and_later_query_done(self, server):
+        for body in ({"config": {"num_batches": 2.5}},
+                     {"config": {"num_batches": "10"}},
+                     {"config": {"shuffle": 1}},
+                     {"faults": {"max_retries": True}},
+                     {"target_rsd": "0.1"}):
+            code, _, reply = http_error(
+                post_json, server.url + "/query", {"sql": SBI_QUERY, **body}
+            )
+            assert code == 400, body
+            assert reply["error"] == "ValueError", body
+        # An int is a valid float; the scheduler outlived the bad bodies.
+        code, submitted = post_json(server.url + "/query", {
+            "sql": SBI_QUERY,
+            "config": {"num_batches": 2, "epsilon_multiplier": 1},
+        })
+        assert code == 201
+        assert server.scheduler.wait(submitted["id"], timeout=60.0)
+        _, status = get_json(server.url + submitted["status_url"])
+        assert status["state"] == "done"
+        config = server.scheduler.get(submitted["id"]).config
+        assert type(config.epsilon_multiplier) is float
+
     def test_unknown_route_404(self, server):
         code, _, _ = http_error(get_json, server.url + "/nope")
         assert code == 404

@@ -1,10 +1,10 @@
-"""Live telemetry over HTTP: /metrics, convergence streams, drain.
+"""Live metrics over HTTP: /metrics, /metrics.json, drain.
 
 End-to-end acceptance for the serve-layer observability: the
 Prometheus exposition must parse strictly and reconcile with the
-scheduler's own accounting, per-query telemetry streams must agree
-with the query's snapshot stream, telemetry must not perturb results,
-and shutdown must be graceful (503 while draining, exit 0 on SIGTERM).
+scheduler's own accounting, ``/metrics.json`` must carry the histograms
+the benchmark ledger reads, and shutdown must be graceful (503 while
+draining, exit 0 on SIGTERM).
 """
 
 import json
@@ -17,11 +17,11 @@ import urllib.request
 
 import pytest
 
-from repro import GolaConfig, GolaSession, ServeConfig
-from repro.serve import GolaServer, QueryScheduler, parse_prometheus
-from repro.serve.loadgen import LoadGenerator, LoadSpec
+from repro import GolaConfig, GolaSession
+from repro.serve import GolaServer, QueryScheduler
 from repro.workloads import SBI_QUERY, generate_sessions
 
+from .._prometheus import parse_prometheus
 from ._http import http_error
 
 pytestmark = pytest.mark.smoke
@@ -29,11 +29,10 @@ pytestmark = pytest.mark.smoke
 CONFIG = GolaConfig(num_batches=5, bootstrap_trials=20, seed=9)
 
 
-def make_server(config=CONFIG, serve=None):
-    session = GolaSession(config)
+def make_server():
+    session = GolaSession(CONFIG)
     session.register_table("sessions", generate_sessions(3_000, seed=42))
-    scheduler = QueryScheduler(session, serve=serve)
-    return GolaServer(scheduler, host="127.0.0.1", port=0)
+    return GolaServer(QueryScheduler(session), host="127.0.0.1", port=0)
 
 
 def get_json(url, timeout=30.0):
@@ -90,14 +89,11 @@ class TestMetricsExposition:
         assert buckets[-1][2] == count == 1
         assert hist.histogram_quantile(0.99) > 0
 
-        window = families["repro_window_first_answer_seconds"]
-        labels = {tuple(sorted(s[1].items())) for s in window.samples}
-        assert any(("window", "10s") in pair for pair in labels)
-
     def test_metrics_reconcile_with_scheduler(self, server):
-        for _ in range(2):
-            _, submitted = post_json(server.url + "/query",
-                                     {"sql": SBI_QUERY})
+        # The second query's error bar is under ±0.01 % from batch one.
+        for sql in (SBI_QUERY,
+                    "SELECT AVG(play_time + 1000000) FROM sessions"):
+            _, submitted = post_json(server.url + "/query", {"sql": sql})
         server.scheduler.wait(timeout=60.0)
         _, listing = get_json(server.url + "/queries")
         per_query = sum(q["snapshots"] for q in listing["queries"])
@@ -111,93 +107,28 @@ class TestMetricsExposition:
         count = [s for s in first_answers.samples
                  if s[0].endswith("_count")][0][2]
         assert count == len(listing["queries"])
+        # Windowed views are the scraper's job, over these buckets.
+        assert not [name for name in families
+                    if name.startswith("repro_window_")]
 
+        # What the benchmark ledger's serve client reads.
+        _, served = get_json(server.url + "/metrics.json")
+        histograms = served["histograms"]
+        for name in ("serve.queue_wait_seconds", "serve.step_seconds",
+                     "serve.first_answer_seconds",
+                     "serve.convergence_seconds"):
+            assert histograms[name]["count"] >= 1, name
+            assert histograms[name]["p50"] is not None, name
+        assert histograms["serve.first_answer_seconds"]["count"] == \
+            len(listing["queries"])
+        assert histograms["serve.convergence_seconds"]["count"] == 1
+        assert histograms["serve.step_seconds"]["count"] == total
 
-class TestConvergenceStream:
-    def test_stream_reconciles_with_snapshots(self, server):
-        _, submitted = post_json(server.url + "/query",
-                                 {"sql": SBI_QUERY})
-        qid = submitted["id"]
-        telemetry = stream_ndjson(
-            f"{server.url}/queries/{qid}/telemetry"
-        )
-        snapshots = stream_ndjson(server.url + submitted["snapshots_url"])
-
-        conv = [r for r in telemetry if r["type"] == "convergence"]
-        summary = telemetry[-1]
-        assert summary["type"] == "summary"
-        snap_records = [r for r in snapshots if r["type"] == "snapshot"]
-        assert len(conv) == len(snap_records) == CONFIG.num_batches
-        assert summary["snapshots"] == CONFIG.num_batches
-        assert summary["state"] == "done"
-
-        # Record-by-record agreement with the snapshot stream.
-        for tele, snap in zip(conv, snap_records):
-            assert tele["batch"] == snap["batch"]
-            assert tele["estimate"] == pytest.approx(snap["estimate"])
-            assert tele["ci_width"] == pytest.approx(
-                snap["hi"] - snap["lo"]
-            )
-        final = snap_records[-1]
-        expected_rel = (final["hi"] - final["lo"]) / (
-            2.0 * abs(final["estimate"])
-        )
-        assert summary["final_rel_width"] == pytest.approx(expected_rel)
-        # Derived time-to-±ε values are consistent with the stream.
-        for eps_text, seconds in summary["time_to"].items():
-            eps = float(eps_text)
-            reaching = [r for r in conv if r["rel_width"] is not None
-                        and r["rel_width"] <= eps]
-            assert reaching
-            assert seconds == pytest.approx(reaching[0]["t_s"])
-
-        # The alias route serves the same replayable stream.
-        aliased = stream_ndjson(f"{server.url}/query/{qid}/telemetry")
-        assert aliased == telemetry
-
-    def test_unknown_query_is_404(self, server):
+        # One stream per query: no telemetry route.
         code, _, _ = http_error(
-            stream_ndjson, server.url + "/queries/nope/telemetry"
+            get_json, f"{server.url}/queries/{submitted['id']}/telemetry"
         )
         assert code == 404
-
-    def test_telemetry_disabled_is_404(self):
-        srv = make_server(serve=ServeConfig(telemetry=False)).start()
-        try:
-            _, submitted = post_json(srv.url + "/query",
-                                     {"sql": SBI_QUERY})
-            code, _, _ = http_error(
-                stream_ndjson,
-                f"{srv.url}/queries/{submitted['id']}/telemetry",
-            )
-            assert code == 404
-        finally:
-            srv.shutdown()
-
-
-class TestTelemetryNeutrality:
-    def test_results_bit_identical_with_and_without(self):
-        """Telemetry observes; it must never change what is computed."""
-        finals = {}
-        for enabled in (True, False):
-            session = GolaSession(CONFIG)
-            session.register_table(
-                "sessions", generate_sessions(3_000, seed=42)
-            )
-            scheduler = QueryScheduler(
-                session, serve=ServeConfig(telemetry=enabled)
-            )
-            try:
-                run = scheduler.submit(SBI_QUERY)
-                assert scheduler.wait(run.id, timeout=60.0)
-                finals[enabled] = [
-                    (snap.table.column(c).tobytes(), c)
-                    for snap in run.snapshots
-                    for c in snap.table.schema.names
-                ]
-            finally:
-                scheduler.close()
-        assert finals[True] == finals[False]
 
 
 class TestGracefulShutdown:
@@ -251,25 +182,3 @@ class TestGracefulShutdown:
                 proc.kill()
                 proc.wait(timeout=10.0)
             proc.stdout.close()
-
-
-class TestLoadGeneratorHTTP:
-    def test_tiny_seeded_run(self, server):
-        spec = LoadSpec(
-            rate_qps=50.0, clients=2, queries=4, seed=3,
-            num_batches=3, target_rel_width=0.5,
-            mix=(
-                ("sbi", SBI_QUERY, 1.0),
-                ("avg_play", "SELECT AVG(play_time) FROM sessions", 1.0),
-            ),
-        )
-        report = LoadGenerator(spec).run(server.url)
-        assert report["submitted"] == 4
-        assert report["completed"] == 4
-        assert report["errors"] == 0
-        assert report["throughput_qps"] > 0
-        assert report["first_answer_s"]["n"] == 4
-        assert report["reached_target"] >= 1
-        assert report["spec"]["seed"] == 3
-        names = set(report["per_query"])
-        assert names <= {"sbi", "avg_play"}

@@ -27,10 +27,11 @@ ROUND_TRIPS = [
      {"workers": 1, "task_deadline_s": 2.5, "min_shard_rows": 64,
       "task_retries": 3}),
     (ServeConfig, "--serve",
-     "max_concurrent=8,queue_depth=32,port=9000,telemetry=false,"
+     "max_concurrent=8,queue_depth=32,port=9000,max_steps_per_turn=3,"
      "default_deadline_s=1.5,host=0.0.0.0",
      {"max_concurrent": 8, "queue_depth": 32, "port": 9000,
-      "telemetry": False, "default_deadline_s": 1.5, "host": "0.0.0.0"}),
+      "max_steps_per_turn": 3, "default_deadline_s": 1.5,
+      "host": "0.0.0.0"}),
     (QaConfig, "--qa",
      "queries=7,rtol=1e-3,include_serve=true,grammar=deep",
      {"queries": 7, "rtol": 1e-3, "include_serve": True,
@@ -85,6 +86,15 @@ def test_deleted_scan_cache_knob_is_an_unknown_key():
     # Partitions are shared through the session's batch store, always.
     with pytest.raises(ValueError, match="unknown --serve key 'scan_cache'"):
         ServeConfig.parse("scan_cache=0")
+
+
+def test_deleted_serve_knobs_are_unknown_keys():
+    # Serve histograms are always recorded; serve faults are gone.
+    with pytest.raises(ValueError, match="unknown --serve key 'telemetry'"):
+        ServeConfig.parse("telemetry=0")
+    with pytest.raises(ValueError,
+                       match="unknown --faults key 'step_failure_prob'"):
+        FaultsConfig.parse("step_failure_prob=0.3")
 
 
 def test_deleted_parallel_modes_are_rejected():

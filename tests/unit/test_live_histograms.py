@@ -1,4 +1,4 @@
-"""Live telemetry primitives: log buckets, windows, sink rotation.
+"""Live telemetry primitives: log buckets, sink rotation.
 
 The SLO numbers the serve layer exports are only trustworthy if the
 underlying sketch is: quantiles must stay within one log bucket of the
@@ -19,13 +19,12 @@ from repro.obs import (
     GROWTH,
     Histogram,
     LogBuckets,
-    SlidingWindow,
-    WindowedHistogram,
     bucket_key,
     bucket_upper_edge,
-    quantile_from_cumulative,
 )
 from repro.obs.sinks import JsonlSink
+
+from .._prometheus import quantile_from_cumulative
 
 values_strategy = st.lists(
     st.one_of(
@@ -179,39 +178,6 @@ class TestHistogramBackingBuckets:
         assert merged.count == 3
         assert merged.buckets.count == 3
         assert merged.quantile(1.0) >= 100.0
-
-
-class TestSlidingWindow:
-    def test_expiry_with_fake_clock(self):
-        window = SlidingWindow(10.0, slots=5, clock=lambda: 0.0)
-        window.observe(1.0, now=0.0)
-        window.observe(3.0, now=3.0)
-        snap = window.snapshot(now=5.0)
-        assert snap.count == 2
-        assert snap.total == 4.0
-        assert snap.rate == pytest.approx(0.2)
-        assert snap.mean == pytest.approx(2.0)
-        # Slide past the horizon: the first slot expires first.
-        assert window.snapshot(now=11.5).count == 1
-        assert window.snapshot(now=30.0).count == 0
-        assert math.isnan(window.snapshot(now=30.0).mean)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SlidingWindow(0.0)
-        with pytest.raises(ValueError):
-            SlidingWindow(10.0, slots=0)
-
-    def test_windowed_histogram_spans(self):
-        clock = [0.0]
-        hist = WindowedHistogram(clock=lambda: clock[0])
-        hist.observe(2.0)
-        clock[0] = 30.0
-        snaps = hist.snapshots()
-        assert set(snaps) == {"10s", "1m", "5m"}
-        assert snaps["10s"].count == 0  # expired from the short window
-        assert snaps["1m"].count == 1
-        assert snaps["5m"].count == 1
 
 
 class TestJsonlRotation:

@@ -1,4 +1,4 @@
-"""The concurrent query scheduler: admission, fairness, control, faults.
+"""The concurrent query scheduler: admission, fairness, control, crashes.
 
 Small 5-batch queries over the shared ``session`` fixture keep these
 fast; the heavy 8-query bit-identity acceptance run lives in
@@ -14,10 +14,7 @@ import pytest
 
 from repro import (
     AdmissionError,
-    FaultsConfig,
     GolaConfig,
-    GolaSession,
-    InjectedFault,
     ParseError,
     ServeConfig,
 )
@@ -133,23 +130,6 @@ class TestAdmission:
         with pytest.raises(AdmissionError):
             sched.submit(sbi_sql)
 
-    def test_injected_submit_fault(self, sessions_table, sbi_sql):
-        config = GolaConfig(
-            num_batches=5, bootstrap_trials=20, seed=9,
-            faults=FaultsConfig(enabled=True, submit_failure_prob=1.0,
-                                max_retries=0),
-        )
-        s = GolaSession(config)
-        s.register_table("sessions", sessions_table)
-        sched = QueryScheduler(s)
-        try:
-            with pytest.raises(InjectedFault, match="serve.submit"):
-                sched.submit(sbi_sql)
-            counters = sched.metrics_snapshot().counters
-            assert counters["serve.submit_failures"] == 1
-        finally:
-            sched.close()
-
 
 class TestControl:
     def test_pause_blocks_progress_resume_completes(self, session, sbi_sql):
@@ -245,16 +225,11 @@ class TestFinishedQueryEviction:
             assert scheduler.wait(run.id, timeout=30.0)
             finished.append(run)
             assert len(scheduler.queries()) <= MAX_FINISHED_QUERIES + 1
-            assert len(scheduler.telemetry._queries) <= \
-                MAX_FINISHED_QUERIES + 1
         assert scheduler.stats()["completed"] == len(finished)
         oldest, newest = finished[0], finished[-1]
         with pytest.raises(KeyError):
             scheduler.status(oldest.id)
-        with pytest.raises(KeyError):
-            scheduler.telemetry.get(oldest.id)
         assert scheduler.status(newest.id)["state"] == DONE
-        assert scheduler.telemetry.get(newest.id) is not None
         records = list(scheduler.subscribe(newest.id))
         assert records[-1]["type"] == "end"
         # The paused query outlives every eviction.
@@ -304,25 +279,24 @@ class TestFinishedQueryEviction:
         assert errors == []
         assert scheduler.stats()["completed"] == clients * per_client
         assert len(scheduler.queries()) == 3
-        assert len(scheduler.telemetry._queries) == 3
+
+
+def _crash(values):
+    raise RuntimeError("udf crashed")
 
 
 class TestQuarantine:
     def test_step_fault_quarantines_only_that_query(
             self, session, sbi_sql):
-        faulty = dataclasses.replace(
-            session.config,
-            faults=FaultsConfig(enabled=True, step_failure_prob=1.0,
-                                max_retries=0),
-        )
+        session.register_udf("crash", _crash)
         serial = snapshot_fingerprint(session.sql(sbi_sql).run_online())
         sched = QueryScheduler(session)
         try:
-            bad = sched.submit(sbi_sql, config=faulty)
+            bad = sched.submit("SELECT AVG(crash(play_time)) FROM sessions")
             good = sched.submit(sbi_sql)
             assert sched.wait(timeout=30.0)
             assert bad.state == FAILED
-            assert "scheduler.step" in bad.error
+            assert bad.error == "RuntimeError: udf crashed"
             assert bad.snapshots == []
             # The healthy query is untouched — still serial-identical.
             assert good.state == DONE
@@ -332,6 +306,18 @@ class TestQuarantine:
             assert counters["scheduler.failed"] == 1
         finally:
             sched.close()
+
+    def test_begin_crash_fails_only_that_query(self, scheduler, session,
+                                               sbi_sql):
+        # A float batch count passes validation but breaks begin().
+        broken = dataclasses.replace(session.config, num_batches=2.5)
+        bad = scheduler.submit(sbi_sql, config=broken)
+        assert scheduler.wait(bad.id, timeout=30.0)
+        assert bad.state == FAILED
+        assert bad.error.startswith("TypeError: ")
+        good = scheduler.submit(sbi_sql)
+        assert scheduler.wait(good.id, timeout=30.0)
+        assert good.state == DONE
 
     def test_close_cancels_in_flight(self, session, sbi_sql):
         config = dataclasses.replace(session.config, num_batches=100)

@@ -272,8 +272,8 @@ class TestResultIntegrity:
 class TestSeededJitter:
     def test_full_jitter_bounds_and_determinism(self):
         policy = RetryPolicy(backoff_s=0.2, backoff_factor=2.0)
-        a = policy.jitter_rng(7, "loadgen:c1")
-        b = policy.jitter_rng(7, "loadgen:c1")
+        a = policy.jitter_rng(7, "client:c1")
+        b = policy.jitter_rng(7, "client:c1")
         seq_a = [policy.jittered_delay(i, a) for i in range(6)]
         seq_b = [policy.jittered_delay(i, b) for i in range(6)]
         assert seq_a == seq_b
@@ -285,7 +285,7 @@ class TestSeededJitter:
         streams = [
             [policy.jittered_delay(i, policy.jitter_rng(7, actor))
              for i in range(4)]
-            for actor in ("supervisor", "loadgen:c1", "loadgen:c2")
+            for actor in ("supervisor", "client:c1", "client:c2")
         ]
         assert len({tuple(s) for s in streams}) == len(streams)
 

@@ -1,9 +1,9 @@
-"""Serve telemetry units: prom exposition, convergence math, loadgen.
+"""Serve metrics units: convergence width, scheduler histograms, text format.
 
-Covers the pieces behind ``GET /metrics`` and ``GET /queries/<id>/
-telemetry`` in isolation: the Prometheus text encoder/parser pair, the
-per-query time-to-±ε derivation over synthetic snapshot sequences, and
-the load generator's seeded schedule.
+Covers the pieces behind ``GET /metrics`` in isolation: the relative
+CI half-width that decides convergence, the four latency histograms the
+scheduler records, and the Prometheus text encoder read back through
+the strict test parser.
 """
 
 import math
@@ -13,16 +13,12 @@ import pytest
 from repro.config import GolaConfig
 from repro.core.session import GolaSession
 from repro.obs import MetricsRegistry
-from repro.serve.loadgen import LoadGenerator, LoadSpec
-from repro.serve.telemetry import (
-    EPSILONS,
-    QueryTelemetry,
-    ServeTelemetry,
-    parse_prometheus,
-    relative_half_width,
-    render_prometheus,
-)
+from repro.serve import QueryScheduler
+from repro.serve.scheduler import CONVERGED_REL_WIDTH
+from repro.serve.telemetry import relative_half_width, render_prometheus
 from repro.workloads import generate_conviva, generate_sessions
+
+from .._prometheus import parse_prometheus
 
 
 def _snapshots(sql="SELECT AVG(play_time) FROM sessions", batches=6,
@@ -55,103 +51,33 @@ class TestRelativeHalfWidth:
         assert width == width and width > 0
 
 
-class TestQueryTelemetry:
-    def _fake_clock(self):
-        state = {"t": 100.0}
-
-        def clock():
-            return state["t"]
-
-        return state, clock
-
-    def test_time_to_epsilon_derivation(self):
-        state, clock = self._fake_clock()
-        telemetry = QueryTelemetry("q1", clock=clock)
-        snaps = _snapshots(batches=8)
-        for i, snap in enumerate(snaps):
-            state["t"] = 100.0 + (i + 1) * 0.5
-            telemetry.record_snapshot(snap)
-        assert telemetry.first_answer_s == pytest.approx(0.5)
-        summary = telemetry.summary("done", len(snaps))
-        assert summary["snapshots"] == len(snaps)
-        # time_to keys are serialized as "0.1"/"0.05"/"0.01" and each
-        # recorded ε matches the first snapshot whose width reached it.
-        for eps in EPSILONS:
-            first = next(
-                (
-                    (i + 1) * 0.5
-                    for i, snap in enumerate(snaps)
-                    if relative_half_width(snap) <= eps
-                ),
-                None,
-            )
-            recorded = summary["time_to"].get(f"{eps:g}")
-            if first is None:
-                assert recorded is None
-            else:
-                assert recorded == pytest.approx(first)
-        # Looser targets are reached no later than tighter ones.
-        times = list(summary["time_to"].values())
-        assert times == sorted(times)
-
-    def test_stream_closes_with_summary(self):
-        _, clock = self._fake_clock()
-        telemetry = QueryTelemetry("q1", clock=clock)
-        snap = _snapshots(batches=2)[0]
-        telemetry.record_snapshot(snap)
-        telemetry.finish("done", 2)
-        records = list(telemetry.stream.subscribe())
-        assert [r["type"] for r in records] == ["convergence", "summary"]
-        assert records[0]["batch"] == 1
-        assert records[0]["rel_width"] == pytest.approx(
-            relative_half_width(snap)
-        )
-        assert records[1]["state"] == "done"
-
-
-class TestServeTelemetryHub:
-    class _Run:
-        def __init__(self, qid):
-            self.id = qid
-            self.submitted_at = 0.0
-            self.started_at = 0.0
-            self.finished_at = None
-            self.state = "done"
-            self.batches_done = 0
-
-    def test_disabled_hub_is_inert(self):
-        hub = ServeTelemetry(MetricsRegistry(enabled=True), enabled=False)
-        run = self._Run("q1")
-        hub.on_submitted(run)
-        with pytest.raises(KeyError):
-            hub.get("q1")
-
+class TestSchedulerHistograms:
     def test_snapshot_flow_feeds_histograms(self):
-        state = {"t": 0.0}
-        hub = ServeTelemetry(MetricsRegistry(enabled=True),
-                             clock=lambda: state["t"])
-        run = self._Run("q1")
-        hub.on_submitted(run)
-        state["t"] = 0.25
-        hub.on_admitted(run)
-        for i, snap in enumerate(_snapshots(batches=6)):
-            state["t"] = 0.25 + (i + 1) * 0.1
-            hub.on_snapshot(run, snap, step_s=0.1)
-            run.batches_done = i + 1
-        run.finished_at = state["t"]
-        hub.on_finalized(run)
-        metrics = hub.metrics.snapshot()
-        assert metrics.histograms["serve.queue_wait_seconds"].count == 1
-        assert metrics.histograms["serve.first_answer_seconds"].count == 1
-        assert metrics.histograms["serve.step_seconds"].count == 6
-        samples = hub.window_samples(now=state["t"])
-        names = {name for name, _, _ in samples}
-        assert "window_first_answer_seconds" in names
-        assert "window_query_seconds" in names
-        # The telemetry stream replays fully after finalize.
-        records = list(hub.subscription("q1"))
-        assert [r["type"] for r in records] == \
-            ["convergence"] * 6 + ["summary"]
+        session = GolaSession(
+            GolaConfig(num_batches=6, bootstrap_trials=24, seed=11)
+        )
+        session.register_table("sessions", generate_sessions(4000, seed=11))
+        with QueryScheduler(session) as scheduler:
+            # ±3 % after the last batch, against under ±0.01 % from the
+            # first.
+            wide = scheduler.submit("SELECT AVG(play_time) FROM sessions")
+            narrow = scheduler.submit(
+                "SELECT AVG(play_time + 1000000) FROM sessions"
+            )
+            assert scheduler.wait(timeout=60.0)
+        histograms = scheduler.metrics_snapshot().histograms
+        assert histograms["serve.queue_wait_seconds"].count == 2
+        assert histograms["serve.first_answer_seconds"].count == 2
+        assert histograms["serve.step_seconds"].count == 12
+        # Convergence is recorded once per query, at its first snapshot
+        # within ±1 %.
+        assert histograms["serve.convergence_seconds"].count == 1
+        assert relative_half_width(wide.snapshots[-1]) > CONVERGED_REL_WIDTH
+        assert wide.converged_s is None
+        assert relative_half_width(narrow.snapshots[0]) <= \
+            CONVERGED_REL_WIDTH
+        assert narrow.first_answer_s is not None
+        assert narrow.converged_s == narrow.first_answer_s
 
 
 class TestPrometheusFormat:
@@ -165,13 +91,7 @@ class TestPrometheusFormat:
         return registry.snapshot()
 
     def test_round_trip(self):
-        text = render_prometheus(
-            self._sample_snapshot(),
-            extra_samples=[
-                ("window_step_seconds", {"window": "10s", "stat": "p95"},
-                 0.004),
-            ],
-        )
+        text = render_prometheus(self._sample_snapshot())
         families = parse_prometheus(text)
         counter = families["repro_serve_snapshots_total"]
         assert counter.type == "counter"
@@ -188,8 +108,6 @@ class TestPrometheusFormat:
         assert buckets[-1][2] == 4
         count = [s for s in hist.samples if s[0].endswith("_count")][0]
         assert count[2] == 4
-        window = families["repro_window_step_seconds"]
-        assert window.samples[0][1] == {"window": "10s", "stat": "p95"}
         # Quantiles re-derived from the cumulative buckets are within
         # one log bucket of the observed values.
         p50 = hist.histogram_quantile(0.5)
@@ -219,86 +137,3 @@ class TestPrometheusFormat:
         assert families["repro_x"].samples[0][1]["msg"] == 'a"b\\c'
         assert math.isnan(families["repro_y"].samples[0][2])
         assert families["repro_z"].samples[0][2] == math.inf
-
-
-class TestTopDashboard:
-    def test_render_from_parsed_metrics(self):
-        from repro.frontends.top import render_dashboard
-
-        registry = MetricsRegistry(enabled=True)
-        hist = registry.histogram("serve.first_answer_seconds")
-        for value in (0.01, 0.02, 0.05):
-            hist.observe(value)
-        text = render_prometheus(
-            registry.snapshot(),
-            extra_samples=[
-                ("window_first_answer_seconds",
-                 {"window": "10s", "stat": "rate"}, 1.5),
-                ("window_first_answer_seconds",
-                 {"window": "10s", "stat": "p95"}, 0.05),
-            ],
-        )
-        frame = render_dashboard(
-            health={
-                "ok": True, "state": "serving", "uptime_s": 12.0,
-                "scheduler": {
-                    "running": 1, "queued": 2, "completed": 3,
-                    "store": {"entries": 1, "hits": 4, "misses": 1,
-                              "bytes": 3 * 2 ** 20},
-                },
-            },
-            queries=[{
-                "id": "q1", "state": "running", "batches_done": 2,
-                "num_batches": 10, "rel_stdev": 0.05,
-            }],
-            families=parse_prometheus(text),
-        )
-        assert "state=serving" in frame
-        assert "running=1" in frame and "completed=3" in frame
-        assert "batch store: 1 tables, 4/5 hits (80%), 3.0 MiB" in frame
-        assert "first answer" in frame and "n=3" in frame
-        assert "last 10s" in frame
-        assert "q1" in frame and "2/10" in frame
-
-    def test_render_handles_empty_server(self):
-        from repro.frontends.top import render_dashboard
-
-        frame = render_dashboard(health={}, queries=[], families={})
-        assert "repro top" in frame
-
-
-class TestLoadSchedule:
-    def test_deterministic_for_a_seed(self):
-        spec = LoadSpec(seed=42, queries=30, abandon_prob=0.3)
-        first = LoadGenerator(spec).schedule()
-        second = LoadGenerator(spec).schedule()
-        assert [
-            (a.at_s, a.name, a.think_s, a.abandons) for a in first
-        ] == [
-            (a.at_s, a.name, a.think_s, a.abandons) for a in second
-        ]
-        # A different seed reshuffles the arrival process.
-        other = LoadGenerator(
-            LoadSpec(seed=43, queries=30, abandon_prob=0.3)
-        ).schedule()
-        assert [a.at_s for a in other] != [a.at_s for a in first]
-
-    def test_schedule_shape(self):
-        spec = LoadSpec(seed=7, queries=50, rate_qps=10.0)
-        arrivals = LoadGenerator(spec).schedule()
-        assert len(arrivals) == 50
-        times = [a.at_s for a in arrivals]
-        assert times == sorted(times)
-        assert all(a.name in {"sbi", "avg_play", "avg_buffer"}
-                   for a in arrivals)
-        # Mean inter-arrival is roughly 1/rate for a Poisson process.
-        mean_gap = times[-1] / len(times)
-        assert 0.02 < mean_gap < 0.5
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            LoadSpec(rate_qps=0.0)
-        with pytest.raises(ValueError):
-            LoadSpec(clients=0)
-        with pytest.raises(ValueError):
-            LoadSpec(mix=())
