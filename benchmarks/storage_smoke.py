@@ -93,7 +93,7 @@ def _child(mode: str, dataset: str, budget_bytes: int,
     import numpy as np  # noqa: F401  (priced into the baseline)
 
     from repro import GolaConfig, GolaSession
-    from repro.faults.chaos import snapshot_fingerprint
+    from repro.qa.identity import snapshot_fingerprint
     from repro.workloads import SBI_QUERY
 
     baseline_kb = _vm_data_kb()
@@ -179,7 +179,7 @@ def _wide_sessions(rows: int):
 def _identity_checks(rows: int):
     """C3/Q17 colstore-vs-in-memory stream identity (no rlimit)."""
     from repro import GolaConfig, GolaSession
-    from repro.faults.chaos import snapshot_fingerprint
+    from repro.qa.identity import snapshot_fingerprint
     from repro.storage.colstore import convert_table
     from repro.workloads import (
         CONVIVA_QUERIES,
@@ -239,7 +239,7 @@ def main(argv=None) -> int:
         args.identity_rows = min(args.identity_rows, 12_000)
 
     from repro import GolaConfig, GolaSession
-    from repro.faults.chaos import snapshot_fingerprint
+    from repro.qa.identity import snapshot_fingerprint
     from repro.storage.colstore import convert_table, open_dataset
     from repro.workloads import SBI_QUERY
 

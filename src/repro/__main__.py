@@ -36,12 +36,21 @@ def _parse_workers(spec):
     return ParallelConfig.parse(spec) if spec else ParallelConfig()
 
 
+#: Counters that record a recovery: row quarantine and the supervised
+#: pool's rungs.
+_RECOVERY_COUNTERS = (
+    "faults.rows_quarantined", "parallel.restarts",
+    "parallel.redispatched", "parallel.corrupt_results",
+    "parallel.task_timeouts", "parallel.quarantined",
+)
+
+
 def _print_recovery(metrics) -> None:
-    """Print the run's ``faults.*`` counters, if any fired."""
+    """Print the run's recovery counters, if any fired."""
     counters = metrics.snapshot().counters
     recovery = {
-        name: value for name, value in counters.items()
-        if name.startswith("faults.")
+        name: counters[name] for name in _RECOVERY_COUNTERS
+        if counters.get(name)
     }
     if not recovery:
         return
@@ -500,7 +509,7 @@ def main(argv=None) -> int:
 
     faults_help = (
         "enable fault injection: 'key=value,...' over FaultsConfig "
-        "fields, e.g. 'batch_failure_prob=0.3,max_retries=1,seed=7'"
+        "fields, e.g. 'worker_kill_prob=0.3,seed=7' (with --workers)"
     )
     workers_help = (
         "parallel execution: a worker count ('4') or 'key=value,...' "

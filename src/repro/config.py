@@ -47,22 +47,21 @@ def _parse_spec(cls, spec: str, flag: str) -> dict:
 
 @dataclass(frozen=True)
 class FaultsConfig:
-    """Deterministic fault injection and recovery policy (``repro.faults``).
+    """Deterministic fault injection, row quarantine and checkpoints
+    (``repro.faults``).
 
-    All injection is driven by per-fault-point RNG streams derived from
+    All injection is driven by per-fault RNG streams derived from
     ``seed`` (defaulting to the master :attr:`GolaConfig.seed`), so two
     runs with the same configuration inject byte-identical fault
-    sequences.  With ``enabled=False`` (the default) every fault point is
-    a no-op and the engine's outputs are bit-identical to a build without
-    the subsystem.
+    sequences.  With ``enabled=False`` (the default) nothing is injected
+    and the engine's outputs are bit-identical to a build without the
+    subsystem.  Worker faults recover bit-identically under any
+    probability (at 1.0 every pool attempt fails and the supervisor's
+    serial fallback runs the shard).
 
     Attributes:
         enabled: Master switch; when False no RNG stream is ever drawn.
         seed: Seed for the injection streams (None = the master seed).
-        batch_failure_prob: Per-attempt probability that loading a
-            mini-batch fails in the controller.  Failures within
-            ``max_retries`` are retried; beyond that the batch is dropped
-            and the run degrades (skip-and-reweight).
         row_corruption_prob: Probability that a CSV input row is
             corrupted at load time (exercises the quarantine path).
         worker_kill_prob: Per-attempt probability that a pool worker is
@@ -79,9 +78,6 @@ class FaultsConfig:
             partial aggregate state comes back corrupted
             (``parallel.result_corrupt``); the merge-time integrity
             check rejects it and the shard is re-executed.
-        max_retries: Bounded retry budget for batch loads.
-        retry_backoff_s: Base delay before the first retry.
-        retry_backoff_factor: Exponential backoff multiplier per retry.
         row_error_budget: Maximum tolerated fraction of quarantined rows
             per loaded file before the load is aborted with SchemaError.
         checkpoint_every: Auto-checkpoint the online run every N batches
@@ -91,34 +87,23 @@ class FaultsConfig:
 
     enabled: bool = False
     seed: Optional[int] = None
-    batch_failure_prob: float = 0.0
     row_corruption_prob: float = 0.0
     worker_kill_prob: float = 0.0
     worker_hang_prob: float = 0.0
     worker_hang_s: float = 30.0
     result_corrupt_prob: float = 0.0
-    max_retries: int = 3
-    retry_backoff_s: float = 0.05
-    retry_backoff_factor: float = 2.0
     row_error_budget: float = 0.05
     checkpoint_every: int = 0
     checkpoint_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        for name in ("batch_failure_prob", "row_corruption_prob",
-                     "worker_kill_prob", "worker_hang_prob",
-                     "result_corrupt_prob"):
+        for name in ("row_corruption_prob", "worker_kill_prob",
+                     "worker_hang_prob", "result_corrupt_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.worker_hang_s < 0.0:
             raise ValueError("worker_hang_s must be >= 0")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.retry_backoff_s < 0.0:
-            raise ValueError("retry_backoff_s must be >= 0")
-        if self.retry_backoff_factor < 1.0:
-            raise ValueError("retry_backoff_factor must be >= 1")
         if not 0.0 <= self.row_error_budget <= 1.0:
             raise ValueError("row_error_budget must be in [0, 1]")
         if self.checkpoint_every < 0:
@@ -131,7 +116,7 @@ class FaultsConfig:
         An empty spec yields the enabled default profile; unknown keys
         raise ValueError.  Example::
 
-            FaultsConfig.parse("batch_failure_prob=0.3,max_retries=1")
+            FaultsConfig.parse("worker_kill_prob=0.3,seed=7")
         """
         return cls(**{"enabled": True, **_parse_spec(cls, spec, "--faults")})
 

@@ -29,7 +29,7 @@ import numpy as np
 from ..config import GolaConfig
 from ..engine.aggregates import GroupIndex, UDAFRegistry
 from ..engine.executor import BatchExecutor
-from ..errors import CheckpointError, ExecutionError, ShardLostError
+from ..errors import CheckpointError, ExecutionError
 from ..estimate.bootstrap import BatchWeights, PoissonWeightSource, \
     stream_label
 from ..estimate.closed_form import normal_intervals
@@ -40,7 +40,6 @@ from ..expr.expressions import Environment
 from ..expr.functions import DEFAULT_FUNCTIONS, FunctionRegistry
 from ..faults import (
     FaultInjector,
-    RetryPolicy,
     RunCheckpoint,
     config_fingerprint,
     query_fingerprint,
@@ -128,8 +127,8 @@ class QueryController:
             for spec in self.meta_plan.static_specs
         }
         self.main_runtime = self.meta_plan.main_runtime
-        self._retry_policy = RetryPolicy.from_faults(config.faults)
-        self._run_state: Optional[dict] = None
+        #: The last batch the run folded (what :meth:`checkpoint` saves).
+        self._last_batch: Optional[int] = None
         self._exec: Optional[dict] = None
         self._stopped = False
 
@@ -187,12 +186,12 @@ class QueryController:
         :meth:`step` API (what the serving scheduler drives directly);
         both paths produce bit-identical snapshot streams.
 
-        With faults enabled, a batch whose load keeps failing past the
-        retry budget is *skipped and reweighted*: it is dropped for good,
-        the multiplicity scale becomes ``k / folded`` (sound because the
-        uniform random batches are exchangeable), and every snapshot from
-        then on is flagged ``degraded``.  On the clean path ``folded == i``
-        so the output is bit-identical to a run without the subsystem.
+        A batch whose fold fails raises out of :meth:`step`, and so out
+        of this generator, and ends the run: a shard the supervised pool
+        could not compute even on the coordinator raises
+        :class:`~repro.errors.ShardLostError`.  Worker crashes, hangs
+        and corrupt results never reach here; the pool re-runs them
+        bit-identically.
 
         ``resume_from`` (a :class:`RunCheckpoint` or a path to one saved
         by :meth:`checkpoint`) continues the run after the checkpointed
@@ -248,9 +247,6 @@ class QueryController:
             for name in self.meta_plan.replica_tables
         }
         k = self.config.num_batches
-        folded = 0
-        skipped: List[int] = []
-        lost_rows = 0
         start_at = 1
         if resume_from is not None:
             ck = (
@@ -261,13 +257,10 @@ class QueryController:
             self.injector.restore(ck.injector_state)
             for block_id, state in ck.copy_block_states().items():
                 self.runtimes[block_id].restore_checkpoint(state)
-            folded = ck.folded_count
-            skipped = list(ck.skipped_batches)
-            lost_rows = ck.lost_rows
             start_at = ck.batch_index + 1
             if tracer.enabled:
                 tracer.event("checkpoint.resumed",
-                             batch_index=ck.batch_index, folded=folded)
+                             batch_index=ck.batch_index)
         # The query span stays open across steps, so its elapsed time
         # includes consumer think time between snapshots; per-batch work
         # is what the child batch spans measure.  It is entered here and
@@ -285,9 +278,7 @@ class QueryController:
                 stack.pop()
         self._exec = {
             "batches": batches, "weight_sources": weight_sources,
-            "k": k, "folded": folded,
-            "skipped": skipped, "lost_rows": lost_rows,
-            "cursor": start_at, "span": qspan, "span_id": qspan_id,
+            "k": k, "cursor": start_at, "span": qspan, "span_id": qspan_id,
         }
 
     @property
@@ -303,7 +294,11 @@ class QueryController:
         """Process the next mini-batch and return its snapshot.
 
         Returns None once the run is complete (or stopped).  Requires a
-        preceding :meth:`begin`.
+        preceding :meth:`begin`.  A batch that raises (a UDF crash,
+        :class:`~repro.errors.ShardLostError`) releases the run before
+        the error propagates: some states may already hold part of the
+        batch, so neither a later step nor a checkpoint may build on
+        them.
         """
         ex = self._exec
         if ex is None:
@@ -317,67 +312,16 @@ class QueryController:
             name: ex["batches"][name][i - 1]
             for name in self.streamed_tables
         }
-        batch_rows = sum(b.num_rows for b in table_batches.values())
         with tracer.scoped_parent(ex["span_id"]) if tracer.enabled \
                 else _NO_SCOPE:
-            failures = self.injector.batch_load_failures(
-                "controller.batch_load"
-            )
-            if self._retry_policy.gives_up_after(failures):
-                ex["skipped"].append(i)
-                ex["lost_rows"] += batch_rows
-                snapshot = self._skip_batch(
-                    i, batch_rows, ex["k"], ex["folded"], ex["skipped"],
-                    ex["lost_rows"],
+            try:
+                snapshot = self._run_batch(
+                    i, table_batches, ex["weight_sources"], ex["k"]
                 )
-            else:
-                if failures:
-                    if tracer.enabled:
-                        tracer.event(
-                            "fault.batch_retry", batch_index=i,
-                            attempts=failures,
-                            backoff_s=round(
-                                self._retry_policy.total_delay(failures),
-                                9,
-                            ),
-                        )
-                    if tracer.metrics.enabled:
-                        tracer.metrics.counter(
-                            "faults.batch_retries"
-                        ).inc(failures)
-                ex["folded"] += 1
-                try:
-                    snapshot = self._run_batch(
-                        i, table_batches, ex["weight_sources"], ex["k"],
-                        ex["folded"], ex["skipped"], ex["lost_rows"],
-                    )
-                except ShardLostError as exc:
-                    # The supervised pool exhausted its whole recovery
-                    # ladder (retries + serial fallback) for a shard of
-                    # this batch.  Degrade exactly like a failed batch
-                    # load: skip-and-reweight over the batches actually
-                    # folded, never abort the run.  Blocks that folded
-                    # the batch before the loss keep their contribution
-                    # — a slight approximation on an already-degraded
-                    # (flagged) estimate.  Later rebuilds skip the batch
-                    # like a failed load (:meth:`_seen`).
-                    ex["folded"] -= 1
-                    ex["skipped"].append(i)
-                    ex["lost_rows"] += batch_rows
-                    if tracer.enabled:
-                        tracer.event("fault.shard_lost", batch_index=i,
-                                     error=str(exc))
-                    if tracer.metrics.enabled:
-                        tracer.metrics.counter("faults.shards_lost").inc()
-                    snapshot = self._skip_batch(
-                        i, batch_rows, ex["k"], ex["folded"],
-                        ex["skipped"], ex["lost_rows"],
-                    )
-            self._run_state = {
-                "batch_index": i, "folded": ex["folded"],
-                "skipped": list(ex["skipped"]),
-                "lost_rows": ex["lost_rows"],
-            }
+            except Exception:
+                self.release()
+                raise
+            self._last_batch = i
             if (faults.checkpoint_every
                     and faults.checkpoint_path is not None
                     and i % faults.checkpoint_every == 0):
@@ -419,7 +363,7 @@ class QueryController:
         next :meth:`begin` (or :meth:`run`) starts from scratch.
         """
         self.finish()
-        self._run_state = None
+        self._last_batch = None
         for runtime in self.runtimes.values():
             runtime.reset()
 
@@ -431,18 +375,14 @@ class QueryController:
         run's state has already been released (a finished run drops its
         checkpointable state — take checkpoints during the run).
         """
-        state = self._run_state
-        if state is None:
+        if self._last_batch is None:
             raise CheckpointError(
                 "no batches processed yet; nothing to checkpoint"
             )
         return RunCheckpoint(
             query_fp=query_fingerprint(self.query),
             config_fp=config_fingerprint(self.config),
-            batch_index=state["batch_index"],
-            folded_count=state["folded"],
-            skipped_batches=list(state["skipped"]),
-            lost_rows=state["lost_rows"],
+            batch_index=self._last_batch,
             injector_state=self.injector.state_dict(),
             block_states={
                 block_id: runtime.state_checkpoint()
@@ -451,19 +391,6 @@ class QueryController:
         )
 
     # ------------------------------------------------------------------
-
-    def _publish_chain(self, slot_states: Dict[int, object],
-                       penv: Environment, scale: float):
-        """Re-publish every block's current state and snapshot the main
-        block — without folding anything (used for skipped batches)."""
-        for block in self._online_blocks:
-            if block.produces is None:
-                continue
-            runtime = self.runtimes[block.block_id]
-            state = runtime.publish(penv, slot_states, scale)
-            slot_states[block.produces] = state
-            state.bind_point(penv)
-        return self.main_runtime.snapshot_output(penv, slot_states, scale)
 
     def _column_errors(self, out_table: Table,
                        col_errors: Dict[str, np.ndarray],
@@ -490,49 +417,9 @@ class QueryController:
                                         rel_stdev=rel_stdev)
         return errors
 
-    def _skip_batch(self, i: int, batch_rows: int, k: int, folded: int,
-                    skipped: List[int], lost_rows: int) -> OnlineSnapshot:
-        """Drop a permanently failed batch; snapshot without folding it.
-
-        The estimate is re-derived from the ``folded`` batches actually
-        seen with scale ``k / folded`` — the same uniform-random-sample
-        estimator, just over one fewer batch.  Publishing is
-        side-effect-free, so re-publishing here does not disturb the
-        delta state the next folded batch builds on.
-        """
-        tracer = self.tracer
-        with tracer.span("batch", batch_index=i, rows_in=batch_rows,
-                         skipped=True) as bspan, Timer() as batch_timer:
-            if tracer.enabled:
-                tracer.event("fault.batch_skipped", batch_index=i,
-                             rows_lost=batch_rows)
-            scale = k / max(folded, 1)
-            slot_states: Dict[int, object] = dict(self.static_states)
-            penv = Environment(functions=self.functions)
-            for state in slot_states.values():
-                state.bind_point(penv)
-            out_table, col_errors = self._publish_chain(
-                slot_states, penv, scale
-            )
-            errors = self._column_errors(out_table, col_errors)
-            bspan.set("rows_processed", 0)
-        metrics = tracer.metrics
-        if metrics.enabled:
-            metrics.counter("faults.batches_skipped").inc()
-            metrics.counter("faults.rows_lost").inc(batch_rows)
-        return OnlineSnapshot(
-            batch_index=i, num_batches=k, table=out_table,
-            errors=errors, uncertain_sizes={}, rows_processed={},
-            rebuilds=[], elapsed_s=batch_timer.elapsed_s,
-            confidence=self.config.confidence,
-            degraded=True, skipped_batches=list(skipped),
-            lost_rows=lost_rows,
-        )
-
     def _seen(self, name: str, i: int) -> List[Tuple[Table, BatchWeights]]:
-        """Table ``name``'s batches ``1..i`` less the skipped ones, each
-        with a fresh weight handle at its own batch index: what a guard
-        rebuild re-folds.
+        """Table ``name``'s batches ``1..i``, each with a fresh weight
+        handle at its own batch index: what a guard rebuild re-folds.
 
         Read from the run's own partition list, never the store's
         current entry, which a concurrent query with other partition
@@ -542,14 +429,11 @@ class QueryController:
         ex = self._exec
         batches = ex["batches"][name]
         source = ex["weight_sources"].get(name)
-        skipped = set(ex["skipped"])
         seen = []
-        for j in range(1, i + 1):
-            if j in skipped:
-                continue
-            batch = batches[j - 1]
+        for j in range(i):
+            batch = batches[j]
             seen.append((batch, None if source is None
-                         else source.handle(j - 1, batch.num_rows)))
+                         else source.handle(j, batch.num_rows)))
         return seen
 
     def _process_block(self, block, i: int, table: str, batch: Table,
@@ -570,8 +454,7 @@ class QueryController:
 
     def _run_batch(self, i: int, table_batches: Dict[str, Table],
                    weight_sources: Dict[str, PoissonWeightSource],
-                   k: int, folded: int, skipped: List[int],
-                   lost_rows: int) -> OnlineSnapshot:
+                   k: int) -> OnlineSnapshot:
         """Fold one mini-batch into every block and snapshot the result.
 
         ``table_batches`` maps each streamed relation to its ``i``-th
@@ -591,18 +474,16 @@ class QueryController:
                          rows_in=batch.num_rows) as bspan, \
                 Timer() as batch_timer:
             # None for a relation no bootstrap block folds.  Batch ``i``
-            # reads weights at index ``i - 1`` whatever was skipped.
+            # reads weights at index ``i - 1``.
             weights = {
                 name: (weight_sources[name].batch_weights(
                     table_batches[name].num_rows, i - 1
                 ) if name in weight_sources else None)
                 for name in self.streamed_tables
             }
-            # Multiplicity over batches actually folded: k/i on the clean
-            # path, k/folded after a skip (skip-and-reweight).  Every
-            # streamed table is cut into the same k batches, so one scale
-            # serves all of them.
-            scale = k / folded
+            # Multiplicity k/i.  Every streamed table is cut into the
+            # same k batches, so one scale serves all of them.
+            scale = k / i
 
             slot_states: Dict[int, object] = dict(self.static_states)
             penv = Environment(functions=self.functions)
@@ -665,8 +546,5 @@ class QueryController:
             rows_processed=rows_processed, rebuilds=rebuilds,
             elapsed_s=elapsed, confidence=self.config.confidence,
             phase_seconds=phases,
-            degraded=bool(skipped),
-            skipped_batches=list(skipped) if skipped else None,
-            lost_rows=lost_rows,
         )
 

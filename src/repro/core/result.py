@@ -42,12 +42,6 @@ class OnlineSnapshot:
         elapsed_s: Wall-clock seconds this batch took in this process.
         phase_seconds: phase name (fold/publish/snapshot) -> wall-clock
             seconds, populated when tracing is enabled (None otherwise).
-        degraded: True once any mini-batch has been permanently skipped;
-            the estimate is then re-derived from the batches actually
-            folded (skip-and-reweight) rather than all of ``D_i``.
-        skipped_batches: 1-based indices of the batches dropped so far
-            (None on the clean path).
-        lost_rows: Total rows in the dropped batches.
     """
 
     batch_index: int
@@ -60,9 +54,6 @@ class OnlineSnapshot:
     elapsed_s: float
     confidence: float
     phase_seconds: Optional[Dict[str, float]] = None
-    degraded: bool = False
-    skipped_batches: Optional[List[int]] = None
-    lost_rows: int = 0
 
     @property
     def fraction(self) -> float:
@@ -135,11 +126,6 @@ class OnlineSnapshot:
         except ValueError:
             parts.append(f"{self.table.num_rows} rows")
         parts.append(f"uncertain={self.total_uncertain}")
-        if self.degraded:
-            skipped = len(self.skipped_batches or [])
-            parts.append(
-                f"DEGRADED[skipped={skipped} lost_rows={self.lost_rows}]"
-            )
         if self.rebuilds:
             parts.append(f"rebuilt={','.join(self.rebuilds)}")
         if self.phase_seconds:

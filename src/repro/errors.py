@@ -54,10 +54,10 @@ class ShardLostError(ExecutionError):
 
     Raised by :mod:`repro.parallel.supervisor` only after the full
     recovery ladder failed: pool retries exhausted, the task quarantined
-    and its serial fallback on the coordinator *also* failed.  The
-    controller maps this onto the skip-and-reweight degraded path (the
-    batch is dropped, later snapshots are flagged ``degraded``) instead
-    of aborting the run.
+    and its serial fallback on the coordinator *also* failed.  A
+    computation that fails on the coordinator is a defect, not a worker
+    fault, so the error propagates out of the controller's step and
+    fails the query (a served query ends ``failed``).
     """
 
     def __init__(self, task_index: int, message: str):

@@ -1,63 +1,43 @@
-"""Fault injection, bounded retry, and graceful degradation.
+"""Fault injection, checkpoint/resume and row quarantine.
 
-The paper's prototype runs on a 100-node Spark/EC2 cluster where task
-failures, stragglers and lost partitions are routine; an online system
-that aborts on the first hiccup never reaches its final batch.  This
-package makes misbehavior a *first-class, deterministic* input:
+The paper's prototype runs on a cluster where workers crash, hang and
+return garbage; an online system that aborts on the first hiccup never
+reaches its final batch.  This package makes misbehavior a
+*first-class, deterministic* input:
 
-* :class:`FaultInjector` — seeded per-fault-point RNG streams inject
-  batch-load errors, malformed rows, worker kills, hangs and corrupted
-  results, and serving failures at named fault points registered
-  throughout the stack (:func:`register_fault_point` /
-  :func:`fault_points`);
-* :class:`RetryPolicy` — the shared bounded-retry/exponential-backoff
-  policy (controller batch loads, the supervised worker pool);
+* :class:`FaultInjector` — seeded per-stream RNGs kill, hang and
+  corrupt pool workers and corrupt CSV input rows;
 * :class:`RowQuarantine` — collect malformed input rows up to an error
   budget instead of aborting the load;
 * :class:`RunCheckpoint` — checkpoint/resume of online-run state
-  (folded batches, uncertain-set caches, RNG streams).
+  (progress, block states, the injector's streams);
+* :class:`ChaosRunner` — paper queries under worker chaos, checked bit
+  for bit against serial (``repro chaos``).
 
-Recovery semantics live in the layers themselves: the supervised pool
-re-dispatches lost or hung shards, and the controller degrades
-gracefully — a permanently failed
-mini-batch is dropped and multiplicities/CIs are re-derived from the
-batches actually folded (sound because batches are uniform random,
-hence exchangeable), with snapshots flagged ``degraded``.
+Recovery lives in the layers themselves, one per failure: the
+supervised pool re-dispatches a crashed, hung or corrupt shard
+bit-identically; a computation that fails even on the coordinator
+raises :class:`~repro.errors.ShardLostError` and fails its query; a
+variation-range violation makes the block rebuild from the batches seen.
 """
 
-from .chaos import ChaosRunner, ChaosSpec, snapshot_fingerprint
+from .chaos import ChaosRunner, ChaosSpec
 from .checkpoint import (
     RunCheckpoint,
     config_fingerprint,
     query_fingerprint,
 )
-from .injector import (
-    FAULT_KINDS,
-    NULL_INJECTOR,
-    FaultInjector,
-    FaultPoint,
-    describe_fault_points,
-    fault_points,
-    register_fault_point,
-)
-from .policy import RetryPolicy
+from .injector import NULL_INJECTOR, FaultInjector
 from .quarantine import QuarantinedRow, RowQuarantine
 
 __all__ = [
     "ChaosRunner",
     "ChaosSpec",
-    "FAULT_KINDS",
     "FaultInjector",
-    "FaultPoint",
     "NULL_INJECTOR",
     "QuarantinedRow",
-    "RetryPolicy",
     "RowQuarantine",
     "RunCheckpoint",
     "config_fingerprint",
-    "describe_fault_points",
-    "fault_points",
     "query_fingerprint",
-    "register_fault_point",
-    "snapshot_fingerprint",
 ]

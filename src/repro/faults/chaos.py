@@ -6,7 +6,7 @@ invisible in the answers**.  For each paper query it
 
 1. runs the query serially, faults off, and fingerprints the full
    snapshot stream (every estimate, CI bound, uncertain-set size and
-   accounting field, bitwise);
+   accounting field, bitwise; ``repro.qa.identity.snapshot_fingerprint``);
 2. re-runs it on a supervised process pool while workers are being
    SIGKILLed mid-shard, suspended past their deadlines and their results
    corrupted in flight — both through the seeded in-band injector
@@ -26,7 +26,6 @@ every query survived bit-identical.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import signal
 import threading
@@ -90,47 +89,6 @@ class QueryReport:
     serial_s: float
     chaos_s: float
     counters: Dict[str, int] = field(default_factory=dict)
-
-
-def snapshot_fingerprint(snapshots) -> Tuple[str, int]:
-    """(sha256 hex, count) over everything user-visible in a stream.
-
-    Bitwise: column payloads, CI bounds, uncertain-set sizes, row
-    accounting, rebuilds and degradation flags all enter the digest, so
-    "identical fingerprints" means "the user could not tell the runs
-    apart".
-    """
-    digest = hashlib.sha256()
-    count = 0
-    for s in snapshots:
-        count += 1
-        digest.update(str(s.batch_index).encode())
-        for name in s.table.schema.names:
-            digest.update(name.encode())
-            arr = s.table.column(name)
-            if arr.dtype == object:
-                # tobytes() on an object array hashes pointers, which
-                # differ between value-identical strings produced by
-                # different decode paths; hash the values instead.
-                for value in arr:
-                    encoded = str(value).encode()
-                    digest.update(len(encoded).to_bytes(4, "little"))
-                    digest.update(encoded)
-            else:
-                digest.update(arr.tobytes())
-        for name in sorted(s.errors):
-            err = s.errors[name]
-            digest.update(name.encode())
-            digest.update(err.lows.tobytes())
-            digest.update(err.highs.tobytes())
-        digest.update(repr((
-            sorted(s.uncertain_sizes.items()),
-            sorted(s.rows_processed.items()),
-            tuple(s.rebuilds),
-            s.degraded,
-            tuple(s.skipped_batches or ()),
-        )).encode())
-    return digest.hexdigest(), count
 
 
 def _workload(name: str, rows: int, seed: int):
@@ -249,6 +207,8 @@ class ChaosRunner:
 
     def _run_query(self, name: str
                    ) -> Tuple[QueryReport, Optional[_ExternalKiller]]:
+        from ..qa.identity import snapshot_fingerprint
+
         spec = self.spec
         self._progress(f"[{name}] serial reference ...")
         t0 = time.monotonic()

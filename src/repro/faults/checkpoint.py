@@ -4,13 +4,12 @@ A :class:`RunCheckpoint` captures everything a
 :class:`~repro.core.controller.QueryController` needs to continue an
 online run from the last completed mini-batch instead of from scratch:
 
-* progress — last batch index, folded batch count, skipped batches and
-  lost rows (the skip-and-reweight accounting);
+* progress — the last batch index;
 * per-block delta state — folded aggregate states, the uncertain-set
   cache, guards and the group index (deep-copied so the live run can
   keep mutating);
-* the fault injector's per-point RNG streams, so a resumed run fails
-  exactly where the uninterrupted run would have.
+* the fault injector's RNG streams, so a resumed run injects exactly
+  the worker faults the uninterrupted run would have.
 
 Nothing per batch is saved, so a checkpoint's size follows the block
 states, not the rows read.  A resumed run re-reads its batches from the
@@ -32,11 +31,11 @@ import hashlib
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, Union
 
 from ..errors import CheckpointError
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def config_fingerprint(config) -> str:
@@ -44,14 +43,14 @@ def config_fingerprint(config) -> str:
 
     Trace/metrics knobs are deliberately excluded: resuming with tracing
     toggled is safe and useful (e.g. resume a crashed run with tracing on
-    to see why it crashed).
+    to see why it crashed).  So are the fault knobs: worker faults
+    recover bit-identically and row corruption happens before the query,
+    so none of them can change a snapshot bit.
     """
     relevant = (
         config.num_batches, config.bootstrap_trials,
         config.epsilon_multiplier, config.confidence, config.seed,
         config.shuffle,
-        config.faults.enabled, config.faults.seed,
-        config.faults.batch_failure_prob, config.faults.max_retries,
     )
     return hashlib.sha256(repr(relevant).encode()).hexdigest()[:16]
 
@@ -67,10 +66,7 @@ class RunCheckpoint:
 
     query_fp: str
     config_fp: str
-    batch_index: int  # last batch processed (folded or skipped)
-    folded_count: int
-    skipped_batches: List[int]
-    lost_rows: int
+    batch_index: int  # last batch folded
     injector_state: Dict[str, dict]
     block_states: Dict[str, dict]
     version: int = CHECKPOINT_VERSION
@@ -89,7 +85,7 @@ class RunCheckpoint:
         if self.config_fp != config_fingerprint(config):
             raise CheckpointError(
                 "checkpoint was taken under a different configuration "
-                "(batches/seed/bootstrap/faults must match)"
+                "(batches/seed/bootstrap must match)"
             )
 
     def save(self, path: Union[str, Path]) -> None:

@@ -132,8 +132,6 @@ def _render_operator_table(ops: Dict[str, SpanStats],
 
 #: Recovery-event names in display order, with console labels.
 _RECOVERY_LABELS = (
-    ("fault.batch_retry", "batch-load retries"),
-    ("fault.batch_skipped", "batches skipped (reweighted)"),
     ("fault.row_quarantined", "rows quarantined"),
     ("checkpoint.saved", "checkpoints saved"),
     ("checkpoint.resumed", "runs resumed"),
@@ -144,15 +142,14 @@ def render_recovery(report: ProfileReport) -> Optional[str]:
     """The recovery section, or None when the run had no faults.
 
     Summarizes every ``fault.*``/``checkpoint.*`` event the fault
-    subsystem emitted, plus batch spans flagged skipped, so a degraded
-    run is visible from its trace alone.
+    subsystem emitted, so what a run recovered from is visible from its
+    trace alone.
     """
     recovery = {
         name: count for name, count in report.events.items()
         if name.startswith("fault.") or name.startswith("checkpoint.")
     }
-    skipped = sum(1 for b in report.batches if b.get("skipped"))
-    if not recovery and not skipped:
+    if not recovery:
         return None
     lines = ["== recovery =="]
     known = set()
@@ -163,8 +160,6 @@ def render_recovery(report: ProfileReport) -> Optional[str]:
     for name in sorted(recovery):
         if name not in known:
             lines.append(f"{name:<30} {recovery[name]:>7}")
-    if skipped:
-        lines.append(f"{'degraded batch spans':<30} {skipped:>7}")
     return "\n".join(lines)
 
 

@@ -44,7 +44,7 @@ import numpy as np
 from ..config import ParallelConfig
 from ..engine.aggregates import AggState
 from ..estimate.bootstrap import as_batch_weights
-from ..faults import FaultInjector, NULL_INJECTOR, RetryPolicy
+from ..faults import FaultInjector, NULL_INJECTOR
 from ..obs import NULL_TRACER
 from .shards import make_shard_payloads, run_fold_shard, shard_ranges
 from .shm import ShmRegistry
@@ -201,7 +201,6 @@ class ParallelExecutor:
                 retries=cfg.task_retries,
                 injector=self.injector, tracer=self.tracer,
                 validate=validate_fold_shard,
-                backoff=RetryPolicy.from_faults(self.injector.config),
             )
         return self._shard_pool
 

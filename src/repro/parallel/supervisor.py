@@ -20,16 +20,20 @@ the calling thread:
 3. **Poison quarantine** — a task that fails ``retries`` pool attempts
    (crash, hang, or corrupt result) is quarantined and run serially on
    the coordinator, outside the pool.  Only if that *also* fails is the
-   shard abandoned with :class:`~repro.errors.ShardLostError`, which the
-   controller maps onto its skip-and-reweight degraded-snapshot path.
+   shard lost: :class:`~repro.errors.ShardLostError` propagates out of
+   the controller's step and fails the query, because a computation
+   that fails on the coordinator is a defect, not a substrate fault.
 4. **Result integrity** — every worker result is validated before it is
    accepted (for fold shards: alias/type/shape/dtype/NaN-budget
    fingerprint, see :func:`validate_fold_shard`).  A corrupted result is
    rejected and the shard re-run instead of being silently folded into
    the estimate.
 
-Every rung taken logs one WARNING on the ``repro.parallel`` logger
-beside the counter it bumps.
+Between rounds the pool backs off: round ``r`` (1-based) first sleeps a
+seeded full-jitter pause, uniform in ``[0, BACKOFF_S * BACKOFF_FACTOR **
+(r - 1)]``, so two runs with the same fault seed sleep the same
+sequence.  Every rung taken logs one WARNING on the ``repro.parallel``
+logger beside the counter it bumps.
 
 Workers are **persistent**: the executor starts on first use (``fork``
 where the platform has it — cheap start, no import replay — else the
@@ -53,6 +57,7 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
+import random
 import signal
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, \
@@ -64,7 +69,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..errors import ShardLostError
-from ..faults import NULL_INJECTOR, RetryPolicy
+from ..faults import NULL_INJECTOR
 from ..obs import NULL_TRACER
 from .shm import resolve
 
@@ -77,6 +82,22 @@ CORRUPT_SENTINEL = "__repro-corrupted-result__"
 #: ``parallel.heartbeats`` counter, so liveness is observable even while
 #: a round is in flight.
 _HEARTBEAT_S = 1.0
+
+#: Re-dispatch backoff cap before the first retry round, and its growth
+#: per round.
+BACKOFF_S = 0.05
+BACKOFF_FACTOR = 2.0
+
+
+def jitter_rng(seed) -> random.Random:
+    """The supervisor's full-jitter stream: same seed, same pauses."""
+    return random.Random(f"{seed}:parallel.supervisor:retry-jitter")
+
+
+def backoff_delay(attempt: int, rng: random.Random) -> float:
+    """Full-jitter pause before 0-based retry round ``attempt``:
+    uniform in ``[0, BACKOFF_S * BACKOFF_FACTOR ** attempt]``."""
+    return rng.uniform(0.0, BACKOFF_S * BACKOFF_FACTOR ** attempt)
 
 
 def _supervised_call(payload):
@@ -129,10 +150,11 @@ def validate_fold_shard(payload: dict, result) -> Optional[str]:
     The worker was handed ``payload`` (see ``shards.run_fold_shard``)
     and must return ``[(alias, state), ...]`` matching the payload's
     alias list, each state of the shard's trial width, with per-group
-    arrays of the expected shape/dtype, and NaN-free unless the input
-    values themselves carried NaNs (the NaN *budget*: NaNs may flow
-    through, never appear).  Anything else is a corrupted worker result
-    and must be re-run, not merged.
+    arrays of the expected shape/dtype, and NaN-free unless some input
+    value is non-finite (the NaN *budget*: a NaN input flows through,
+    and ``0 * inf`` from a zero weight on an infinite value is NaN too;
+    NaNs never appear from finite inputs).  Anything else is a corrupted
+    worker result and must be re-run, not merged.
     """
     expected = payload["aliases"]
     width = payload["hi"] - payload["lo"]
@@ -163,9 +185,9 @@ def validate_fold_shard(payload: dict, result) -> Optional[str]:
                     # Values may arrive as shared-memory specs; resolve
                     # to the zero-copy view before inspecting them.
                     nan_allowed = any(
-                        np.isnan(
+                        (~np.isfinite(
                             np.asarray(resolve(v), dtype=np.float64)
-                        ).any()
+                        )).any()
                         for v in payload["values"].values()
                     )
                 if not nan_allowed:
@@ -218,8 +240,7 @@ class SupervisedPool:
                  deadline_s: float = 60.0, retries: int = 2,
                  injector=None, tracer=None,
                  validate: Optional[Callable[[object, object],
-                                             Optional[str]]] = None,
-                 backoff: Optional[RetryPolicy] = None):
+                                             Optional[str]]] = None):
         if workers < 1:
             raise ValueError("workers must be >= 1; a serial fold needs "
                              "no pool")
@@ -230,12 +251,7 @@ class SupervisedPool:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.validate = validate if validate is not None else \
             _default_validate
-        self.backoff = backoff if backoff is not None else RetryPolicy(
-            max_retries=retries
-        )
-        self._jitter = self.backoff.jitter_rng(
-            getattr(self.injector, "seed", 0), "parallel.supervisor"
-        )
+        self._jitter = jitter_rng(getattr(self.injector, "seed", 0))
         self._executor: Optional[ProcessPoolExecutor] = None
         #: Set once this host refused to start a process pool; the pool
         #: then never tries again and :meth:`start` answers False.
@@ -366,9 +382,7 @@ class SupervisedPool:
         with self.tracer.span("parallel.supervise", tasks=n):
             while pending:
                 if round_no > 0:
-                    time.sleep(self.backoff.jittered_delay(
-                        round_no - 1, self._jitter
-                    ))
+                    time.sleep(backoff_delay(round_no - 1, self._jitter))
                 failed = self._dispatch_round(
                     fn, tasks, plans, hang_s, attempts, results, settled,
                     pending,

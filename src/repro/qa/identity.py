@@ -8,6 +8,10 @@ uncertain-set sizes plus rebuilds — and once more whole with the
 benchmark ledger's ``snapshot_digest`` definition (copied here, so the
 benchmark never imports the program's notion of "the same stream").
 
+:func:`snapshot_fingerprint` is the one whole-stream digest the rest of
+the program compares (the chaos harness, the fuzzer's colstore path,
+the tests): two streams with equal fingerprints cannot be told apart.
+
 ``tests/fingerprints.json`` holds the recorded matrix.  A change that
 means no bit to move shows an unchanged file; one that moves a stream
 re-records it and its diff names exactly which streams, and which of
@@ -135,6 +139,34 @@ def snapshot_digest(snapshot) -> str:
         digest.update(f"U:{block}={snapshot.uncertain_sizes[block]}".encode())
     digest.update(("R:" + ",".join(snapshot.rebuilds)).encode())
     return digest.hexdigest()
+
+
+def snapshot_fingerprint(snapshots: Iterable) -> Tuple[str, int]:
+    """(sha256 hex, count) over everything user-visible in a stream.
+
+    Bitwise: column payloads, CI bounds, uncertain-set sizes, row
+    accounting and rebuilds all enter the digest, so "identical
+    fingerprints" means "the user could not tell the runs apart".
+    """
+    digest = hashlib.sha256()
+    count = 0
+    for s in snapshots:
+        count += 1
+        digest.update(str(s.batch_index).encode())
+        for name in s.table.schema.names:
+            digest.update(name.encode())
+            _update_array(digest, s.table.column(name))
+        for name in sorted(s.errors):
+            err = s.errors[name]
+            digest.update(name.encode())
+            _update_array(digest, np.asarray(err.lows))
+            _update_array(digest, np.asarray(err.highs))
+        digest.update(repr((
+            sorted(s.uncertain_sizes.items()),
+            sorted(s.rows_processed.items()),
+            tuple(s.rebuilds),
+        )).encode())
+    return digest.hexdigest(), count
 
 
 def stream_fingerprint(snapshots: Iterable) -> Dict[str, str]:

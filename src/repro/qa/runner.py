@@ -280,7 +280,7 @@ class DifferentialRunner:
         """
         import tempfile
 
-        from ..faults.chaos import snapshot_fingerprint
+        from .identity import snapshot_fingerprint
         from ..storage.colstore import convert_table
 
         config = session.config

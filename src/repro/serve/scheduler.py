@@ -134,9 +134,6 @@ class ScheduledQuery:
             "num_batches": self.config.num_batches,
             "snapshots": len(self.snapshots),
             "dropped_snapshots": self.stream.dropped,
-            "degraded": bool(
-                self.last_snapshot is not None and self.last_snapshot.degraded
-            ),
             "error": self.error,
             "reason": self.reason,
             "submitted_ts": self.submitted_ts,

@@ -50,7 +50,6 @@ from ..errors import (
     BindError,
     ParseError,
     PlanError,
-    ReproError,
 )
 from .scheduler import FAILED, DrainingError, QueryScheduler
 from .telemetry import PROMETHEUS_CONTENT_TYPE, render_prometheus
@@ -165,10 +164,10 @@ class _Handler(BaseHTTPRequestHandler):
                 429, exc,
                 retry_after=self.server.scheduler.retry_after_hint(),
             )
-        elif isinstance(exc, ReproError):
-            self._send_error_json(500, exc)
         else:
-            raise exc
+            # Anything unmapped is the server's own fault: answer it
+            # rather than drop the connection.
+            self._send_error_json(500, exc)
 
     # -- routes ----------------------------------------------------------
 

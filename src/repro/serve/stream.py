@@ -13,7 +13,7 @@ Record schema (one JSON object per NDJSON line):
 ``{"type": "snapshot", "query_id", "batch", "of", "fraction", "rows":
 [{col: value, ...}, ...], "errors": {col: {"lo": [...], "hi": [...],
 "rel_stdev": [...]}}, "estimate", "lo", "hi", "rel_stdev", "uncertain",
-"degraded", "elapsed_s"}`` — the scalar convenience fields are present
+"elapsed_s"}`` — the scalar convenience fields are present
 only for single-cell answers; NaNs are encoded as null.  The stream ends
 with one ``{"type": "end", "query_id", "state", ...}`` record.
 """
@@ -63,13 +63,9 @@ def encode_snapshot(query_id: str, snapshot: OnlineSnapshot) -> dict:
         "uncertain": snapshot.total_uncertain,
         "rows_processed": snapshot.total_rows_processed,
         "rebuilds": list(snapshot.rebuilds),
-        "degraded": snapshot.degraded,
         "confidence": snapshot.confidence,
         "elapsed_s": round(snapshot.elapsed_s, 9),
     }
-    if snapshot.skipped_batches:
-        record["skipped_batches"] = list(snapshot.skipped_batches)
-        record["lost_rows"] = snapshot.lost_rows
     try:
         interval = snapshot.interval
         record["estimate"] = _json_safe(snapshot.estimate)

@@ -93,7 +93,7 @@ def read_csv(path: PathLike, schema: Optional[Schema] = None,
     and the load only aborts when the quarantined fraction exceeds the
     quarantine's error budget.  ``injector`` (a
     :class:`repro.faults.FaultInjector`) corrupts a deterministic subset
-    of rows at the ``storage.row`` fault point before parsing — the
+    of rows (its ``storage.row`` stream) before parsing — the
     test harness for the quarantine path.
     """
     with open(path, newline="") as f:
@@ -105,7 +105,7 @@ def read_csv(path: PathLike, schema: Optional[Schema] = None,
         rows = list(reader)
 
     if injector is not None:
-        corrupt = injector.corrupted_rows("storage.row", len(rows))
+        corrupt = injector.corrupted_rows(len(rows))
         for idx in np.flatnonzero(corrupt):
             rows[idx] = [CORRUPT_MARKER] * len(header)
 

@@ -1,12 +1,12 @@
 """End-to-end chaos: supervised recovery must be invisible in answers.
 
-The acceptance surface for ISSUE 7: the chaos harness proves paper
-queries survive worker kills/hangs/corruption bit-identical to serial,
-a hung worker never stalls a run past its task deadline, a lost shard
-degrades one query (skip-and-reweight) rather than the server, a
-crashed query answers 503 on its own stream while the server keeps
-serving, SIGTERM drains cleanly while in-flight queries hit injected
-faults, and 429/503 rejections carry an honest ``Retry-After``.
+The chaos harness proves paper queries survive worker
+kills/hangs/corruption bit-identical to serial, a hung worker never
+stalls a run past its task deadline, a shard lost past every recovery
+rung fails its query (and only that query), a crashed query answers 503
+on its own stream while the server keeps serving, SIGTERM drains
+cleanly while in-flight queries hit injected worker faults, and 429/503
+rejections carry an honest ``Retry-After``.
 """
 
 import dataclasses
@@ -18,6 +18,7 @@ import sys
 import time
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro import GolaConfig, GolaSession, ServeConfig
@@ -25,8 +26,10 @@ from repro.config import ParallelConfig
 from repro.errors import ShardLostError
 from repro.faults import ChaosRunner, ChaosSpec
 from repro.parallel import ParallelExecutor
+from repro.qa.identity import snapshot_fingerprint
 from repro.serve import GolaServer, QueryScheduler
-from repro.serve.scheduler import FAILED
+from repro.serve.scheduler import DONE, FAILED
+from repro.storage.table import Table
 from repro.workloads import SBI_QUERY, generate_sessions
 
 from ._http import http_error
@@ -93,11 +96,15 @@ class TestChaosHarness:
 
 
 class _LossyExecutor(ParallelExecutor):
-    """Loses the first batch's shards past every recovery rung."""
+    """Loses the first fold's shards past every recovery rung."""
 
-    def __init__(self, config, tracer=None):
-        super().__init__(config, tracer=tracer)
+    def __init__(self, config, tracer=None, injector=None):
+        super().__init__(config, tracer=tracer, injector=injector)
         self.losses = 0
+
+    @classmethod
+    def from_config(cls, config, tracer=None, injector=None):
+        return cls(config.parallel, tracer=tracer, injector=injector)
 
     def fold_boot_states(self, *args, **kwargs):
         if self.losses == 0:
@@ -106,30 +113,62 @@ class _LossyExecutor(ParallelExecutor):
         return super().fold_boot_states(*args, **kwargs)
 
 
-class TestShardLossDegradation:
-    def test_controller_skips_and_reweights_lost_shard(self):
-        """An unrecoverable shard loss costs one batch (skip +
-        reweight, flagged degraded), never the query."""
-        config = GolaConfig(num_batches=4, bootstrap_trials=16, seed=3)
-        session = GolaSession(config)
-        session.register_table("sessions",
-                               generate_sessions(4_000, seed=42))
-        online = session.sql(SBI_QUERY)
-        lossy = _LossyExecutor(
-            ParallelConfig(workers=2, min_shard_rows=1)
-        )
-        controller = session._make_controller(online.query, config,
-                                              parallel=lossy)
-        snapshots = list(controller.run())
-        assert lossy.losses == 1
-        assert len(snapshots) == config.num_batches
-        assert snapshots[0].degraded
-        assert snapshots[-1].skipped_batches == [snapshots[0].batch_index]
-        # Later batches fold normally and the stream stays flagged.
-        assert all(s.degraded for s in snapshots)
-        clean = list(session.sql(SBI_QUERY).run_online())
-        assert not clean[-1].degraded
-        assert (snapshots[-1].rows_processed != clean[-1].rows_processed)
+#: Both blocks keep bootstrap replicas, so batch 1's first fold goes
+#: through the executor.
+LOSSY_SQL = "SELECT SUM(x) AS s FROM t WHERE y > (SELECT AVG(y) FROM t)"
+#: A flat SUM takes closed-form errors and never calls the executor.
+FLAT_SQL = "SELECT SUM(x) AS s FROM t"
+
+
+def _lossy_session():
+    rng = np.random.default_rng(3)
+    session = GolaSession(GolaConfig(
+        num_batches=4, bootstrap_trials=16, seed=3,
+        parallel=ParallelConfig(workers=1, min_shard_rows=1),
+    ))
+    session.register_table("t", Table.from_columns({
+        "x": rng.normal(size=8_000), "y": rng.normal(size=8_000),
+    }))
+    return session
+
+
+class TestShardLoss:
+    def test_lost_shard_fails_run_online(self, monkeypatch):
+        """A shard lost past every recovery rung fails the run.  Before,
+        the batch was skipped: batch 1 read 0.0 with interval [0, 0],
+        and the final answer missed the exact one, because the exact
+        state had folded the batch before the shard was lost."""
+        monkeypatch.setattr("repro.core.controller.ParallelExecutor",
+                            _LossyExecutor)
+        query = _lossy_session().sql(LOSSY_SQL)
+        snapshots = []
+        with pytest.raises(ShardLostError):
+            for snapshot in query.run_online():
+                snapshots.append(snapshot)
+        assert snapshots == []
+        assert query._controller.parallel.losses == 1
+        # The run is over: its states are released, never checkpointed.
+        with pytest.raises(Exception, match="no batches"):
+            query.checkpoint()
+
+    def test_lost_shard_fails_only_its_served_query(self):
+        session = _lossy_session()
+        solo = snapshot_fingerprint(session.sql(FLAT_SQL).run_online())
+        scheduler = QueryScheduler(session)
+        try:
+            scheduler.parallel.close()
+            scheduler.parallel = lossy = _LossyExecutor(
+                session.config.parallel)
+            bad = scheduler.submit(LOSSY_SQL)
+            good = scheduler.submit(FLAT_SQL)
+            assert scheduler.wait(timeout=60.0)
+            assert lossy.losses == 1
+            assert bad.state == FAILED
+            assert bad.error.startswith("ShardLostError")
+            assert good.state == DONE
+            assert snapshot_fingerprint(good.snapshots) == solo
+        finally:
+            scheduler.close()
 
 
 def post_query(url, sql=SBI_QUERY, timeout=30.0):
@@ -229,13 +268,14 @@ class TestFailedQueryIsolation:
 
 class TestSigtermDrainUnderFaults:
     def test_sigterm_drains_inflight_faulty_queries(self):
-        """SIGTERM while in-flight queries are hitting injected
-        batch-load faults must still exit 0 after the drain window."""
+        """SIGTERM while in-flight queries are hitting injected worker
+        kills must still exit 0 after the drain window."""
         env = {**os.environ, "PYTHONPATH": "src", "PYTHONUNBUFFERED": "1"}
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
              "--rows", "2000", "--batches", "3",
-             "--faults", "batch_failure_prob=0.3,seed=7"],
+             "--workers", "workers=1,min_shard_rows=1",
+             "--faults", "worker_kill_prob=0.3,seed=7"],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True, env=env,
         )

@@ -14,7 +14,7 @@ import pytest
 
 from repro import GolaConfig, GolaSession
 from repro.config import ParallelConfig
-from repro.faults.chaos import snapshot_fingerprint
+from repro.qa.identity import snapshot_fingerprint
 from repro.storage.colstore import convert_table
 from repro import workloads
 

@@ -19,7 +19,7 @@ import pytest
 
 from repro import FaultsConfig, GolaConfig, GolaSession
 from repro.faults import RunCheckpoint
-from repro.faults.chaos import snapshot_fingerprint
+from repro.qa.identity import snapshot_fingerprint
 from repro.storage.colstore import convert_table
 from repro.storage.table import Table
 

@@ -1,45 +1,63 @@
 """Acceptance tests for the fault-injection/recovery subsystem.
 
-Pins the three ISSUE guarantees end to end:
+Pins three guarantees end to end:
 
 * determinism — the same faults seed yields byte-identical trace event
   sequences, and a *disabled* injector yields outputs bit-identical to a
   run without the subsystem;
-* statistical soundness of skip-and-reweight — dropping mini-batches
-  mid-run still converges to ground truth, with the final interval
-  covering it and every post-skip snapshot flagged ``degraded``;
+* invisible recovery — a pooled run whose workers are killed answers
+  bit for bit what the clean serial run answers;
 * checkpoint/resume — killing a run after batch *i* and resuming yields
   exactly the snapshot sequence the uninterrupted run would have
-  produced, faults included.
+  produced, faults included, and under other fault settings too.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro import FaultsConfig, GolaConfig, GolaSession
-from repro.faults import RunCheckpoint
-from repro.faults.chaos import snapshot_fingerprint
+from repro.config import ParallelConfig
 from repro.errors import CheckpointError
+from repro.faults import RunCheckpoint
 from repro.obs import JsonlSink, MetricsRegistry, Tracer, load_events
+from repro.qa.identity import snapshot_fingerprint
 from repro.workloads.sessions import SBI_QUERY, generate_sessions
 
 ROWS = 4000
 TABLE = generate_sessions(ROWS, seed=13)
 
-#: A profile that skips some batches: no retry budget, 35% load failure.
-SKIPPY = FaultsConfig(enabled=True, seed=21, batch_failure_prob=0.35,
-                      max_retries=0)
+#: Kills three in ten pool attempts; every fold goes to the pool.
+KILLY = FaultsConfig(enabled=True, seed=21, worker_kill_prob=0.3)
+POOL = ParallelConfig(workers=1, min_shard_rows=1)
+#: Corrupts 1% of a loaded CSV's rows, within the 5% error budget.
+CORRUPTY = FaultsConfig(enabled=True, seed=5, row_corruption_prob=0.01,
+                        row_error_budget=0.05)
 
 
-def make_session(faults=None, tracer=None, **overrides):
+def make_session(faults=None, tracer=None, csv=None, **overrides):
+    """The sessions table registered, or loaded from ``csv``."""
     kwargs = dict(
         num_batches=10, bootstrap_trials=60, seed=17,
         faults=faults if faults is not None else FaultsConfig(),
     )
     kwargs.update(overrides)
     session = GolaSession(GolaConfig(**kwargs), tracer=tracer)
-    session.register_table("sessions", TABLE)
+    if csv is None:
+        session.register_table("sessions", TABLE)
+    else:
+        session.load_csv("sessions", csv)
     return session
+
+
+def sessions_csv(tmp_path):
+    from repro.storage import write_csv
+
+    path = tmp_path / "sessions.csv"
+    if not path.exists():
+        write_csv(TABLE, path)
+    return path
 
 
 class TestDeterminism:
@@ -47,7 +65,8 @@ class TestDeterminism:
         path = tmp_path / f"{name}.jsonl"
         tracer = Tracer(JsonlSink(str(path)),
                         metrics=MetricsRegistry(enabled=True))
-        session = make_session(faults=SKIPPY, tracer=tracer)
+        session = make_session(faults=CORRUPTY, tracer=tracer,
+                               csv=sessions_csv(tmp_path))
         snaps = list(session.sql(SBI_QUERY).run_online())
         tracer.close()
         records = load_events(str(path))
@@ -61,10 +80,7 @@ class TestDeterminism:
         snaps_b, events_b = self._traced_events(tmp_path, "b")
         assert any(name.startswith("fault.") for name, _ in events_a)
         assert events_a == events_b
-        assert [s.estimate for s in snaps_a] == \
-            [s.estimate for s in snaps_b]
-        assert [s.skipped_batches for s in snaps_a] == \
-            [s.skipped_batches for s in snaps_b]
+        assert snapshot_fingerprint(snaps_a) == snapshot_fingerprint(snaps_b)
 
     def test_disabled_injection_bit_identical_to_baseline(self):
         baseline = list(make_session().sql(SBI_QUERY).run_online())
@@ -75,7 +91,6 @@ class TestDeterminism:
             assert a.estimate == b.estimate  # exact, not approx
             assert a.interval.low == b.interval.low
             assert a.interval.high == b.interval.high
-            assert not b.degraded
 
     def test_enabled_but_zero_probability_also_identical(self):
         baseline = list(make_session().sql(SBI_QUERY).run_online())
@@ -87,99 +102,47 @@ class TestDeterminism:
             assert a.estimate == b.estimate
 
 
-class TestSkipAndReweight:
-    @pytest.fixture(scope="class")
-    def degraded_run(self):
-        session = make_session(faults=SKIPPY)
-        snaps = list(session.sql(SBI_QUERY).run_online())
-        exact = session.execute_batch(SBI_QUERY)
-        truth = float(exact.column(exact.schema.names[0])[0])
-        return snaps, truth
+def clean_serial_stream():
+    return snapshot_fingerprint(make_session().sql(SBI_QUERY).run_online())
 
-    def test_some_but_not_all_batches_skipped(self, degraded_run):
-        snaps, _ = degraded_run
-        skipped = snaps[-1].skipped_batches
-        assert skipped, "profile should have skipped at least one batch"
-        assert len(skipped) < len(snaps)
 
-    def test_degraded_flag_sticky_after_first_skip(self, degraded_run):
-        snaps, _ = degraded_run
-        first_skip = min(snaps[-1].skipped_batches)
-        for snap in snaps:
-            assert snap.degraded == (snap.batch_index >= first_skip)
-
-    def test_lost_rows_accounted(self, degraded_run):
-        snaps, _ = degraded_run
-        last = snaps[-1]
-        assert last.lost_rows > 0
-        # 10 uniform batches over 4000 rows: each holds ~400 rows.
-        assert last.lost_rows == pytest.approx(
-            400 * len(last.skipped_batches), rel=0.2
-        )
-
-    def test_reweighted_estimate_converges_to_truth(self, degraded_run):
-        snaps, truth = degraded_run
-        final = snaps[-1]
-        # AVG over the folded subset of uniform random batches is an
-        # unbiased estimate of the full-data answer.
-        assert final.estimate == pytest.approx(truth, rel=0.05)
-        assert final.interval.contains(truth)
-
-    def test_skipped_snapshot_reports_no_fold_work(self, degraded_run):
-        snaps, _ = degraded_run
-        skipped = set(snaps[-1].skipped_batches)
-        for snap in snaps:
-            if snap.batch_index in skipped:
-                assert snap.total_rows_processed == 0
-                assert snap.degraded
+def interrupt_and_resume(stop_after, faults=None, parallel=None,
+                         resume_faults=None, via_file=None):
+    """Run ``stop_after`` batches, checkpoint, kill the run, and resume
+    it in a fresh session (under ``resume_faults``, if given): the
+    whole stream's fingerprint."""
+    pool = parallel if parallel is not None else ParallelConfig()
+    session = make_session(faults=faults, parallel=pool)
+    query = session.sql(SBI_QUERY)
+    it = query.run_online()
+    prefix = [next(it) for _ in range(stop_after)]
+    ck = query.checkpoint()
+    it.close()  # the "kill"
+    if via_file is not None:
+        ck.save(via_file)
+        ck = str(via_file)
+    fresh = make_session(
+        faults=resume_faults if resume_faults is not None else faults,
+        parallel=pool)
+    rest = list(fresh.sql(SBI_QUERY).run_online(resume_from=ck))
+    assert [s.batch_index for s in rest] == list(range(stop_after + 1, 11))
+    return snapshot_fingerprint(prefix + rest)
 
 
 class TestCheckpointResume:
-    def _run_all(self, faults):
-        session = make_session(faults=faults)
-        return [
-            (s.estimate, s.degraded, tuple(s.skipped_batches or ()))
-            for s in session.sql(SBI_QUERY).run_online()
-        ]
-
-    def _interrupt_and_resume(self, faults, stop_after, via_file=None):
-        session = make_session(faults=faults)
-        query = session.sql(SBI_QUERY)
-        it = query.run_online()
-        prefix = []
-        for _ in range(stop_after):
-            s = next(it)
-            prefix.append((s.estimate, s.degraded,
-                           tuple(s.skipped_batches or ())))
-        ck = query.checkpoint()
-        it.close()  # the "kill"
-        if via_file is not None:
-            ck.save(via_file)
-            ck = str(via_file)
-        fresh = make_session(faults=faults)
-        rest = [
-            (s.estimate, s.degraded, tuple(s.skipped_batches or ()))
-            for s in fresh.sql(SBI_QUERY).run_online(resume_from=ck)
-        ]
-        return prefix + rest
-
     def test_resume_clean_run_roundtrip(self):
-        full = self._run_all(FaultsConfig())
-        resumed = self._interrupt_and_resume(FaultsConfig(), stop_after=4)
-        assert resumed == full
+        assert interrupt_and_resume(stop_after=4) == clean_serial_stream()
 
     def test_resume_faulty_run_roundtrip(self):
         """RNG streams (weights + injector) must resume exactly."""
-        full = self._run_all(SKIPPY)
-        resumed = self._interrupt_and_resume(SKIPPY, stop_after=5)
-        assert resumed == full
+        assert interrupt_and_resume(stop_after=5, faults=KILLY,
+                                    parallel=POOL) == clean_serial_stream()
 
     def test_resume_from_saved_file(self, tmp_path):
-        full = self._run_all(SKIPPY)
-        resumed = self._interrupt_and_resume(
-            SKIPPY, stop_after=3, via_file=tmp_path / "run.ck"
-        )
-        assert resumed == full
+        resumed = interrupt_and_resume(stop_after=3, faults=KILLY,
+                                       parallel=POOL,
+                                       via_file=tmp_path / "run.ck")
+        assert resumed == clean_serial_stream()
 
     def test_auto_checkpoint_writes_file(self, tmp_path):
         path = tmp_path / "auto.ck"
@@ -197,24 +160,24 @@ class TestCheckpointResume:
         assert [s.batch_index for s in rest] == [4, 5, 6, 7, 8, 9, 10]
 
     def test_checkpoint_refuses_mismatched_config(self):
-        session = make_session(faults=SKIPPY)
+        session = make_session()
         query = session.sql(SBI_QUERY)
         it = query.run_online()
         next(it)
         ck = query.checkpoint()
         it.close()
-        other = make_session(faults=SKIPPY, num_batches=20)
+        other = make_session(num_batches=20)
         with pytest.raises(CheckpointError, match="configuration"):
             list(other.sql(SBI_QUERY).run_online(resume_from=ck))
 
     def test_checkpoint_refuses_mismatched_query(self):
-        session = make_session(faults=SKIPPY)
+        session = make_session()
         query = session.sql(SBI_QUERY)
         it = query.run_online()
         next(it)
         ck = query.checkpoint()
         it.close()
-        other = make_session(faults=SKIPPY)
+        other = make_session()
         wrong = other.sql("SELECT SUM(play_time) FROM sessions")
         with pytest.raises(CheckpointError, match="query"):
             list(wrong.run_online(resume_from=ck))
@@ -306,6 +269,24 @@ class TestCheckpointResume:
             list(make_session().sql(SBI_QUERY).run_online(
                 resume_from=str(path)))
 
+    def test_version_two_checkpoint_is_refused(self, tmp_path):
+        """Version 2 also carried the skip-and-reweight accounting
+        (folded count, skipped batches, lost rows); such a file no
+        longer resumes."""
+        session = make_session()
+        query = session.sql(SBI_QUERY)
+        it = query.run_online()
+        next(it)
+        ck = query.checkpoint()
+        it.close()
+        ck.version = 2
+        ck.folded_count, ck.skipped_batches, ck.lost_rows = 1, [], 0
+        path = tmp_path / "v2.ck"
+        ck.save(path)
+        with pytest.raises(CheckpointError, match="version 2"):
+            list(make_session().sql(SBI_QUERY).run_online(
+                resume_from=str(path)))
+
     def test_checkpoint_before_any_batch_raises(self):
         session = make_session()
         query = session.sql(SBI_QUERY)
@@ -356,48 +337,41 @@ class TestRecoveryReport:
         path = tmp_path / "trace.jsonl"
         tracer = Tracer(JsonlSink(str(path)),
                         metrics=MetricsRegistry(enabled=True))
-        session = make_session(faults=SKIPPY, tracer=tracer)
+        faults = dataclasses.replace(
+            CORRUPTY, checkpoint_every=5,
+            checkpoint_path=str(tmp_path / "auto.ck"))
+        session = make_session(faults=faults, tracer=tracer,
+                               csv=sessions_csv(tmp_path))
         list(session.sql(SBI_QUERY).run_online())
         tracer.close()
         text = render_profile(build_profile(load_events(str(path))))
         assert "== recovery ==" in text
-        assert "batches skipped (reweighted)" in text
+        assert "rows quarantined" in text
+        assert "checkpoints saved" in text
         metrics = tracer.metrics.snapshot()
-        assert metrics.counters["faults.batches_skipped"] >= 1
-        assert metrics.counters["faults.rows_lost"] > 0
+        assert metrics.counters["faults.rows_quarantined"] >= 1
 
 
 class TestResumeParallelFaultComposition:
     """Checkpoint/resume x worker pools x injected faults, bitwise.
 
-    Regression pin for the three subsystems composed at once: a run
-    with ``workers > 0`` and an injected ``controller.batch_load``
-    fault profile, killed mid-run and resumed from its checkpoint,
-    must replay to a snapshot stream *bit-identical* to the
-    uninterrupted serial run under the same faults.
+    Regression pin for the three subsystems composed at once: a pooled
+    run whose workers are killed, killed itself mid-run and resumed
+    from its checkpoint, must replay to a snapshot stream
+    *bit-identical* to the uninterrupted clean serial run.
     """
 
     @pytest.mark.parametrize("stop_after", [2, 5])
     def test_resume_parallel_faulty_matches_serial(self, stop_after):
-        from repro.config import ParallelConfig
+        assert interrupt_and_resume(stop_after, faults=KILLY,
+                                    parallel=POOL) == clean_serial_stream()
 
-        full = snapshot_fingerprint(
-            make_session(faults=SKIPPY).sql(SBI_QUERY).run_online()
-        )
-
-        pool = ParallelConfig(workers=2)
-        session = make_session(faults=SKIPPY, parallel=pool)
-        query = session.sql(SBI_QUERY)
-        it = query.run_online()
-        prefix = []
-        for _ in range(stop_after):
-            prefix.append(next(it))
-        ck = query.checkpoint()
-        it.close()  # the "kill"
-
-        fresh = make_session(faults=SKIPPY, parallel=pool)
-        rest = list(fresh.sql(SBI_QUERY).run_online(resume_from=ck))
-
-        assert [s.batch_index for s in rest] == \
-            list(range(stop_after + 1, 11))
-        assert snapshot_fingerprint(prefix + rest) == full
+    def test_resume_under_other_faults_matches_clean_serial(self):
+        """No fault knob enters the checkpoint's config fingerprint:
+        a run checkpointed under worker kills resumes under corrupt
+        results, and still answers what the clean serial run does."""
+        corrupting = FaultsConfig(enabled=True, seed=5,
+                                  result_corrupt_prob=0.5)
+        assert interrupt_and_resume(
+            4, faults=KILLY, parallel=POOL, resume_faults=corrupting,
+        ) == clean_serial_stream()

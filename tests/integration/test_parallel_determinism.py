@@ -6,15 +6,18 @@ across serial execution and every worker count, because trial
 shards draw from per-(batch, trial) RNG streams and merge into disjoint
 state columns.  Also pins composition with the fault-injection
 subsystem: checkpoints taken at one worker count resume at another, and
-faulty runs skip/recover identically under any pool.
+runs whose workers are killed or return corrupt results answer what the
+clean serial run answers.
 """
 
+import numpy as np
 import pytest
 
 from repro import FaultsConfig, GolaConfig, GolaSession
 from repro.config import ParallelConfig
-from repro.faults.chaos import snapshot_fingerprint
 from repro.obs import AggregatingSink, MetricsRegistry, Tracer
+from repro.qa.identity import snapshot_fingerprint
+from repro.storage.table import Table
 from repro.workloads import (
     SBI_QUERY,
     TPCH_QUERIES,
@@ -169,27 +172,57 @@ class TestCheckpointAcrossWorkerCounts:
 
 
 class TestFaultComposition:
-    SKIPPY = FaultsConfig(enabled=True, seed=21, batch_failure_prob=0.3,
-                          max_retries=0)
+    FAULTY = FaultsConfig(enabled=True, seed=21, worker_kill_prob=0.2,
+                          result_corrupt_prob=0.2)
 
-    def test_degraded_run_identical_under_pool(self):
-        serial = list(run_query(
-            SBI_QUERY, "sessions", SESSIONS, MODES[0], faults=self.SKIPPY
+    def test_faulty_run_identical_under_pool(self):
+        serial = snapshot_fingerprint(run_query(
+            SBI_QUERY, "sessions", SESSIONS, MODES[0]
         ))
+        tracer = Tracer(metrics=MetricsRegistry(enabled=True))
         pooled = snapshot_fingerprint(run_query(
             SBI_QUERY, "sessions", SESSIONS,
             ParallelConfig(workers=2),
-            faults=self.SKIPPY,
+            faults=self.FAULTY, tracer=tracer,
         ))
-        assert pooled == snapshot_fingerprint(serial)
-        assert any(s.degraded for s in serial)  # the run really degraded
+        assert pooled == serial
+        counters = tracer.metrics.snapshot().counters
+        # The faults really fired.
+        assert counters.get("parallel.restarts", 0) > 0
+        assert counters.get("parallel.corrupt_results", 0) > 0
 
     def test_faulty_checkpoint_resume_across_worker_counts(self):
         helper = TestCheckpointAcrossWorkerCounts()
-        full, _ = helper._stream(MODES[0], faults=self.SKIPPY)
-        prefix, ck = helper._stream(MODES[0], stop_after=4,
-                                    faults=self.SKIPPY)
-        rest, _ = helper._stream(MODES[2], resume_from=ck,
-                                 faults=self.SKIPPY)
+        full, _ = helper._stream(MODES[0])
+        prefix, ck = helper._stream(MODES[2], stop_after=4,
+                                    faults=self.FAULTY)
+        rest, _ = helper._stream(MODES[1], resume_from=ck,
+                                 faults=self.FAULTY)
         assert snapshot_fingerprint(prefix + rest) == \
             snapshot_fingerprint(full)
+
+
+class TestNonFiniteInputs:
+    def test_infinite_values_pooled_stream_equals_serial(self):
+        """One +inf and one -inf and no NaN in the summed column: a
+        zero weight folds ``0 * inf`` into a NaN, in a worker as on the
+        coordinator, so the pool's integrity check must accept it
+        instead of rejecting every attempt and losing the shard."""
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=8_000)
+        x[10], x[20] = np.inf, -np.inf
+        table = Table.from_columns({"x": x, "y": rng.normal(size=8_000)})
+        sql = "SELECT SUM(x) AS s FROM t WHERE y > (SELECT AVG(y) FROM t)"
+
+        def stream(parallel):
+            session = GolaSession(GolaConfig(
+                num_batches=4, bootstrap_trials=16, seed=3,
+                parallel=parallel,
+            ))
+            session.register_table("t", table)
+            return snapshot_fingerprint(session.sql(sql).run_online())
+
+        with np.errstate(invalid="ignore"):
+            serial = stream(ParallelConfig())
+            pooled = stream(ParallelConfig(workers=1, min_shard_rows=16))
+        assert pooled == serial

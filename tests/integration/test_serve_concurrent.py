@@ -16,7 +16,7 @@ import pytest
 pytestmark = pytest.mark.slow  # 8-way concurrency soak; see docs/testing.md
 
 from repro import GolaConfig, GolaSession, ServeConfig
-from repro.faults.chaos import snapshot_fingerprint
+from repro.qa.identity import snapshot_fingerprint
 from repro.serve import CANCELLED, DONE, EXPIRED, FAILED, QueryScheduler
 from repro.workloads import (
     CONVIVA_QUERIES,

@@ -149,11 +149,25 @@ class TestHTTPErrors:
         )
         assert code == 400
 
+    def test_unmapped_exception_answers_500(self, server, monkeypatch):
+        """An exception no status maps gets a 500 JSON answer, not a
+        dropped connection."""
+        def crash(*args, **kwargs):
+            raise RuntimeError("scheduler bug")
+
+        monkeypatch.setattr(server.scheduler, "submit", crash)
+        code, _, body = http_error(
+            post_json, server.url + "/query", {"sql": SBI_QUERY}
+        )
+        assert code == 500
+        assert body == {"error": "RuntimeError",
+                        "message": "scheduler bug"}
+
     def test_mistyped_overrides_400_and_later_query_done(self, server):
         for body in ({"config": {"num_batches": 2.5}},
                      {"config": {"num_batches": "10"}},
                      {"config": {"shuffle": 1}},
-                     {"faults": {"max_retries": True}},
+                     {"faults": {"checkpoint_every": True}},
                      {"target_rsd": "0.1"}):
             code, _, reply = http_error(
                 post_json, server.url + "/query", {"sql": SBI_QUERY, **body}

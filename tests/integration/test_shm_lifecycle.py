@@ -159,8 +159,7 @@ class TestSegmentsNeverLeak:
         # read the stored weight rectangle from the segment the batch's
         # lease still holds; nothing draws it again.
         injector = FaultInjector(
-            FaultsConfig(enabled=True, seed=11, worker_kill_prob=1.0,
-                         max_retries=1),
+            FaultsConfig(enabled=True, seed=11, worker_kill_prob=1.0),
             master_seed=11,
         )
         tracer = Tracer(metrics=MetricsRegistry(enabled=True))

@@ -19,8 +19,8 @@ from repro.config import (
 # (class, its CLI flag, spec, the fields the spec must set)
 ROUND_TRIPS = [
     (FaultsConfig, "--faults",
-     "batch_failure_prob=0.3,max_retries=1,seed=7,checkpoint_path=/tmp/ck",
-     {"enabled": True, "batch_failure_prob": 0.3, "max_retries": 1,
+     "worker_kill_prob=0.3,checkpoint_every=1,seed=7,checkpoint_path=/tmp/ck",
+     {"enabled": True, "worker_kill_prob": 0.3, "checkpoint_every": 1,
       "seed": 7, "checkpoint_path": "/tmp/ck"}),
     (ParallelConfig, "--workers",
      "workers=1,task_deadline_s=2.5,min_shard_rows=64,task_retries=3",

@@ -1,25 +1,33 @@
 """Unit tests for the fault-injection subsystem (repro.faults)."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro import FaultsConfig, SchemaError
-from repro.faults import (
-    FaultInjector,
-    NULL_INJECTOR,
-    RetryPolicy,
-    RowQuarantine,
-    fault_points,
-    register_fault_point,
+from repro.config import ParallelConfig
+from repro.faults import FaultInjector, NULL_INJECTOR, RowQuarantine
+from repro.obs import MetricsRegistry, Tracer
+from repro.parallel import SupervisedPool
+from repro.parallel.supervisor import (
+    BACKOFF_FACTOR,
+    BACKOFF_S,
+    backoff_delay,
+    jitter_rng,
 )
 from repro.storage.io import read_csv
+
+
+def _square(x):
+    return x * x
 
 
 class TestFaultsConfig:
     def test_defaults_disabled(self):
         faults = FaultsConfig()
         assert not faults.enabled
-        assert faults.batch_failure_prob == 0.0
+        assert faults.worker_kill_prob == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -27,33 +35,7 @@ class TestFaultsConfig:
         with pytest.raises(ValueError):
             FaultsConfig(worker_hang_s=-1.0)
         with pytest.raises(ValueError):
-            FaultsConfig(max_retries=-1)
-
-
-class TestFaultPointRegistry:
-    def test_builtin_points_registered(self):
-        points = fault_points()
-        assert {"parallel.worker_kill", "controller.batch_load",
-                "storage.row"} <= set(points)
-
-    def test_registration_idempotent(self):
-        a = register_fault_point("storage.row", "row")
-        b = register_fault_point("storage.row", "row")
-        assert a is b
-
-    def test_kind_conflict_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_fault_point("storage.row", "worker")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            register_fault_point("x.y", "meteor")
-
-    def test_unregistered_point_refused(self):
-        injector = FaultInjector(FaultsConfig(enabled=True,
-                                              row_corruption_prob=0.5))
-        with pytest.raises(ValueError, match="unregistered"):
-            injector.corrupted_rows("not.registered", 3)
+            FaultsConfig(worker_kill_prob=-0.1)
 
 
 class TestFaultInjector:
@@ -61,9 +43,7 @@ class TestFaultInjector:
         assert not NULL_INJECTOR.enabled
         assert not any(plan.any() for plan in
                        NULL_INJECTOR.worker_faults(100).values())
-        assert NULL_INJECTOR.batch_load_failures(
-            "controller.batch_load") == 0
-        assert not NULL_INJECTOR.corrupted_rows("storage.row", 50).any()
+        assert not NULL_INJECTOR.corrupted_rows(50).any()
         # No RNG stream was ever materialized.
         assert NULL_INJECTOR.state_dict() == {}
 
@@ -73,8 +53,8 @@ class TestFaultInjector:
         a, b = FaultInjector(config), FaultInjector(config)
         assert (a.worker_faults(200)["kill"]
                 == b.worker_faults(200)["kill"]).all()
-        assert (a.corrupted_rows("storage.row", 200)
-                == b.corrupted_rows("storage.row", 200)).all()
+        assert (a.corrupted_rows(200)
+                == b.corrupted_rows(200)).all()
 
     def test_streams_independent_per_point(self):
         """Draws at one point must not perturb another point's stream."""
@@ -82,7 +62,7 @@ class TestFaultInjector:
                               row_corruption_prob=0.2)
         a, b = FaultInjector(config), FaultInjector(config)
         # b draws heavily from an unrelated point first.
-        b.corrupted_rows("storage.row", 10_000)
+        b.corrupted_rows(10_000)
         assert (a.worker_faults(100)["kill"]
                 == b.worker_faults(100)["kill"]).all()
 
@@ -90,15 +70,18 @@ class TestFaultInjector:
         config = FaultsConfig(enabled=True, row_corruption_prob=0.5)
         a = FaultInjector(config, master_seed=1)
         b = FaultInjector(config, master_seed=2)
-        assert (a.corrupted_rows("storage.row", 500)
-                != b.corrupted_rows("storage.row", 500)).any()
+        assert (a.corrupted_rows(500)
+                != b.corrupted_rows(500)).any()
 
     def test_certain_failure_exceeds_retry_budget(self):
-        config = FaultsConfig(enabled=True, batch_failure_prob=1.0,
-                              max_retries=2)
+        """Probability 1 fails every pool attempt, whatever the pool's
+        retry budget; it draws nothing."""
+        config = FaultsConfig(enabled=True, worker_kill_prob=1.0)
         injector = FaultInjector(config)
-        fails = injector.batch_load_failures("controller.batch_load")
-        assert fails > config.max_retries
+        kills = injector.worker_faults(3)["kill"]
+        assert (kills > ParallelConfig(task_retries=10**6).task_retries
+                ).all()
+        assert injector.state_dict() == {}
 
     def test_state_roundtrip_resumes_stream(self):
         config = FaultsConfig(enabled=True, seed=5, worker_kill_prob=0.4)
@@ -112,28 +95,39 @@ class TestFaultInjector:
 
 
 class TestRetryPolicy:
-    def test_exponential_backoff(self):
-        policy = RetryPolicy(max_retries=3, backoff_s=0.1,
-                             backoff_factor=2.0)
-        assert policy.delay(0) == pytest.approx(0.1)
-        assert policy.delay(2) == pytest.approx(0.4)
-        assert policy.total_delay(3) == pytest.approx(0.7)
+    """The supervised pool's re-dispatch policy: seeded full-jitter
+    backoff, then the serial fallback once the retry budget is spent."""
 
-    def test_gives_up_after_budget(self):
-        policy = RetryPolicy(max_retries=2)
-        assert not policy.gives_up_after(2)
-        assert policy.gives_up_after(3)
+    def test_exponential_backoff(self):
+        rng = jitter_rng(7)
+        for attempt in range(4):
+            cap = BACKOFF_S * BACKOFF_FACTOR ** attempt
+            assert 0.0 <= backoff_delay(attempt, rng) <= cap
+        assert BACKOFF_S * BACKOFF_FACTOR ** 2 == pytest.approx(0.2)
 
     def test_from_faults(self):
-        faults = FaultsConfig(max_retries=5, retry_backoff_s=0.2,
-                              retry_backoff_factor=3.0)
-        policy = RetryPolicy.from_faults(faults)
-        assert policy.max_retries == 5
-        assert policy.delay(1) == pytest.approx(0.6)
+        """The pauses come from the fault seed's own jitter stream, the
+        one ``{seed}:parallel.supervisor:retry-jitter`` names."""
+        injector = FaultInjector(FaultsConfig(enabled=True, seed=5))
+        pool = SupervisedPool(1, injector=injector)
+        expected = random.Random("5:parallel.supervisor:retry-jitter")
+        assert [backoff_delay(a, pool._jitter) for a in range(3)] == \
+            [expected.uniform(0.0, BACKOFF_S * BACKOFF_FACTOR ** a)
+             for a in range(3)]
 
-    def test_negative_attempt_rejected(self):
-        with pytest.raises(ValueError):
-            RetryPolicy().delay(-1)
+    def test_gives_up_after_budget(self):
+        """``retries + 1`` pool attempts, each killed, then one serial
+        run on the coordinator."""
+        tracer = Tracer(metrics=MetricsRegistry(enabled=True))
+        injector = FaultInjector(FaultsConfig(enabled=True, seed=3,
+                                              worker_kill_prob=1.0))
+        with SupervisedPool(1, deadline_s=30.0, retries=1,
+                            injector=injector, tracer=tracer) as pool:
+            assert pool.map(_square, [3]) == [9]
+            assert pool.restarts == 2
+        counters = tracer.metrics.snapshot().counters
+        assert counters["parallel.quarantined"] == 1
+        assert counters["parallel.serial_fallbacks"] == 1
 
 
 class TestRowQuarantine:

@@ -18,7 +18,7 @@ from repro import (
     ParseError,
     ServeConfig,
 )
-from repro.faults.chaos import snapshot_fingerprint
+from repro.qa.identity import snapshot_fingerprint
 from repro.serve import (
     CANCELLED,
     DONE,

@@ -11,7 +11,7 @@ instead of pinning it for the session's lifetime.
 import pytest
 
 from repro import CheckpointError, ExecutionError
-from repro.faults.chaos import snapshot_fingerprint
+from repro.qa.identity import snapshot_fingerprint
 
 
 def make_controller(session, sql):
@@ -104,7 +104,7 @@ class TestMemoryRelease:
         while controller.step() is not None:
             pass
         controller.release()
-        assert controller._run_state is None
+        assert controller._last_batch is None
         assert controller._exec is None
         for runtime in controller.runtimes.values():
             assert runtime.cache.size == 0

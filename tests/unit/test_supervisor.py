@@ -19,7 +19,7 @@ from repro.config import FaultsConfig, ParallelConfig
 from repro.engine.aggregates import AvgState, SumState
 from repro.errors import ShardLostError
 from repro.estimate.bootstrap import PoissonWeightSource
-from repro.faults import FaultInjector, RetryPolicy
+from repro.faults import FaultInjector
 from repro.obs import MetricsRegistry, Tracer
 from repro.parallel import (
     CORRUPT_SENTINEL,
@@ -28,7 +28,13 @@ from repro.parallel import (
     run_fold_shard,
     validate_fold_shard,
 )
-from repro.parallel.supervisor import corrupt_result
+from repro.parallel.supervisor import (
+    BACKOFF_FACTOR,
+    BACKOFF_S,
+    backoff_delay,
+    corrupt_result,
+    jitter_rng,
+)
 
 
 def square(x):
@@ -130,8 +136,7 @@ class TestHangDeadline:
 
     def test_timeout_counters_and_restart(self):
         tracer = metrics_tracer()
-        inj = injector(worker_hang_prob=1.0, worker_hang_s=30.0,
-                       max_retries=0)
+        inj = injector(worker_hang_prob=1.0, worker_hang_s=30.0)
         with SupervisedPool(2, deadline_s=0.3, retries=0,
                             injector=inj, tracer=tracer) as pool:
             assert pool.map(square, [1, 2]) == [1, 4]
@@ -185,7 +190,7 @@ class TestQuarantine:
         """A task whose every pool attempt dies still yields its result
         through the coordinator-side serial fallback."""
         tracer = metrics_tracer()
-        inj = injector(worker_kill_prob=1.0, max_retries=1)
+        inj = injector(worker_kill_prob=1.0)
         with SupervisedPool(2, deadline_s=30.0, retries=1,
                             injector=inj, tracer=tracer) as pool:
             assert pool.map(square, range(4)) == [x * x for x in range(4)]
@@ -237,6 +242,19 @@ class TestResultIntegrity:
         result = run_fold_shard(payload)
         assert validate_fold_shard(payload, result) is None
 
+    def test_infinite_inputs_stay_within_budget(self):
+        """A zero weight on an infinite value folds ``0 * inf``, a NaN
+        the inputs legitimately produce: no NaN input is needed."""
+        payload = _fold_payload()
+        payload["values"]["s"][:2] = [np.inf, -np.inf]
+        payload["weights"][0, 0] = 0.0
+        with np.errstate(invalid="ignore"):
+            result = run_fold_shard(payload)
+        assert any(np.isnan(arr).any() for _, state in result
+                   for arr in vars(state).values()
+                   if isinstance(arr, np.ndarray))
+        assert validate_fold_shard(payload, result) is None
+
     def test_structural_mismatches_rejected(self):
         payload = _fold_payload()
         good = run_fold_shard(payload)
@@ -271,21 +289,19 @@ class TestResultIntegrity:
 
 class TestSeededJitter:
     def test_full_jitter_bounds_and_determinism(self):
-        policy = RetryPolicy(backoff_s=0.2, backoff_factor=2.0)
-        a = policy.jitter_rng(7, "client:c1")
-        b = policy.jitter_rng(7, "client:c1")
-        seq_a = [policy.jittered_delay(i, a) for i in range(6)]
-        seq_b = [policy.jittered_delay(i, b) for i in range(6)]
+        a, b = jitter_rng(7), jitter_rng(7)
+        seq_a = [backoff_delay(i, a) for i in range(6)]
+        seq_b = [backoff_delay(i, b) for i in range(6)]
         assert seq_a == seq_b
         for attempt, delay in enumerate(seq_a):
-            assert 0.0 <= delay <= policy.delay(attempt)
+            assert 0.0 <= delay <= BACKOFF_S * BACKOFF_FACTOR ** attempt
 
     def test_actors_are_decorrelated(self):
-        policy = RetryPolicy()
+        """Pools under different fault seeds pause differently, so
+        concurrent recoveries never wake in lockstep."""
         streams = [
-            [policy.jittered_delay(i, policy.jitter_rng(7, actor))
-             for i in range(4)]
-            for actor in ("supervisor", "client:c1", "client:c2")
+            [backoff_delay(i, rng) for i in range(4)]
+            for rng in (jitter_rng(7), jitter_rng(8), jitter_rng(9))
         ]
         assert len({tuple(s) for s in streams}) == len(streams)
 

@@ -37,8 +37,8 @@ from repro.estimate.bootstrap import (
     BatchWeights,
 )
 from repro.estimate.random_source import derive_rng
-from repro.faults.chaos import snapshot_fingerprint
 from repro.obs import MetricsRegistry, Tracer
+from repro.qa.identity import snapshot_fingerprint
 from repro.workloads import SBI_QUERY, generate_conviva, generate_sessions
 
 
