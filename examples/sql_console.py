@@ -9,59 +9,16 @@ progressively refined answers.  Commands:
     \\batch <sql>     run a query with the exact batch engine instead
     \\quit            exit
 
+The loop is :func:`repro.frontends.run_console`, the same one
+``python -m repro console --rows N`` runs.
+
 Usage:  python examples/sql_console.py [num_rows]
 """
 
 import sys
 
-from repro import GolaConfig, GolaSession, ReproError
-from repro.frontends import render_snapshot
-from repro.workloads import generate_conviva, generate_sessions
-
-
-def main() -> None:
-    num_rows = int(sys.argv[1]) if len(sys.argv) > 1 else 100_000
-    print(f"loading {num_rows:,} rows per table ...")
-    session = GolaSession(
-        GolaConfig(num_batches=10, bootstrap_trials=60, seed=1)
-    )
-    session.register_table("conviva", generate_conviva(num_rows, seed=1))
-    session.register_table("sessions", generate_sessions(num_rows, seed=1))
-
-    print("online SQL console — try:")
-    print("  SELECT AVG(play_time) FROM sessions WHERE buffer_time >"
-          " (SELECT AVG(buffer_time) FROM sessions)")
-    print("type \\quit to exit\n")
-
-    while True:
-        try:
-            line = input("gola> ").strip()
-        except (EOFError, KeyboardInterrupt):
-            print()
-            break
-        if not line:
-            continue
-        if line in ("\\quit", "\\q", "exit", "quit"):
-            break
-        if line == "\\tables":
-            for name in session.catalog.names():
-                print(f"  {name}: {session.catalog.schema(name)}")
-            continue
-        batch_mode = line.startswith("\\batch")
-        if batch_mode:
-            line = line[len("\\batch"):].strip()
-        try:
-            if batch_mode:
-                result = session.execute_batch(line)
-                print(result.head_str())
-                continue
-            query = session.sql(line)
-            for snapshot in query.run_online():
-                print(render_snapshot(snapshot, max_rows=8))
-                print()
-        except ReproError as exc:
-            print(f"error: {exc}")
+from repro.frontends import run_console
 
 
 if __name__ == "__main__":
-    main()
+    run_console(int(sys.argv[1]) if len(sys.argv) > 1 else 100_000)

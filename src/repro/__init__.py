@@ -22,7 +22,7 @@ Quickstart::
         print(snapshot.describe())
 """
 
-from .config import FaultsConfig, GolaConfig, QaConfig, ServeConfig
+from .config import FaultsConfig, GolaConfig, ServeConfig
 from .core.result import OnlineSnapshot
 from .core.session import GolaSession, OnlineQuery
 from .errors import (
@@ -59,7 +59,6 @@ __all__ = [
     "OnlineSnapshot",
     "ParseError",
     "PlanError",
-    "QaConfig",
     "QueryStopped",
     "ReproError",
     "RunCheckpoint",

@@ -255,93 +255,6 @@ class ServeConfig:
 
 
 @dataclass(frozen=True)
-class QaConfig:
-    """Knobs for the QA harness (``repro.qa``): fuzzing + calibration.
-
-    The differential fuzzer derives seeded random SQL from a generated
-    catalog and executes each query through the exact batch engine, CDM,
-    serial G-OLA and worker-parallel G-OLA (optionally the serve
-    scheduler), failing on any structural divergence beyond float
-    tolerance.  The calibration sweep replays paper queries across many
-    seeds and tests empirical bootstrap-CI coverage against an exact
-    binomial band around the nominal confidence.
-
-    Attributes:
-        queries: Number of random queries per fuzz sweep.
-        seed: Master seed for table specs and query generation.
-        rows: Fact-table row count for generated fuzz tables.
-        num_batches: Mini-batch count for the online fuzz paths.
-        bootstrap_trials: Bootstrap trials for the online fuzz paths.
-        rtol: Relative float tolerance of the structural comparator.
-        atol: Absolute float tolerance of the structural comparator.
-        workers: Worker count for the parallel differential path.
-        include_serve: Also run every query through the concurrent
-            serving scheduler (slower; on in the nightly sweep).
-        include_colstore: Also run every query's streamed table through
-            a converted colstore dataset and require the snapshot
-            stream to be bit-identical to the in-memory serial path.
-        shrink: Minimize failing queries and write reproducer artifacts.
-        artifact_dir: Where failing-query reproducers are written.
-        grammar: Query-generation profile: "default" for the classic
-            nested-aggregate grammar, "deep" to also generate window
-            functions, DISTINCT/quantile aggregates, multi-fact
-            subqueries over a second streamed fact, and NULL-heavy /
-            empty-group edge biases.
-        calibration_runs: Seeds per query in a calibration sweep.
-        calibration_fraction: Batch fraction at which coverage is
-            measured (0.5 = the mid-run snapshot).
-        calibration_alpha: Significance of the binomial acceptance band.
-    """
-
-    queries: int = 50
-    seed: int = 0
-    rows: int = 4000
-    num_batches: int = 4
-    bootstrap_trials: int = 16
-    rtol: float = 1e-6
-    atol: float = 1e-9
-    workers: int = 2
-    include_serve: bool = False
-    include_colstore: bool = False
-    shrink: bool = True
-    artifact_dir: str = "qa-artifacts"
-    grammar: str = "default"
-    calibration_runs: int = 100
-    calibration_fraction: float = 0.5
-    calibration_alpha: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if self.queries < 1:
-            raise ValueError("queries must be >= 1")
-        if self.rows < 64:
-            raise ValueError("rows must be >= 64")
-        if self.num_batches < 2:
-            raise ValueError("num_batches must be >= 2")
-        if self.bootstrap_trials < 2:
-            raise ValueError("bootstrap_trials must be >= 2")
-        if self.rtol < 0 or self.atol < 0:
-            raise ValueError("tolerances must be >= 0")
-        if self.grammar not in ("default", "deep"):
-            raise ValueError(
-                f"unknown grammar {self.grammar!r}; "
-                "one of 'default', 'deep'"
-            )
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.calibration_runs < 10:
-            raise ValueError("calibration_runs must be >= 10")
-        if not 0.0 < self.calibration_fraction <= 1.0:
-            raise ValueError("calibration_fraction must be in (0, 1]")
-        if not 0.0 < self.calibration_alpha < 1.0:
-            raise ValueError("calibration_alpha must be in (0, 1)")
-
-    @classmethod
-    def parse(cls, spec: str) -> "QaConfig":
-        """Build a config from a ``key=value,key=value`` CLI string."""
-        return cls(**_parse_spec(cls, spec, "--qa"))
-
-
-@dataclass(frozen=True)
 class GolaConfig:
     """Tuning knobs for the G-OLA execution model.
 
@@ -385,12 +298,6 @@ class GolaConfig:
         parallel: Worker-pool configuration (see :class:`ParallelConfig`).
             Serial by default; any worker count yields bit-identical
             output.
-        serve: Serving-subsystem configuration (see :class:`ServeConfig`):
-            the concurrent multi-query scheduler and the streaming
-            result server.  Inert unless a scheduler/server is created.
-        qa: QA-harness configuration (see :class:`QaConfig`): the
-            differential query fuzzer and the CI-calibration sweep.
-            Inert during normal execution.
     """
 
     num_batches: int = 10
@@ -405,8 +312,6 @@ class GolaConfig:
     metrics: bool = False
     faults: FaultsConfig = field(default_factory=FaultsConfig)
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
-    serve: ServeConfig = field(default_factory=ServeConfig)
-    qa: QaConfig = field(default_factory=QaConfig)
 
     def __post_init__(self) -> None:
         if self.num_batches < 1:

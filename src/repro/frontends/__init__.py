@@ -1,4 +1,4 @@
-"""Front-ends: terminal progress consoles."""
+"""Front-ends: terminal progress consoles and the SQL console."""
 
 from .console import (
     ProgressConsole,
@@ -7,6 +7,7 @@ from .console import (
     render_history,
     render_snapshot,
     render_table,
+    run_console,
     sparkline,
 )
 
@@ -17,5 +18,6 @@ __all__ = [
     "render_history",
     "render_snapshot",
     "render_table",
+    "run_console",
     "sparkline",
 ]

@@ -13,9 +13,13 @@ from typing import Optional, TextIO
 
 import numpy as np
 
+from ..config import GolaConfig
 from ..core.result import OnlineSnapshot, format_rsd
+from ..core.session import GolaSession
+from ..errors import ReproError
 from ..obs import AggregatingSink, Tracer
 from ..storage.table import Table
+from ..workloads import generate_conviva, generate_sessions
 
 
 def progress_bar(fraction: float, width: int = 30) -> str:
@@ -195,3 +199,53 @@ class ProgressConsole:
             if profile:
                 self.sink.write(profile + "\n")
         self.sink.flush()
+
+
+def run_console(num_rows: int) -> None:
+    """Interactive online SQL over generated ``conviva`` and ``sessions``
+    tables of ``num_rows`` rows each, reading queries from stdin.
+
+    Every query runs online and prints one panel per mini-batch.
+    Commands: ``\\tables`` lists the tables and their schemas,
+    ``\\batch <sql>`` runs a query on the exact batch engine instead,
+    and ``\\quit`` (or end of input) exits.  A query that fails prints
+    ``error: ...`` and the console reads the next line.
+    """
+    print(f"loading {num_rows:,} rows per table ...")
+    session = GolaSession(
+        GolaConfig(num_batches=10, bootstrap_trials=60, seed=1)
+    )
+    session.register_table("conviva", generate_conviva(num_rows, seed=1))
+    session.register_table("sessions", generate_sessions(num_rows, seed=1))
+
+    print("online SQL console — try:")
+    print("  SELECT AVG(play_time) FROM sessions WHERE buffer_time >"
+          " (SELECT AVG(buffer_time) FROM sessions)")
+    print("type \\quit to exit\n")
+
+    while True:
+        try:
+            line = input("gola> ").strip()
+        except (EOFError, KeyboardInterrupt):
+            print()
+            return
+        if not line:
+            continue
+        if line in ("\\quit", "\\q", "exit", "quit"):
+            return
+        if line == "\\tables":
+            for name in session.catalog.names():
+                print(f"  {name}: {session.catalog.schema(name)}")
+            continue
+        batch_mode = line.startswith("\\batch")
+        if batch_mode:
+            line = line[len("\\batch"):].strip()
+        try:
+            if batch_mode:
+                print(session.execute_batch(line).head_str())
+                continue
+            for snapshot in session.sql(line).run_online():
+                print(render_snapshot(snapshot, max_rows=8))
+                print()
+        except ReproError as exc:
+            print(f"error: {exc}")

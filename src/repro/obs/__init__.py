@@ -21,9 +21,10 @@ engine component one cheap, injectable instrumentation surface:
   (:class:`LogBuckets`), the store behind every registry histogram and
   the serve layer's ``/metrics`` buckets.
 
-A process-wide default tracer exists (:func:`get_tracer` /
-:func:`set_tracer`) but every consumer also accepts an explicit
-instance, so tests and concurrent sessions can stay isolated.
+There is no process-wide tracer: a run is traced only through the
+tracer its session is given or the one its config asks for
+(:func:`tracer_from_config`), so tests and concurrent sessions stay
+isolated.
 """
 
 from .live import (
@@ -54,8 +55,6 @@ from .tracer import (
     Span,
     Timer,
     Tracer,
-    get_tracer,
-    set_tracer,
     tracer_from_config,
 )
 
@@ -82,10 +81,8 @@ __all__ = [
     "bucket_key",
     "bucket_upper_edge",
     "build_profile",
-    "get_tracer",
     "load_events",
     "render_profile",
     "render_recovery",
-    "set_tracer",
     "tracer_from_config",
 ]

@@ -55,9 +55,9 @@ class JsonlSink(TraceSink):
     or ``max_lines`` (0 disables either cap), it is rolled to
     ``<path>.1`` (existing backups shifting to ``.2``, ... up to
     ``backups``, oldest dropped) and a fresh file is started — so a
-    long-running ``repro serve --trace`` keeps at most
-    ``(backups + 1) * max_bytes`` of trace on disk.  Borrowed file
-    objects never rotate.
+    long-running session traced through ``GolaConfig.trace_path`` with
+    ``trace_rotate_mb`` set keeps at most ``(backups + 1) * max_bytes``
+    of trace on disk.  Borrowed file objects never rotate.
     """
 
     def __init__(self, target: Union[str, "TextIO"],

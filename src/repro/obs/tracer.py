@@ -220,28 +220,14 @@ class Tracer:
 #: The always-available disabled tracer; safe to share everywhere.
 NULL_TRACER = Tracer(NULL_SINK)
 
-_default_tracer = NULL_TRACER
-
-
-def get_tracer() -> Tracer:
-    """The process-wide default tracer (disabled unless installed)."""
-    return _default_tracer
-
-
-def set_tracer(tracer: Optional[Tracer]) -> Tracer:
-    """Install (or, with None, clear) the process-wide default tracer."""
-    global _default_tracer
-    _default_tracer = tracer if tracer is not None else NULL_TRACER
-    return _default_tracer
-
 
 def tracer_from_config(config) -> Tracer:
     """Build the tracer a :class:`~repro.config.GolaConfig` asks for.
 
     ``trace_path`` adds a JSONL event log; ``trace`` (or any path)
     enables in-memory aggregation for live rendering; ``metrics`` turns
-    on the registry even without span sinks.  With everything off, the
-    process-wide default is returned (normally :data:`NULL_TRACER`).
+    on the registry even without span sinks.  With everything off it
+    returns :data:`NULL_TRACER`.
     """
     trace = bool(getattr(config, "trace", False))
     trace_path = getattr(config, "trace_path", None)
@@ -249,7 +235,7 @@ def tracer_from_config(config) -> Tracer:
     if not trace and trace_path is None:
         if metrics_on:
             return Tracer(NULL_SINK, metrics=MetricsRegistry(enabled=True))
-        return get_tracer()
+        return NULL_TRACER
     sinks: List[TraceSink] = [AggregatingSink()]
     if trace_path is not None:
         rotate_mb = float(getattr(config, "trace_rotate_mb", 0.0) or 0.0)

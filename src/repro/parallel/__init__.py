@@ -5,9 +5,10 @@ bootstrap trial columns across workers and merges the partial aggregate
 states on the coordinator before the fold returns.  Batch columns are
 published once into shared-memory segments (``repro.parallel.shm``) so
 shard payloads are spec-sized and workers read zero-copy.  A host that
-cannot start a process pool folds inline.  Bit-identical to serial
-execution for any worker count — see ``docs/parallel-execution.md`` for
-the sharding model and the segment lifecycle.
+cannot start a process pool or publish to shared memory folds inline.
+Bit-identical to serial execution for any worker count — see
+``docs/parallel-execution.md`` for the sharding model and the segment
+lifecycle.
 """
 
 from .executor import SERIAL_EXECUTOR, ParallelExecutor

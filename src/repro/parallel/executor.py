@@ -15,14 +15,14 @@ written once into a shared-memory segment (``repro.parallel.shm``) and
 every shard payload carries only specs, so no worker draws a weight
 column.  The fold holds the segment's lease until its shards have
 returned and releases it in a ``finally``, so a fold that ends in
-:class:`~repro.errors.ShardLostError` releases it too (the registry
-unlinks at refcount zero, and ``close()`` force-unlinks on teardown so
-no run can leak ``/dev/shm`` segments).
+:class:`~repro.errors.ShardLostError` releases it too (releasing
+unlinks the segment, and ``close()`` force-unlinks on teardown so no
+run can leak ``/dev/shm`` segments).
 
 Without a pool (serial, a batch under ``min_shard_rows``, or a host
-that cannot start a process pool) a fold is inline: each state takes
-the batch's whole stored weight rectangle in one ``update``, with no
-shard tasks and no merge.
+that cannot start a process pool or publish to shared memory) a fold
+is inline: each state takes the batch's whole stored weight rectangle
+in one ``update``, with no shard tasks and no merge.
 
 Everything here is a pure throughput optimization: outputs are
 bit-identical for any worker count because every shard reads its
@@ -96,10 +96,11 @@ class ParallelExecutor:
         ``weights`` is an ``(n, B)`` array or a batch-weight handle over
         the *original* batch rows; ``row_idx`` selects the rows that
         survived the certain pipeline (None = all).  Without a pool
-        (or one that cannot start), or below ``min_shard_rows``, every
-        state takes the whole stored rectangle in one ``update``.  On a
-        pool, column-mergeable states are sharded along the trial axis
-        and merged back column-wise before this returns; the rest
+        (or one that cannot start, or no shared memory to publish the
+        batch to), or below ``min_shard_rows``, every state takes the
+        whole stored rectangle in one ``update``.  On a pool,
+        column-mergeable states are sharded along the trial axis and
+        merged back column-wise before this returns; the rest
         (reservoir quantiles, UDAFs) take the inline path.  Both paths
         produce bit-identical states.
         """
@@ -112,8 +113,20 @@ class ParallelExecutor:
             if state.supports_column_merge and state.width > 1
         ]
         cfg = self.config
-        if not (self.enabled and shardable and n >= cfg.min_shard_rows
+        tracer = self.tracer
+        lease = None
+        if (self.enabled and shardable and n >= cfg.min_shard_rows
                 and self._ensure_shard_pool().start()):
+            trials = boot_states[shardable[0][0]].width
+            ranges = shard_ranges(trials, cfg.workers)
+            with tracer.span("parallel.shard", rows_in=n, trials=trials,
+                             shards=len(ranges)):
+                lease = self._publish_columns(
+                    group_idx,
+                    {alias: values[alias] for alias, _ in shardable},
+                    row_idx, weights.dense(),
+                )
+        if lease is None:
             # Inline: every state takes the whole stored rectangle in one
             # update.
             dense = weights.rows(row_idx)
@@ -121,33 +134,17 @@ class ParallelExecutor:
                 state.update(group_idx, values[alias], dense)
             return
 
-        dense_aliases = [
-            alias for alias in boot_states
-            if alias not in {a for a, _ in shardable}
-        ]
-        if dense_aliases:
-            dense = weights.rows(row_idx)
-            for alias in dense_aliases:
-                boot_states[alias].update(group_idx, values[alias], dense)
-
-        trials = boot_states[shardable[0][0]].width
-        ranges = shard_ranges(trials, cfg.workers)
-        tracer = self.tracer
-        shard_values = {alias: values[alias] for alias, _ in shardable}
-        # One read of the stored rectangle: shards reach it through the
-        # batch's segment, or an inline slice.
-        rect = weights.dense()
-        lease = None
         try:
-            with tracer.span("parallel.shard", rows_in=n, trials=trials,
-                             shards=len(ranges)):
-                lease = self._publish_columns(group_idx, shard_values,
-                                              row_idx, rect)
-                payloads = make_shard_payloads(
-                    shardable, group_idx, shard_values, rect, ranges,
-                    row_idx=row_idx,
-                    published=lease.specs if lease is not None else None,
-                )
+            dense_aliases = [
+                alias for alias in boot_states
+                if alias not in {a for a, _ in shardable}
+            ]
+            if dense_aliases:
+                dense = weights.rows(row_idx)
+                for alias in dense_aliases:
+                    boot_states[alias].update(group_idx, values[alias],
+                                              dense)
+            payloads = make_shard_payloads(shardable, lease.specs, ranges)
             if tracer.metrics.enabled:
                 tracer.metrics.counter("parallel.sharded_folds").inc()
                 tracer.metrics.counter(
@@ -156,8 +153,7 @@ class ParallelExecutor:
                     "parallel.sharded_cells").inc(n * trials)
             results = self._shard_pool.map(run_fold_shard, payloads)
         finally:
-            if lease is not None:
-                lease.release()
+            lease.release()
         with tracer.span("parallel.merge", shards=len(results)):
             for (lo, _hi), shard_states in zip(ranges, results):
                 for alias, shard_state in shard_states:
@@ -165,17 +161,15 @@ class ParallelExecutor:
 
     def _publish_columns(self, group_idx, shard_values, row_idx, rect):
         """Publish one batch's columns and weights to shared memory
-        (None = inline).
+        (None = shared memory is unavailable; fold inline).
 
         The weights go in as ``rect.T``: the store's F-order ``(n, B)``
         rectangle is a C-contiguous ``(B, n)``, copied once into the
-        segment with no transpose.  Skipped where shared memory is
-        unavailable (the registry degrades itself after one warning).
+        segment with no transpose.  The registry disables itself after
+        one failed creation and one warning.
         """
         if self._shm is None:
             self._shm = ShmRegistry(metrics=self.tracer.metrics)
-        if not self._shm.available:
-            return None
         arrays = {"group_idx": group_idx, "weights_t": rect.T}
         for alias, arr in shard_values.items():
             arrays[f"value:{alias}"] = arr

@@ -10,22 +10,20 @@ them back with ``merge_columns`` — bit-identical to the full-width
 update for any shard count.
 
 Weights are the session's stored uint8 rectangle, drawn once in the
-coordinator; no worker draws a column.  When the executor has published
-the batch into shared memory (``repro.parallel.shm``), ``group_idx`` /
-``values`` / ``row_idx`` and the rectangle's ``(B, n)`` transpose arrive
-as :class:`~repro.parallel.shm.ArraySpec` descriptors and the worker
-resolves them to zero-copy read-only views — a whole shard payload is
-then a few hundred bytes regardless of batch size, which is also what
-makes the ``spawn`` start method viable.
+coordinator; no worker draws a column.  The executor publishes each
+pooled batch into shared memory (``repro.parallel.shm``): ``group_idx``
+/ ``values`` / ``row_idx`` and the rectangle's ``(B, n)`` transpose
+arrive as :class:`~repro.parallel.shm.ArraySpec` descriptors and the
+worker resolves them to zero-copy read-only views — a whole shard
+payload is a few hundred bytes regardless of batch size, which is also
+what makes the ``spawn`` start method viable.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-import numpy as np
-
-from .shm import ArraySpec, cached_group_count, resolve
+from .shm import ArraySpec, resolve
 
 
 def shard_ranges(trials: int, shards: int) -> List[Tuple[int, int]]:
@@ -56,28 +54,27 @@ def run_fold_shard(payload: dict) -> List[Tuple[str, object]]:
 
     * ``aliases`` — list of ``(alias, state_class)`` pairs to fold;
     * ``lo``/``hi`` — the trial-column range of this shard;
-    * ``group_idx`` — ``(n,)`` dense group indices (ndarray or
-      shared-memory :class:`~repro.parallel.shm.ArraySpec`);
-    * ``values`` — alias -> ``(n,)`` argument values (ndarray or spec);
-    * ``weights`` — the spec of the batch's published ``(B, n)`` weight
-      transpose, or else the rectangle's ``(n, hi-lo)`` column slice;
+    * ``group_idx`` — ``(n,)`` dense group indices;
+    * ``values`` — alias -> ``(n,)`` argument values;
+    * ``weights`` — the batch's ``(B, n)`` weight transpose;
     * ``row_idx`` — surviving row positions into the batch's weight
-      matrix (ndarray or spec), or None for all rows.
+      matrix, or None for all rows.
 
-    Module-level (not a closure) so process pools can pickle it.
+    Arrays arrive as shared-memory
+    :class:`~repro.parallel.shm.ArraySpec`\\ s; a direct caller may pass
+    the ndarrays themselves, which :func:`~repro.parallel.shm.resolve`
+    passes through.  Module-level (not a closure) so process pools can
+    pickle it.
     Returns ``[(alias, shard_state), ...]`` with each state of width
     ``hi - lo``.
     """
     lo, hi = payload["lo"], payload["hi"]
-    group_spec = payload["group_idx"]
-    group_idx = resolve(group_spec)
-    row_idx = resolve(payload.get("row_idx"))
-    weights = payload["weights"]
-    if isinstance(weights, ArraySpec):
-        weights = resolve(weights)[lo:hi].T
+    group_idx = resolve(payload["group_idx"])
+    row_idx = resolve(payload["row_idx"])
+    weights = resolve(payload["weights"])[lo:hi].T
     if row_idx is not None:
         weights = weights[row_idx]
-    groups = cached_group_count(group_spec, group_idx)
+    groups = int(group_idx.max()) + 1
     out = []
     for alias, state_cls in payload["aliases"]:
         state = state_cls(hi - lo)
@@ -87,41 +84,26 @@ def run_fold_shard(payload: dict) -> List[Tuple[str, object]]:
     return out
 
 
-def make_shard_payloads(
-    aliases, group_idx: np.ndarray, values: dict, weights: np.ndarray,
-    ranges: List[Tuple[int, int]],
-    row_idx: Optional[np.ndarray] = None,
-    published: Optional[dict] = None,
-) -> List[dict]:
+def make_shard_payloads(aliases, specs: Dict[str, ArraySpec],
+                        ranges: List[Tuple[int, int]]) -> List[dict]:
     """One :func:`run_fold_shard` payload per trial range.
 
-    ``weights`` is the batch's ``(n, B)`` weight rectangle over the
-    original rows; each payload carries its ``[lo, hi)`` column slice.
-
-    ``published`` optionally maps payload keys (``"group_idx"``,
-    ``"row_idx"``, ``"value:<alias>"``, ``"weights_t"``) to shared-memory
-    specs from one :meth:`~repro.parallel.shm.ShmRegistry.publish` call;
-    specs replace the arrays inside every payload (the batch is
-    published once and referenced by all shards).
+    ``specs`` is the lease of one
+    :meth:`~repro.parallel.shm.ShmRegistry.publish` call over the
+    batch's ``"group_idx"``, ``"weights_t"``, ``"value:<alias>"`` and
+    (when rows were filtered) ``"row_idx"`` arrays: the batch is
+    published once and every shard references it.
     """
-    published = published or {}
-    pub_weights = published.get("weights_t")
-    pub_group = published.get("group_idx", group_idx)
-    pub_row = published.get("row_idx", row_idx)
-    pub_values = {
-        alias: published.get(f"value:{alias}", arr)
-        for alias, arr in values.items()
-    }
     return [
         {
             "aliases": list(aliases),
             "lo": lo,
             "hi": hi,
-            "group_idx": pub_group,
-            "values": pub_values,
-            "row_idx": pub_row,
-            "weights": (weights[:, lo:hi] if pub_weights is None
-                        else pub_weights),
+            "group_idx": specs["group_idx"],
+            "values": {alias: specs[f"value:{alias}"]
+                       for alias, _ in aliases},
+            "row_idx": specs.get("row_idx"),
+            "weights": specs["weights_t"],
         }
         for lo, hi in ranges
     ]

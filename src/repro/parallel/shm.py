@@ -14,9 +14,9 @@ Lifecycle is the hard part, so it is owned in one place:
 * **Coordinator** — :class:`ShmRegistry` creates segments and hands out
   :class:`ShmLease` handles.  A lease covers one published batch; the
   executor holds it until every shard of that batch has returned (or
-  failed for good), then :meth:`ShmLease.release` decrements the
-  segment's refcount and the registry ``close()``\\ s and ``unlink()``\\ s
-  it at zero.  :meth:`ShmRegistry.close` force-unlinks everything still
+  failed for good), then :meth:`ShmLease.release` ``close()``\\ s and
+  ``unlink()``\\ s its segment (each segment has exactly one lease).
+  :meth:`ShmRegistry.close` force-unlinks everything still
   live (run teardown, supervisor-driven rebuilds, crashes), and a
   ``weakref.finalize`` backstop does the same if a registry is dropped
   without ``close()`` — segments must never outlive the run.
@@ -39,7 +39,7 @@ warning) when the tracker exits.  Do **not** add the much-cited
 it deletes the coordinator's own registration.
 
 Crash safety: a SIGKILLed worker's mappings are reclaimed by the
-kernel; the coordinator-side refcount never depended on the worker, so
+kernel; the coordinator-side lease never depended on the worker, so
 the supervisor's rebuild path re-dispatches lost shards against the
 still-live segment and the lease is released exactly once, after the
 shards return.  Nothing in this module affects results — specs resolve to
@@ -117,9 +117,8 @@ class ShmLease:
     """One published batch worth of arrays; release after the merge.
 
     ``specs`` maps the published name (e.g. ``"group_idx"``,
-    ``"value:total"``) to its :class:`ArraySpec`.  ``release`` is
-    idempotent; the registry unlinks the backing segment once every
-    lease on it has been released.
+    ``"value:total"``) to its :class:`ArraySpec`.  ``release`` unlinks
+    the backing segment and is idempotent.
     """
 
     __slots__ = ("specs", "segment", "nbytes", "_registry", "_released")
@@ -136,24 +135,24 @@ class ShmLease:
         if self._released:
             return
         self._released = True
-        self._registry._decref(self.segment)
+        self._registry._unlink(self.segment)
 
 
 class ShmRegistry:
-    """Coordinator-side segment registry: create, refcount, unlink.
+    """Coordinator-side segment registry: create, lease, unlink.
 
     Thread-safe: publish, release and the ``weakref.finalize`` backstop
     may run on different threads.
-    ``close()`` unlinks every live segment regardless of refcounts —
-    it is the teardown/crash backstop, and a ``weakref.finalize`` calls
-    it if the registry is garbage-collected while segments live.
+    ``close()`` unlinks every live segment, leased or not — it is the
+    teardown/crash backstop, and a ``weakref.finalize`` calls it if the
+    registry is garbage-collected while segments live.
     """
 
     def __init__(self, metrics=None):
         self.metrics = metrics
         self._lock = threading.Lock()
-        #: name -> (SharedMemory, refcount)
-        self._segments: Dict[str, List] = {}
+        #: name -> the live SharedMemory segment
+        self._segments: Dict[str, SharedMemory] = {}
         #: Every name this registry ever created (leak probing in tests).
         self.created: List[str] = []
         self._unavailable = False
@@ -170,8 +169,9 @@ class ShmRegistry:
 
         Arrays are packed back to back at :data:`_ALIGN`-byte offsets.
         A failed creation (no /dev/shm, size limits) logs one warning
-        and permanently degrades this registry to the inline-payload
-        path — publishing is an optimization, never a requirement.
+        and permanently disables this registry: every later publish
+        returns None and the executor folds inline, bit-identical to
+        the pooled fold.
         """
         if self._unavailable or not arrays:
             return None
@@ -191,8 +191,8 @@ class ShmRegistry:
             )
         except (OSError, ValueError) as exc:
             logger.warning(
-                "shared-memory publish unavailable (%s: %s); falling "
-                "back to inline shard payloads", type(exc).__name__, exc,
+                "shared-memory publish unavailable (%s: %s); folding "
+                "inline", type(exc).__name__, exc,
             )
             self._unavailable = True
             return None
@@ -206,7 +206,7 @@ class ShmRegistry:
                 shape=tuple(arr.shape), offset=off,
             )
         with self._lock:
-            self._segments[segment.name] = [segment, 1]
+            self._segments[segment.name] = segment
             self.created.append(segment.name)
             live = len(self._segments)
         if self.metrics is not None and self.metrics.enabled:
@@ -215,23 +215,13 @@ class ShmRegistry:
             self.metrics.gauge("parallel.shm_segments").set(live)
         return ShmLease(self, segment.name, specs, offset)
 
-    def retain(self, name: str) -> None:
+    def _unlink(self, name: str) -> None:
         with self._lock:
-            entry = self._segments.get(name)
-            if entry is not None:
-                entry[1] += 1
-
-    def _decref(self, name: str) -> None:
-        with self._lock:
-            entry = self._segments.get(name)
-            if entry is None:
+            segment = self._segments.pop(name, None)
+            if segment is None:
                 return
-            entry[1] -= 1
-            if entry[1] > 0:
-                return
-            del self._segments[name]
             live = len(self._segments)
-        _destroy_segment(entry[0])
+        _destroy_segment(segment)
         if self.metrics is not None and self.metrics.enabled:
             self.metrics.gauge("parallel.shm_segments").set(live)
 
@@ -242,7 +232,7 @@ class ShmRegistry:
     def close(self) -> None:
         """Unlink every live segment now (idempotent)."""
         with self._lock:
-            segments = [entry[0] for entry in self._segments.values()]
+            segments = list(self._segments.values())
             self._segments.clear()
         for segment in segments:
             _destroy_segment(segment)
@@ -267,10 +257,10 @@ def _destroy_segment(segment) -> None:
         pass  # already unlinked (e.g. close() after an external cleanup)
 
 
-def _close_segments(segments: Dict[str, List], lock) -> None:
+def _close_segments(segments: Dict[str, SharedMemory], lock) -> None:
     """Module-level finalize target (must not capture the registry)."""
     with lock:
-        leaked = [entry[0] for entry in segments.values()]
+        leaked = list(segments.values())
         segments.clear()
     for segment in leaked:
         _destroy_segment(segment)
@@ -309,7 +299,8 @@ def _attach_segment(name: str):
 
 def resolve(obj):
     """An :class:`ArraySpec` becomes a read-only zero-copy view; any
-    other object (inline ndarray fallback, None) passes through."""
+    other object (None, or an ndarray a direct caller passed) passes
+    through."""
     if not isinstance(obj, ArraySpec):
         return obj
     segment = _attach_segment(obj.segment)
@@ -319,39 +310,11 @@ def resolve(obj):
     return view
 
 
-#: Per-process memo of dense-group counts per published group_idx
-#: array, keyed by (segment, offset).  Shared group codes are
-#: immutable once published, so a persistent worker folding several
-#: shards (or retries) of the same batch scans for the max group index
-#: exactly once.
-_group_count_cache: "OrderedDict[Tuple[str, int], int]" = OrderedDict()
-_GROUP_COUNT_CACHE_CAP = 64
-
-
-def cached_group_count(spec, group_idx: np.ndarray) -> int:
-    """``group_idx.max() + 1``, memoized per published segment+offset."""
-    if not isinstance(spec, ArraySpec) or len(group_idx) == 0:
-        return int(group_idx.max()) + 1 if len(group_idx) else 0
-    key = (spec.segment, spec.offset)
-    with _attach_lock:
-        groups = _group_count_cache.get(key)
-        if groups is not None:
-            _group_count_cache.move_to_end(key)
-            return groups
-    groups = int(group_idx.max()) + 1
-    with _attach_lock:
-        _group_count_cache[key] = groups
-        while len(_group_count_cache) > _GROUP_COUNT_CACHE_CAP:
-            _group_count_cache.popitem(last=False)
-    return groups
-
-
 def detach_all() -> None:
     """Close every cached attachment in this process (tests/teardown)."""
     with _attach_lock:
         segments = list(_attach_cache.values())
         _attach_cache.clear()
-        _group_count_cache.clear()
     for segment in segments:
         try:
             segment.close()

@@ -38,8 +38,8 @@ logger beside the counter it bumps.
 Workers are **persistent**: the executor starts on first use (``fork``
 where the platform has it — cheap start, no import replay — else the
 platform default) and lives until :meth:`SupervisedPool.close`, so
-per-process caches (attached shared-memory segments, group-count memos)
-stay warm across batches and queries.  A host that cannot start a
+the per-process cache of attached shared-memory segments stays warm
+across batches and queries.  A host that cannot start a
 process pool at all (``OSError`` from the executor, e.g. a sandbox
 without semaphores) leaves the pool degraded: :meth:`SupervisedPool.start`
 returns False and the caller folds inline.
@@ -182,8 +182,8 @@ def validate_fold_shard(payload: dict, result) -> Optional[str]:
                 return f"{alias}.{name} dtype {arr.dtype} != float64"
             if np.isnan(arr).any():
                 if nan_allowed is None:
-                    # Values may arrive as shared-memory specs; resolve
-                    # to the zero-copy view before inspecting them.
+                    # Values arrive as shared-memory specs; resolve to
+                    # the zero-copy view before inspecting them.
                     nan_allowed = any(
                         (~np.isfinite(
                             np.asarray(resolve(v), dtype=np.float64)

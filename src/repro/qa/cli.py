@@ -15,7 +15,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..config import QaConfig
 from ..obs import MetricsRegistry, Tracer
 from .calibrate import CalibrationConfig, calibrate
 from .compare import self_test
@@ -44,10 +43,22 @@ def _qa_counters(tracer: Tracer) -> dict:
             if k.startswith("qa.")}
 
 
-def run_fuzz(qa: QaConfig, out: Optional[str] = None,
+def run_fuzz(*, queries: int = 50, seed: int = 0, rows: int = 4000,
+             num_batches: int = 4, bootstrap_trials: int = 16,
+             grammar: str = "default", include_serve: bool = False,
+             include_colstore: bool = False, shrink: bool = True,
+             artifact_dir: str = "qa-artifacts",
+             out: Optional[str] = None,
              inject_bug: Optional[str] = None,
              replay: Optional[str] = None) -> int:
     """One differential fuzz sweep; returns a process exit code.
+
+    ``queries`` seeded random queries over a generated ``rows``-row fact
+    table, each run online with ``num_batches`` mini-batches and
+    ``bootstrap_trials`` trials; ``grammar`` is the generation profile
+    ("default" or "deep").  ``include_serve`` and ``include_colstore``
+    add the scheduler and colstore paths; ``shrink`` minimizes each
+    divergent query into a reproducer under ``artifact_dir``.
 
     Order of operations: comparator self-test first (a broken comparator
     must refuse to certify anything), then either an artifact replay or
@@ -58,20 +69,18 @@ def run_fuzz(qa: QaConfig, out: Optional[str] = None,
     sweep's parallel path sharded no fold.
     """
     tracer = _make_tracer()
+    runner = DifferentialRunner(
+        include_serve=include_serve, include_colstore=include_colstore,
+        tracer=tracer,
+    )
 
-    verdict = self_test(rtol=qa.rtol, atol=qa.atol, tracer=tracer)
+    verdict = self_test(rtol=runner.rtol, atol=runner.atol, tracer=tracer)
     if verdict is not None:
         _print(f"FATAL: {verdict}")
         _print("the comparator cannot be trusted; aborting the sweep")
         return 2
     _print("comparator self-test: ok "
-           f"(rtol={qa.rtol:g}, atol={qa.atol:g})")
-
-    runner = DifferentialRunner(
-        rtol=qa.rtol, atol=qa.atol, workers=qa.workers,
-        include_serve=qa.include_serve,
-        include_colstore=qa.include_colstore, tracer=tracer,
-    )
+           f"(rtol={runner.rtol:g}, atol={runner.atol:g})")
 
     if replay is not None:
         report = replay_artifact(replay, runner)
@@ -86,40 +95,40 @@ def run_fuzz(qa: QaConfig, out: Optional[str] = None,
                "dependent)")
         return 0
 
-    rng = np.random.default_rng(qa.seed)
-    fact = random_fact_spec(rng, rows=qa.rows, seed=qa.seed,
-                            grammar=qa.grammar)
-    dim = random_dim_spec(rng, fact, seed=qa.seed + 1)
+    rng = np.random.default_rng(seed)
+    fact = random_fact_spec(rng, rows=rows, seed=seed,
+                            grammar=grammar)
+    dim = random_dim_spec(rng, fact, seed=seed + 1)
     fact_table = generate_table(fact)
     dim_table = generate_table(dim)
     specs = (fact, dim)
     fact2_pair = None
-    if qa.grammar == "deep":
-        fact2 = random_fact2_spec(rng, fact, seed=qa.seed + 2)
+    if grammar == "deep":
+        fact2 = random_fact2_spec(rng, fact, seed=seed + 2)
         fact2_pair = (fact2, generate_table(fact2))
         specs = (fact, fact2, dim)
     generator = QueryGenerator(
         fact, fact_table, dims={dim.name: (dim, dim_table)},
-        seed=qa.seed, fact2=fact2_pair, grammar=qa.grammar,
+        seed=seed, fact2=fact2_pair, grammar=grammar,
     )
     paths = "batch/cdm/serial/parallel" + (
-        "/serve" if qa.include_serve else ""
-    ) + ("/colstore" if qa.include_colstore else "")
-    _print(f"fuzzing {qa.queries} queries (seed={qa.seed}, "
-           f"rows={qa.rows}, grammar={qa.grammar}, paths={paths})"
+        "/serve" if include_serve else ""
+    ) + ("/colstore" if include_colstore else "")
+    _print(f"fuzzing {queries} queries (seed={seed}, "
+           f"rows={rows}, grammar={grammar}, paths={paths})"
            + (f", injected bug in path {inject_bug!r}" if inject_bug
               else ""))
 
     started = time.perf_counter()
     reports = []
     divergent = []
-    with tracer.span("qa.fuzz", seed=qa.seed, queries=qa.queries):
-        for i in range(qa.queries):
+    with tracer.span("qa.fuzz", seed=seed, queries=queries):
+        for i in range(queries):
             case = FuzzCase(
                 tables=specs, query=generator.generate(),
-                num_batches=qa.num_batches,
-                bootstrap_trials=qa.bootstrap_trials,
-                seed=qa.seed + i, inject_bug=inject_bug,
+                num_batches=num_batches,
+                bootstrap_trials=bootstrap_trials,
+                seed=seed + i, inject_bug=inject_bug,
             )
             report = runner.run_case(case)
             reports.append(report)
@@ -128,18 +137,18 @@ def run_fuzz(qa: QaConfig, out: Optional[str] = None,
                 _print(f"  query {i}: DIVERGED "
                        f"({len(report.divergences)} problem(s))")
             elif (i + 1) % 10 == 0:
-                _print(f"  {i + 1}/{qa.queries} queries checked")
+                _print(f"  {i + 1}/{queries} queries checked")
     # Read before shrinking: the shrinker re-runs cases.
     sharded_folds = runner.sharded_folds
 
     artifacts: List[str] = []
-    if divergent and qa.shrink:
+    if divergent and shrink:
         shrinker = Shrinker(runner)
         for j, report in enumerate(divergent):
             minimal, min_report = shrinker.shrink(report.case, report)
             path = save_artifact(
                 minimal, min_report,
-                Path(qa.artifact_dir) / f"divergence-{qa.seed}-{j}.json",
+                Path(artifact_dir) / f"divergence-{seed}-{j}.json",
             )
             artifacts.append(str(path))
             _print(f"  reproducer written: {path}")
@@ -147,8 +156,8 @@ def run_fuzz(qa: QaConfig, out: Optional[str] = None,
     elapsed = time.perf_counter() - started
     rejected = sum(1 for r in reports if r.agreed_rejection)
     summary = {
-        "seed": qa.seed,
-        "grammar": qa.grammar,
+        "seed": seed,
+        "grammar": grammar,
         "queries": len(reports),
         "ok": len(reports) - len(divergent) - rejected,
         "agreed_rejections": rejected,
@@ -156,8 +165,8 @@ def run_fuzz(qa: QaConfig, out: Optional[str] = None,
         "sharded_folds": sharded_folds,
         "paths": paths.split("/"),
         "elapsed_s": round(elapsed, 3),
-        "rtol": qa.rtol,
-        "atol": qa.atol,
+        "rtol": runner.rtol,
+        "atol": runner.atol,
         "injected_bug": inject_bug,
         "artifacts": artifacts,
         "counters": _qa_counters(tracer),
@@ -183,23 +192,16 @@ def run_fuzz(qa: QaConfig, out: Optional[str] = None,
     return 1 if divergent else 0
 
 
-def run_calibrate(qa: QaConfig, queries: Optional[List[str]] = None,
-                  runs: Optional[int] = None,
-                  rows: Optional[int] = None,
-                  num_batches: int = 6,
-                  trials: int = 60,
-                  out: Optional[str] = None) -> int:
-    """One CI-coverage calibration sweep; returns a process exit code."""
+def run_calibrate(queries: Optional[List[str]] = None, *, seed: int = 0,
+                  out: Optional[str] = None, **knobs) -> int:
+    """One CI-coverage calibration sweep; returns a process exit code.
+
+    ``knobs`` override :class:`CalibrationConfig` fields (``runs``,
+    ``rows``, ``num_batches``, ``bootstrap_trials``, ``alpha``); the
+    sweep's seeds start at ``1000 + seed``.
+    """
     tracer = _make_tracer()
-    cal = CalibrationConfig(
-        runs=runs if runs is not None else qa.calibration_runs,
-        rows=rows if rows is not None else qa.rows,
-        num_batches=num_batches,
-        bootstrap_trials=trials,
-        fraction=qa.calibration_fraction,
-        alpha=qa.calibration_alpha,
-        base_seed=qa.seed + 1000,
-    )
+    cal = CalibrationConfig(base_seed=1000 + seed, **knobs)
     _print(
         f"calibrating bootstrap CI coverage: {cal.runs} runs/query, "
         f"rows={cal.rows}, snapshot at batch "
@@ -233,33 +235,24 @@ def run_calibrate(qa: QaConfig, queries: Optional[List[str]] = None,
     return 0
 
 
+def _given(**flags) -> dict:
+    """The flags the command line set (argparse leaves the rest None)."""
+    return {name: value for name, value in flags.items()
+            if value is not None}
+
+
 def main_fuzz(args) -> int:
     """argparse adapter for ``python -m repro fuzz``."""
-    qa = QaConfig.parse(args.qa) if args.qa else QaConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.queries is not None:
-        overrides["queries"] = args.queries
-    if args.rows is not None:
-        overrides["rows"] = args.rows
-    if args.serve:
-        overrides["include_serve"] = True
-    if getattr(args, "colstore", False):
-        overrides["include_colstore"] = True
-    if args.no_shrink:
-        overrides["shrink"] = False
-    if args.artifact_dir is not None:
-        overrides["artifact_dir"] = args.artifact_dir
-    if getattr(args, "grammar", None):
-        overrides["grammar"] = args.grammar
-    if overrides:
-        import dataclasses
-
-        qa = dataclasses.replace(qa, **overrides)
     try:
-        return run_fuzz(qa, out=args.out, inject_bug=args.inject_bug,
-                        replay=args.replay)
+        return run_fuzz(
+            include_serve=args.serve, include_colstore=args.colstore,
+            shrink=not args.no_shrink, out=args.out,
+            inject_bug=args.inject_bug, replay=args.replay,
+            **_given(queries=args.queries, seed=args.seed, rows=args.rows,
+                     num_batches=args.batches,
+                     bootstrap_trials=args.trials, grammar=args.grammar,
+                     artifact_dir=args.artifact_dir),
+        )
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
@@ -267,22 +260,15 @@ def main_fuzz(args) -> int:
 
 def main_calibrate(args) -> int:
     """argparse adapter for ``python -m repro calibrate``."""
-    qa = QaConfig.parse(args.qa) if args.qa else QaConfig()
-    if args.seed is not None:
-        import dataclasses
-
-        qa = dataclasses.replace(qa, seed=args.seed)
-    if args.alpha is not None:
-        import dataclasses
-
-        qa = dataclasses.replace(qa, calibration_alpha=args.alpha)
     queries = None
     if args.queries:
         queries = [q.strip() for q in args.queries.split(",") if q.strip()]
     try:
         return run_calibrate(
-            qa, queries=queries, runs=args.runs, rows=args.rows,
-            num_batches=args.batches, trials=args.trials, out=args.out,
+            queries, out=args.out,
+            **_given(seed=args.seed, runs=args.runs, rows=args.rows,
+                     num_batches=args.batches, bootstrap_trials=args.trials,
+                     alpha=args.alpha),
         )
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

@@ -178,7 +178,7 @@ class QueryScheduler:
         from ..parallel import ParallelExecutor
 
         self.session = session
-        self.serve = serve if serve is not None else session.config.serve
+        self.serve = serve if serve is not None else ServeConfig()
         if tracer is not None:
             self.tracer = tracer
         elif session.tracer is not None:

@@ -98,8 +98,7 @@ def _apply_overrides(config: GolaConfig, overrides: dict,
     """A per-query GolaConfig from JSON overrides of simple fields."""
     changes = {}
     for name, value in (overrides or {}).items():
-        if name not in _CONFIG_FIELDS or name in ("faults", "serve",
-                                                  "parallel", "qa"):
+        if name not in _CONFIG_FIELDS or name in ("faults", "parallel"):
             raise ValueError(f"unknown config field {name!r}")
         changes[name] = _typed("config", name, _CONFIG_FIELDS[name], value)
     if faults:

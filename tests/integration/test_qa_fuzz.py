@@ -24,7 +24,6 @@ from repro.qa import (
     save_artifact,
 )
 from repro.qa.cli import run_fuzz
-from repro.config import QaConfig
 
 pytestmark = pytest.mark.smoke
 
@@ -74,22 +73,22 @@ class TestInjectedBug:
         assert caught >= 1
 
     def test_cli_sweep_fails_on_injected_bug(self, tmp_path):
-        qa = QaConfig(queries=6, seed=1, rows=512, num_batches=3,
-                      bootstrap_trials=8,
-                      artifact_dir=str(tmp_path / "artifacts"))
+        qa = dict(queries=6, seed=1, rows=512, num_batches=3,
+                  bootstrap_trials=8,
+                  artifact_dir=str(tmp_path / "artifacts"))
         out = tmp_path / "report.json"
-        code = run_fuzz(qa, out=str(out), inject_bug="serial")
+        code = run_fuzz(**qa, out=str(out), inject_bug="serial")
         assert code == 1
         body = json.loads(out.read_text())
         assert body["divergences"] >= 1
         assert body["artifacts"]  # reproducers were written
 
     def test_cli_clean_sweep_exits_zero(self, tmp_path):
-        qa = QaConfig(queries=6, seed=2, rows=512, num_batches=3,
-                      bootstrap_trials=8,
-                      artifact_dir=str(tmp_path / "artifacts"))
+        qa = dict(queries=6, seed=2, rows=512, num_batches=3,
+                  bootstrap_trials=8,
+                  artifact_dir=str(tmp_path / "artifacts"))
         out = tmp_path / "report.json"
-        code = run_fuzz(qa, out=str(out))
+        code = run_fuzz(**qa, out=str(out))
         assert code == 0
         body = json.loads(out.read_text())
         assert body["queries"] == 6 and body["divergences"] == 0
@@ -99,22 +98,22 @@ class TestHarnessHealth:
     def test_parallel_path_shards_folds(self, tmp_path):
         """The parallel path must reach the pool, or the sweep only
         re-runs the serial path under another name."""
-        qa = QaConfig(queries=3, seed=2, rows=512, num_batches=3,
-                      bootstrap_trials=8,
-                      artifact_dir=str(tmp_path / "artifacts"))
+        qa = dict(queries=3, seed=2, rows=512, num_batches=3,
+                  bootstrap_trials=8,
+                  artifact_dir=str(tmp_path / "artifacts"))
         out = tmp_path / "report.json"
-        assert run_fuzz(qa, out=str(out)) == 0
+        assert run_fuzz(**qa, out=str(out)) == 0
         assert json.loads(out.read_text())["sharded_folds"] > 0
 
     def test_sweep_that_shards_nothing_exits_2(self, tmp_path,
                                                monkeypatch):
         monkeypatch.setattr(DifferentialRunner, "_parallel",
                             DifferentialRunner._serial)
-        qa = QaConfig(queries=2, seed=2, rows=512, num_batches=3,
-                      bootstrap_trials=8,
-                      artifact_dir=str(tmp_path / "artifacts"))
+        qa = dict(queries=2, seed=2, rows=512, num_batches=3,
+                  bootstrap_trials=8,
+                  artifact_dir=str(tmp_path / "artifacts"))
         out = tmp_path / "report.json"
-        assert run_fuzz(qa, out=str(out)) == 2
+        assert run_fuzz(**qa, out=str(out)) == 2
         assert json.loads(out.read_text())["sharded_folds"] == 0
 
 

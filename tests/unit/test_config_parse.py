@@ -11,8 +11,8 @@ import pytest
 import repro.config
 from repro.config import (
     FaultsConfig,
+    GolaConfig,
     ParallelConfig,
-    QaConfig,
     ServeConfig,
 )
 
@@ -32,10 +32,6 @@ ROUND_TRIPS = [
      {"max_concurrent": 8, "queue_depth": 32, "port": 9000,
       "max_steps_per_turn": 3, "default_deadline_s": 1.5,
       "host": "0.0.0.0"}),
-    (QaConfig, "--qa",
-     "queries=7,rtol=1e-3,include_serve=true,grammar=deep",
-     {"queries": 7, "rtol": 1e-3, "include_serve": True,
-      "grammar": "deep"}),
 ]
 IDS = [case[0].__name__ for case in ROUND_TRIPS]
 
@@ -73,7 +69,7 @@ def test_empty_faults_spec_is_the_enabled_default_profile():
 
 
 def test_empty_spec_elsewhere_is_the_defaults():
-    for cls in (ParallelConfig, ServeConfig, QaConfig):
+    for cls in (ParallelConfig, ServeConfig):
         assert cls.parse("") == cls()
 
 
@@ -97,6 +93,14 @@ def test_deleted_serve_knobs_are_unknown_keys():
         FaultsConfig.parse("step_failure_prob=0.3")
 
 
+def test_harness_and_serve_knobs_are_not_run_config():
+    # A GolaConfig describes one run; the fuzz/calibrate harness takes
+    # its flags directly and the scheduler takes its ServeConfig.
+    for name in ("qa", "serve"):
+        with pytest.raises(TypeError):
+            GolaConfig(**{name: None})
+
+
 def test_deleted_parallel_modes_are_rejected():
     # Every shard pool is a supervised process pool.
     with pytest.raises(ValueError, match="unknown --workers key 'backend'"):
@@ -105,9 +109,16 @@ def test_deleted_parallel_modes_are_rejected():
         ParallelConfig.parse("supervise=0")
 
 
+def _on_args(node):
+    """True for ``args.x``: an argparse namespace, not a config."""
+    return isinstance(node, ast.Name) and node.id == "args"
+
+
 def _names_read_outside_config():
     """Attribute names loaded, and ``getattr`` string names, in
-    ``src/repro/**/*.py`` except ``config.py`` itself."""
+    ``src/repro/**/*.py`` except ``config.py`` itself.  Reads off an
+    argparse namespace named ``args`` do not count: a CLI flag that
+    shares a field's name is not a read of the field."""
     root = Path(repro.__file__).parent
     names = set()
     for path in root.rglob("*.py"):
@@ -115,11 +126,13 @@ def _names_read_outside_config():
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute) and \
-                    isinstance(node.ctx, ast.Load):
+                    isinstance(node.ctx, ast.Load) and \
+                    not _on_args(node.value):
                 names.add(node.attr)
             elif (isinstance(node, ast.Call)
                   and isinstance(node.func, ast.Name)
                   and node.func.id == "getattr" and len(node.args) >= 2
+                  and not _on_args(node.args[0])
                   and isinstance(node.args[1], ast.Constant)
                   and isinstance(node.args[1].value, str)):
                 names.add(node.args[1].value)

@@ -14,10 +14,8 @@ from repro.obs import (
     Tracer,
     TraceSink,
     build_profile,
-    get_tracer,
     load_events,
     render_profile,
-    set_tracer,
     tracer_from_config,
 )
 from repro.core.result import format_rsd
@@ -64,18 +62,9 @@ class TestTracer:
         tracer.event("never")
         assert not tracer.metrics.enabled
 
-    def test_default_tracer_install(self):
-        assert get_tracer() is NULL_TRACER
-        custom = Tracer(AggregatingSink())
-        try:
-            assert set_tracer(custom) is custom
-            assert get_tracer() is custom
-        finally:
-            set_tracer(None)
-        assert get_tracer() is NULL_TRACER
-
     def test_tracer_from_config(self):
-        assert not tracer_from_config(GolaConfig()).enabled
+        # Tracing off: the shared disabled tracer, never a global one.
+        assert tracer_from_config(GolaConfig()) is NULL_TRACER
         traced = tracer_from_config(GolaConfig(trace=True))
         assert traced.enabled and traced.metrics.enabled
         assert isinstance(traced.sink, AggregatingSink)

@@ -14,7 +14,6 @@ import pytest
 
 from repro import (
     AdmissionError,
-    GolaConfig,
     ParseError,
     ServeConfig,
 )
@@ -45,12 +44,6 @@ def scheduler(session):
     sched = QueryScheduler(session)
     yield sched
     sched.close()
-
-
-class TestServeConfig:
-    def test_embedded_in_gola_config(self):
-        config = GolaConfig(serve=ServeConfig(max_concurrent=2))
-        assert config.serve.max_concurrent == 2
 
 
 class TestCompletion:

@@ -2,7 +2,7 @@
 
 The contract under test: the coordinator publishes a batch's arrays
 once into one shared segment, workers resolve tiny specs into read-only
-zero-copy views, and the refcount/close protocol guarantees no segment
+zero-copy views, and the lease/close protocol guarantees no segment
 ever outlives its run — whatever the failure path.
 """
 
@@ -19,7 +19,6 @@ from repro.parallel.shm import (
     _ALIGN,
     ShmRegistry,
     attached_segments,
-    cached_group_count,
     detach_all,
     resolve,
     segment_exists,
@@ -28,7 +27,7 @@ from repro.parallel.shm import (
 
 @pytest.fixture(autouse=True)
 def _clean_attachments():
-    """Drop this process's attach/memo caches after every test."""
+    """Drop this process's attach cache after every test."""
     yield
     detach_all()
 
@@ -115,19 +114,10 @@ class TestLifecycle:
         assert registry.live_segments() == [name]
         assert segment_exists(name)
         lease.release()
+        lease.release()  # idempotent
         assert registry.live_segments() == []
         assert not segment_exists(name)
         assert registry.created == [name]  # probing names survive unlink
-
-    def test_release_is_idempotent_against_retain(self):
-        registry = ShmRegistry()
-        lease = registry.publish({"x": np.ones(32)})
-        registry.retain(lease.segment)
-        lease.release()
-        lease.release()  # second release must not double-decrement
-        assert segment_exists(lease.segment)
-        registry.close()
-        assert not segment_exists(lease.segment)
 
     def test_close_force_unlinks_everything(self):
         registry = ShmRegistry()
@@ -165,28 +155,6 @@ class TestLifecycle:
 
     def test_segment_exists_probe(self):
         assert not segment_exists("repro-never-created")
-
-
-class TestGroupCountMemo:
-    def test_memoized_per_segment_offset(self):
-        with ShmRegistry() as registry:
-            lease = registry.publish(
-                {"group_idx": np.array([0, 3, 1], dtype=np.int64)}
-            )
-            spec = lease.specs["group_idx"]
-            assert cached_group_count(spec, resolve(spec)) == 4
-            # served from the memo now: a different array for the same
-            # spec cannot change the answer
-            assert cached_group_count(
-                spec, np.array([9, 9], dtype=np.int64)
-            ) == 4
-            lease.release()
-
-    def test_non_spec_inputs_recompute(self):
-        arr = np.array([2, 5], dtype=np.int64)
-        assert cached_group_count(None, arr) == 6
-        assert cached_group_count(None, arr[:1]) == 3
-        assert cached_group_count(None, np.empty(0, dtype=np.int64)) == 0
 
 
 def _exit_with_tracker_lock_state():

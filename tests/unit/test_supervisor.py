@@ -221,7 +221,10 @@ def _fold_payload(n=12, width=4):
         "group_idx": rng.integers(0, 3, size=n),
         "values": {"s": rng.normal(size=n), "a": rng.normal(size=n)},
         "row_idx": None,
-        "weights": rng.poisson(1.0, size=(n, width)).astype(np.float64),
+        # The batch's (B, n) weight transpose; the shard reads rows
+        # [lo, hi).
+        "weights": rng.poisson(1.0, size=(2 + width, n)).astype(
+            np.float64),
     }
 
 
@@ -247,7 +250,7 @@ class TestResultIntegrity:
         the inputs legitimately produce: no NaN input is needed."""
         payload = _fold_payload()
         payload["values"]["s"][:2] = [np.inf, -np.inf]
-        payload["weights"][0, 0] = 0.0
+        payload["weights"][payload["lo"], 0] = 0.0
         with np.errstate(invalid="ignore"):
             result = run_fold_shard(payload)
         assert any(np.isnan(arr).any() for _, state in result
@@ -262,8 +265,7 @@ class TestResultIntegrity:
         assert validate_fold_shard(payload, good[:1])  # missing alias
         swapped = [(good[1][0], good[0][1]), good[1]]
         assert validate_fold_shard(payload, swapped)  # alias mismatch
-        narrow = run_fold_shard({**payload, "hi": payload["lo"] + 2,
-                                 "weights": payload["weights"][:, :2]})
+        narrow = run_fold_shard({**payload, "hi": payload["lo"] + 2})
         assert "width" in validate_fold_shard(payload, narrow)
 
     def test_corrupted_results_rerun_in_supervised_map(self):
