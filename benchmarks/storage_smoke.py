@@ -15,8 +15,12 @@ asserting it:
 3. prove the budget is real: a sibling child under the same limit that
    tries to materialize the dataset with ``to_table()`` must die of
    MemoryError;
-4. check C3/Q17 snapshot-stream bit-identity (colstore vs in-memory)
-   and embed the dataset's ``repro inspect`` report in the JSON.
+4. check C3/Q17 and a bare ``SELECT COUNT(*)`` for snapshot-stream
+   bit-identity (colstore vs in-memory) and for a final snapshot equal
+   to ``execute_batch``, and embed the dataset's ``repro inspect``
+   report in the JSON.  The COUNT(*) stream reads no column at all, so
+   every batch it sees is a zero-column table that must still carry
+   its rows.
 
 The streaming claim covers the steady-state fold path, not guard
 recomputation: a rebuild *by contract* re-ingests the concatenated
@@ -177,20 +181,26 @@ def _wide_sessions(rows: int):
 
 
 def _identity_checks(rows: int):
-    """C3/Q17 colstore-vs-in-memory stream identity (no rlimit)."""
+    """C3/Q17/COUNT(*) colstore-vs-in-memory stream identity, and each
+    colstore stream's final snapshot against ``execute_batch`` (no
+    rlimit)."""
     from repro import GolaConfig, GolaSession
+    from repro.qa.compare import compare_tables
     from repro.qa.identity import snapshot_fingerprint
     from repro.storage.colstore import convert_table
     from repro.workloads import (
         CONVIVA_QUERIES,
         TPCH_QUERIES,
         generate_conviva,
+        generate_sessions,
         generate_tpch,
     )
 
     jobs = [
         ("C3", "conviva", generate_conviva, CONVIVA_QUERIES["C3"]),
         ("Q17", "tpch", generate_tpch, TPCH_QUERIES["Q17"]),
+        ("COUNT", "sessions", generate_sessions,
+         "SELECT COUNT(*) FROM sessions"),
     ]
     out = []
     config = GolaConfig(num_batches=6, bootstrap_trials=TRIALS, seed=SEED)
@@ -206,11 +216,14 @@ def _identity_checks(rows: int):
             mem_fp = snapshot_fingerprint(mem.sql(sql).run_online())
             cs = GolaSession(config)
             cs.register_colstore(table_name, path)
-            cs_fp = snapshot_fingerprint(cs.sql(sql).run_online())
+            snaps = list(cs.sql(sql).run_online())
+            cs_fp = snapshot_fingerprint(snaps)
             out.append({
                 "query": name,
                 "rows": rows,
                 "identical": cs_fp == mem_fp,
+                "final_vs_exact": compare_tables(
+                    cs.execute_batch(sql), snaps[-1].table, rtol=1e-9),
             })
     return out
 
@@ -347,15 +360,22 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
 
-    print(f"identity checks (C3/Q17, {args.identity_rows:,} rows) ...")
+    print(f"identity checks (C3/Q17/COUNT, {args.identity_rows:,} rows) "
+          "...")
     identity = _identity_checks(args.identity_rows)
     report["identity"] = identity
     for entry in identity:
-        print(f"  {entry['query']}: identical={entry['identical']}")
+        print(f"  {entry['query']}: identical={entry['identical']} "
+              f"final_vs_exact={entry['final_vs_exact'] or 'equal'}")
         if not entry["identical"]:
             failures.append(
                 f"{entry['query']} colstore stream diverged from "
                 "in-memory"
+            )
+        if entry["final_vs_exact"]:
+            failures.append(
+                f"{entry['query']} final snapshot differs from "
+                f"execute_batch: {entry['final_vs_exact']}"
             )
 
     inspect = subprocess.run(

@@ -77,16 +77,22 @@ class QueryController:
                  batch_store: Optional[BatchStore] = None):
         self.query = query
         self.config = config
-        self.tables = {k.lower(): v for k, v in tables.items()}
+        #: Table -> the columns the query reads; every scan, streamed or
+        #: not, is read at this width.
+        self.scan_columns = query.scan_columns
+        tables = {k.lower(): v for k, v in tables.items()}
         self.streamed = {k.lower(): v for k, v in streamed.items()}
-        # Colstore datasets stay lazy only on the streamed side; a
-        # dimension table is read whole by static subqueries and block
-        # joins, so materialize it up front (original row order, hence
-        # bit-identical to registering the in-memory table).
-        for name, value in list(self.tables.items()):
-            if (isinstance(value, ColstoreDataset)
-                    and not self.streamed.get(name, False)):
-                self.tables[name] = value.to_table()
+        # A streamed table stays as registered (the session's batch store
+        # cuts it) and its batches are projected as they are read
+        # (:meth:`_batch`).  A dimension table is read whole by static
+        # subqueries and block joins, so it is projected once here: a
+        # view of an in-memory table, a colstore one decoded (original
+        # row order, hence bit-identical to the in-memory table).
+        self.tables = {
+            name: tables[name] if self.streamed.get(name, False)
+            else tables[name].select(columns)
+            for name, columns in self.scan_columns.items()
+        }
         self.udafs = udafs
         self.functions = functions
         self.tracer = (
@@ -309,8 +315,7 @@ class QueryController:
         faults = self.config.faults
         i = ex["cursor"]
         table_batches = {
-            name: ex["batches"][name][i - 1]
-            for name in self.streamed_tables
+            name: self._batch(name, i - 1) for name in self.streamed_tables
         }
         with tracer.scoped_parent(ex["span_id"]) if tracer.enabled \
                 else _NO_SCOPE:
@@ -417,21 +422,34 @@ class QueryController:
                                         rel_stdev=rel_stdev)
         return errors
 
+    def _batch(self, name: str, j: int) -> Table:
+        """Streamed table ``name``'s batch ``j`` (0-based), holding only
+        the columns the query reads.
+
+        Read from the run's own partition list, never the store's
+        current entry, which a concurrent query with other partition
+        knobs may have replaced.  A stored partition is shared by every
+        query of the session, whatever columns it reads, so the batch is
+        a ``select`` view of it; a colstore dataset streaming its own
+        files decodes just these columns.
+        """
+        batches = self._exec["batches"][name]
+        columns = self.scan_columns[name]
+        if isinstance(batches, ColstoreDataset):
+            return batches.batch(j, columns)
+        return batches[j].select(columns)
+
     def _seen(self, name: str, i: int) -> List[Tuple[Table, BatchWeights]]:
         """Table ``name``'s batches ``1..i``, each with a fresh weight
         handle at its own batch index: what a guard rebuild re-folds.
 
-        Read from the run's own partition list, never the store's
-        current entry, which a concurrent query with other partition
-        knobs may have replaced.  The handles are not counted as draws:
-        each batch was counted when it was first folded.
+        The handles are not counted as draws: each batch was counted
+        when it was first folded.
         """
-        ex = self._exec
-        batches = ex["batches"][name]
-        source = ex["weight_sources"].get(name)
+        source = self._exec["weight_sources"].get(name)
         seen = []
         for j in range(i):
-            batch = batches[j]
+            batch = self._batch(name, j)
             seen.append((batch, None if source is None
                          else source.handle(j, batch.num_rows)))
         return seen

@@ -194,8 +194,6 @@ class CachedRows:
 
     @property
     def size(self) -> int:
-        # The lineage table may have zero columns (no predicate lineage
-        # needed), so row count is tracked by the always-present arrays.
         return len(self.group_idx)
 
     @staticmethod
@@ -210,12 +208,8 @@ class CachedRows:
 
     @staticmethod
     def concat(parts: Sequence["CachedRows"]) -> "CachedRows":
-        if len(parts[0].table.schema):
-            table = Table.concat([p.table for p in parts])
-        else:
-            table = parts[0].table
         return CachedRows(
-            table=table,
+            table=Table.concat([p.table for p in parts]),
             weights=np.concatenate([p.weights for p in parts]),
             group_idx=np.concatenate([p.group_idx for p in parts]),
             values={
@@ -225,11 +219,8 @@ class CachedRows:
         )
 
     def take(self, mask: np.ndarray) -> "CachedRows":
-        table = (
-            self.table.take(mask) if len(self.table.schema) else self.table
-        )
         return CachedRows(
-            table=table,
+            table=self.table.take(mask),
             weights=self.weights[mask],
             group_idx=self.group_idx[mask],
             values={a: v[mask] for a, v in self.values.items()},
@@ -987,10 +978,7 @@ class BlockRuntime:
                     call, call.arg.evaluate(table, penv), n
                 )
 
-        lineage = (
-            table.select(self._needed_columns)
-            if self._needed_columns else Table.empty(Schema([]))
-        )
+        lineage = table.select(self._needed_columns)
         if not self._cache_schema_ready and self._needed_columns:
             self.cache = CachedRows.empty(
                 lineage.schema, list(values), self.trials

@@ -57,10 +57,11 @@ class OnlineQuery:
     def explain(self) -> str:
         """The full online execution strategy for this query.
 
-        Shows the logical plan, then the compiled meta plan: lineage
-        blocks in dependency order, what each consumes, how many
-        uncertain predicates each classifies, and which subqueries are
-        static (evaluated once over dimension tables).
+        Shows the logical plan, each scan naming the columns it reads,
+        then the compiled meta plan: lineage blocks in dependency order,
+        what each consumes, how many uncertain predicates each
+        classifies, and which subqueries are static (evaluated once over
+        dimension tables).
         """
         from .meta_plan import compile_meta_plan
 
@@ -71,7 +72,7 @@ class OnlineQuery:
             self.session.config, self.session.udafs,
         )
         return (
-            self.query.describe()
+            self.query.describe(scan_columns=True)
             + "\n\nonline meta plan:\n"
             + meta.describe()
         )
@@ -269,13 +270,12 @@ class GolaSession:
         """Run a query exactly (the traditional batch engine)."""
         if isinstance(query, str):
             query = self.sql(query)
+        # Every scanned relation, cut to the columns the query reads: a
+        # view of an in-memory table, a colstore dataset decoding only
+        # those columns (original row order).
         tables = {
-            # The exact engine scans whole relations; materialize any
-            # registered colstore dataset (original row order) up front.
-            name: value.to_table()
-            if not isinstance(value, Table) and hasattr(value, "to_table")
-            else value
-            for name, value in self._tables().items()
+            name: self.catalog.get(name).select(columns)
+            for name, columns in query.query.scan_columns.items()
         }
         executor = BatchExecutor(
             tables, self.udafs, self.functions,

@@ -74,13 +74,15 @@ class BatchStore:
     def partitions(self, name: str, table, config, metrics=None):
         """``table``'s mini-batches under ``config``'s partition knobs.
 
-        A colstore dataset whose stored layout matches the config
-        streams its own partition files (nothing is stored); any other
-        table, a mismatched dataset included (materialized in original
-        row order), is cut once and stored.
+        A colstore dataset whose stored layout matches the config is
+        returned as it is: it streams its own partition files
+        (``dataset.batch(i, columns)``), and nothing is stored.  Any
+        other table, a mismatched dataset included (materialized in
+        original row order), is cut once into a stored list of full-width
+        partitions, which every query of the session shares.
         """
         if isinstance(table, ColstoreDataset) and table.config_matches(config):
-            return table.batches()
+            return table
         key = (config.num_batches, config.seed, config.shuffle)
         label = stream_label(name)
         with self._lock:

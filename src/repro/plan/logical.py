@@ -14,7 +14,8 @@ aggregate output is broadcast to consumers (paper section 3.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 
 from ..engine.aggregates import AggregateCall
@@ -31,12 +32,15 @@ class LogicalPlan:
     def children(self) -> Sequence["LogicalPlan"]:
         return ()
 
-    def describe(self, indent: int = 0) -> str:
-        """A multi-line textual rendering of the plan subtree."""
+    def describe(self, indent: int = 0,
+                 scan_columns: Optional[Dict[str, List[str]]] = None) -> str:
+        """A multi-line textual rendering of the plan subtree; with
+        ``scan_columns`` (see :attr:`Query.scan_columns`) each scan
+        names the columns it reads."""
         pad = "  " * indent
         lines = [pad + self._label()]
         for child in self.children():
-            lines.append(child.describe(indent + 1))
+            lines.append(child.describe(indent + 1, scan_columns))
         return "\n".join(lines)
 
     def _label(self) -> str:
@@ -51,6 +55,23 @@ class LogicalPlan:
             out |= child.subquery_slots()
         return out
 
+    def column_references(self) -> Set[str]:
+        """Every column name read in this subtree: expressions (filters,
+        projections, group keys, aggregate arguments, HAVING, correlation
+        keys) and join keys.  Nodes above an aggregate read only its
+        output, so they add nothing a scan must supply."""
+        out: Set[str] = set()
+        for expr in self._expressions():
+            out |= expr.references()
+        for child in self.children():
+            out |= child.column_references()
+        return out
+
+    def scans(self) -> Iterator["Scan"]:
+        """Every :class:`Scan` in this subtree."""
+        for child in self.children():
+            yield from child.scans()
+
     def _expressions(self) -> Sequence[Expression]:
         return ()
 
@@ -61,6 +82,18 @@ class Scan(LogicalPlan):
     def __init__(self, table_name: str, schema: Schema):
         self.table_name = table_name
         self.schema = schema
+
+    def describe(self, indent: int = 0,
+                 scan_columns: Optional[Dict[str, List[str]]] = None) -> str:
+        label = self._label()
+        if scan_columns is not None:
+            columns = scan_columns.get(self.table_name, ())
+            label = (f"Scan({self.table_name}: "
+                     f"{', '.join(columns) or 'no columns'})")
+        return "  " * indent + label
+
+    def scans(self) -> Iterator["Scan"]:
+        yield self
 
     def _label(self) -> str:
         return f"Scan({self.table_name})"
@@ -144,6 +177,11 @@ class Join(LogicalPlan):
 
     def children(self):
         return (self.left, self.right)
+
+    def column_references(self) -> Set[str]:
+        return super().column_references() | {
+            name for pair in self.keys for name in pair
+        }
 
     def _label(self) -> str:
         pairs = ", ".join(f"{l}={r}" for l, r in self.keys)
@@ -354,13 +392,38 @@ class Query:
     subqueries: Dict[int, SubquerySpec] = field(default_factory=dict)
     streamed_table: Optional[str] = None
 
-    def describe(self) -> str:
-        lines = [self.plan.describe()]
+    def describe(self, scan_columns: bool = False) -> str:
+        """The main plan and each subquery plan; ``scan_columns`` names
+        the columns each scan reads (what ``explain()`` shows)."""
+        columns = self.scan_columns if scan_columns else None
+        lines = [self.plan.describe(scan_columns=columns)]
         for slot in sorted(self.subqueries):
             spec = self.subqueries[slot]
             lines.append(f"subquery #{slot} [{spec.kind}]:")
-            lines.append(spec.plan.describe(indent=1))
+            lines.append(spec.plan.describe(indent=1, scan_columns=columns))
         return "\n".join(lines)
+
+    @cached_property
+    def scan_columns(self) -> Dict[str, List[str]]:
+        """Table -> the columns the query reads from it, in schema order.
+
+        One set per table covers every scan of it, subqueries included,
+        so the controller and the exact engine can read each table once
+        at this width.  Column names are matched against each scanned
+        table's schema, so a name another table shares only widens the
+        set, which is safe.
+        """
+        plans = [self.plan] + [s.plan for s in self.subqueries.values()]
+        referenced: Set[str] = set()
+        schemas: Dict[str, Schema] = {}
+        for plan in plans:
+            referenced |= plan.column_references()
+            for scan in plan.scans():
+                schemas[scan.table_name] = scan.schema
+        return {
+            name: [n for n in schema.names if n in referenced]
+            for name, schema in schemas.items()
+        }
 
     def subquery_order(self) -> List[int]:
         """Slots in dependency (topological) order, innermost first."""

@@ -8,9 +8,10 @@ rows carried over from a CSV load.
 
 ``ColstoreDataset`` opens such a directory and can stand in for an
 in-memory :class:`Table` in the catalog: the binder only needs
-``.schema``, the controller streams ``.batches()`` lazily (each batch
-decoded on demand from its memory-mapped partition), and batch
-(non-online) execution materializes via ``.to_table()``, which
+``.schema``, the controller streams ``.batch(i, columns)`` lazily (each
+batch decoded on demand from its memory-mapped partition, only the
+columns the query reads), and batch (non-online) execution and
+dimension joins materialize via ``.select(columns)``, which
 reconstructs the *original* row order so results match the source
 table bit for bit.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -119,35 +120,14 @@ def convert_table(table: Table, out_dir, num_batches: int,
     return ColstoreDataset(out_dir)
 
 
-class _LazyBatchSeq:
-    """Sequence view over a dataset's batches, decoded on access.
-
-    The controller indexes batches one at a time (``batches[i - 1]``
-    per step, and ``1..i`` again for a guard rebuild), so no decoded
-    batch is kept here or by the run — memory stays bounded by one
-    batch, or one rebuild's prefix.
-    """
-
-    def __init__(self, dataset: "ColstoreDataset"):
-        self._dataset = dataset
-
-    def __len__(self) -> int:
-        return self._dataset.num_batches
-
-    def __getitem__(self, index: int) -> Table:
-        return self._dataset.batch(index)
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
-
 class ColstoreDataset:
     """An opened colstore dataset directory.
 
-    Duck-types the subset of :class:`Table` the catalog and binder
-    need (``schema``, ``num_rows``) while providing lazy batch access
-    for streaming runs and ``to_table()`` for batch execution.
+    Duck-types the subset of :class:`Table` the catalog, binder and
+    exact engine need (``schema``, ``num_rows``, ``select``) while
+    providing lazy batch access for streaming runs: a run reads batch
+    ``i`` with :meth:`batch`, so no decoded batch is kept here or by the
+    run, and memory stays bounded by one batch, or one rebuild's prefix.
     """
 
     def __init__(self, path):
@@ -253,26 +233,33 @@ class ColstoreDataset:
                 os.path.join(self.path, entry["file"]))
         return self._readers[index]
 
-    def batch(self, index: int) -> Table:
-        """Decode mini-batch ``index``."""
-        return self.reader(index).read_table()
+    def batch(self, index: int,
+              columns: Optional[Sequence[str]] = None) -> Table:
+        """Decode mini-batch ``index``: only ``columns`` (in that order)
+        when given, else every column."""
+        return self.reader(index).read_table(columns)
 
-    def batches(self) -> _LazyBatchSeq:
-        """A lazy, indexable sequence of all mini-batches."""
-        return _LazyBatchSeq(self)
+    def select(self, names: Sequence[str]) -> Table:
+        """The ``names`` columns of every row, in original row order:
+        :meth:`Table.select`'s result, so the exact engine and the
+        dimension side of a query project either kind of relation
+        alike."""
+        return self.to_table(names)
 
-    def to_table(self) -> Table:
-        """Materialize the dataset in its *original* row order.
+    def to_table(self, columns: Optional[Sequence[str]] = None) -> Table:
+        """Materialize the dataset in its *original* row order, decoding
+        only ``columns`` when given.
 
         Inverts the partitioner's permutation (recomputed from the
         manifest seed, never stored) so batch execution over the
         materialized table matches the pre-conversion source exactly.
         """
-        batches = [self.batch(i) for i in range(self.num_batches)]
+        batches = [self.batch(i, columns) for i in range(self.num_batches)]
         rng = np.random.default_rng(self.seed)
         if self.shuffle:
-            shuffled = Table.concat(batches) if batches else \
-                Table.empty(self.schema)
+            shuffled = Table.concat(batches) if batches else Table.empty(
+                self.schema if columns is None
+                else self.schema.select(columns))
             perm = rng.permutation(self.num_rows)
             return shuffled.take(np.argsort(perm))
         order = rng.permutation(self.num_batches)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -188,19 +188,22 @@ class PartitionReader:
         raw = self._buf[off:off + nbytes]
         return raw.view(np.dtype(desc["dtype"]))[: int(desc["count"])]
 
-    def schema(self) -> Schema:
-        return Schema(tuple(
-            Column(col["name"], ColumnType(col["type"]))
-            for col in self.footer["columns"]
-        ))
-
-    def read_table(self) -> Table:
-        """Decode the whole partition into a :class:`Table`."""
+    def read_table(self, columns: Optional[Sequence[str]] = None) -> Table:
+        """Decode ``columns`` (every column by default), in that order,
+        into a :class:`Table`; no other column's segments are mapped."""
+        by_name = {col["name"]: col for col in self.footer["columns"]}
+        if columns is None:
+            columns = list(by_name)
         arrays = {}
-        for col in self.footer["columns"]:
+        fields = []
+        for name in columns:
+            col = by_name.get(name)
+            if col is None:
+                raise StorageError(f"{self.path}: no column {name!r}")
             ctype = ColumnType(col["type"])
             segments = [self._segment(d) for d in col["segments"]]
-            arrays[col["name"]] = decode_column(
+            arrays[name] = decode_column(
                 col["codec"], segments, col["meta"], ctype, self.num_rows
             )
-        return Table(self.schema(), arrays)
+            fields.append(Column(name, ctype))
+        return Table(Schema(fields), arrays, num_rows=self.num_rows)

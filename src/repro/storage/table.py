@@ -156,19 +156,28 @@ class Table:
     shared where safe (callers must not mutate returned arrays).
     """
 
-    def __init__(self, schema: Schema, columns: Mapping[str, np.ndarray]):
+    def __init__(self, schema: Schema, columns: Mapping[str, np.ndarray],
+                 num_rows: Optional[int] = None):
+        """``num_rows`` is required for a zero-column table (a scan that
+        reads no column, as ``COUNT(*)`` does, still has rows) and
+        checked against the columns otherwise."""
         lengths = {name: len(arr) for name, arr in columns.items()}
         if set(lengths) != set(schema.names):
             raise SchemaError(
                 f"columns {sorted(lengths)} do not match schema {schema.names}"
             )
-        if lengths and len(set(lengths.values())) != 1:
-            raise SchemaError(f"ragged columns: {lengths}")
+        counts = set(lengths.values())
+        if num_rows is not None:
+            counts.add(num_rows)
+        if len(counts) > 1:
+            raise SchemaError(
+                f"ragged columns: {lengths} (num_rows={num_rows})"
+            )
         self._schema = schema
         self._columns = {
             c.name: _coerce(columns[c.name], c.ctype) for c in schema
         }
-        self._num_rows = next(iter(lengths.values())) if lengths else 0
+        self._num_rows = counts.pop() if counts else 0
 
     # ------------------------------------------------------------------
     # Constructors
@@ -203,7 +212,7 @@ class Table:
         for i, col in enumerate(schema):
             values = [row[i] for row in rows]
             columns[col.name] = np.array(values, dtype=col.ctype.numpy_dtype)
-        return cls(schema, columns)
+        return cls(schema, columns, num_rows=len(rows))
 
     @classmethod
     def empty(cls, schema: Schema) -> "Table":
@@ -211,6 +220,7 @@ class Table:
         return cls(
             schema,
             {c.name: np.empty(0, dtype=c.ctype.numpy_dtype) for c in schema},
+            num_rows=0,
         )
 
     # ------------------------------------------------------------------
@@ -265,8 +275,13 @@ class Table:
             raise SchemaError(
                 f"mask length {len(sel)} != table length {self._num_rows}"
             )
+        num_rows = None
+        if not self._columns:
+            # No column to gather: select (and bounds-check) row ids.
+            num_rows = len(np.arange(self._num_rows)[sel])
         return Table(
-            self._schema, {n: arr[sel] for n, arr in self._columns.items()}
+            self._schema, {n: arr[sel] for n, arr in self._columns.items()},
+            num_rows=num_rows,
         )
 
     def slice(self, start: int, stop: int) -> "Table":
@@ -274,12 +289,15 @@ class Table:
         return Table(
             self._schema,
             {n: arr[start:stop] for n, arr in self._columns.items()},
+            num_rows=len(range(self._num_rows)[start:stop]),
         )
 
     def select(self, names: Sequence[str]) -> "Table":
-        """A table with only ``names``, in the given order."""
+        """A table with only ``names``, in the given order (the arrays
+        are shared; no column at all keeps the row count)."""
         return Table(
-            self._schema.select(names), {n: self._columns[n] for n in names}
+            self._schema.select(names), {n: self._columns[n] for n in names},
+            num_rows=self._num_rows,
         )
 
     def rename(self, mapping: Mapping[str, str]) -> "Table":
@@ -290,7 +308,7 @@ class Table:
         arrays = {
             mapping.get(n, n): arr for n, arr in self._columns.items()
         }
-        return Table(Schema(cols), arrays)
+        return Table(Schema(cols), arrays, num_rows=self._num_rows)
 
     def with_column(self, name: str, values: np.ndarray) -> "Table":
         """A table with ``name`` added (or replaced) by ``values``."""
@@ -307,7 +325,7 @@ class Table:
             cols = list(self._schema.columns) + [Column(name, ctype)]
         arrays = dict(self._columns)
         arrays[name] = arr
-        return Table(Schema(cols), arrays)
+        return Table(Schema(cols), arrays, num_rows=self._num_rows)
 
     def drop(self, names: Sequence[str]) -> "Table":
         """A table without the given columns."""
@@ -331,7 +349,8 @@ class Table:
             n: np.concatenate([t._columns[n] for t in tables])
             for n in schema.names
         }
-        return Table(schema, columns)
+        return Table(schema, columns,
+                     num_rows=sum(t._num_rows for t in tables))
 
     def sort_order(self, keys: Sequence[str],
                    descending: Sequence[bool] = ()) -> np.ndarray:

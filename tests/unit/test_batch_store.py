@@ -221,9 +221,7 @@ class TestColstore:
         dataset = convert_table(table, tmp_path / "ds", CONFIG.num_batches,
                                 seed=CONFIG.seed)
         store = BatchStore()
-        batches = store.partitions("sessions", dataset, CONFIG)
-        assert not isinstance(batches, list)
-        assert len(batches) == CONFIG.num_batches
+        assert store.partitions("sessions", dataset, CONFIG) is dataset
         assert store.stats == {"entries": 0, "hits": 0, "misses": 0,
                                "bytes": 0}
 

@@ -165,7 +165,7 @@ class TestDataset:
         ) and (tmp_path / "ds"))
         expected = MiniBatchPartitioner(3, seed=11,
                                         shuffle=True).partition(table)
-        got = ds.batches()
+        got = [ds.batch(i) for i in range(ds.num_batches)]
         assert len(got) == len(expected)
         for e, g in zip(expected, got):
             assert_tables_equal(e, g)
@@ -216,7 +216,7 @@ class TestDataset:
         with pytest.raises(StorageError):
             ds.verify()
 
-    def test_lazy_batch_seq_reads_on_demand(self, tmp_path, monkeypatch):
+    def test_batch_reads_on_demand(self, tmp_path, monkeypatch):
         convert_table(sample_table(900), tmp_path / "ds", num_batches=3,
                       seed=2, shuffle=False)
         ds = open_dataset(tmp_path / "ds")
@@ -228,7 +228,34 @@ class TestDataset:
             return original(index)
 
         monkeypatch.setattr(ds, "reader", spy)
-        batches = ds.batches()
         assert opened == []
-        batches[1]
+        ds.batch(1)
         assert opened == [1]
+
+    def test_batch_decodes_only_its_columns(self, tmp_path, monkeypatch):
+        table = sample_table(900)
+        convert_table(table, tmp_path / "ds", num_batches=3, seed=2,
+                      shuffle=False)
+        ds = open_dataset(tmp_path / "ds")
+        full = ds.batch(2)
+        mapped = []
+        original = PartitionReader._segment
+
+        def spy(reader, desc):
+            mapped.append(desc["offset"])
+            return original(reader, desc)
+
+        monkeypatch.setattr(PartitionReader, "_segment", spy)
+        out = ds.batch(2, ["s", "f"])
+        assert out.schema.names == ["s", "f"]
+        assert_tables_equal(full.select(["s", "f"]), out)
+        wanted = [d["offset"] for c in ds.reader(2).footer["columns"]
+                  if c["name"] in ("s", "f") for d in c["segments"]]
+        assert sorted(mapped) == sorted(wanted)
+        bare = ds.batch(2, [])
+        assert bare.schema.names == [] and bare.num_rows == full.num_rows
+        with pytest.raises(StorageError, match="no column"):
+            ds.batch(2, ["nope"])
+        projected = ds.to_table(["f"])
+        assert_tables_equal(table.select(["f"]), projected)
+        assert ds.select([]).num_rows == table.num_rows

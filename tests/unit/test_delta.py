@@ -86,15 +86,18 @@ class TestParseBlock:
 
 class TestCachedRows:
     def test_size_survives_empty_schema(self):
+        # No predicate lineage needed: a zero-column table of 3 rows.
         rows = CachedRows(
-            table=Table.empty(Schema([])),
+            table=Table(Schema([]), {}, num_rows=3),
             weights=np.ones((3, 2)),
             group_idx=np.zeros(3, dtype=np.int64),
             values={"a": np.arange(3.0)},
         )
         assert rows.size == 3
         taken = rows.take(np.array([True, False, True]))
-        assert taken.size == 2
+        assert taken.size == taken.table.num_rows == 2
+        both = CachedRows.concat([rows, taken])
+        assert both.size == both.table.num_rows == 5
 
     def test_concat(self):
         base = CachedRows(

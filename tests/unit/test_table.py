@@ -173,3 +173,54 @@ class TestTableOps:
 
     def test_getitem(self, small_table):
         assert small_table["id"].tolist() == [1, 2, 3, 4, 5, 6]
+
+
+class TestZeroColumnTable:
+    """A scan that reads no column (``COUNT(*)``) projects to a table
+    with no column; it must keep its row count through every op."""
+
+    @pytest.fixture
+    def bare(self, small_table):
+        return small_table.select([])
+
+    def test_select_keeps_rows(self, bare):
+        assert bare.schema.names == [] and bare.num_rows == len(bare) == 6
+
+    def test_init_takes_and_checks_num_rows(self):
+        assert Table(Schema([]), {}, num_rows=4).num_rows == 4
+        assert Table(Schema([]), {}).num_rows == 0
+        with pytest.raises(SchemaError, match="ragged"):
+            Table.from_columns({"a": np.arange(3)}).with_column(
+                "b", np.arange(2))
+        schema = Schema([Column("a", ColumnType.INT64)])
+        with pytest.raises(SchemaError, match="ragged"):
+            Table(schema, {"a": np.arange(3)}, num_rows=2)
+
+    def test_take_mask_and_indices(self, bare, small_table):
+        mask = small_table.column("x") > 3
+        assert bare.take(mask).num_rows == 3
+        assert bare.take(np.array([5, 0, 5])).num_rows == 3
+        assert bare.take(np.array([], dtype=np.int64)).num_rows == 0
+        with pytest.raises(SchemaError):
+            bare.take(np.array([True, False]))
+        with pytest.raises(IndexError):
+            bare.take(np.array([6]))
+
+    def test_slice_follows_python_bounds(self, bare):
+        assert bare.slice(1, 3).num_rows == 2
+        assert bare.slice(4, 99).num_rows == 2
+        assert bare.slice(5, 2).num_rows == 0
+
+    def test_concat_sums_rows(self, bare):
+        assert Table.concat([bare, bare.slice(0, 2)]).num_rows == 8
+
+    def test_empty_and_from_rows(self):
+        assert Table.empty(Schema([])).num_rows == 0
+        assert Table.from_rows([(), (), ()], Schema([])).num_rows == 3
+
+    def test_rename_and_with_column_keep_rows(self, bare):
+        assert bare.rename({}).num_rows == 6
+        grown = bare.with_column("y", np.arange(6))
+        assert grown.num_rows == 6 and grown.schema.names == ["y"]
+        with pytest.raises(SchemaError, match="ragged"):
+            bare.with_column("y", np.arange(5))
