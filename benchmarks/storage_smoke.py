@@ -20,7 +20,11 @@ asserting it:
    to ``execute_batch``, and embed the dataset's ``repro inspect``
    report in the JSON.  The COUNT(*) stream reads no column at all, so
    every batch it sees is a zero-column table that must still carry
-   its rows.
+   its rows;
+5. check that the unbudgeted in-memory reference session's
+   ``session.store_bytes`` is at most ``8 + TRIALS`` bytes per row
+   after its full run: the store keeps the table's permutation and
+   uint8 weights, so a returning full-width shuffled copy fails.
 
 The streaming claim covers the steady-state fold path, not guard
 recomputation: a rebuild *by contract* re-ingests the concatenated
@@ -252,6 +256,7 @@ def main(argv=None) -> int:
         args.identity_rows = min(args.identity_rows, 12_000)
 
     from repro import GolaConfig, GolaSession
+    from repro.obs import MetricsRegistry, Tracer
     from repro.qa.identity import snapshot_fingerprint
     from repro.storage.colstore import convert_table, open_dataset
     from repro.workloads import SBI_QUERY
@@ -274,14 +279,17 @@ def main(argv=None) -> int:
 
     # Escalate ε until the reference run is rebuild-free (module
     # docstring explains why a rebuild is outside the streaming claim).
-    epsilon = ref_fp = ref_count = max_uncertain = None
+    epsilon = ref_fp = ref_count = max_uncertain = store_bytes = None
     for candidate in EPSILON_LADDER:
         config = GolaConfig(num_batches=K_BATCHES,
                             bootstrap_trials=TRIALS, seed=SEED,
                             epsilon_multiplier=candidate)
-        reference = GolaSession(config)
+        tracer = Tracer(metrics=MetricsRegistry(enabled=True))
+        reference = GolaSession(config, tracer=tracer)
         reference.register_table("sessions", table)
         snaps = list(reference.sql(SBI_QUERY).run_online())
+        store_bytes = tracer.metrics.snapshot().gauges[
+            "session.store_bytes"]
         rebuilds = sum(len(s.rebuilds) for s in snaps)
         max_uncertain = max(
             sum(s.uncertain_sizes.values()) for s in snaps
@@ -297,6 +305,20 @@ def main(argv=None) -> int:
               "reference run", file=sys.stderr)
         return 1
 
+    # The in-memory session keeps the streamed table's batch plan and
+    # weights, never a shuffled copy of it: an int64 permutation plus
+    # TRIALS uint8 weights per row.  A full-width copy would add the
+    # table's own width (~90 bytes per row here).
+    store_limit = (8 + TRIALS) * args.rows
+    print(f"  in-memory store: {store_bytes:,.0f} bytes "
+          f"(limit {store_limit:,})")
+    if store_bytes > store_limit:
+        failures.append(
+            f"in-memory session.store_bytes {store_bytes:,.0f} exceeds "
+            f"(8 + {TRIALS}) bytes per row ({store_limit:,}): the store "
+            "holds more than a permutation and weights"
+        )
+
     report = {
         "benchmark": "storage_smoke",
         "smoke": args.smoke,
@@ -308,6 +330,8 @@ def main(argv=None) -> int:
         "budget_ratio": round(decoded / budget, 2),
         "epsilon_multiplier": epsilon,
         "max_uncertain_rows": max_uncertain,
+        "memory_store_bytes": store_bytes,
+        "memory_store_limit_bytes": store_limit,
         "rlimit_enforced": _rlimit_supported(),
     }
 

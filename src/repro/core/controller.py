@@ -47,7 +47,6 @@ from ..faults import (
 from ..obs import Timer, Tracer, tracer_from_config
 from ..parallel import ParallelExecutor
 from ..plan.logical import Query
-from ..storage.colstore.dataset import ColstoreDataset
 from ..storage.table import Table
 from .meta_plan import compile_meta_plan
 from .result import ColumnErrors, OnlineSnapshot
@@ -426,18 +425,13 @@ class QueryController:
         """Streamed table ``name``'s batch ``j`` (0-based), holding only
         the columns the query reads.
 
-        Read from the run's own partition list, never the store's
-        current entry, which a concurrent query with other partition
-        knobs may have replaced.  A stored partition is shared by every
-        query of the session, whatever columns it reads, so the batch is
-        a ``select`` view of it; a colstore dataset streaming its own
-        files decodes just these columns.
+        Read through the run's own store entry, never the store's
+        current one, which a concurrent query with other partition
+        knobs may have replaced.  The entry gathers just these columns
+        at the batch's rows; a colstore dataset streaming its own files
+        decodes just these columns.
         """
-        batches = self._exec["batches"][name]
-        columns = self.scan_columns[name]
-        if isinstance(batches, ColstoreDataset):
-            return batches.batch(j, columns)
-        return batches[j].select(columns)
+        return self._exec["batches"][name].batch(j, self.scan_columns[name])
 
     def _seen(self, name: str, i: int) -> List[Tuple[Table, BatchWeights]]:
         """Table ``name``'s batches ``1..i``, each with a fresh weight

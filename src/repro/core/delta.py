@@ -1036,12 +1036,15 @@ class BlockRuntime:
             mask = np.ones(self.cache.size, dtype=bool)
             for predicate in self.pipeline.uncertain_predicates:
                 mask &= evaluate_mask(predicate, self.cache.table, penv)
-            passing = self.cache.take(mask) if mask.any() else None
+            if mask.any():
+                # Only the passing rows' groups and values are read.
+                passing_idx = self.cache.group_idx[mask]
+                passing = {a: v[mask] for a, v in self.cache.values.items()}
 
         counts = np.zeros(num_groups, dtype=np.int64)
         counts[: len(self.presence_counts)] = self.presence_counts
         if passing is not None:
-            counts = _bump_counts(counts, passing.group_idx)
+            counts = _bump_counts(counts, passing_idx)
             counts = counts[:num_groups] if len(counts) > num_groups else counts
         present = counts > 0
 
@@ -1065,7 +1068,7 @@ class BlockRuntime:
             boot = self.boot_states[alias]
             if passing is not None:
                 exact = exact.copy()
-                exact.update(passing.group_idx, passing.values[alias])
+                exact.update(passing_idx, passing[alias])
                 boot = boot.copy()
                 # Each trial folds the cache rows IT would keep, under
                 # its own inner-aggregate replicas.

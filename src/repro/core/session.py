@@ -163,9 +163,10 @@ class GolaSession:
     ``metrics`` knobs (a no-op tracer when those are off).
 
     The session owns one :class:`~repro.core.store.BatchStore`: a
-    streamed table is partitioned and its bootstrap weights are drawn by
-    its first query, and every later one reads them (one partitioned
-    copy plus ``trials`` bytes per streamed row).
+    streamed table's batch plan is drawn and its bootstrap weights are
+    drawn by its first query, and every later one reads them (an 8-byte
+    permutation slot plus ``trials`` weight bytes per streamed row; each
+    read gathers the batch's columns from the registered table).
     """
 
     def __init__(self, config: Optional[GolaConfig] = None,

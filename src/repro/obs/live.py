@@ -3,7 +3,8 @@
 :class:`LogBuckets` is an HDR-style log-bucketed value histogram:
 bounded memory (bucket count is bounded by the float64 exponent range
 times the per-octave resolution, independent of observation count),
-quantile estimates accurate to one bucket (~9% relative), and
+quantile estimates inside the bucket of the exact answer (~9% relative),
+interpolated by rank within it, and
 associative/commutative merges — the same mergeable-snapshot discipline
 as :class:`~repro.obs.metrics.MetricsSnapshot`, so histograms from
 worker processes combine exactly.  ``GET /metrics`` exports the buckets
@@ -56,6 +57,22 @@ def bucket_upper_edge(sign: int, index: int) -> float:
         return -(2.0 ** (index / BUCKETS_PER_OCTAVE))
     except OverflowError:
         return math.inf if sign > 0 else -math.inf
+
+
+def interpolate_in_bucket(upper: float, position: int, n: int) -> float:
+    """A value for the ``position``-th (0-based) of a bucket's ``n``
+    observations, given only the bucket's value-order upper edge.
+
+    The bucket spans one growth factor below ``upper`` (toward zero
+    for a negative bucket); the observation takes the midpoint of its
+    ``1/n`` share of that span, so a quantile moves smoothly with its
+    rank instead of in whole-bucket steps.  The zero bucket and an
+    infinite edge return ``upper``.
+    """
+    if upper == 0.0 or math.isinf(upper):
+        return upper
+    lower = upper / GROWTH if upper > 0.0 else upper * GROWTH
+    return lower + (upper - lower) * ((position + 0.5) / n)
 
 
 class LogBuckets:
@@ -149,9 +166,10 @@ class LogBuckets:
 
         Uses the ``lower`` order-statistic definition (rank
         ``floor(q * (count - 1))``) so the selected bucket is exactly
-        the one holding that order statistic; the returned value is the
-        bucket's value-order upper edge, hence within one bucket of the
-        exact answer.  NaN when empty.
+        the one holding that order statistic, and interpolates by that
+        rank's place among the bucket's observations
+        (:func:`interpolate_in_bucket`), hence stays inside the bucket
+        of the exact answer.  NaN when empty.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")
@@ -160,9 +178,10 @@ class LogBuckets:
         rank = math.floor(q * (self.count - 1))
         running = 0
         for sign, index, n in self.items():
+            if running + n > rank:
+                return interpolate_in_bucket(
+                    bucket_upper_edge(sign, index), rank - running, n)
             running += n
-            if running > rank:
-                return bucket_upper_edge(sign, index)
         # Unreachable unless counts were mutated mid-iteration.
         return bucket_upper_edge(*max(
             [(1, i) for i in self.pos] or [(0, 0)]

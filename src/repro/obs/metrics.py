@@ -119,7 +119,8 @@ class HistogramSnapshot:
         return self.total / self.count if self.count else float("nan")
 
     def quantile(self, q: float) -> float:
-        """Quantile estimate, accurate to one log bucket (~9%)."""
+        """Quantile estimate inside the exact answer's log bucket (~9%),
+        interpolated by rank within it."""
         return self.buckets.quantile(q)
 
     def merge(self, other: "HistogramSnapshot") -> "HistogramSnapshot":

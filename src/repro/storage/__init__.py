@@ -3,6 +3,7 @@
 from .catalog import Catalog
 from .io import read_csv, read_jsonl, write_csv, write_jsonl
 from .partition import (
+    BatchPlan,
     MiniBatchPartitioner,
     batch_sizes,
     random_sample,
@@ -16,6 +17,7 @@ from .colstore import (
 )
 
 __all__ = [
+    "BatchPlan",
     "Catalog",
     "ColstoreDataset",
     "Column",

@@ -23,11 +23,9 @@ import json
 import os
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from ...errors import StorageError
 from ...faults.quarantine import QuarantinedRow, RowQuarantine
-from ..partition import MiniBatchPartitioner
+from ..partition import BatchPlan, MiniBatchPartitioner
 from ..table import Column, ColumnType, Schema, Table
 from .format import DEFAULT_CHUNK_ROWS, PartitionReader, write_partition
 
@@ -250,23 +248,15 @@ class ColstoreDataset:
         """Materialize the dataset in its *original* row order, decoding
         only ``columns`` when given.
 
-        Inverts the partitioner's permutation (recomputed from the
-        manifest seed, never stored) so batch execution over the
-        materialized table matches the pre-conversion source exactly.
+        Places each batch at its rows under the partitioner's batch
+        plan (recomputed from the manifest seed, never stored) so batch
+        execution over the materialized table matches the
+        pre-conversion source exactly.
         """
-        batches = [self.batch(i, columns) for i in range(self.num_batches)]
-        rng = np.random.default_rng(self.seed)
-        if self.shuffle:
-            shuffled = Table.concat(batches) if batches else Table.empty(
-                self.schema if columns is None
-                else self.schema.select(columns))
-            perm = rng.permutation(self.num_rows)
-            return shuffled.take(np.argsort(perm))
-        order = rng.permutation(self.num_batches)
-        slots: List[Optional[Table]] = [None] * self.num_batches
-        for position, original in enumerate(order):
-            slots[original] = batches[position]
-        return Table.concat([t for t in slots if t is not None])
+        plan = BatchPlan(self.num_rows, self.num_batches, self.seed,
+                         self.shuffle)
+        return plan.restore(
+            [self.batch(i, columns) for i in range(self.num_batches)])
 
 
 def open_dataset(path) -> ColstoreDataset:

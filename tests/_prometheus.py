@@ -10,6 +10,8 @@ import math
 import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.live import interpolate_in_bucket
+
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 _SAMPLE_RE = re.compile(
@@ -30,9 +32,11 @@ def quantile_from_cumulative(pairs: Sequence[Tuple[float, float]],
     """Quantile estimate from (upper edge, cumulative count) pairs.
 
     The read-side twin of :meth:`~repro.obs.LogBuckets.quantile`, as a
-    scraper computes it from exported cumulative buckets.  Pairs must be
-    ascending in both fields; an ``inf`` edge (the ``+Inf`` bucket)
-    falls back to the previous finite edge so the estimate stays usable.
+    scraper computes it from exported cumulative buckets: the selected
+    bucket's count is the step in cumulative count, and the rank is
+    interpolated inside it.  Pairs must be ascending in both fields; an
+    ``inf`` edge (the ``+Inf`` bucket) falls back to the previous finite
+    edge so the estimate stays usable.
     """
     if not pairs:
         return float("nan")
@@ -40,12 +44,16 @@ def quantile_from_cumulative(pairs: Sequence[Tuple[float, float]],
     if total <= 0:
         return float("nan")
     rank = math.floor(q * (total - 1))
-    previous = pairs[0][0]
+    previous, below = pairs[0][0], 0
     for edge, running in pairs:
         if running > rank:
-            return previous if math.isinf(edge) else edge
+            if math.isinf(edge):
+                return previous
+            return interpolate_in_bucket(edge, rank - below,
+                                         running - below)
         if not math.isinf(edge):
             previous = edge
+        below = running
     return previous
 
 

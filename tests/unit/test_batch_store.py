@@ -1,9 +1,9 @@
-"""The session's batch store: each streamed table cut and weighted once.
+"""The session's batch store: each streamed table planned and weighted once.
 
-Every query of a session reads the same partition list and the same
-uint8 weight rectangles of a streamed table.  The store keeps one entry
-per table (its latest partitioning and weight set), drops it when the
-table is re-registered, and shows what it holds on
+Every query of a session reads the same batch plan and the same uint8
+weight rectangles of a streamed table.  The store keeps one entry per
+table (its latest batch plan and weight set, no batch), drops it when
+the table is re-registered, and shows what it holds on
 ``session.store_bytes``.
 """
 
@@ -21,7 +21,13 @@ from repro.obs import MetricsRegistry, Tracer
 from repro.storage import convert_table
 from repro.storage.colstore import ColstoreDataset
 from repro.storage.table import table_bytes
-from repro.workloads import SBI_QUERY, generate_conviva, generate_sessions
+from repro.workloads import (
+    SBI_QUERY,
+    TPCH_QUERIES,
+    generate_conviva,
+    generate_sessions,
+    generate_tpch,
+)
 
 ROWS = 6000
 CONFIG = GolaConfig(num_batches=4, bootstrap_trials=16, seed=5)
@@ -42,9 +48,9 @@ def _metered():
     return Tracer(metrics=MetricsRegistry(enabled=True))
 
 
-def _partition_bytes(store, session, name, config=CONFIG):
-    batches = store.partitions(name, session.catalog.get(name), config)
-    return sum(table_bytes(b) for b in batches)
+def _plan_bytes(session, name):
+    """A shuffled entry's plan: one int64 permutation slot per row."""
+    return 8 * session.catalog.get(name).num_rows
 
 
 class TestSessionSharing:
@@ -65,7 +71,8 @@ class TestSessionSharing:
                 drawn = tracer.metrics.snapshot().counters[
                     "bootstrap.columns_drawn"]
         assert seen[1] is seen[0]
-        assert all(b is a for a, b in zip(seen[0], seen[1]))
+        # The entry gathers from the registered table: no copy of it.
+        assert seen[0].source is session.catalog.get("sessions")
         counters = tracer.metrics.snapshot().counters
         assert counters["bootstrap.columns_drawn"] == drawn
         assert session.batch_store.stats["misses"] == 1
@@ -92,10 +99,8 @@ class TestSessionSharing:
         store = session.batch_store
         assert store.stats["entries"] == 1
         assert store.stats["misses"] == 2
-        assert store.nbytes == (
-            _partition_bytes(store, session, "sessions", _config(num_batches=6))
-            + ROWS * CONFIG.bootstrap_trials
-        )
+        assert store.nbytes == (_plan_bytes(session, "sessions")
+                                + ROWS * CONFIG.bootstrap_trials)
 
 
 class TestStoreBound:
@@ -111,13 +116,12 @@ class TestStoreBound:
         for seed, trials in ((5, 16), (6, 16), (6, 24), (7, 12)):
             sbi.run_to_completion(_config(seed=seed,
                                           bootstrap_trials=trials))
-        sessions_bytes = _partition_bytes(store, session, "sessions",
-                                          _config(seed=7))
+        sessions_bytes = _plan_bytes(session, "sessions")
         assert gauge() == sessions_bytes + ROWS * 12 == store.nbytes
         # VAR keeps bootstrap replicas (a flat AVG would draw nothing).
         session.sql("SELECT VAR(play_time) FROM conviva") \
             .run_to_completion()
-        conviva_bytes = _partition_bytes(store, session, "conviva")
+        conviva_bytes = _plan_bytes(session, "conviva")
         assert gauge() == (sessions_bytes + ROWS * 12
                            + conviva_bytes + ROWS * 16)
 
@@ -177,14 +181,15 @@ class TestStoreBound:
         table = generate_sessions(1000, seed=1)
         label = stream_label("t")
         four = store.partitions("t", table, _config(num_batches=4))
-        for i, batch in enumerate(four):
-            BatchWeights(4, 1, label, i, batch.num_rows, store=store).dense()
-        assert store.nbytes == table_bytes(table) + 4 * 1000
+        for i in range(4):
+            BatchWeights(4, 1, label, i, four.batch(i, []).num_rows,
+                         store=store).dense()
+        assert store.nbytes == 8 * 1000 + 4 * 1000
         two = store.partitions("t", table, _config(num_batches=2))
-        assert len(two) == 2
-        assert store.nbytes == table_bytes(table)
+        assert two.plan.num_batches == 2
+        assert store.nbytes == 8 * 1000
         assert store.stats == {"entries": 1, "hits": 0, "misses": 2,
-                               "bytes": table_bytes(table)}
+                               "bytes": 8 * 1000}
 
     def test_a_rectangle_of_another_length_is_drawn_not_stored(self):
         store = BatchStore()
@@ -230,8 +235,90 @@ class TestColstore:
         dataset = convert_table(table, tmp_path / "ds", 5, seed=CONFIG.seed)
         assert isinstance(dataset, ColstoreDataset)
         store = BatchStore()
-        batches = store.partitions("sessions", dataset, CONFIG)
-        assert isinstance(batches, list) and len(batches) == 4
-        assert store.partitions("sessions", dataset, CONFIG) is batches
+        entry = store.partitions("sessions", dataset, CONFIG)
+        assert entry.plan.num_batches == 4
+        assert store.partitions("sessions", dataset, CONFIG) is entry
         assert store.stats["misses"] == 1 and store.stats["hits"] == 1
-        assert store.nbytes == sum(table_bytes(b) for b in batches)
+        # The store alone holds the materialized table, so it counts.
+        assert store.nbytes == table_bytes(entry.source) + 8 * 2000
+
+
+def _parent_partition(table, num_batches, seed, shuffle):
+    """The partition list a store entry used to hold: the whole table
+    gathered through the permutation once, then sliced."""
+    rng = np.random.default_rng(seed)
+    n = table.num_rows
+    edges = np.linspace(0, n, num_batches + 1).astype(np.int64)
+    bounds = [(int(edges[i]), int(edges[i + 1]))
+              for i in range(num_batches)]
+    if shuffle:
+        shuffled = table.take(rng.permutation(n))
+        return [shuffled.slice(lo, hi) for lo, hi in bounds]
+    return [table.slice(*bounds[i]) for i in rng.permutation(num_batches)]
+
+
+def _assert_bitwise(got, want):
+    assert got.schema == want.schema and got.num_rows == want.num_rows
+    for name in want.schema.names:
+        a, b = got.column(name), want.column(name)
+        assert a.dtype == b.dtype
+        if a.dtype == object:
+            assert all(x is y for x, y in zip(a, b))
+        else:
+            assert a.tobytes() == b.tobytes()
+
+
+class TestGatheredBatches:
+    """The entry holds a permutation, not a shuffled copy: each read
+    gathers the query's columns, bit for bit the old partition's."""
+
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_step_and_rebuild_read_the_parent_batches(self, shuffle):
+        config = _config(num_batches=5, shuffle=shuffle)
+        table = generate_tpch(3000, seed=4)
+        session = GolaSession(config)
+        session.register_table("tpch", table)
+        query = session.sql(TPCH_QUERIES["Q17"]).query
+        columns = query.scan_columns["tpch"]
+        assert 0 < len(columns) < len(table.schema)
+        want = [b.select(columns) for b in _parent_partition(
+            table, 5, config.seed, shuffle)]
+        controller = session._make_controller(query, config)
+        read = []
+        batch = controller._batch
+
+        def spy(name, j):
+            read.append((j, batch(name, j)))
+            return read[-1][1]
+
+        controller._batch = spy
+        controller.begin()
+        while controller.step() is not None:
+            pass
+        # Every step and every rebuild of the run reads through _batch.
+        assert sorted(set(j for j, _ in read)) == list(range(5))
+        for j, got in read:
+            _assert_bitwise(got, want[j])
+        # A forced rebuild re-reads batches 1..5 the same way.
+        controller._batch = batch
+        seen = controller._seen("tpch", 5)
+        assert len(seen) == 5
+        for (got, _), expected in zip(seen, want):
+            _assert_bitwise(got, expected)
+        if not shuffle:
+            # Slice views of the registered columns: nothing copied.
+            assert all(np.shares_memory(got.column(c), table.column(c))
+                       for got, _ in seen for c in columns)
+        controller.release()
+
+    def test_wide_table_entry_holds_permutation_and_weights(self):
+        tracer = _metered()
+        session = GolaSession(CONFIG, tracer=tracer)
+        table = generate_tpch(ROWS, seed=4)
+        assert len(table.schema) == 13
+        session.register_table("tpch", table)
+        session.sql(TPCH_QUERIES["Q17"]).run_to_completion()
+        want = 8 * ROWS + CONFIG.bootstrap_trials * ROWS
+        assert session.batch_store.nbytes == want
+        assert tracer.metrics.snapshot().gauges["session.store_bytes"] \
+            == want

@@ -151,10 +151,13 @@ class TestDataset:
 
     def test_to_table_inverts_shuffle(self, tmp_path):
         table = sample_table(1500)
-        ds = open_dataset(convert_table(
-            table, tmp_path / "ds", num_batches=4, seed=3, shuffle=True,
-        ) and (tmp_path / "ds"))
-        assert_tables_equal(table, ds.to_table())
+        for shuffle in (True, False):
+            path = tmp_path / f"ds-{shuffle}"
+            ds = open_dataset(convert_table(
+                table, path, num_batches=4, seed=3, shuffle=shuffle,
+            ) and path)
+            assert_tables_equal(table, ds.to_table())
+            assert_tables_equal(table.select(["f"]), ds.to_table(["f"]))
 
     def test_batches_match_partitioner(self, tmp_path):
         from repro.storage.partition import MiniBatchPartitioner

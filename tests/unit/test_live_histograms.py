@@ -105,7 +105,7 @@ class TestLogBuckets:
     @given(values=values_strategy,
            q=st.floats(min_value=0.0, max_value=1.0))
     def test_quantile_within_one_bucket_of_exact(self, values, q):
-        """q-quantile lands in exactly the bucket holding the exact
+        """q-quantile lands inside exactly the bucket holding the exact
         order statistic ``sorted(v)[floor(q * (n - 1))]``."""
         buckets = LogBuckets()
         for value in values:
@@ -114,14 +114,28 @@ class TestLogBuckets:
             math.floor(q * (len(values) - 1))
         ])
         got = buckets.quantile(q)
-        assert got == bucket_upper_edge(*bucket_key(exact))
+        upper = bucket_upper_edge(*bucket_key(exact))
         if exact > 0:
-            assert exact <= got <= exact * GROWTH * (1 + 1e-9)
+            assert upper / GROWTH <= got <= upper
+            assert exact / GROWTH <= got <= exact * GROWTH * (1 + 1e-9)
         elif exact < 0:
-            assert exact <= got <= 0
-            assert abs(got) >= abs(exact) / GROWTH * (1 - 1e-9)
+            assert upper * GROWTH <= got <= upper
+            assert exact * GROWTH * (1 + 1e-9) <= got <= exact / GROWTH
         else:
             assert got == 0.0
+
+    def test_quantile_interpolates_by_rank_in_the_bucket(self):
+        """Ten observations in one bucket: each decile takes its own
+        tenth of the bucket, not the bucket's upper edge."""
+        buckets = LogBuckets()
+        for i in range(10):
+            buckets.observe(1.0 + i * 1e-3)
+        lower, upper = 1.0, GROWTH
+        got = [buckets.quantile(k / 9) for k in range(10)]
+        assert got == sorted(got) and len(set(got)) == 10
+        for k, value in enumerate(got):
+            assert value == pytest.approx(
+                lower + (upper - lower) * (k + 0.5) / 10, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(a=values_strategy, b=values_strategy, c=values_strategy)
