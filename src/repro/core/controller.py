@@ -32,9 +32,6 @@ from ..engine.executor import BatchExecutor
 from ..errors import CheckpointError, ExecutionError
 from ..estimate.bootstrap import BatchWeights, PoissonWeightSource, \
     stream_label
-from ..estimate.closed_form import normal_intervals
-from ..estimate.intervals import basic_intervals, relative_sds, \
-    relative_stdevs
 from ..estimate.variation import VariationRange
 from ..expr.expressions import Environment
 from ..expr.functions import DEFAULT_FUNCTIONS, FunctionRegistry
@@ -92,7 +89,6 @@ class QueryController:
             else tables[name].select(columns)
             for name, columns in self.scan_columns.items()
         }
-        self.udafs = udafs
         self.functions = functions
         self.tracer = (
             tracer if tracer is not None else tracer_from_config(config)
@@ -128,7 +124,8 @@ class QueryController:
             runtime.executor = self.parallel
         self._online_blocks = self.meta_plan.online_blocks
         self.static_states: Dict[int, object] = {
-            spec.slot: self._run_static(spec)
+            spec.slot: _run_static(spec, self.tables, udafs, functions,
+                                   self.tracer, config.bootstrap_trials)
             for spec in self.meta_plan.static_specs
         }
         self.main_runtime = self.meta_plan.main_runtime
@@ -136,46 +133,6 @@ class QueryController:
         self._last_batch: Optional[int] = None
         self._exec: Optional[dict] = None
         self._stopped = False
-
-    # ------------------------------------------------------------------
-
-    def _run_static(self, spec) -> object:
-        """Evaluate a dimension-table subquery exactly, once.
-
-        Static values are certain: their variation ranges are degenerate
-        and their replicas constant, so consumers classify against them
-        deterministically from the first batch.
-        """
-        executor = BatchExecutor(self.tables, self.udafs, self.functions,
-                                 tracer=self.tracer)
-        with self.tracer.span("phase:static", slot=spec.slot,
-                              kind=spec.kind):
-            result = executor.run_plan(spec.plan)
-        trials = self.config.bootstrap_trials
-        if spec.kind == "scalar":
-            values = result.column(spec.value_column)
-            value = float(values[0]) if len(values) else float("nan")
-            return ScalarSlotState(
-                slot=spec.slot, estimate=value,
-                replicas=np.full(trials, value),
-                vrange=VariationRange.degenerate(value),
-            )
-        if spec.kind == "keyed":
-            keys = result.column(spec.key_column)
-            values = result.column(spec.value_column).astype(np.float64)
-            index = GroupIndex()
-            index.encode(keys)
-            return KeyedSlotState(
-                slot=spec.slot, index=index, estimates=values,
-                replicas=np.repeat(values[:, None], trials, axis=1),
-                lows=values.copy(), highs=values.copy(),
-            )
-        members = set(result.column(spec.value_column).tolist())
-        return SetSlotState(
-            slot=spec.slot, point_members=members,
-            tri_status={k: TRI_TRUE for k in members},
-            default_status=TRI_FALSE,
-        )
 
     # ------------------------------------------------------------------
 
@@ -187,26 +144,19 @@ class QueryController:
             ) -> Iterator[OnlineSnapshot]:
         """Process mini-batches, yielding one snapshot per batch.
 
-        A thin generator over the incremental :meth:`begin` /
-        :meth:`step` API (what the serving scheduler drives directly);
-        both paths produce bit-identical snapshot streams.
-
-        A batch whose fold fails raises out of :meth:`step`, and so out
-        of this generator, and ends the run: a shard the supervised pool
-        could not compute even on the coordinator raises
-        :class:`~repro.errors.ShardLostError`.  Worker crashes, hangs
-        and corrupt results never reach here; the pool re-runs them
-        bit-identically.
+        A thin generator over :meth:`begin` / :meth:`step` (what the
+        serving scheduler drives directly); both give bit-identical
+        streams.  A batch whose fold fails raises out of :meth:`step`,
+        and so out of here, and ends the run: only a shard the pool
+        could not compute even on the coordinator does
+        (:class:`~repro.errors.ShardLostError`); worker crashes, hangs
+        and corrupt results are re-run bit-identically.
 
         ``resume_from`` (a :class:`RunCheckpoint` or a path to one saved
-        by :meth:`checkpoint`) continues the run after the checkpointed
-        batch instead of from scratch.
-
+        by :meth:`checkpoint`) continues after the checkpointed batch.
         When the iteration ends — completion, :meth:`stop`, or the
-        generator being closed — the run's memory (block states and
-        caches, checkpoint state) is released, so a finished query never
-        pins it for the session's lifetime.  Take checkpoints *during*
-        the run.
+        generator being closed — the run's memory is released, so take
+        checkpoints *during* the run.
         """
         self.begin(resume_from=resume_from)
         try:
@@ -266,21 +216,9 @@ class QueryController:
             if tracer.enabled:
                 tracer.event("checkpoint.resumed",
                              batch_index=ck.batch_index)
-        # The query span stays open across steps, so its elapsed time
-        # includes consumer think time between snapshots; per-batch work
-        # is what the child batch spans measure.  It is entered here and
-        # immediately popped off the thread-local span stack so that a
-        # scheduler interleaving many queries on one thread cannot nest
-        # one query's spans under another's; step() re-parents under it
-        # explicitly.
         qspan = tracer.span("query", streamed_table=self.streamed_table,
                             num_batches=k, blocks=len(self._online_blocks))
-        qspan.__enter__()
-        qspan_id = getattr(qspan, "span_id", None)
-        if qspan_id is not None:
-            stack = tracer._stack
-            if stack and stack[-1] == qspan_id:
-                stack.pop()
+        qspan_id = _open_detached(tracer, qspan)
         self._exec = {
             "batches": batches, "weight_sources": weight_sources,
             "k": k, "cursor": start_at, "span": qspan, "span_id": qspan_id,
@@ -342,15 +280,7 @@ class QueryController:
         ex = self._exec
         if ex is not None:
             self._exec = None
-            span = ex["span"]
-            if ex["span_id"] is not None:
-                # The span was popped off the stack at begin(); exit it
-                # against a clean scope so the record still closes
-                # correctly when other queries' spans are open.
-                with self.tracer.scoped_parent(None):
-                    span.__exit__(None, None, None)
-            else:
-                span.__exit__(None, None, None)
+            _close_detached(self.tracer, ex["span"], ex["span_id"])
         if self._owns_parallel:
             # Pools restart lazily, so closing here keeps the controller
             # reusable while releasing workers between runs.  close()
@@ -396,31 +326,6 @@ class QueryController:
 
     # ------------------------------------------------------------------
 
-    def _column_errors(self, out_table: Table,
-                       col_errors: Dict[str, np.ndarray],
-                       ) -> Dict[str, ColumnErrors]:
-        errors: Dict[str, ColumnErrors] = {}
-        confidence = self.config.confidence
-        for name, err in col_errors.items():
-            estimates = out_table.column(name).astype(np.float64)
-            if err.ndim == 1:
-                # A closed-form block's variances: est ± z·sd.
-                sd = np.sqrt(err)
-                lows, highs = normal_intervals(estimates, sd, confidence)
-                rel_stdev = relative_sds(estimates, sd)
-            else:
-                # Basic (reverse-percentile) bootstrap: reflecting the
-                # replica quantiles around the estimate keeps coverage
-                # nominal even for nested-aggregate queries whose
-                # per-replica thresholds bias the replica distribution
-                # (measured by `repro fuzz`'s sibling, `repro
-                # calibrate`).
-                lows, highs = basic_intervals(estimates, err, confidence)
-                rel_stdev = relative_stdevs(estimates, err)
-            errors[name] = ColumnErrors(lows=lows, highs=highs,
-                                        rel_stdev=rel_stdev)
-        return errors
-
     def _batch(self, name: str, j: int) -> Table:
         """Streamed table ``name``'s batch ``j`` (0-based), holding only
         the columns the query reads.
@@ -447,22 +352,6 @@ class QueryController:
             seen.append((batch, None if source is None
                          else source.handle(j, batch.num_rows)))
         return seen
-
-    def _process_block(self, block, i: int, table: str, batch: Table,
-                       weights, slot_states: Dict[int, object],
-                       penv: Environment):
-        """Fold one batch into one block; only its runtime mutates."""
-        with self.tracer.span("block", block=block.block_id) as bl:
-            stats = self.runtimes[block.block_id].process_batch(
-                i, batch, weights, slot_states, penv,
-                lambda: self._seen(table, i),
-            )
-            bl.set("rows_in", stats.rows_in)
-            bl.set("rows_processed", stats.rows_processed)
-            bl.set("uncertain", stats.uncertain_size)
-            if stats.rebuilt:
-                bl.set("rebuilt", True)
-        return stats, bl.elapsed_s
 
     def _run_batch(self, i: int, table_batches: Dict[str, Table],
                    weight_sources: Dict[str, PoissonWeightSource],
@@ -510,12 +399,19 @@ class QueryController:
             # slots its producers have already published this batch.
             for block in self._online_blocks:
                 table = self.block_tables[block.block_id]
-                stats, elapsed_s = self._process_block(
-                    block, i, table, table_batches[table], weights[table],
-                    slot_states, penv,
-                )
+                # Only this block's runtime mutates.
+                with tracer.span("block", block=block.block_id) as bl:
+                    stats = self.runtimes[block.block_id].process_batch(
+                        i, table_batches[table], weights[table],
+                        slot_states, penv, lambda: self._seen(table, i),
+                    )
+                    bl.set("rows_in", stats.rows_in)
+                    bl.set("rows_processed", stats.rows_processed)
+                    bl.set("uncertain", stats.uncertain_size)
+                    if stats.rebuilt:
+                        bl.set("rebuilt", True)
                 if phases is not None:
-                    phases["fold"] += elapsed_s
+                    phases["fold"] += bl.elapsed_s
                 rows_processed[block.block_id] = stats.rows_processed
                 uncertain_sizes[block.block_id] = stats.uncertain_size
                 if stats.rebuilt:
@@ -536,7 +432,8 @@ class QueryController:
                 out_table, col_errors = self.main_runtime.snapshot_output(
                     penv, slot_states, scale
                 )
-                errors = self._column_errors(out_table, col_errors)
+                errors = _column_errors(self.main_runtime.fold, out_table,
+                                        col_errors, self.config.confidence)
             if phases is not None:
                 phases["snapshot"] += snap_span.elapsed_s
             total_rows = sum(rows_processed.values())
@@ -560,3 +457,83 @@ class QueryController:
             phase_seconds=phases,
         )
 
+
+
+def _run_static(spec, tables: Dict[str, Table], udafs, functions,
+                tracer: Tracer, trials: int) -> object:
+    """Evaluate a dimension-table subquery exactly, once.
+
+    Static values are certain: their variation ranges are degenerate and
+    their replicas constant, so consumers classify against them
+    deterministically from the first batch.
+    """
+    executor = BatchExecutor(tables, udafs, functions, tracer=tracer)
+    with tracer.span("phase:static", slot=spec.slot, kind=spec.kind):
+        result = executor.run_plan(spec.plan)
+    if spec.kind == "scalar":
+        values = result.column(spec.value_column)
+        value = float(values[0]) if len(values) else float("nan")
+        return ScalarSlotState(
+            slot=spec.slot, estimate=value,
+            replicas=np.full(trials, value),
+            vrange=VariationRange.degenerate(value),
+        )
+    if spec.kind == "keyed":
+        keys = result.column(spec.key_column)
+        values = result.column(spec.value_column).astype(np.float64)
+        index = GroupIndex()
+        index.encode(keys)
+        return KeyedSlotState(
+            slot=spec.slot, index=index, estimates=values,
+            replicas=np.repeat(values[:, None], trials, axis=1),
+            lows=values.copy(), highs=values.copy(),
+        )
+    members = set(result.column(spec.value_column).tolist())
+    return SetSlotState(
+        slot=spec.slot, point_members=members,
+        tri_status={k: TRI_TRUE for k in members},
+        default_status=TRI_FALSE,
+    )
+
+
+def _column_errors(fold, out_table: Table, col_errors: Dict[str, np.ndarray],
+                   confidence: float) -> Dict[str, ColumnErrors]:
+    """Each column's interval and relative sd, by the main block's own
+    error fold."""
+    errors: Dict[str, ColumnErrors] = {}
+    for name, err in col_errors.items():
+        lows, highs, rel_stdev = fold.intervals(
+            out_table.column(name).astype(np.float64), err, confidence,
+        )
+        errors[name] = ColumnErrors(lows=lows, highs=highs,
+                                    rel_stdev=rel_stdev)
+    return errors
+
+
+def _open_detached(tracer: Tracer, span) -> Optional[int]:
+    """Enter a query span and pop it off the thread's span stack.
+
+    The query span stays open across steps, so its elapsed time includes
+    consumer think time between snapshots; per-batch work is what the
+    child batch spans measure.  Popping it keeps a scheduler that
+    interleaves many queries on one thread from nesting one query's
+    spans under another's; each step re-parents under the returned id
+    explicitly.
+    """
+    span.__enter__()
+    span_id = getattr(span, "span_id", None)
+    if span_id is not None:
+        stack = tracer._stack
+        if stack and stack[-1] == span_id:
+            stack.pop()
+    return span_id
+
+
+def _close_detached(tracer: Tracer, span, span_id: Optional[int]) -> None:
+    """Exit a span :func:`_open_detached` entered, against a clean scope
+    so the record closes correctly while other queries' spans are open."""
+    if span_id is None:
+        span.__exit__(None, None, None)
+        return
+    with tracer.scoped_parent(None):
+        span.__exit__(None, None, None)

@@ -119,12 +119,3 @@ class SetSlotState:
         return np.array(
             [get(k, default) for k in keys.tolist()], dtype=np.int8
         )
-
-
-SlotState = object  # union of the three dataclasses above
-
-
-def bind_all(states: Dict[int, SlotState], env: Environment) -> None:
-    """Bind every slot's point values into an expression environment."""
-    for state in states.values():
-        state.bind_point(env)

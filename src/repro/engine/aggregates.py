@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 from copy import deepcopy
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -326,29 +326,45 @@ class AggState:
     into the full-width state via :meth:`merge_columns`.  Reservoir and
     user-defined states (cross-trial shared structure) keep the default
     False and take the dense path.
+
+    A dense state declares its per-group arrays once, in ``_arrays``,
+    with the ``_fill`` of a new group's cells; ``_alloc``, ``copy``,
+    ``_merge`` (a merge of every column) and an additive
+    ``_merge_columns`` follow from the declaration.
     """
 
     supports_column_merge = False
+    #: Names of the state's ``(G, W)`` float64 arrays.
+    _arrays: Tuple[str, ...] = ()
+    #: The value a new group's cells start at.
+    _fill = 0.0
 
     def __init__(self, trials: Optional[int] = None):
         self.trials = trials
         self.width = trials if trials is not None else 1
         self.num_groups = 0
+        for name in self._arrays:
+            setattr(self, name, np.empty((0, self.width)))
 
     # -- subclass hooks -------------------------------------------------
 
     def _alloc(self, groups: int) -> None:
-        raise NotImplementedError
+        for name in self._arrays:
+            grown = np.full((groups, self.width), self._fill)
+            grown[: self.num_groups] = getattr(self, name)
+            setattr(self, name, grown)
 
     def _update(self, group_idx: np.ndarray, values: Optional[np.ndarray],
                 weights: np.ndarray) -> None:
         raise NotImplementedError
 
     def _merge(self, other: "AggState") -> None:
-        raise NotImplementedError
+        self._merge_columns(other, slice(None))
 
     def _merge_columns(self, other: "AggState", cols: slice) -> None:
-        raise NotImplementedError
+        for name in self._arrays:
+            getattr(self, name)[: other.num_groups, cols] += \
+                getattr(other, name)
 
     def _finalize(self, scale: float) -> np.ndarray:
         raise NotImplementedError
@@ -432,22 +448,18 @@ class AggState:
         return out
 
     def copy(self) -> "AggState":
-        raise NotImplementedError
+        out = type(self)(self.trials)
+        out.num_groups = self.num_groups
+        for name in self._arrays:
+            setattr(out, name, getattr(self, name).copy())
+        return out
 
 
 class SumState(AggState):
     """Weighted SUM.  Estimate of the population sum scales by ``k/i``."""
 
     supports_column_merge = True
-
-    def __init__(self, trials=None):
-        super().__init__(trials)
-        self.wsum = np.zeros((0, self.width))
-
-    def _alloc(self, groups):
-        grown = np.zeros((groups, self.width))
-        grown[: self.num_groups] = self.wsum
-        self.wsum = grown
+    _arrays = ("wsum",)
 
     def _update(self, group_idx, values, weights):
         # Batch delta first, then one += — the same per-cell accumulation
@@ -456,71 +468,28 @@ class SumState(AggState):
             group_idx, weights, self.num_groups, values=values
         )
 
-    def _merge(self, other):
-        self.wsum[: other.num_groups] += other.wsum
-
-    def _merge_columns(self, other, cols):
-        self.wsum[: other.num_groups, cols] += other.wsum
-
     def _finalize(self, scale):
         return self.wsum * scale
-
-    def copy(self):
-        out = SumState(self.trials)
-        out.num_groups = self.num_groups
-        out.wsum = self.wsum.copy()
-        return out
 
 
 class CountState(AggState):
     """Weighted COUNT (argument, if any, is ignored: the engine has no NULLs)."""
 
     supports_column_merge = True
-
-    def __init__(self, trials=None):
-        super().__init__(trials)
-        self.wcount = np.zeros((0, self.width))
-
-    def _alloc(self, groups):
-        grown = np.zeros((groups, self.width))
-        grown[: self.num_groups] = self.wcount
-        self.wcount = grown
+    _arrays = ("wcount",)
 
     def _update(self, group_idx, values, weights):
         self.wcount += _grouped_sum(group_idx, weights, self.num_groups)
 
-    def _merge(self, other):
-        self.wcount[: other.num_groups] += other.wcount
-
-    def _merge_columns(self, other, cols):
-        self.wcount[: other.num_groups, cols] += other.wcount
-
     def _finalize(self, scale):
         return self.wcount * scale
-
-    def copy(self):
-        out = CountState(self.trials)
-        out.num_groups = self.num_groups
-        out.wcount = self.wcount.copy()
-        return out
 
 
 class AvgState(AggState):
     """Weighted AVG = weighted sum / weighted count.  Scale-invariant."""
 
     supports_column_merge = True
-
-    def __init__(self, trials=None):
-        super().__init__(trials)
-        self.wsum = np.zeros((0, self.width))
-        self.wcount = np.zeros((0, self.width))
-
-    def _alloc(self, groups):
-        for name in ("wsum", "wcount"):
-            arr = getattr(self, name)
-            grown = np.zeros((groups, self.width))
-            grown[: self.num_groups] = arr
-            setattr(self, name, grown)
+    _arrays = ("wsum", "wcount")
 
     def _update(self, group_idx, values, weights):
         self.wsum += _grouped_sum(
@@ -528,24 +497,9 @@ class AvgState(AggState):
         )
         self.wcount += _grouped_sum(group_idx, weights, self.num_groups)
 
-    def _merge(self, other):
-        self.wsum[: other.num_groups] += other.wsum
-        self.wcount[: other.num_groups] += other.wcount
-
-    def _merge_columns(self, other, cols):
-        self.wsum[: other.num_groups, cols] += other.wsum
-        self.wcount[: other.num_groups, cols] += other.wcount
-
     def _finalize(self, scale):
         out = np.zeros_like(self.wsum)
         np.divide(self.wsum, self.wcount, out=out, where=self.wcount > 0)
-        return out
-
-    def copy(self):
-        out = AvgState(self.trials)
-        out.num_groups = self.num_groups
-        out.wsum = self.wsum.copy()
-        out.wcount = self.wcount.copy()
         return out
 
 
@@ -558,19 +512,7 @@ class VarState(AggState):
     """
 
     supports_column_merge = True
-
-    def __init__(self, trials=None):
-        super().__init__(trials)
-        self.wcount = np.zeros((0, self.width))
-        self.mean = np.zeros((0, self.width))
-        self.m2 = np.zeros((0, self.width))
-
-    def _alloc(self, groups):
-        for name in ("wcount", "mean", "m2"):
-            arr = getattr(self, name)
-            grown = np.zeros((groups, self.width))
-            grown[: self.num_groups] = arr
-            setattr(self, name, grown)
+    _arrays = ("wcount", "mean", "m2")
 
     def _update(self, group_idx, values, weights):
         # Combine groups [0, batch max] only, the rows a shard state of
@@ -601,9 +543,6 @@ class VarState(AggState):
         self.m2[:g, cols] += bm2 + delta ** 2 * old_count * ratio
         self.wcount[:g, cols] = total
 
-    def _merge(self, other):
-        self._combine(other.wcount, other.mean, other.m2)
-
     def _merge_columns(self, other, cols):
         self._combine(other.wcount, other.mean, other.m2, cols)
 
@@ -612,14 +551,6 @@ class VarState(AggState):
         denom = self.wcount - 1.0
         np.divide(self.m2, denom, out=var, where=denom > 0)
         return np.clip(var, 0.0, None)
-
-    def copy(self):
-        out = type(self)(self.trials)
-        out.num_groups = self.num_groups
-        out.wcount = self.wcount.copy()
-        out.mean = self.mean.copy()
-        out.m2 = self.m2.copy()
-        return out
 
 
 class StdevState(VarState):
@@ -649,17 +580,9 @@ class MinState(AggState):
     """
 
     supports_column_merge = True
+    _arrays = ("extreme",)
     _fill = np.inf
     _ufunc = np.minimum
-
-    def __init__(self, trials=None):
-        super().__init__(trials)
-        self.extreme = np.full((0, self.width), self._fill)
-
-    def _alloc(self, groups):
-        grown = np.full((groups, self.width), self._fill)
-        grown[: self.num_groups] = self.extreme
-        self.extreme = grown
 
     def _update(self, group_idx, values, weights):
         if self.width == 1:
@@ -705,10 +628,6 @@ class MinState(AggState):
             self._ufunc.at(flat, ordered[rows] * self.width + cols,
                            values[rows])
 
-    def _merge(self, other):
-        g = other.num_groups
-        self.extreme[:g] = self._ufunc(self.extreme[:g], other.extreme)
-
     def _merge_columns(self, other, cols):
         g = other.num_groups
         self.extreme[:g, cols] = self._ufunc(
@@ -717,12 +636,6 @@ class MinState(AggState):
 
     def _finalize(self, scale):
         return self.extreme
-
-    def copy(self):
-        out = type(self)(self.trials)
-        out.num_groups = self.num_groups
-        out.extreme = self.extreme.copy()
-        return out
 
 
 class MaxState(MinState):

@@ -98,8 +98,8 @@ class BatchWeights:
 
     A view: with a :class:`~repro.core.store.BatchStore`, :meth:`dense`
     and :meth:`rows` read the store's rectangle; without one every dense
-    read draws.  The handle pickles to its spec, never to the store, so
-    it is cheap to ship.
+    read draws.  Handles stay on the coordinator: a pooled fold ships
+    the rectangle through shared memory, never the handle.
     """
 
     def __init__(self, trials: int, master_seed: int, label: str,
@@ -111,19 +111,8 @@ class BatchWeights:
         self.batch_index = batch_index
         self.num_rows = num_rows
         self.store = store
-        #: Registry counting columns drawn (an unpickled handle has none).
+        #: Registry counting columns drawn.
         self.metrics = metrics
-
-    def spec(self) -> dict:
-        """Picklable recipe for redrawing the rectangle (pickling and
-        checkpoints)."""
-        return {
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "label": self.label,
-            "batch_index": self.batch_index,
-            "num_rows": self.num_rows,
-        }
 
     def draw(self) -> np.ndarray:
         """Generate the rectangle: F-order uint8, so each column is drawn
@@ -149,14 +138,6 @@ class BatchWeights:
         """Dense weight rows for ``row_idx`` (all rows when None)."""
         dense = self.dense()
         return dense if row_idx is None else dense[row_idx]
-
-    def __getstate__(self):
-        # The spec alone: the handle redraws identical weights wherever
-        # it lands, and the store never travels.
-        return self.spec()
-
-    def __setstate__(self, state):
-        self.__init__(**state)
 
 
 class DenseBatchWeights:

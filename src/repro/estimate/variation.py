@@ -69,10 +69,18 @@ class VariationRange:
 
 def range_from_replicas(estimate: float, replicas: np.ndarray,
                         epsilon_multiplier: float = 1.0) -> VariationRange:
-    """Approximate ``R(u)`` from the running estimate and its replicas."""
+    """Approximate ``R(u)`` from the running estimate and its replicas.
+
+    Only finite replicas bound the range: a MIN/MAX trial that never
+    sampled the value's rows holds +-inf, which says nothing about where
+    ``u`` may go.  With no finite replica the range is unbounded.
+    """
     replicas = np.asarray(replicas, dtype=np.float64)
     if replicas.size == 0:
         return VariationRange.degenerate(estimate)
+    replicas = replicas[np.isfinite(replicas)]
+    if replicas.size == 0:
+        return VariationRange(-np.inf, np.inf)
     eps = epsilon_multiplier * float(np.std(replicas))
     low = min(float(np.min(replicas)), estimate) - eps
     high = max(float(np.max(replicas)), estimate) + eps
@@ -86,11 +94,19 @@ def ranges_from_replica_matrix(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized per-group ranges for keyed uncertain values.
 
-    Returns ``(lows, highs)`` arrays of shape ``(G,)``.
+    Returns ``(lows, highs)`` arrays of shape ``(G,)``.  A group with a
+    non-finite replica takes :func:`range_from_replicas`' rule.
     """
     estimates = np.asarray(estimates, dtype=np.float64)
     matrix = np.asarray(replica_matrix, dtype=np.float64)
-    eps = epsilon_multiplier * matrix.std(axis=1)
-    lows = np.minimum(matrix.min(axis=1), estimates) - eps
-    highs = np.maximum(matrix.max(axis=1), estimates) + eps
+    with np.errstate(invalid="ignore"):  # such rows are redone below
+        sd = matrix.std(axis=1)
+        eps = epsilon_multiplier * sd
+        lows = np.minimum(matrix.min(axis=1), estimates) - eps
+        highs = np.maximum(matrix.max(axis=1), estimates) + eps
+    # A non-finite replica makes its row's sd non-finite.
+    for g in np.flatnonzero(~np.isfinite(sd)):
+        vrange = range_from_replicas(float(estimates[g]), matrix[g],
+                                     epsilon_multiplier)
+        lows[g], highs[g] = vrange.low, vrange.high
     return lows, highs

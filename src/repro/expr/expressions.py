@@ -54,6 +54,23 @@ class Environment:
 EMPTY_ENV = Environment()
 
 
+class ArrayTable:
+    """Minimal table adapter letting expressions evaluate over plain arrays.
+
+    Columns are ``(G,)`` point values, or ``(G, B)`` replica matrices
+    against ``(G, 1)`` group keys so per-trial arithmetic broadcasts.
+    """
+
+    def __init__(self, columns: Dict[str, np.ndarray], num_rows: int):
+        self._columns = columns
+        self.num_rows = num_rows
+
+    def column(self, name: str) -> np.ndarray:
+        if name not in self._columns:
+            raise ExecutionError(f"unknown column {name!r}")
+        return self._columns[name]
+
+
 class Expression:
     """Base class for all expression nodes."""
 

@@ -5,9 +5,10 @@ A :class:`RunCheckpoint` captures everything a
 online run from the last completed mini-batch instead of from scratch:
 
 * progress — the last batch index;
-* per-block delta state — folded aggregate states, the uncertain-set
-  cache, guards and the group index (deep-copied so the live run can
-  keep mutating);
+* per-block delta state — the block's guards, its uncertain cache, its
+  error fold (exact states, presence and bootstrap or closed-form error
+  state) and its group index, deep-copied so the live run can keep
+  mutating;
 * the fault injector's RNG streams, so a resumed run injects exactly
   the worker faults the uninterrupted run would have.
 
@@ -35,7 +36,7 @@ from typing import Dict, Union
 
 from ..errors import CheckpointError
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def config_fingerprint(config) -> str:

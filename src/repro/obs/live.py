@@ -17,6 +17,7 @@ because observations arrive one at a time from scheduler threads.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 #: Buckets per power of two; 8 gives a bucket width (growth factor) of
@@ -27,18 +28,24 @@ BUCKETS_PER_OCTAVE = 8
 GROWTH = 2.0 ** (1.0 / BUCKETS_PER_OCTAVE)
 
 
+#: The index of the largest float64's bucket; +/-inf share it.
+EXTREME_INDEX = math.floor(math.log2(sys.float_info.max) * BUCKETS_PER_OCTAVE)
+
+
 def bucket_key(value: float) -> Tuple[int, int]:
     """The (sign, index) bucket a value falls into.
 
     ``sign`` is -1/0/+1; for nonzero values ``index`` is
     ``floor(log2(|v|) * BUCKETS_PER_OCTAVE)``, so bucket ``(1, i)``
     covers ``[2**(i/8), 2**((i+1)/8))``.  The index range representable
-    by float64 is about [-8600, 8200] — the hard memory bound.
+    by float64 is about [-8600, 8200] — the hard memory bound; +/-inf
+    take the extreme index, whose value-order edge is infinite.
     """
     if value == 0.0:
         return (0, 0)
     magnitude = abs(value)
-    index = math.floor(math.log2(magnitude) * BUCKETS_PER_OCTAVE)
+    index = EXTREME_INDEX if math.isinf(magnitude) else math.floor(
+        math.log2(magnitude) * BUCKETS_PER_OCTAVE)
     return (1 if value > 0.0 else -1, index)
 
 
@@ -67,11 +74,14 @@ def interpolate_in_bucket(upper: float, position: int, n: int) -> float:
     for a negative bucket); the observation takes the midpoint of its
     ``1/n`` share of that span, so a quantile moves smoothly with its
     rank instead of in whole-bucket steps.  The zero bucket and an
-    infinite edge return ``upper``.
+    infinite edge return that edge; so does the most negative bucket,
+    whose span reaches -inf.
     """
     if upper == 0.0 or math.isinf(upper):
         return upper
     lower = upper / GROWTH if upper > 0.0 else upper * GROWTH
+    if math.isinf(lower):
+        return lower
     return lower + (upper - lower) * ((position + 0.5) / n)
 
 

@@ -64,7 +64,7 @@ class Predicate:
 
     sql: str
     kind: str  # compare | between | in_list | bool | scalar_sub |
-    #            keyed_sub | in_sub
+    #            keyed_sub | in_sub | guard_sub (deep) | ...
 
     def to_dict(self) -> dict:
         return {"sql": self.sql, "kind": self.kind}
@@ -182,7 +182,7 @@ class QuerySpec:
     @property
     def uses_subquery(self) -> bool:
         return self.having_uses_subquery or any(
-            p.kind in ("scalar_sub", "keyed_sub", "in_sub")
+            p.kind in ("scalar_sub", "keyed_sub", "in_sub", "guard_sub")
             for p in self.predicates
         )
 
@@ -390,7 +390,7 @@ class QueryGenerator:
             "scalar_sub",
         )
 
-    def _keyed_sub_predicate(self) -> Predicate:
+    def _keyed_sub_predicate(self, func: str = "AVG") -> Predicate:
         """Equality-correlated scalar subquery (per-key inner aggregate)."""
         key = self._choice(self._keys).name
         col = self._choice(list(self.stats))
@@ -399,7 +399,7 @@ class QueryGenerator:
         op = self._choice(["<", ">"])
         fact = self.fact.name
         return Predicate(
-            f"{col} {op} (SELECT {_fmt(f)} * AVG({inner}) FROM {fact} t "
+            f"{col} {op} (SELECT {_fmt(f)} * {func}({inner}) FROM {fact} t "
             f"WHERE t.{key} = {fact}.{key})",
             "keyed_sub",
         )
@@ -451,6 +451,31 @@ class QueryGenerator:
             "fact2_keyed_sub",
         )
 
+    def _guard_sub_predicate(self) -> Predicate:
+        """A nested AVG/MIN/MAX, plain (keyed MIN/MAX then reach the
+        decision guard) or in a shape only the fallback guards watch:
+        ``=``, an ``OR``, two slots, a row column beside the slot."""
+        fact = self.fact.name
+        base = (
+            self._keyed_sub_predicate(self._choice(["AVG", "MIN", "MAX"]))
+            if self._keys and self.rng.random() < 0.5
+            else self._scalar_sub_predicate()
+        ).sql
+        shape = self._choice(["eq", "or", "two", "row", "plain"])
+        if shape == "eq" and self._distinctable:
+            # Rows holding the extreme: integral, so equality decides.
+            col = self._choice(self._distinctable)
+            func = self._choice(["MIN", "MAX"])
+            base = f"{col} = (SELECT {func}({col}) FROM {fact})"
+        elif shape == "or":
+            base = f"({base} OR {self._compare_predicate().sql})"
+        elif shape == "two":
+            other = self._choice(self._numeric)
+            base += f" - 0.5 * (SELECT AVG({other}) FROM {fact})"
+        elif shape == "row":
+            base += f" + 0.1 * {self._choice(self._numeric)}"
+        return Predicate(base, "guard_sub")
+
     def _empty_group_predicate(self) -> Predicate:
         """Extreme-quantile filter: most groups shrink to a few rows,
         some to zero — the empty-group edge bias."""
@@ -471,6 +496,8 @@ class QueryGenerator:
             if self._keys:
                 menu += [self._keyed_sub_predicate] * 2
                 menu += [self._in_sub_predicate] * 2
+            if self.grammar == "deep":
+                menu += [self._guard_sub_predicate] * 2
             if self.grammar == "deep" and self._fact2_numeric:
                 menu += [self._fact2_scalar_sub_predicate] * 2
                 if self._keys:

@@ -185,11 +185,12 @@ class DifferentialRunner:
         #: run so far: a sweep that shards none has not fuzzed the pool.
         self.sharded_folds = 0
         self._table_cache: Dict[TableSpec, Table] = {}
-        # Converted-dataset cache for the colstore path: one temp dir
-        # per (table, partitioning) combination, kept for the runner's
-        # lifetime so repeated cases don't re-encode.
+        # Converted-dataset cache for the colstore path: one dataset
+        # per (table, partitioning) combination under one temp dir,
+        # kept for the runner's lifetime so repeated cases don't
+        # re-encode, and removed when the runner goes (or at exit).
         self._dataset_cache: Dict[tuple, "Path"] = {}
-        self._dataset_tmp = None
+        self._dataset_tmp: Optional[str] = None
 
     # -- materialization -------------------------------------------------
 
@@ -278,7 +279,9 @@ class DifferentialRunner:
         byte.  The final table then also enters
         the ordinary cross-path comparison.
         """
+        import shutil
         import tempfile
+        import weakref
 
         from .identity import snapshot_fingerprint
         from ..storage.colstore import convert_table
@@ -287,9 +290,9 @@ class DifferentialRunner:
         mem_fp = snapshot_fingerprint(session.sql(sql).run_online())
 
         if self._dataset_tmp is None:
-            self._dataset_tmp = tempfile.TemporaryDirectory(
-                prefix="repro-qa-colstore-"
-            )
+            self._dataset_tmp = tempfile.mkdtemp(prefix="repro-qa-colstore-")
+            weakref.finalize(self, shutil.rmtree, self._dataset_tmp,
+                             ignore_errors=True)
         for name in list(session.catalog):
             if not session.catalog.is_streamed(name):
                 continue
@@ -298,7 +301,7 @@ class DifferentialRunner:
                    config.shuffle)
             ds_path = self._dataset_cache.get(key)
             if ds_path is None:
-                ds_path = (Path(self._dataset_tmp.name)
+                ds_path = (Path(self._dataset_tmp)
                            / f"ds-{len(self._dataset_cache):04d}")
                 convert_table(
                     table, ds_path, num_batches=config.num_batches,

@@ -106,7 +106,7 @@ def render_prometheus(snapshot: MetricsSnapshot) -> str:
         )
         lines.append(f"# TYPE {family} histogram")
         for edge, cum in hist.buckets.cumulative():
-            if math.isinf(edge):
+            if edge == math.inf:
                 continue  # folded into the +Inf bucket below
             lines.append(
                 f'{family}_bucket{{le="{_prom_value(edge)}"}} {cum}'

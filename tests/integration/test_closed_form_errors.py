@@ -14,6 +14,7 @@ import pytest
 from repro import GolaConfig, GolaSession
 from repro.config import ParallelConfig
 from repro.core.delta import BlockRuntime
+from repro.core.folds import ClosedFormFold
 from repro.core.meta_plan import compile_meta_plan
 from repro.expr.expressions import Environment
 from repro.obs import MetricsRegistry, Tracer
@@ -45,7 +46,7 @@ def _twins(sql, fact, trials):
     plan = compile_meta_plan(session.sql(sql).query, {"fact": fact},
                              {"fact": True}, config)
     closed = plan.main_runtime
-    assert closed.closed_form is not None, plan.replica_reasons
+    assert isinstance(closed.fold, ClosedFormFold), plan.replica_reasons
     boot = BlockRuntime(plan.online_blocks[-1], None, config, {})
     return config, closed, boot
 
@@ -95,9 +96,9 @@ def test_closed_form_sd_matches_4000_poisson_replicas(fact, sql):
 def test_moment_states_carry_no_trial_axis(fact):
     _, closed, _ = _twins(
         "SELECT g, COUNT(*), SUM(x), AVG(x) FROM fact GROUP BY g", fact, 64)
-    assert closed.boot_states == {}
-    assert all(s.width == 1 for s in closed.moment_states.values())
-    assert sorted(type(s).__name__ for s in closed.moment_states.values()) \
+    assert all(s.width == 1 for s in closed.fold.exact.values())
+    assert all(s.width == 1 for s in closed.fold.moments.values())
+    assert sorted(type(s).__name__ for s in closed.fold.moments.values()) \
         == ["SumState", "VarState"]
 
 

@@ -23,10 +23,29 @@ from repro.errors import CheckpointError
 from repro.faults import RunCheckpoint
 from repro.obs import JsonlSink, MetricsRegistry, Tracer, load_events
 from repro.qa.identity import snapshot_fingerprint
+from repro.workloads import Q18_QUERY, generate_conviva, generate_tpch
 from repro.workloads.sessions import SBI_QUERY, generate_sessions
 
 ROWS = 4000
 TABLE = generate_sessions(ROWS, seed=13)
+CONVIVA = generate_conviva(ROWS, seed=13)
+
+#: One query per owner a checkpoint carries: name -> (table name,
+#: table, SQL).  SBI exercises a decision guard and the uncertain
+#: cache, Q18 a set guard, GEO the closed-form fold, and the keyed
+#: ``OR`` shape the fallback range guard.
+OWNER_QUERIES = {
+    "SBI": ("sessions", TABLE, SBI_QUERY),
+    "Q18": ("tpch", generate_tpch(ROWS, seed=13), Q18_QUERY),
+    "GEO": ("conviva", CONVIVA,
+            "SELECT geo, COUNT(*), AVG(buffer_time) FROM conviva "
+            "GROUP BY geo"),
+    "fallback": ("conviva", CONVIVA,
+                 "SELECT COUNT(*), AVG(play_time) FROM conviva "
+                 "WHERE buffer_time > 0.5 * (SELECT MAX(buffer_time) "
+                 "FROM conviva c WHERE c.content_id = conviva.content_id) "
+                 "OR geo = 'US'"),
+}
 
 #: Kills three in ten pool attempts; every fold goes to the pool.
 KILLY = FaultsConfig(enabled=True, seed=21, worker_kill_prob=0.3)
@@ -36,18 +55,21 @@ CORRUPTY = FaultsConfig(enabled=True, seed=5, row_corruption_prob=0.01,
                         row_error_budget=0.05)
 
 
-def make_session(faults=None, tracer=None, csv=None, **overrides):
-    """The sessions table registered, or loaded from ``csv``."""
+def make_session(faults=None, tracer=None, csv=None, query="SBI",
+                 **overrides):
+    """``query``'s table registered (the sessions table may instead be
+    loaded from ``csv``)."""
     kwargs = dict(
         num_batches=10, bootstrap_trials=60, seed=17,
         faults=faults if faults is not None else FaultsConfig(),
     )
     kwargs.update(overrides)
     session = GolaSession(GolaConfig(**kwargs), tracer=tracer)
+    name, table, _ = OWNER_QUERIES[query]
     if csv is None:
-        session.register_table("sessions", TABLE)
+        session.register_table(name, table)
     else:
-        session.load_csv("sessions", csv)
+        session.load_csv(name, csv)
     return session
 
 
@@ -102,29 +124,32 @@ class TestDeterminism:
             assert a.estimate == b.estimate
 
 
-def clean_serial_stream():
-    return snapshot_fingerprint(make_session().sql(SBI_QUERY).run_online())
+def clean_serial_stream(query="SBI"):
+    sql = OWNER_QUERIES[query][2]
+    return snapshot_fingerprint(
+        make_session(query=query).sql(sql).run_online())
 
 
 def interrupt_and_resume(stop_after, faults=None, parallel=None,
-                         resume_faults=None, via_file=None):
-    """Run ``stop_after`` batches, checkpoint, kill the run, and resume
-    it in a fresh session (under ``resume_faults``, if given): the
-    whole stream's fingerprint."""
+                         resume_faults=None, via_file=None, query="SBI"):
+    """Run ``query`` for ``stop_after`` batches, checkpoint, kill the
+    run, and resume it in a fresh session (under ``resume_faults``, if
+    given): the whole stream's fingerprint."""
     pool = parallel if parallel is not None else ParallelConfig()
-    session = make_session(faults=faults, parallel=pool)
-    query = session.sql(SBI_QUERY)
-    it = query.run_online()
+    sql = OWNER_QUERIES[query][2]
+    session = make_session(faults=faults, parallel=pool, query=query)
+    run = session.sql(sql)
+    it = run.run_online()
     prefix = [next(it) for _ in range(stop_after)]
-    ck = query.checkpoint()
+    ck = run.checkpoint()
     it.close()  # the "kill"
     if via_file is not None:
         ck.save(via_file)
         ck = str(via_file)
     fresh = make_session(
         faults=resume_faults if resume_faults is not None else faults,
-        parallel=pool)
-    rest = list(fresh.sql(SBI_QUERY).run_online(resume_from=ck))
+        parallel=pool, query=query)
+    rest = list(fresh.sql(sql).run_online(resume_from=ck))
     assert [s.batch_index for s in rest] == list(range(stop_after + 1, 11))
     return snapshot_fingerprint(prefix + rest)
 
@@ -132,6 +157,15 @@ def interrupt_and_resume(stop_after, faults=None, parallel=None,
 class TestCheckpointResume:
     def test_resume_clean_run_roundtrip(self):
         assert interrupt_and_resume(stop_after=4) == clean_serial_stream()
+
+    @pytest.mark.parametrize("query", list(OWNER_QUERIES))
+    def test_resume_restores_every_owner(self, query):
+        """Guards, uncertain cache and both error folds survive a
+        checkpoint: serial, and pooled under worker kills."""
+        clean = clean_serial_stream(query)
+        assert interrupt_and_resume(stop_after=4, query=query) == clean
+        assert interrupt_and_resume(stop_after=6, faults=KILLY,
+                                    parallel=POOL, query=query) == clean
 
     def test_resume_faulty_run_roundtrip(self):
         """RNG streams (weights + injector) must resume exactly."""
@@ -286,6 +320,40 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError, match="version 2"):
             list(make_session().sql(SBI_QUERY).run_online(
                 resume_from=str(path)))
+
+    def test_version_three_checkpoint_is_refused(self, tmp_path):
+        """Version 3 carried each block's state as flat runtime fields
+        (exact, trial and moment states, guards by kind, the cache's
+        rows); version 4 carries the block's guards, uncertain cache and
+        error fold as objects, so a version-3 file no longer resumes."""
+        session = make_session()
+        query = session.sql(SBI_QUERY)
+        it = query.run_online()
+        next(it)
+        ck = query.checkpoint()
+        it.close()
+        ck.version = 3
+        path = tmp_path / "v3.ck"
+        ck.save(path)
+        with pytest.raises(CheckpointError, match="version 3"):
+            list(make_session().sql(SBI_QUERY).run_online(
+                resume_from=str(path)))
+
+    def test_checkpoint_file_skips_uncalled_udafs(self, tmp_path):
+        """A checkpoint pickles each block's fold, which keeps only the
+        UDAFs its query calls: a session's lambda UDAF, which cannot
+        pickle, does not stop a query that never calls it from saving."""
+        session = make_session()
+        session.register_udaf("noop", lambda: 0.0, lambda s, v, w: s,
+                              lambda a, b: a, lambda s, scale: s)
+        query = session.sql(SBI_QUERY)
+        it = query.run_online()
+        next(it)
+        query.checkpoint().save(tmp_path / "run.ck")
+        it.close()
+        rest = list(make_session().sql(SBI_QUERY).run_online(
+            resume_from=str(tmp_path / "run.ck")))
+        assert [s.batch_index for s in rest] == list(range(2, 11))
 
     def test_checkpoint_before_any_batch_raises(self):
         session = make_session()

@@ -99,7 +99,7 @@ class TestWalkthrough:
             1, batch, weights, {0: state}, penv,
             lambda: [(batch, weights)],
         )
-        cached = main.cache.table.column("buffer_time").tolist()
+        cached = main.cache.rows.table.column("buffer_time").tolist()
         assert cached == [36.0]  # exactly t1 is uncertain
         assert stats.folded_pass == 1  # t2
         assert stats.folded_fail == 1  # tn

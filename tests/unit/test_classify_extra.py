@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import IntervalEnv, ScalarSlotState, TRI_FALSE, TRI_TRUE, TRI_UNKNOWN
 from repro.core.classify import interval_eval, tri_eval
-from repro.core.delta import _analyze_guard
+from repro.core.guards import _analyze_guard
 from repro.estimate import VariationRange
 from repro.expr.expressions import (
     Between,

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro import GolaConfig
-from repro.core.delta import (
-    BlockRuntime,
-    CachedRows,
-    _bump_counts,
-    parse_block,
-)
+from repro.core.delta import BlockRuntime, CachedRows, parse_block
+from repro.core.folds import _bump_counts
 from repro.core.uncertain import ScalarSlotState
 from repro.errors import UnsupportedQueryError
 from repro.estimate import VariationRange
@@ -216,11 +212,11 @@ class TestBlockRuntimeMechanics:
             fact,
         )
         main = runtimes["main"]
-        from repro.core.delta import _ScalarGuard
+        from repro.core.guards import _ScalarGuard
 
-        guard = _ScalarGuard()
+        guard = _ScalarGuard(0)
         guard.range = VariationRange(0.0, 1.0)
-        main.guards[0] = guard
+        main.guards.guards.append((0, guard))
         state = ScalarSlotState(
             slot=0, estimate=10.0, replicas=np.array([9.5, 10.5]),
             vrange=VariationRange(9.0, 11.0),

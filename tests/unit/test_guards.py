@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.delta import (
-    _SetGuard,
-    _analyze_guard,
-)
+from repro.core.guards import _SetGuard, _analyze_guard
 from repro.core.uncertain import (
     TRI_FALSE,
     TRI_TRUE,
@@ -28,7 +25,6 @@ from repro.expr.expressions import (
     SubqueryRef,
 )
 from repro.core.classify import IntervalEnv
-from repro.core.delta import CachedRows
 from repro.storage import Table
 
 
@@ -100,14 +96,14 @@ class TestAnalyzeGuard:
         assert kind == "fallback"
 
 
-def cached(values, weights_width=2):
-    n = len(values)
-    return CachedRows(
-        table=Table.from_columns({"x": np.asarray(values, dtype=float)}),
-        weights=np.ones((n, weights_width)),
-        group_idx=np.zeros(n, dtype=np.int64),
-        values={"agg": np.asarray(values, dtype=float)},
-    )
+def cached(values):
+    return Table.from_columns({"x": np.asarray(values, dtype=float)})
+
+
+def commit(guard, rows, tri, state):
+    """Commit folds whose final decision is the predicate's own."""
+    guard.commit(rows, tri, tri, {0: state},
+                 IntervalEnv(slots={0: state}, point=Environment()))
 
 
 class TestDecisionGuardScalar:
@@ -122,7 +118,7 @@ class TestDecisionGuardScalar:
         rows = cached([1.0, 5.0, 9.0])
         tri = np.array([TRI_FALSE, TRI_UNKNOWN, TRI_TRUE], dtype=np.int8)
         state = scalar_state(5.0, 4.0, 6.0)
-        guard.commit(rows, tri, tri, {0: state}, Environment())
+        commit(guard, rows, tri, state)
         ienv = IntervalEnv(slots={0: state},
                            point=Environment(scalars={0: 5.0}))
         assert guard.check({0: state}, ienv)
@@ -132,7 +128,7 @@ class TestDecisionGuardScalar:
         rows = cached([9.0])
         tri = np.array([TRI_TRUE], dtype=np.int8)
         state = scalar_state(5.0, 4.0, 6.0)
-        guard.commit(rows, tri, tri, {0: state}, Environment())
+        commit(guard, rows, tri, state)
         # Point estimate drifts ABOVE the folded-true row's value: the
         # decision "9 > u" is no longer point-correct.
         moved = scalar_state(9.5, 9.0, 10.0)
@@ -145,7 +141,7 @@ class TestDecisionGuardScalar:
         rows = cached([1.0])
         tri = np.array([TRI_FALSE], dtype=np.int8)
         state = scalar_state(5.0, 4.0, 6.0)
-        guard.commit(rows, tri, tri, {0: state}, Environment())
+        commit(guard, rows, tri, state)
         moved = scalar_state(0.5, 0.2, 0.8)
         ienv = IntervalEnv(slots={0: moved},
                            point=Environment(scalars={0: 0.5}))
@@ -156,7 +152,7 @@ class TestDecisionGuardScalar:
         rows = cached([5.0])
         tri = np.array([TRI_UNKNOWN], dtype=np.int8)
         state = scalar_state(5.0, 4.0, 6.0)
-        guard.commit(rows, tri, tri, {0: state}, Environment())
+        commit(guard, rows, tri, state)
         # Huge drift: still fine, nothing was folded.
         moved = scalar_state(100.0, 99.0, 101.0)
         ienv = IntervalEnv(slots={0: moved},
@@ -168,7 +164,7 @@ class TestDecisionGuardScalar:
         rows = cached([9.0])
         tri = np.array([TRI_TRUE], dtype=np.int8)
         state = scalar_state(5.0, 4.0, 6.0)
-        guard.commit(rows, tri, tri, {0: state}, Environment())
+        commit(guard, rows, tri, state)
         guard.reset()
         moved = scalar_state(9.5, 9.0, 10.0)
         ienv = IntervalEnv(slots={0: moved},
@@ -183,7 +179,7 @@ class TestDecisionGuardScalar:
         far_true = 100.0 if op in (">", ">=") else 0.0
         rows = cached([far_true])
         tri = np.array([TRI_TRUE], dtype=np.int8)
-        guard.commit(rows, tri, tri, {0: state}, Environment())
+        commit(guard, rows, tri, state)
         ienv = IntervalEnv(slots={0: state},
                            point=Environment(scalars={0: 50.0}))
         assert guard.check({0: state}, ienv)
@@ -216,23 +212,17 @@ class TestDecisionGuardKeyed:
         return guard
 
     def cached_keyed(self, xs, keys):
-        n = len(xs)
-        return CachedRows(
-            table=Table.from_columns({
-                "x": np.asarray(xs, dtype=float),
-                "k": np.asarray(keys, dtype=np.int64),
-            }),
-            weights=np.ones((n, 2)),
-            group_idx=np.zeros(n, dtype=np.int64),
-            values={"agg": np.asarray(xs, dtype=float)},
-        )
+        return Table.from_columns({
+            "x": np.asarray(xs, dtype=float),
+            "k": np.asarray(keys, dtype=np.int64),
+        })
 
     def test_per_group_isolation(self):
         guard = self.make_guard()
         state = self.make_state([10.0, 100.0])
         rows = self.cached_keyed([20.0, 50.0], [0, 1])
         tri = np.array([TRI_TRUE, TRI_FALSE], dtype=np.int8)
-        guard.commit(rows, tri, tri, {0: state}, Environment())
+        commit(guard, rows, tri, state)
         ienv = IntervalEnv(slots={0: state}, point=Environment())
         assert guard.check({0: state}, ienv)
         # Group 0 drifts above its folded-true row -> violation; group 1
@@ -247,7 +237,7 @@ class TestDecisionGuardKeyed:
         state = self.make_state([10.0])
         rows = self.cached_keyed([20.0], [0])
         tri = np.array([TRI_TRUE], dtype=np.int8)
-        guard.commit(rows, tri, tri, {0: state}, Environment())
+        commit(guard, rows, tri, state)
         grown = self.make_state([10.0, 1e9])  # new group, wild value
         assert guard.check({0: grown},
                            IntervalEnv(slots={0: grown},
@@ -256,13 +246,16 @@ class TestDecisionGuardKeyed:
 
 class TestSetGuard:
     def test_membership_commitments(self):
-        guard = _SetGuard()
-        guard.commit(np.array([1, 2, 3]),
-                     np.array([TRI_TRUE, TRI_FALSE, TRI_UNKNOWN],
-                              dtype=np.int8))
+        guard = _SetGuard(InSubquery(ColumnRef("k"), 0))
         ok = SetSlotState(slot=0, point_members={1, 9}, tri_status={})
-        assert guard.check(ok)
+        commit(guard, Table.from_columns({"k": np.array([1, 2, 3])}),
+               np.array([TRI_TRUE, TRI_FALSE, TRI_UNKNOWN], dtype=np.int8),
+               ok)
+        assert guard.committed_in == {1} and guard.committed_out == {2}
+        assert guard.check({0: ok}, None)
         dropped = SetSlotState(slot=0, point_members={9}, tri_status={})
-        assert not guard.check(dropped)  # committed-in key 1 left the set
+        # committed-in key 1 left the set
+        assert not guard.check({0: dropped}, None)
         joined = SetSlotState(slot=0, point_members={1, 2}, tri_status={})
-        assert not guard.check(joined)  # committed-out key 2 joined
+        # committed-out key 2 joined
+        assert not guard.check({0: joined}, None)

@@ -9,6 +9,7 @@ checked property-style here, against numpy as the oracle.
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,12 +20,14 @@ from repro.obs import (
     GROWTH,
     Histogram,
     LogBuckets,
+    MetricsRegistry,
     bucket_key,
     bucket_upper_edge,
 )
 from repro.obs.sinks import JsonlSink
+from repro.serve.telemetry import render_prometheus
 
-from .._prometheus import quantile_from_cumulative
+from .._prometheus import parse_prometheus, quantile_from_cumulative
 
 values_strategy = st.lists(
     st.one_of(
@@ -192,6 +195,48 @@ class TestHistogramBackingBuckets:
         assert merged.count == 3
         assert merged.buckets.count == 3
         assert merged.quantile(1.0) >= 100.0
+
+
+class TestInfiniteObservations:
+    """+/-inf land in the extreme buckets, which every reader renders."""
+
+    def test_infinities_take_the_extreme_buckets(self):
+        extreme = bucket_key(sys.float_info.max)[1]
+        assert bucket_key(math.inf) == (1, extreme)
+        assert bucket_key(-math.inf) == (-1, extreme)
+        assert bucket_upper_edge(1, extreme) == math.inf
+        assert bucket_upper_edge(-1, extreme) == -math.inf
+
+    def test_quantile_and_cumulative(self):
+        buckets = LogBuckets()
+        for value in (-math.inf, -2.0, 1.0, math.inf):
+            buckets.observe(value)
+        assert buckets.count == 4
+        assert buckets.quantile(0.0) == -math.inf
+        assert -2.0 * GROWTH <= buckets.quantile(1 / 3) <= -2.0
+        assert 1.0 <= buckets.quantile(2 / 3) <= GROWTH
+        assert buckets.quantile(1.0) == math.inf
+        pairs = buckets.cumulative()
+        assert pairs[0] == (-math.inf, 1) and pairs[-1] == (math.inf, 4)
+        assert [c for _, c in pairs] == [1, 2, 3, 4]
+
+    def test_largest_negative_finite_value_has_a_quantile(self):
+        buckets = LogBuckets()
+        buckets.observe(-sys.float_info.max / 1.05)
+        assert buckets.quantile(0.5) == -math.inf
+
+    def test_prometheus_text_renders_both_extremes(self):
+        registry = MetricsRegistry(enabled=True)
+        hist = registry.histogram("serve.step_seconds")
+        for value in (-math.inf, 1.0, math.inf):
+            hist.observe(value)
+        family = parse_prometheus(render_prometheus(registry.snapshot()))[
+            "repro_serve_step_seconds"]
+        buckets = {labels["le"]: value for name, labels, value
+                   in family.samples if name.endswith("_bucket")}
+        assert buckets["-Inf"] == 1
+        assert buckets["+Inf"] == 3
+        assert family.histogram_quantile(0.0) == -math.inf
 
 
 class TestJsonlRotation:

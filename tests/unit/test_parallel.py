@@ -6,7 +6,6 @@ sharded across any worker count — produces bit-identical aggregate
 states.
 """
 
-import pickle
 import sys
 import threading
 
@@ -142,15 +141,6 @@ class TestPoissonTrialColumns:
         assert np.array_equal(BatchWeights(24, 11, "w", 3, 1000).dense(),
                               dense)
         assert handle.dense() is dense
-
-    def test_pickle_roundtrip_regenerates_identically(self):
-        handle = BatchWeights(16, 3, "w", 7, 500, store=BatchStore())
-        dense = handle.dense()
-        payload = pickle.dumps(handle)
-        assert len(payload) < 1000  # the spec, never the store
-        clone = pickle.loads(payload)
-        assert clone.store is None
-        assert np.array_equal(clone.dense(), dense)
 
     def test_columns_independent_of_batch_and_trial(self):
         a = poisson_trial_column(1, "x", 0, 0, 256)

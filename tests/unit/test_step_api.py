@@ -108,7 +108,7 @@ class TestMemoryRelease:
         assert controller._exec is None
         for runtime in controller.runtimes.values():
             assert runtime.cache.size == 0
-            assert runtime.presence_counts.size == 0
+            assert runtime.fold.presence.size == 0
 
     def test_generator_end_releases(self, session, sbi_sql):
         query = session.sql(sbi_sql)

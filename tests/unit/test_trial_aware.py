@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import GolaConfig, GolaSession, Table
-from repro.core.delta import BlockRuntime
+from repro.core.delta import UncertainCache
 from repro.core.uncertain import KeyedSlotState, ScalarSlotState
 from repro.engine.aggregates import GroupIndex
 from repro.expr import Environment, evaluate_mask
@@ -90,20 +90,20 @@ class TestTrialAware:
 # ---------------------------------------------------------------------
 
 
-def reference_trial_masks(runtime, slot_states, penv):
-    """``BlockRuntime._trial_masks`` as it was before the matrix
+def reference_trial_masks(cache, slot_states, penv):
+    """``UncertainCache.trial_masks`` as it was before the matrix
     evaluation: one environment, one dict per keyed slot and one
     predicate evaluation over the whole cache per bootstrap trial."""
-    m = runtime.cache.size
-    out = np.empty((m, runtime.trials), dtype=np.float64)
+    m = cache.size
+    out = np.empty((m, cache.trials), dtype=np.float64)
     consumed = [
-        (slot, slot_states[slot]) for slot in sorted(runtime.block.consumes)
+        (slot, slot_states[slot]) for slot in sorted(cache.consumes)
     ]
     keyed_keys = {
         slot: state.index.keys()
         for slot, state in consumed if isinstance(state, KeyedSlotState)
     }
-    for j in range(runtime.trials):
+    for j in range(cache.trials):
         env = Environment(functions=penv.functions)
         for slot, state in consumed:
             if isinstance(state, ScalarSlotState):
@@ -121,8 +121,8 @@ def reference_trial_masks(runtime, slot_states, penv):
             else:
                 env.key_sets[slot] = state.point_members
         mask = np.ones(m, dtype=bool)
-        for predicate in runtime.pipeline.uncertain_predicates:
-            mask &= evaluate_mask(predicate, runtime.cache.table, env)
+        for predicate in cache.predicates:
+            mask &= evaluate_mask(predicate, cache.rows.table, env)
         out[:, j] = mask
     return out
 
@@ -151,45 +151,44 @@ def sparser(state):
 
 @pytest.fixture
 def oracle(monkeypatch):
-    """Check every ``_trial_masks`` call of a run against the loop —
+    """Check every ``trial_masks`` call of a run against the loop —
     also on an emptied cache and with sparser keyed slots — and record
     what the calls covered."""
     seen = {"calls": 0, "rows": 0, "mixed_rows": 0, "defaulted": 0}
-    real = BlockRuntime._trial_masks
+    real = UncertainCache.trial_masks
 
-    def same(runtime, slot_states, penv):
-        got = real(runtime, slot_states, penv)
-        want = reference_trial_masks(runtime, slot_states, penv)
-        assert got.shape == want.shape == (runtime.cache.size,
-                                           runtime.trials)
+    def same(cache, slot_states, penv):
+        got = real(cache, slot_states, penv)
+        want = reference_trial_masks(cache, slot_states, penv)
+        assert got.shape == want.shape == (cache.size, cache.trials)
         assert np.array_equal(got, want)
         return want
 
-    def checked(runtime, slot_states, penv):
-        want = same(runtime, slot_states, penv)
+    def checked(cache, slot_states, penv):
+        want = same(cache, slot_states, penv)
         seen["calls"] += 1
         seen["rows"] += len(want)
         # Rows some trials keep and others drop: what trial-awareness is.
         seen["mixed_rows"] += int(
             (want.any(axis=1) & ~want.all(axis=1)).sum()
         )
-        cache = runtime.cache
-        runtime.cache = cache.take(np.zeros(cache.size, dtype=bool))
+        rows = cache.rows
+        cache.rows = rows.take(np.zeros(rows.size, dtype=bool))
         try:
-            assert same(runtime, slot_states, penv).shape == (
-                0, runtime.trials)
+            assert same(cache, slot_states, penv).shape == (
+                0, cache.trials)
         finally:
-            runtime.cache = cache
+            cache.rows = rows
         keyed = {
             slot: sparser(state) for slot, state in slot_states.items()
             if isinstance(state, KeyedSlotState)
         }
         if keyed:
-            sparse = same(runtime, {**slot_states, **keyed}, penv)
+            sparse = same(cache, {**slot_states, **keyed}, penv)
             seen["defaulted"] += int((sparse != want).sum())
-        return real(runtime, slot_states, penv)
+        return real(cache, slot_states, penv)
 
-    monkeypatch.setattr(BlockRuntime, "_trial_masks", checked)
+    monkeypatch.setattr(UncertainCache, "trial_masks", checked)
     return seen
 
 
@@ -218,7 +217,7 @@ def taxi_tables(n=4000):
 
 
 class TestMatrixEvaluationOracle:
-    """``_trial_masks`` equals the per-trial loop bit for bit."""
+    """``trial_masks`` equals the per-trial loop bit for bit."""
 
     def test_scalar_slot(self, oracle):
         run_all(sessions_tables(), SBI)

@@ -18,7 +18,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro import GolaConfig, GolaSession
-from repro.core.delta import BlockRuntime
+from repro.core.guards import BlockGuards
 from repro.core.store import BatchStore
 from repro.engine.aggregates import (
     AvgState,
@@ -220,18 +220,19 @@ class TestRebuildMemory:
     ROWS, TRIALS, BATCHES = 20_000, 200, 8
 
     def test_forced_rebuild_peak_is_a_small_multiple(self, monkeypatch):
-        guard = BlockRuntime.guard_violation
-        batches = self.BATCHES
+        violation = BlockGuards.violation
+        checks = []
 
-        def forced(runtime, slot_states, ienv):
-            # The consumer block "violates" at the last batch, so the
-            # rebuild replays every row.
-            if (runtime.block.consumes
-                    and len(runtime.stats_history) == batches - 1):
-                return "forced"
-            return guard(runtime, slot_states, ienv)
+        def forced(guards, slot_states, ienv):
+            # The consumer block (the one with guards) "violates" at the
+            # last batch, so the rebuild replays every row.
+            if guards.guards:
+                checks.append(1)
+                if len(checks) == self.BATCHES:
+                    return "forced"
+            return violation(guards, slot_states, ienv)
 
-        monkeypatch.setattr(BlockRuntime, "guard_violation", forced)
+        monkeypatch.setattr(BlockGuards, "violation", forced)
         session = GolaSession(GolaConfig(num_batches=self.BATCHES,
                                          bootstrap_trials=self.TRIALS,
                                          seed=3))
