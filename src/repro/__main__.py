@@ -36,12 +36,13 @@ def _parse_workers(spec):
     return ParallelConfig.parse(spec) if spec else ParallelConfig()
 
 
-#: Counters that record a recovery: row quarantine and the supervised
-#: pool's rungs.
+#: Counters that record a recovery: row quarantine, the supervised
+#: pool's two actions (rebuild, serial fallback) and their causes.
 _RECOVERY_COUNTERS = (
     "faults.rows_quarantined", "parallel.restarts",
-    "parallel.redispatched", "parallel.corrupt_results",
-    "parallel.task_timeouts", "parallel.quarantined",
+    "parallel.serial_fallbacks", "parallel.worker_lost",
+    "parallel.task_timeouts", "parallel.task_failures",
+    "parallel.corrupt_results",
 )
 
 

@@ -56,28 +56,28 @@ class FaultsConfig:
     sequences.  With ``enabled=False`` (the default) nothing is injected
     and the engine's outputs are bit-identical to a build without the
     subsystem.  Worker faults recover bit-identically under any
-    probability (at 1.0 every pool attempt fails and the supervisor's
-    serial fallback runs the shard).
+    probability (at 1.0 every pool run fails and the supervisor's
+    serial fallback runs each shard on the coordinator).
 
     Attributes:
         enabled: Master switch; when False no RNG stream is ever drawn.
         seed: Seed for the injection streams (None = the master seed).
         row_corruption_prob: Probability that a CSV input row is
             corrupted at load time (exercises the quarantine path).
-        worker_kill_prob: Per-attempt probability that a pool worker is
+        worker_kill_prob: Per-task probability that a pool worker is
             SIGKILLed mid-task (``parallel.worker_kill``).  The
-            supervisor detects the broken pool, rebuilds it and
-            re-dispatches only the lost shards.
-        worker_hang_prob: Per-attempt probability that a pool worker
+            supervisor detects the broken pool, rebuilds it and runs
+            the lost shards on the coordinator.
+        worker_hang_prob: Per-task probability that a pool worker
             hangs for ``worker_hang_s`` (``parallel.worker_hang``);
             detected at the task deadline, the pool is abandoned and the
-            shard re-dispatched.
+            shard run on the coordinator.
         worker_hang_s: How long an injected hang sleeps.  Keep it above
             the task deadline so the hang is detected as such.
-        result_corrupt_prob: Per-attempt probability that a worker's
+        result_corrupt_prob: Per-task probability that a worker's
             partial aggregate state comes back corrupted
             (``parallel.result_corrupt``); the merge-time integrity
-            check rejects it and the shard is re-executed.
+            check rejects it and the shard runs on the coordinator.
         row_error_budget: Maximum tolerated fraction of quarantined rows
             per loaded file before the load is aborted with SchemaError.
         checkpoint_every: Auto-checkpoint the online run every N batches
@@ -138,27 +138,23 @@ class ParallelConfig:
             exercises the full shard/merge machinery on a single worker
             (useful for testing the parallel path deterministically).
             Shard tasks run under the supervised execution layer
-            (``repro.parallel.supervisor``): per-task deadlines, broken
-            pool detection and rebuild, lost-shard re-dispatch, poison
-            quarantine and merge-time integrity checks.  Shard payloads
-            are stateless per-(batch, trial) specs, so every recovery
-            re-execution is bit-identical.
+            (``repro.parallel.supervisor``): a task deadline, broken
+            pool detection and rebuild, and merge-time integrity
+            checks; a shard the pool fails runs once on the
+            coordinator.  Shard payloads are stateless per-(batch,
+            trial) specs, so that run is bit-identical.
         min_shard_rows: Batches smaller than this skip sharding — the
             per-task overhead would exceed the kernel time.
         task_deadline_s: A shard task still running this many seconds
             after dispatch is declared hung; the pool is abandoned
-            (workers killed) and the task re-dispatched.  Closing the
-            pool waits as long for the workers to exit, then kills
-            them.  0 disables both bounds.
-        task_retries: How many failed pool attempts (crash, hang,
-            corrupt result) one shard tolerates before it is quarantined
-            and run serially on the coordinator.
+            (workers killed) and the task run on the coordinator.
+            Closing the pool waits as long for the workers to exit,
+            then kills them.  0 disables both bounds.
     """
 
     workers: int = 0
     min_shard_rows: int = 2048
     task_deadline_s: float = 60.0
-    task_retries: int = 2
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -167,8 +163,6 @@ class ParallelConfig:
             raise ValueError("min_shard_rows must be >= 0")
         if self.task_deadline_s < 0:
             raise ValueError("task_deadline_s must be >= 0")
-        if self.task_retries < 0:
-            raise ValueError("task_retries must be >= 0")
 
     @property
     def enabled(self) -> bool:

@@ -52,9 +52,9 @@ class ExecutionError(ReproError):
 class ShardLostError(ExecutionError):
     """A parallel shard task was permanently lost despite supervision.
 
-    Raised by :mod:`repro.parallel.supervisor` only after the full
-    recovery ladder failed: pool retries exhausted, the task quarantined
-    and its serial fallback on the coordinator *also* failed.  A
+    Raised by :mod:`repro.parallel.supervisor` only when a task the
+    pool failed (worker death, hang, exception or corrupt result)
+    *also* failed its serial fallback on the coordinator.  A
     computation that fails on the coordinator is a defect, not a worker
     fault, so the error propagates out of the controller's step and
     fails the query (a served query ends ``failed``).

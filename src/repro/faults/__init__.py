@@ -15,10 +15,11 @@ reaches its final batch.  This package makes misbehavior a
   for bit against serial (``repro chaos``).
 
 Recovery lives in the layers themselves, one per failure: the
-supervised pool re-dispatches a crashed, hung or corrupt shard
-bit-identically; a computation that fails even on the coordinator
-raises :class:`~repro.errors.ShardLostError` and fails its query; a
-variation-range violation makes the block rebuild from the batches seen.
+supervised pool runs a shard whose worker crashed, hung or corrupted
+it once on the coordinator, bit-identically; a computation that fails
+even on the coordinator raises :class:`~repro.errors.ShardLostError`
+and fails its query; a variation-range violation makes the block
+rebuild from the batches seen.
 """
 
 from .chaos import ChaosRunner, ChaosSpec

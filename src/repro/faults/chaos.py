@@ -16,9 +16,9 @@ invisible in the answers**.  For each paper query it
 3. asserts the chaotic stream is **bit-identical** to the serial one.
 
 Bit-identity holds because every recovery action re-executes stateless
-per-(batch, trial) shard specs: a re-dispatched, quarantined or
-integrity-rejected shard recomputes exactly the same deterministic
-function of its payload (see ``repro.parallel.supervisor``).
+per-(batch, trial) shard specs: a shard the pool lost, timed out or
+rejected recomputes exactly the same deterministic function of its
+payload on the coordinator (see ``repro.parallel.supervisor``).
 
 ``repro chaos`` runs this and writes a JSON report; exit status 0 means
 every query survived bit-identical.
@@ -51,14 +51,13 @@ class ChaosSpec:
     seed: int = 2015
     queries: Tuple[str, ...] = WORKLOAD_QUERIES
     workers: int = 4
-    #: In-band seeded fault mix (drawn per shard attempt).
+    #: In-band seeded fault mix (drawn per shard).
     kill_prob: float = 0.12
     hang_prob: float = 0.08
     hang_s: float = 2.0
     corrupt_prob: float = 0.12
-    #: Supervision knobs under test.
+    #: Supervision knob under test.
     task_deadline_s: float = 1.0
-    task_retries: int = 3
     #: Force sharding even for small chaos tables — the harness exists
     #: to exercise the pool, not to win the overhead trade-off.
     min_shard_rows: int = 128
@@ -226,7 +225,6 @@ class ChaosRunner:
         parallel = ParallelConfig(
             workers=spec.workers,
             task_deadline_s=spec.task_deadline_s,
-            task_retries=spec.task_retries,
             min_shard_rows=spec.min_shard_rows,
         )
         tracer = Tracer(metrics=MetricsRegistry(enabled=True))

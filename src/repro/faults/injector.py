@@ -25,10 +25,6 @@ from ..config import FaultsConfig
 from ..estimate.random_source import derive_rng
 from ..obs import NULL_TRACER, Tracer
 
-#: A fault plan entry meaning "every pool attempt" (probability 1): the
-#: supervisor's serial fallback is then the only run that succeeds.
-EVERY_ATTEMPT = np.iinfo(np.int64).max
-
 
 class FaultInjector:
     """Draws deterministic fault decisions from per-stream RNGs.
@@ -65,42 +61,30 @@ class FaultInjector:
             rng = self._rngs[name] = derive_rng(self.seed, f"faults:{name}")
         return rng
 
-    def _failures(self, name: str, prob: float, size: int) -> np.ndarray:
-        """Consecutive failed attempts before the first success, per draw."""
-        if prob >= 1.0:
-            return np.full(size, EVERY_ATTEMPT, dtype=np.int64)
-        return (self._rng(name).geometric(1.0 - prob, size=size)
-                .astype(np.int64) - 1)
-
     # -- decision API ----------------------------------------------------
 
     def worker_faults(self, num_tasks: int) -> Dict[str, np.ndarray]:
-        """Per-task worker-fault plans for one supervised ``map``.
+        """Per-task worker-fault masks for one supervised ``map``.
 
-        Returns ``{"kill": k, "hang": h, "corrupt": c}`` where each
-        entry is an ``(num_tasks,)`` int array: attempt ``a`` of task
-        ``t`` is injected with that fault while ``a < plan[t]`` (so a
-        task's first clean attempt is deterministic).  Draw order is
-        fixed (kill, hang, corrupt from their own streams), keeping the
-        plans independent of each other and of the row stream.
+        Returns ``{"kill": k, "hang": h, "corrupt": c}``, each a
+        ``(num_tasks,)`` bool array: task ``t``'s one pool run is
+        injected with that fault where the mask is set (its serial
+        fallback on the coordinator never is).  Each mask is drawn from
+        its own stream, keeping them independent of each other and of
+        the row stream.
         """
         n = max(num_tasks, 0)
-        zeros = np.zeros(n, dtype=np.int64)
-        if not self.enabled or n == 0:
-            return {"kill": zeros, "hang": zeros.copy(),
-                    "corrupt": zeros.copy()}
         cfg = self.config
-        plans = {}
-        for key, name, prob in (
-            ("kill", "parallel.worker_kill", cfg.worker_kill_prob),
-            ("hang", "parallel.worker_hang", cfg.worker_hang_prob),
-            ("corrupt", "parallel.result_corrupt", cfg.result_corrupt_prob),
-        ):
-            if prob <= 0.0:
-                plans[key] = zeros.copy()
-            else:
-                plans[key] = self._failures(name, prob, n)
-        return plans
+        return {
+            key: (self._rng(name).random(n) < prob if self.enabled
+                  else np.zeros(n, dtype=bool))
+            for key, name, prob in (
+                ("kill", "parallel.worker_kill", cfg.worker_kill_prob),
+                ("hang", "parallel.worker_hang", cfg.worker_hang_prob),
+                ("corrupt", "parallel.result_corrupt",
+                 cfg.result_corrupt_prob),
+            )
+        }
 
     def corrupted_rows(self, num_rows: int) -> np.ndarray:
         """Boolean mask of input rows to corrupt at load time."""

@@ -183,16 +183,16 @@ class ParallelExecutor:
         """The shard pool, created on first use.
 
         Shard tasks are stateless — their specs resolve to the same
-        segment bytes on every attempt while the batch's lease is held —
-        exactly the contract :class:`SupervisedPool` needs for
-        bit-identical re-dispatch.
+        segment bytes on the pool and on the coordinator while the
+        batch's lease is held — exactly the contract
+        :class:`SupervisedPool` needs for a bit-identical serial
+        fallback.
         """
         if self._shard_pool is None:
             cfg = self.config
             self._shard_pool = SupervisedPool(
                 cfg.workers,
                 deadline_s=cfg.task_deadline_s,
-                retries=cfg.task_retries,
                 injector=self.injector, tracer=self.tracer,
                 validate=validate_fold_shard,
             )

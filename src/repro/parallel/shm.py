@@ -40,7 +40,7 @@ it deletes the coordinator's own registration.
 
 Crash safety: a SIGKILLed worker's mappings are reclaimed by the
 kernel; the coordinator-side lease never depended on the worker, so
-the supervisor's rebuild path re-dispatches lost shards against the
+the supervisor's serial fallback runs lost shards against the
 still-live segment and the lease is released exactly once, after the
 shards return.  Nothing in this module affects results — specs resolve to
 bit-identical arrays — so every path stays bit-identical to serial.

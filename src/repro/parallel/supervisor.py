@@ -6,34 +6,25 @@ pending future with ``BrokenProcessPool``, and one hung worker blocks
 the coordinator forever.  G-OLA's contract is the opposite — a
 long-running approximate query keeps making progress and keeps its
 error guarantees no matter what the substrate does — so
-:class:`SupervisedPool` runs its executor under a recovery ladder, on
-the calling thread:
+:class:`SupervisedPool` dispatches every task once, waits once within a
+bounded budget, and recovers on the calling thread in two steps:
 
-1. **Deadlines** — a dispatch round that outlives its task deadline is
-   declared hung; the pool is abandoned (workers killed — SIGKILL also
-   reaps SIGSTOPed workers) and rebuilt.
-2. **Crash detection** — ``BrokenProcessPool``/worker death breaks only
-   the round: the pool is rebuilt and *only the lost tasks* are
-   re-dispatched.  Shard payloads are stateless specs into a segment
-   the batch's lease keeps live (weights included), so re-execution is
-   bit-identical.
-3. **Poison quarantine** — a task that fails ``retries`` pool attempts
-   (crash, hang, or corrupt result) is quarantined and run serially on
-   the coordinator, outside the pool.  Only if that *also* fails is the
-   shard lost: :class:`~repro.errors.ShardLostError` propagates out of
-   the controller's step and fails the query, because a computation
-   that fails on the coordinator is a defect, not a substrate fault.
-4. **Result integrity** — every worker result is validated before it is
-   accepted (for fold shards: alias/type/shape/dtype/NaN-budget
-   fingerprint, see :func:`validate_fold_shard`).  A corrupted result is
-   rejected and the shard re-run instead of being silently folded into
-   the estimate.
+1. **Rebuild** — a worker death (``BrokenProcessPool`` at submit or
+   wait) or a task that outlives the budget abandons the pool (workers
+   killed — SIGKILL also reaps SIGSTOPed workers); the next ``map``
+   starts a fresh one.
+2. **Serial fallback** — every task the pool failed (lost with a dead
+   worker, hung, raised, or returned a result that ``validate`` rejects,
+   see :func:`validate_fold_shard`) runs once on the coordinator.  Shard
+   payloads are stateless specs into a segment the batch's lease keeps
+   live (weights included), so that run is the bit-identical answer.
+   Only if it *also* fails is the shard lost:
+   :class:`~repro.errors.ShardLostError` propagates out of the
+   controller's step and fails the query, because a computation that
+   fails on the coordinator is a defect, not a substrate fault.
 
-Between rounds the pool backs off: round ``r`` (1-based) first sleeps a
-seeded full-jitter pause, uniform in ``[0, BACKOFF_S * BACKOFF_FACTOR **
-(r - 1)]``, so two runs with the same fault seed sleep the same
-sequence.  Every rung taken logs one WARNING on the ``repro.parallel``
-logger beside the counter it bumps.
+Each step taken logs one WARNING on the ``repro.parallel`` logger beside
+the counter it bumps and the trace event it emits.
 
 Workers are **persistent**: the executor starts on first use (``fork``
 where the platform has it — cheap start, no import replay — else the
@@ -57,14 +48,12 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
-import random
 import signal
 import time
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, \
-    ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from math import ceil
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,28 +66,6 @@ logger = logging.getLogger("repro.parallel")
 
 #: Worker-side stand-in for a result too mangled to poison in place.
 CORRUPT_SENTINEL = "__repro-corrupted-result__"
-
-#: Upper bound on one blocking wait slice: every wake-up bumps the
-#: ``parallel.heartbeats`` counter, so liveness is observable even while
-#: a round is in flight.
-_HEARTBEAT_S = 1.0
-
-#: Re-dispatch backoff cap before the first retry round, and its growth
-#: per round.
-BACKOFF_S = 0.05
-BACKOFF_FACTOR = 2.0
-
-
-def jitter_rng(seed) -> random.Random:
-    """The supervisor's full-jitter stream: same seed, same pauses."""
-    return random.Random(f"{seed}:parallel.supervisor:retry-jitter")
-
-
-def backoff_delay(attempt: int, rng: random.Random) -> float:
-    """Full-jitter pause before 0-based retry round ``attempt``:
-    uniform in ``[0, BACKOFF_S * BACKOFF_FACTOR ** attempt]``."""
-    return rng.uniform(0.0, BACKOFF_S * BACKOFF_FACTOR ** attempt)
-
 
 def _supervised_call(payload):
     """Worker-side wrapper: execute one task under its fault directive.
@@ -231,13 +198,13 @@ class SupervisedPool:
 
     Tasks must be **stateless and re-executable** (the shard path), task
     functions module-level and payloads picklable.  Bit-identity is
-    preserved through every recovery action because a re-dispatched or
-    quarantined task recomputes exactly the same deterministic function
-    of its payload.
+    preserved through recovery because a task the pool failed
+    recomputes exactly the same deterministic function of its payload
+    on the coordinator.
     """
 
     def __init__(self, workers: int, *,
-                 deadline_s: float = 60.0, retries: int = 2,
+                 deadline_s: float = 60.0,
                  injector=None, tracer=None,
                  validate: Optional[Callable[[object, object],
                                              Optional[str]]] = None):
@@ -246,12 +213,10 @@ class SupervisedPool:
                              "no pool")
         self.workers = workers
         self.deadline_s = deadline_s
-        self.retries = retries
         self.injector = injector if injector is not None else NULL_INJECTOR
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.validate = validate if validate is not None else \
             _default_validate
-        self._jitter = jitter_rng(getattr(self.injector, "seed", 0))
         self._executor: Optional[ProcessPoolExecutor] = None
         #: Set once this host refused to start a process pool; the pool
         #: then never tries again and :meth:`start` answers False.
@@ -283,22 +248,15 @@ class SupervisedPool:
                 self._degraded = True
         return self._executor is not None
 
-    def _abandon(self) -> None:
-        """Tear the executor down without waiting: SIGKILL its workers.
-
-        ``shutdown(wait=True)`` would block forever behind a hung
-        worker; SIGKILL also reaps SIGSTOPed (suspended) workers.  The
-        next :meth:`start` builds a fresh executor.
-        """
-        executor, self._executor = self._executor, None
-        if executor is None:
-            return
-        _kill_workers(_workers(executor))
-        executor.shutdown(wait=False, cancel_futures=True)
-
     def _rebuild_pool(self, why: str) -> None:
-        """Abandon the current executor (killing its workers), count it."""
-        self._abandon()
+        """Abandon the executor without waiting (SIGKILL its workers,
+        which also reaps SIGSTOPed ones; ``shutdown(wait=True)`` would
+        block forever behind a hung worker), and count it.  The next
+        :meth:`start` builds a fresh executor."""
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            _kill_workers(_workers(executor))
+            executor.shutdown(wait=False, cancel_futures=True)
         self.restarts += 1
         logger.warning("worker pool restarted after %s (restart %d)",
                        why, self.restarts)
@@ -309,16 +267,9 @@ class SupervisedPool:
                               restarts=self.restarts)
 
     def worker_pids(self) -> List[int]:
-        """PIDs of the live workers ([] before the first start).
-
-        Reaches into :class:`ProcessPoolExecutor` internals — there is
-        no public enumeration — so it degrades to [] if the attribute
-        ever moves.  The chaos harness picks SIGKILL victims from it.
-        """
-        procs = getattr(self._executor, "_processes", None)
-        if not procs:
-            return []
-        return [pid for pid, proc in list(procs.items())
+        """PIDs of the live workers ([] before the first start).  The
+        chaos harness picks SIGKILL victims from it."""
+        return [proc.pid for proc in _workers(self._executor)
                 if proc.is_alive()]
 
     def close(self) -> None:
@@ -328,7 +279,7 @@ class SupervisedPool:
         ``shutdown(wait=True)`` joins every worker, and a SIGSTOPped
         one never exits.  So the workers get ``deadline_s`` to exit
         (no bound when it is 0, as for :meth:`map`); any still running
-        then are SIGKILLed as :meth:`_abandon` does, and each kill
+        then are SIGKILLed as :meth:`_rebuild_pool` does, and each kill
         bumps ``parallel.close_kills``.  A healthy pool closes as fast
         as a plain shutdown: the wait is one join, never a sleep.
         """
@@ -366,229 +317,128 @@ class SupervisedPool:
     def map(self, fn: Callable, tasks: Sequence) -> List:
         """Apply ``fn`` to every task, in task order, surviving worker
         death, hangs and corrupted results.  Raises
-        :class:`ShardLostError` only when a task failed its whole
-        recovery ladder (pool retries *and* the serial fallback)."""
+        :class:`ShardLostError` only when a task the pool failed also
+        fails its serial run on the coordinator."""
         tasks = list(tasks)
-        n = len(tasks)
-        if n == 0:
+        if not tasks:
             return []
-        plans = self.injector.worker_faults(n)
-        hang_s = getattr(self.injector.config, "worker_hang_s", 0.0)
-        results: List = [None] * n
-        settled = [False] * n
-        attempts = [0] * n
-        pending = list(range(n))
-        round_no = 0
-        with self.tracer.span("parallel.supervise", tasks=n):
-            while pending:
-                if round_no > 0:
-                    time.sleep(backoff_delay(round_no - 1, self._jitter))
-                failed = self._dispatch_round(
-                    fn, tasks, plans, hang_s, attempts, results, settled,
-                    pending,
-                )
-                for t in failed:
-                    if attempts[t] > self.retries:
-                        results[t] = self._quarantine(fn, tasks[t], t,
-                                                      attempts[t])
-                        settled[t] = True
-                pending = [t for t in pending if not settled[t]]
-                round_no += 1
+        with self.tracer.span("parallel.supervise", tasks=len(tasks)):
+            results, failed = self._dispatch(fn, tasks)
+            for t, cause in failed.items():
+                results[t] = self._serial_fallback(fn, tasks[t], t, cause)
         return results
 
-    def _directive(self, plans: Dict[str, np.ndarray], task: int,
-                   attempt: int, hang_s: float) -> Optional[dict]:
-        """The injected misbehavior for this (task, attempt), if any."""
-        directive = {}
-        if attempt < plans["kill"][task]:
-            directive["kill"] = True
-        elif attempt < plans["hang"][task]:
-            directive["hang_s"] = hang_s
-        if attempt < plans["corrupt"][task]:
-            directive["corrupt"] = True
-        return directive or None
+    def _dispatch(self, fn, tasks) -> Tuple[List, Dict[int, str]]:
+        """Dispatch every task once and wait once, within
+        ``deadline_s * ceil(n / workers)`` (tasks queue behind
+        ``workers`` slots; at one task per worker the budget *is* the
+        deadline).
 
-    def _round_deadline_s(self, num_tasks: int) -> Optional[float]:
-        """Wall budget for one dispatch round.
-
-        Tasks queue behind ``workers`` slots, so a round of ``m`` tasks
-        legitimately needs up to ``ceil(m / workers)`` task deadlines;
-        a *single* hung worker is still caught within one task deadline
-        of its own dispatch, which is the bound the integration test
-        pins (at one task per worker the budget *is* the deadline).
+        Returns ``(results, failed)``: ``failed`` maps each task the
+        pool did not answer validly to its cause.  A broken or hung
+        pool is abandoned, so the next dispatch starts a fresh one.
         """
-        if self.deadline_s <= 0:
-            return None
-        return self.deadline_s * ceil(num_tasks / self.workers)
-
-    def _dispatch_round(self, fn, tasks, plans, hang_s, attempts,
-                        results, settled, pending) -> List[int]:
-        """Dispatch every pending task once; settle what succeeds.
-
-        Returns the task indices that failed this round (attempt
-        counters already bumped).  Any breakage — worker death, hang
-        past the deadline — abandons the pool so the next round starts
-        on a fresh one.
-        """
-        tracer = self.tracer
-        metrics = tracer.metrics
+        n = len(tasks)
+        results: List = [None] * n
+        plans = self.injector.worker_faults(n)
         if not self.start():
-            # No pool to dispatch to (the host stopped letting one
-            # start): every pending task fails the round, so the ladder
-            # ends in the serial fallback.
-            for t in pending:
-                attempts[t] += 1
-            return list(pending)
-        executor = self._executor
+            # The host stopped letting a pool start: every task falls
+            # back to the coordinator.
+            return results, {t: "no process pool" for t in range(n)}
+        hang_s = getattr(self.injector.config, "worker_hang_s", 0.0)
         futures = {}
-        try:
-            for t in pending:
-                payload = (fn, tasks[t],
-                           self._directive(plans, t, attempts[t], hang_s))
-                futures[executor.submit(_supervised_call, payload)] = t
-        except BrokenExecutor:
-            # A worker from the *previous* round died and its death was
-            # only detected now; the whole round is lost before it
-            # started.  Same treatment as a mid-round break: bump every
-            # pending task (progress must be guaranteed — quarantine's
-            # serial fallback stays correct) and rebuild.
-            for t in pending:
-                attempts[t] += 1
-            logger.warning("worker lost before submit; re-dispatching %d "
-                           "task(s)", len(pending))
-            if metrics.enabled:
-                metrics.counter("parallel.worker_lost").inc()
-                metrics.counter("parallel.redispatched").inc(len(pending))
-            if tracer.enabled:
-                tracer.event("parallel.pool_broken", lost=len(pending),
-                             at="submit")
-            self._rebuild_pool("worker death at submit")
-            return list(pending)
-        deadline = self._round_deadline_s(len(pending))
-        expires = None if deadline is None else time.monotonic() + deadline
-        not_done = set(futures)
-        failed: List[int] = []
         broken = False
-        while not_done and not broken:
-            slice_s = _HEARTBEAT_S
-            if expires is not None:
-                slice_s = min(slice_s, max(0.0, expires - time.monotonic()))
-            done, not_done = futures_wait(
-                not_done, timeout=slice_s, return_when=FIRST_COMPLETED
-            )
-            if metrics.enabled:
-                metrics.counter("parallel.heartbeats").inc()
-            for future in done:
-                t = futures[future]
-                exc = future.exception()
-                if exc is None:
-                    result = future.result()
-                    error = self.validate(tasks[t], result)
-                    if error is None:
-                        results[t] = result
-                        settled[t] = True
-                        continue
-                    attempts[t] += 1
-                    failed.append(t)
-                    logger.warning("task %d result rejected (%s); "
-                                   "re-dispatching", t, error)
+        try:
+            for t, task in enumerate(tasks):
+                payload = (fn, task, _directive(plans, t, hang_s))
+                futures[t] = self._executor.submit(_supervised_call, payload)
+        except BrokenExecutor:
+            # A worker died after the previous dispatch; its death only
+            # shows now, and every task not yet submitted is lost.
+            broken = True
+        budget = None
+        if self.deadline_s > 0:
+            budget = self.deadline_s * ceil(n / self.workers)
+        futures_wait(futures.values(), timeout=budget)
+        metrics = self.tracer.metrics
+        failed: Dict[int, str] = {}
+        hung = 0
+        for t in range(n):
+            future = futures.get(t)
+            if future is not None and not future.done():
+                failed[t] = f"outlived the {budget:.3g} s deadline"
+                hung += 1
+                continue
+            exc = None if future is None else future.exception()
+            if future is None or isinstance(exc, BrokenExecutor):
+                # Which task took the worker down is unknowable: every
+                # task unsubmitted or unfinished at the crash is lost.
+                broken = True
+                failed[t] = "worker lost"
+            elif exc is not None:
+                failed[t] = f"{type(exc).__name__}: {exc}"
+                if metrics.enabled:
+                    metrics.counter("parallel.task_failures").inc()
+            else:
+                result = future.result()
+                error = self.validate(tasks[t], result)
+                if error is None:
+                    results[t] = result
+                else:
+                    failed[t] = f"result rejected: {error}"
                     if metrics.enabled:
                         metrics.counter("parallel.corrupt_results").inc()
-                    if tracer.enabled:
-                        tracer.event("parallel.result_rejected", task=t,
-                                     error=error)
-                elif isinstance(exc, BrokenExecutor):
-                    # A worker died; every sibling future is (or will
-                    # be) poisoned too.  Keep scanning this batch so
-                    # results that landed before the crash still settle,
-                    # then rebuild below.
-                    broken = True
-                else:
-                    attempts[t] += 1
-                    failed.append(t)
-                    logger.warning("task %d failed (%s: %s); re-dispatching",
-                                   t, type(exc).__name__, exc)
-                    if metrics.enabled:
-                        metrics.counter("parallel.task_failures").inc()
-                    if tracer.enabled:
-                        tracer.event(
-                            "parallel.task_failed", task=t,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-            if broken or (not_done and expires is not None
-                          and time.monotonic() >= expires):
-                break
-        if broken:
-            # Which task actually took the worker down is unknowable —
-            # every unsettled task in the round is poisoned with the
-            # same BrokenProcessPool — so all of them take an attempt
-            # bump.  That guarantees a repeat killer eventually exhausts
-            # its injected plan (or quarantines); innocents that get
-            # dragged to quarantine still produce bit-identical results
-            # through the serial fallback.
-            lost = [t for t in pending
-                    if not settled[t] and t not in failed]
-            for t in lost:
-                attempts[t] += 1
-                failed.append(t)
-            logger.warning("worker lost mid-round; re-dispatching %d "
-                           "task(s)", len(lost))
-            if metrics.enabled:
+        if metrics.enabled:
+            if broken:
                 metrics.counter("parallel.worker_lost").inc()
-                metrics.counter("parallel.redispatched").inc(len(lost))
-            if tracer.enabled:
-                tracer.event("parallel.pool_broken", lost=len(lost))
-            self._rebuild_pool("worker death")
-        elif not_done:
-            # Deadline expiry: the still-running tasks are hung.
-            lost = [futures[f] for f in not_done
-                    if not settled[futures[f]] and futures[f] not in failed]
-            for t in lost:
-                attempts[t] += 1
-                failed.append(t)
-            logger.warning("%d task(s) outlived the %.3g s round deadline; "
-                           "re-dispatching", len(lost), deadline)
-            if metrics.enabled:
-                metrics.counter("parallel.task_timeouts").inc(len(lost))
-                metrics.counter("parallel.redispatched").inc(len(lost))
-            if tracer.enabled:
-                tracer.event("parallel.task_timeout", lost=len(lost),
-                             deadline_s=self.deadline_s)
-            self._rebuild_pool("task deadline exceeded")
-        return failed
+            if hung:
+                metrics.counter("parallel.task_timeouts").inc(hung)
+        if broken or hung:
+            self._rebuild_pool("worker death" if broken
+                               else "task deadline exceeded")
+        return results, failed
 
-    def _quarantine(self, fn, task, index: int, failures: int):
-        """Poison task: stop re-dispatching, run it serially right here.
+    def _serial_fallback(self, fn, task, index: int, cause: str):
+        """Run a task the pool failed once, right here on the coordinator.
 
-        The serial fallback bypasses the pool (and any injected worker
-        faults — those model the *pool*, not the computation), so a task
-        that keeps killing workers still produces its bit-identical
-        result; only a task whose computation itself fails is abandoned.
+        The run bypasses the pool (and any injected worker faults —
+        those model the *pool*, not the computation), so a task that
+        killed its worker still produces its bit-identical result; only
+        a task whose computation itself fails is lost.
         """
         tracer = self.tracer
-        logger.warning("task %d quarantined after %d pool failures; "
-                       "running it serially", index, failures)
+        logger.warning("task %d failed on the pool (%s); running it on "
+                       "the coordinator", index, cause)
         if tracer.metrics.enabled:
-            tracer.metrics.counter("parallel.quarantined").inc()
             tracer.metrics.counter("parallel.serial_fallbacks").inc()
         if tracer.enabled:
-            tracer.event("parallel.task_quarantined", task=index,
-                         failures=failures)
+            tracer.event("parallel.serial_fallback", task=index, cause=cause)
         try:
             result = fn(task)
         except Exception as exc:
             raise ShardLostError(
                 index,
-                f"quarantined after {failures} pool failures and the "
-                f"serial fallback also failed: "
-                f"{type(exc).__name__}: {exc}",
+                f"failed on the pool ({cause}) and its serial fallback "
+                f"also failed: {type(exc).__name__}: {exc}",
             ) from exc
         error = self.validate(task, result)
         if error is not None:
             raise ShardLostError(
                 index,
-                f"quarantined after {failures} pool failures and the "
-                f"serial fallback produced an invalid result: {error}",
+                f"failed on the pool ({cause}) and its serial fallback "
+                f"produced an invalid result: {error}",
             )
         return result
 
+
+def _directive(plans: Dict[str, np.ndarray], task: int,
+               hang_s: float) -> Optional[dict]:
+    """The injected misbehavior for this task's pool run, if any."""
+    directive = {}
+    if plans["kill"][task]:
+        directive["kill"] = True
+    elif plans["hang"][task]:
+        directive["hang_s"] = hang_s
+    if plans["corrupt"][task]:
+        directive["corrupt"] = True
+    return directive or None

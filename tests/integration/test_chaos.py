@@ -75,7 +75,12 @@ class TestChaosHarness:
         report = ChaosRunner(spec).run()
         assert report["identical"]
         (query,) = report["queries"]
-        assert query["counters"].get("parallel.task_timeouts", 0) > 0
+        counters = query["counters"]
+        assert counters.get("parallel.task_timeouts", 0) > 0
+        # Every timed-out shard ran on the coordinator, not on the pool
+        # again.
+        assert counters.get("parallel.serial_fallbacks", 0) >= \
+            counters["parallel.task_timeouts"]
         assert query["chaos_s"] < 20.0, (
             f"chaos run took {query['chaos_s']}s behind a 30s hang"
         )

@@ -27,6 +27,20 @@ class TestCli:
         assert "batch 3/3" in proc.stdout
         assert "estimate" in proc.stdout
 
+    def test_demo_prints_the_recovery_counters(self):
+        # Every shard kills its one worker, so each runs on the
+        # coordinator; the printout names the counters the pool bumps.
+        proc = run_module(
+            "demo", "--rows", "4000", "--batches", "3",
+            "--workers", "workers=1,min_shard_rows=64",
+            "--faults", "worker_kill_prob=1",
+        )
+        assert proc.returncode == 0, proc.stderr
+        recovery = proc.stdout.split("recovery:\n", 1)[1]
+        for name in ("parallel.serial_fallbacks", "parallel.restarts",
+                     "parallel.worker_lost"):
+            assert name in recovery
+
     def test_console_scripted(self):
         proc = run_module(
             "console", "--rows", "3000",

@@ -5,7 +5,7 @@ records every name it ever created, and :func:`segment_exists` asks the
 OS): every fold releases its batch's segment before it returns — also
 when a shard is lost for good — and segments are unlinked after a
 session run stops early and after SIGKILL-induced supervised-pool
-rebuilds, whose re-dispatched and quarantined shards read the batch's
+rebuilds, whose lost shards run on the coordinator and read the batch's
 weights from the segment its lease still holds.
 """
 
@@ -153,11 +153,10 @@ class TestSegmentsNeverLeak:
             assert np.array_equal(ref[alias], out[alias]), alias
 
     def test_recovery_reads_weights_from_the_held_segment(self):
-        # Every pool attempt of every shard SIGKILLs its worker: each
-        # shard is re-dispatched once, then quarantined to the serial
-        # fallback, which resolves the specs in the coordinator.  Both
-        # read the stored weight rectangle from the segment the batch's
-        # lease still holds; nothing draws it again.
+        # Every shard SIGKILLs its worker: each one then runs once on
+        # the coordinator, which resolves the specs there.  It reads the
+        # stored weight rectangle from the segment the batch's lease
+        # still holds; nothing draws it again.
         injector = FaultInjector(
             FaultsConfig(enabled=True, seed=11, worker_kill_prob=1.0),
             master_seed=11,
@@ -165,7 +164,7 @@ class TestSegmentsNeverLeak:
         tracer = Tracer(metrics=MetricsRegistry(enabled=True))
         executor = ParallelExecutor(
             ParallelConfig(workers=2, min_shard_rows=1,
-                           task_deadline_s=30.0, task_retries=1),
+                           task_deadline_s=30.0),
             tracer=tracer, injector=injector,
         )
         try:
@@ -178,8 +177,9 @@ class TestSegmentsNeverLeak:
             executor.close()
             detach_all()
         counters = tracer.metrics.snapshot().counters
-        assert counters["parallel.redispatched"] >= 3 * 2
         assert counters["parallel.serial_fallbacks"] == 3 * 2
+        assert counters["parallel.restarts"] == 3
+        assert "parallel.redispatched" not in counters
         assert counters["bootstrap.columns_drawn"] == 3 * 12
         # The fallback attached every batch's segment in this process.
         assert len(created) == 3 and set(created) <= set(attached)

@@ -23,9 +23,8 @@ ROUND_TRIPS = [
      {"enabled": True, "worker_kill_prob": 0.3, "checkpoint_every": 1,
       "seed": 7, "checkpoint_path": "/tmp/ck"}),
     (ParallelConfig, "--workers",
-     "workers=1,task_deadline_s=2.5,min_shard_rows=64,task_retries=3",
-     {"workers": 1, "task_deadline_s": 2.5, "min_shard_rows": 64,
-      "task_retries": 3}),
+     "workers=1,task_deadline_s=2.5,min_shard_rows=64",
+     {"workers": 1, "task_deadline_s": 2.5, "min_shard_rows": 64}),
     (ServeConfig, "--serve",
      "max_concurrent=8,queue_depth=32,port=9000,max_steps_per_turn=3,"
      "default_deadline_s=1.5,host=0.0.0.0",
@@ -107,6 +106,13 @@ def test_deleted_parallel_modes_are_rejected():
         ParallelConfig.parse("backend=thread")
     with pytest.raises(ValueError, match="unknown --workers key 'supervise'"):
         ParallelConfig.parse("supervise=0")
+
+
+def test_deleted_task_retries_is_an_unknown_key():
+    # A shard the pool fails runs once on the coordinator: no retries.
+    with pytest.raises(ValueError,
+                       match="unknown --workers key 'task_retries'"):
+        ParallelConfig.parse("task_retries=3")
 
 
 def _on_args(node):

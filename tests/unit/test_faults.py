@@ -1,21 +1,12 @@
 """Unit tests for the fault-injection subsystem (repro.faults)."""
 
-import random
-
 import numpy as np
 import pytest
 
 from repro import FaultsConfig, SchemaError
-from repro.config import ParallelConfig
 from repro.faults import FaultInjector, NULL_INJECTOR, RowQuarantine
 from repro.obs import MetricsRegistry, Tracer
 from repro.parallel import SupervisedPool
-from repro.parallel.supervisor import (
-    BACKOFF_FACTOR,
-    BACKOFF_S,
-    backoff_delay,
-    jitter_rng,
-)
 from repro.storage.io import read_csv
 
 
@@ -74,14 +65,12 @@ class TestFaultInjector:
                 != b.corrupted_rows(500)).any()
 
     def test_certain_failure_exceeds_retry_budget(self):
-        """Probability 1 fails every pool attempt, whatever the pool's
-        retry budget; it draws nothing."""
+        """Probability 1 marks every task's pool run, so each one ends
+        on the coordinator; probability 0 marks none."""
         config = FaultsConfig(enabled=True, worker_kill_prob=1.0)
-        injector = FaultInjector(config)
-        kills = injector.worker_faults(3)["kill"]
-        assert (kills > ParallelConfig(task_retries=10**6).task_retries
-                ).all()
-        assert injector.state_dict() == {}
+        plans = FaultInjector(config).worker_faults(3)
+        assert plans["kill"].dtype == bool and plans["kill"].all()
+        assert not plans["hang"].any() and not plans["corrupt"].any()
 
     def test_state_roundtrip_resumes_stream(self):
         config = FaultsConfig(enabled=True, seed=5, worker_kill_prob=0.4)
@@ -95,38 +84,21 @@ class TestFaultInjector:
 
 
 class TestRetryPolicy:
-    """The supervised pool's re-dispatch policy: seeded full-jitter
-    backoff, then the serial fallback once the retry budget is spent."""
-
-    def test_exponential_backoff(self):
-        rng = jitter_rng(7)
-        for attempt in range(4):
-            cap = BACKOFF_S * BACKOFF_FACTOR ** attempt
-            assert 0.0 <= backoff_delay(attempt, rng) <= cap
-        assert BACKOFF_S * BACKOFF_FACTOR ** 2 == pytest.approx(0.2)
-
-    def test_from_faults(self):
-        """The pauses come from the fault seed's own jitter stream, the
-        one ``{seed}:parallel.supervisor:retry-jitter`` names."""
-        injector = FaultInjector(FaultsConfig(enabled=True, seed=5))
-        pool = SupervisedPool(1, injector=injector)
-        expected = random.Random("5:parallel.supervisor:retry-jitter")
-        assert [backoff_delay(a, pool._jitter) for a in range(3)] == \
-            [expected.uniform(0.0, BACKOFF_S * BACKOFF_FACTOR ** a)
-             for a in range(3)]
+    """The supervised pool's policy: one pool attempt, then one serial
+    run on the coordinator."""
 
     def test_gives_up_after_budget(self):
-        """``retries + 1`` pool attempts, each killed, then one serial
-        run on the coordinator."""
+        """One pool attempt, killed, then one serial run on the
+        coordinator."""
         tracer = Tracer(metrics=MetricsRegistry(enabled=True))
         injector = FaultInjector(FaultsConfig(enabled=True, seed=3,
                                               worker_kill_prob=1.0))
-        with SupervisedPool(1, deadline_s=30.0, retries=1,
+        with SupervisedPool(1, deadline_s=30.0,
                             injector=injector, tracer=tracer) as pool:
             assert pool.map(_square, [3]) == [9]
-            assert pool.restarts == 2
+            assert pool.restarts == 1
         counters = tracer.metrics.snapshot().counters
-        assert counters["parallel.quarantined"] == 1
+        assert counters["parallel.restarts"] == 1
         assert counters["parallel.serial_fallbacks"] == 1
 
 

@@ -1,10 +1,8 @@
-"""Unit coverage for the supervised worker pool (ISSUE 7 tentpole).
+"""Unit coverage for the supervised worker pool.
 
-Each recovery rung in isolation: deadline-bounded hang escape, broken
-pool rebuild with re-dispatch of only the lost shards, poison-task
-quarantine with the serial fallback, merge-time result-integrity
-fingerprints, and the seeded full-jitter retry pauses everything backs
-off with.
+Each recovery path in isolation: deadline-bounded hang escape, broken
+pool rebuild, the one serial fallback on the coordinator for every
+task the pool failed, and merge-time result-integrity fingerprints.
 """
 
 import os
@@ -28,13 +26,7 @@ from repro.parallel import (
     run_fold_shard,
     validate_fold_shard,
 )
-from repro.parallel.supervisor import (
-    BACKOFF_FACTOR,
-    BACKOFF_S,
-    backoff_delay,
-    corrupt_result,
-    jitter_rng,
-)
+from repro.parallel.supervisor import corrupt_result
 
 
 def square(x):
@@ -85,30 +77,38 @@ class TestCrashRecovery:
     def test_process_worker_kills_are_survived(self):
         tracer = metrics_tracer()
         inj = injector(worker_kill_prob=0.4)
-        with SupervisedPool(2, deadline_s=30.0, retries=2,
+        with SupervisedPool(2, deadline_s=30.0,
                             injector=inj, tracer=tracer) as pool:
             assert pool.map(square, range(8)) == [x * x for x in range(8)]
-            assert pool.restarts >= 1
+            assert pool.restarts == 1
         counters = tracer.metrics.snapshot().counters
         assert counters["parallel.restarts"] == pool.restarts
-        assert counters["parallel.worker_lost"] >= 1
-        assert counters["parallel.redispatched"] >= 1
+        assert counters["parallel.worker_lost"] == 1
+        assert counters["parallel.serial_fallbacks"] >= 1
 
     def test_sigkill_recovery_logs_one_warning_per_rung(self, tmp_path,
                                                          caplog):
+        """One WARNING for the rebuild, then one per task run on the
+        coordinator; task 2, whose worker died, is among them."""
         marker = str(tmp_path / "killed")
         tasks = [(x, marker) for x in range(4)]
+        tracer = metrics_tracer()
         with caplog.at_level("WARNING", logger="repro.parallel"):
-            with SupervisedPool(2, deadline_s=30.0, retries=2) as pool:
+            with SupervisedPool(2, deadline_s=30.0, tracer=tracer) as pool:
                 assert pool.map(kill_once, tasks) == [0, 1, 4, 9]
                 assert pool.restarts == 1
         records = [rec for rec in caplog.records
                    if rec.name == "repro.parallel"]
-        assert [rec.levelname for rec in records] == ["WARNING"] * 2
-        lost, restarted = (rec.getMessage() for rec in records)
-        assert lost.startswith("worker lost")
+        assert {rec.levelname for rec in records} == {"WARNING"}
+        restarted, *fallbacks = (rec.getMessage() for rec in records)
         assert restarted.startswith("worker pool restarted after worker "
                                     "death")
+        assert ("task 2 failed on the pool (worker lost); running it on "
+                "the coordinator") in fallbacks
+        assert all(msg.endswith("running it on the coordinator")
+                   for msg in fallbacks)
+        counters = tracer.metrics.snapshot().counters
+        assert len(fallbacks) == counters["parallel.serial_fallbacks"]
 
     def test_fault_plans_are_deterministic(self):
         plans = [injector(worker_kill_prob=0.3, worker_hang_prob=0.2,
@@ -123,12 +123,11 @@ class TestCrashRecovery:
 class TestHangDeadline:
     def test_hung_worker_never_stalls_past_deadline(self):
         """The acceptance pin: injected hangs sleep 30s but the map is
-        bounded by the (sub-second) task deadline per dispatch round,
-        not by the hang."""
+        bounded by its (sub-second) dispatch budget, not by the
+        hang."""
         inj = injector(worker_hang_prob=0.9, worker_hang_s=30.0)
         start = time.monotonic()
-        with SupervisedPool(2, deadline_s=0.5, retries=2,
-                            injector=inj) as pool:
+        with SupervisedPool(2, deadline_s=0.5, injector=inj) as pool:
             results = pool.map(square, range(4))
         elapsed = time.monotonic() - start
         assert results == [x * x for x in range(4)]
@@ -137,13 +136,13 @@ class TestHangDeadline:
     def test_timeout_counters_and_restart(self):
         tracer = metrics_tracer()
         inj = injector(worker_hang_prob=1.0, worker_hang_s=30.0)
-        with SupervisedPool(2, deadline_s=0.3, retries=0,
+        with SupervisedPool(2, deadline_s=0.3,
                             injector=inj, tracer=tracer) as pool:
             assert pool.map(square, [1, 2]) == [1, 4]
-            assert pool.restarts >= 1
+            assert pool.restarts == 1
         counters = tracer.metrics.snapshot().counters
-        assert counters["parallel.task_timeouts"] >= 1
-        assert counters["parallel.quarantined"] >= 1
+        assert counters["parallel.task_timeouts"] == 2
+        assert counters["parallel.serial_fallbacks"] == 2
 
     def test_close_kills_a_stopped_worker_within_the_deadline(self):
         """An idle worker SIGSTOPped after its last task never exits, so
@@ -186,30 +185,49 @@ class TestHangDeadline:
 
 
 class TestQuarantine:
+    """A task the pool failed is quarantined off it: it runs once on the
+    coordinator."""
+
     def test_poison_task_falls_back_to_serial(self):
-        """A task whose every pool attempt dies still yields its result
-        through the coordinator-side serial fallback."""
+        """Every result comes back corrupt: each task runs once on the
+        coordinator, and the pool, which never broke, is kept."""
         tracer = metrics_tracer()
-        inj = injector(worker_kill_prob=1.0)
-        with SupervisedPool(2, deadline_s=30.0, retries=1,
+        inj = injector(result_corrupt_prob=1.0)
+        with SupervisedPool(2, deadline_s=30.0,
                             injector=inj, tracer=tracer) as pool:
             assert pool.map(square, range(4)) == [x * x for x in range(4)]
+            assert pool.restarts == 0
         counters = tracer.metrics.snapshot().counters
-        assert counters["parallel.quarantined"] >= 1
-        assert counters["parallel.serial_fallbacks"] >= 1
+        assert counters["parallel.corrupt_results"] == 4
+        assert counters["parallel.serial_fallbacks"] == 4
+
+    def test_killed_tasks_run_once_on_the_coordinator(self):
+        """Every task kills its worker: the pool is rebuilt once and
+        each task runs once on the coordinator, never on the pool
+        again."""
+        tracer = metrics_tracer()
+        inj = injector(worker_kill_prob=1.0)
+        with SupervisedPool(2, deadline_s=30.0,
+                            injector=inj, tracer=tracer) as pool:
+            assert pool.map(square, range(4)) == [x * x for x in range(4)]
+            assert pool.restarts == 1
+        counters = tracer.metrics.snapshot().counters
+        assert counters["parallel.restarts"] == 1
+        assert counters["parallel.serial_fallbacks"] == 4
 
     def test_unrunnable_task_raises_shard_lost(self):
         tracer = metrics_tracer()
-        with SupervisedPool(2, deadline_s=30.0, retries=1,
-                            tracer=tracer) as pool:
+        with SupervisedPool(2, deadline_s=30.0, tracer=tracer) as pool:
             with pytest.raises(ShardLostError) as err:
                 pool.map(poison_three, range(5))
         assert err.value.task_index == 3
         assert "serial fallback" in str(err.value)
-        # The per-task-exception rung: task 3 raised in a worker and was
-        # retried before it was quarantined.
+        # Task 3 raised in a worker, then again on the coordinator; a
+        # task exception leaves the pool whole.
         counters = tracer.metrics.snapshot().counters
-        assert counters["parallel.task_failures"] >= 1
+        assert counters["parallel.task_failures"] == 1
+        assert counters["parallel.serial_fallbacks"] == 1
+        assert pool.restarts == 0
 
 
 def _fold_payload(n=12, width=4):
@@ -273,7 +291,7 @@ class TestResultIntegrity:
         inj = injector(result_corrupt_prob=0.5)
         payloads = [_fold_payload() for _ in range(6)]
         expected = [run_fold_shard(p) for p in payloads]
-        with SupervisedPool(2, deadline_s=30.0, retries=4,
+        with SupervisedPool(2, deadline_s=30.0,
                             injector=inj, tracer=tracer,
                             validate=validate_fold_shard) as pool:
             results = pool.map(run_fold_shard, payloads)
@@ -285,27 +303,11 @@ class TestResultIntegrity:
                         np.testing.assert_array_equal(
                             vars(state_g)[name], arr
                         )
-        assert tracer.metrics.snapshot().counters[
-            "parallel.corrupt_results"] >= 1
-
-
-class TestSeededJitter:
-    def test_full_jitter_bounds_and_determinism(self):
-        a, b = jitter_rng(7), jitter_rng(7)
-        seq_a = [backoff_delay(i, a) for i in range(6)]
-        seq_b = [backoff_delay(i, b) for i in range(6)]
-        assert seq_a == seq_b
-        for attempt, delay in enumerate(seq_a):
-            assert 0.0 <= delay <= BACKOFF_S * BACKOFF_FACTOR ** attempt
-
-    def test_actors_are_decorrelated(self):
-        """Pools under different fault seeds pause differently, so
-        concurrent recoveries never wake in lockstep."""
-        streams = [
-            [backoff_delay(i, rng) for i in range(4)]
-            for rng in (jitter_rng(7), jitter_rng(8), jitter_rng(9))
-        ]
-        assert len({tuple(s) for s in streams}) == len(streams)
+        counters = tracer.metrics.snapshot().counters
+        assert counters["parallel.corrupt_results"] >= 1
+        assert counters["parallel.serial_fallbacks"] == \
+            counters["parallel.corrupt_results"]
+        assert "parallel.restarts" not in counters
 
 
 def _fold_four_batches(config, tracer=None):
@@ -351,6 +353,6 @@ class TestPoolDegradation:
         assert counters["parallel.degraded"] == 1
         assert "parallel.sharded_folds" not in counters
         # A map on such a host still answers, through the serial
-        # fallback of the recovery ladder.
-        with SupervisedPool(2, retries=0) as pool:
+        # fallback on the coordinator.
+        with SupervisedPool(2) as pool:
             assert pool.map(square, [1, 2, 3]) == [1, 4, 9]
