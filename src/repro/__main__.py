@@ -220,7 +220,10 @@ def _serve(args) -> int:
               "-d '{\"sql\": \"SELECT AVG(play_time) FROM sessions\"}'")
         print(f"  curl -sN {server.url}/query/q1/snapshots")
 
-    server.serve_forever(ready=ready)
+    try:
+        server.serve_forever(ready=ready)
+    finally:
+        session.close()
     return 0
 
 

@@ -42,7 +42,7 @@ from ..faults import (
     query_fingerprint,
 )
 from ..obs import Timer, Tracer, tracer_from_config
-from ..parallel import ParallelExecutor
+from ..parallel import ParallelExecutor, ShardPools
 from ..plan.logical import Query
 from ..storage.table import Table
 from .meta_plan import compile_meta_plan
@@ -70,7 +70,8 @@ class QueryController:
                  functions: FunctionRegistry = DEFAULT_FUNCTIONS,
                  tracer: Optional[Tracer] = None,
                  parallel: Optional[ParallelExecutor] = None,
-                 batch_store: Optional[BatchStore] = None):
+                 batch_store: Optional[BatchStore] = None,
+                 pools: Optional[ShardPools] = None):
         self.query = query
         self.config = config
         #: Table -> the columns the query reads; every scan, streamed or
@@ -102,16 +103,15 @@ class QueryController:
         self.block_tables = self.meta_plan.block_tables
         self.runtimes = self.meta_plan.runtimes
         self.injector = FaultInjector.from_config(config, tracer=self.tracer)
-        # A scheduler may inject a pool shared by many concurrent
-        # queries; the controller then must not close it between runs.
-        # An executor the controller builds itself shares the run's
-        # injector, so supervised-pool fault streams are checkpointed
-        # and restored with everything else.
-        self._owns_parallel = parallel is None
+        # The run's executor borrows its pool from ``pools`` (the
+        # session's) and shares the run's injector, so supervised-pool
+        # fault streams are checkpointed and restored with everything
+        # else.
         self.parallel = (
             parallel if parallel is not None
             else ParallelExecutor.from_config(
-                config, tracer=self.tracer, injector=self.injector
+                config, tracer=self.tracer, injector=self.injector,
+                pools=pools,
             )
         )
         #: Partitions and weight rectangles: the session's, shared by
@@ -274,19 +274,15 @@ class QueryController:
         return snapshot
 
     def finish(self) -> None:
-        """End the incremental run: close the query span, release owned
-        pools.  Idempotent; keeps checkpoint/block state (see
-        :meth:`release` for the memory-dropping variant)."""
+        """End the incremental run: close the query span, unlink the
+        run's shared-memory segment.  Idempotent; keeps checkpoint/block
+        state (see :meth:`release` for the memory-dropping variant).
+        The worker pool is the session's and keeps running."""
         ex = self._exec
         if ex is not None:
             self._exec = None
             _close_detached(self.tracer, ex["span"], ex["span_id"])
-        if self._owns_parallel:
-            # Pools restart lazily, so closing here keeps the controller
-            # reusable while releasing workers between runs.  close()
-            # also unlinks every shared-memory segment this run
-            # published.
-            self.parallel.close()
+        self.parallel.end_run()
 
     def release(self) -> None:
         """Finish the run and drop its mini-batch memory.

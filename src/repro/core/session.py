@@ -15,10 +15,12 @@ Typical use::
         if snapshot.relative_stdev < 0.02:
             query.stop()          # satisfied — the OLA contract
     truth = session.execute_batch(query)
+    session.close()               # or use the session as a context manager
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, Iterator, Optional, Union
 
 from ..config import GolaConfig
@@ -28,6 +30,7 @@ from ..errors import QueryStopped
 from ..expr.functions import FunctionRegistry
 from ..faults import FaultInjector, RowQuarantine, RunCheckpoint
 from ..obs import Tracer
+from ..parallel import ShardPools
 from ..plan.binder import Binder
 from ..plan.logical import Query
 from ..plan.rewrite import rewrite_query
@@ -167,6 +170,15 @@ class GolaSession:
     drawn by its first query, and every later one reads them (an 8-byte
     permutation slot plus ``trials`` weight bytes per streamed row; each
     read gathers the batch's columns from the registered table).
+
+    It also owns the worker processes: :attr:`pools` starts one
+    supervised shard pool per worker count on the first pooled fold
+    that needs it and lends it to every later run, library and serve
+    alike, so a query pays for folding, not for forking.  :meth:`close`
+    (or leaving a ``with`` block) stops the workers; a
+    ``weakref.finalize`` does the same when the session is garbage
+    collected or the interpreter exits.  A closed session stays usable:
+    its next pooled fold starts the pool again.
     """
 
     def __init__(self, config: Optional[GolaConfig] = None,
@@ -178,6 +190,18 @@ class GolaSession:
         self.tracer = tracer
         self.last_quarantine: Optional[RowQuarantine] = None
         self.batch_store = BatchStore()
+        self.pools = ShardPools(tracer=tracer)
+        weakref.finalize(self, self.pools.close)
+
+    def close(self) -> None:
+        """Stop the session's worker processes (idempotent)."""
+        self.pools.close()
+
+    def __enter__(self) -> "GolaSession":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- catalog ---------------------------------------------------------
 
@@ -299,9 +323,10 @@ class GolaSession:
     def _make_controller(self, query: Query, config: GolaConfig,
                          parallel=None,
                          tracer: Optional[Tracer] = None) -> QueryController:
-        """Build a controller; ``parallel``/``tracer`` let the serving
-        scheduler share one worker pool and one tracer across every
-        concurrent query (the batch store is always the session's)."""
+        """Build a controller; ``tracer`` lets the serving scheduler
+        share one tracer across every concurrent query, and
+        ``parallel`` injects an executor (tests).  The batch store and
+        the worker pools are always the session's."""
         streamed = {
             name: self.catalog.is_streamed(name) for name in self.catalog
         }
@@ -310,4 +335,5 @@ class GolaSession:
             udafs=self.udafs, functions=self.functions,
             tracer=tracer if tracer is not None else self.tracer,
             parallel=parallel, batch_store=self.batch_store,
+            pools=self.pools,
         )

@@ -2,22 +2,26 @@
 
 :class:`ParallelExecutor` is injected into every
 :class:`~repro.core.delta.BlockRuntime` by the controller (the default is
-the disabled :data:`SERIAL_EXECUTOR`).  It owns one supervised process
-**shard pool** that fans a batch's bootstrap trial columns out as
-independent shard tasks and merges the returned partial states
-column-wise — PF-OLA's partial-state parallelism applied to the trial
-axis.  Lineage blocks themselves fold one at a time on the calling
-thread, and every pooled fold is eager: it dispatches, supervises,
-gathers and merges before it returns.
+the disabled :data:`SERIAL_EXECUTOR`).  It fans a batch's bootstrap
+trial columns out as independent shard tasks on a supervised process
+**shard pool** and merges the returned partial states column-wise —
+PF-OLA's partial-state parallelism applied to the trial axis.  Lineage
+blocks themselves fold one at a time on the calling thread, and every
+pooled fold is eager: it dispatches, supervises, gathers and merges
+before it returns.
 
+One executor serves one run.  Its pool is borrowed from a
+:class:`~repro.parallel.supervisor.ShardPools` — the session's, so
+workers are persistent across queries and the fork is paid once per
+session — and called with the run's own fault injector and tracer.
 Each pooled batch's columns and its stored uint8 weight rectangle are
-written once into a shared-memory segment (``repro.parallel.shm``) and
-every shard payload carries only specs, so no worker draws a weight
-column.  The fold holds the segment's lease until its shards have
-returned and releases it in a ``finally``, so a fold that ends in
-:class:`~repro.errors.ShardLostError` releases it too (releasing
-unlinks the segment, and ``close()`` force-unlinks on teardown so no
-run can leak ``/dev/shm`` segments).
+written into the run's one shared-memory segment
+(``repro.parallel.shm``), reused fold after fold, and every shard
+payload carries only specs, so no worker draws a weight column.
+:meth:`ParallelExecutor.end_run` unlinks the segment when the run
+finishes, stops or fails (a fold that ends in
+:class:`~repro.errors.ShardLostError` fails the run), so no run leaks
+``/dev/shm`` segments.
 
 Without a pool (serial, a batch under ``min_shard_rows``, or a host
 that cannot start a process pool or publish to shared memory) a fold
@@ -48,25 +52,33 @@ from ..faults import FaultInjector, NULL_INJECTOR
 from ..obs import NULL_TRACER
 from .shards import make_shard_payloads, run_fold_shard, shard_ranges
 from .shm import ShmRegistry
-from .supervisor import SupervisedPool, validate_fold_shard
+from .supervisor import ShardPools, SupervisedPool
 
 
 class ParallelExecutor:
-    """Shards bootstrap folds across a supervised worker pool."""
+    """Shards one run's bootstrap folds across a supervised worker pool.
+
+    ``pools`` lends the pool (a session's :class:`ShardPools`); without
+    one the executor keeps a private set that :meth:`close` closes.
+    """
 
     def __init__(self, config: Optional[ParallelConfig] = None,
-                 tracer=None, injector: Optional[FaultInjector] = None):
+                 tracer=None, injector: Optional[FaultInjector] = None,
+                 pools: Optional[ShardPools] = None):
         self.config = config if config is not None else ParallelConfig()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Fault source for the supervised shard pool (worker kill/hang/
         #: corrupt plans); disabled by default.
         self.injector = injector if injector is not None else NULL_INJECTOR
+        self._owns_pools = pools is None
+        self.pools = pools if pools is not None else ShardPools()
         self._shard_pool: Optional[SupervisedPool] = None
         self._shm: Optional[ShmRegistry] = None
 
     @classmethod
     def from_config(cls, config, tracer=None,
-                    injector: Optional[FaultInjector] = None
+                    injector: Optional[FaultInjector] = None,
+                    pools: Optional[ShardPools] = None
                     ) -> "ParallelExecutor":
         """Build from a :class:`~repro.config.GolaConfig` (or a
         :class:`~repro.config.ParallelConfig` directly).
@@ -78,7 +90,7 @@ class ParallelExecutor:
         parallel = getattr(config, "parallel", config)
         if injector is None and hasattr(config, "faults"):
             injector = FaultInjector.from_config(config, tracer=tracer)
-        return cls(parallel, tracer=tracer, injector=injector)
+        return cls(parallel, tracer=tracer, injector=injector, pools=pools)
 
     @property
     def enabled(self) -> bool:
@@ -116,7 +128,7 @@ class ParallelExecutor:
         tracer = self.tracer
         lease = None
         if (self.enabled and shardable and n >= cfg.min_shard_rows
-                and self._ensure_shard_pool().start()):
+                and self._ensure_shard_pool().start(tracer)):
             trials = boot_states[shardable[0][0]].width
             ranges = shard_ranges(trials, cfg.workers)
             with tracer.span("parallel.shard", rows_in=n, trials=trials,
@@ -134,34 +146,33 @@ class ParallelExecutor:
                 state.update(group_idx, values[alias], dense)
             return
 
-        try:
-            dense_aliases = [
-                alias for alias in boot_states
-                if alias not in {a for a, _ in shardable}
-            ]
-            if dense_aliases:
-                dense = weights.rows(row_idx)
-                for alias in dense_aliases:
-                    boot_states[alias].update(group_idx, values[alias],
-                                              dense)
-            payloads = make_shard_payloads(shardable, lease.specs, ranges)
-            if tracer.metrics.enabled:
-                tracer.metrics.counter("parallel.sharded_folds").inc()
-                tracer.metrics.counter(
-                    "parallel.shard_tasks").inc(len(ranges))
-                tracer.metrics.counter(
-                    "parallel.sharded_cells").inc(n * trials)
-            results = self._shard_pool.map(run_fold_shard, payloads)
-        finally:
-            lease.release()
+        dense_aliases = [
+            alias for alias in boot_states
+            if alias not in {a for a, _ in shardable}
+        ]
+        if dense_aliases:
+            dense = weights.rows(row_idx)
+            for alias in dense_aliases:
+                boot_states[alias].update(group_idx, values[alias], dense)
+        payloads = make_shard_payloads(shardable, lease.specs, ranges)
+        if tracer.metrics.enabled:
+            tracer.metrics.counter("parallel.sharded_folds").inc()
+            tracer.metrics.counter("parallel.shard_tasks").inc(len(ranges))
+            tracer.metrics.counter(
+                "parallel.sharded_cells").inc(n * trials)
+        # The lease's region stays valid until this run's next publish,
+        # so a serial fallback inside map still reads this batch.
+        results = self._shard_pool.map(run_fold_shard, payloads,
+                                       tracer=tracer,
+                                       injector=self.injector)
         with tracer.span("parallel.merge", shards=len(results)):
             for (lo, _hi), shard_states in zip(ranges, results):
                 for alias, shard_state in shard_states:
                     boot_states[alias].merge_columns(shard_state, lo)
 
     def _publish_columns(self, group_idx, shard_values, row_idx, rect):
-        """Publish one batch's columns and weights to shared memory
-        (None = shared memory is unavailable; fold inline).
+        """Publish one batch's columns and weights into the run's
+        segment (None = shared memory is unavailable; fold inline).
 
         The weights go in as ``rect.T``: the store's F-order ``(n, B)``
         rectangle is a C-contiguous ``(B, n)``, copied once into the
@@ -180,27 +191,21 @@ class ParallelExecutor:
     # -- lifecycle -------------------------------------------------------
 
     def _ensure_shard_pool(self) -> SupervisedPool:
-        """The shard pool, created on first use.
+        """The pool for this run's config, borrowed on first use.
 
         Shard tasks are stateless — their specs resolve to the same
-        segment bytes on the pool and on the coordinator while the
-        batch's lease is held — exactly the contract
+        segment bytes on the pool and on the coordinator until the
+        run's next publish — exactly the contract
         :class:`SupervisedPool` needs for a bit-identical serial
         fallback.
         """
         if self._shard_pool is None:
-            cfg = self.config
-            self._shard_pool = SupervisedPool(
-                cfg.workers,
-                deadline_s=cfg.task_deadline_s,
-                injector=self.injector, tracer=self.tracer,
-                validate=validate_fold_shard,
-            )
+            self._shard_pool = self.pools.get(self.config)
         return self._shard_pool
 
     @property
     def shm_registry(self) -> Optional[ShmRegistry]:
-        """The live segment registry (None before the first publish)."""
+        """The run's segment registry (None before the first publish)."""
         return self._shm
 
     def worker_pids(self) -> List[int]:
@@ -212,18 +217,23 @@ class ParallelExecutor:
         pool = self._shard_pool
         return pool.worker_pids() if pool is not None else []
 
+    def end_run(self) -> None:
+        """Unlink the run's segment (idempotent; the next fold starts a
+        new one).  The pool is left running for the next run."""
+        if self._shm is not None:
+            self._shm.close()
+            self._shm = None
+
     def close(self) -> None:
-        """Unlink shared memory, release the pool (idempotent).
+        """End the run and close the pool if this executor owns it
+        (idempotent).
 
         After ``close()`` no shared-memory segment of this executor
         exists, whatever the pool was doing.
         """
-        if self._shm is not None:
-            self._shm.close()
-            self._shm = None
-        if self._shard_pool is not None:
-            self._shard_pool.close()
-            self._shard_pool = None
+        self.end_run()
+        if self._owns_pools:
+            self.pools.close()
 
     def __enter__(self) -> "ParallelExecutor":
         return self

@@ -26,11 +26,19 @@ bounded budget, and recovers on the calling thread in two steps:
 Each step taken logs one WARNING on the ``repro.parallel`` logger beside
 the counter it bumps and the trace event it emits.
 
-Workers are **persistent**: the executor starts on first use (``fork``
-where the platform has it — cheap start, no import replay — else the
-platform default) and lives until :meth:`SupervisedPool.close`, so
-the per-process cache of attached shared-memory segments stays warm
-across batches and queries.  A host that cannot start a
+Workers are **persistent across queries**: a
+:class:`~repro.core.session.GolaSession` owns one pool per worker count
+and lends it to every run (library queries and the serve scheduler
+alike), so the executor starts on the session's first pooled fold
+(``fork`` where the platform has it — cheap start, no import replay —
+else the platform default) and lives until the session closes.  Its
+workers' caches of attached shared-memory segments stay warm across
+batches, and the fork is paid once per session, not once per query.
+What is per run stays per run: :meth:`SupervisedPool.map` takes the
+run's fault injector and tracer, and the run's segment is its own.
+Two threads may map on one pool at once: a pool broken or hung under
+one of them is rebuilt once, and the other's tasks on it run on the
+coordinator.  A host that cannot start a
 process pool at all (``OSError`` from the executor, e.g. a sandbox
 without semaphores) leaves the pool degraded: :meth:`SupervisedPool.start`
 returns False and the caller folds inline.
@@ -49,6 +57,7 @@ import logging
 import multiprocessing
 import os
 import signal
+import threading
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
@@ -57,6 +66,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..config import ParallelConfig
 from ..errors import ShardLostError
 from ..faults import NULL_INJECTOR
 from ..obs import NULL_TRACER
@@ -201,6 +211,10 @@ class SupervisedPool:
     preserved through recovery because a task the pool failed
     recomputes exactly the same deterministic function of its payload
     on the coordinator.
+
+    ``injector`` and ``tracer`` are defaults: a borrowing run passes its
+    own to :meth:`map`.  Thread-safe: starting, rebuilding and closing
+    swap the executor under one lock.
     """
 
     def __init__(self, workers: int, *,
@@ -217,6 +231,7 @@ class SupervisedPool:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.validate = validate if validate is not None else \
             _default_validate
+        self._lock = threading.Lock()
         self._executor: Optional[ProcessPoolExecutor] = None
         #: Set once this host refused to start a process pool; the pool
         #: then never tries again and :meth:`start` answers False.
@@ -225,46 +240,62 @@ class SupervisedPool:
 
     # -- pool lifecycle --------------------------------------------------
 
-    def start(self) -> bool:
+    def start(self, tracer=None) -> bool:
         """Start the executor if it is not running; False if it cannot.
 
         A host that cannot run a process pool gets one WARNING and one
-        ``parallel.degraded`` bump, never a silent fallback: the caller
-        folds inline instead, which changes the run's speed and fault
-        isolation but not one bit of its output.
+        ``parallel.degraded`` bump (on ``tracer``, else the pool's),
+        never a silent fallback: the caller folds inline instead, which
+        changes the run's speed and fault isolation but not one bit of
+        its output.
         """
-        if self._executor is None and not self._degraded:
-            try:
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers, mp_context=_mp_context()
-                )
-            except OSError as exc:
-                logger.warning(
-                    "process pool unavailable (%s: %s); folding inline",
-                    type(exc).__name__, exc,
-                )
-                if self.tracer.metrics.enabled:
-                    self.tracer.metrics.counter("parallel.degraded").inc()
-                self._degraded = True
-        return self._executor is not None
+        return self._running(tracer) is not None
 
-    def _rebuild_pool(self, why: str) -> None:
-        """Abandon the executor without waiting (SIGKILL its workers,
+    def _running(self, tracer=None) -> Optional[ProcessPoolExecutor]:
+        """The live executor, started if need be (None: degraded)."""
+        with self._lock:
+            if self._executor is None and not self._degraded:
+                try:
+                    self._executor = ProcessPoolExecutor(
+                        max_workers=self.workers, mp_context=_mp_context()
+                    )
+                except OSError as exc:
+                    logger.warning(
+                        "process pool unavailable (%s: %s); folding "
+                        "inline", type(exc).__name__, exc,
+                    )
+                    metrics = (self.tracer if tracer is None
+                               else tracer).metrics
+                    if metrics.enabled:
+                        metrics.counter("parallel.degraded").inc()
+                    self._degraded = True
+            return self._executor
+
+    def _rebuild_pool(self, executor: ProcessPoolExecutor, why: str,
+                      tracer=None) -> None:
+        """Abandon ``executor`` without waiting (SIGKILL its workers,
         which also reaps SIGSTOPed ones; ``shutdown(wait=True)`` would
         block forever behind a hung worker), and count it.  The next
-        :meth:`start` builds a fresh executor."""
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            _kill_workers(_workers(executor))
-            executor.shutdown(wait=False, cancel_futures=True)
-        self.restarts += 1
+        :meth:`start` builds a fresh executor.  If another thread has
+        already abandoned it, this is a no-op: one rebuild per broken
+        executor, and never of its replacement."""
+        with self._lock:
+            if self._executor is not executor:
+                return
+            self._executor = None
+            self.restarts += 1
+            restarts = self.restarts
+        _kill_workers(_workers(executor))
+        executor.shutdown(wait=False, cancel_futures=True)
+        if tracer is None:
+            tracer = self.tracer
         logger.warning("worker pool restarted after %s (restart %d)",
-                       why, self.restarts)
-        if self.tracer.metrics.enabled:
-            self.tracer.metrics.counter("parallel.restarts").inc()
-        if self.tracer.enabled:
-            self.tracer.event("parallel.pool_restarted", reason=why,
-                              restarts=self.restarts)
+                       why, restarts)
+        if tracer.metrics.enabled:
+            tracer.metrics.counter("parallel.restarts").inc()
+        if tracer.enabled:
+            tracer.event("parallel.pool_restarted", reason=why,
+                         restarts=restarts)
 
     def worker_pids(self) -> List[int]:
         """PIDs of the live workers ([] before the first start).  The
@@ -283,7 +314,8 @@ class SupervisedPool:
         bumps ``parallel.close_kills``.  A healthy pool closes as fast
         as a plain shutdown: the wait is one join, never a sleep.
         """
-        executor, self._executor = self._executor, None
+        with self._lock:
+            executor, self._executor = self._executor, None
         if executor is None:
             return
         # The manager thread exits once it has joined every worker, so
@@ -314,21 +346,31 @@ class SupervisedPool:
 
     # -- supervised map --------------------------------------------------
 
-    def map(self, fn: Callable, tasks: Sequence) -> List:
+    def map(self, fn: Callable, tasks: Sequence, *, tracer=None,
+            injector=None) -> List:
         """Apply ``fn`` to every task, in task order, surviving worker
         death, hangs and corrupted results.  Raises
         :class:`ShardLostError` only when a task the pool failed also
-        fails its serial run on the coordinator."""
+        fails its serial run on the coordinator.
+
+        ``tracer`` and ``injector`` (default: the pool's) are the
+        calling run's: its spans, counters and worker-fault plans."""
         tasks = list(tasks)
         if not tasks:
             return []
-        with self.tracer.span("parallel.supervise", tasks=len(tasks)):
-            results, failed = self._dispatch(fn, tasks)
+        if tracer is None:
+            tracer = self.tracer
+        if injector is None:
+            injector = self.injector
+        with tracer.span("parallel.supervise", tasks=len(tasks)):
+            results, failed = self._dispatch(fn, tasks, tracer, injector)
             for t, cause in failed.items():
-                results[t] = self._serial_fallback(fn, tasks[t], t, cause)
+                results[t] = self._serial_fallback(fn, tasks[t], t, cause,
+                                                   tracer)
         return results
 
-    def _dispatch(self, fn, tasks) -> Tuple[List, Dict[int, str]]:
+    def _dispatch(self, fn, tasks, tracer,
+                  injector) -> Tuple[List, Dict[int, str]]:
         """Dispatch every task once and wait once, within
         ``deadline_s * ceil(n / workers)`` (tasks queue behind
         ``workers`` slots; at one task per worker the budget *is* the
@@ -337,30 +379,35 @@ class SupervisedPool:
         Returns ``(results, failed)``: ``failed`` maps each task the
         pool did not answer validly to its cause.  A broken or hung
         pool is abandoned, so the next dispatch starts a fresh one.
+        Another thread abandoning the executor mid-dispatch (shut down
+        at submit, futures cancelled or broken) loses this dispatch's
+        unfinished tasks the same way.
         """
         n = len(tasks)
         results: List = [None] * n
-        plans = self.injector.worker_faults(n)
-        if not self.start():
+        plans = injector.worker_faults(n)
+        executor = self._running(tracer)
+        if executor is None:
             # The host stopped letting a pool start: every task falls
             # back to the coordinator.
             return results, {t: "no process pool" for t in range(n)}
-        hang_s = getattr(self.injector.config, "worker_hang_s", 0.0)
+        hang_s = getattr(injector.config, "worker_hang_s", 0.0)
         futures = {}
         broken = False
         try:
             for t, task in enumerate(tasks):
                 payload = (fn, task, _directive(plans, t, hang_s))
-                futures[t] = self._executor.submit(_supervised_call, payload)
-        except BrokenExecutor:
-            # A worker died after the previous dispatch; its death only
-            # shows now, and every task not yet submitted is lost.
+                futures[t] = executor.submit(_supervised_call, payload)
+        except (BrokenExecutor, RuntimeError):
+            # A worker died after the previous dispatch (its death only
+            # shows now), or another thread abandoned the executor:
+            # every task not yet submitted is lost.
             broken = True
         budget = None
         if self.deadline_s > 0:
             budget = self.deadline_s * ceil(n / self.workers)
         futures_wait(futures.values(), timeout=budget)
-        metrics = self.tracer.metrics
+        metrics = tracer.metrics
         failed: Dict[int, str] = {}
         hung = 0
         for t in range(n):
@@ -369,8 +416,10 @@ class SupervisedPool:
                 failed[t] = f"outlived the {budget:.3g} s deadline"
                 hung += 1
                 continue
-            exc = None if future is None else future.exception()
-            if future is None or isinstance(exc, BrokenExecutor):
+            exc = (None if future is None or future.cancelled()
+                   else future.exception())
+            if (future is None or future.cancelled()
+                    or isinstance(exc, BrokenExecutor)):
                 # Which task took the worker down is unknowable: every
                 # task unsubmitted or unfinished at the crash is lost.
                 broken = True
@@ -394,11 +443,11 @@ class SupervisedPool:
             if hung:
                 metrics.counter("parallel.task_timeouts").inc(hung)
         if broken or hung:
-            self._rebuild_pool("worker death" if broken
-                               else "task deadline exceeded")
+            self._rebuild_pool(executor, "worker death" if broken
+                               else "task deadline exceeded", tracer)
         return results, failed
 
-    def _serial_fallback(self, fn, task, index: int, cause: str):
+    def _serial_fallback(self, fn, task, index: int, cause: str, tracer):
         """Run a task the pool failed once, right here on the coordinator.
 
         The run bypasses the pool (and any injected worker faults —
@@ -406,7 +455,6 @@ class SupervisedPool:
         killed its worker still produces its bit-identical result; only
         a task whose computation itself fails is lost.
         """
-        tracer = self.tracer
         logger.warning("task %d failed on the pool (%s); running it on "
                        "the coordinator", index, cause)
         if tracer.metrics.enabled:
@@ -442,3 +490,37 @@ def _directive(plans: Dict[str, np.ndarray], task: int,
     if plans["corrupt"][task]:
         directive["corrupt"] = True
     return directive or None
+
+
+class ShardPools:
+    """The shard pools a session lends its runs: one
+    :class:`SupervisedPool` per ``(workers, task_deadline_s)``, built
+    on first request, started on its first pooled fold and closed
+    together by :meth:`close`.
+
+    A closed pool restarts on its next fold and stays in this set, so a
+    later :meth:`close` (or the owner's finalizer) still reaches it.
+    """
+
+    def __init__(self, tracer=None):
+        self.tracer = tracer
+        self._lock = threading.Lock()
+        self._pools: Dict[Tuple[int, float], SupervisedPool] = {}
+
+    def get(self, config: ParallelConfig) -> SupervisedPool:
+        key = (config.workers, config.task_deadline_s)
+        with self._lock:
+            pool = self._pools.get(key)
+            if pool is None:
+                pool = self._pools[key] = SupervisedPool(
+                    config.workers, deadline_s=config.task_deadline_s,
+                    tracer=self.tracer, validate=validate_fold_shard,
+                )
+            return pool
+
+    def close(self) -> None:
+        """Close every pool (idempotent)."""
+        with self._lock:
+            pools = list(self._pools.values())
+        for pool in pools:
+            pool.close()

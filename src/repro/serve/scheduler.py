@@ -9,7 +9,7 @@ running queries under a deficit round-robin policy, so every client sees
 its estimate refine every few seconds even under heavy concurrency
 (PF-OLA's shared-engine OLA, Wake/Deep-OLA's progressive serving).
 
-Why cooperative, single-threaded stepping (plus the shared
+Why cooperative, single-threaded stepping (plus the session's
 ``repro.parallel`` pool *inside* a step) rather than one thread per
 query:
 
@@ -164,19 +164,18 @@ class ScheduledQuery:
 class QueryScheduler:
     """Admits, prioritizes and cooperatively steps concurrent queries.
 
-    All queries share one :class:`~repro.parallel.ParallelExecutor`
-    worker pool, the session's :class:`~repro.core.store.BatchStore`
+    All queries borrow the session's worker pools (the same ones its
+    library queries use; the session, not the scheduler, closes them),
+    share the session's :class:`~repro.core.store.BatchStore`
     (same-table queries reuse mini-batch partitions and weights) and one
-    tracer/metrics registry; each keeps
-    its own controller, RNG streams and snapshot stream, which is what
-    makes concurrent output bit-identical to serial runs.
+    tracer/metrics registry; each keeps its own controller, RNG
+    streams, fault injector, shared-memory segment and snapshot stream,
+    which is what makes concurrent output bit-identical to serial runs.
     """
 
     def __init__(self, session: GolaSession,
                  serve: Optional[ServeConfig] = None,
                  tracer: Optional[Tracer] = None):
-        from ..parallel import ParallelExecutor
-
         self.session = session
         self.serve = serve if serve is not None else ServeConfig()
         if tracer is not None:
@@ -190,9 +189,6 @@ class QueryScheduler:
                 # config-built tracer (it may be the shared NULL_TRACER).
                 built = Tracer(metrics=MetricsRegistry(enabled=True))
             self.tracer = built
-        self.parallel = ParallelExecutor.from_config(
-            session.config, tracer=self.tracer
-        )
         self._cond = threading.Condition()
         self._queries: Dict[str, ScheduledQuery] = {}
         self._queue: "deque[ScheduledQuery]" = deque()
@@ -235,7 +231,7 @@ class QueryScheduler:
 
         Returns True when every query finished on its own (nothing was
         cancelled).  The scheduler stays usable for status/stream reads;
-        call :meth:`close` afterwards to release pools.
+        call :meth:`close` afterwards to stop the loop.
         """
         self.begin_drain()
         clean = self.wait(timeout=timeout_s if timeout_s > 0 else 0.001)
@@ -284,7 +280,8 @@ class QueryScheduler:
         return min(30, max(1, waves))
 
     def close(self) -> None:
-        """Stop the loop, cancel whatever is still live, release pools."""
+        """Stop the loop and cancel whatever is still live.  The worker
+        pools are the session's: ``session.close()`` stops them."""
         with self._cond:
             if self._shutdown:
                 return
@@ -300,7 +297,6 @@ class QueryScheduler:
                     self._finalize_locked(run, CANCELLED,
                                           reason="scheduler shutdown")
             self._queue.clear()
-        self.parallel.close()
 
     def __enter__(self) -> "QueryScheduler":
         return self.start()
@@ -508,9 +504,7 @@ class QueryScheduler:
                 continue
             try:
                 run.controller = self.session._make_controller(
-                    run.online.query, run.config,
-                    parallel=self.parallel,
-                    tracer=self.tracer,
+                    run.online.query, run.config, tracer=self.tracer,
                 )
                 run.controller.begin()
             except Exception as exc:  # any bad query fails alone

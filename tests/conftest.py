@@ -8,9 +8,17 @@ Also registers the Hypothesis profiles the CI matrix selects via the
 * ``nightly`` — many more examples per property, for the scheduled
   deep sweep; not derandomized, so every night explores new inputs.
 * ``default`` — Hypothesis defaults for local development.
+
+And an autouse leak net: a test that leaves a pool worker process or a
+``repro-*`` shared-memory segment behind fails.
 """
 
+import gc
+import glob
+import multiprocessing
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +34,53 @@ settings.register_profile(
     "nightly", deadline=None, max_examples=1000,
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+#: How long a dropped pool gets to stop its workers once collected.
+LEAK_GRACE_S = 10.0
+
+
+def _children():
+    return {proc.pid for proc in multiprocessing.active_children()}
+
+
+def _segments():
+    return set(glob.glob("/dev/shm/repro-*"))
+
+
+@pytest.fixture(autouse=True)
+def _leak_net():
+    """Fail a test that leaves a live pool worker or a ``repro-*``
+    segment behind.
+
+    What the test merely dropped is collected first: a session's (or a
+    registry's) finalizer then stops its workers and unlinks its
+    segment, as it would in a program.  Leaked workers are killed before
+    the failure, so they do not spill into the next test; segments are
+    only reported (their owner may be another process).
+    """
+    children, segments = _children(), _segments()
+    yield
+    leaked_children = _children() - children
+    leaked_segments = _segments() - segments
+    if leaked_children or leaked_segments:
+        gc.collect()
+        deadline = time.monotonic() + LEAK_GRACE_S
+        while True:
+            leaked_children = _children() - children
+            leaked_segments = _segments() - segments
+            if not (leaked_children or leaked_segments) \
+                    or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+    for pid in leaked_children:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except OSError:
+            pass
+    assert not leaked_children, (
+        f"test left {len(leaked_children)} worker process(es) running")
+    assert not leaked_segments, (
+        f"test left shared-memory segments: {sorted(leaked_segments)}")
 
 
 @pytest.fixture

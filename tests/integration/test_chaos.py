@@ -101,15 +101,17 @@ class TestChaosHarness:
 
 
 class _LossyExecutor(ParallelExecutor):
-    """Loses the first fold's shards past every recovery rung."""
+    """Loses its run's first fold's shards past every recovery rung."""
 
-    def __init__(self, config, tracer=None, injector=None):
-        super().__init__(config, tracer=tracer, injector=injector)
+    def __init__(self, config, tracer=None, injector=None, pools=None):
+        super().__init__(config, tracer=tracer, injector=injector,
+                         pools=pools)
         self.losses = 0
 
     @classmethod
-    def from_config(cls, config, tracer=None, injector=None):
-        return cls(config.parallel, tracer=tracer, injector=injector)
+    def from_config(cls, config, tracer=None, injector=None, pools=None):
+        return cls(config.parallel, tracer=tracer, injector=injector,
+                   pools=pools)
 
     def fold_boot_states(self, *args, **kwargs):
         if self.losses == 0:
@@ -156,24 +158,34 @@ class TestShardLoss:
         with pytest.raises(Exception, match="no batches"):
             query.checkpoint()
 
-    def test_lost_shard_fails_only_its_served_query(self):
+    def test_lost_shard_fails_only_its_served_query(self, monkeypatch):
         session = _lossy_session()
         solo = snapshot_fingerprint(session.sql(FLAT_SQL).run_online())
+        # Every served query gets its own executor on the session's
+        # pool; only the one that folds through it loses a shard.
+        built = []
+
+        class Recorded(_LossyExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr("repro.core.controller.ParallelExecutor",
+                            Recorded)
         scheduler = QueryScheduler(session)
         try:
-            scheduler.parallel.close()
-            scheduler.parallel = lossy = _LossyExecutor(
-                session.config.parallel)
             bad = scheduler.submit(LOSSY_SQL)
             good = scheduler.submit(FLAT_SQL)
             assert scheduler.wait(timeout=60.0)
-            assert lossy.losses == 1
+            assert len(built) == 2
+            assert sum(executor.losses for executor in built) == 1
             assert bad.state == FAILED
             assert bad.error.startswith("ShardLostError")
             assert good.state == DONE
             assert snapshot_fingerprint(good.snapshots) == solo
         finally:
             scheduler.close()
+            session.close()
 
 
 def post_query(url, sql=SBI_QUERY, timeout=30.0):

@@ -1,12 +1,12 @@
 """Shared-memory segment lifecycle: no ``/dev/shm`` leaks, ever.
 
-ISSUE 8's lifecycle contract, probed by segment name (the registry
-records every name it ever created, and :func:`segment_exists` asks the
-OS): every fold releases its batch's segment before it returns — also
-when a shard is lost for good — and segments are unlinked after a
-session run stops early and after SIGKILL-induced supervised-pool
-rebuilds, whose lost shards run on the coordinator and read the batch's
-weights from the segment its lease still holds.
+The lifecycle contract, probed by segment name (the registry records
+every name it ever created, and :func:`segment_exists` asks the OS): a
+run holds at most one live segment, reused fold after fold, and none
+once it ends, stops or fails with a shard lost for good; segments are
+unlinked after SIGKILL-induced supervised-pool rebuilds too, whose lost
+shards run on the coordinator and read the batch's weights from the
+run's segment before the next fold overwrites it.
 """
 
 import numpy as np
@@ -54,56 +54,71 @@ def _unrunnable_shard(payload):
     raise RuntimeError("this shard cannot be folded anywhere")
 
 
+def _record_registries(monkeypatch):
+    """Every fold's run registry, right after the fold returns."""
+    fold = ParallelExecutor.fold_boot_states
+    seen = []
+
+    def recording(executor, *args, **kwargs):
+        try:
+            fold(executor, *args, **kwargs)
+        finally:
+            seen.append((executor.shm_registry,
+                         executor.shm_registry.live_segments()
+                         if executor.shm_registry is not None else []))
+
+    monkeypatch.setattr(ParallelExecutor, "fold_boot_states", recording)
+    return seen
+
+
 class TestSegmentsNeverLeak:
     def test_unlinked_after_drain_and_release(self):
         executor = ParallelExecutor(CONFIG)
         try:
             _fold_batches(executor)
             registry = executor.shm_registry
-            assert registry is not None and registry.created
+            # Three equal-sized folds reuse the run's one segment.
+            assert registry is not None and len(registry.created) == 1
+            assert registry.live_segments() == registry.created
+            executor.end_run()
+            assert executor.shm_registry is None
             assert registry.live_segments() == []
             assert not any(segment_exists(n) for n in registry.created)
         finally:
             executor.close()
 
-    def test_lease_released_when_each_fold_returns(self, monkeypatch):
-        # No fold outlives its call, so no lease does either: through a
-        # whole session run the registry is empty right after every
-        # fold_boot_states returns.
-        fold = ParallelExecutor.fold_boot_states
-        live = []
-
-        def recording(executor, *args, **kwargs):
-            fold(executor, *args, **kwargs)
-            registry = executor.shm_registry
-            if registry is not None:
-                live.append(registry.live_segments())
-
-        monkeypatch.setattr(ParallelExecutor, "fold_boot_states", recording)
+    def test_one_live_segment_per_run(self, monkeypatch):
+        # Through a whole session run the run's registry holds at most
+        # one live segment after every fold, and none once it ends.
+        seen = _record_registries(monkeypatch)
         session = GolaSession(
             GolaConfig(num_batches=4, bootstrap_trials=16, seed=3,
                        parallel=CONFIG)
         )
         session.register_table("sessions", generate_sessions(4000, seed=5))
-        list(session.sql(SBI_QUERY).run_online())
-        assert live and all(segments == [] for segments in live)
-        monkeypatch.setattr(ParallelExecutor, "fold_boot_states", fold)
-
-        # A shard that raises in the pool and again in the quarantine
-        # fallback is lost for good; its batch's segment is unlinked by
-        # the time ShardLostError reaches the caller.
-        monkeypatch.setattr("repro.parallel.executor.run_fold_shard",
-                            _unrunnable_shard)
-        executor = ParallelExecutor(CONFIG)
         try:
+            list(session.sql(SBI_QUERY).run_online())
+            registries = {id(r): r for r, _ in seen if r is not None}
+            assert len(registries) == 1
+            assert all(len(live) <= 1 for _, live in seen)
+            (registry,) = registries.values()
+            assert registry.live_segments() == []
+            assert not any(segment_exists(n) for n in registry.created)
+
+            # A shard that raises in the pool and again in its serial
+            # fallback is lost for good: the run fails, and its segment
+            # is unlinked by the time ShardLostError reaches the caller.
+            seen.clear()
+            monkeypatch.setattr("repro.parallel.executor.run_fold_shard",
+                                _unrunnable_shard)
             with pytest.raises(ShardLostError):
-                _fold_batches(executor, batches=1)
-            registry = executor.shm_registry
-            assert len(registry.created) == 1
+                list(session.sql(SBI_QUERY).run_online())
+            ((registry, live),) = seen
+            assert live == registry.created and len(live) == 1
             assert registry.live_segments() == []
             assert not segment_exists(registry.created[0])
         finally:
-            executor.close()
+            session.close()
 
     def test_unlinked_after_session_stops_early(self):
         session = GolaSession(
@@ -125,9 +140,9 @@ class TestSegmentsNeverLeak:
 
     def test_unlinked_after_sigkill_pool_rebuilds(self):
         # Workers are SIGKILLed mid-fold; the supervisor abandons and
-        # rebuilds the pool and re-dispatches lost shards against the
-        # still-live segments.  Results stay bit-identical and every
-        # segment is still unlinked afterwards.
+        # rebuilds the pool and runs lost shards on the coordinator
+        # against the run's still-live segment.  Results stay
+        # bit-identical and the segment is still unlinked afterwards.
         injector = FaultInjector(
             FaultsConfig(enabled=True, seed=11, worker_kill_prob=0.5),
             master_seed=11,
@@ -155,8 +170,8 @@ class TestSegmentsNeverLeak:
     def test_recovery_reads_weights_from_the_held_segment(self):
         # Every shard SIGKILLs its worker: each one then runs once on
         # the coordinator, which resolves the specs there.  It reads the
-        # stored weight rectangle from the segment the batch's lease
-        # still holds; nothing draws it again.
+        # stored weight rectangle from the run's segment, which no
+        # later publish has overwritten yet; nothing draws it again.
         injector = FaultInjector(
             FaultsConfig(enabled=True, seed=11, worker_kill_prob=1.0),
             master_seed=11,
@@ -181,8 +196,9 @@ class TestSegmentsNeverLeak:
         assert counters["parallel.restarts"] == 3
         assert "parallel.redispatched" not in counters
         assert counters["bootstrap.columns_drawn"] == 3 * 12
-        # The fallback attached every batch's segment in this process.
-        assert len(created) == 3 and set(created) <= set(attached)
+        # All three folds published into the run's one segment, and the
+        # fallback attached it in this process.
+        assert len(created) == 1 and set(created) <= set(attached)
         assert not any(segment_exists(n) for n in created)
         ref = _serial_reference()
         for alias in ref:

@@ -1,9 +1,10 @@
 """Unit coverage for ``repro.parallel.shm``.
 
-The contract under test: the coordinator publishes a batch's arrays
-once into one shared segment, workers resolve tiny specs into read-only
-zero-copy views, and the lease/close protocol guarantees no segment
-ever outlives its run — whatever the failure path.
+The contract under test: the coordinator publishes each batch's arrays
+into its run's one reused segment, workers resolve tiny specs into
+read-only zero-copy views, and the close protocol guarantees no segment
+ever outlives its run — whatever the failure path — and no process
+keeps an unlinked segment mapped past its next new attach.
 """
 
 import multiprocessing
@@ -52,7 +53,6 @@ class TestPublishResolve:
                 view = resolve(lease.specs[name])
                 assert view.dtype == arr.dtype
                 assert np.array_equal(view, arr)
-            lease.release()
 
     def test_views_are_read_only(self):
         with ShmRegistry() as registry:
@@ -60,7 +60,6 @@ class TestPublishResolve:
             view = resolve(lease.specs["x"])
             with pytest.raises(ValueError):
                 view[0] = 2.0
-            lease.release()
 
     def test_arrays_share_one_aligned_segment(self):
         arrays = _sample_arrays()
@@ -73,7 +72,6 @@ class TestPublishResolve:
             spans = sorted((s.offset, s.offset + s.nbytes) for s in specs)
             for (_, a_hi), (b_lo, _) in zip(spans, spans[1:]):
                 assert a_hi <= b_lo
-            lease.release()
 
     def test_attach_cache_reuses_the_segment(self):
         with ShmRegistry() as registry:
@@ -81,7 +79,8 @@ class TestPublishResolve:
             for spec in lease.specs.values():
                 resolve(spec)
             assert attached_segments() == [lease.segment]
-            lease.release()
+        # Unlinking the segment also closes this process's attachment.
+        assert attached_segments() == []
 
     def test_resolve_passes_non_specs_through(self):
         arr = np.arange(4.0)
@@ -97,7 +96,6 @@ class TestPublishResolve:
             payload = pickle.dumps(spec)
             assert len(payload) < 200  # specs ship, bytes don't
             assert pickle.loads(payload) == spec
-            lease.release()
 
     def test_empty_publish_returns_none(self):
         with ShmRegistry() as registry:
@@ -107,17 +105,36 @@ class TestPublishResolve:
 
 
 class TestLifecycle:
-    def test_release_unlinks_at_refcount_zero(self):
+    def test_close_unlinks_the_run_segment(self):
         registry = ShmRegistry()
         lease = registry.publish({"x": np.ones(32)})
         name = lease.segment
         assert registry.live_segments() == [name]
         assert segment_exists(name)
-        lease.release()
-        lease.release()  # idempotent
+        registry.close()
+        registry.close()  # idempotent
         assert registry.live_segments() == []
         assert not segment_exists(name)
         assert registry.created == [name]  # probing names survive unlink
+
+    def test_publishes_reuse_one_segment_until_outgrown(self):
+        with ShmRegistry() as registry:
+            first = registry.publish({"x": np.arange(100.0)})
+            # A smaller and an equal publish overwrite the same region.
+            small = registry.publish({"x": np.arange(10.0) + 7})
+            again = registry.publish({"x": np.arange(100.0) * 2})
+            assert first.segment == small.segment == again.segment
+            assert np.array_equal(resolve(again.specs["x"]),
+                                  np.arange(100.0) * 2)
+            # Outgrowing it replaces it; the old one is unlinked at once.
+            grown = registry.publish({"x": np.arange(1000.0)})
+            assert grown.segment != first.segment
+            assert registry.live_segments() == [grown.segment]
+            assert registry.created == [first.segment, grown.segment]
+            assert not segment_exists(first.segment)
+            assert np.array_equal(resolve(grown.specs["x"]),
+                                  np.arange(1000.0))
+        assert not segment_exists(grown.segment)
 
     def test_close_force_unlinks_everything(self):
         registry = ShmRegistry()
@@ -155,6 +172,58 @@ class TestLifecycle:
 
     def test_segment_exists_probe(self):
         assert not segment_exists("repro-never-created")
+
+    def test_new_attach_drops_unlinked_attachments(self):
+        # What a worker sees: the coordinator unlinks a finished run's
+        # segment in another process, and the worker's cache drops it
+        # on its next attach of a segment it does not hold.
+        from multiprocessing.shared_memory import SharedMemory
+
+        from repro.parallel.shm import ArraySpec
+
+        def spec(segment):
+            return ArraySpec(segment.name, "<f8", (4,), 0)
+
+        old = SharedMemory(create=True, size=64)
+        new = SharedMemory(create=True, size=64)
+        try:
+            resolve(spec(old))
+            assert attached_segments() == [old.name]
+            old.unlink()
+            resolve(spec(new))
+            assert attached_segments() == [new.name]
+        finally:
+            for segment in (old, new):
+                segment.close()
+            new.unlink()
+
+
+def _count_inherited_mappings(name, conn):
+    with open(f"/proc/{os.getpid()}/maps") as maps:
+        conn.send(sum(name in line for line in maps))
+    conn.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="needs /proc")
+def test_forked_child_closes_inherited_segments():
+    """A pool worker forked while a run's segment is live (and attached
+    here) must not keep mapping it: it would pin the segment's memory
+    for the worker's whole life."""
+    context = multiprocessing.get_context("fork")
+    with ShmRegistry() as registry:
+        lease = registry.publish({"x": np.ones(1024)})
+        resolve(lease.specs["x"])
+        parent, child = context.Pipe()
+        proc = context.Process(target=_count_inherited_mappings,
+                               args=(lease.segment, child))
+        proc.start()
+        mappings = parent.recv()
+        proc.join(timeout=30.0)
+        parent.close()
+        child.close()
+    assert proc.exitcode == 0
+    assert mappings == 0
 
 
 def _exit_with_tracker_lock_state():

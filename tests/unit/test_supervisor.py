@@ -7,6 +7,7 @@ task the pool failed, and merge-time result-integrity fingerprints.
 
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -118,6 +119,68 @@ class TestCrashRecovery:
             np.testing.assert_array_equal(plans[0][key], plans[1][key])
         assert any(plans[0][key].any()
                    for key in ("kill", "hang", "corrupt"))
+
+
+class TestSharedPool:
+    def test_a_late_rebuild_spares_the_replacement(self):
+        """A thread that saw an executor break after another thread
+        already replaced it must not abandon (or count) the new one."""
+        with SupervisedPool(1, deadline_s=30.0) as pool:
+            assert pool.map(square, [1]) == [1]
+            broken = pool._executor
+            pool._rebuild_pool(broken, "worker death")
+            assert pool.map(square, [2]) == [4]
+            replacement = pool._executor
+            pids = pool.worker_pids()
+            pool._rebuild_pool(broken, "worker death")
+            assert pool._executor is replacement
+            assert pool.worker_pids() == pids and pool.restarts == 1
+            assert pool.map(square, [3]) == [9]
+
+    def test_threads_survive_each_others_rebuilds(self):
+        """Three runs (more than this host's cores) map on one pool at
+        once, each with its own tracer and kill plan.  A broken
+        executor is rebuilt once, never its replacement, and another
+        run's tasks on it run on the coordinator: every result is
+        right, and the runs' restart counters add up to the pool's."""
+        pool = SupervisedPool(1, deadline_s=30.0)
+        seeds = (1, 2, 3)
+        tracers = {seed: metrics_tracer() for seed in seeds}
+        results, errors = {}, []
+
+        def drive(seed):
+            inj = injector(seed=seed, worker_kill_prob=0.3)
+            try:
+                results[seed] = [
+                    pool.map(square, range(5), tracer=tracers[seed],
+                             injector=inj)
+                    for _ in range(6)
+                ]
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=drive, args=(seed,))
+                       for seed in seeds]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+        assert not errors, errors
+        for seed in seeds:
+            assert results[seed] == [[x * x for x in range(5)]] * 6
+        counted = sum(
+            tracers[seed].metrics.snapshot().counters.get(
+                "parallel.restarts", 0)
+            for seed in seeds
+        )
+        assert counted == pool.restarts >= 1
 
 
 class TestHangDeadline:
