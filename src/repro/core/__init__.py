@@ -1,6 +1,6 @@
 """G-OLA core: delta maintenance, classification, controller, sessions."""
 
-from .classify import IntervalEnv, classify, interval_eval, tri_eval
+from .classify import IntervalEnv, interval_eval, tri_eval
 from .controller import QueryController
 from .delta import BlockRuntime, CachedRows, parse_block
 from .lineage import lineage_columns
@@ -32,7 +32,6 @@ __all__ = [
     "TRI_FALSE",
     "TRI_TRUE",
     "TRI_UNKNOWN",
-    "classify",
     "compile_meta_plan",
     "interval_eval",
     "lineage_columns",

@@ -256,18 +256,3 @@ def tri_eval(expr: Expression, table: Table, env: IntervalEnv) -> np.ndarray:
     # Unknown predicate shape over uncertain inputs: conservative.
     return np.full(n, TRI_UNKNOWN, dtype=np.int8)
 
-
-def classify(predicates, table: Table, env: IntervalEnv) -> np.ndarray:
-    """Classify rows under a conjunction of predicates.
-
-    Returns a TRI_* array: TRI_TRUE rows are deterministic-pass,
-    TRI_FALSE deterministic-fail, TRI_UNKNOWN form the uncertain set.
-    """
-    if table.num_rows == 0:
-        return np.empty(0, dtype=np.int8)
-    out = np.full(table.num_rows, TRI_TRUE, dtype=np.int8)
-    for predicate in predicates:
-        out = np.minimum(out, tri_eval(predicate, table, env))
-        if not out.any():  # everything already deterministic-fail
-            break
-    return out.astype(np.int8)

@@ -9,10 +9,12 @@ snapshot — touching ``O(|ΔD_i| + |U_{i-1}|)`` rows instead of
 ``O(|D_i|)``, the whole point of G-OLA.  Each of the paper's ideas has
 one owner, chosen once when the runtime is built:
 
-* :class:`~repro.core.guards.BlockGuards` — what every folded decision
-  relied on; if a consumed slot's running value escapes it, the block
-  *rebuilds* from the batches seen so far, re-read from the session's
-  batch store (the paper's failure-recovery path);
+* :class:`~repro.core.guards.BlockGuards` — the three-valued
+  classification of the block's uncertain predicates and what every
+  folded decision relied on; once a decision no longer holds at the
+  slots' point values, the block *rebuilds* from the batches seen so
+  far, re-read from the session's batch store (the paper's
+  failure-recovery path);
 * :class:`UncertainCache` — the uncertain set: cached rows whose
   decisions may still flip, stored with exactly the lineage the block
   needs (predicate columns, group indices, aggregate argument values,
@@ -452,7 +454,7 @@ class BlockRuntime:
         wsrc = None if weights is None else as_batch_weights(weights)
         ienv = IntervalEnv(slots=slot_states, point=penv)
         with tracer.span("phase:guards", block=self.block.block_id) as gs:
-            violation = self.guards.violation(slot_states, ienv)
+            violation = self.guards.violation(ienv)
             if violation is not None:
                 gs.set("violation", violation)
         if violation is not None:
@@ -523,15 +525,7 @@ class BlockRuntime:
         with tracer.span("phase:classify", block=self.block.block_id,
                          rows_in=candidates.size, cached_in=cached_in,
                          incoming=incoming.size) as cls_span:
-            p_tris = [
-                tri_eval(predicate, candidates.table, ienv)
-                for predicate in self.pipeline.uncertain_predicates
-            ]
-            tri = p_tris[0].copy()
-            for p_tri in p_tris[1:]:
-                tri = np.minimum(tri, p_tri)
-            self.guards.commit(candidates.table, p_tris, tri, slot_states,
-                               ienv)
+            tri = self.guards.classify(candidates.table, ienv)
 
             pass_mask = tri == TRI_TRUE
             fail_mask = tri == TRI_FALSE

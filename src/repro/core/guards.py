@@ -1,30 +1,51 @@
 """Guards: when a block's folded decisions stop being trustworthy.
 
-A guard records what a batch's deterministic folds relied on
-(``commit``) and checks it against the slots' fresh values before the
-next batch (``check``); a failed check makes the block rebuild and
-``reset`` it.  :class:`BlockGuards` picks one strategy per uncertain
-predicate when the block is built (:func:`_analyze_guard`): a
-:class:`_DecisionGuard` for ``certain θ uncertain`` orderings, a
-:class:`_SetGuard` for ``key IN (subquery)``, and for any other shape
-the conservative per-slot :class:`_ScalarGuard` or
-:class:`_KeyedRangeGuard` plus a set guard per ``IN`` node inside it.
+G-OLA folds a row once its three-valued classification is decided and
+trusts that decision on every later batch; a decision that fails makes
+the block rebuild.  :class:`BlockGuards` owns both halves for a block:
+``classify`` classifies the candidate rows and commits what each folded
+row relied on, ``violation`` checks those commitments against the
+slots' fresh point values before the next batch, ``reset`` clears them.
+
+Each uncertain conjunct, already NOT-normalized, is a Kleene AND/OR/NOT
+tree whose slot-free subtrees are certain.  Every other leaf is an
+*atom* with one treatment, chosen when the block is built (:func:`_node`):
+
+* ``key [NOT] IN (subquery)`` — a :class:`_SetGuard` on membership;
+* an ordering comparison — a :class:`_DecisionGuard` on ``certain θ
+  uncertain`` once the slot-free terms of each side's top-level
+  ``+``/``-`` sum move to the certain side, if the uncertain side reads
+  only scalar slots and slots correlated on one column; ``=`` and ``!=``
+  get a ``<``/``>`` pair, and ``BETWEEN`` is two ``<=`` atoms;
+* anything else is never decided early: it classifies UNKNOWN, so its
+  rows stay in the uncertain cache until the last batch, unguarded.
+
+An atom commits only on the folded rows whose result it helped decide:
+where a certain child decides an AND/OR alone nothing commits, otherwise
+every child whose value equals the result commits.  Every guard checks
+*point validity* — each committed decision still holds at the slots'
+current point values, exactly what snapshot equality with ``Q(D_i,
+k/i)`` needs (EXPERIMENTS.md, "Known deviations" 2).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 import numpy as np
 
-from ..estimate.variation import VariationRange
 from ..expr.expressions import (
     ArrayTable,
+    Between,
+    BinaryOp,
+    BooleanOp,
     ColumnRef,
     Comparison,
     Environment,
     Expression,
     InSubquery,
+    Literal,
+    Negate,
     SubqueryRef,
 )
 from ..expr.tristate import (
@@ -33,9 +54,10 @@ from ..expr.tristate import (
     TRI_TRUE,
     TRI_UNKNOWN,
     tri_compare,
+    tri_not,
 )
 from ..storage.table import Table
-from .classify import IntervalEnv, tri_eval
+from .classify import IntervalEnv, _comparison_side, tri_eval
 
 _ORDERING_OPS = ("<", "<=", ">", ">=")
 
@@ -44,135 +66,48 @@ _ORDERING_OPS = ("<", "<=", ">", ">=")
 _NO_FOLDS = np.array([[-np.inf], [np.inf], [-np.inf], [np.inf]])
 
 
-class _ScalarGuard:
-    """Intersection of the scalar variation ranges a block folded under.
-
-    Fallback guard for predicates whose shape does not decompose into
-    "certain side θ uncertain side" (see :class:`_DecisionGuard`); it is
-    conservative — any drift of the slot outside every range ever used
-    triggers a rebuild — but always sound.
-    """
-
-    label = "ScalarGuard"
-
-    def __init__(self, slot: int) -> None:
-        self.slot = slot
-        self.range: Optional[VariationRange] = None
-
-    def check(self, slot_states, ienv: IntervalEnv) -> bool:
-        if self.range is None:
-            return True
-        state = slot_states[self.slot]
-        return (
-            self.range.contains(state.estimate)
-            and self.range.contains_all(state.replicas)
-        )
-
-    def commit(self, table: Table, p_tri, tri_final, slot_states,
-               ienv: IntervalEnv) -> None:
-        if (tri_final == TRI_UNKNOWN).all():  # nothing folded
-            return
-        vrange = slot_states[self.slot].vrange
-        self.range = (vrange if self.range is None
-                      else self.range.intersect(vrange))
-
-    def reset(self) -> None:
-        self.range = None
-
-
-class _KeyedRangeGuard:
-    """Fallback per-group range-intersection guard (keyed slots).
-
-    Only used for predicate shapes where decision-level guarding does
-    not apply; conservative but sound.
-    """
-
-    label = "KeyedRangeGuard"
-
-    def __init__(self, slot: int) -> None:
-        self.slot = slot
-        self.reset()
-
-    def check(self, slot_states, ienv: IntervalEnv) -> bool:
-        state = slot_states[self.slot]
-        g = min(len(self.lows), len(state.estimates))
-        if g == 0:
-            return True
-        present = state._present()[:g]
-        lo, hi = self.lows[:g], self.highs[:g]
-        est = state.estimates[:g]
-        if (present & ((est < lo) | (est > hi))).any():
-            return False
-        reps = state.replicas[:g]
-        inside = (reps >= lo[:, None]) & (reps <= hi[:, None])
-        return bool(inside[present].all())
-
-    def commit(self, table: Table, p_tri, tri_final, slot_states,
-               ienv: IntervalEnv) -> None:
-        if (tri_final == TRI_UNKNOWN).all():  # nothing folded
-            return
-        state = slot_states[self.slot]
-        g = len(state.estimates)
-        if g > len(self.lows):
-            pad = g - len(self.lows)
-            self.lows = np.concatenate([self.lows, np.full(pad, -np.inf)])
-            self.highs = np.concatenate([self.highs, np.full(pad, np.inf)])
-        used = np.nonzero(state._present())[0]
-        if used.size == 0:
-            return
-        np.maximum.at(self.lows, used, state.lows[used])
-        np.minimum.at(self.highs, used, state.highs[used])
-
-    def reset(self) -> None:
-        self.lows = np.empty(0)
-        self.highs = np.empty(0)
-
-
 class _DecisionGuard:
-    """Decision-validity guard for ``certain θ uncertain`` comparisons.
+    """Point validity of ``certain θ uncertain`` decisions.
 
-    A deterministic fold of row ``r`` under predicate ``c(r) θ u`` stays
-    valid exactly while ``c(r)`` remains clear of the uncertain side's
-    *current* variation range.  By monotonicity only the extreme folded
-    values matter, so the guard keeps, per producer group (or globally
-    for scalar slots), the extremes of the certain side among TRUE-folds
-    and FALSE-folds and re-checks them against the fresh range each batch
-    — O(G) vectorized work, and dramatically less conservative than
-    intersecting ranges across batches (whose ever-tightening guard makes
-    rebuilds near-certain for keyed slots with many small groups).
+    A fold of row ``r`` under ``c(r) θ u`` stays valid exactly while
+    ``c(r) θ u`` keeps its value at ``u``'s *current point* value.  By
+    monotonicity only the extreme folded values matter, so the guard
+    keeps, per producer group (or globally when no slot is keyed), the
+    extremes of the certain side among TRUE-folds and FALSE-folds and
+    re-checks them each batch — O(G) vectorized work.  Checking the
+    whole variation range instead would rebuild on nearly every batch
+    for many small groups (Q17), whose replica hulls jitter by more than
+    the fold margin; ε sets that margin.
 
-    ``certain_side`` is row-dependent; ``uncertain_side`` may be any
-    expression whose only row dependence flows through the correlation
-    key (e.g. ``0.6 * AVG(...)`` per part), so its per-group range hull
-    is obtained with the ordinary interval evaluator over a pseudo-table
-    of one row per producer group.
+    ``uncertain_side`` reads only scalar slots and slots correlated on
+    ``correlation_name``, so its point value per group comes from the
+    ordinary evaluator over a pseudo-table of one row per group of the
+    first keyed slot, whose ``GroupIndex`` also indexes the extremes.
     """
-
-    label = "decision guard"
 
     def __init__(self, op: str, certain_side: Expression,
-                 uncertain_side: Expression, slot: int,
+                 uncertain_side: Expression, slots: List[int],
                  correlation_name: Optional[str]):
         self.op = op  # normalized: certain_side op uncertain_side
         self.certain_side = certain_side
         self.uncertain_side = uncertain_side
-        self.slot = slot
+        #: Every slot the uncertain side reads, the first keyed one first.
+        self.slots = slots
+        self.slot = slots[0]
         self.correlation_name = correlation_name
         #: ``(4, G)`` extremes of the certain side among folded rows, per
         #: producer group (see ``_NO_FOLDS``); grown lazily.
         self.extremes = _NO_FOLDS.copy()
 
-    def _grow(self, g: int) -> None:
-        pad = g - self.extremes.shape[1]
-        if pad > 0:
-            self.extremes = np.concatenate(
-                [self.extremes, np.repeat(_NO_FOLDS, pad, axis=1)], axis=1)
+    @property
+    def label(self) -> str:
+        by = (f" by {self.correlation_name}"
+              if self.correlation_name is not None else "")
+        return f"decision on slot#{self.slot}{by}"
 
-    def commit(self, table: Table, p_tri: np.ndarray,
-               tri_final: np.ndarray, slot_states,
+    def commit(self, table: Table, tri: np.ndarray,
                ienv: IntervalEnv) -> None:
-        true_mask = tri_final == TRI_TRUE  # implies p_tri TRUE
-        false_mask = (tri_final == TRI_FALSE) & (p_tri == TRI_FALSE)
+        true_mask, false_mask = tri == TRI_TRUE, tri == TRI_FALSE
         if not (true_mask.any() or false_mask.any()):
             return
         n = table.num_rows
@@ -184,10 +119,14 @@ class _DecisionGuard:
         if self.correlation_name is None:
             idx = np.zeros(n, dtype=np.int64)
         else:
-            state = slot_states[self.slot]
+            state = ienv.slots[self.slot]
             keys = np.asarray(table.column(self.correlation_name))
             idx = state.index.encode(keys, add_new=False)
-            self._grow(len(state.estimates))
+            pad = len(state.estimates) - self.extremes.shape[1]
+            if pad > 0:
+                self.extremes = np.concatenate(
+                    [self.extremes, np.repeat(_NO_FOLDS, pad, axis=1)],
+                    axis=1)
         # A NaN certain side is a NULL, decided whatever the uncertain
         # side does: it constrains nothing, and must not poison the
         # extremes (a NaN maximum would pass every later check).
@@ -198,35 +137,23 @@ class _DecisionGuard:
                 np.maximum.at(self.extremes[row], idx[use], c_vals[use])
                 np.minimum.at(self.extremes[row + 1], idx[use], c_vals[use])
 
-    def check(self, slot_states, ienv: IntervalEnv) -> bool:
-        """Are all folded decisions point-correct under the new values?
-
-        Validity is checked against the uncertain side's current *point*
-        value (per group), which is exactly what snapshot correctness —
-        equality with ``Q(D_i, k/i)`` — requires.  Checking against the
-        full variation range instead would be needlessly strict: with
-        many small groups (e.g. Q17's per-part averages) the replica hull
-        jitters by more than the fold margin every batch and rebuilds
-        become near-certain.  Per-trial classification drift is the
-        approximation the paper itself accepts (classification is shared
-        across bootstrap trials); ε controls the fold margin and hence
-        the residual violation probability.
-        """
+    def check(self, ienv: IntervalEnv) -> bool:
+        """Are all folded decisions point-correct under the new values?"""
         g = self.extremes.shape[1]
-        state = slot_states[self.slot]
         if self.correlation_name is None:
             pseudo = ArrayTable({}, 1)
         else:
-            keys = np.array(state.index.keys())
+            keys = np.array(ienv.slots[self.slot].index.keys())
             if len(keys) == 0:
                 return True
             pseudo = ArrayTable({self.correlation_name: keys}, len(keys))
-        # Bind the slot's point values locally so the check is
+        # Bind the slots' point values locally so the check is
         # self-contained (callers need not pre-bind the environment).
         env = Environment(functions=ienv.point.functions)
-        state.bind_point(env)
-        raw = self.uncertain_side.evaluate(pseudo, env)
-        side = np.asarray(raw, dtype=np.float64)
+        for slot in self.slots:
+            ienv.slots[slot].bind_point(env)
+        side = np.asarray(self.uncertain_side.evaluate(pseudo, env),
+                          dtype=np.float64)
         if side.ndim == 0:
             side = np.full(pseudo.num_rows, float(side))
         n = min(g, len(side))
@@ -250,52 +177,34 @@ class _DecisionGuard:
 
 
 class _SetGuard:
-    """Membership commitments against the set slot of an ``IN`` predicate:
-    each folded row's key stays in (TRUE) or out (FALSE) of the set."""
-
-    label = "SetGuard"
+    """Membership commitments against the set slot of an ``IN`` atom:
+    each folded key stays in (TRUE) or out (FALSE) of the set."""
 
     def __init__(self, node: InSubquery) -> None:
         self.node = node
         self.slot = node.slot
+        self.label = f"set on slot#{node.slot}"
         self.committed_in: Set = set()
         self.committed_out: Set = set()
 
-    def check(self, slot_states, ienv: IntervalEnv) -> bool:
-        members = slot_states[self.slot].point_members
+    def check(self, ienv: IntervalEnv) -> bool:
+        members = ienv.slots[self.slot].point_members
         return (
             self.committed_in <= members
             and self.committed_out.isdisjoint(members)
         )
 
-    def commit(self, table: Table, p_tri, tri_final, slot_states,
+    def commit(self, table: Table, tri: np.ndarray,
                ienv: IntervalEnv) -> None:
-        folded = tri_final != TRI_UNKNOWN
-        keys = np.asarray(self.node.value.evaluate(table, ienv.point))
-        self._record(keys[folded], p_tri[folded])
-
-    def _record(self, keys: np.ndarray, tri: np.ndarray) -> None:
-        for key, status in zip(keys.tolist(), tri.tolist()):
-            if status == int(TRI_TRUE):
-                self.committed_in.add(key)
-            elif status == int(TRI_FALSE):
-                self.committed_out.add(key)
+        """``tri`` is each row's *membership* (``NOT IN`` negates it)."""
+        if (tri != TRI_UNKNOWN).any():
+            keys = np.asarray(self.node.value.evaluate(table, ienv.point))
+            self.committed_in.update(keys[tri == TRI_TRUE].tolist())
+            self.committed_out.update(keys[tri == TRI_FALSE].tolist())
 
     def reset(self) -> None:
         self.committed_in.clear()
         self.committed_out.clear()
-
-
-class _NodeSetGuard(_SetGuard):
-    """A set guard on an ``IN`` node inside a fallback predicate: once
-    any row folds, every row commits the node's own decision."""
-
-    def commit(self, table: Table, p_tri, tri_final, slot_states,
-               ienv: IntervalEnv) -> None:
-        if (tri_final == TRI_UNKNOWN).all():  # nothing folded
-            return
-        keys = np.asarray(self.node.value.evaluate(table, ienv.point))
-        self._record(keys, tri_eval(self.node, table, ienv))
 
 
 def _subquery_nodes(expr: Expression) -> List[Expression]:
@@ -309,108 +218,177 @@ def _subquery_nodes(expr: Expression) -> List[Expression]:
     return out
 
 
-def _analyze_guard(predicate: Expression):
-    """Pick the guard strategy for one uncertain predicate.
+def _split(expr: Expression, sign: int = 1):
+    """The signed terms of ``expr``'s top-level ``+``/``-`` sum: the
+    slot-free ones, then the rest."""
+    if isinstance(expr, BinaryOp) and expr.op in ("+", "-"):
+        (lc, lu), (rc, ru) = _split(expr.left, sign), _split(
+            expr.right, sign if expr.op == "+" else -sign)
+        return lc + rc, lu + ru
+    term = [(sign, expr)]
+    return ([], term) if expr.subquery_slots() else (term, [])
 
-    Returns ``("set", node)``, ``("decision", guard)`` or
-    ``("fallback", slots)``.
-    """
-    if isinstance(predicate, InSubquery):
-        return ("set", predicate)
-    if isinstance(predicate, Comparison) and predicate.op in _ORDERING_OPS:
-        left_slots = predicate.left.subquery_slots()
-        right_slots = predicate.right.subquery_slots()
-        if left_slots and not right_slots:
-            uncertain, certain = predicate.left, predicate.right
-            op = FLIP_COMPARISON[predicate.op]
-        elif right_slots and not left_slots:
-            uncertain, certain = predicate.right, predicate.left
-            op = predicate.op
-        else:
-            return ("fallback", predicate.subquery_slots())
-        refs = _subquery_nodes(uncertain)
-        if len({r.slot for r in refs}) != 1 or any(
-            isinstance(r, InSubquery) for r in refs
-        ):
-            return ("fallback", predicate.subquery_slots())
-        ref = refs[0]
-        if ref.correlation is None:
-            if uncertain.references():
-                return ("fallback", predicate.subquery_slots())
-            corr_name = None
-        else:
-            if not isinstance(ref.correlation, ColumnRef):
-                return ("fallback", predicate.subquery_slots())
-            corr_name = ref.correlation.name
-            if uncertain.references() - {corr_name}:
-                return ("fallback", predicate.subquery_slots())
-        return (
-            "decision",
-            _DecisionGuard(op, certain, uncertain, ref.slot, corr_name),
-        )
-    return ("fallback", predicate.subquery_slots())
+
+def _sum(plus: list, minus: list) -> Expression:
+    """``Σ plus − Σ minus`` over signed terms (``0`` for none)."""
+    terms = plus + [(-sign, term) for sign, term in minus]
+    if not terms:
+        return Literal(0.0)
+    sign, out = terms[0]
+    out = out if sign > 0 else Negate(out)
+    for sign, term in terms[1:]:
+        out = BinaryOp("+" if sign > 0 else "-", out, term)
+    return out
+
+
+def _decision_guards(cmp: Comparison) -> List[_DecisionGuard]:
+    """``cmp`` as ``certain θ uncertain`` guards — one for an ordering,
+    a ``<``/``>`` pair for ``=``/``!=`` — or none when its uncertain side
+    reads a row column or slots of two correlations."""
+    (lc, lu), (rc, ru) = _split(cmp.left), _split(cmp.right)
+    # ``L θ R`` ⇔ ``Lc − Rc θ Ru − Lu``; flipped to ``Rc θ' Lu`` when
+    # only ``L`` reads slots and only ``R`` does not, so nothing negates.
+    flip = not lc and not ru
+    certain, uncertain = ((_sum(rc, lc), _sum(lu, ru)) if flip
+                          else (_sum(lc, rc), _sum(ru, lu)))
+    refs = _subquery_nodes(uncertain)
+    if any(isinstance(r, InSubquery) for r in refs):
+        return []
+    keyed = [r for r in refs if r.correlation is not None]
+    if any(not isinstance(r.correlation, ColumnRef) for r in keyed):
+        return []
+    names = {r.correlation.name for r in keyed}
+    if len(names) > 1 or uncertain.references() - names:
+        return []
+    slots = list(dict.fromkeys(r.slot for r in keyed + refs))
+    corr = names.pop() if names else None
+    ops = [cmp.op] if cmp.op in _ORDERING_OPS else ["<", ">"]
+    return [_DecisionGuard(FLIP_COMPARISON[op] if flip else op, certain,
+                           uncertain, slots, corr) for op in ops]
+
+
+class _Leaf:
+    """A slot-free subtree (``certain``: decided by point evaluation), or
+    an atom with its guards: one decision guard, a ``<``/``>`` pair, one
+    set guard, or none (never decided early)."""
+
+    def __init__(self, expr: Expression, guards: Optional[list] = None):
+        self.expr = expr
+        self.certain = guards is None
+        self.guards = guards or []
+        self.atoms = () if self.certain else (self,)
+
+    @property
+    def label(self) -> str:
+        return (self.guards[0].label if self.guards
+                else "cached until the last batch")
+
+    def decide(self, table: Table, ienv: IntervalEnv):
+        """The leaf's value per row, plus the value each guard commits."""
+        expr = self.expr
+        if self.certain:
+            return tri_eval(expr, table, ienv), []
+        if isinstance(expr, InSubquery):
+            tri = tri_eval(expr, table, ienv)
+            return tri, [tri_not(tri) if expr.negated else tri]
+        if not self.guards:
+            return np.full(table.num_rows, TRI_UNKNOWN, dtype=np.int8), []
+        sides = (*_comparison_side(expr.left, table, ienv),
+                 *_comparison_side(expr.right, table, ienv))
+        tri = tri_compare(expr.op, *sides)
+        if len(self.guards) == 1:
+            return tri, [tri]
+        return tri, [tri_compare(op, *sides) for op in ("<", ">")]
+
+    def commit(self, decided, keep: np.ndarray, table, ienv) -> None:
+        for guard, tri in zip(self.guards, decided[1]):
+            guard.commit(table, np.where(keep, tri, TRI_UNKNOWN), ienv)
+
+
+class _Bool:
+    """A Kleene AND, OR or NOT over child nodes, at least one uncertain."""
+
+    certain = False
+
+    def __init__(self, op: str, children: list) -> None:
+        self.op = op
+        self.children = children
+        self.atoms = tuple(a for c in children for a in c.atoms)
+
+    def decide(self, table: Table, ienv: IntervalEnv):
+        parts = [child.decide(table, ienv) for child in self.children]
+        value = parts[0][0]
+        if self.op == "NOT":
+            return tri_not(value), parts
+        combine = np.minimum if self.op == "AND" else np.maximum
+        for other, _ in parts[1:]:
+            value = combine(value, other)
+        return value, parts
+
+    def commit(self, decided, keep: np.ndarray, table, ienv) -> None:
+        """Commit the children that decided ``keep``'s rows."""
+        value, parts = decided
+        if self.op == "NOT":
+            self.children[0].commit(parts[0], keep, table, ienv)
+            return
+        absorbing = TRI_FALSE if self.op == "AND" else TRI_TRUE
+        for child, (tri, _) in zip(self.children, parts):
+            if child.certain:
+                keep = keep & (tri != absorbing)
+        for child, part in zip(self.children, parts):
+            if not child.certain:
+                child.commit(part, keep & (part[0] == value), table, ienv)
+
+
+def _node(expr: Expression):
+    """The guard tree of one predicate."""
+    if not expr.subquery_slots():
+        return _Leaf(expr)
+    if isinstance(expr, BooleanOp):
+        return _Bool(expr.op, [_node(o) for o in expr.operands])
+    if isinstance(expr, Between):
+        return _Bool("AND", [
+            _node(Comparison("<=", expr.low, expr.value)),
+            _node(Comparison("<=", expr.value, expr.high)),
+        ])
+    if isinstance(expr, InSubquery):
+        return _Leaf(expr, [_SetGuard(expr)])
+    if isinstance(expr, Comparison):
+        return _Leaf(expr, _decision_guards(expr))
+    return _Leaf(expr, [])
 
 
 class BlockGuards:
-    """Every guard of one block, chosen once from its uncertain predicates.
-
-    Each guard is paired with the index of the predicate it watches, so
-    :meth:`commit` hands it that predicate's own three-valued decision.
-    Decision guards are checked first; a fallback predicate's range
-    guards are shared per slot (two predicates on one slot commit the
-    same range at the same batch).
-    """
+    """The classification and guards of one block's uncertain conjuncts,
+    read as one Kleene AND over their trees."""
 
     def __init__(self, predicates: List[Expression]) -> None:
-        decisions: List[Tuple[int, object]] = []
-        others: List[Tuple[int, object]] = []
-        ranges = {}
-        for i, predicate in enumerate(predicates):
-            kind, found = _analyze_guard(predicate)
-            if kind == "decision":
-                decisions.append((i, found))
-            elif kind == "set":
-                others.append((i, _SetGuard(predicate)))
-            else:
-                for node in _subquery_nodes(predicate):
-                    if isinstance(node, InSubquery):
-                        others.append((i, _NodeSetGuard(node)))
-                    elif node.slot not in ranges:
-                        ranges[node.slot] = (
-                            _ScalarGuard(node.slot)
-                            if node.correlation is None
-                            else _KeyedRangeGuard(node.slot)
-                        )
-                        others.append((i, ranges[node.slot]))
-        #: ``(predicate index, guard)`` pairs, in check order.
-        self.guards = decisions + others
+        trees = [_node(p) for p in predicates]
+        self.tree = trees[0] if len(trees) == 1 else _Bool("AND", trees)
+        #: Every atom, in predicate order, and every guard, in check order.
+        self.atoms = self.tree.atoms
+        self.guards = [g for atom in self.atoms for g in atom.guards]
 
-    def violation(self, slot_states, ienv: IntervalEnv) -> Optional[str]:
-        """The first failing guard as a human-readable cause, or None.
+    def describe(self) -> List[str]:
+        """One line per atom: its SQL and its guard."""
+        return [f"{atom.expr.sql()}: {atom.label}" for atom in self.atoms]
 
-        The cause string is what rebuild trace events report, so a
-        profile can say *why* a block recomputed (which slot drifted,
-        under which guard strategy), not just that it did.
-        """
-        for _, guard in self.guards:
-            if not guard.check(slot_states, ienv):
-                return f"{guard.label} on slot#{guard.slot}"
+    def classify(self, table: Table, ienv: IntervalEnv) -> np.ndarray:
+        """Classify ``table``'s rows (TRI_* per row) and commit what each
+        folded (TRUE or FALSE) row's decision relied on."""
+        decided = self.tree.decide(table, ienv)
+        self.tree.commit(decided, decided[0] != TRI_UNKNOWN, table, ienv)
+        return decided[0]
+
+    def violation(self, ienv: IntervalEnv) -> Optional[str]:
+        """The first failing guard as a human-readable cause, or None —
+        what rebuild trace events report, so a profile can say *why* a
+        block recomputed, not just that it did."""
+        for guard in self.guards:
+            if not guard.check(ienv):
+                return f"guard failed: {guard.label}"
         return None
 
-    def commit(self, table: Table, p_tris: List[np.ndarray],
-               tri_final: np.ndarray, slot_states,
-               ienv: IntervalEnv) -> None:
-        """Record what this batch's deterministic folds relied on.
-
-        Only rows actually folded (final tri deterministic) impose
-        validity constraints.  For a FALSE fold, each conjunct that
-        itself evaluated FALSE is (conservatively) required to stay
-        FALSE; conjuncts that were TRUE or UNKNOWN at fold time imposed
-        nothing — Kleene AND needs a single FALSE.
-        """
-        for i, guard in self.guards:
-            guard.commit(table, p_tris[i], tri_final, slot_states, ienv)
-
     def reset(self) -> None:
-        for _, guard in self.guards:
+        for guard in self.guards:
             guard.reset()

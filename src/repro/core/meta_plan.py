@@ -182,6 +182,8 @@ class MetaPlan:
                 f"  errors: bootstrap B={runtime.trials} ({reason})"
                 if reason else "  errors: closed-form"
             )
+            lines.extend(f"  atom {line}"
+                         for line in runtime.guards.describe())
         for spec in self.static_specs:
             lines.append(
                 f"sub#{spec.slot}: static ({spec.kind}), evaluated once"

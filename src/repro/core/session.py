@@ -63,8 +63,8 @@ class OnlineQuery:
         Shows the logical plan, each scan naming the columns it reads,
         then the compiled meta plan: lineage blocks in dependency order,
         what each consumes, how many uncertain predicates each
-        classifies, and which subqueries are static (evaluated once over
-        dimension tables).
+        classifies and the guard of each of their atoms, and which
+        subqueries are static (evaluated once over dimension tables).
         """
         from .meta_plan import compile_meta_plan
 

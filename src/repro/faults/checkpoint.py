@@ -36,7 +36,7 @@ from typing import Dict, Union
 
 from ..errors import CheckpointError
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 def config_fingerprint(config) -> str:

@@ -452,9 +452,9 @@ class QueryGenerator:
         )
 
     def _guard_sub_predicate(self) -> Predicate:
-        """A nested AVG/MIN/MAX, plain (keyed MIN/MAX then reach the
-        decision guard) or in a shape only the fallback guards watch:
-        ``=``, an ``OR``, two slots, a row column beside the slot."""
+        """A nested AVG/MIN/MAX, plain or in a shape beyond a lone
+        ``certain θ f(slot)``: ``=`` (a guard pair), an ``OR`` (a guard
+        tree), two slots, a row column beside the slot."""
         fact = self.fact.name
         base = (
             self._keyed_sub_predicate(self._choice(["AVG", "MIN", "MAX"]))

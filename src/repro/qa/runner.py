@@ -18,7 +18,9 @@ five) execution paths that must agree —
 
 compares every path's final table against ``batch`` with the
 float-tolerant structural comparator, and produces one JSON-ready report
-per query.  A query that every path *rejects with the same error class*
+per query, with the serial run's rebuilt batches: a ``guard_sub`` query
+reading no MIN/MAX slot that rebuilds at more than half diverges too.
+A query that every path *rejects with the same error class*
 (the generator walks right up to the dialect boundary on purpose) counts
 as an agreed rejection, not a divergence; a query that one path rejects
 and another answers is a divergence.
@@ -42,6 +44,7 @@ from ..baselines.cdm import ClassicalDeltaMaintenance
 from ..config import GolaConfig, ParallelConfig
 from ..core.session import GolaSession
 from ..obs import MetricsRegistry, Tracer
+from ..plan.logical import Aggregate
 from ..storage.table import Table
 from .compare import compare_tables
 from .generator import QuerySpec
@@ -118,6 +121,10 @@ class CaseReport:
     outcomes: Dict[str, PathOutcome] = field(default_factory=dict)
     divergences: List[str] = field(default_factory=list)
     agreed_rejection: Optional[str] = None
+    #: Batches at which the serial run rebuilt a block (None when it
+    #: failed), and whether any subquery slot it reads is a MIN/MAX.
+    rebuilt_batches: Optional[int] = None
+    reads_min_max: bool = False
 
     @property
     def diverged(self) -> bool:
@@ -129,6 +136,7 @@ class CaseReport:
             "diverged": self.diverged,
             "divergences": list(self.divergences),
             "agreed_rejection": self.agreed_rejection,
+            "rebuilt_batches": self.rebuilt_batches,
             "outcomes": {
                 name: o.to_dict() for name, o in self.outcomes.items()
             },
@@ -168,6 +176,13 @@ def _corrupt(table: Table) -> Table:
     )
 
 
+def _reads_min_max(plan) -> bool:
+    """Does ``plan`` aggregate with MIN or MAX anywhere?"""
+    return isinstance(plan, Aggregate) and any(
+        call.func in ("min", "max") for call in plan.aggregates
+    ) or any(_reads_min_max(child) for child in plan.children())
+
+
 class DifferentialRunner:
     """Runs queries through every execution path and compares results."""
 
@@ -184,6 +199,8 @@ class DifferentialRunner:
         #: Folds the ``parallel`` path sent to the pool, over every case
         #: run so far: a sweep that shards none has not fuzzed the pool.
         self.sharded_folds = 0
+        #: The running case's report; the serial path adds its rebuilds.
+        self._report: Optional[CaseReport] = None
         self._table_cache: Dict[TableSpec, Table] = {}
         # Converted-dataset cache for the colstore path: one dataset
         # per (table, partitioning) combination under one temp dir,
@@ -251,7 +268,16 @@ class DifferentialRunner:
         return last.table
 
     def _serial(self, session: GolaSession, sql: str) -> Table:
-        return session.sql(sql).run_to_completion().table
+        """The serial stream's final table; its rebuild count and MIN/MAX
+        reads go on the case's report."""
+        query = session.sql(sql)
+        snapshots = list(query.run_online())
+        self._report.rebuilt_batches = sum(
+            1 for snap in snapshots if snap.rebuilds)
+        self._report.reads_min_max = any(
+            _reads_min_max(spec.plan)
+            for spec in query.query.subqueries.values())
+        return snapshots[-1].table
 
     def _parallel(self, session: GolaSession, sql: str) -> Table:
         """Serial's run on a process pool with ``min_shard_rows=1``, so
@@ -345,7 +371,7 @@ class DifferentialRunner:
         """Execute one case through every path and compare."""
         sql = case.sql
         metrics = self.tracer.metrics
-        report = CaseReport(case=case)
+        report = self._report = CaseReport(case=case)
         paths = [
             ("batch", self._batch),
             ("cdm", self._cdm),
@@ -419,4 +445,13 @@ class DifferentialRunner:
             )
             report.divergences.extend(
                 f"{name} vs batch: {p}" for p in problems
+            )
+        rebuilt, batches = report.rebuilt_batches, report.case.num_batches
+        if (rebuilt is not None and 2 * rebuilt > batches
+                and not report.reads_min_max
+                and any(p.kind == "guard_sub"
+                        for p in report.case.query.predicates)):
+            report.divergences.append(
+                f"serial: rebuilt at {rebuilt} of {batches} batches, "
+                "more than half, reading no MIN/MAX slot"
             )

@@ -1,24 +1,27 @@
-"""The fallback guard strategy, end to end.
+"""Predicate shapes beyond a lone ``certain θ f(slot)``, end to end.
 
-Every bundled query and every seeded fuzz sweep classifies its uncertain
-predicates as decision or set guards.  These seven shapes take the
-fallback: ``=``, an ``OR`` with a certain disjunct, two slots, and a row
-column on the uncertain side, over a scalar slot (``_ScalarGuard``) and,
-for the last three, over a ``MIN``/``MAX`` slot correlated on
-``content_id`` (``_KeyedRangeGuard``).  A grouped ``MIN``/``MAX`` leaves
-+-inf in the trials that never sampled a group, which must bound
-nothing (and warn nothing) on the way into the guards or a window.
+These shapes once took a stricter fallback guard; now each uncertain
+atom gets a decision guard on ``certain θ uncertain``, or is never
+decided early.  They are ``=``, an ``OR`` with a certain disjunct, two
+slots, and a row column on the uncertain side, over a scalar ``AVG``,
+a keyed ``AVG`` and a ``MIN``/``MAX`` correlated on ``content_id``, plus
+one atom (a slot times a row column) that is never decided.  A grouped
+``MIN``/``MAX`` leaves +-inf in the trials that never sampled a group,
+which must bound nothing (and warn nothing) on the way into the guards
+or a window.
 
-Each final snapshot must equal ``execute_batch``, and each serial stream
-the one-worker pool's stream bit for bit, at ε = 0 and the default ε.
+Each snapshot's point columns must equal classical delta maintenance's
+snapshot at the same batch — the oracle that catches an unsound commit
+rule — and each serial stream the one-worker pool's stream bit for bit,
+at ε = 0 and the default ε.
 """
 
 import numpy as np
 import pytest
 
 from repro import GolaConfig, GolaSession
+from repro.baselines.cdm import ClassicalDeltaMaintenance
 from repro.config import ParallelConfig
-from repro.core.guards import _KeyedRangeGuard, _ScalarGuard
 from repro.core.meta_plan import compile_meta_plan
 from repro.qa.identity import snapshot_fingerprint
 from repro.workloads import generate_conviva
@@ -30,24 +33,37 @@ _MAX = ("(SELECT MAX(buffer_time) FROM conviva c "
 _MIN = ("(SELECT MIN(play_time) FROM conviva d "
         "WHERE d.content_id = conviva.content_id)")
 _AVG = "(SELECT AVG(buffer_time) FROM conviva)"
+_AVG_C = ("(SELECT AVG(buffer_time) FROM conviva c "
+          "WHERE c.content_id = conviva.content_id)")
+_AVG_D = ("(SELECT AVG(play_time) FROM conviva d "
+          "WHERE d.content_id = conviva.content_id)")
 
-#: shape -> (WHERE clause, the guard its slots take).
+_KEYED = "decision on slot#0 by content_id"
+_NEVER = "cached until the last batch"
+
+#: shape -> (WHERE clause, the guard of each uncertain atom).
 SHAPES = {
     "scalar-eq": ("content_id = (SELECT MAX(content_id) FROM conviva)",
-                  _ScalarGuard),
-    "scalar-or": (f"buffer_time > {_AVG} OR geo = 'US'", _ScalarGuard),
+                  ["decision on slot#0"]),
+    "scalar-or": (f"buffer_time > {_AVG} OR geo = 'US'",
+                  ["decision on slot#0"]),
     "scalar-two-slots": (
         f"buffer_time > {_AVG} + 0.001 * "
-        "(SELECT AVG(play_time) FROM conviva)", _ScalarGuard),
+        "(SELECT AVG(play_time) FROM conviva)", ["decision on slot#0"]),
     "scalar-row-column": (f"buffer_time > 0.001 * play_time + {_AVG}",
-                          _ScalarGuard),
-    "keyed-or": (f"buffer_time > 0.5 * {_MAX} OR geo = 'US'",
-                 _KeyedRangeGuard),
+                          ["decision on slot#0"]),
+    "keyed-avg-or": (f"buffer_time > 1.5 * {_AVG_C} OR geo = 'US'",
+                     [_KEYED]),
+    "keyed-avg-two-slots": (
+        f"buffer_time > 1.5 * {_AVG_C} + 0.001 * {_AVG_D}", [_KEYED]),
+    "keyed-avg-row-column": (
+        f"buffer_time > 0.001 * play_time + 1.5 * {_AVG_C}", [_KEYED]),
+    "keyed-or": (f"buffer_time > 0.5 * {_MAX} OR geo = 'US'", [_KEYED]),
     "keyed-two-slots": (f"buffer_time > 0.3 * {_MAX} + 0.001 * {_MIN}",
-                        _KeyedRangeGuard),
+                        [_KEYED]),
     "keyed-row-column": (
-        f"buffer_time > 0.001 * play_time + 0.5 * {_MAX}",
-        _KeyedRangeGuard),
+        f"buffer_time > 0.001 * play_time + 0.5 * {_MAX}", [_KEYED]),
+    "never-decided": (f"buffer_time * {_AVG} > 0.5 * play_time", [_NEVER]),
 }
 
 
@@ -66,17 +82,25 @@ def _session(epsilon, workers=0):
                                                       "eps-0"])
 @pytest.mark.parametrize("shape", list(SHAPES))
 def test_fallback_shape_is_exact_and_pool_identical(shape, epsilon):
-    where, guard_type = SHAPES[shape]
+    where, labels = SHAPES[shape]
     sql = ("SELECT COUNT(*) AS n, AVG(play_time) AS retention "
            f"FROM conviva WHERE {where}")
     session = _session(epsilon)
     query = session.sql(sql)
     plan = compile_meta_plan(query.query, {"conviva": TABLE},
                              {"conviva": True}, session.config)
-    guards = [g for _, g in plan.main_runtime.guards.guards]
-    assert guards and all(isinstance(g, guard_type) for g in guards)
+    atoms = plan.main_runtime.guards.atoms
+    assert [atom.label for atom in atoms] == labels
 
     serial = list(query.run_online())
+    cdm = list(ClassicalDeltaMaintenance(
+        query.query, session._tables(), session.config).run())
+    assert len(cdm) == len(serial)
+    for snap, oracle in zip(serial, cdm):
+        for name in ("n", "retention"):
+            np.testing.assert_allclose(snap.table.column(name),
+                                       oracle.table.column(name),
+                                       rtol=1e-9)
     exact = session.execute_batch(sql)
     for name in ("n", "retention"):
         np.testing.assert_allclose(serial[-1].table.column(name),
@@ -97,3 +121,20 @@ def test_window_over_max_replicas_is_exact_and_quiet():
     for name in ("worst", "rolling"):
         np.testing.assert_allclose(last.column(name), exact.column(name),
                                    rtol=1e-9)
+
+
+def test_explain_names_each_atoms_guard():
+    sql = ("SELECT COUNT(*) FROM conviva "
+           f"WHERE (buffer_time > 1.5 * {_AVG_C} OR geo = 'US') "
+           f"AND buffer_time * {_AVG} > 0.5 * play_time "
+           "AND content_id IN (SELECT content_id FROM conviva "
+           "GROUP BY content_id HAVING COUNT(*) > 50)")
+    text = _session(None).sql(sql).explain()
+    main = text[text.index("main:"):]
+    atoms = [line.strip() for line in main.splitlines()
+             if line.strip().startswith("atom ")]
+    assert [a.rsplit(": ", 1)[1] for a in atoms] == [
+        "decision on slot#0 by content_id",
+        "cached until the last batch",
+        "set on slot#2",
+    ], text

@@ -33,7 +33,8 @@ CONVIVA = generate_conviva(ROWS, seed=13)
 #: One query per owner a checkpoint carries: name -> (table name,
 #: table, SQL).  SBI exercises a decision guard and the uncertain
 #: cache, Q18 a set guard, GEO the closed-form fold, and the keyed
-#: ``OR`` shape the fallback range guard.
+#: ``OR`` shape (once the fallback range guard's) a guard tree whose
+#: certain disjunct decides some rows alone.
 OWNER_QUERIES = {
     "SBI": ("sessions", TABLE, SBI_QUERY),
     "Q18": ("tpch", generate_tpch(ROWS, seed=13), Q18_QUERY),
@@ -324,8 +325,9 @@ class TestCheckpointResume:
     def test_version_three_checkpoint_is_refused(self, tmp_path):
         """Version 3 carried each block's state as flat runtime fields
         (exact, trial and moment states, guards by kind, the cache's
-        rows); version 4 carries the block's guards, uncertain cache and
-        error fold as objects, so a version-3 file no longer resumes."""
+        rows); later versions carry the block's guards, uncertain cache
+        and error fold as objects, so a version-3 file no longer
+        resumes."""
         session = make_session()
         query = session.sql(SBI_QUERY)
         it = query.run_online()
@@ -336,6 +338,23 @@ class TestCheckpointResume:
         path = tmp_path / "v3.ck"
         ck.save(path)
         with pytest.raises(CheckpointError, match="version 3"):
+            list(make_session().sql(SBI_QUERY).run_online(
+                resume_from=str(path)))
+
+    def test_version_four_checkpoint_is_refused(self, tmp_path):
+        """Version 4 carried one guard per predicate, range-intersection
+        guards among them; version 5 carries each predicate's guard
+        tree, so a version-4 file no longer resumes."""
+        session = make_session()
+        query = session.sql(SBI_QUERY)
+        it = query.run_online()
+        next(it)
+        ck = query.checkpoint()
+        it.close()
+        ck.version = 4
+        path = tmp_path / "v4.ck"
+        ck.save(path)
+        with pytest.raises(CheckpointError, match="version 4"):
             list(make_session().sql(SBI_QUERY).run_online(
                 resume_from=str(path)))
 

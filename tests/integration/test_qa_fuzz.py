@@ -7,9 +7,12 @@ divergent case shrinks to a replayable one-file reproducer.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+
+from repro.core.guards import BlockGuards
 
 from repro.qa import (
     DifferentialRunner,
@@ -24,6 +27,7 @@ from repro.qa import (
     save_artifact,
 )
 from repro.qa.cli import run_fuzz
+from repro.qa.generator import Predicate
 
 pytestmark = pytest.mark.smoke
 
@@ -115,6 +119,32 @@ class TestHarnessHealth:
         out = tmp_path / "report.json"
         assert run_fuzz(**qa, out=str(out)) == 2
         assert json.loads(out.read_text())["sharded_folds"] == 0
+
+
+class TestRebuildProperty:
+    """A ``guard_sub`` query that reads no MIN/MAX slot may rebuild at no
+    more than half its batches; its report records the count."""
+
+    def _case(self, func):
+        case = make_cases(seed=0, count=1)[0]
+        fact = case.tables[0]
+        col = next(c.name for c in fact.columns if c.kind == "float")
+        where = Predicate(
+            f"{col} > (SELECT {func}({col}) FROM {fact.name})", "guard_sub")
+        return replace(case, query=replace(case.query, predicates=(where,)))
+
+    @pytest.mark.parametrize("func", ["AVG", "MAX"])
+    def test_rebuilding_every_batch_diverges_unless_min_max(
+            self, func, monkeypatch):
+        monkeypatch.setattr(BlockGuards, "violation",
+                            lambda guards, ienv: "forced"
+                            if guards.guards else None)
+        report = DifferentialRunner(workers=2).run_case(self._case(func))
+        batches = report.case.num_batches
+        assert report.rebuilt_batches == batches
+        assert report.to_dict()["rebuilt_batches"] == batches
+        tripped = [d for d in report.divergences if "rebuilt at" in d]
+        assert bool(tripped) == (func == "AVG"), report.divergences
 
 
 class TestShrinkerAndReproducers:

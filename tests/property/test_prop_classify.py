@@ -20,9 +20,12 @@ from repro.core import (
     TRI_UNKNOWN,
 )
 from repro.core.classify import tri_eval
+from repro.core.guards import BlockGuards
 from repro.estimate import VariationRange
 from repro.expr.expressions import (
+    Between,
     BinaryOp,
+    BooleanOp,
     ColumnRef,
     Comparison,
     Environment,
@@ -172,3 +175,75 @@ def test_uncertain_nan_is_unknown_not_null(values, op):
     tri = tri_eval(Comparison(op, ColumnRef("x"), SubqueryRef(0)),
                    table, env)
     assert (tri == TRI_UNKNOWN).all()
+
+
+maybe_nan = st.one_of(finite, st.just(float("nan")))
+
+#: Sides of a guarded atom: a row column, a slot, and ``+``/``-`` sums
+#: mixing slots, row columns and constants.
+X, Y = ColumnRef("x"), ColumnRef("y")
+S0, S1 = SubqueryRef(0), SubqueryRef(1)
+CERTAIN_SIDES = [X, BinaryOp("-", X, BinaryOp("*", Literal(0.5), Y))]
+UNCERTAIN_SIDES = [
+    S0,
+    BinaryOp("*", Literal(2.0), S1),
+    BinaryOp("+", S0, Y),
+    BinaryOp("-", BinaryOp("-", Literal(1.0), S0), S1),
+]
+
+
+@st.composite
+def leaf(draw):
+    kind = draw(st.sampled_from(["cmp", "between", "certain"]))
+    if kind == "certain":
+        return Comparison(draw(st.sampled_from(OPS)), Y, Literal(0.0))
+    if kind == "between":
+        sides = [draw(st.sampled_from(CERTAIN_SIDES + UNCERTAIN_SIDES))
+                 for _ in range(3)]
+        return Between(*sides)
+    left = draw(st.sampled_from(CERTAIN_SIDES + UNCERTAIN_SIDES))
+    right = draw(st.sampled_from(UNCERTAIN_SIDES))
+    if draw(st.booleans()):
+        left, right = right, left
+    return Comparison(draw(st.sampled_from(OPS)), left, right)
+
+
+predicate_tree = st.recursive(
+    leaf(),
+    lambda children: st.builds(
+        BooleanOp, st.sampled_from(["AND", "OR"]),
+        st.lists(children, min_size=2, max_size=3),
+    ),
+    max_leaves=5,
+)
+
+
+@st.composite
+def slot_state(draw, slot):
+    a, b = draw(maybe_nan), draw(maybe_nan)
+    low, high = (a, b) if np.isnan(a) or np.isnan(b) else sorted((a, b))
+    return ScalarSlotState(slot=slot, estimate=(low + high) / 2,
+                           replicas=np.array([low, high]),
+                           vrange=VariationRange(low, high))
+
+
+@given(st.lists(predicate_tree.filter(lambda p: p.subquery_slots()),
+                min_size=1, max_size=2),
+       slot_state(0), slot_state(1),
+       arrays(np.float64, 12, elements=maybe_nan),
+       arrays(np.float64, 12, elements=maybe_nan))
+@settings(max_examples=200, deadline=None)
+def test_guard_classification_equals_tri_eval(predicates, s0, s1, x, y):
+    """The guards classify a block's conjunction atom by atom, exactly
+    as ``tri_eval`` classifies each whole predicate: ``=`` and ``!=``
+    keep their own rules (a NULL decides ``!=`` TRUE), ``BETWEEN`` is two
+    ``<=`` and AND/OR trees combine by min/max."""
+    table = Table.from_columns({"x": x, "y": y})
+    env = IntervalEnv(slots={0: s0, 1: s1}, point=Environment(
+        scalars={0: s0.estimate, 1: s1.estimate}))
+    guards = BlockGuards(predicates)
+    assert all(atom.guards for atom in guards.atoms)
+    want = np.full(table.num_rows, TRI_TRUE, dtype=np.int8)
+    for predicate in predicates:
+        want = np.minimum(want, tri_eval(predicate, table, env))
+    np.testing.assert_array_equal(guards.classify(table, env), want)

@@ -11,10 +11,10 @@ from repro.core import (
     TRI_FALSE,
     TRI_TRUE,
     TRI_UNKNOWN,
-    classify,
     interval_eval,
     tri_eval,
 )
+from repro.core.guards import BlockGuards
 from repro.engine.aggregates import GroupIndex
 from repro.estimate import VariationRange
 from repro.expr.expressions import (
@@ -260,18 +260,21 @@ class TestTriEval:
 
 
 class TestClassify:
+    """A block's classification under a conjunction of predicates
+    (:meth:`BlockGuards.classify`)."""
+
     def test_conjunction(self, table):
         env = scalar_env(4.0, 6.0)
         uncertain = Comparison(">", ColumnRef("x"), SubqueryRef(0))
         certain = Comparison("<", ColumnRef("x"), Literal(10.0))
-        tri = classify([uncertain, certain], table, env)
+        tri = BlockGuards([uncertain, certain]).classify(table, env)
         assert tri.tolist() == \
             [TRI_FALSE, TRI_UNKNOWN, TRI_TRUE, TRI_FALSE]
 
     def test_empty_table(self):
         empty = Table.from_columns({"x": np.array([])})
-        tri = classify([Comparison(">", ColumnRef("x"), Literal(0))],
-                       empty, IntervalEnv())
+        tri = BlockGuards([Comparison(">", ColumnRef("x"), SubqueryRef(0))]
+                          ).classify(empty, scalar_env(4.0, 6.0))
         assert tri.shape == (0,)
 
     def test_point_decision_consistent_with_tri(self, table):

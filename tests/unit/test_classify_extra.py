@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import IntervalEnv, ScalarSlotState, TRI_FALSE, TRI_TRUE, TRI_UNKNOWN
 from repro.core.classify import interval_eval, tri_eval
-from repro.core.guards import _analyze_guard
+from repro.core.guards import BlockGuards, _DecisionGuard
 from repro.estimate import VariationRange
 from repro.expr.expressions import (
     Between,
@@ -96,16 +96,12 @@ class TestModuloConservative:
 
 class TestRewriteClassifySynergy:
     def test_normalized_not_gets_decision_guard(self):
-        """NOT (x <= u) normalizes to x > u, which the fast decision
-        guard handles; the raw NOT form would fall back."""
+        """NOT (x <= u) normalizes to x > u: one decision guard."""
         raw = BooleanOp("NOT", [
             Comparison("<=", ColumnRef("x"), SubqueryRef(0))
         ])
-        kind_raw, _ = _analyze_guard(raw)
-        assert kind_raw == "fallback"
-        normalized = normalize_predicate(raw)
-        kind_norm, guard = _analyze_guard(normalized)
-        assert kind_norm == "decision" and guard.op == ">"
+        [guard] = BlockGuards([normalize_predicate(raw)]).guards
+        assert isinstance(guard, _DecisionGuard) and guard.op == ">"
 
     def test_kleene_not_consistent_with_rewrite(self, table):
         raw = BooleanOp("NOT", [

@@ -6,6 +6,7 @@ import pytest
 from repro import GolaConfig
 from repro.core.delta import BlockRuntime, CachedRows, parse_block
 from repro.core.folds import _bump_counts
+from repro.core.guards import BlockGuards
 from repro.core.uncertain import ScalarSlotState
 from repro.errors import UnsupportedQueryError
 from repro.estimate import VariationRange
@@ -206,17 +207,15 @@ class TestBlockRuntimeMechanics:
         assert state.vrange.contains_all(state.replicas)
         assert state.estimate == pytest.approx(fact["x"].mean(), rel=1e-9)
 
-    def test_guard_violation_with_retained_rebuilds(self, fact):
+    def test_guard_violation_with_retained_rebuilds(self, fact,
+                                                    monkeypatch):
         query, blocks, runtimes, config = build_runtime(
             "SELECT AVG(y) FROM fact WHERE x > (SELECT AVG(x) FROM fact)",
             fact,
         )
         main = runtimes["main"]
-        from repro.core.guards import _ScalarGuard
-
-        guard = _ScalarGuard(0)
-        guard.range = VariationRange(0.0, 1.0)
-        main.guards.guards.append((0, guard))
+        monkeypatch.setattr(BlockGuards, "violation",
+                            lambda guards, ienv: "forced")
         state = ScalarSlotState(
             slot=0, estimate=10.0, replicas=np.array([9.5, 10.5]),
             vrange=VariationRange(9.0, 11.0),

@@ -223,14 +223,14 @@ class TestRebuildMemory:
         violation = BlockGuards.violation
         checks = []
 
-        def forced(guards, slot_states, ienv):
+        def forced(guards, ienv):
             # The consumer block (the one with guards) "violates" at the
             # last batch, so the rebuild replays every row.
             if guards.guards:
                 checks.append(1)
                 if len(checks) == self.BATCHES:
                     return "forced"
-            return violation(guards, slot_states, ienv)
+            return violation(guards, ienv)
 
         monkeypatch.setattr(BlockGuards, "violation", forced)
         session = GolaSession(GolaConfig(num_batches=self.BATCHES,
