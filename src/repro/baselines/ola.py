@@ -138,7 +138,8 @@ class ClassicalOLA:
         agg = self.pipeline.aggregate
         n = table.num_rows
         if not agg.group_by:
-            index.encode(np.zeros(1, dtype=np.int64))
+            if index.num_groups == 0:
+                index.encode(np.zeros(1, dtype=np.int64))
             return np.zeros(n, dtype=np.int64)
         raw = np.asarray(agg.group_by[0][0].evaluate(table, env))
         keys = np.broadcast_to(raw, (n,)) if raw.ndim == 0 else raw

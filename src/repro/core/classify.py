@@ -65,7 +65,8 @@ class IntervalEnv:
     ``(low, high)`` arrays (a set producer's aggregates under their
     replica ranges, when its HAVING is classified per group).  ``point``
     is the matching point environment, used verbatim for certain
-    sub-expressions, which collapse to degenerate intervals.
+    sub-expressions, which collapse to degenerate intervals.  ``rows``
+    holds the keyed-slot indices the classified rows carry, if any.
     """
 
     slots: Dict[int, object] = field(default_factory=dict)
@@ -73,6 +74,16 @@ class IntervalEnv:
     columns: Dict[str, Tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict
     )
+    rows: Dict[int, np.ndarray] = field(default_factory=dict)
+
+    def slot_rows(self, slot: int, correlation: Expression,
+                  table: Table) -> np.ndarray:
+        """Each row's dense index into keyed ``slot``'s index: the
+        carried one, else the row's correlation key encoded."""
+        if slot in self.rows:
+            return self.rows[slot]
+        keys = correlation.evaluate(table, self.point)
+        return self.slots[slot].encode(keys)
 
     def is_certain(self, expr: Expression) -> bool:
         """True when ``expr`` reads no uncertain value at all."""
@@ -115,8 +126,8 @@ def interval_eval(expr: Expression, table: Table,
             return (np.full(n, state.vrange.low),
                     np.full(n, state.vrange.high))
         if isinstance(state, KeyedSlotState):
-            keys = np.asarray(expr.correlation.evaluate(table, env.point))
-            return state.interval_for_keys(keys)
+            return state.interval_at(
+                env.slot_rows(expr.slot, expr.correlation, table))
         raise ExecutionError(
             f"slot {expr.slot} is a set; use IN, not a scalar reference"
         )

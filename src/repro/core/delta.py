@@ -53,12 +53,15 @@ from ..estimate.bootstrap import as_batch_weights
 from ..estimate.variation import range_from_replicas, \
     ranges_from_replica_matrix
 from ..expr.expressions import (
+    EMPTY_ENV,
     ArrayTable,
     ColumnRef,
     Environment,
     Expression,
+    SubqueryRef,
     conjuncts,
     evaluate_mask,
+    subquery_nodes,
 )
 from ..expr.tristate import TRI_FALSE, TRI_TRUE, TRI_UNKNOWN
 from ..obs import NULL_TRACER
@@ -222,6 +225,8 @@ class CachedRows:
     weights: np.ndarray  # (m, B) uint8
     group_idx: np.ndarray  # (m,) dense indices into the block's GroupIndex
     values: Dict[str, np.ndarray]  # agg alias -> (m,) argument values
+    #: Keyed slot -> (m,) indices of the rows' keys in its GroupIndex.
+    slot_idx: Dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -237,6 +242,10 @@ class CachedRows:
                 a: np.concatenate([p.values[a] for p in parts])
                 for a in parts[0].values
             },
+            slot_idx={
+                s: np.concatenate([p.slot_idx[s] for p in parts])
+                for s in parts[0].slot_idx
+            },
         )
 
     def take(self, mask: np.ndarray) -> "CachedRows":
@@ -245,35 +254,72 @@ class CachedRows:
             weights=self.weights[mask],
             group_idx=self.group_idx[mask],
             values={a: v[mask] for a, v in self.values.items()},
+            slot_idx={s: i[mask] for s, i in self.slot_idx.items()},
         )
 
 
 class UncertainCache:
     """The uncertain set ``U`` of one block: its rows (see
     :class:`CachedRows`), their admission and eviction, and which of
-    them pass under the slots' point values or each trial's replicas."""
+    them pass under the slots' point values or each trial's replicas.
+    A ``GroupIndex`` only grows, so a row's carried keyed-slot index is
+    re-encoded only while -1 and the index grew, or once the slot's
+    index is replaced (a producer rebuild; a copied cache has no tie)."""
 
     def __init__(self, predicates: List[Expression], consumes,
                  schema: Schema, aliases: Sequence[str], trials: int):
         self.predicates = predicates
         self.consumes = consumes
         self.trials = trials
+        #: Keyed slot -> its correlation expression.
+        self.keyed = {
+            ref.slot: ref.correlation
+            for p in predicates for ref in subquery_nodes(p)
+            if isinstance(ref, SubqueryRef) and ref.correlation is not None
+        }
         self.rows = CachedRows(
             table=Table.empty(schema),
             weights=np.empty((0, trials), dtype=np.uint8),
             group_idx=np.empty(0, dtype=np.int64),
             values={alias: np.empty(0) for alias in aliases},
+            slot_idx={s: np.empty(0, dtype=np.int64) for s in self.keyed},
         )
+        #: Keyed slot -> ``(GroupIndex, num_groups)`` last encoded against.
+        self._tied: Dict[int, Tuple[GroupIndex, int]] = {}
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_tied": {}}
 
     @property
     def size(self) -> int:
         return self.rows.size
 
-    def admit(self, incoming: CachedRows) -> CachedRows:
-        """This batch's candidates: the cached rows, then ``incoming``."""
+    def admit(self, incoming: CachedRows, slot_states) -> CachedRows:
+        """This batch's candidates: the cached rows, then ``incoming``,
+        all carrying their keyed-slot indices."""
+        self._refresh(slot_states)
+        incoming.slot_idx = {
+            slot: slot_states[slot].encode(
+                corr.evaluate(incoming.table, EMPTY_ENV))
+            for slot, corr in self.keyed.items()
+        }
         if not self.rows.size:
             return incoming
         return CachedRows.concat([self.rows, incoming])
+
+    def _refresh(self, slot_states) -> None:
+        """Re-encode the cached rows whose carried index may be stale."""
+        for slot, corr in self.keyed.items():
+            index = slot_states[slot].index
+            tied = self._tied.get(slot, (None, 0))
+            if tied == (index, index.num_groups):
+                continue
+            idx = self.rows.slot_idx[slot]
+            stale = idx < 0 if tied[0] is index else np.full(len(idx), True)
+            self._tied[slot] = (index, index.num_groups)
+            if stale.any():
+                keys = np.asarray(corr.evaluate(self.rows.table, EMPTY_ENV))
+                idx[stale] = slot_states[slot].encode(keys[stale])
 
     def keep(self, candidates: CachedRows, mask: np.ndarray) -> None:
         """Cache the candidates ``mask`` selects; evict the rest."""
@@ -282,14 +328,31 @@ class UncertainCache:
     def clear(self) -> None:
         self.rows = self.rows.take(np.zeros(self.size, dtype=bool))
 
-    def point_mask(self, penv: Environment) -> Optional[np.ndarray]:
+    def _keyed_rows(self, slot_states, values: str, transpose=False):
+        """``default -> array`` bindings of each keyed slot's ``values``
+        attribute for the cached rows, through their carried indices."""
+        self._refresh(slot_states)
+
+        def lookup(state, idx, default):
+            out = state.gather(idx, getattr(state, values), default)
+            return out.T if transpose else out
+        return {slot: partial(lookup, slot_states[slot], idx)
+                for slot, idx in self.rows.slot_idx.items()}
+
+    def point_mask(self, slot_states, penv: Environment
+                   ) -> Optional[np.ndarray]:
         """Cached rows passing every uncertain predicate under the point
         values, or None when none does."""
         if not self.rows.size:
             return None
+        env = Environment(
+            scalars=penv.scalars, keyed=penv.keyed, key_sets=penv.key_sets,
+            functions=penv.functions,
+            keyed_rows=self._keyed_rows(slot_states, "estimates"),
+        )
         mask = np.ones(self.rows.size, dtype=bool)
         for predicate in self.predicates:
-            mask &= evaluate_mask(predicate, self.rows.table, penv)
+            mask &= evaluate_mask(predicate, self.rows.table, env)
         return mask if mask.any() else None
 
     def trial_masks(self, slot_states, penv: Environment) -> np.ndarray:
@@ -306,15 +369,15 @@ class UncertainCache:
         (per-trial membership would require re-running the producer's
         HAVING per trial).
         """
-        env = Environment(key_sets=penv.key_sets, functions=penv.functions)
+        env = Environment(
+            key_sets=penv.key_sets, functions=penv.functions,
+            keyed_rows=self._keyed_rows(slot_states, "replicas",
+                                        transpose=True),
+        )
         for slot in self.consumes:
             state = slot_states[slot]
             if isinstance(state, ScalarSlotState):
                 env.scalars[slot] = state.replicas[:, None]
-            elif isinstance(state, KeyedSlotState):
-                env.keyed[slot] = lambda keys, default, state=state: (
-                    state.values_for_keys(keys, state.replicas, default).T
-                )
         out = np.ones((self.trials, self.rows.size), dtype=bool)
         # A MIN/MAX trial that never sampled a group holds +-inf there,
         # and arithmetic over two such replicas can make a NaN, which
@@ -520,8 +583,9 @@ class BlockRuntime:
         # gather the incoming rows' weights now.
         incoming.weights = wsrc.rows(pos)
         cached_in = self.cache.size
-        candidates = self.cache.admit(incoming)
-        ienv = IntervalEnv(slots=slot_states, point=penv)
+        candidates = self.cache.admit(incoming, slot_states)
+        ienv = IntervalEnv(slots=slot_states, point=penv,
+                           rows=candidates.slot_idx)
         with tracer.span("phase:classify", block=self.block.block_id,
                          rows_in=candidates.size, cached_in=cached_in,
                          incoming=incoming.size) as cls_span:

@@ -78,7 +78,7 @@ class _BlockFold:
         ``(G,)`` mask of groups with a qualifying row under the current
         point values.
         """
-        mask = cache.point_mask(penv)
+        mask = cache.point_mask(slot_states, penv)
         counts = np.zeros(num_groups, dtype=np.int64)
         counts[: len(self.presence)] = self.presence
         if mask is not None:

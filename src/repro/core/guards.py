@@ -30,6 +30,7 @@ k/i)`` needs (EXPERIMENTS.md, "Known deviations" 2).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Set
 
 import numpy as np
@@ -46,7 +47,7 @@ from ..expr.expressions import (
     InSubquery,
     Literal,
     Negate,
-    SubqueryRef,
+    subquery_nodes,
 )
 from ..expr.tristate import (
     FLIP_COMPARISON,
@@ -119,10 +120,10 @@ class _DecisionGuard:
         if self.correlation_name is None:
             idx = np.zeros(n, dtype=np.int64)
         else:
-            state = ienv.slots[self.slot]
-            keys = np.asarray(table.column(self.correlation_name))
-            idx = state.index.encode(keys, add_new=False)
-            pad = len(state.estimates) - self.extremes.shape[1]
+            idx = ienv.slot_rows(self.slot, ColumnRef(self.correlation_name),
+                                 table)
+            pad = (len(ienv.slots[self.slot].estimates)
+                   - self.extremes.shape[1])
             if pad > 0:
                 self.extremes = np.concatenate(
                     [self.extremes, np.repeat(_NO_FOLDS, pad, axis=1)],
@@ -152,6 +153,10 @@ class _DecisionGuard:
         env = Environment(functions=ienv.point.functions)
         for slot in self.slots:
             ienv.slots[slot].bind_point(env)
+        if self.correlation_name is not None:  # row i is group i
+            env.keyed_rows[self.slot] = partial(
+                ienv.slots[self.slot].gather, np.arange(len(keys)),
+                ienv.slots[self.slot].estimates)
         side = np.asarray(self.uncertain_side.evaluate(pseudo, env),
                           dtype=np.float64)
         if side.ndim == 0:
@@ -207,17 +212,6 @@ class _SetGuard:
         self.committed_out.clear()
 
 
-def _subquery_nodes(expr: Expression) -> List[Expression]:
-    """Every :class:`SubqueryRef` and :class:`InSubquery` node in
-    ``expr``, in pre-order."""
-    out: List[Expression] = (
-        [expr] if isinstance(expr, (SubqueryRef, InSubquery)) else []
-    )
-    for child in expr.children():
-        out.extend(_subquery_nodes(child))
-    return out
-
-
 def _split(expr: Expression, sign: int = 1):
     """The signed terms of ``expr``'s top-level ``+``/``-`` sum: the
     slot-free ones, then the rest."""
@@ -251,7 +245,7 @@ def _decision_guards(cmp: Comparison) -> List[_DecisionGuard]:
     flip = not lc and not ru
     certain, uncertain = ((_sum(rc, lc), _sum(lu, ru)) if flip
                           else (_sum(lc, rc), _sum(ru, lu)))
-    refs = _subquery_nodes(uncertain)
+    refs = subquery_nodes(uncertain)
     if any(isinstance(r, InSubquery) for r in refs):
         return []
     keyed = [r for r in refs if r.correlation is not None]

@@ -54,42 +54,43 @@ class KeyedSlotState:
     #: fully uncertain for consumers.  None means "all present" (static).
     present: Optional[np.ndarray] = None
 
-    def _present(self) -> np.ndarray:
-        if self.present is None:
-            return np.ones(len(self.estimates), dtype=bool)
-        return self.present
-
     def bind_point(self, env: Environment) -> None:
         env.keyed[self.slot] = lambda keys, default: self.values_for_keys(
             keys, self.estimates, default
         )
 
-    def values_for_keys(self, keys: np.ndarray, values: np.ndarray, default):
-        """Rows of a per-group array for an array of correlation keys.
+    def encode(self, keys: np.ndarray) -> np.ndarray:
+        """Dense indices of correlation keys; -1 for keys not seen."""
+        keys = np.asarray(keys)
+        return self.index.encode(keys.reshape(-1),
+                                 add_new=False).reshape(keys.shape)
+
+    def gather(self, idx: np.ndarray, values: np.ndarray, default):
+        """Rows of a per-group array at dense indices ``idx``.
 
         ``values`` is ``(G,)`` or ``(G, W)``; the result has shape
-        ``keys.shape + values.shape[1:]``.  Keys the index has not seen
-        and keys with zero presence take ``default`` — the one lookup
-        behind point values, variation ranges and per-trial replicas.
+        ``idx.shape + values.shape[1:]``.  Index -1 (a key the index has
+        not seen) and groups with zero presence take ``default`` — the
+        one lookup behind point values, variation ranges and per-trial
+        replicas: one take from ``values`` with a default row appended.
         """
-        keys = np.asarray(keys)
-        idx = self.index.encode(keys.reshape(-1), add_new=False)
-        known = idx >= 0
-        known[known] = self._present()[idx[known]]
-        out = np.full((len(idx),) + values.shape[1:], default,
-                      dtype=np.float64)
-        out[known] = values[idx[known]]
-        return out.reshape(keys.shape + values.shape[1:])
+        if self.present is not None:
+            idx = np.where(self.present[idx], idx, -1)
+        default_row = np.full((1,) + values.shape[1:], default,
+                              dtype=np.float64)
+        return np.concatenate([values, default_row])[idx]
 
-    def interval_for_keys(self, keys: np.ndarray):
-        """Per-row (low, high) arrays for an array of correlation keys.
+    def values_for_keys(self, keys: np.ndarray, values: np.ndarray, default):
+        """:meth:`gather` for an array of correlation keys."""
+        return self.gather(self.encode(keys), values, default)
 
-        Unknown or zero-presence keys are fully uncertain: (-inf, +inf).
+    def interval_at(self, idx: np.ndarray):
+        """Per-row (low, high) arrays at dense indices ``idx``.
+
+        Unknown or zero-presence groups are fully uncertain: (-inf, +inf).
         """
-        bounds = self.values_for_keys(
-            keys, np.stack([self.lows, self.highs], axis=1),
-            (-np.inf, np.inf),
-        )
+        bounds = self.gather(idx, np.stack([self.lows, self.highs], axis=1),
+                             (-np.inf, np.inf))
         return bounds[..., 0], bounds[..., 1]
 
 

@@ -21,9 +21,9 @@ and quantiles invariant.
 
 from __future__ import annotations
 
-import hashlib
 from copy import deepcopy
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -62,19 +62,13 @@ class GroupIndex:
 
     The dense index is what aggregate states are addressed by; it grows
     monotonically as new groups appear across mini-batches, so states
-    resize but never reshuffle.
+    resize but never reshuffle: an index handed out stays valid.
     """
 
     def __init__(self) -> None:
         self._lookup: Dict = {}
         self._keys: List = []
-        #: Bumped whenever a new key is inserted; part of the encode memo
-        #: token so cached encodings are dropped once the mapping grows.
-        self._version = 0
-        #: ``(token, result)`` of the last memoizable encode: one tuple,
-        #: written in one step, so a reader on another thread never sees
-        #: a token paired with another encode's result.
-        self._memo: Optional[tuple] = None
+        self._version = 0  # bumped by every encode that inserts keys
 
     @property
     def num_groups(self) -> int:
@@ -90,58 +84,40 @@ class GroupIndex:
         """Dense index of ``key``; -1 when unseen."""
         return self._lookup.get(key, -1)
 
-    def _memo_token(self, keys: np.ndarray, add_new: bool):
-        """Cheap content token for ``keys``, or None when not memoizable."""
-        if keys.dtype == object:
-            return None
-        digest = hashlib.blake2b(
-            np.ascontiguousarray(keys).tobytes(), digest_size=16
-        ).digest()
-        return (keys.dtype.str, keys.shape, digest, add_new, self._version)
-
     def encode(self, keys: np.ndarray, add_new: bool = True) -> np.ndarray:
         """Vector-encode ``keys`` to dense indices.
 
-        New keys are appended when ``add_new``; otherwise they encode to -1.
-        Uses ``np.unique`` so the python-dict work is proportional to the
-        number of *distinct* incoming keys, not the batch size, and only
-        keys missing from the lookup pay dict-insertion cost.  A one-slot
-        digest memo short-circuits re-encoding the exact key array the
-        index saw last (per-trial re-evaluation, unchanged key sets across
-        batches).
+        New keys are appended when ``add_new``, in ascending order (NULL
+        first); otherwise they encode to -1.  Numeric keys go through
+        ``np.unique``, so the dict work is proportional to the number of
+        *distinct* keys; object keys (strings, NULLs, composite tuples)
+        take one dict pass with no sort, and only the keys it has not
+        seen are sorted — the numbering a sort of every key gives them.
         """
         keys = np.asarray(keys)
         if keys.size == 0:
             return np.empty(0, dtype=np.int64)
-        token = self._memo_token(keys, add_new)
-        memo = self._memo
-        if token is not None and memo is not None and memo[0] == token:
-            return memo[1].copy()
         if keys.dtype == object:
-            uniq_list, inverse = _unique_objects(keys)
+            uniq, inverse = keys.ravel().tolist(), None
         else:
             uniq, inverse = np.unique(keys, return_inverse=True)
-            uniq_list = uniq.tolist()
+            uniq = uniq.tolist()
         get = self._lookup.get
-        mapped = np.fromiter(
-            (get(key, -1) for key in uniq_list),
-            count=len(uniq_list), dtype=np.int64,
-        )
-        if add_new:
-            missing = np.nonzero(mapped < 0)[0]
-            if missing.size:
-                for i in missing.tolist():
-                    idx = len(self._keys)
-                    key = uniq_list[i]
-                    self._lookup[key] = idx
-                    self._keys.append(key)
-                    mapped[i] = idx
-                self._version += 1
-                token = self._memo_token(keys, add_new)
-        result = mapped[inverse.reshape(keys.shape)]
-        if token is not None:
-            self._memo = (token, result.copy())
-        return result
+        mapped = np.fromiter(map(get, uniq, repeat(-1)), count=len(uniq),
+                             dtype=np.int64)
+        missing = np.flatnonzero(mapped < 0).tolist() if add_new else []
+        if missing:
+            new = [uniq[i] for i in missing]
+            if inverse is None:
+                new = _sorted_null_first(set(new))
+            base = len(self._keys)
+            self._lookup.update(zip(new, range(base, base + len(new))))
+            self._keys.extend(new)
+            self._version += 1
+            mapped[missing] = [get(uniq[i]) for i in missing]
+        if inverse is None:
+            return mapped.reshape(keys.shape)
+        return mapped[inverse.reshape(keys.shape)]
 
     def copy(self) -> "GroupIndex":
         out = GroupIndex()
@@ -159,24 +135,13 @@ def _null_first(key):
     return (key is not None, key)
 
 
-def _unique_objects(keys: np.ndarray):
-    """``np.unique(keys, return_inverse=True)`` for object keys that may
-    hold NULL (a ``LEFT JOIN``'s unmatched dimension columns).
-
-    NULL forms one group of its own, ordered first; keys without NULL
-    take numpy's path and encode exactly as before.
-    """
+def _sorted_null_first(keys) -> List:
+    """``keys`` ascending, NULL first: as they are unless None meets a
+    value (a sort that never compares them orders as ``_null_first``)."""
     try:
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        return uniq.tolist(), inverse
-    except TypeError:  # None met a value in numpy's sort
-        pass
-    flat = keys.ravel().tolist()
-    uniq_list = sorted(set(flat), key=_null_first)
-    position = {key: i for i, key in enumerate(uniq_list)}
-    inverse = np.fromiter((position[key] for key in flat),
-                          count=len(flat), dtype=np.int64)
-    return uniq_list, inverse
+        return sorted(keys)
+    except TypeError:  # None met a value
+        return sorted(keys, key=_null_first)
 
 
 GLOBAL_GROUP = None  # sentinel meaning "no GROUP BY": a single implicit group

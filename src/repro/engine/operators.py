@@ -162,7 +162,8 @@ def group_indices(table: Table, group_by: Sequence[Tuple[Expression, str]],
         index = GroupIndex()
     n = table.num_rows
     if not group_by:
-        index.encode(np.zeros(1, dtype=np.int64))  # ensure group 0 exists
+        if index.num_groups == 0:
+            index.encode(np.zeros(1, dtype=np.int64))  # group 0
         return np.zeros(n, dtype=np.int64), index
     parts = []
     for expr, _ in group_by:

@@ -16,7 +16,7 @@ lineage re-evaluation of paper section 3.3.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -36,6 +36,10 @@ class Environment:
             ``(keys, default) -> array`` doing the same for a key array.
         key_sets: slot id -> set of key values, for ``IN (subquery)``.
         functions: scalar function registry used by FunctionCall nodes.
+        keyed_rows: slot id -> ``default -> array``: a keyed slot's
+            values for the rows of the one table being evaluated, read
+            through dense indices those rows carry, so no key is read.
+            Takes precedence over ``keyed``.
     """
 
     def __init__(
@@ -44,11 +48,13 @@ class Environment:
         keyed: Optional[Dict[int, Dict]] = None,
         key_sets: Optional[Dict[int, Set]] = None,
         functions: FunctionRegistry = DEFAULT_FUNCTIONS,
+        keyed_rows: Optional[Dict[int, Callable]] = None,
     ):
         self.scalars = scalars or {}
         self.keyed = keyed or {}
         self.key_sets = key_sets or {}
         self.functions = functions
+        self.keyed_rows = keyed_rows or {}
 
 
 EMPTY_ENV = Environment()
@@ -430,6 +436,9 @@ class SubqueryRef(Expression):
                     f"no value bound for subquery slot {self.slot}"
                 )
             return env.scalars[self.slot]
+        rows = env.keyed_rows.get(self.slot)
+        if rows is not None:
+            return rows(self.default)
         mapping = env.keyed.get(self.slot)
         if mapping is None:
             raise ExecutionError(
@@ -476,6 +485,17 @@ class InSubquery(Expression):
     def sql(self) -> str:
         op = "NOT IN" if self.negated else "IN"
         return f"({self.value.sql()} {op} <subquery#{self.slot}>)"
+
+
+def subquery_nodes(expr: Expression) -> List[Expression]:
+    """Every :class:`SubqueryRef` and :class:`InSubquery` node in
+    ``expr``, in pre-order."""
+    out: List[Expression] = (
+        [expr] if isinstance(expr, (SubqueryRef, InSubquery)) else []
+    )
+    for child in expr.children():
+        out.extend(subquery_nodes(child))
+    return out
 
 
 def conjuncts(expr: Optional[Expression]) -> List[Expression]:

@@ -138,3 +138,34 @@ def test_explain_names_each_atoms_guard():
         "cached until the last batch",
         "set on slot#2",
     ], text
+
+
+#: A keyed slot whose producer classifies its own rows against a scalar
+#: slot: the producer's per-group point values move as its cached rows
+#: reclassify, and the consumer rebuilds at most batches (EXPERIMENTS.md
+#: probe D, known deviation) — the answers must still be exact.
+NESTED_KEYED = (
+    "SELECT COUNT(*) AS n, AVG(play_time) AS retention FROM conviva "
+    "WHERE buffer_time > 1.2 * (SELECT AVG(buffer_time) FROM conviva c "
+    "WHERE c.content_id = conviva.content_id AND c.play_time > "
+    "(SELECT AVG(play_time) FROM conviva))"
+)
+
+
+@pytest.mark.parametrize("epsilon", [None, 0.0], ids=["eps-default",
+                                                      "eps-0"])
+def test_keyed_slot_over_an_uncertain_producer_is_exact(epsilon):
+    options = {} if epsilon is None else {"epsilon_multiplier": epsilon}
+    session = GolaSession(GolaConfig(num_batches=8, bootstrap_trials=16,
+                                     seed=7, **options))
+    session.register_table("conviva", TABLE)
+    query = session.sql(NESTED_KEYED)
+    serial = list(query.run_online())
+    cdm = list(ClassicalDeltaMaintenance(
+        query.query, session._tables(), session.config).run())
+    assert len(serial) == len(cdm) == 8
+    for snap, oracle in zip(serial, cdm):
+        for name in ("n", "retention"):
+            np.testing.assert_allclose(snap.table.column(name),
+                                       oracle.table.column(name),
+                                       rtol=1e-9)

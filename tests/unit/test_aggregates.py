@@ -65,6 +65,76 @@ class TestGroupIndex:
         assert idx.num_groups == 1 and clone.num_groups == 2
 
 
+def _null_first(key):
+    if isinstance(key, tuple):
+        return tuple(_null_first(part) for part in key)
+    return (key is not None, key)
+
+
+class SortedEncodeIndex:
+    """Reference: ``GroupIndex.encode`` as it was for object keys, one
+    ``np.unique`` sort of the whole batch per call (NULL first when
+    numpy's sort meets it)."""
+
+    def __init__(self):
+        self.lookup, self.keys = {}, []
+
+    def encode(self, keys, add_new=True):
+        try:
+            uniq, inverse = np.unique(keys, return_inverse=True)
+            uniq = uniq.tolist()
+        except TypeError:
+            flat = keys.tolist()
+            uniq = sorted(set(flat), key=_null_first)
+            position = {key: i for i, key in enumerate(uniq)}
+            inverse = np.array([position[key] for key in flat],
+                               dtype=np.int64)
+        mapped = np.array([self.lookup.get(k, -1) for k in uniq],
+                          dtype=np.int64)
+        for i in np.flatnonzero(mapped < 0).tolist() if add_new else []:
+            self.lookup[uniq[i]] = mapped[i] = len(self.keys)
+            self.keys.append(uniq[i])
+        return mapped[inverse.reshape(keys.shape)]
+
+
+_scalar_key = st.one_of(st.none(), st.sampled_from(["", "a", "b", "US",
+                                                     "ab", "z"]))
+_tuple_key = st.tuples(_scalar_key, st.one_of(st.none(),
+                                              st.integers(-2, 2)))
+
+
+def _object_array(keys):
+    out = np.empty(len(keys), dtype=object)  # tuples stay one cell each
+    for i, key in enumerate(keys):
+        out[i] = key
+    return out
+
+
+class TestHashEncodeOracle:
+    """The one-pass dict encode of object keys numbers every key as the
+    sorted ``np.unique`` path did, batch after batch, and leaves unseen
+    keys at -1 without growing under ``add_new=False``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), composite=st.booleans())
+    def test_matches_sorted_encode(self, data, composite):
+        key = _tuple_key if composite else _scalar_key
+        batches = data.draw(st.lists(
+            st.tuples(st.lists(key, max_size=30), st.booleans()),
+            min_size=1, max_size=5))
+        ref, new = SortedEncodeIndex(), GroupIndex()
+        for keys, add_new in batches:
+            arr = _object_array(keys)
+            before = new.num_groups
+            got = new.encode(arr, add_new=add_new)
+            assert got.tolist() == ref.encode(arr, add_new).tolist()
+            assert new.keys() == ref.keys
+            if not add_new:
+                assert new.num_groups == before
+                assert all(new.index_of(k) == -1
+                           for k, i in zip(keys, got.tolist()) if i < 0)
+
+
 class TestExactStates:
     def test_sum(self):
         state = SumState()

@@ -6,9 +6,6 @@ sharded across any worker count — produces bit-identical aggregate
 states.
 """
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -314,53 +311,6 @@ class TestGroupIndexIncremental:
         assert index._version == v
         index.encode(np.array([3]))
         assert index._version == v + 1
-
-    def test_unchanged_key_array_is_memoized(self):
-        index = GroupIndex()
-        keys = np.array([4, 4, 8, 15, 16, 23, 42])
-        first = index.encode(keys)
-        memo = index._memo[1]
-        assert memo is not None
-        second = index.encode(keys)
-        assert np.array_equal(first, second)
-        assert second is not memo  # callers get a private copy
-
-    def test_memo_is_consistent_across_threads(self):
-        """Consumer blocks encode against one producer index from
-        several threads: while the memo alternates between their key
-        arrays, no thread gets another's result (fails often on the
-        two-attribute memo, whose token and result a switch can split).
-        """
-        rng = np.random.default_rng(8)
-        arrays = [rng.integers(0, 50, size=8) for _ in range(4)]
-        expected = []
-        for keys in arrays:
-            fresh = GroupIndex()
-            fresh.encode(np.arange(50))
-            expected.append(fresh.encode(keys, add_new=False))
-        index = GroupIndex()
-        index.encode(np.arange(50))
-        bad = []
-
-        def worker(k):
-            for _ in range(10_000):
-                got = index.encode(arrays[k], add_new=False)
-                if not np.array_equal(got, expected[k]):
-                    bad.append(k)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(k,))
-                       for k in range(len(arrays))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert not bad
 
     def test_add_new_false_marks_unseen(self):
         index = GroupIndex()

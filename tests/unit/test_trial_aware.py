@@ -109,7 +109,8 @@ def reference_trial_masks(cache, slot_states, penv):
             if isinstance(state, ScalarSlotState):
                 env.scalars[slot] = float(state.replicas[j])
             elif isinstance(state, KeyedSlotState):
-                present = state._present()
+                present = (np.ones(len(state.estimates), dtype=bool)
+                           if state.present is None else state.present)
                 column = state.replicas[:, j]
                 env.keyed[slot] = {
                     key: value
@@ -140,7 +141,8 @@ def sparser(state):
         out[ids] = values[:keep]
         return out
 
-    present = moved(state._present())
+    present = moved(np.ones(len(state.estimates), dtype=bool)
+                    if state.present is None else state.present)
     present[ids[:5]] = False
     return dataclasses.replace(
         state, index=index, estimates=moved(state.estimates),
