@@ -12,8 +12,8 @@ Commands:
     inspect   report a colstore dataset's layout and stored state
     fuzz      differential query fuzzing across every execution path
     calibrate measure empirical bootstrap-CI coverage vs nominal
-    chaos     kill/hang/corrupt workers mid-run; assert answers are
-              bit-identical to serial
+    chaos     kill and stop workers between batches; assert answers
+              are bit-identical to serial
 """
 
 from __future__ import annotations
@@ -66,28 +66,28 @@ def _demo(args) -> int:
     from .frontends.console import ProgressConsole
     from .workloads.sessions import SBI_QUERY, generate_sessions
 
-    faults = _parse_faults(args.faults)
+    parallel = _parse_workers(args.workers)
     tracer = None
-    if faults.enabled:
+    if parallel.enabled:
         from .obs import MetricsRegistry, Tracer
 
         tracer = Tracer(metrics=MetricsRegistry(enabled=True))
-    session = GolaSession(
+    with GolaSession(
         GolaConfig(num_batches=args.batches, bootstrap_trials=80,
-                   seed=args.seed, faults=faults,
-                   parallel=_parse_workers(args.workers)),
+                   seed=args.seed, faults=_parse_faults(args.faults),
+                   parallel=parallel),
         tracer=tracer,
-    )
-    print(f"generating {args.rows:,} session rows ...")
-    session.register_table(
-        "sessions", generate_sessions(args.rows, seed=args.seed)
-    )
-    query = session.sql(SBI_QUERY)
-    print(query.plan_description, "\n")
-    console = ProgressConsole()
-    for snapshot in query.run_online():
-        console.update(snapshot)
-    console.finish()
+    ) as session:
+        print(f"generating {args.rows:,} session rows ...")
+        session.register_table(
+            "sessions", generate_sessions(args.rows, seed=args.seed)
+        )
+        query = session.sql(SBI_QUERY)
+        print(query.plan_description, "\n")
+        console = ProgressConsole()
+        for snapshot in query.run_online():
+            console.update(snapshot)
+        console.finish()
     if tracer is not None:
         _print_recovery(tracer.metrics)
     return 0
@@ -438,8 +438,6 @@ def _chaos(args) -> int:
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
-    if args.no_killer:
-        overrides["external_killer"] = False
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
     report = ChaosRunner(
@@ -481,8 +479,9 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     faults_help = (
-        "enable fault injection: 'key=value,...' over FaultsConfig "
-        "fields, e.g. 'worker_kill_prob=0.3,seed=7' (with --workers)"
+        "row quarantine and checkpoints: 'key=value,...' over "
+        "FaultsConfig fields, e.g. 'checkpoint_every=2,"
+        "checkpoint_path=run.ck'"
     )
     workers_help = (
         "parallel execution: a worker count ('4') or 'key=value,...' "
@@ -685,9 +684,9 @@ def main(argv=None) -> int:
 
     chaos = sub.add_parser(
         "chaos",
-        help="run the paper workload while workers are SIGKILLed, "
-             "suspended and corrupted; assert snapshots bit-identical "
-             "to serial",
+        help="run the paper workload while a seeded schedule SIGKILLs "
+             "and SIGSTOPs workers between batches; assert snapshots "
+             "bit-identical to serial",
     )
     chaos.add_argument("--smoke", action="store_true",
                        help="CI-sized campaign: one query, small table")
@@ -701,10 +700,7 @@ def main(argv=None) -> int:
     chaos.add_argument("--workers", type=int, default=None,
                        help="supervised pool size (default 4)")
     chaos.add_argument("--seed", type=int, default=None,
-                       help="seed for data, faults and the killer")
-    chaos.add_argument("--no-killer", action="store_true",
-                       help="disable the external SIGKILL/SIGSTOP "
-                            "thread (in-band injection only)")
+                       help="seed for the data and the signal schedule")
     chaos.add_argument("--out", default=None, metavar="PATH",
                        help="write the JSON chaos report here")
     chaos.set_defaults(fn=_chaos)

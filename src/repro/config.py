@@ -47,63 +47,28 @@ def _parse_spec(cls, spec: str, flag: str) -> dict:
 
 @dataclass(frozen=True)
 class FaultsConfig:
-    """Deterministic fault injection, row quarantine and checkpoints
-    (``repro.faults``).
+    """Row quarantine and checkpoints (``repro.faults``).
 
-    All injection is driven by per-fault RNG streams derived from
-    ``seed`` (defaulting to the master :attr:`GolaConfig.seed`), so two
-    runs with the same configuration inject byte-identical fault
-    sequences.  With ``enabled=False`` (the default) nothing is injected
-    and the engine's outputs are bit-identical to a build without the
-    subsystem.  Worker faults recover bit-identically under any
-    probability (at 1.0 every pool run fails and the supervisor's
-    serial fallback runs each shard on the coordinator).
+    Worker crashes and hangs need no knob: the supervised pool recovers
+    from them bit-identically whenever they happen (see
+    :class:`ParallelConfig`).
 
     Attributes:
-        enabled: Master switch; when False no RNG stream is ever drawn.
-        seed: Seed for the injection streams (None = the master seed).
-        row_corruption_prob: Probability that a CSV input row is
-            corrupted at load time (exercises the quarantine path).
-        worker_kill_prob: Per-task probability that a pool worker is
-            SIGKILLed mid-task (``parallel.worker_kill``).  The
-            supervisor detects the broken pool, rebuilds it and runs
-            the lost shards on the coordinator.
-        worker_hang_prob: Per-task probability that a pool worker
-            hangs for ``worker_hang_s`` (``parallel.worker_hang``);
-            detected at the task deadline, the pool is abandoned and the
-            shard run on the coordinator.
-        worker_hang_s: How long an injected hang sleeps.  Keep it above
-            the task deadline so the hang is detected as such.
-        result_corrupt_prob: Per-task probability that a worker's
-            partial aggregate state comes back corrupted
-            (``parallel.result_corrupt``); the merge-time integrity
-            check rejects it and the shard runs on the coordinator.
         row_error_budget: Maximum tolerated fraction of quarantined rows
-            per loaded file before the load is aborted with SchemaError.
+            per CSV file :meth:`~repro.core.session.GolaSession.load_csv`
+            loads before the load is aborted with SchemaError.  0 (the
+            default) quarantines nothing: the load is ``read_csv``'s
+            strict one.
         checkpoint_every: Auto-checkpoint the online run every N batches
             (0 disables; requires ``checkpoint_path``).
         checkpoint_path: Where auto-checkpoints are pickled.
     """
 
-    enabled: bool = False
-    seed: Optional[int] = None
-    row_corruption_prob: float = 0.0
-    worker_kill_prob: float = 0.0
-    worker_hang_prob: float = 0.0
-    worker_hang_s: float = 30.0
-    result_corrupt_prob: float = 0.0
-    row_error_budget: float = 0.05
+    row_error_budget: float = 0.0
     checkpoint_every: int = 0
     checkpoint_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        for name in ("row_corruption_prob", "worker_kill_prob",
-                     "worker_hang_prob", "result_corrupt_prob"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.worker_hang_s < 0.0:
-            raise ValueError("worker_hang_s must be >= 0")
         if not 0.0 <= self.row_error_budget <= 1.0:
             raise ValueError("row_error_budget must be in [0, 1]")
         if self.checkpoint_every < 0:
@@ -113,12 +78,12 @@ class FaultsConfig:
     def parse(cls, spec: str) -> "FaultsConfig":
         """Build a config from a ``key=value,key=value`` CLI string.
 
-        An empty spec yields the enabled default profile; unknown keys
-        raise ValueError.  Example::
+        An empty spec yields the defaults; unknown keys raise
+        ValueError.  Example::
 
-            FaultsConfig.parse("worker_kill_prob=0.3,seed=7")
+            FaultsConfig.parse("checkpoint_every=2,checkpoint_path=run.ck")
         """
-        return cls(**{"enabled": True, **_parse_spec(cls, spec, "--faults")})
+        return cls(**_parse_spec(cls, spec, "--faults"))
 
 
 @dataclass(frozen=True)
@@ -285,10 +250,8 @@ class GolaConfig:
         metrics: Collect counters/gauges/histograms in the tracer's
             :class:`~repro.obs.MetricsRegistry` even when span tracing
             is off.  Tracing implies metrics.
-        faults: Deterministic fault injection and recovery policy (see
-            :class:`FaultsConfig`).  Disabled by default; with injection
-            off the engine's outputs are bit-identical to a faultless
-            build.
+        faults: Row quarantine and checkpoint policy (see
+            :class:`FaultsConfig`).  Neither changes a snapshot bit.
         parallel: Worker-pool configuration (see :class:`ParallelConfig`).
             Serial by default; any worker count yields bit-identical
             output.

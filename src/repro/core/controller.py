@@ -35,12 +35,7 @@ from ..estimate.bootstrap import BatchWeights, PoissonWeightSource, \
 from ..estimate.variation import VariationRange
 from ..expr.expressions import Environment
 from ..expr.functions import DEFAULT_FUNCTIONS, FunctionRegistry
-from ..faults import (
-    FaultInjector,
-    RunCheckpoint,
-    config_fingerprint,
-    query_fingerprint,
-)
+from ..faults import RunCheckpoint, config_fingerprint, query_fingerprint
 from ..obs import Timer, Tracer, tracer_from_config
 from ..parallel import ParallelExecutor, ShardPools
 from ..plan.logical import Query
@@ -102,17 +97,12 @@ class QueryController:
         self.streamed_tables = self.meta_plan.streamed_tables
         self.block_tables = self.meta_plan.block_tables
         self.runtimes = self.meta_plan.runtimes
-        self.injector = FaultInjector.from_config(config, tracer=self.tracer)
         # The run's executor borrows its pool from ``pools`` (the
-        # session's) and shares the run's injector, so supervised-pool
-        # fault streams are checkpointed and restored with everything
-        # else.
+        # session's).
         self.parallel = (
             parallel if parallel is not None
-            else ParallelExecutor.from_config(
-                config, tracer=self.tracer, injector=self.injector,
-                pools=pools,
-            )
+            else ParallelExecutor.from_config(config, tracer=self.tracer,
+                                              pools=pools)
         )
         #: Partitions and weight rectangles: the session's, shared by
         #: its queries.
@@ -150,7 +140,7 @@ class QueryController:
         and so out of here, and ends the run: only a shard the pool
         could not compute even on the coordinator does
         (:class:`~repro.errors.ShardLostError`); worker crashes, hangs
-        and corrupt results are re-run bit-identically.
+        and malformed results are re-run bit-identically.
 
         ``resume_from`` (a :class:`RunCheckpoint` or a path to one saved
         by :meth:`checkpoint`) continues after the checkpointed batch.
@@ -209,7 +199,6 @@ class QueryController:
                 else RunCheckpoint.load(resume_from)
             )
             ck.verify(self.query, self.config)
-            self.injector.restore(ck.injector_state)
             for block_id, state in ck.copy_block_states().items():
                 self.runtimes[block_id].restore_checkpoint(state)
             start_at = ck.batch_index + 1
@@ -313,7 +302,6 @@ class QueryController:
             query_fp=query_fingerprint(self.query),
             config_fp=config_fingerprint(self.config),
             batch_index=self._last_batch,
-            injector_state=self.injector.state_dict(),
             block_states={
                 block_id: runtime.state_checkpoint()
                 for block_id, runtime in self.runtimes.items()

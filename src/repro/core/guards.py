@@ -84,6 +84,9 @@ class _DecisionGuard:
     ``correlation_name``, so its point value per group comes from the
     ordinary evaluator over a pseudo-table of one row per group of the
     first keyed slot, whose ``GroupIndex`` also indexes the extremes.
+    A producer rebuild replaces that index and numbers its groups
+    afresh, so the extremes are tied to the index object they are
+    numbered by and remapped by key when it changes.
     """
 
     def __init__(self, op: str, certain_side: Expression,
@@ -99,6 +102,8 @@ class _DecisionGuard:
         #: ``(4, G)`` extremes of the certain side among folded rows, per
         #: producer group (see ``_NO_FOLDS``); grown lazily.
         self.extremes = _NO_FOLDS.copy()
+        #: The ``GroupIndex`` numbering the extremes (None: none yet).
+        self._index = None
 
     @property
     def label(self) -> str:
@@ -120,6 +125,7 @@ class _DecisionGuard:
         if self.correlation_name is None:
             idx = np.zeros(n, dtype=np.int64)
         else:
+            self._renumber(ienv.slots[self.slot].index)
             idx = ienv.slot_rows(self.slot, ColumnRef(self.correlation_name),
                                  table)
             pad = (len(ienv.slots[self.slot].estimates)
@@ -138,16 +144,34 @@ class _DecisionGuard:
                 np.maximum.at(self.extremes[row], idx[use], c_vals[use])
                 np.minimum.at(self.extremes[row + 1], idx[use], c_vals[use])
 
+    def _renumber(self, index) -> bool:
+        """Number the extremes by ``index``, remapping them by key if
+        another index numbered them; False if a group with folds has no
+        row in ``index`` (its decisions can no longer be checked)."""
+        old, self._index = self._index, index
+        if old is None or old is index:
+            return True
+        folded = np.flatnonzero((self.extremes != _NO_FOLDS).any(axis=0))
+        pos = np.array([index.index_of(old.key_at(g)) for g in folded],
+                       dtype=np.int64)
+        found = pos >= 0
+        out = np.repeat(_NO_FOLDS, index.num_groups, axis=1)
+        out[:, pos[found]] = self.extremes[:, folded[found]]
+        self.extremes = out
+        return bool(found.all())
+
     def check(self, ienv: IntervalEnv) -> bool:
         """Are all folded decisions point-correct under the new values?"""
-        g = self.extremes.shape[1]
         if self.correlation_name is None:
             pseudo = ArrayTable({}, 1)
         else:
+            if not self._renumber(ienv.slots[self.slot].index):
+                return False
             keys = np.array(ienv.slots[self.slot].index.keys())
             if len(keys) == 0:
                 return True
             pseudo = ArrayTable({self.correlation_name: keys}, len(keys))
+        g = self.extremes.shape[1]
         # Bind the slots' point values locally so the check is
         # self-contained (callers need not pre-bind the environment).
         env = Environment(functions=ienv.point.functions)
@@ -179,6 +203,7 @@ class _DecisionGuard:
 
     def reset(self) -> None:
         self.extremes = np.repeat(_NO_FOLDS, self.extremes.shape[1], axis=1)
+        self._index = None
 
 
 class _SetGuard:

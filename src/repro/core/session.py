@@ -28,7 +28,7 @@ from ..engine.aggregates import UDAFRegistry, UDAFSpec
 from ..engine.executor import BatchExecutor
 from ..errors import QueryStopped
 from ..expr.functions import FunctionRegistry
-from ..faults import FaultInjector, RowQuarantine, RunCheckpoint
+from ..faults import RowQuarantine, RunCheckpoint
 from ..obs import Tracer
 from ..parallel import ShardPools
 from ..plan.binder import Binder
@@ -241,25 +241,18 @@ class GolaSession:
     def load_csv(self, name: str, path, streamed: bool = True) -> Table:
         """Load a CSV file and register it under ``name``.
 
-        With faults enabled in the session config, malformed rows are
-        quarantined (up to ``faults.row_error_budget``) instead of
-        aborting the load; the collected rows are kept on
+        With a positive ``faults.row_error_budget`` in the session
+        config, malformed rows are quarantined (up to that fraction)
+        instead of aborting the load; the collected rows are kept on
         ``session.last_quarantine`` for inspection.
         """
-        faults = self.config.faults
+        budget = self.config.faults.row_error_budget
         quarantine = None
-        injector = None
-        if faults.enabled:
-            quarantine = RowQuarantine(
-                error_budget=faults.row_error_budget, label=name,
-            )
+        if budget > 0.0:
+            quarantine = RowQuarantine(error_budget=budget, label=name)
             if self.tracer is not None:
                 quarantine.tracer = self.tracer
-            if faults.row_corruption_prob > 0.0:
-                injector = FaultInjector.from_config(
-                    self.config, tracer=self.tracer
-                )
-        table = read_csv(path, quarantine=quarantine, injector=injector)
+        table = read_csv(path, quarantine=quarantine)
         self.last_quarantine = quarantine
         self.register_table(name, table, streamed=streamed)
         return table

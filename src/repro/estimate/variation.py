@@ -43,20 +43,6 @@ class VariationRange:
             (values.min() >= self.low) and (values.max() <= self.high)
         )
 
-    def overlaps(self, other: "VariationRange") -> bool:
-        """Whether ``R(x) ∩ R(y) ≠ ∅`` — the uncertainty test."""
-        return self.low <= other.high and other.low <= self.high
-
-    def intersect(self, other: "VariationRange") -> "VariationRange":
-        """The intersection (used to tighten consumer guards)."""
-        low = max(self.low, other.low)
-        high = min(self.high, other.high)
-        if low > high:
-            # Disjoint guards mean an (already detected) failure; collapse
-            # to a point so containment checks keep failing loudly.
-            low = high = (low + high) / 2.0
-        return VariationRange(low, high)
-
     @property
     def width(self) -> float:
         return self.high - self.low

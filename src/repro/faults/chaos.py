@@ -1,24 +1,35 @@
-"""End-to-end chaos harness: the paper workload under real worker chaos.
+"""End-to-end chaos harness: the paper workload under real worker signals.
 
 The supervised pool's unit tests exercise each recovery path in
 isolation; this harness proves the property that matters — **chaos is
 invisible in the answers**.  For each paper query it
 
-1. runs the query serially, faults off, and fingerprints the full
-   snapshot stream (every estimate, CI bound, uncertain-set size and
-   accounting field, bitwise; ``repro.qa.identity.snapshot_fingerprint``);
-2. re-runs it on a supervised process pool while workers are being
-   SIGKILLed mid-shard, suspended past their deadlines and their results
-   corrupted in flight — both through the seeded in-band injector
-   (``parallel.worker_kill`` / ``worker_hang`` / ``result_corrupt``) and
-   through an *external* seeded killer thread sending real ``SIGKILL`` /
-   ``SIGSTOP`` to live worker PIDs;
+1. runs the query serially and fingerprints the full snapshot stream
+   (every estimate, CI bound, uncertain-set size and accounting field,
+   bitwise; ``repro.qa.identity.snapshot_fingerprint``);
+2. re-runs it on a supervised process pool while, between two batches,
+   a seeded schedule either SIGKILLs one live worker, SIGSTOPs every
+   live worker, or leaves the pool alone;
 3. asserts the chaotic stream is **bit-identical** to the serial one.
 
+The schedule acts between batches, when every worker is idle, so a
+campaign is reproducible: two runs at one seed report the same
+recovery counters.  After a kill the harness waits until the pool's
+executor has seen the death (its manager thread marks it broken and
+exits), so the next dispatch always finds the pool broken
+(``parallel.worker_lost``).  Waiting for the worker's exit alone is not
+enough: a task submitted before the manager thread wakes may still run
+on a surviving worker.  A stop halts every worker, and the harness waits
+until each one is stopped, so no task of the next dispatch finishes
+before its deadline (``parallel.task_timeouts``); with one worker
+stopped, the others would answer its tasks.  When a rebuild has left
+the pool without workers, the harness starts them (one no-op task
+each) before it acts, so every scheduled signal has a target.
+
 Bit-identity holds because every recovery action re-executes stateless
-per-(batch, trial) shard specs: a shard the pool lost, timed out or
-rejected recomputes exactly the same deterministic function of its
-payload on the coordinator (see ``repro.parallel.supervisor``).
+per-(batch, trial) shard specs: a shard the pool lost or timed out
+recomputes exactly the same deterministic function of its payload on
+the coordinator (see ``repro.parallel.supervisor``).
 
 ``repro chaos`` runs this and writes a JSON report; exit status 0 means
 every query survived bit-identical.
@@ -27,13 +38,13 @@ every query survived bit-identical.
 from __future__ import annotations
 
 import os
+import random
 import signal
-import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..config import FaultsConfig, GolaConfig, ParallelConfig
+from ..config import GolaConfig, ParallelConfig
 from ..obs import MetricsRegistry, Tracer
 
 #: name -> (table, generator, sql attribute) resolved lazily from
@@ -43,7 +54,7 @@ WORKLOAD_QUERIES = ("sbi", "c3", "q17")
 
 @dataclass(frozen=True)
 class ChaosSpec:
-    """One chaos campaign: workload scale, fault mix, chaos sources."""
+    """One chaos campaign: workload scale, pool and signal schedule."""
 
     rows: int = 24_000
     batches: int = 6
@@ -51,29 +62,23 @@ class ChaosSpec:
     seed: int = 2015
     queries: Tuple[str, ...] = WORKLOAD_QUERIES
     workers: int = 4
-    #: In-band seeded fault mix (drawn per shard).
-    kill_prob: float = 0.12
-    hang_prob: float = 0.08
-    hang_s: float = 2.0
-    corrupt_prob: float = 0.12
-    #: Supervision knob under test.
+    #: Between two batches: SIGKILL one live worker with ``kill_prob``,
+    #: else SIGSTOP every live worker with ``stop_prob``.
+    kill_prob: float = 0.3
+    stop_prob: float = 0.5
+    #: Supervision knob under test: how long a stopped pool holds a
+    #: dispatch.
     task_deadline_s: float = 1.0
     #: Force sharding even for small chaos tables — the harness exists
     #: to exercise the pool, not to win the overhead trade-off.
     min_shard_rows: int = 128
-    #: External killer: real SIGKILL/SIGSTOP against live worker PIDs
-    #: from a seeded thread.
-    external_killer: bool = True
-    killer_interval_s: float = 0.25
-    killer_suspend_prob: float = 0.5
 
     @classmethod
     def smoke(cls) -> "ChaosSpec":
-        """The CI-sized campaign: one query, small table, short hangs."""
+        """The CI-sized campaign: one query, small table, short
+        deadline; at the default seed its schedule kills and stops."""
         return cls(rows=8_000, batches=4, trials=16, queries=("sbi",),
-                   kill_prob=0.15, hang_prob=0.1, hang_s=0.8,
-                   corrupt_prob=0.15, task_deadline_s=0.8,
-                   killer_interval_s=0.2)
+                   task_deadline_s=0.8)
 
 
 @dataclass
@@ -87,6 +92,8 @@ class QueryReport:
     chaos_fingerprint: str
     serial_s: float
     chaos_s: float
+    kills: int = 0
+    stops: int = 0
     counters: Dict[str, int] = field(default_factory=dict)
 
 
@@ -106,58 +113,49 @@ def _workload(name: str, rows: int, seed: int):
     raise ValueError(f"unknown chaos workload query {name!r}")
 
 
-class _ExternalKiller:
-    """A seeded thread throwing real signals at live pool workers.
+class _Schedule:
+    """The seeded signals one chaos run sends between its batches."""
 
-    Every ``interval_s`` it picks a victim among the supervised pool's
-    current worker PIDs and either SIGKILLs it (crash path) or SIGSTOPs
-    it (hang path — the worker stays alive but silent until the round
-    deadline has the pool abandoned, which SIGKILLs stopped processes
-    too).  Seeded, so a campaign's external chaos is reproducible on one
-    machine — though *when* a signal lands relative to shard execution
-    is inherently racy; determinism of the answers comes from the
-    supervisor, not from the chaos being replayable.
-    """
-
-    def __init__(self, pids, interval_s: float, suspend_prob: float,
-                 seed: int):
-        import random
-
-        self._pids = pids  # callable -> List[int]
-        self._interval_s = interval_s
-        self._suspend_prob = suspend_prob
-        self._rng = random.Random(f"{seed}:chaos-killer")
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="chaos-killer")
+    def __init__(self, spec: ChaosSpec, name: str, pool):
+        self.spec = spec
+        self.pool = pool
+        self._rng = random.Random(f"{spec.seed}:{name}:chaos")
         self.kills = 0
-        self.suspends = 0
+        self.stops = 0
 
-    def _run(self) -> None:
-        while not self._stop.wait(self._interval_s):
-            pids = self._pids()
-            if not pids:
-                continue
-            victim = self._rng.choice(sorted(pids))
-            sig = (signal.SIGSTOP
-                   if self._rng.random() < self._suspend_prob
-                   else signal.SIGKILL)
-            try:
-                os.kill(victim, sig)
-            except (ProcessLookupError, PermissionError):
-                continue  # already reaped / not ours anymore
-            if sig == signal.SIGKILL:
-                self.kills += 1
-            else:
-                self.suspends += 1
+    def run(self, snapshots) -> Iterator:
+        """Yield ``snapshots``, acting on the pool after each one that
+        another batch follows."""
+        for snapshot in snapshots:
+            yield snapshot
+            if snapshot.batch_index < self.spec.batches:
+                self._act(self._rng.random())
 
-    def __enter__(self) -> "_ExternalKiller":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stop.set()
-        self._thread.join(timeout=10.0)
+    def _act(self, draw: float) -> None:
+        spec = self.spec
+        if draw >= spec.kill_prob + spec.stop_prob:
+            return
+        pids = self.pool.worker_pids()
+        if not pids:
+            # A rebuild left the pool without workers: start them.
+            self.pool.map(abs, range(self.pool.workers))
+            pids = self.pool.worker_pids()
+        if not pids:
+            return  # this host runs no pool
+        if draw < spec.kill_prob:
+            # The executor's manager thread marks the executor broken
+            # and exits once it sees a worker die.
+            manager = self.pool._executor._executor_manager_thread
+            os.kill(self._rng.choice(sorted(pids)), signal.SIGKILL)
+            manager.join(timeout=30.0)
+            self.kills += 1
+        else:
+            for pid in pids:
+                os.kill(pid, signal.SIGSTOP)
+            for pid in pids:
+                # Wait until it is stopped, leaving the state unreaped.
+                os.waitid(os.P_PID, pid, os.WSTOPPED | os.WNOWAIT)
+            self.stops += 1
 
 
 class ChaosRunner:
@@ -169,28 +167,18 @@ class ChaosRunner:
         self._progress = progress if progress is not None else _silent
 
     def run(self) -> dict:
-        spec = self.spec
-        reports: List[QueryReport] = []
-        kills = suspends = 0
-        for name in spec.queries:
-            report, killer = self._run_query(name)
-            reports.append(report)
-            if killer is not None:
-                kills += killer.kills
-                suspends += killer.suspends
-        identical = all(r.identical for r in reports)
+        reports: List[QueryReport] = [
+            self._run_query(name) for name in self.spec.queries
+        ]
         return {
             "spec": asdict(self.spec),
             "queries": [asdict(r) for r in reports],
-            "identical": identical,
-            "external_kills": kills,
-            "external_suspends": suspends,
+            "identical": all(r.identical for r in reports),
         }
 
     # -- internals -------------------------------------------------------
 
-    def _session(self, name: str, faults: FaultsConfig,
-                 parallel: ParallelConfig, tracer=None):
+    def _session(self, name: str, parallel: ParallelConfig, tracer=None):
         from ..core.session import GolaSession
 
         spec = self.spec
@@ -198,60 +186,38 @@ class ChaosRunner:
         session = GolaSession(
             GolaConfig(num_batches=spec.batches,
                        bootstrap_trials=spec.trials, seed=spec.seed,
-                       faults=faults, parallel=parallel),
+                       parallel=parallel),
             tracer=tracer,
         )
         session.register_table(table_name, table)
-        return session.sql(sql)
+        return session, sql
 
-    def _run_query(self, name: str
-                   ) -> Tuple[QueryReport, Optional[_ExternalKiller]]:
+    def _run_query(self, name: str) -> QueryReport:
         from ..qa.identity import snapshot_fingerprint
 
         spec = self.spec
         self._progress(f"[{name}] serial reference ...")
         t0 = time.monotonic()
-        query = self._session(name, FaultsConfig(), ParallelConfig())
-        serial_fp, serial_n = snapshot_fingerprint(query.run_online())
+        session, sql = self._session(name, ParallelConfig())
+        with session:
+            serial_fp, serial_n = snapshot_fingerprint(
+                session.sql(sql).run_online())
         serial_s = time.monotonic() - t0
 
-        faults = FaultsConfig(
-            enabled=True, seed=spec.seed,
-            worker_kill_prob=spec.kill_prob,
-            worker_hang_prob=spec.hang_prob,
-            worker_hang_s=spec.hang_s,
-            result_corrupt_prob=spec.corrupt_prob,
-        )
         parallel = ParallelConfig(
             workers=spec.workers,
             task_deadline_s=spec.task_deadline_s,
             min_shard_rows=spec.min_shard_rows,
         )
         tracer = Tracer(metrics=MetricsRegistry(enabled=True))
-        query = self._session(name, faults, parallel, tracer=tracer)
-        killer = None
-        if spec.external_killer:
-            # The controller (and with it the supervised pool) exists
-            # only once run_online is entered; resolve PIDs late.
-            killer = _ExternalKiller(
-                lambda: (query._controller.parallel.worker_pids()
-                         if query._controller is not None else []),
-                spec.killer_interval_s, spec.killer_suspend_prob,
-                spec.seed,
-            )
         self._progress(f"[{name}] chaos run (workers={spec.workers}, "
-                       f"kill/hang/corrupt="
-                       f"{spec.kill_prob}/{spec.hang_prob}/"
-                       f"{spec.corrupt_prob}"
-                       f"{', external killer' if killer else ''}) ...")
+                       f"kill/stop={spec.kill_prob}/{spec.stop_prob}) ...")
         t0 = time.monotonic()
-        if killer is not None:
-            with killer:
-                chaos_fp, chaos_n = snapshot_fingerprint(
-                    query.run_online()
-                )
-        else:
-            chaos_fp, chaos_n = snapshot_fingerprint(query.run_online())
+        session, sql = self._session(name, parallel, tracer=tracer)
+        with session:
+            schedule = _Schedule(spec, name, session.pools.get(parallel))
+            chaos_fp, chaos_n = snapshot_fingerprint(
+                schedule.run(session.sql(sql).run_online()))
         chaos_s = time.monotonic() - t0
         counters = {
             k: v for k, v in
@@ -262,15 +228,16 @@ class ChaosRunner:
         self._progress(
             f"[{name}] {'bit-identical' if identical else 'DIVERGED'} "
             f"({chaos_n} snapshots, serial {serial_s:.1f}s, "
-            f"chaos {chaos_s:.1f}s, "
+            f"chaos {chaos_s:.1f}s, {schedule.kills} kills, "
+            f"{schedule.stops} stops, "
             f"restarts {counters.get('parallel.restarts', 0)})"
         )
         return QueryReport(
             name=name, identical=identical, snapshots=chaos_n,
             serial_fingerprint=serial_fp, chaos_fingerprint=chaos_fp,
             serial_s=round(serial_s, 3), chaos_s=round(chaos_s, 3),
-            counters=counters,
-        ), killer
+            kills=schedule.kills, stops=schedule.stops, counters=counters,
+        )
 
 
 def _silent(message: str) -> None:

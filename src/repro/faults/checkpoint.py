@@ -8,9 +8,7 @@ online run from the last completed mini-batch instead of from scratch:
 * per-block delta state — the block's guards, its uncertain cache, its
   error fold (exact states, presence and bootstrap or closed-form error
   state) and its group index, deep-copied so the live run can keep
-  mutating;
-* the fault injector's RNG streams, so a resumed run injects exactly
-  the worker faults the uninterrupted run would have.
+  mutating.
 
 Nothing per batch is saved, so a checkpoint's size follows the block
 states, not the rows read.  A resumed run re-reads its batches from the
@@ -36,7 +34,7 @@ from typing import Dict, Union
 
 from ..errors import CheckpointError
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 def config_fingerprint(config) -> str:
@@ -44,9 +42,9 @@ def config_fingerprint(config) -> str:
 
     Trace/metrics knobs are deliberately excluded: resuming with tracing
     toggled is safe and useful (e.g. resume a crashed run with tracing on
-    to see why it crashed).  So are the fault knobs: worker faults
-    recover bit-identically and row corruption happens before the query,
-    so none of them can change a snapshot bit.
+    to see why it crashed).  So are the fault knobs: row quarantine
+    happens before the query and checkpointing only saves state, so
+    neither can change a snapshot bit.
     """
     relevant = (
         config.num_batches, config.bootstrap_trials,
@@ -68,7 +66,6 @@ class RunCheckpoint:
     query_fp: str
     config_fp: str
     batch_index: int  # last batch folded
-    injector_state: Dict[str, dict]
     block_states: Dict[str, dict]
     version: int = CHECKPOINT_VERSION
 

@@ -15,11 +15,9 @@ lifecycle.
 from .executor import SERIAL_EXECUTOR, ParallelExecutor
 from .shards import make_shard_payloads, run_fold_shard, shard_ranges
 from .shm import ArraySpec, ShmLease, ShmRegistry, resolve, segment_exists
-from .supervisor import CORRUPT_SENTINEL, ShardPools, SupervisedPool, \
-    validate_fold_shard
+from .supervisor import ShardPools, SupervisedPool, validate_fold_shard
 
 __all__ = [
-    "CORRUPT_SENTINEL",
     "ArraySpec",
     "SERIAL_EXECUTOR",
     "ParallelExecutor",

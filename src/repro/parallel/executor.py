@@ -13,7 +13,7 @@ before it returns.
 One executor serves one run.  Its pool is borrowed from a
 :class:`~repro.parallel.supervisor.ShardPools` — the session's, so
 workers are persistent across queries and the fork is paid once per
-session — and called with the run's own fault injector and tracer.
+session — and called with the run's own tracer.
 Each pooled batch's columns and its stored uint8 weight rectangle are
 written into the run's one shared-memory segment
 (``repro.parallel.shm``), reused fold after fold, and every shard
@@ -41,14 +41,13 @@ where in its loop the cell falls.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..config import ParallelConfig
 from ..engine.aggregates import AggState
 from ..estimate.bootstrap import as_batch_weights
-from ..faults import FaultInjector, NULL_INJECTOR
 from ..obs import NULL_TRACER
 from .shards import make_shard_payloads, run_fold_shard, shard_ranges
 from .shm import ShmRegistry
@@ -63,13 +62,9 @@ class ParallelExecutor:
     """
 
     def __init__(self, config: Optional[ParallelConfig] = None,
-                 tracer=None, injector: Optional[FaultInjector] = None,
-                 pools: Optional[ShardPools] = None):
+                 tracer=None, pools: Optional[ShardPools] = None):
         self.config = config if config is not None else ParallelConfig()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Fault source for the supervised shard pool (worker kill/hang/
-        #: corrupt plans); disabled by default.
-        self.injector = injector if injector is not None else NULL_INJECTOR
         self._owns_pools = pools is None
         self.pools = pools if pools is not None else ShardPools()
         self._shard_pool: Optional[SupervisedPool] = None
@@ -77,20 +72,12 @@ class ParallelExecutor:
 
     @classmethod
     def from_config(cls, config, tracer=None,
-                    injector: Optional[FaultInjector] = None,
                     pools: Optional[ShardPools] = None
                     ) -> "ParallelExecutor":
         """Build from a :class:`~repro.config.GolaConfig` (or a
-        :class:`~repro.config.ParallelConfig` directly).
-
-        Given a full ``GolaConfig`` and no explicit ``injector``, an
-        injector is derived from its faults section so the shard pool
-        injects the run's configured worker faults.
-        """
-        parallel = getattr(config, "parallel", config)
-        if injector is None and hasattr(config, "faults"):
-            injector = FaultInjector.from_config(config, tracer=tracer)
-        return cls(parallel, tracer=tracer, injector=injector, pools=pools)
+        :class:`~repro.config.ParallelConfig` directly)."""
+        return cls(getattr(config, "parallel", config), tracer=tracer,
+                   pools=pools)
 
     @property
     def enabled(self) -> bool:
@@ -163,8 +150,7 @@ class ParallelExecutor:
         # The lease's region stays valid until this run's next publish,
         # so a serial fallback inside map still reads this batch.
         results = self._shard_pool.map(run_fold_shard, payloads,
-                                       tracer=tracer,
-                                       injector=self.injector)
+                                       tracer=tracer)
         with tracer.span("parallel.merge", shards=len(results)):
             for (lo, _hi), shard_states in zip(ranges, results):
                 for alias, shard_state in shard_states:
@@ -207,15 +193,6 @@ class ParallelExecutor:
     def shm_registry(self) -> Optional[ShmRegistry]:
         """The run's segment registry (None before the first publish)."""
         return self._shm
-
-    def worker_pids(self) -> List[int]:
-        """Live shard-pool worker PIDs ([] before first use).
-
-        The chaos harness uses this to pick real SIGKILL/SIGSTOP victims
-        while a run is in flight.
-        """
-        pool = self._shard_pool
-        return pool.worker_pids() if pool is not None else []
 
     def end_run(self) -> None:
         """Unlink the run's segment (idempotent; the next fold starts a

@@ -35,7 +35,7 @@ else the platform default) and lives until the session closes.  Its
 workers' caches of attached shared-memory segments stay warm across
 batches, and the fork is paid once per session, not once per query.
 What is per run stays per run: :meth:`SupervisedPool.map` takes the
-run's fault injector and tracer, and the run's segment is its own.
+run's tracer, and the run's segment is its own.
 Two threads may map on one pool at once: a pool broken or hung under
 one of them is rebuilt once, and the other's tasks on it run on the
 coordinator.  A host that cannot start a
@@ -43,22 +43,17 @@ process pool at all (``OSError`` from the executor, e.g. a sandbox
 without semaphores) leaves the pool degraded: :meth:`SupervisedPool.start`
 returns False and the caller folds inline.
 
-Fault injection (``parallel.worker_kill`` / ``parallel.worker_hang`` /
-``parallel.result_corrupt``) rides along inside the dispatched payloads:
-the coordinator draws a deterministic per-task fault plan from the
-seeded injector, and the *worker side* executes it — a real
-``os.kill(os.getpid(), SIGKILL)``, a real oversleep, a real poisoned
-array — so recovery is exercised end to end against real failures.
+Nothing here causes a fault: the pool recovers from whatever its
+workers do.  The chaos harness (``repro.faults.chaos``) and the tests
+cause real ones from outside — a SIGKILL, a SIGSTOP, a task function
+that kills itself or oversleeps off the coordinator.
 """
 
 from __future__ import annotations
 
 import logging
 import multiprocessing
-import os
-import signal
 import threading
-import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from math import ceil
@@ -68,57 +63,10 @@ import numpy as np
 
 from ..config import ParallelConfig
 from ..errors import ShardLostError
-from ..faults import NULL_INJECTOR
 from ..obs import NULL_TRACER
 from .shm import resolve
 
 logger = logging.getLogger("repro.parallel")
-
-#: Worker-side stand-in for a result too mangled to poison in place.
-CORRUPT_SENTINEL = "__repro-corrupted-result__"
-
-def _supervised_call(payload):
-    """Worker-side wrapper: execute one task under its fault directive.
-
-    ``payload`` is ``(fn, task, directive)``; the directive (or None)
-    was drawn by the coordinator from the seeded injector, so two runs
-    with the same fault config misbehave identically:
-
-    * ``kill`` — SIGKILL our own process;
-    * ``hang_s > 0`` — oversleep before running the task;
-    * ``corrupt`` — run the task, then poison the result in flight.
-
-    Module-level (not a closure) so the pool can pickle it.
-    """
-    fn, task, directive = payload
-    if directive:
-        if directive.get("kill"):
-            os.kill(os.getpid(), signal.SIGKILL)
-        hang_s = directive.get("hang_s", 0.0)
-        if hang_s > 0.0:
-            time.sleep(hang_s)
-    result = fn(task)
-    if directive and directive.get("corrupt"):
-        result = corrupt_result(result)
-    return result
-
-
-def corrupt_result(result):
-    """Poison a task result the way a bad worker would: flip the first
-    cell of the first per-group array to NaN (what the NaN-budget check
-    exists to catch); results with no array to poison are replaced by
-    :data:`CORRUPT_SENTINEL` (caught by the structural check)."""
-    if isinstance(result, list):
-        for item in result:
-            if not (isinstance(item, tuple) and len(item) == 2):
-                continue
-            state = item[1]
-            for arr in vars(state).values():
-                if isinstance(arr, np.ndarray) and arr.size:
-                    arr = np.asarray(arr)
-                    arr.reshape(-1)[0] = np.nan
-                    return result
-    return CORRUPT_SENTINEL
 
 
 def validate_fold_shard(payload: dict, result) -> Optional[str]:
@@ -172,12 +120,6 @@ def validate_fold_shard(payload: dict, result) -> Optional[str]:
     return None
 
 
-def _default_validate(payload, result) -> Optional[str]:
-    if isinstance(result, str) and result == CORRUPT_SENTINEL:
-        return "corrupted result payload"
-    return None
-
-
 def _mp_context():
     """``fork`` where the platform has it, else the platform default."""
     try:
@@ -212,14 +154,14 @@ class SupervisedPool:
     recomputes exactly the same deterministic function of its payload
     on the coordinator.
 
-    ``injector`` and ``tracer`` are defaults: a borrowing run passes its
-    own to :meth:`map`.  Thread-safe: starting, rebuilding and closing
-    swap the executor under one lock.
+    ``tracer`` is a default: a borrowing run passes its own to
+    :meth:`map`.  ``validate`` (None: accept every result) checks each
+    result, the pool's and the serial fallback's alike.  Thread-safe:
+    starting, rebuilding and closing swap the executor under one lock.
     """
 
     def __init__(self, workers: int, *,
-                 deadline_s: float = 60.0,
-                 injector=None, tracer=None,
+                 deadline_s: float = 60.0, tracer=None,
                  validate: Optional[Callable[[object, object],
                                              Optional[str]]] = None):
         if workers < 1:
@@ -227,10 +169,8 @@ class SupervisedPool:
                              "no pool")
         self.workers = workers
         self.deadline_s = deadline_s
-        self.injector = injector if injector is not None else NULL_INJECTOR
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.validate = validate if validate is not None else \
-            _default_validate
+        self.validate = validate
         self._lock = threading.Lock()
         self._executor: Optional[ProcessPoolExecutor] = None
         #: Set once this host refused to start a process pool; the pool
@@ -299,7 +239,7 @@ class SupervisedPool:
 
     def worker_pids(self) -> List[int]:
         """PIDs of the live workers ([] before the first start).  The
-        chaos harness picks SIGKILL victims from it."""
+        chaos harness signals them."""
         return [proc.pid for proc in _workers(self._executor)
                 if proc.is_alive()]
 
@@ -346,31 +286,27 @@ class SupervisedPool:
 
     # -- supervised map --------------------------------------------------
 
-    def map(self, fn: Callable, tasks: Sequence, *, tracer=None,
-            injector=None) -> List:
+    def map(self, fn: Callable, tasks: Sequence, *, tracer=None) -> List:
         """Apply ``fn`` to every task, in task order, surviving worker
         death, hangs and corrupted results.  Raises
         :class:`ShardLostError` only when a task the pool failed also
         fails its serial run on the coordinator.
 
-        ``tracer`` and ``injector`` (default: the pool's) are the
-        calling run's: its spans, counters and worker-fault plans."""
+        ``tracer`` (default: the pool's) is the calling run's: its
+        spans and counters."""
         tasks = list(tasks)
         if not tasks:
             return []
         if tracer is None:
             tracer = self.tracer
-        if injector is None:
-            injector = self.injector
         with tracer.span("parallel.supervise", tasks=len(tasks)):
-            results, failed = self._dispatch(fn, tasks, tracer, injector)
+            results, failed = self._dispatch(fn, tasks, tracer)
             for t, cause in failed.items():
                 results[t] = self._serial_fallback(fn, tasks[t], t, cause,
                                                    tracer)
         return results
 
-    def _dispatch(self, fn, tasks, tracer,
-                  injector) -> Tuple[List, Dict[int, str]]:
+    def _dispatch(self, fn, tasks, tracer) -> Tuple[List, Dict[int, str]]:
         """Dispatch every task once and wait once, within
         ``deadline_s * ceil(n / workers)`` (tasks queue behind
         ``workers`` slots; at one task per worker the budget *is* the
@@ -385,19 +321,16 @@ class SupervisedPool:
         """
         n = len(tasks)
         results: List = [None] * n
-        plans = injector.worker_faults(n)
         executor = self._running(tracer)
         if executor is None:
             # The host stopped letting a pool start: every task falls
             # back to the coordinator.
             return results, {t: "no process pool" for t in range(n)}
-        hang_s = getattr(injector.config, "worker_hang_s", 0.0)
         futures = {}
         broken = False
         try:
             for t, task in enumerate(tasks):
-                payload = (fn, task, _directive(plans, t, hang_s))
-                futures[t] = executor.submit(_supervised_call, payload)
+                futures[t] = executor.submit(fn, task)
         except (BrokenExecutor, RuntimeError):
             # A worker died after the previous dispatch (its death only
             # shows now), or another thread abandoned the executor:
@@ -430,7 +363,7 @@ class SupervisedPool:
                     metrics.counter("parallel.task_failures").inc()
             else:
                 result = future.result()
-                error = self.validate(tasks[t], result)
+                error = self._check(tasks[t], result)
                 if error is None:
                     results[t] = result
                 else:
@@ -447,13 +380,18 @@ class SupervisedPool:
                                else "task deadline exceeded", tracer)
         return results, failed
 
+    def _check(self, task, result) -> Optional[str]:
+        """``validate``'s verdict on one result (None = valid)."""
+        if self.validate is None:
+            return None
+        return self.validate(task, result)
+
     def _serial_fallback(self, fn, task, index: int, cause: str, tracer):
         """Run a task the pool failed once, right here on the coordinator.
 
-        The run bypasses the pool (and any injected worker faults —
-        those model the *pool*, not the computation), so a task that
-        killed its worker still produces its bit-identical result; only
-        a task whose computation itself fails is lost.
+        The run bypasses the pool, so a task whose worker was killed,
+        stopped or mangled its result still produces its bit-identical
+        result; only a task whose computation itself fails is lost.
         """
         logger.warning("task %d failed on the pool (%s); running it on "
                        "the coordinator", index, cause)
@@ -469,7 +407,7 @@ class SupervisedPool:
                 f"failed on the pool ({cause}) and its serial fallback "
                 f"also failed: {type(exc).__name__}: {exc}",
             ) from exc
-        error = self.validate(task, result)
+        error = self._check(task, result)
         if error is not None:
             raise ShardLostError(
                 index,
@@ -477,19 +415,6 @@ class SupervisedPool:
                 f"produced an invalid result: {error}",
             )
         return result
-
-
-def _directive(plans: Dict[str, np.ndarray], task: int,
-               hang_s: float) -> Optional[dict]:
-    """The injected misbehavior for this task's pool run, if any."""
-    directive = {}
-    if plans["kill"][task]:
-        directive["kill"] = True
-    elif plans["hang"][task]:
-        directive["hang_s"] = hang_s
-    if plans["corrupt"][task]:
-        directive["corrupt"] = True
-    return directive or None
 
 
 class ShardPools:

@@ -169,7 +169,7 @@ class QueryScheduler:
     share the session's :class:`~repro.core.store.BatchStore`
     (same-table queries reuse mini-batch partitions and weights) and one
     tracer/metrics registry; each keeps its own controller, RNG
-    streams, fault injector, shared-memory segment and snapshot stream,
+    streams, shared-memory segment and snapshot stream,
     which is what makes concurrent output bit-identical to serial runs.
     """
 
@@ -317,8 +317,8 @@ class QueryScheduler:
             sql: SQL text (parsed/bound against the session catalog) or
                 an already-bound :class:`OnlineQuery`.
             config: Per-query run configuration; defaults to the
-                session's.  Its ``faults`` govern the faults injected
-                into this query's run.
+                session's.  Its ``faults`` set this query's
+                auto-checkpoints.
             priority: Deficit round-robin weight: a priority-2 query is
                 granted twice the step credits per scheduling cycle of a
                 priority-1 query (capped by ``max_steps_per_turn``).

@@ -22,10 +22,6 @@ PathLike = Union[str, Path]
 _TRUE_TOKENS = frozenset({"1", "true", "t", "yes"})
 _FALSE_TOKENS = frozenset({"0", "false", "f", "no"})
 
-#: Cell value substituted by the fault injector's ``storage.row`` point.
-CORRUPT_MARKER = "\x00corrupt"
-
-
 def _parse_bool(s: str) -> bool:
     """Strict boolean parse: unrecognized tokens raise, never read False."""
     token = s.strip().lower()
@@ -83,18 +79,14 @@ def _infer_column(values: List[str], error_budget: float = 0.0
 
 
 def read_csv(path: PathLike, schema: Optional[Schema] = None,
-             delimiter: str = ",", quarantine=None,
-             injector=None) -> Table:
+             delimiter: str = ",", quarantine=None) -> Table:
     """Load a headered CSV file, inferring types unless a schema is given.
 
     ``quarantine`` (a :class:`repro.faults.RowQuarantine`) switches from
     abort-on-first-bad-row to collect-and-drop: malformed rows are
     recorded with their line number and reason, dropped from the result,
     and the load only aborts when the quarantined fraction exceeds the
-    quarantine's error budget.  ``injector`` (a
-    :class:`repro.faults.FaultInjector`) corrupts a deterministic subset
-    of rows (its ``storage.row`` stream) before parsing — the
-    test harness for the quarantine path.
+    quarantine's error budget.
     """
     with open(path, newline="") as f:
         reader = csv.reader(f, delimiter=delimiter)
@@ -103,11 +95,6 @@ def read_csv(path: PathLike, schema: Optional[Schema] = None,
         except StopIteration:
             raise SchemaError(f"{path}: empty file, no header") from None
         rows = list(reader)
-
-    if injector is not None:
-        corrupt = injector.corrupted_rows(len(rows))
-        for idx in np.flatnonzero(corrupt):
-            rows[idx] = [CORRUPT_MARKER] * len(header)
 
     raw = {name: [row[i] for row in rows] for i, name in enumerate(header)}
     if schema is None:

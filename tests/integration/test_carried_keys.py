@@ -8,13 +8,16 @@ consumer encodes per batch, force the producer to rebuild (which
 replaces its index) and restore a checkpoint (whose copied cache is
 tied to no live index), and check that each time the carried indices
 are dropped and re-encoded, and that the stream is the one a run that
-re-encodes every key on every read gives, bit for bit.
+re-encodes every key on every read gives, bit for bit.  The consumer's
+decision guard, whose per-group extremes the producer's index numbers
+too, remaps them by key across a producer rebuild.
 """
 
 import numpy as np
 import pytest
 
 from repro import GolaConfig, GolaSession
+from repro.baselines.cdm import ClassicalDeltaMaintenance
 from repro.core.delta import BlockRuntime, UncertainCache
 from repro.core.uncertain import KeyedSlotState
 from repro.qa.identity import snapshot_fingerprint
@@ -34,10 +37,10 @@ RECORDED_FORCED = (
     "fc498f9b28a64c0390799088adebeb5b996366803384441d790e3695f6b7ffa8", 8)
 
 
-def _session():
+def _session(table=TABLE):
     session = GolaSession(GolaConfig(num_batches=8, bootstrap_trials=16,
                                      seed=7))
-    session.register_table("conviva", TABLE)
+    session.register_table("conviva", table)
     return session
 
 
@@ -55,14 +58,13 @@ def encoded(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def forced_producer_rebuild(monkeypatch):
-    """The producer's guards fail before batch ``FORCED_BATCH``, so it
-    resets (a new ``GroupIndex``) and re-folds every batch seen."""
+def _force_producer_rebuild(monkeypatch, batch):
+    """The producer's guards fail before ``batch``, so it resets (a new
+    ``GroupIndex``) and re-folds every batch seen."""
     real = BlockRuntime.process_batch
 
     def process_batch(self, batch_index, *args):
-        if self.spec is None or batch_index != FORCED_BATCH:
+        if self.spec is None or batch_index != batch:
             return real(self, batch_index, *args)
         self.guards.violation = lambda ienv: "guard failed: forced"
         try:
@@ -71,6 +73,11 @@ def forced_producer_rebuild(monkeypatch):
             del self.guards.violation
 
     monkeypatch.setattr(BlockRuntime, "process_batch", process_batch)
+
+
+@pytest.fixture
+def forced_producer_rebuild(monkeypatch):
+    _force_producer_rebuild(monkeypatch, FORCED_BATCH)
 
 
 def _run_counting(session, encoded, resume_from=None):
@@ -169,3 +176,26 @@ def test_restored_checkpoint_drops_the_carried_indices(encoded,
                    everything_at=(RESTORED_AFTER + 1,))
     assert snapshot_fingerprint(prefix + rest) == _reference_fingerprint(
         monkeypatch)
+
+
+def test_producer_rebuild_keeps_the_consumer_decisions(monkeypatch):
+    """The producer's new index numbers the content keys afresh, so
+    over this data some positions hold other keys after a rebuild at
+    batch 4.  Extremes left in the old numbering compared a group's
+    folds with another group's point value and failed ``decision on
+    slot#0 by content_id``, rebuilding ``main`` from every batch seen;
+    remapped by key, the consumer keeps its decisions, and every
+    snapshot equals classical delta maintenance's."""
+    session = _session(generate_conviva(8000, seed=7))
+    query = session.sql(C3_QUERY)
+    assert not any(s.rebuilds for s in query.run_online())
+    _force_producer_rebuild(monkeypatch, 4)
+    snaps = list(query.run_online())
+    assert [s.rebuilds for s in snaps] == [[]] * 3 + [["sub#0"]] + [[]] * 4
+    cdm = list(ClassicalDeltaMaintenance(
+        query.query, session._tables(), session.config).run())
+    assert len(cdm) == len(snaps) == 8
+    for snap, oracle in zip(snaps, cdm):
+        np.testing.assert_allclose(snap.table.column("retention"),
+                                   oracle.table.column("retention"),
+                                   rtol=1e-9)

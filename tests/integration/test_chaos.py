@@ -1,12 +1,13 @@
 """End-to-end chaos: supervised recovery must be invisible in answers.
 
-The chaos harness proves paper queries survive worker
-kills/hangs/corruption bit-identical to serial, a hung worker never
-stalls a run past its task deadline, a shard lost past every recovery
-rung fails its query (and only that query), a crashed query answers 503
-on its own stream while the server keeps serving, SIGTERM drains
-cleanly while in-flight queries hit injected worker faults, and 429/503
-rejections carry an honest ``Retry-After``.
+The chaos harness proves paper queries survive workers SIGKILLed and
+SIGSTOPped between batches bit-identical to serial, with the same
+recovery counters on every run at one seed; a stopped pool never stalls
+a run past its task deadline, a shard lost past every recovery rung
+fails its query (and only that query), a crashed query answers 503 on
+its own stream while the server keeps serving, SIGTERM drains cleanly
+after a served query's pool worker is killed, and 429/503 rejections
+carry an honest ``Retry-After``.
 """
 
 import dataclasses
@@ -36,10 +37,16 @@ from ._http import http_error
 
 pytestmark = pytest.mark.smoke
 
-#: A CI-sized campaign; the external killer stays off by default so the
-#: in-band seeded faults make these runs reproducible.
-SMOKE = dataclasses.replace(ChaosSpec.smoke(), rows=6_000, batches=3,
-                            external_killer=False)
+#: A CI-sized campaign with a short deadline; at its seed the schedule
+#: stops every worker after batch 2 and kills one after batch 3.
+SMOKE = dataclasses.replace(ChaosSpec.smoke(), rows=6_000,
+                            task_deadline_s=0.3)
+
+
+def _recovery(report):
+    (query,) = report["queries"]
+    return {name: count for name, count in query["counters"].items()
+            if name.startswith("parallel.")}
 
 
 class TestChaosHarness:
@@ -53,25 +60,24 @@ class TestChaosHarness:
         # coasted under the sharding threshold.
         counters = query["counters"]
         assert counters.get("parallel.shard_tasks", 0) > 0
-        assert (counters.get("parallel.restarts", 0)
-                + counters.get("parallel.task_failures", 0)
-                + counters.get("parallel.corrupt_results", 0)
-                + counters.get("parallel.task_timeouts", 0)) > 0
+        assert (query["kills"], query["stops"]) == (1, 1)
+        assert counters.get("parallel.restarts", 0) == 2
 
-    @pytest.mark.slow
-    def test_external_killer_campaign(self):
-        spec = dataclasses.replace(SMOKE, external_killer=True,
-                                   killer_interval_s=0.1)
-        report = ChaosRunner(spec).run()
-        assert report["identical"]
+    def test_schedule_is_deterministic(self):
+        """Two campaigns at one seed kill and stop the same workers at
+        the same batches: equal recovery counters, both causes seen."""
+        first, second = (ChaosRunner(SMOKE).run() for _ in range(2))
+        assert first["identical"] and second["identical"]
+        assert _recovery(first) == _recovery(second)
+        assert _recovery(first)["parallel.worker_lost"] > 0
+        assert _recovery(first)["parallel.task_timeouts"] > 0
 
     def test_hung_workers_never_stall_past_deadline(self):
-        """Acceptance pin, end to end: a 30s hang against a 0.5s task
-        deadline must not stretch the query anywhere near the hang."""
-        spec = dataclasses.replace(
-            SMOKE, kill_prob=0.0, corrupt_prob=0.0,
-            hang_prob=0.9, hang_s=30.0, task_deadline_s=0.5,
-        )
+        """Acceptance pin, end to end: workers stopped for good after
+        every batch against a 0.5s task deadline must not stretch the
+        query past one deadline per batch."""
+        spec = dataclasses.replace(SMOKE, kill_prob=0.0, stop_prob=1.0,
+                                   task_deadline_s=0.5)
         report = ChaosRunner(spec).run()
         assert report["identical"]
         (query,) = report["queries"]
@@ -82,15 +88,14 @@ class TestChaosHarness:
         assert counters.get("parallel.serial_fallbacks", 0) >= \
             counters["parallel.task_timeouts"]
         assert query["chaos_s"] < 20.0, (
-            f"chaos run took {query['chaos_s']}s behind a 30s hang"
+            f"chaos run took {query['chaos_s']}s behind stopped workers"
         )
 
     def test_cli_smoke_reports_identical(self, tmp_path):
         out = tmp_path / "chaos.json"
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "chaos", "--smoke",
-             "--rows", "4000", "--batches", "3", "--no-killer",
-             "--out", str(out)],
+             "--rows", "4000", "--batches", "3", "--out", str(out)],
             capture_output=True, text=True, timeout=300,
             env={**os.environ, "PYTHONPATH": "src"},
         )
@@ -103,15 +108,13 @@ class TestChaosHarness:
 class _LossyExecutor(ParallelExecutor):
     """Loses its run's first fold's shards past every recovery rung."""
 
-    def __init__(self, config, tracer=None, injector=None, pools=None):
-        super().__init__(config, tracer=tracer, injector=injector,
-                         pools=pools)
+    def __init__(self, config, tracer=None, pools=None):
+        super().__init__(config, tracer=tracer, pools=pools)
         self.losses = 0
 
     @classmethod
-    def from_config(cls, config, tracer=None, injector=None, pools=None):
-        return cls(config.parallel, tracer=tracer, injector=injector,
-                   pools=pools)
+    def from_config(cls, config, tracer=None, pools=None):
+        return cls(config.parallel, tracer=tracer, pools=pools)
 
     def fold_boot_states(self, *args, **kwargs):
         if self.losses == 0:
@@ -283,16 +286,37 @@ class TestFailedQueryIsolation:
             server.shutdown()
 
 
+def _pool_workers(pid):
+    """``pid``'s forked children (its pool workers): processes whose
+    parent is ``pid`` and whose command line is its own."""
+    def cmdline(p):
+        with open(f"/proc/{p}/cmdline", "rb") as fh:
+            return fh.read()
+
+    own = cmdline(pid)
+    workers = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+            if ppid == pid and cmdline(entry) == own:
+                workers.append(int(entry))
+        except (OSError, ValueError, IndexError):
+            continue  # exited meanwhile
+    return workers
+
+
 class TestSigtermDrainUnderFaults:
     def test_sigterm_drains_inflight_faulty_queries(self):
-        """SIGTERM while in-flight queries are hitting injected worker
-        kills must still exit 0 after the drain window."""
+        """SIGTERM while served queries run on a pool whose worker was
+        SIGKILLed must still exit 0 after the drain window."""
         env = {**os.environ, "PYTHONPATH": "src", "PYTHONUNBUFFERED": "1"}
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
              "--rows", "2000", "--batches", "3",
-             "--workers", "workers=1,min_shard_rows=1",
-             "--faults", "worker_kill_prob=0.3,seed=7"],
+             "--workers", "workers=1,min_shard_rows=1"],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True, env=env,
         )
@@ -307,7 +331,17 @@ class TestSigtermDrainUnderFaults:
                     url = line.split()[2]
                     break
             assert url, "server never came up"
-            for _ in range(3):
+            status, _ = post_query(url, timeout=30.0)
+            assert status == 201
+            # The session's pool outlives the query: kill its worker,
+            # so the next queries' folds find the pool broken.
+            deadline = time.monotonic() + 60.0
+            while not _pool_workers(proc.pid):
+                assert time.monotonic() < deadline, "no pool worker"
+                time.sleep(0.05)
+            for pid in _pool_workers(proc.pid):
+                os.kill(pid, signal.SIGKILL)
+            for _ in range(2):
                 status, _ = post_query(url, timeout=30.0)
                 assert status == 201
             proc.send_signal(signal.SIGTERM)

@@ -27,16 +27,19 @@ class TestCli:
         assert "batch 3/3" in proc.stdout
         assert "estimate" in proc.stdout
 
-    def test_demo_prints_the_recovery_counters(self):
+    def test_demo_prints_the_recovery_counters(self, monkeypatch, capsys):
         # Every shard kills its one worker, so each runs on the
         # coordinator; the printout names the counters the pool bumps.
-        proc = run_module(
-            "demo", "--rows", "4000", "--batches", "3",
-            "--workers", "workers=1,min_shard_rows=64",
-            "--faults", "worker_kill_prob=1",
-        )
-        assert proc.returncode == 0, proc.stderr
-        recovery = proc.stdout.split("recovery:\n", 1)[1]
+        from repro.__main__ import main
+        from repro.parallel import run_fold_shard
+
+        from .._faults import faulty
+
+        monkeypatch.setattr("repro.parallel.executor.run_fold_shard",
+                            faulty(run_fold_shard, kill=1))
+        assert main(["demo", "--rows", "4000", "--batches", "3",
+                     "--workers", "workers=1,min_shard_rows=64"]) == 0
+        recovery = capsys.readouterr().out.split("recovery:\n", 1)[1]
         for name in ("parallel.serial_fallbacks", "parallel.restarts",
                      "parallel.worker_lost"):
             assert name in recovery

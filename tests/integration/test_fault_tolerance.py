@@ -1,18 +1,20 @@
-"""Acceptance tests for the fault-injection/recovery subsystem.
+"""Acceptance tests for the fault-tolerance/recovery subsystem.
 
 Pins three guarantees end to end:
 
-* determinism — the same faults seed yields byte-identical trace event
-  sequences, and a *disabled* injector yields outputs bit-identical to a
-  run without the subsystem;
-* invisible recovery — a pooled run whose workers are killed answers
+* determinism — the same malformed input rows yield byte-identical
+  trace event sequences;
+* invisible recovery — a pooled run whose workers really die answers
   bit for bit what the clean serial run answers;
 * checkpoint/resume — killing a run after batch *i* and resuming yields
   exactly the snapshot sequence the uninterrupted run would have
-  produced, faults included, and under other fault settings too.
-"""
+  produced, under worker faults too, and under other worker faults
+  after the resume.
 
-import dataclasses
+Worker faults come from ``tests._faults``: the pooled fold is patched
+to kill its worker, or poison its result, on every third shard a
+worker runs.
+"""
 
 import numpy as np
 import pytest
@@ -22,9 +24,12 @@ from repro.config import ParallelConfig
 from repro.errors import CheckpointError
 from repro.faults import RunCheckpoint
 from repro.obs import JsonlSink, MetricsRegistry, Tracer, load_events
+from repro.parallel import run_fold_shard
 from repro.qa.identity import snapshot_fingerprint
 from repro.workloads import Q18_QUERY, generate_conviva, generate_tpch
 from repro.workloads.sessions import SBI_QUERY, generate_sessions
+
+from .._faults import faulty
 
 ROWS = 4000
 TABLE = generate_sessions(ROWS, seed=13)
@@ -48,12 +53,18 @@ OWNER_QUERIES = {
                  "OR geo = 'US'"),
 }
 
-#: Kills three in ten pool attempts; every fold goes to the pool.
-KILLY = FaultsConfig(enabled=True, seed=21, worker_kill_prob=0.3)
+#: Every fold goes to the pool.
 POOL = ParallelConfig(workers=1, min_shard_rows=1)
-#: Corrupts 1% of a loaded CSV's rows, within the 5% error budget.
-CORRUPTY = FaultsConfig(enabled=True, seed=5, row_corruption_prob=0.01,
-                        row_error_budget=0.05)
+#: Quarantines up to 5% of a loaded CSV's rows; the malformed CSV
+#: (:func:`malformed_csv`) has 1%.
+QUARANTINE = FaultsConfig(row_error_budget=0.05)
+
+
+def fault_folds(monkeypatch, kind="kill"):
+    """From now on a pool worker misbehaves (``kill``, ``corrupt``) on
+    every third fold shard it runs."""
+    monkeypatch.setattr("repro.parallel.executor.run_fold_shard",
+                        faulty(run_fold_shard, **{kind: 3}))
 
 
 def make_session(faults=None, tracer=None, csv=None, query="SBI",
@@ -83,13 +94,28 @@ def sessions_csv(tmp_path):
     return path
 
 
+def malformed_csv(tmp_path, seed=5):
+    """The sessions CSV with a seeded 1% of its rows made unparseable
+    (every cell ``garbage``)."""
+    path = tmp_path / "malformed.csv"
+    if not path.exists():
+        header, *rows = sessions_csv(tmp_path).read_text().splitlines()
+        bad = np.random.default_rng(seed).choice(
+            len(rows), size=len(rows) // 100, replace=False)
+        garbage = ",".join(["garbage"] * len(header.split(",")))
+        for i in bad:
+            rows[i] = garbage
+        path.write_text("\n".join([header, *rows]) + "\n")
+    return path
+
+
 class TestDeterminism:
     def _traced_events(self, tmp_path, name):
         path = tmp_path / f"{name}.jsonl"
         tracer = Tracer(JsonlSink(str(path)),
                         metrics=MetricsRegistry(enabled=True))
-        session = make_session(faults=CORRUPTY, tracer=tracer,
-                               csv=sessions_csv(tmp_path))
+        session = make_session(faults=QUARANTINE, tracer=tracer,
+                               csv=malformed_csv(tmp_path))
         snaps = list(session.sql(SBI_QUERY).run_online())
         tracer.close()
         records = load_events(str(path))
@@ -105,25 +131,6 @@ class TestDeterminism:
         assert events_a == events_b
         assert snapshot_fingerprint(snaps_a) == snapshot_fingerprint(snaps_b)
 
-    def test_disabled_injection_bit_identical_to_baseline(self):
-        baseline = list(make_session().sql(SBI_QUERY).run_online())
-        disabled = list(
-            make_session(faults=FaultsConfig()).sql(SBI_QUERY).run_online()
-        )
-        for a, b in zip(baseline, disabled):
-            assert a.estimate == b.estimate  # exact, not approx
-            assert a.interval.low == b.interval.low
-            assert a.interval.high == b.interval.high
-
-    def test_enabled_but_zero_probability_also_identical(self):
-        baseline = list(make_session().sql(SBI_QUERY).run_online())
-        armed = list(
-            make_session(faults=FaultsConfig(enabled=True))
-            .sql(SBI_QUERY).run_online()
-        )
-        for a, b in zip(baseline, armed):
-            assert a.estimate == b.estimate
-
 
 def clean_serial_stream(query="SBI"):
     sql = OWNER_QUERIES[query][2]
@@ -131,14 +138,14 @@ def clean_serial_stream(query="SBI"):
         make_session(query=query).sql(sql).run_online())
 
 
-def interrupt_and_resume(stop_after, faults=None, parallel=None,
-                         resume_faults=None, via_file=None, query="SBI"):
+def interrupt_and_resume(stop_after, parallel=None, before_resume=None,
+                         via_file=None, query="SBI"):
     """Run ``query`` for ``stop_after`` batches, checkpoint, kill the
-    run, and resume it in a fresh session (under ``resume_faults``, if
-    given): the whole stream's fingerprint."""
+    run, call ``before_resume`` (if given) and resume it in a fresh
+    session: the whole stream's fingerprint."""
     pool = parallel if parallel is not None else ParallelConfig()
     sql = OWNER_QUERIES[query][2]
-    session = make_session(faults=faults, parallel=pool, query=query)
+    session = make_session(parallel=pool, query=query)
     run = session.sql(sql)
     it = run.run_online()
     prefix = [next(it) for _ in range(stop_after)]
@@ -147,9 +154,9 @@ def interrupt_and_resume(stop_after, faults=None, parallel=None,
     if via_file is not None:
         ck.save(via_file)
         ck = str(via_file)
-    fresh = make_session(
-        faults=resume_faults if resume_faults is not None else faults,
-        parallel=pool, query=query)
+    if before_resume is not None:
+        before_resume()
+    fresh = make_session(parallel=pool, query=query)
     rest = list(fresh.sql(sql).run_online(resume_from=ck))
     assert [s.batch_index for s in rest] == list(range(stop_after + 1, 11))
     return snapshot_fingerprint(prefix + rest)
@@ -160,28 +167,32 @@ class TestCheckpointResume:
         assert interrupt_and_resume(stop_after=4) == clean_serial_stream()
 
     @pytest.mark.parametrize("query", list(OWNER_QUERIES))
-    def test_resume_restores_every_owner(self, query):
+    def test_resume_restores_every_owner(self, query, monkeypatch):
         """Guards, uncertain cache and both error folds survive a
         checkpoint: serial, and pooled under worker kills."""
         clean = clean_serial_stream(query)
         assert interrupt_and_resume(stop_after=4, query=query) == clean
-        assert interrupt_and_resume(stop_after=6, faults=KILLY,
-                                    parallel=POOL, query=query) == clean
+        fault_folds(monkeypatch)
+        assert interrupt_and_resume(stop_after=6, parallel=POOL,
+                                    query=query) == clean
 
-    def test_resume_faulty_run_roundtrip(self):
-        """RNG streams (weights + injector) must resume exactly."""
-        assert interrupt_and_resume(stop_after=5, faults=KILLY,
-                                    parallel=POOL) == clean_serial_stream()
+    def test_resume_faulty_run_roundtrip(self, monkeypatch):
+        """The weight streams resume exactly, whatever the workers
+        did."""
+        clean = clean_serial_stream()
+        fault_folds(monkeypatch)
+        assert interrupt_and_resume(stop_after=5, parallel=POOL) == clean
 
-    def test_resume_from_saved_file(self, tmp_path):
-        resumed = interrupt_and_resume(stop_after=3, faults=KILLY,
-                                       parallel=POOL,
+    def test_resume_from_saved_file(self, tmp_path, monkeypatch):
+        clean = clean_serial_stream()
+        fault_folds(monkeypatch)
+        resumed = interrupt_and_resume(stop_after=3, parallel=POOL,
                                        via_file=tmp_path / "run.ck")
-        assert resumed == clean_serial_stream()
+        assert resumed == clean
 
     def test_auto_checkpoint_writes_file(self, tmp_path):
         path = tmp_path / "auto.ck"
-        faults = FaultsConfig(enabled=True, checkpoint_every=3,
+        faults = FaultsConfig(checkpoint_every=3,
                               checkpoint_path=str(path))
         session = make_session(faults=faults)
         it = session.sql(SBI_QUERY).run_online()
@@ -264,9 +275,9 @@ class TestCheckpointResume:
             snapshot_fingerprint([final])
 
     def test_checkpoint_size_does_not_grow_with_rows_read(self):
-        """A checkpoint holds progress, block states and the injector's
-        streams, never a batch: at 20k rows the one taken after batch 5
-        pickles smaller than one mini-batch."""
+        """A checkpoint holds progress and block states, never a batch:
+        at 20k rows the one taken after batch 5 pickles smaller than one
+        mini-batch."""
         import pickle
 
         from repro.storage import MiniBatchPartitioner
@@ -358,6 +369,23 @@ class TestCheckpointResume:
             list(make_session().sql(SBI_QUERY).run_online(
                 resume_from=str(path)))
 
+    def test_version_five_checkpoint_is_refused(self, tmp_path):
+        """Version 5 also carried the fault injector's RNG streams;
+        such a file no longer resumes."""
+        session = make_session()
+        query = session.sql(SBI_QUERY)
+        it = query.run_online()
+        next(it)
+        ck = query.checkpoint()
+        it.close()
+        ck.version = 5
+        ck.injector_state = {}
+        path = tmp_path / "v5.ck"
+        ck.save(path)
+        with pytest.raises(CheckpointError, match="version 5"):
+            list(make_session().sql(SBI_QUERY).run_online(
+                resume_from=str(path)))
+
     def test_checkpoint_file_skips_uncalled_udafs(self, tmp_path):
         """A checkpoint pickles each block's fold, which keeps only the
         UDAFs its query calls: a session's lambda UDAF, which cannot
@@ -385,20 +413,13 @@ class TestCheckpointResume:
 
 class TestQuarantineEndToEnd:
     def test_session_load_csv_quarantines_under_faults(self, tmp_path):
-        from repro.storage import write_csv
-
-        path = tmp_path / "sessions.csv"
-        write_csv(TABLE, path)
-        faults = FaultsConfig(enabled=True, seed=5,
-                              row_corruption_prob=0.01,
-                              row_error_budget=0.05)
         session = GolaSession(
             GolaConfig(num_batches=5, bootstrap_trials=20, seed=17,
-                       faults=faults)
+                       faults=QUARANTINE)
         )
-        table = session.load_csv("sessions", path)
+        table = session.load_csv("sessions", malformed_csv(tmp_path))
         q = session.last_quarantine
-        assert q is not None and q.count > 0
+        assert q is not None and q.count == ROWS // 100
         assert table.num_rows == ROWS - q.count
         # The degraded table still answers queries online.
         snaps = list(session.sql(SBI_QUERY).run_online())
@@ -415,6 +436,11 @@ class TestQuarantineEndToEnd:
         table = session.load_csv("sessions", path)
         assert table.num_rows == ROWS
         assert session.last_quarantine is None
+        # Without a budget nothing is quarantined: the malformed rows
+        # stay, and the columns they spoil are inferred as strings.
+        bad = session.load_csv("bad", malformed_csv(tmp_path))
+        assert bad.num_rows == ROWS
+        assert session.last_quarantine is None
 
 
 class TestRecoveryReport:
@@ -424,11 +450,11 @@ class TestRecoveryReport:
         path = tmp_path / "trace.jsonl"
         tracer = Tracer(JsonlSink(str(path)),
                         metrics=MetricsRegistry(enabled=True))
-        faults = dataclasses.replace(
-            CORRUPTY, checkpoint_every=5,
+        faults = FaultsConfig(
+            row_error_budget=0.05, checkpoint_every=5,
             checkpoint_path=str(tmp_path / "auto.ck"))
         session = make_session(faults=faults, tracer=tracer,
-                               csv=sessions_csv(tmp_path))
+                               csv=malformed_csv(tmp_path))
         list(session.sql(SBI_QUERY).run_online())
         tracer.close()
         text = render_profile(build_profile(load_events(str(path))))
@@ -440,7 +466,7 @@ class TestRecoveryReport:
 
 
 class TestResumeParallelFaultComposition:
-    """Checkpoint/resume x worker pools x injected faults, bitwise.
+    """Checkpoint/resume x worker pools x worker faults, bitwise.
 
     Regression pin for the three subsystems composed at once: a pooled
     run whose workers are killed, killed itself mid-run and resumed
@@ -449,16 +475,19 @@ class TestResumeParallelFaultComposition:
     """
 
     @pytest.mark.parametrize("stop_after", [2, 5])
-    def test_resume_parallel_faulty_matches_serial(self, stop_after):
-        assert interrupt_and_resume(stop_after, faults=KILLY,
-                                    parallel=POOL) == clean_serial_stream()
+    def test_resume_parallel_faulty_matches_serial(self, stop_after,
+                                                   monkeypatch):
+        clean = clean_serial_stream()
+        fault_folds(monkeypatch)
+        assert interrupt_and_resume(stop_after, parallel=POOL) == clean
 
-    def test_resume_under_other_faults_matches_clean_serial(self):
-        """No fault knob enters the checkpoint's config fingerprint:
-        a run checkpointed under worker kills resumes under corrupt
+    def test_resume_under_other_faults_matches_clean_serial(
+            self, monkeypatch):
+        """A run checkpointed under worker kills resumes under corrupt
         results, and still answers what the clean serial run does."""
-        corrupting = FaultsConfig(enabled=True, seed=5,
-                                  result_corrupt_prob=0.5)
+        clean = clean_serial_stream()
+        fault_folds(monkeypatch)
         assert interrupt_and_resume(
-            4, faults=KILLY, parallel=POOL, resume_faults=corrupting,
-        ) == clean_serial_stream()
+            4, parallel=POOL,
+            before_resume=lambda: fault_folds(monkeypatch, "corrupt"),
+        ) == clean

@@ -4,8 +4,8 @@ The contract of ``repro.parallel`` (ISSUE 3): estimates, confidence
 intervals, uncertain-set sizes and trace accounting are **bit-identical**
 across serial execution and every worker count, because trial
 shards draw from per-(batch, trial) RNG streams and merge into disjoint
-state columns.  Also pins composition with the fault-injection
-subsystem: checkpoints taken at one worker count resume at another, and
+state columns.  Also pins composition with checkpoints and worker
+faults: checkpoints taken at one worker count resume at another, and
 runs whose workers are killed or return corrupt results answer what the
 clean serial run answers.
 """
@@ -13,9 +13,10 @@ clean serial run answers.
 import numpy as np
 import pytest
 
-from repro import FaultsConfig, GolaConfig, GolaSession
+from repro import GolaConfig, GolaSession
 from repro.config import ParallelConfig
 from repro.obs import AggregatingSink, MetricsRegistry, Tracer
+from repro.parallel import run_fold_shard
 from repro.qa.identity import snapshot_fingerprint
 from repro.storage.table import Table
 from repro.workloads import (
@@ -24,6 +25,8 @@ from repro.workloads import (
     generate_sessions,
     generate_tpch,
 )
+
+from .._faults import faulty
 
 ROWS = 24_000
 BATCHES = 8
@@ -50,12 +53,11 @@ MODES = [
 ]
 
 
-def run_query(sql, table_name, table, parallel, faults=None, tracer=None,
+def run_query(sql, table_name, table, parallel, tracer=None,
               batches=BATCHES, trials=TRIALS):
     session = GolaSession(
         GolaConfig(num_batches=batches, bootstrap_trials=trials, seed=17,
-                   parallel=parallel,
-                   faults=faults if faults is not None else FaultsConfig()),
+                   parallel=parallel),
         tracer=tracer,
     )
     session.register_table(table_name, table)
@@ -133,13 +135,10 @@ class TestBitIdenticalAcrossWorkerCounts:
 
 
 class TestCheckpointAcrossWorkerCounts:
-    def _stream(self, parallel, resume_from=None, stop_after=None,
-                faults=None):
+    def _stream(self, parallel, resume_from=None, stop_after=None):
         session = GolaSession(
             GolaConfig(num_batches=BATCHES, bootstrap_trials=TRIALS,
-                       seed=17, parallel=parallel,
-                       faults=faults if faults is not None
-                       else FaultsConfig()),
+                       seed=17, parallel=parallel),
         )
         session.register_table("sessions", SESSIONS)
         query = session.sql(SBI_QUERY)
@@ -172,8 +171,12 @@ class TestCheckpointAcrossWorkerCounts:
 
 
 class TestFaultComposition:
-    FAULTY = FaultsConfig(enabled=True, seed=21, worker_kill_prob=0.2,
-                          result_corrupt_prob=0.2)
+    @pytest.fixture(autouse=True)
+    def faulty_workers(self, monkeypatch):
+        """A worker's fifth shard kills it; every second shard it runs
+        comes back poisoned."""
+        monkeypatch.setattr("repro.parallel.executor.run_fold_shard",
+                            faulty(run_fold_shard, kill=5, corrupt=2))
 
     def test_faulty_run_identical_under_pool(self):
         serial = snapshot_fingerprint(run_query(
@@ -182,8 +185,7 @@ class TestFaultComposition:
         tracer = Tracer(metrics=MetricsRegistry(enabled=True))
         pooled = snapshot_fingerprint(run_query(
             SBI_QUERY, "sessions", SESSIONS,
-            ParallelConfig(workers=2),
-            faults=self.FAULTY, tracer=tracer,
+            ParallelConfig(workers=2), tracer=tracer,
         ))
         assert pooled == serial
         counters = tracer.metrics.snapshot().counters
@@ -194,10 +196,8 @@ class TestFaultComposition:
     def test_faulty_checkpoint_resume_across_worker_counts(self):
         helper = TestCheckpointAcrossWorkerCounts()
         full, _ = helper._stream(MODES[0])
-        prefix, ck = helper._stream(MODES[2], stop_after=4,
-                                    faults=self.FAULTY)
-        rest, _ = helper._stream(MODES[1], resume_from=ck,
-                                 faults=self.FAULTY)
+        prefix, ck = helper._stream(MODES[2], stop_after=4)
+        rest, _ = helper._stream(MODES[1], resume_from=ck)
         assert snapshot_fingerprint(prefix + rest) == \
             snapshot_fingerprint(full)
 

@@ -12,17 +12,18 @@ run's segment before the next fold overwrites it.
 import numpy as np
 import pytest
 
-from repro import FaultsConfig, GolaConfig, GolaSession
+from repro import GolaConfig, GolaSession
 from repro.config import ParallelConfig
 from repro.core.store import BatchStore
 from repro.engine.aggregates import AvgState, SumState
 from repro.errors import ShardLostError
 from repro.estimate.bootstrap import PoissonWeightSource
-from repro.faults import FaultInjector
 from repro.obs import MetricsRegistry, Tracer
-from repro.parallel import ParallelExecutor, segment_exists
+from repro.parallel import ParallelExecutor, run_fold_shard, segment_exists
 from repro.parallel.shm import attached_segments, detach_all
 from repro.workloads import SBI_QUERY, generate_sessions
+
+from .._faults import faulty
 
 CONFIG = ParallelConfig(workers=2, min_shard_rows=1)
 
@@ -138,19 +139,17 @@ class TestSegmentsNeverLeak:
         created = list(registry.created)
         assert not any(segment_exists(n) for n in created)
 
-    def test_unlinked_after_sigkill_pool_rebuilds(self):
-        # Workers are SIGKILLed mid-fold; the supervisor abandons and
-        # rebuilds the pool and runs lost shards on the coordinator
-        # against the run's still-live segment.  Results stay
-        # bit-identical and the segment is still unlinked afterwards.
-        injector = FaultInjector(
-            FaultsConfig(enabled=True, seed=11, worker_kill_prob=0.5),
-            master_seed=11,
-        )
+    def test_unlinked_after_sigkill_pool_rebuilds(self, monkeypatch):
+        # Workers die mid-fold (each on its second shard); the
+        # supervisor abandons and rebuilds the pool and runs lost shards
+        # on the coordinator against the run's still-live segment.
+        # Results stay bit-identical and the segment is still unlinked
+        # afterwards.
+        monkeypatch.setattr("repro.parallel.executor.run_fold_shard",
+                            faulty(run_fold_shard, kill=2))
         executor = ParallelExecutor(
             ParallelConfig(workers=2, min_shard_rows=1,
                            task_deadline_s=30.0),
-            injector=injector,
         )
         try:
             states = _fold_batches(executor)
@@ -167,20 +166,19 @@ class TestSegmentsNeverLeak:
         for alias in ref:
             assert np.array_equal(ref[alias], out[alias]), alias
 
-    def test_recovery_reads_weights_from_the_held_segment(self):
+    def test_recovery_reads_weights_from_the_held_segment(self,
+                                                          monkeypatch):
         # Every shard SIGKILLs its worker: each one then runs once on
         # the coordinator, which resolves the specs there.  It reads the
         # stored weight rectangle from the run's segment, which no
         # later publish has overwritten yet; nothing draws it again.
-        injector = FaultInjector(
-            FaultsConfig(enabled=True, seed=11, worker_kill_prob=1.0),
-            master_seed=11,
-        )
+        monkeypatch.setattr("repro.parallel.executor.run_fold_shard",
+                            faulty(run_fold_shard, kill=1))
         tracer = Tracer(metrics=MetricsRegistry(enabled=True))
         executor = ParallelExecutor(
             ParallelConfig(workers=2, min_shard_rows=1,
                            task_deadline_s=30.0),
-            tracer=tracer, injector=injector,
+            tracer=tracer,
         )
         try:
             states = _fold_batches(executor, store=BatchStore(),

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.estimate import (
-    VariationRange,
     percentile_interval,
     range_from_replicas,
     ranges_from_replica_matrix,
@@ -37,19 +36,6 @@ def test_bigger_epsilon_is_wider(replicas, estimate):
     assert wide.low <= narrow.low and wide.high >= narrow.high
 
 
-@given(st.lists(st.tuples(finite, finite), min_size=1, max_size=8))
-@settings(max_examples=80, deadline=None)
-def test_intersection_is_contained_in_all(bounds):
-    ranges = [VariationRange(min(a, b), max(a, b)) for a, b in bounds]
-    out = ranges[0]
-    for r in ranges[1:]:
-        out = out.intersect(r)
-    if all(out.overlaps(r) for r in ranges):
-        for r in ranges:
-            assert out.low >= r.low - 1e-9
-            assert out.high <= r.high + 1e-9
-
-
 @given(replicas_strategy)
 @settings(max_examples=80, deadline=None)
 def test_percentile_interval_ordered_and_within_hull(replicas):
@@ -70,11 +56,3 @@ def test_matrix_ranges_cover_rowwise(matrix):
     assert (lows <= matrix.min(axis=1)).all()
     assert (highs >= matrix.max(axis=1)).all()
     assert (lows <= estimates).all() and (highs >= estimates).all()
-
-
-@given(st.tuples(finite, finite), st.tuples(finite, finite))
-@settings(max_examples=100, deadline=None)
-def test_overlap_symmetry(a, b):
-    ra = VariationRange(min(a), max(a))
-    rb = VariationRange(min(b), max(b))
-    assert ra.overlaps(rb) == rb.overlaps(ra)

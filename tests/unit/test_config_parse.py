@@ -19,9 +19,9 @@ from repro.config import (
 # (class, its CLI flag, spec, the fields the spec must set)
 ROUND_TRIPS = [
     (FaultsConfig, "--faults",
-     "worker_kill_prob=0.3,checkpoint_every=1,seed=7,checkpoint_path=/tmp/ck",
-     {"enabled": True, "worker_kill_prob": 0.3, "checkpoint_every": 1,
-      "seed": 7, "checkpoint_path": "/tmp/ck"}),
+     "row_error_budget=0.1,checkpoint_every=1,checkpoint_path=/tmp/ck",
+     {"row_error_budget": 0.1, "checkpoint_every": 1,
+      "checkpoint_path": "/tmp/ck"}),
     (ParallelConfig, "--workers",
      "workers=1,task_deadline_s=2.5,min_shard_rows=64",
      {"workers": 1, "task_deadline_s": 2.5, "min_shard_rows": 64}),
@@ -62,14 +62,19 @@ def test_workers_bare_integer_is_shorthand():
     assert ParallelConfig.parse(" 2 ").workers == 2
 
 
-def test_empty_faults_spec_is_the_enabled_default_profile():
-    assert FaultsConfig.parse("") == FaultsConfig(enabled=True)
-    assert not FaultsConfig.parse("enabled=0").enabled
-
-
 def test_empty_spec_elsewhere_is_the_defaults():
-    for cls in (ParallelConfig, ServeConfig):
+    for cls in (FaultsConfig, ParallelConfig, ServeConfig):
         assert cls.parse("") == cls()
+
+
+def test_deleted_fault_injection_knobs_are_unknown_keys():
+    # Faults come from real signals, never from the config.
+    for name in ("enabled", "seed", "row_corruption_prob",
+                 "worker_kill_prob", "worker_hang_prob", "worker_hang_s",
+                 "result_corrupt_prob"):
+        with pytest.raises(ValueError,
+                           match=f"unknown --faults key '{name}'"):
+            FaultsConfig.parse(f"{name}=1")
 
 
 def test_parsed_values_still_pass_validation():

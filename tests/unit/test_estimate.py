@@ -164,18 +164,6 @@ class TestVariationRanges:
         assert not r.contains_all(np.array([5.0, 11.0]))
         assert r.contains_all(np.array([]))
 
-    def test_overlap(self):
-        assert VariationRange(0, 5).overlaps(VariationRange(5, 10))
-        assert not VariationRange(0, 4).overlaps(VariationRange(5, 10))
-
-    def test_intersect(self):
-        out = VariationRange(0, 6).intersect(VariationRange(4, 10))
-        assert (out.low, out.high) == (4, 6)
-
-    def test_disjoint_intersection_collapses(self):
-        out = VariationRange(0, 1).intersect(VariationRange(5, 6))
-        assert out.width == 0.0
-
     def test_inverted_rejected(self):
         with pytest.raises(ValueError):
             VariationRange(2.0, 1.0)

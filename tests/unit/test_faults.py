@@ -1,13 +1,15 @@
-"""Unit tests for the fault-injection subsystem (repro.faults)."""
+"""Unit tests for the fault-tolerance subsystem (repro.faults)."""
 
 import numpy as np
 import pytest
 
 from repro import FaultsConfig, SchemaError
-from repro.faults import FaultInjector, NULL_INJECTOR, RowQuarantine
+from repro.faults import RowQuarantine
 from repro.obs import MetricsRegistry, Tracer
 from repro.parallel import SupervisedPool
 from repro.storage.io import read_csv
+
+from .._faults import faulty
 
 
 def _square(x):
@@ -16,71 +18,17 @@ def _square(x):
 
 class TestFaultsConfig:
     def test_defaults_disabled(self):
+        """No quarantine (``load_csv`` loads strictly) and no
+        auto-checkpoints."""
         faults = FaultsConfig()
-        assert not faults.enabled
-        assert faults.worker_kill_prob == 0.0
+        assert faults.row_error_budget == 0.0
+        assert faults.checkpoint_every == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FaultsConfig(row_corruption_prob=1.5)
+            FaultsConfig(row_error_budget=1.5)
         with pytest.raises(ValueError):
-            FaultsConfig(worker_hang_s=-1.0)
-        with pytest.raises(ValueError):
-            FaultsConfig(worker_kill_prob=-0.1)
-
-
-class TestFaultInjector:
-    def test_disabled_injector_never_faults(self):
-        assert not NULL_INJECTOR.enabled
-        assert not any(plan.any() for plan in
-                       NULL_INJECTOR.worker_faults(100).values())
-        assert not NULL_INJECTOR.corrupted_rows(50).any()
-        # No RNG stream was ever materialized.
-        assert NULL_INJECTOR.state_dict() == {}
-
-    def test_same_seed_same_faults(self):
-        config = FaultsConfig(enabled=True, seed=11, worker_kill_prob=0.3,
-                              row_corruption_prob=0.2)
-        a, b = FaultInjector(config), FaultInjector(config)
-        assert (a.worker_faults(200)["kill"]
-                == b.worker_faults(200)["kill"]).all()
-        assert (a.corrupted_rows(200)
-                == b.corrupted_rows(200)).all()
-
-    def test_streams_independent_per_point(self):
-        """Draws at one point must not perturb another point's stream."""
-        config = FaultsConfig(enabled=True, seed=11, worker_kill_prob=0.3,
-                              row_corruption_prob=0.2)
-        a, b = FaultInjector(config), FaultInjector(config)
-        # b draws heavily from an unrelated point first.
-        b.corrupted_rows(10_000)
-        assert (a.worker_faults(100)["kill"]
-                == b.worker_faults(100)["kill"]).all()
-
-    def test_master_seed_used_when_unset(self):
-        config = FaultsConfig(enabled=True, row_corruption_prob=0.5)
-        a = FaultInjector(config, master_seed=1)
-        b = FaultInjector(config, master_seed=2)
-        assert (a.corrupted_rows(500)
-                != b.corrupted_rows(500)).any()
-
-    def test_certain_failure_exceeds_retry_budget(self):
-        """Probability 1 marks every task's pool run, so each one ends
-        on the coordinator; probability 0 marks none."""
-        config = FaultsConfig(enabled=True, worker_kill_prob=1.0)
-        plans = FaultInjector(config).worker_faults(3)
-        assert plans["kill"].dtype == bool and plans["kill"].all()
-        assert not plans["hang"].any() and not plans["corrupt"].any()
-
-    def test_state_roundtrip_resumes_stream(self):
-        config = FaultsConfig(enabled=True, seed=5, worker_kill_prob=0.4)
-        a = FaultInjector(config)
-        a.worker_faults(50)
-        state = a.state_dict()
-        expected = a.worker_faults(50)["kill"]
-        b = FaultInjector(config)
-        b.restore(state)
-        assert (b.worker_faults(50)["kill"] == expected).all()
+            FaultsConfig(checkpoint_every=-1)
 
 
 class TestRetryPolicy:
@@ -91,11 +39,8 @@ class TestRetryPolicy:
         """One pool attempt, killed, then one serial run on the
         coordinator."""
         tracer = Tracer(metrics=MetricsRegistry(enabled=True))
-        injector = FaultInjector(FaultsConfig(enabled=True, seed=3,
-                                              worker_kill_prob=1.0))
-        with SupervisedPool(1, deadline_s=30.0,
-                            injector=injector, tracer=tracer) as pool:
-            assert pool.map(_square, [3]) == [9]
+        with SupervisedPool(1, deadline_s=30.0, tracer=tracer) as pool:
+            assert pool.map(faulty(_square, kill=1), [3]) == [9]
             assert pool.restarts == 1
         counters = tracer.metrics.snapshot().counters
         assert counters["parallel.restarts"] == 1
@@ -182,22 +127,3 @@ class TestCsvQuarantine:
         assert table.column("x").dtype == np.int64
         assert table.num_rows == 40
         assert q.count == 1
-
-    def test_injector_corrupts_deterministic_rows(self, tmp_path):
-        rows = "\n".join(f"{i},{i}.5" for i in range(50))
-        path = self._write(tmp_path, f"id,x\n{rows}\n")
-        config = FaultsConfig(enabled=True, seed=3,
-                              row_corruption_prob=0.1)
-
-        def load():
-            q = RowQuarantine(error_budget=0.5)
-            return read_csv(path, quarantine=q,
-                            injector=FaultInjector(config)), q
-
-        t1, q1 = load()
-        t2, q2 = load()
-        assert q1.count > 0
-        assert q1.count == q2.count
-        assert t1.num_rows == t2.num_rows == 50 - q1.count
-        assert [r.line_number for r in q1.rows] == \
-            [r.line_number for r in q2.rows]

@@ -3,6 +3,8 @@
 Each recovery path in isolation: deadline-bounded hang escape, broken
 pool rebuild, the one serial fallback on the coordinator for every
 task the pool failed, and merge-time result-integrity fingerprints.
+The faults are real: task functions from ``tests._faults`` kill their
+worker, oversleep or poison their result, only in a pool worker.
 """
 
 import os
@@ -14,20 +16,19 @@ import time
 import numpy as np
 import pytest
 
-from repro.config import FaultsConfig, ParallelConfig
+from repro.config import ParallelConfig
 from repro.engine.aggregates import AvgState, SumState
 from repro.errors import ShardLostError
 from repro.estimate.bootstrap import PoissonWeightSource
-from repro.faults import FaultInjector
 from repro.obs import MetricsRegistry, Tracer
 from repro.parallel import (
-    CORRUPT_SENTINEL,
     ParallelExecutor,
     SupervisedPool,
     run_fold_shard,
     validate_fold_shard,
 )
-from repro.parallel.supervisor import corrupt_result
+
+from .._faults import faulty, not_nan, poison
 
 
 def square(x):
@@ -47,11 +48,6 @@ def kill_once(task):
         open(marker, "w").close()
         os.kill(os.getpid(), signal.SIGKILL)
     return x * x
-
-
-def injector(**fields):
-    cfg = FaultsConfig(enabled=True, seed=fields.pop("seed", 7), **fields)
-    return FaultInjector(cfg, master_seed=cfg.seed)
 
 
 def metrics_tracer():
@@ -76,11 +72,12 @@ class TestSupervisedMap:
 
 class TestCrashRecovery:
     def test_process_worker_kills_are_survived(self):
+        """A worker dies on its third task; eight tasks on two workers
+        reach one."""
         tracer = metrics_tracer()
-        inj = injector(worker_kill_prob=0.4)
-        with SupervisedPool(2, deadline_s=30.0,
-                            injector=inj, tracer=tracer) as pool:
-            assert pool.map(square, range(8)) == [x * x for x in range(8)]
+        with SupervisedPool(2, deadline_s=30.0, tracer=tracer) as pool:
+            assert pool.map(faulty(square, kill=3),
+                            range(8)) == [x * x for x in range(8)]
             assert pool.restarts == 1
         counters = tracer.metrics.snapshot().counters
         assert counters["parallel.restarts"] == pool.restarts
@@ -111,15 +108,6 @@ class TestCrashRecovery:
         counters = tracer.metrics.snapshot().counters
         assert len(fallbacks) == counters["parallel.serial_fallbacks"]
 
-    def test_fault_plans_are_deterministic(self):
-        plans = [injector(worker_kill_prob=0.3, worker_hang_prob=0.2,
-                          result_corrupt_prob=0.1).worker_faults(16)
-                 for _ in range(2)]
-        for key in ("kill", "hang", "corrupt"):
-            np.testing.assert_array_equal(plans[0][key], plans[1][key])
-        assert any(plans[0][key].any()
-                   for key in ("kill", "hang", "corrupt"))
-
 
 class TestSharedPool:
     def test_a_late_rebuild_spares_the_replacement(self):
@@ -139,7 +127,8 @@ class TestSharedPool:
 
     def test_threads_survive_each_others_rebuilds(self):
         """Three runs (more than this host's cores) map on one pool at
-        once, each with its own tracer and kill plan.  A broken
+        once, each with its own tracer; the worker dies on every fourth
+        task it runs.  A broken
         executor is rebuilt once, never its replacement, and another
         run's tasks on it run on the coordinator: every result is
         right, and the runs' restart counters add up to the pool's."""
@@ -147,13 +136,12 @@ class TestSharedPool:
         seeds = (1, 2, 3)
         tracers = {seed: metrics_tracer() for seed in seeds}
         results, errors = {}, []
+        killing = faulty(square, kill=4)
 
         def drive(seed):
-            inj = injector(seed=seed, worker_kill_prob=0.3)
             try:
                 results[seed] = [
-                    pool.map(square, range(5), tracer=tracers[seed],
-                             injector=inj)
+                    pool.map(killing, range(5), tracer=tracers[seed])
                     for _ in range(6)
                 ]
             except Exception as exc:  # surfaced below
@@ -185,23 +173,20 @@ class TestSharedPool:
 
 class TestHangDeadline:
     def test_hung_worker_never_stalls_past_deadline(self):
-        """The acceptance pin: injected hangs sleep 30s but the map is
+        """The acceptance pin: hung tasks sleep 30s but the map is
         bounded by its (sub-second) dispatch budget, not by the
         hang."""
-        inj = injector(worker_hang_prob=0.9, worker_hang_s=30.0)
         start = time.monotonic()
-        with SupervisedPool(2, deadline_s=0.5, injector=inj) as pool:
-            results = pool.map(square, range(4))
+        with SupervisedPool(2, deadline_s=0.5) as pool:
+            results = pool.map(faulty(square, hang=1), range(4))
         elapsed = time.monotonic() - start
         assert results == [x * x for x in range(4)]
         assert elapsed < 15.0, f"stalled {elapsed:.1f}s behind a hang"
 
     def test_timeout_counters_and_restart(self):
         tracer = metrics_tracer()
-        inj = injector(worker_hang_prob=1.0, worker_hang_s=30.0)
-        with SupervisedPool(2, deadline_s=0.3,
-                            injector=inj, tracer=tracer) as pool:
-            assert pool.map(square, [1, 2]) == [1, 4]
+        with SupervisedPool(2, deadline_s=0.3, tracer=tracer) as pool:
+            assert pool.map(faulty(square, hang=1), [1, 2]) == [1, 4]
             assert pool.restarts == 1
         counters = tracer.metrics.snapshot().counters
         assert counters["parallel.task_timeouts"] == 2
@@ -255,10 +240,10 @@ class TestQuarantine:
         """Every result comes back corrupt: each task runs once on the
         coordinator, and the pool, which never broke, is kept."""
         tracer = metrics_tracer()
-        inj = injector(result_corrupt_prob=1.0)
-        with SupervisedPool(2, deadline_s=30.0,
-                            injector=inj, tracer=tracer) as pool:
-            assert pool.map(square, range(4)) == [x * x for x in range(4)]
+        with SupervisedPool(2, deadline_s=30.0, tracer=tracer,
+                            validate=not_nan) as pool:
+            assert pool.map(faulty(square, corrupt=1),
+                            range(4)) == [x * x for x in range(4)]
             assert pool.restarts == 0
         counters = tracer.metrics.snapshot().counters
         assert counters["parallel.corrupt_results"] == 4
@@ -269,10 +254,9 @@ class TestQuarantine:
         each task runs once on the coordinator, never on the pool
         again."""
         tracer = metrics_tracer()
-        inj = injector(worker_kill_prob=1.0)
-        with SupervisedPool(2, deadline_s=30.0,
-                            injector=inj, tracer=tracer) as pool:
-            assert pool.map(square, range(4)) == [x * x for x in range(4)]
+        with SupervisedPool(2, deadline_s=30.0, tracer=tracer) as pool:
+            assert pool.map(faulty(square, kill=1),
+                            range(4)) == [x * x for x in range(4)]
             assert pool.restarts == 1
         counters = tracer.metrics.snapshot().counters
         assert counters["parallel.restarts"] == 1
@@ -316,7 +300,7 @@ class TestResultIntegrity:
 
     def test_nan_budget_rejects_corruption(self):
         payload = _fold_payload()
-        result = corrupt_result(run_fold_shard(payload))
+        result = poison(run_fold_shard(payload))
         error = validate_fold_shard(payload, result)
         assert error is not None and "NaN" in error
 
@@ -342,7 +326,7 @@ class TestResultIntegrity:
     def test_structural_mismatches_rejected(self):
         payload = _fold_payload()
         good = run_fold_shard(payload)
-        assert validate_fold_shard(payload, CORRUPT_SENTINEL)
+        assert validate_fold_shard(payload, "not a state list")
         assert validate_fold_shard(payload, good[:1])  # missing alias
         swapped = [(good[1][0], good[0][1]), good[1]]
         assert validate_fold_shard(payload, swapped)  # alias mismatch
@@ -350,14 +334,15 @@ class TestResultIntegrity:
         assert "width" in validate_fold_shard(payload, narrow)
 
     def test_corrupted_results_rerun_in_supervised_map(self):
+        """Every second result a worker returns is poisoned; six
+        payloads on two workers poison at least one."""
         tracer = metrics_tracer()
-        inj = injector(result_corrupt_prob=0.5)
         payloads = [_fold_payload() for _ in range(6)]
         expected = [run_fold_shard(p) for p in payloads]
-        with SupervisedPool(2, deadline_s=30.0,
-                            injector=inj, tracer=tracer,
+        with SupervisedPool(2, deadline_s=30.0, tracer=tracer,
                             validate=validate_fold_shard) as pool:
-            results = pool.map(run_fold_shard, payloads)
+            results = pool.map(faulty(run_fold_shard, corrupt=2),
+                               payloads)
         for got, want in zip(results, expected):
             for (alias_g, state_g), (alias_w, state_w) in zip(got, want):
                 assert alias_g == alias_w
